@@ -28,9 +28,10 @@
 //!
 //! Two walls are reported per trial: `run_wall_s` starts at the hello
 //! barrier (what episode latencies are measured against) and
-//! `total_wall_s` includes setup — at 10^4 nodes, building `n` full
-//! per-node views (the paper's local-view model, `O(n^2)` words) is the
-//! dominant cost and is deliberately excluded from latency figures.
+//! `total_wall_s` includes setup: refinement, specs, sockets and node
+//! construction, `O(n + Σ footprint)` since each node holds only its
+//! owned variables and its actions' reads. Setup is deliberately
+//! excluded from latency figures.
 //!
 //! With `--check`, every trial must converge without timing out, and a
 //! scheduling-invariance digest (episode structure, crash count, final

@@ -13,8 +13,9 @@
 //! - [`fault`] — a send-side fault injector per link: seeded
 //!   deterministic drop, duplicate, delay/reorder, and bit-corruption,
 //!   plus dynamic partition/heal of node groups.
-//! - nodes execute their guarded commands on a view of owned variables
-//!   plus possibly-stale caches, broadcast writes and periodic
+//! - nodes hold only their footprint — owned variables plus
+//!   possibly-stale caches of the remote variables their actions read —
+//!   execute their guarded commands on it, broadcast writes and periodic
 //!   heartbeats to remote readers, and can be crash-restarted into an
 //!   *arbitrary* state (the nonmasking scenario) by the controller.
 //! - [`detect`] — a runtime stabilization detector over the

@@ -1,11 +1,21 @@
 //! One distributed node as a reactor-driven state machine.
 //!
-//! A node's *view* is a full state vector in which its own variables are
-//! authoritative and remote variables its actions read are caches,
-//! refreshed only by [`Frame::Update`]/[`Frame::Heartbeat`] frames from
-//! their owners. The node never touches shared memory: every byte of
-//! cross-node information crosses a socket through the fault-injecting
-//! transport.
+//! A node holds only its *footprint*: its own variables plus the remote
+//! variables its actions declare as reads, one `i64` per variable. Own
+//! values are authoritative; remote values are caches, refreshed only by
+//! [`Frame::Update`]/[`Frame::Heartbeat`] frames from their owners. The
+//! node never touches shared memory: every byte of cross-node information
+//! crosses a socket through the fault-injecting transport.
+//!
+//! Guards and effects are closures over a full [`State`] indexed by
+//! global variable ids, so to evaluate or apply an action the node loads
+//! its footprint into a scratch state lent by its shard worker, runs the
+//! action there, and stores the footprint back. That is exact under the
+//! declared-read contract: an action reads only variables in its
+//! `reads()`, which are all in the footprint, and the scratch's other
+//! slots are never looked at. (A variable outside every node's declared
+//! reads was never refreshed over the wire anyway, since remote readers
+//! are derived from the same declarations.)
 //!
 //! Since the reactor refactor a node is no longer a thread: it is a
 //! [`NodeCore`] owned by a shard worker (`crate::reactor`), advanced by
@@ -37,6 +47,9 @@ pub(crate) struct NodeSpec {
     pub actions: Vec<nonmask_program::ActionId>,
     /// Variables this node owns.
     pub owned: Vec<VarId>,
+    /// Owned variables plus the declared reads of `actions`, sorted and
+    /// deduplicated: the only variables the node holds.
+    pub footprint: Vec<VarId>,
     /// `(peer, owned vars that peer reads)` — one outgoing logical link
     /// per entry.
     pub out_peers: Vec<(usize, Vec<VarId>)>,
@@ -91,7 +104,15 @@ pub(crate) struct NodeCore<'a> {
     spec: &'a NodeSpec,
     timing: &'a NodeTiming,
     step_log: Option<StepLog>,
-    view: State,
+    /// The run's initial state: the base that step-log snapshots overlay
+    /// the footprint on.
+    initial: &'a State,
+    /// One value per [`NodeSpec::footprint`] slot.
+    values: Vec<i64>,
+    /// Some action is enabled on the current footprint. Recomputed
+    /// whenever the footprint changes, so [`NodeCore::next_deadline`]
+    /// needs no scratch state.
+    enabled: bool,
     /// This node's transport/protocol counters (the report payload).
     pub counters: CounterSnapshot,
     crashed: bool,
@@ -113,16 +134,20 @@ pub(crate) struct NodeCore<'a> {
 }
 
 impl<'a> NodeCore<'a> {
-    /// Build the state machine for one node. `conn_of_peer` maps a peer
-    /// node index to the shard-stream index its frames travel on.
+    /// Build the state machine for one node, starting from the footprint
+    /// of `initial`. `conn_of_peer` maps a peer node index to the
+    /// shard-stream index its frames travel on; `scratch` is the shard's
+    /// full-length working state.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         program: &'a Program,
         spec: &'a NodeSpec,
         timing: &'a NodeTiming,
-        initial_view: State,
+        initial: &'a State,
         faults: &FaultConfig,
         conn_of_peer: impl Fn(usize) -> usize,
         step_log: Option<StepLog>,
+        scratch: &mut State,
     ) -> Self {
         let links = spec
             .out_peers
@@ -142,12 +167,14 @@ impl<'a> NodeCore<'a> {
         } else {
             0
         };
-        NodeCore {
+        let mut core = NodeCore {
             program,
             spec,
             timing,
             step_log,
-            view: initial_view,
+            initial,
+            values: spec.footprint.iter().map(|&v| initial.get(v)).collect(),
+            enabled: false,
             counters: CounterSnapshot::default(),
             crashed: false,
             shutting: false,
@@ -160,35 +187,96 @@ impl<'a> NodeCore<'a> {
             data_seq: 0,
             report_seq: 0,
             links,
+        };
+        core.refresh_enabled(scratch);
+        core
+    }
+
+    /// The footprint slot holding `var`, if the node holds it at all.
+    fn slot(&self, var: VarId) -> Option<usize> {
+        self.spec.footprint.binary_search(&var).ok()
+    }
+
+    /// The slot of a variable the node must hold (owned variables always
+    /// are in the footprint).
+    fn held(&self, var: VarId) -> usize {
+        self.slot(var)
+            .expect("owned variables are in the footprint")
+    }
+
+    /// Set footprint variable `var` from the wire. Variables outside the
+    /// footprint — ones this node never reads, or out-of-range indices a
+    /// misbehaving peer might send — are ignored. Returns whether the
+    /// held value changed.
+    fn apply_var(&mut self, var: u32, value: i64) -> bool {
+        match self.slot(VarId::from_index(var as usize)) {
+            Some(i) if self.values[i] != value => {
+                self.values[i] = value;
+                true
+            }
+            _ => false,
         }
     }
 
-    fn apply_var(&mut self, var: u32, value: i64) {
-        // Out-of-range indices cannot come from CRC-checked frames, but a
-        // misbehaving peer must not crash the node.
-        if (var as usize) < self.program.var_count() {
-            self.view.set(VarId::from_index(var as usize), value);
+    /// Lend the footprint to `scratch`.
+    fn load(&self, scratch: &mut State) {
+        for (&v, &x) in self.spec.footprint.iter().zip(&self.values) {
+            scratch.set(v, x);
         }
+    }
+
+    /// Take the footprint back from `scratch` after an action ran there.
+    fn store(&mut self, scratch: &State) {
+        for (x, &v) in self.values.iter_mut().zip(&self.spec.footprint) {
+            *x = scratch.get(v);
+        }
+    }
+
+    /// Whether some action is enabled on `scratch`, which holds this
+    /// node's footprint.
+    fn any_enabled_in(&self, scratch: &State) -> bool {
+        self.spec
+            .actions
+            .iter()
+            .any(|&a| self.program.action(a).enabled(scratch))
+    }
+
+    fn refresh_enabled(&mut self, scratch: &mut State) {
+        self.load(scratch);
+        self.enabled = self.any_enabled_in(scratch);
+    }
+
+    /// A full state for the step log: the run's initial state overlaid
+    /// with the footprint, so the record does not depend on which node
+    /// used the scratch last.
+    fn snapshot(&self) -> State {
+        let mut state = self.initial.clone();
+        self.load(&mut state);
+        state
     }
 
     /// Apply one incoming frame. Returns `true` when the node's
     /// *authoritative* state changed (a restart) — the shard bumps its
     /// freshness generation on that signal; cache refreshes from peers do
     /// not count (they never appear in reports).
-    pub fn on_frame(&mut self, frame: Frame) -> bool {
+    pub fn on_frame(&mut self, frame: Frame, scratch: &mut State) -> bool {
         match frame {
             Frame::Update { var, value, .. } => {
                 self.counters.received += 1;
-                if !self.crashed {
-                    self.apply_var(var, value);
+                if !self.crashed && self.apply_var(var, value) {
+                    self.refresh_enabled(scratch);
                 }
                 false
             }
             Frame::Heartbeat { vars, .. } => {
                 self.counters.received += 1;
                 if !self.crashed {
+                    let mut changed = false;
                     for (var, value) in vars {
-                        self.apply_var(var, value);
+                        changed |= self.apply_var(var, value);
+                    }
+                    if changed {
+                        self.refresh_enabled(scratch);
                     }
                 }
                 false
@@ -199,12 +287,14 @@ impl<'a> NodeCore<'a> {
                 false
             }
             Frame::Restart { vars } => {
-                // The whole view — owned variables and caches — comes
-                // back arbitrary: the nonmasking scenario. Large views
-                // arrive as several chunks; each applies the same way.
+                // The whole footprint — owned variables and caches —
+                // comes back arbitrary: the nonmasking scenario. Large
+                // footprints arrive as several chunks; each applies the
+                // same way.
                 for (var, value) in vars {
                     self.apply_var(var, value);
                 }
+                self.refresh_enabled(scratch);
                 self.crashed = false;
                 self.next_exec_tick = 0;
                 self.dirty = true;
@@ -270,10 +360,17 @@ impl<'a> NodeCore<'a> {
     }
 
     /// Execute enabled actions, round-robin, paced by the cooldown.
-    fn try_exec(&mut self, tick: u64, partition: &PartitionMap, outs: &mut [Vec<u8>]) -> u64 {
-        if tick < self.next_exec_tick || self.spec.actions.is_empty() {
+    fn try_exec(
+        &mut self,
+        tick: u64,
+        partition: &PartitionMap,
+        outs: &mut [Vec<u8>],
+        scratch: &mut State,
+    ) -> u64 {
+        if tick < self.next_exec_tick || !self.enabled {
             return 0;
         }
+        self.load(scratch);
         let mut changes = 0u64;
         let mut executed = false;
         for _ in 0..self.timing.steps_per_tick {
@@ -281,11 +378,7 @@ impl<'a> NodeCore<'a> {
             let mut chosen = None;
             for off in 0..k {
                 let idx = (self.cursor + off) % k;
-                if self
-                    .program
-                    .action(self.spec.actions[idx])
-                    .enabled(&self.view)
-                {
+                if self.program.action(self.spec.actions[idx]).enabled(scratch) {
                     chosen = Some(idx);
                     break;
                 }
@@ -294,15 +387,16 @@ impl<'a> NodeCore<'a> {
             self.cursor = (idx + 1) % k;
             let action_id = self.spec.actions[idx];
             let action = self.program.action(action_id);
-            let before = self.step_log.as_ref().map(|_| self.view.clone());
-            action.apply(&mut self.view);
+            let before = self.step_log.as_ref().map(|_| self.snapshot());
+            action.apply(scratch);
+            self.store(scratch);
             if let (Some(log), Some(before)) = (&self.step_log, before) {
                 log.push(
                     usize::from(self.spec.node),
                     tick,
                     action_id,
                     before,
-                    self.view.clone(),
+                    self.snapshot(),
                 );
             }
             self.counters.steps += 1;
@@ -312,7 +406,7 @@ impl<'a> NodeCore<'a> {
             executed = true;
             let writes: Vec<VarId> = action.writes().to_vec();
             for w in writes {
-                let value = self.view.get(w);
+                let value = scratch.get(w);
                 self.data_seq += 1;
                 let frame = Frame::Update {
                     node: self.spec.node,
@@ -324,6 +418,7 @@ impl<'a> NodeCore<'a> {
                 changes += 1;
             }
         }
+        self.enabled = self.any_enabled_in(scratch);
         if executed {
             // `max(1)` keeps the event-driven loop from executing an
             // unbounded number of bursts within one tick when
@@ -345,6 +440,7 @@ impl<'a> NodeCore<'a> {
         partition: &PartitionMap,
         outs: &mut [Vec<u8>],
         control: &mut Vec<u8>,
+        scratch: &mut State,
     ) -> u64 {
         if self.finalized || self.shutting {
             return 0;
@@ -352,7 +448,7 @@ impl<'a> NodeCore<'a> {
         let mut changes = 0u64;
         if !self.crashed {
             if !self.spec.byzantine {
-                changes += self.try_exec(tick, partition, outs);
+                changes += self.try_exec(tick, partition, outs, scratch);
             }
 
             // Heartbeats: re-broadcast owned values to each reader.
@@ -367,8 +463,8 @@ impl<'a> NodeCore<'a> {
                 // identical for every shard count and batching.
                 if self.spec.byzantine {
                     let k = self.counters.heartbeats;
-                    for i in 0..self.spec.owned.len() {
-                        let v = self.spec.owned[i];
+                    let spec = self.spec;
+                    for &v in &spec.owned {
                         let lie = byzantine_lie_in(
                             self.program.var(v).domain(),
                             self.timing.byzantine_seed,
@@ -376,7 +472,8 @@ impl<'a> NodeCore<'a> {
                             v.index() as u64,
                             k,
                         );
-                        self.view.set(v, lie);
+                        let slot = self.held(v);
+                        self.values[slot] = lie;
                     }
                     self.dirty = true;
                     changes += 1;
@@ -386,7 +483,7 @@ impl<'a> NodeCore<'a> {
                     let vars: Vec<(u32, i64)> = self.links[i]
                         .vars
                         .iter()
-                        .map(|&v| (v.index() as u32, self.view.get(v)))
+                        .map(|&v| (v.index() as u32, self.values[self.held(v)]))
                         .collect();
                     self.data_seq += 1;
                     let routed = Frame::Routed {
@@ -451,7 +548,7 @@ impl<'a> NodeCore<'a> {
         let mut due: Option<u64> = None;
         let mut consider = |t: u64| due = Some(due.map_or(t, |d: u64| d.min(t)));
         if !self.crashed {
-            if !self.spec.byzantine && !self.spec.actions.is_empty() && self.any_enabled() {
+            if !self.spec.byzantine && self.enabled {
                 consider(self.next_exec_tick);
             }
             if self.timing.heartbeat_every > 0 && !self.links.is_empty() {
@@ -467,13 +564,6 @@ impl<'a> NodeCore<'a> {
             }
         }
         due
-    }
-
-    fn any_enabled(&self) -> bool {
-        self.spec
-            .actions
-            .iter()
-            .any(|&a| self.program.action(a).enabled(&self.view))
     }
 
     /// Emit the final (`last = true`) report into the control buffer.
@@ -497,7 +587,7 @@ impl<'a> NodeCore<'a> {
                 .spec
                 .owned
                 .iter()
-                .map(|&v| (v.index() as u32, self.view.get(v)))
+                .map(|&v| (v.index() as u32, self.values[self.held(v)]))
                 .collect(),
         };
         // Reports never exceed MAX_PAYLOAD (validate() bounds per-node

@@ -181,15 +181,6 @@ pub(crate) fn dial(addr: SocketAddr, deadline: Instant) -> io::Result<TcpStream>
     }
 }
 
-/// Scale-diagnosis logging, enabled by the `NONMASK_NET_DEBUG`
-/// environment variable: phase timestamps (node-core construction,
-/// finalize, loop exit, shutdown grace) for attributing wall time at
-/// large node counts, where building `n` full local views dominates.
-pub(crate) fn debug_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("NONMASK_NET_DEBUG").is_some())
-}
-
 fn timeout_err(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::TimedOut, what.to_string())
 }
@@ -204,6 +195,8 @@ pub(crate) struct WorkerEnv<'a> {
     pub timing: &'a NodeTiming,
     pub faults: &'a FaultConfig,
     pub partition: &'a PartitionMap,
+    /// The run's initial state: each node's starting footprint, and the
+    /// initial contents of the shard's scratch state.
     pub initial: &'a State,
     pub step_log: Option<StepLog>,
     /// `generations[s]`: shard `s`'s live freshness counter, bumped on
@@ -286,6 +279,9 @@ pub(crate) fn run_worker(
     for (i, &t) in out_shards.iter().enumerate() {
         conn_of_shard[t] = i;
     }
+    // The one full-length state of the shard: every node lends its
+    // footprint to it to evaluate or apply an action.
+    let mut scratch = env.initial.clone();
     let mut nodes: Vec<NodeCore<'_>> = range
         .clone()
         .map(|p| {
@@ -293,17 +289,15 @@ pub(crate) fn run_worker(
                 env.program,
                 &env.specs[p],
                 env.timing,
-                env.initial.clone(),
+                env.initial,
                 env.faults,
                 |q| conn_of_shard[env.plan.shard_of[q]],
                 env.step_log.clone(),
+                &mut scratch,
             )
         })
         .collect();
 
-    if debug_enabled() {
-        eprintln!("[net-debug] shard {shard} built {} node cores", nodes.len());
-    }
     // Mesh is up: announce every owned node. The controller's startup
     // barrier is "all n Hellos seen", exactly as in the thread runtime.
     let mut hellos = Vec::new();
@@ -329,6 +323,7 @@ pub(crate) fn run_worker(
         shard,
         range,
         &mut nodes,
+        &mut scratch,
         &mut control,
         &mut out_streams,
         &mut in_streams,
@@ -339,12 +334,13 @@ pub(crate) fn run_worker(
 
 /// The steady-state poll loop (split out of [`run_worker`] so startup and
 /// steady state read separately).
-#[allow(clippy::too_many_lines)]
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn worker_loop(
     env: &WorkerEnv<'_>,
     shard: usize,
     range: Range<usize>,
     nodes: &mut [NodeCore<'_>],
+    scratch: &mut State,
     control: &mut TcpStream,
     out_streams: &mut [TcpStream],
     in_streams: &mut [TcpStream],
@@ -477,7 +473,7 @@ fn worker_loop(
                 let p = usize::from(to);
                 if range.contains(&p) {
                     let local = p - range.start;
-                    if nodes[local].on_frame(*frame) {
+                    if nodes[local].on_frame(*frame, scratch) {
                         gen_local += 1;
                     }
                     mark(&mut touched, &mut svc, local);
@@ -494,7 +490,7 @@ fn worker_loop(
                         if range.contains(&p) {
                             let local = p - range.start;
                             last_routed[i] = local;
-                            if nodes[local].on_frame(*frame) {
+                            if nodes[local].on_frame(*frame, scratch) {
                                 gen_local += 1;
                             }
                             mark(&mut touched, &mut svc, local);
@@ -519,7 +515,13 @@ fn worker_loop(
         }
         for &i in &svc {
             touched[i] = false;
-            gen_local += nodes[i].service(now_tick, env.partition, &mut out_bufs, &mut control_out);
+            gen_local += nodes[i].service(
+                now_tick,
+                env.partition,
+                &mut out_bufs,
+                &mut control_out,
+                scratch,
+            );
             if let Some(t) = nodes[i].next_deadline() {
                 heap.push(Reverse((t.max(now_tick + 1), i)));
             }
@@ -555,12 +557,6 @@ fn worker_loop(
                     node.finalize(&mut control_out);
                 }
                 finalized = true;
-                if debug_enabled() {
-                    eprintln!(
-                        "[net-debug] shard {shard} finalized at {:?}",
-                        epoch.elapsed()
-                    );
-                }
             }
         }
 
@@ -593,12 +589,6 @@ fn worker_loop(
             // Controller hung up (normal end: it saw our final reports;
             // abnormal: it errored out), or everything this shard owed the
             // run has been flushed. Either way nothing is left to do.
-            if debug_enabled() {
-                eprintln!(
-                    "[net-debug] shard {shard} loop exits at {:?}",
-                    epoch.elapsed()
-                );
-            }
             return Ok(());
         }
     }
@@ -644,6 +634,7 @@ mod tests {
                 node: p,
                 actions: Vec::new(),
                 owned: Vec::new(),
+                footprint: Vec::new(),
                 out_peers: vec![(usize::from((p + 1) % 4), Vec::new())],
                 byzantine: false,
             })

@@ -33,12 +33,12 @@ use crate::detect::{Detector, DetectorConfig, Episode};
 use crate::fault::{FaultConfig, PartitionMap};
 use crate::node::{NodeSpec, NodeTiming};
 use crate::reactor::{
-    debug_enabled, effective_shards, flush_buf, raw_fd, run_worker, MeshPlan, ShardPlan, WorkerEnv,
+    effective_shards, flush_buf, raw_fd, run_worker, MeshPlan, ShardPlan, WorkerEnv,
 };
 use crate::wire::{read_frame, FeedStatus, Frame, FrameBuffer, MAX_PAYLOAD};
 
-/// Most `(var, value)` pairs per Restart frame: a restart of a huge view
-/// is chunked so no frame exceeds [`MAX_PAYLOAD`].
+/// Most `(var, value)` pairs per Restart frame: a restart of a huge
+/// footprint is chunked so no frame exceeds [`MAX_PAYLOAD`].
 const RESTART_CHUNK: usize = 4096;
 
 /// A scheduled disturbance.
@@ -50,8 +50,9 @@ const RESTART_CHUNK: usize = 4096;
 #[derive(Debug, Clone)]
 pub enum NetEvent {
     /// Crash `node` (it drops its state and goes silent), then after
-    /// `down` restart it with an *arbitrary* full view sampled from the
-    /// run's RNG — the paper's nonmasking scenario.
+    /// `down` restart it with an *arbitrary* state sampled from the run's
+    /// RNG — owned variables and cached copies alike, the paper's
+    /// nonmasking scenario.
     CrashRestart {
         /// Node to crash.
         node: usize,
@@ -119,9 +120,10 @@ pub struct NetConfig {
     /// Defaults to [`Journal::disabled`] (no overhead).
     pub journal: Journal,
     /// Record every action a node executes — node index, node-local tick,
-    /// and the node's view before/after — for differential conformance
-    /// checking (`crates/conform`). Off by default; recording clones two
-    /// states per step under a shared lock.
+    /// and the node's state before/after (the initial state overlaid with
+    /// the node's footprint) — for differential conformance checking
+    /// (`crates/conform`). Off by default; recording builds two full
+    /// states per step and appends them under a shared lock.
     pub step_log: Option<StepLog>,
     /// Test hook: panic the given shard worker during startup, to
     /// exercise the [`NetError::ControlLoopFailed`] path.
@@ -359,6 +361,7 @@ fn build_specs(refinement: &Refinement, byzantine: &[usize]) -> Result<Vec<NodeS
                 node: u16::try_from(p).map_err(|_| NetError::TooManyNodes(n))?,
                 actions: refinement.actions_of(p).to_vec(),
                 owned: refinement.vars_of(p).to_vec(),
+                footprint: refinement.footprint_of(p).to_vec(),
                 out_peers: Vec::new(),
                 byzantine: byzantine.contains(&p),
             })
@@ -394,8 +397,8 @@ fn validate(
     }
     // Per-node bound: a report frame carries every variable the node
     // owns (12 bytes each, plus headers and counters). Restart frames
-    // carry the *full* view but are chunked, so only the per-node owned
-    // set needs to fit one frame.
+    // carry the whole footprint but are chunked, so only the per-node
+    // owned set needs to fit one frame.
     for p in 0..n {
         let owned = refinement.vars_of(p).len();
         if owned * 12 + 128 > MAX_PAYLOAD {
@@ -442,18 +445,17 @@ pub fn run(
     goal: &Predicate,
     config: &NetConfig,
 ) -> Result<NetReport, NetError> {
-    let debug_t0 = Instant::now();
-    let refinement = Refinement::new(program)?;
-    validate(program, &refinement, config)?;
-    let specs = build_specs(&refinement, &config.byzantine)?;
+    let specs = {
+        let _span = config.journal.span("net.build_specs");
+        let refinement = Refinement::new(program)?;
+        validate(program, &refinement, config)?;
+        build_specs(&refinement, &config.byzantine)?
+    };
     for &b in &config.byzantine {
         config.journal.emit_with(|| Event::Fault {
             kind: "byzantine".to_string(),
             detail: format!("node {b} (seed {})", config.byzantine_seed),
         });
-    }
-    if debug_enabled() {
-        eprintln!("[net-debug] specs built at {:?}", debug_t0.elapsed());
     }
     let n = specs.len();
     let plan = ShardPlan::new(n, effective_shards(config.shards, n));
@@ -524,7 +526,7 @@ pub fn run(
             controller_listener,
             &plan,
             &generations,
-            n,
+            &specs,
         );
         // The control loop has shut its sockets down (or errored out and
         // dropped them), so every worker sees EOF and exits; joining here
@@ -542,9 +544,6 @@ pub fn run(
         }
         (result, panic_msg)
     });
-    if debug_enabled() {
-        eprintln!("[net-debug] scope done at {:?}", debug_t0.elapsed());
-    }
     match worker_panic {
         // A dead worker explains (and outranks) whatever secondary error
         // the controller hit while waiting on it.
@@ -693,6 +692,30 @@ fn drain_frames(
     }
 }
 
+/// The Restart frames resurrecting a node with an arbitrary state. All
+/// variables are drawn in index order, as a full-state restart would draw
+/// them, so the RNG stream — and every value the node can ever observe —
+/// is independent of footprint sizes; only the node's footprint travels,
+/// chunked by [`RESTART_CHUNK`] (always at least one frame).
+fn restart_frames(program: &Program, footprint: &[VarId], rng: &mut StdRng) -> Vec<Frame> {
+    let mut wanted = footprint.iter().peekable();
+    let mut vars = Vec::with_capacity(footprint.len());
+    for v in program.var_ids() {
+        let value = program.var(v).domain().sample(rng);
+        if wanted.next_if_eq(&&v).is_some() {
+            vars.push((v.index() as u32, value));
+        }
+    }
+    if vars.is_empty() {
+        return vec![Frame::Restart { vars }];
+    }
+    vars.chunks(RESTART_CHUNK)
+        .map(|chunk| Frame::Restart {
+            vars: chunk.to_vec(),
+        })
+        .collect()
+}
+
 /// Queue a control frame for `node` on its shard's stream.
 fn send_to_node(conns: &mut [CtrlConn], plan: &ShardPlan, node: usize, frame: Frame) {
     let conn = &mut conns[plan.shard_of[node]];
@@ -736,10 +759,15 @@ fn control_loop(
     controller_listener: TcpListener,
     plan: &ShardPlan,
     generations: &[AtomicU64],
-    n: usize,
+    specs: &[NodeSpec],
 ) -> Result<NetReport, NetError> {
     let journal = &config.journal;
     let s_count = plan.shard_count();
+    let n = specs.len();
+
+    // Startup, up to the moment every node has said hello: the workers
+    // build their stream mesh and node cores meanwhile.
+    let hello_barrier = journal.span("net.hello_barrier");
 
     // Each shard worker dials in and greets with Pulse{shard, 0}; the
     // accept loop is deadlined so a worker that died during startup
@@ -825,10 +853,8 @@ fn control_loop(
         }
     }
 
+    drop(hello_barrier);
     let start = Instant::now();
-    if debug_enabled() {
-        eprintln!("[net-debug] hello barrier done");
-    }
     let mut detector = Detector::new(config.detector.clone(), "initial convergence");
     journal.emit_with(|| Event::EpisodeStarted {
         label: "initial convergence".to_string(),
@@ -856,22 +882,8 @@ fn control_loop(
                 let (_, action) = pending.swap_remove(i);
                 match action {
                     PendingAction::Restart { node } => {
-                        let arbitrary: Vec<(u32, i64)> = program
-                            .var_ids()
-                            .map(|v| (v.index() as u32, program.var(v).domain().sample(&mut rng)))
-                            .collect();
-                        if arbitrary.is_empty() {
-                            send_to_node(&mut conns, plan, node, Frame::Restart { vars: vec![] });
-                        }
-                        for chunk in arbitrary.chunks(RESTART_CHUNK) {
-                            send_to_node(
-                                &mut conns,
-                                plan,
-                                node,
-                                Frame::Restart {
-                                    vars: chunk.to_vec(),
-                                },
-                            );
+                        for frame in restart_frames(program, &specs[node].footprint, &mut rng) {
+                            send_to_node(&mut conns, plan, node, frame);
                         }
                         detector.start_episode(now, format!("crash-restart node {node}"));
                         journal.emit_with(|| Event::Fault {
@@ -967,6 +979,7 @@ fn control_loop(
     // Shut everything down and collect final reports: each node gets a
     // routed Shutdown; workers quiesce (in-flight data still counts),
     // emit final reports, and hang up.
+    let teardown = journal.span("net.teardown");
     for node in 0..n {
         send_to_node(&mut conns, plan, node, Frame::Shutdown);
     }
@@ -979,18 +992,11 @@ fn control_loop(
         poll_conns(&mut conns, Duration::from_millis(5))?;
         drain_frames(&mut conns, &mut telemetry, program, journal, n);
     }
-    if debug_enabled() {
-        let done = telemetry.node_done.iter().filter(|&&d| d).count();
-        eprintln!(
-            "[net-debug] grace ended after {:?}: {done}/{n} finals, eof={:?}",
-            grace.elapsed(),
-            conns.iter().map(|c| c.eof).collect::<Vec<_>>()
-        );
-    }
     for c in &conns {
         let _ = c.stream.shutdown(std::net::Shutdown::Both);
     }
     drop(conns);
+    drop(teardown);
 
     let converged = detector.all_converged() && !timed_out;
     let report = NetReport {
@@ -1011,11 +1017,84 @@ fn control_loop(
         node.emit(journal);
     }
     journal.flush();
-    if debug_enabled() {
-        eprintln!(
-            "[net-debug] control_loop returns at {:?} after start",
-            start.elapsed()
-        );
-    }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nonmask_program::{Domain, ProcessId};
+    use nonmask_protocols::token_ring::TokenRing;
+    use rand::RngCore;
+
+    /// Every `(var, value)` pair the frames carry, in order.
+    fn restart_pairs(frames: &[Frame]) -> Vec<(u32, i64)> {
+        frames
+            .iter()
+            .flat_map(|f| match f {
+                Frame::Restart { vars } => vars.clone(),
+                other => panic!("not a restart frame: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_restart_sends_the_footprint_slice_of_the_full_draw() {
+        let n = 10_000;
+        let ring = TokenRing::new(n, n as i64);
+        let program = ring.program();
+        let specs = build_specs(&Refinement::new(program).unwrap(), &[]).unwrap();
+
+        // What a restart of the whole state would have drawn.
+        let mut full_rng = StdRng::seed_from_u64(42);
+        let full: Vec<i64> = program
+            .var_ids()
+            .map(|v| program.var(v).domain().sample(&mut full_rng))
+            .collect();
+
+        let mut rng = StdRng::seed_from_u64(42);
+        let node = n / 3;
+        let footprint = &specs[node].footprint;
+        let frames = restart_frames(program, footprint, &mut rng);
+        // Two footprint pairs fit one frame; the whole 10^4-variable
+        // state needed three.
+        assert_eq!(frames.len(), footprint.len().div_ceil(RESTART_CHUNK));
+        assert_eq!(frames.len(), 1);
+        let expected: Vec<(u32, i64)> = footprint
+            .iter()
+            .map(|v| (v.index() as u32, full[v.index()]))
+            .collect();
+        assert_eq!(restart_pairs(&frames), expected);
+        // The stream continues exactly where the full draw left it, so
+        // later restarts see the same values too.
+        assert_eq!(rng.next_u64(), full_rng.next_u64());
+    }
+
+    #[test]
+    fn a_large_footprint_restarts_in_chunks() {
+        // Process 0 reads 5000 variables owned by other processes.
+        let mut b = Program::builder("wide");
+        let x = b.var_of("x", Domain::range(0, 3), ProcessId(0));
+        let mut reads = vec![x];
+        for p in 1..=5000 {
+            reads.push(b.var_of(format!("y.{p}"), Domain::Bool, ProcessId(p)));
+        }
+        b.closure_action("watch", reads, [x], |_| false, |_| {});
+        let program = b.build();
+        let specs = build_specs(&Refinement::new(&program).unwrap(), &[]).unwrap();
+
+        let frames = restart_frames(&program, &specs[0].footprint, &mut StdRng::seed_from_u64(7));
+        assert_eq!(frames.len(), 5001usize.div_ceil(RESTART_CHUNK));
+        let pairs = restart_pairs(&frames);
+        assert_eq!(pairs.len(), 5001);
+        assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "index order");
+        // A reader-less process restarts only its own variable.
+        let frames = restart_frames(&program, &specs[1].footprint, &mut StdRng::seed_from_u64(7));
+        assert_eq!(restart_pairs(&frames).len(), 1);
+        // An empty footprint still sends one (empty) frame: the restart
+        // itself is the signal.
+        let frames = restart_frames(&program, &[], &mut StdRng::seed_from_u64(7));
+        assert_eq!(frames.len(), 1);
+        assert!(restart_pairs(&frames).is_empty());
+    }
 }

@@ -159,13 +159,14 @@ pub enum Frame {
     },
     /// Controller → node: crash now (drop state, go silent).
     Crash,
-    /// Controller → node: restart with this (arbitrary) full view.
+    /// Controller → node: restart with this (arbitrary) footprint — the
+    /// node's owned variables plus the remote variables its actions read.
     ///
-    /// At large variable counts the controller splits the view across
-    /// several `Restart` frames (each under [`MAX_PAYLOAD`]); the node
-    /// applies every chunk and leaves the crashed state on the first.
+    /// A footprint larger than one frame holds is split across several
+    /// `Restart` frames (each under [`MAX_PAYLOAD`]); the node applies
+    /// every chunk and leaves the crashed state on the first.
     Restart {
-        /// `(variable index, value)` pairs covering the node's whole view
+        /// `(variable index, value)` pairs covering the node's footprint
         /// — owned variables *and* caches come back arbitrary.
         vars: Vec<(u32, i64)>,
     },

@@ -310,6 +310,30 @@ fn journal_captures_episodes_frames_and_counters() {
     assert!(records.iter().any(
         |r| matches!(&r.event, Event::Counter { scope, name, .. } if scope == "net-node:0" && name == "sent")
     ));
+
+    // The controller's phase spans are all present, each closes, and they
+    // nest (only the controller thread emits spans).
+    let mut open: Vec<&str> = Vec::new();
+    let mut closed: Vec<&str> = Vec::new();
+    for r in &records {
+        match &r.event {
+            Event::SpanOpen { name } => open.push(name),
+            Event::SpanClose { name, .. } => {
+                assert_eq!(
+                    open.pop(),
+                    Some(name.as_str()),
+                    "span `{name}` closes out of order"
+                );
+                closed.push(name);
+            }
+            _ => {}
+        }
+    }
+    assert!(open.is_empty(), "unclosed spans: {open:?}");
+    assert_eq!(
+        closed,
+        ["net.build_specs", "net.hello_barrier", "net.teardown"]
+    );
 }
 
 /// Node ids are 16-bit on the wire; a program with more than 65535

@@ -1,5 +1,7 @@
 //! Refinability analysis: ownership and readership structure.
 
+use std::collections::HashMap;
+
 use nonmask_program::{ActionId, ProcessId, Program, VarId};
 
 /// Why a program cannot be refined into message passing.
@@ -61,6 +63,8 @@ pub struct Refinement {
     actions_by_process: Vec<Vec<ActionId>>,
     /// Process → its variables, precomputed for the same reason.
     vars_by_process: Vec<Vec<VarId>>,
+    /// Process → owned variables plus its actions' reads, sorted.
+    footprint_by_process: Vec<Vec<VarId>>,
 }
 
 impl Refinement {
@@ -70,21 +74,20 @@ impl Refinement {
     ///
     /// See [`RefineError`].
     pub fn new(program: &Program) -> Result<Self, RefineError> {
-        // Collect the distinct processes in tag order.
+        // Collect the distinct processes in tag order; the map keeps the
+        // lookup O(1) so analysis stays linear in the variable count.
         let mut processes: Vec<ProcessId> = Vec::new();
+        let mut index_of: HashMap<ProcessId, usize> = HashMap::new();
         let mut owner = Vec::with_capacity(program.var_count());
         for var in program.var_ids() {
             let pid = program
                 .var(var)
                 .process()
                 .ok_or(RefineError::UnownedVariable { var })?;
-            let idx = match processes.iter().position(|&p| p == pid) {
-                Some(i) => i,
-                None => {
-                    processes.push(pid);
-                    processes.len() - 1
-                }
-            };
+            let idx = *index_of.entry(pid).or_insert_with(|| {
+                processes.push(pid);
+                processes.len() - 1
+            });
             owner.push(idx);
         }
 
@@ -123,6 +126,17 @@ impl Refinement {
         for (i, &o) in owner.iter().enumerate() {
             vars_by_process[o].push(VarId::from_index(i));
         }
+        let footprint_by_process = (0..processes.len())
+            .map(|p| {
+                let mut vars = vars_by_process[p].clone();
+                for &a in &actions_by_process[p] {
+                    vars.extend_from_slice(program.action(a).reads());
+                }
+                vars.sort_unstable();
+                vars.dedup();
+                vars
+            })
+            .collect();
 
         Ok(Refinement {
             processes,
@@ -131,6 +145,7 @@ impl Refinement {
             remote_readers,
             actions_by_process,
             vars_by_process,
+            footprint_by_process,
         })
     }
 
@@ -167,6 +182,14 @@ impl Refinement {
     /// The variables owned by process `p` (declaration order).
     pub fn vars_of(&self, p: usize) -> &[VarId] {
         &self.vars_by_process[p]
+    }
+
+    /// The variables process `p` ever looks at: its owned variables plus
+    /// the declared reads of its actions, sorted and deduplicated. This is
+    /// everything a message-passing node has to hold — owned values are
+    /// authoritative, the rest are caches refreshed by their owners.
+    pub fn footprint_of(&self, p: usize) -> &[VarId] {
+        &self.footprint_by_process[p]
     }
 
     /// Total number of directed `(owner → reader)` cache relationships — a
@@ -206,6 +229,62 @@ mod tests {
         assert_eq!(r.channel_count(), 2);
         assert_eq!(r.actions_of(0), vec![ActionId::from_index(0)]);
         assert_eq!(r.vars_of(1), vec![x1]);
+    }
+
+    #[test]
+    fn ring_footprint_is_own_and_predecessor() {
+        let ring = nonmask_protocols::token_ring::TokenRing::new(5, 5);
+        let r = Refinement::new(ring.program()).unwrap();
+        let x = |p: usize| ring.program().var_by_name(&format!("x.{p}")).unwrap();
+        assert_eq!(r.footprint_of(0), &[x(0), x(4)][..]);
+        for p in 1..5 {
+            assert_eq!(r.footprint_of(p), &[x(p - 1), x(p)][..]);
+        }
+    }
+
+    #[test]
+    fn actionless_process_footprint_is_its_owned_vars() {
+        let mut b = Program::builder("idle");
+        let y1 = b.var_of("y.1", Domain::Bool, ProcessId(1));
+        let x0 = b.var_of("x.0", Domain::Bool, ProcessId(0));
+        let y0 = b.var_of("y.0", Domain::Bool, ProcessId(1));
+        b.closure_action("copy@0", [x0, y1], [x0], |_| true, |_| {});
+        let p = b.build();
+        let r = Refinement::new(&p).unwrap();
+        // First-appearance order: process 1 is index 0.
+        assert_eq!(r.processes(), &[ProcessId(1), ProcessId(0)]);
+        assert!(r.actions_of(0).is_empty());
+        assert_eq!(r.footprint_of(0), &[y1, y0][..]);
+        assert_eq!(r.footprint_of(1), &[y1, x0][..]);
+    }
+
+    #[test]
+    fn diffusing_footprint_is_own_parent_and_children() {
+        use nonmask_protocols::diffusing::DiffusingComputation;
+        use nonmask_protocols::Tree;
+        let tree = Tree::binary(7);
+        let dc = DiffusingComputation::new(&tree);
+        let program = dc.program();
+        let r = Refinement::new(program).unwrap();
+        let vars = |j: usize| {
+            [
+                program.var_by_name(&format!("c.{j}")).unwrap(),
+                program.var_by_name(&format!("sn.{j}")).unwrap(),
+            ]
+        };
+        for j in 1..tree.len() {
+            let mut expected: Vec<VarId> = vars(j).into();
+            expected.extend(vars(tree.parent(j)));
+            for k in tree.children(j) {
+                expected.extend(vars(k));
+            }
+            expected.sort_unstable();
+            assert_eq!(r.footprint_of(j), &expected[..], "node {j}");
+        }
+        // A leaf holds exactly its own and its parent's variables.
+        let leaf = tree.len() - 1;
+        assert!(tree.children(leaf).is_empty());
+        assert_eq!(r.footprint_of(leaf).len(), 4);
     }
 
     #[test]
