@@ -6,8 +6,9 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nonmask_checker::{
-    check_convergence, check_convergence_opts, is_closed, CheckOptions, Fairness, StateSpace,
+    check_convergence, check_convergence_stats, is_closed, CheckOptions, Fairness, StateSpace,
 };
+use nonmask_obs::Journal;
 use nonmask_program::{ActionId, Predicate, Program, State};
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
@@ -143,13 +144,14 @@ fn bench_space_scaling(c: &mut Criterion) {
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        check_convergence_opts(
+                        check_convergence_stats(
                             &space,
                             ring.program(),
                             &t,
                             &s,
                             Fairness::WeaklyFair,
                             opts,
+                            &Journal::disabled(),
                         )
                     })
                 },

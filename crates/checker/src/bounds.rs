@@ -8,11 +8,13 @@
 //! the quantity the rank argument of Theorem 1 bounds.
 //!
 //! Both passes here run a longest-path DFS over the region's transition
-//! graph, so they need the full CSR arrays resident (a [`StateSpace`]).
-//! If you only need a convergence *verdict* for an instance too large to
-//! hold its transition table in memory, use the out-of-core
-//! [`frontier`](crate::frontier) mode instead — it never materializes
-//! transitions, but it cannot produce move counts.
+//! graph and read the resident CSR rows of a [`StateSpace`] directly:
+//! unlike closure and convergence, they have no path over the other two
+//! [`Successors`](crate::Successors) sources. If you only need a
+//! convergence *verdict* for an instance too large to hold its transition
+//! table in memory, use
+//! [`check_convergence_frontier_stats`](crate::check_convergence_frontier_stats)
+//! instead — it decodes rows on demand, but it cannot produce move counts.
 
 use nonmask_program::{Predicate, Program, State};
 

@@ -5,20 +5,19 @@
 //! yields a state where `R` holds. A state predicate `R` of `p` is closed
 //! iff each action of `p` preserves `R`." (Section 2.)
 //!
-//! The checks run over the precomputed transition table (a `(action,
-//! successor)` pair exists exactly when the action is enabled, so guards
-//! are never re-evaluated) and over [`Bitset`] predicate caches (each
-//! predicate is evaluated once per state, in parallel). Multi-threaded runs
-//! report the same first violation as a sequential scan: workers own
-//! contiguous id ranges and the lowest-id witness wins.
+//! Every check is one scan over the rows of a [`RowSource`] (a `(action,
+//! successor)` pair exists exactly when the action is enabled) and over
+//! [`Bitset`] predicate caches (each predicate is evaluated once per state,
+//! in parallel). Every source, thread count and segment size reports the
+//! same violation: the lowest violating action, then its lowest state.
 
 use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::options::{run_chunks, CheckOptions};
-use crate::segment::SegmentedSpace;
+use crate::options::{steal_find, steal_tasks, CheckOptions};
 use crate::space::{SpaceError, StateId, StateSpace};
+use crate::successors::{RowSource, Successors};
 
 /// A witnessed preservation failure: executing `action` at `before` (where
 /// the checked predicate held) produced `after` (where it does not).
@@ -95,28 +94,7 @@ pub fn preserves_given_bits(
     assuming_bits: &Bitset,
     opts: CheckOptions,
 ) -> Result<Option<Violation>, CheckError> {
-    let workers = opts.workers_for(space.len());
-    let first = run_chunks(space.len(), workers, |range| {
-        for i in range {
-            if !pred_bits.get(i) || !assuming_bits.get(i) {
-                continue;
-            }
-            for (a, succ) in space.successors(StateId::from_index(i)) {
-                if a == action && !pred_bits.contains(succ) {
-                    return Some((i, succ));
-                }
-            }
-        }
-        None
-    })?
-    .into_iter()
-    .flatten()
-    .next();
-    Ok(first.map(|(i, succ)| Violation {
-        action,
-        before: space.state(StateId::from_index(i)),
-        after: space.state(succ),
-    }))
+    first_violation(space, pred_bits, Some(assuming_bits), Some(action), opts)
 }
 
 /// Is `pred` closed in `program` (preserved by *every* action)?
@@ -129,69 +107,84 @@ pub fn is_closed(
     program: &Program,
     pred: &Predicate,
 ) -> Result<Option<Violation>, CheckError> {
-    is_closed_bits(
-        space,
-        program,
-        &Bitset::for_predicate(space, pred, CheckOptions::default())?,
-        CheckOptions::default(),
-    )
+    let _ = program;
+    let opts = CheckOptions::default();
+    is_closed_bits(space, &Bitset::for_predicate(space, pred, opts)?, opts)
 }
 
-/// [`is_closed`] over a precomputed predicate cache.
+/// [`is_closed`] over a precomputed predicate cache, on any row source: a
+/// resident [`StateSpace`], a [`SegmentedSpace`](crate::SegmentedSpace)
+/// (one built segment per worker, for tables over the memory budget) or a
+/// [`Decoder`](crate::Decoder) (no table at all). A `SegmentedSpace` scans
+/// with its own worker count, whatever `opts` asks, so its memory budget
+/// holds.
 ///
 /// # Errors
 ///
-/// [`CheckError::WorkerFailed`] if a worker panics mid-scan.
-pub fn is_closed_bits(
-    space: &StateSpace,
-    program: &Program,
+/// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
+/// [`CheckError::Space`] if a segment build exceeds the budget or an
+/// action escapes its domain.
+pub fn is_closed_bits<R: RowSource>(
+    space: &R,
     pred_bits: &Bitset,
     opts: CheckOptions,
 ) -> Result<Option<Violation>, CheckError> {
-    let everywhere = Bitset::ones(space.len());
-    for a in program.action_ids() {
-        if let Some(v) = preserves_given_bits(space, a, pred_bits, &everywhere, opts)? {
-            return Ok(Some(v));
-        }
-    }
-    Ok(None)
+    first_violation(space, pred_bits, None, None, opts)
 }
 
-/// [`is_closed`] without a resident transition relation: a single
-/// work-stealing sweep over the [`SegmentedSpace`]'s plan, each segment
-/// built, checked against every action's rows, and dropped. Use this when
-/// the full CSR would exceed the memory budget.
-///
-/// The violation reported is the one at the **lowest state id** (then in
-/// action order within that state) — every thread count and segment size
-/// agrees on it. Note the monolithic [`is_closed`] orders by lowest
-/// *action* first instead (it sweeps the space once per action); both are
-/// deterministic, but the two entry points can surface different members
-/// of the same violation set.
-///
-/// # Errors
-///
-/// [`SpaceError`] for segment-build failures (budget, domain escapes) or
-/// worker panics.
-pub fn is_closed_segmented(
-    seg_space: &SegmentedSpace<'_>,
+/// The one closure scan: among transitions from a state in `pred_bits`
+/// (and `assuming`, when given) to a state outside it — by action `only`,
+/// when given — the one with the lowest action, then the lowest state.
+fn first_violation<R: RowSource>(
+    source: &R,
     pred_bits: &Bitset,
-) -> Result<Option<Violation>, SpaceError> {
-    let index = seg_space.index();
-    let hit = seg_space.scan_find(|_, seg| {
-        for i in seg.range() {
-            if !pred_bits.get(i) {
+    assuming: Option<&Bitset>,
+    only: Option<ActionId>,
+    opts: CheckOptions,
+) -> Result<Option<Violation>, CheckError> {
+    let (plan, workers) = source.schedule(opts);
+    // Actions `floor..limit` can still beat the best hit so far; a hit by
+    // `floor` itself cannot be beaten.
+    let (floor, limit) = only.map_or((0, usize::MAX), |a| (a.index(), a.index() + 1));
+    let scan = |ti: usize| -> Result<Option<(ActionId, usize, StateId)>, SpaceError> {
+        let range = plan.range(ti);
+        let mut rows = source.rows(range.clone())?;
+        let (mut limit, mut best) = (limit, None);
+        for i in range {
+            if limit == floor {
+                break;
+            }
+            if !pred_bits.get(i) || assuming.is_some_and(|b| !b.get(i)) {
                 continue;
             }
-            for (a, succ) in seg.successors(StateId::from_index(i)) {
-                if !pred_bits.contains(succ) {
-                    return Some((i, a, succ));
+            for (a, succ) in rows.row(StateId::from_index(i))? {
+                if (floor..limit).contains(&a.index()) && !pred_bits.contains(succ) {
+                    limit = a.index();
+                    best = Some((a, i, succ));
                 }
             }
         }
-        None
-    })?;
-    Ok(hit.map(|(i, action, succ)| Violation {
+        Ok(best)
+    };
+    let best = if only.is_some() {
+        // Every hit is by the one action, so the lowest segment's hit is
+        // the witness and later segments need not be scanned.
+        steal_find(plan.count(), workers, |ti| scan(ti).transpose())?.transpose()?
+    } else {
+        // Segments come in id order, so on equal actions the earlier one
+        // wins.
+        let mut best: Option<(ActionId, usize, StateId)> = None;
+        for hit in steal_tasks(plan.count(), workers, scan)? {
+            if let Some(h) = hit? {
+                if best.is_none_or(|b| h.0 < b.0) {
+                    best = Some(h);
+                }
+            }
+        }
+        best
+    };
+    let index = source.index();
+    Ok(best.map(|(action, i, succ)| Violation {
         action,
         before: index.state(StateId::from_index(i)),
         after: index.state(succ),
@@ -201,6 +194,7 @@ pub fn is_closed_segmented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SegmentedSpace;
     use nonmask_program::Domain;
 
     /// x, y in 0..=3; action `copy` sets y := x; action `bump` increments x
@@ -380,7 +374,7 @@ mod tests {
             for seg in [512, 1000] {
                 let opts = CheckOptions::default().threads(threads).segment_states(seg);
                 let seg_space = SegmentedSpace::new(&p, opts).unwrap();
-                let v = is_closed_segmented(&seg_space, &bits)
+                let v = is_closed_bits(&seg_space, &bits, opts)
                     .unwrap()
                     .expect("inc breaks evenness");
                 assert_eq!(v.before.slots()[0], 0, "threads={threads} seg={seg}");
@@ -390,7 +384,45 @@ mod tests {
         // A closed predicate passes.
         let all = Bitset::ones(space.len());
         let seg_space = SegmentedSpace::new(&p, CheckOptions::default()).unwrap();
-        assert!(is_closed_segmented(&seg_space, &all).unwrap().is_none());
+        assert!(is_closed_bits(&seg_space, &all, CheckOptions::default())
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn segmented_closure_keeps_the_space_worker_count() {
+        let mut b = Program::builder("big");
+        let x = b.var("x", Domain::range(0, 9999));
+        b.closure_action(
+            "inc",
+            [x],
+            [x],
+            move |s| s.get(x) < 9999,
+            move |s| {
+                let v = s.get(x);
+                s.set(x, v + 1);
+            },
+        );
+        let p = b.build();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let even = Predicate::new("even", [x], move |s| s.get(x) % 2 == 0);
+        let bits = Bitset::for_predicate(&space, &even, CheckOptions::default()).unwrap();
+        // A budget that holds one resident segment but not two.
+        let serial = CheckOptions::serial().segment_states(1000);
+        let one = SegmentedSpace::new(&p, serial).unwrap();
+        let segment_bytes = one.build_segment(0).unwrap().resident_bytes();
+        let seg_space =
+            SegmentedSpace::new(&p, serial.memory_budget(segment_bytes + 4096)).unwrap();
+        // Asking for eight threads must not run more segments at once than
+        // the budget was checked for.
+        let eight = CheckOptions::default().threads(8);
+        assert_eq!(seg_space.schedule(eight).1, 1);
+        assert_eq!(space.schedule(eight).1, 8);
+        let v = is_closed_bits(&seg_space, &bits, eight)
+            .unwrap()
+            .expect("inc breaks evenness");
+        assert_eq!(v.before.slots()[0], 0);
+        assert_eq!(v.after.slots()[0], 1);
     }
 
     #[test]

@@ -47,14 +47,20 @@
 //!
 //! Every thread count reports the same witness: the lowest-id event wins,
 //! exactly as in a sequential scan.
+//!
+//! The residual analysis (Tarjan plus the fair-admissibility test) reads
+//! rows through [`Successors`], so the out-of-core
+//! [`frontier`](crate::frontier) peel ends in this same code, fed decoded
+//! rows instead of CSR rows.
 
 use nonmask_obs::{Event, Journal};
 use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
-use crate::error::{payload_string, CheckError};
-use crate::options::{chunk_ranges, run_chunks, CheckOptions};
-use crate::space::{offsets_from_counts, StateId, StateSpace};
+use crate::error::CheckError;
+use crate::options::{chunk_ranges, run_chunks, split_lens, steal_parts, CheckOptions};
+use crate::space::{offsets_from_counts, SpaceError, SpaceIndex, StateId, StateSpace};
+use crate::successors::Successors;
 
 /// The daemon assumption under which convergence is checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,24 +152,8 @@ pub fn check_convergence(
     to: &Predicate,
     fairness: Fairness,
 ) -> Result<ConvergenceResult, CheckError> {
-    check_convergence_opts(space, program, from, to, fairness, CheckOptions::default())
-}
-
-/// [`check_convergence`] with explicit [`CheckOptions`]. The result is
-/// identical for every thread count.
-///
-/// # Errors
-///
-/// [`CheckError::WorkerFailed`] if a predicate panics mid-scan.
-pub fn check_convergence_opts(
-    space: &StateSpace,
-    program: &Program,
-    from: &Predicate,
-    to: &Predicate,
-    fairness: Fairness,
-    opts: CheckOptions,
-) -> Result<ConvergenceResult, CheckError> {
-    Ok(check_convergence_stats(
+    let opts = CheckOptions::default();
+    let (result, _) = check_convergence_stats(
         space,
         program,
         from,
@@ -171,11 +161,12 @@ pub fn check_convergence_opts(
         fairness,
         opts,
         &Journal::disabled(),
-    )?
-    .0)
+    )?;
+    Ok(result)
 }
 
-/// [`check_convergence_opts`] that additionally reports
+/// [`check_convergence`] with explicit [`CheckOptions`] (the result is
+/// identical for every thread count) that additionally reports
 /// [`ConvergenceStats`] and journals the pass: one [`Event::Wave`] per
 /// invocation with the region, peel, and SCC sizes.
 ///
@@ -205,25 +196,10 @@ pub fn check_convergence_stats(
     Ok((result, stats))
 }
 
-/// [`check_convergence`] over precomputed predicate caches (evaluations of
-/// `from` and `to` over exactly this `space`). Lets callers share the
-/// caches across the closure, convergence, and bounds passes.
-///
-/// # Errors
-///
-/// [`CheckError::WorkerFailed`] if a worker panics mid-scan.
-pub fn check_convergence_bits(
-    space: &StateSpace,
-    program: &Program,
-    from_bits: &Bitset,
-    to_bits: &Bitset,
-    fairness: Fairness,
-    opts: CheckOptions,
-) -> Result<ConvergenceResult, CheckError> {
-    Ok(check_convergence_bits_stats(space, program, from_bits, to_bits, fairness, opts)?.0)
-}
-
-/// [`check_convergence_bits`] plus the pass's [`ConvergenceStats`].
+/// [`check_convergence_stats`] over precomputed predicate caches
+/// (evaluations of `from` and `to` over exactly this `space`), without the
+/// journal. Lets callers share the caches across the closure, convergence,
+/// and bounds passes.
 ///
 /// # Errors
 ///
@@ -306,62 +282,28 @@ pub fn check_convergence_bits_stats(
         offsets_from_counts(&counts).expect("region edges bounded by the space's transitions");
     let m = *offsets.last().expect("offsets never empty") as usize;
 
-    // Fill pass: region-local CSR edges, each chunk writing its disjoint
+    // Fill pass: region-local CSR edges, each chunk filling its disjoint
     // sub-slice (same chunk boundaries as the counting pass).
-    let local_ref = &local;
+    let ranges = chunk_ranges(n, workers);
     let mut edges = vec![0u32; m];
-    let fill = |range: std::ops::Range<usize>, out: &mut [u32]| {
+    let parts = split_lens(
+        &mut edges,
+        ranges
+            .iter()
+            .map(|r| (offsets[r.end] - offsets[r.start]) as usize),
+    );
+    steal_parts(parts, workers, |ci, out| {
         let mut k = 0usize;
-        for li in range {
-            for &t in space.successor_ids(region_ref[li]) {
+        for li in ranges[ci].clone() {
+            for &t in space.successor_ids(region[li]) {
                 if !to_bits.contains(t) {
-                    out[k] = local_ref[t.index()];
+                    out[k] = local[t.index()];
                     k += 1;
                 }
             }
         }
         debug_assert_eq!(k, out.len());
-    };
-    if workers <= 1 {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fill(0..n, &mut edges))).map_err(
-            |p| CheckError::WorkerFailed {
-                payload: payload_string(p),
-            },
-        )?;
-    } else {
-        let fill = &fill;
-        let mut rest: &mut [u32] = &mut edges;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for r in chunk_ranges(n, workers) {
-                let take = (offsets[r.end] - offsets[r.start]) as usize;
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                rest = tail;
-                handles.push(scope.spawn(move || fill(r, chunk)));
-            }
-            // Join *every* handle before acting on any failure so the scope
-            // never re-raises an unjoined panic.
-            let mut failure = None;
-            for h in handles {
-                if let Err(p) = h.join() {
-                    if failure.is_none() {
-                        failure = Some(payload_string(p));
-                    }
-                }
-            }
-            match failure {
-                Some(payload) => Err(CheckError::WorkerFailed { payload }),
-                None => Ok(()),
-            }
-        })?;
-    }
-    let row = |u: u32| -> &[u32] {
-        let (lo, hi) = (
-            offsets[u as usize] as usize,
-            offsets[u as usize + 1] as usize,
-        );
-        &edges[lo..hi]
-    };
+    })?;
 
     // Peeling fast path: remove every state whose internal successors are
     // all removed; what survives (`outdeg > 0` at the fixpoint) is exactly
@@ -385,52 +327,33 @@ pub fn check_convergence_bits_stats(
         }
     }
     stats.peeled_states = removed as u64;
-    if removed == n {
-        return Ok((ConvergenceResult::Converges, stats));
-    }
-    let mut alive = Bitset::zeros(n);
-    for (u, &d) in outdeg.iter().enumerate() {
-        if d > 0 {
-            alive.set(u);
-        }
-    }
-
-    // Strongly connected components of the residual subgraph (iterative
-    // Tarjan), keeping only components that contain at least one internal
-    // edge (a residual chain state feeding a cycle is a singleton SCC and
-    // cannot itself host one).
-    let sccs = tarjan_sccs_csr(&offsets, &edges, &alive);
-    stats.sccs_found = sccs.len() as u64;
-    for scc in &sccs {
-        let mut scc_bits = Bitset::zeros(n);
-        for &u in scc {
-            scc_bits.set(u as usize);
-        }
-        let has_internal_edge = scc
-            .iter()
-            .any(|&u| row(u).iter().any(|&v| scc_bits.get(v as usize)));
-        if !has_internal_edge {
-            continue;
-        }
-        let divergent = match fairness {
-            Fairness::Unfair => true,
-            Fairness::WeaklyFair => {
-                fair_admissible(space, program, &region, &local, scc, &scc_bits)
-            }
+    // `outdeg` is spent: reuse it as the region's residual-local numbering
+    // (`u32::MAX` for peeled states), so lookups stay O(1).
+    let mut residual: Vec<StateId> = Vec::with_capacity(n - removed);
+    for (d, &id) in outdeg.iter_mut().zip(&region) {
+        *d = if *d > 0 {
+            residual.push(id);
+            residual.len() as u32 - 1
+        } else {
+            u32::MAX
         };
-        if divergent {
-            let result = ConvergenceResult::Divergence {
-                states: scc
-                    .iter()
-                    .map(|&u| space.state(region[u as usize]))
-                    .collect(),
-                fairness,
-            };
-            return Ok((result, stats));
-        }
     }
-
-    Ok((ConvergenceResult::Converges, stats))
+    // A state outside the region has `local == u32::MAX`, past `outdeg`.
+    let in_residual = |t: StateId| {
+        let r = *outdeg.get(local[t.index()] as usize)?;
+        (r != u32::MAX).then_some(r as usize)
+    };
+    let mut rows = space;
+    let found = analyze_residual(
+        &mut rows,
+        program,
+        space.index(),
+        &residual,
+        in_residual,
+        fairness,
+    )?;
+    stats.sccs_found = found.sccs_found;
+    Ok((found.result, stats))
 }
 
 /// The region `from ∧ ¬to` as a sorted id list plus the inverse (dense
@@ -478,54 +401,114 @@ fn reverse_csr(offsets: &[u32], edges: &[u32], n: usize) -> (Vec<u32>, Vec<u32>)
     (rev_offsets, rev_edges)
 }
 
-/// Whether the SCC admits a weakly fair infinite computation: every action
-/// enabled at all of its states must have a transition staying inside it.
-///
-/// Enabledness is read off the transition table (an action is enabled at a
-/// state exactly when the state has a successor pair for it), so no guard
-/// is re-evaluated here. Membership tests reuse the dense `local` numbering
-/// from [`build_region`] plus the per-SCC bitset — O(1) per transition, no
-/// binary searches.
-fn fair_admissible(
-    space: &StateSpace,
-    program: &Program,
-    region: &[StateId],
-    local: &[u32],
-    scc: &[u32],
-    scc_bits: &Bitset,
-) -> bool {
-    let in_scc = |sid: StateId| -> bool {
-        let li = local[sid.index()];
-        li != u32::MAX && scc_bits.get(li as usize)
-    };
+/// What [`analyze_residual`] found.
+pub(crate) struct Residual {
+    /// The verdict: the first divergent component, or convergence.
+    pub result: ConvergenceResult,
+    /// Strongly connected components of the residual subgraph.
+    pub sccs_found: u64,
+    /// Row pairs read to build the residual graph.
+    pub evals: u64,
+}
 
-    'actions: for aid in program.action_ids() {
-        let mut has_internal = false;
+/// The residual analysis both peels end in. `residual` holds, ascending,
+/// the region states the peel could not resolve: exactly those starting an
+/// infinite region-confined path, so every cycle lies inside it, and
+/// `local` maps an id to its position there. Tarjan runs over a
+/// residual-local CSR (rows in action order, filtered to residual
+/// targets), keeping only components with an internal edge (a residual
+/// chain state feeding a cycle is a singleton SCC and cannot host one); the
+/// first such component that is a legal computation under `fairness` is
+/// the divergence witness.
+pub(crate) fn analyze_residual(
+    rows: &mut impl Successors,
+    program: &Program,
+    index: &SpaceIndex,
+    residual: &[StateId],
+    local: impl Fn(StateId) -> Option<usize>,
+    fairness: Fairness,
+) -> Result<Residual, SpaceError> {
+    let mut offsets: Vec<u32> = Vec::with_capacity(residual.len() + 1);
+    offsets.push(0);
+    let mut edges: Vec<u32> = Vec::new();
+    let mut evals = 0u64;
+    for &id in residual {
+        let row = rows.row(id)?;
+        evals += row.len() as u64;
+        edges.extend(
+            row.succs()
+                .iter()
+                .filter_map(|&t| local(t))
+                .map(|lt| lt as u32),
+        );
+        offsets.push(edges.len() as u32);
+    }
+    let sccs = tarjan_sccs_csr(&offsets, &edges, &Bitset::ones(residual.len()));
+    let mut result = ConvergenceResult::Converges;
+    for scc in &sccs {
+        let mut scc_bits = Bitset::zeros(residual.len());
         for &u in scc {
-            let sid = region[u as usize];
-            let mut enabled = false;
-            for (a, t) in space.successors(sid) {
-                if a != aid {
-                    continue;
-                }
-                enabled = true;
-                if !has_internal && in_scc(t) {
-                    has_internal = true;
-                }
-            }
-            if !enabled {
-                // Not continuously enabled on a tour of the SCC: imposes no
-                // fairness obligation here.
-                continue 'actions;
-            }
+            scc_bits.set(u as usize);
         }
-        if !has_internal {
-            // `aid` is enabled everywhere in the SCC but every execution
-            // leaves it: a fair computation cannot stay forever.
-            return false;
+        let has_internal_edge = scc.iter().any(|&u| {
+            let (lo, hi) = (
+                offsets[u as usize] as usize,
+                offsets[u as usize + 1] as usize,
+            );
+            edges[lo..hi].iter().any(|&v| scc_bits.get(v as usize))
+        });
+        if !has_internal_edge {
+            continue;
+        }
+        let states = scc.iter().map(|&u| residual[u as usize]);
+        let divergent = match fairness {
+            Fairness::Unfair => true,
+            Fairness::WeaklyFair => {
+                let in_scc = |t: StateId| local(t).is_some_and(|lt| scc_bits.get(lt));
+                fair_admissible(rows, program.action_count(), states.clone(), in_scc)?
+            }
+        };
+        if divergent {
+            result = ConvergenceResult::Divergence {
+                states: states.map(|id| index.state(id)).collect(),
+                fairness,
+            };
+            break;
         }
     }
-    true
+    Ok(Residual {
+        result,
+        sccs_found: sccs.len() as u64,
+        evals,
+    })
+}
+
+/// Whether an SCC admits a weakly fair infinite computation: every action
+/// enabled at all of its states must have a transition staying inside it.
+/// Enabledness is read off the rows: an action is enabled at a state
+/// exactly when the state's row holds a pair for it.
+fn fair_admissible(
+    rows: &mut impl Successors,
+    actions: usize,
+    scc: impl Iterator<Item = StateId>,
+    in_scc: impl Fn(StateId) -> bool,
+) -> Result<bool, SpaceError> {
+    let mut everywhere = vec![true; actions];
+    let mut stays = vec![false; actions];
+    let mut here = vec![false; actions];
+    for id in scc {
+        here.fill(false);
+        for (a, t) in rows.row(id)? {
+            here[a.index()] = true;
+            stays[a.index()] |= in_scc(t);
+        }
+        for (e, &h) in everywhere.iter_mut().zip(&here) {
+            *e &= h;
+        }
+    }
+    // An action enabled everywhere in the SCC whose every execution leaves
+    // it forces a fair computation out.
+    Ok(everywhere.iter().zip(&stays).all(|(&e, &s)| !e || s))
 }
 
 /// One step of a replayable witness path produced by [`shortest_path_to`].
@@ -602,8 +585,8 @@ pub fn shortest_path_to(
 
 /// Iterative Tarjan SCC over a CSR graph, restricted to the `alive`
 /// sub-nodes (both roots and traversed edges). Returns each component as a
-/// sorted vector of node indices. (Shared with the frontier convergence
-/// mode, which runs it over the residual subgraph only.)
+/// sorted vector of node indices. ([`analyze_residual`] runs it over the
+/// residual subgraph with every node alive.)
 pub(crate) fn tarjan_sccs_csr(offsets: &[u32], edges: &[u32], alive: &Bitset) -> Vec<Vec<u32>> {
     let n = offsets.len() - 1;
     let row = |u: u32| -> &[u32] {
@@ -941,25 +924,29 @@ mod tests {
         let s = pred_eq(&p, "x=0", "x", 0);
         // x=1 deadlocks outside the target: a witness exists, and all
         // thread counts must agree on it.
-        let serial = check_convergence_opts(
+        let serial = check_convergence_stats(
             &space,
             &p,
             &Predicate::always_true(),
             &s,
             Fairness::WeaklyFair,
             CheckOptions::serial(),
+            &Journal::disabled(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         for threads in [2, 4, 8] {
-            let par = check_convergence_opts(
+            let par = check_convergence_stats(
                 &space,
                 &p,
                 &Predicate::always_true(),
                 &s,
                 Fairness::WeaklyFair,
                 CheckOptions::default().threads(threads),
+                &Journal::disabled(),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(serial, par, "threads={threads}");
         }
         assert!(
@@ -995,29 +982,33 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = pred_eq(&p, "x=0", "x", 0);
-        let serial = check_convergence_opts(
+        let serial = check_convergence_stats(
             &space,
             &p,
             &Predicate::always_true(),
             &s,
             Fairness::Unfair,
             CheckOptions::serial(),
+            &Journal::disabled(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(
             matches!(serial, ConvergenceResult::Divergence { ref states, .. } if states.len() == 2),
             "got {serial:?}"
         );
         for threads in [2, 8] {
-            let par = check_convergence_opts(
+            let par = check_convergence_stats(
                 &space,
                 &p,
                 &Predicate::always_true(),
                 &s,
                 Fairness::Unfair,
                 CheckOptions::default().threads(threads),
+                &Journal::disabled(),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(serial, par, "threads={threads}");
         }
     }

@@ -1,5 +1,7 @@
 //! Typed failures of checker passes.
 
+use crate::space::SpaceError;
+
 /// An error raised by a checker pass (predicate caching, closure,
 /// convergence, bounds, fault-span computation).
 ///
@@ -28,6 +30,9 @@ pub enum CheckError {
         /// The larger radius that failed.
         failed: u64,
     },
+    /// A row source failed mid-sweep: a segment over the memory budget,
+    /// or an action that wrote outside its domain.
+    Space(SpaceError),
 }
 
 impl std::fmt::Display for CheckError {
@@ -42,11 +47,21 @@ impl std::fmt::Display for CheckError {
                     "containment goal family is not monotone: radius {certified} converges but radius {failed} does not"
                 )
             }
+            CheckError::Space(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for CheckError {}
+
+impl From<SpaceError> for CheckError {
+    fn from(e: SpaceError) -> Self {
+        match e {
+            SpaceError::WorkerFailed { payload } => CheckError::WorkerFailed { payload },
+            other => CheckError::Space(other),
+        }
+    }
+}
 
 /// Render a caught panic payload as a string for
 /// [`CheckError::WorkerFailed`].

@@ -1,13 +1,13 @@
 //! Frontier convergence: the out-of-core convergence check.
 //!
-//! [`check_convergence`](crate::convergence::check_convergence) needs the
-//! whole CSR transition relation resident, which caps the checkable
-//! instance at the memory budget. This module answers the same question —
-//! does every computation from `T` reach `S`? — from a bare
-//! [`SpaceIndex`]: successors are re-derived on demand, segment by
-//! segment, and the only O(states) residency is a handful of bitsets
-//! (predicate caches and the `resolved` frontier), about half a byte per
-//! state instead of 8 bytes per *transition*.
+//! [`check_convergence_stats`](crate::convergence::check_convergence_stats)
+//! needs the whole CSR transition relation resident, which caps the
+//! checkable instance at the memory budget. This module answers the same
+//! question — does every computation from `T` reach `S`? — from a bare
+//! [`SpaceIndex`]: rows come from a [`Decoder`], segment by segment, and
+//! the only O(states) residency is five bitsets (the two predicate caches,
+//! the region, the `resolved` frontier and one round's deltas), under a
+//! byte per state instead of 8 bytes per *transition*.
 //!
 //! # Algorithm
 //!
@@ -29,13 +29,9 @@
 //! Round 1 doubles as the deadlock/escape sweep (every region state is
 //! unresolved then, so every row is examined): the lowest-id event wins,
 //! matching the monolithic witness. The residual — typically tiny, and
-//! empty whenever the program converges — is then analyzed exactly as in
-//! the monolithic pipeline: a residual-local CSR (rows in action order,
-//! filtered to residual targets), the shared Tarjan pass, and the same
-//! fair-admissibility test with enabledness re-derived from guards (an
-//! action is enabled at a state iff the CSR would have had a row pair for
-//! it). SCC emission order, witness content, and state ordering are
-//! identical to the monolithic checker's.
+//! empty whenever the program converges — then goes through the resident
+//! checker's own residual analysis (Tarjan and fair-admissibility), fed
+//! decoded rows, so SCC order and witnesses are identical.
 //!
 //! # Determinism
 //!
@@ -48,12 +44,13 @@
 //! never the verdict).
 
 use nonmask_obs::{Event, Journal};
-use nonmask_program::{Predicate, Program, VarId};
+use nonmask_program::{Predicate, Program};
 
 use crate::cache::Bitset;
-use crate::convergence::{tarjan_sccs_csr, ConvergenceResult, ConvergenceStats, Fairness};
+use crate::convergence::{analyze_residual, ConvergenceResult, ConvergenceStats, Fairness};
 use crate::options::{steal_tasks, CheckOptions};
-use crate::space::{offsets_from_counts, scratch_bytes, SpaceError, SpaceIndex, StateId};
+use crate::space::{scratch_bytes, SpaceError, SpaceIndex, StateId};
+use crate::successors::{Decoder, Successors};
 
 /// Work and progress counters for one frontier convergence pass, wrapping
 /// the monolithic [`ConvergenceStats`] so results stay comparable.
@@ -71,55 +68,17 @@ pub struct FrontierStats {
     pub segments_built: u64,
 }
 
-/// [`check_convergence`](crate::convergence::check_convergence) without a
-/// resident transition relation, with the
-/// [default options](CheckOptions::default).
+/// [`check_convergence_stats`](crate::convergence::check_convergence_stats)
+/// without a resident transition relation: the same verdict, witness and
+/// [`ConvergenceStats`], plus the frontier's own [`FrontierStats`].
+/// Journals one [`Event::Segment`] (phase `"frontier-round"`) per round
+/// with the states resolved and successor evaluations, plus the same final
+/// [`Event::Wave`] the resident checker emits.
 ///
 /// # Errors
 ///
 /// [`SpaceError`] for unbounded/too-large programs, budget violations,
 /// domain escapes at region states, or worker panics.
-pub fn check_convergence_frontier(
-    program: &Program,
-    from: &Predicate,
-    to: &Predicate,
-    fairness: Fairness,
-) -> Result<ConvergenceResult, SpaceError> {
-    check_convergence_frontier_opts(program, from, to, fairness, CheckOptions::default())
-}
-
-/// [`check_convergence_frontier`] with explicit [`CheckOptions`].
-///
-/// # Errors
-///
-/// Same as [`check_convergence_frontier`].
-pub fn check_convergence_frontier_opts(
-    program: &Program,
-    from: &Predicate,
-    to: &Predicate,
-    fairness: Fairness,
-    options: CheckOptions,
-) -> Result<ConvergenceResult, SpaceError> {
-    Ok(check_convergence_frontier_stats(
-        program,
-        from,
-        to,
-        fairness,
-        options,
-        &Journal::disabled(),
-    )?
-    .0)
-}
-
-/// [`check_convergence_frontier_opts`] that additionally reports
-/// [`FrontierStats`] and journals the pass: one [`Event::Segment`] (phase
-/// `"frontier-round"`) per round with the states resolved and successor
-/// evaluations, plus the same final [`Event::Wave`] the monolithic checker
-/// emits.
-///
-/// # Errors
-///
-/// Same as [`check_convergence_frontier`].
 pub fn check_convergence_frontier_stats(
     program: &Program,
     from: &Predicate,
@@ -131,28 +90,6 @@ pub fn check_convergence_frontier_stats(
     let index = SpaceIndex::of_program(program, options)?;
     let from_bits = Bitset::for_predicate_index(&index, from, options)?;
     let to_bits = Bitset::for_predicate_index(&index, to, options)?;
-    check_convergence_frontier_bits_stats(
-        program, &index, &from_bits, &to_bits, fairness, options, journal,
-    )
-}
-
-/// [`check_convergence_frontier_stats`] over precomputed predicate caches
-/// (evaluations of `from` and `to` over exactly `index`'s space), for
-/// callers sharing the caches across passes.
-///
-/// # Errors
-///
-/// Same as [`check_convergence_frontier`].
-#[allow(clippy::too_many_arguments)]
-pub fn check_convergence_frontier_bits_stats(
-    program: &Program,
-    index: &SpaceIndex,
-    from_bits: &Bitset,
-    to_bits: &Bitset,
-    fairness: Fairness,
-    options: CheckOptions,
-    journal: &Journal,
-) -> Result<(ConvergenceResult, FrontierStats), SpaceError> {
     let mut stats = FrontierStats::default();
     let n = index.len();
     let region = from_bits.and(&to_bits.not());
@@ -173,11 +110,13 @@ pub fn check_convergence_frontier_bits_stats(
     let plan = options.segment_plan(n);
     let workers = options.workers_for(n);
     let nv = index.var_count();
-    // Frontier residency floor: the four bitsets (from, to, region,
-    // resolved) plus per-worker decode scratch. Checked before the rounds
-    // allocate anything; per-round row buffers are accounted after each
-    // round, when their actual size is known.
-    let bitset_bytes = 4 * (n.div_ceil(64) as u64 * 8);
+    // Frontier residency floor: five full-range bitsets — from, to,
+    // region, resolved, and the round's per-segment deltas, which together
+    // span the range and stay resident until the merge — plus per-worker
+    // decode scratch. Checked before the rounds allocate anything;
+    // per-round row buffers are accounted after each round, when their
+    // actual size is known.
+    let bitset_bytes = 5 * (n.div_ceil(64) as u64 * 8);
     let floor = bitset_bytes + scratch_bytes(2 * workers as u64, nv);
     if floor > options.memory_budget {
         return Err(SpaceError::BudgetExceeded {
@@ -195,7 +134,7 @@ pub fn check_convergence_frontier_bits_stats(
     enum RegionEvent {
         Deadlock,
         FaultEscape { after: StateId },
-        DomainEscape { action: String, var: String },
+        DomainEscape(SpaceError),
     }
     struct SegDelta {
         word_start: usize,
@@ -216,8 +155,7 @@ pub fn check_convergence_frontier_bits_stats(
             let word_start = range.start / 64;
             let word_end = range.end.div_ceil(64);
             let mut delta = vec![0u64; word_end - word_start];
-            let mut scratch = index.scratch_state();
-            let mut succ = index.scratch_state();
+            let mut rows = Decoder::new(program, &index);
             // Buffered rows of this segment's unresolved region states:
             // global state id + the internal successors, in action order.
             let mut row_states: Vec<u32> = Vec::new();
@@ -229,29 +167,19 @@ pub fn check_convergence_frontier_bits_stats(
                 if !region_ref.get(i) || resolved_ref.get(i) {
                     continue;
                 }
-                index.decode_state(StateId::from_index(i), &mut scratch);
-                let mut any_succ = false;
-                for a in program.action_ids() {
-                    let act = program.action(a);
-                    if !act.enabled(&scratch) {
-                        continue;
+                let row = match rows.row(StateId::from_index(i)) {
+                    Ok(row) if row.is_empty() => {
+                        event = Some((i, RegionEvent::Deadlock));
+                        break;
                     }
-                    any_succ = true;
-                    act.successor_into(&scratch, &mut succ);
+                    Ok(row) => row,
+                    Err(e) => {
+                        event = Some((i, RegionEvent::DomainEscape(e)));
+                        break;
+                    }
+                };
+                for &t in row.succs() {
                     evals += 1;
-                    let Some(t) = index.id_of(&succ) else {
-                        event = Some((
-                            i,
-                            RegionEvent::DomainEscape {
-                                action: act.name().to_string(),
-                                var: program
-                                    .var(VarId::from_index(index.escaping_var(&succ)))
-                                    .name()
-                                    .to_string(),
-                            },
-                        ));
-                        break 'states;
-                    };
                     if to_bits.contains(t) {
                         continue; // exits into S: not an internal edge
                     }
@@ -260,10 +188,6 @@ pub fn check_convergence_frontier_bits_stats(
                         break 'states;
                     }
                     row_succs.push(t.index() as u32);
-                }
-                if !any_succ {
-                    event = Some((i, RegionEvent::Deadlock));
-                    break 'states;
                 }
                 row_states.push(i as u32);
                 row_offsets.push(row_succs.len() as u32);
@@ -333,12 +257,7 @@ pub fn check_convergence_frontier_bits_stats(
                     before,
                     after: index.state(*after),
                 },
-                RegionEvent::DomainEscape { action, var } => {
-                    return Err(SpaceError::EscapedDomain {
-                        action: action.clone(),
-                        var: var.clone(),
-                    })
-                }
+                RegionEvent::DomainEscape(e) => return Err(e.clone()),
             };
             emit_wave(&stats);
             return Ok((result, stats));
@@ -373,154 +292,43 @@ pub fn check_convergence_frontier_bits_stats(
         }
     }
 
-    let residual_bits = region.and(&resolved.not());
-    let residual_ids: Vec<StateId> = residual_bits.iter_ones().map(StateId::from_index).collect();
-    stats.convergence.peeled_states = stats.convergence.region_states - residual_ids.len() as u64;
-    if residual_ids.is_empty() {
-        emit_wave(&stats);
-        return Ok((ConvergenceResult::Converges, stats));
-    }
-
-    // Residual-local CSR, rows in action order filtered to residual
-    // targets: the monolithic Tarjan skips peeled targets through its
-    // `alive` mask, so the DFS — and hence the SCC emission order — is
-    // identical. The residual is the small hard core (empty in the common
-    // converging case), so this build is serial and resident.
-    let rn = residual_ids.len();
-    let local = |t: StateId| -> Option<usize> { residual_ids.binary_search(&t).ok() };
-    let mut offsets: Vec<u32> = Vec::with_capacity(rn + 1);
-    offsets.push(0);
-    let mut edges: Vec<u32> = Vec::new();
-    {
-        let mut scratch = index.scratch_state();
-        let mut succ = index.scratch_state();
-        for &id in &residual_ids {
-            index.decode_state(id, &mut scratch);
-            for a in program.action_ids() {
-                let act = program.action(a);
-                if !act.enabled(&scratch) {
-                    continue;
-                }
-                act.successor_into(&scratch, &mut succ);
-                stats.evals += 1;
-                let t = index
-                    .id_of(&succ)
-                    .expect("round 1 already vetted every residual state's successors");
-                if let Some(lt) = local(t) {
-                    edges.push(lt as u32);
-                }
-            }
-            offsets.push(edges.len() as u32);
-        }
-    }
-    debug_assert_eq!(
-        offsets_from_counts(
-            &offsets
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .collect::<Vec<u32>>()
-        )
-        .expect("residual edges fit u32"),
-        offsets
-    );
-    let row = |u: u32| -> &[u32] {
-        &edges[offsets[u as usize] as usize..offsets[u as usize + 1] as usize]
-    };
-
-    let sccs = tarjan_sccs_csr(&offsets, &edges, &Bitset::ones(rn));
-    stats.convergence.sccs_found = sccs.len() as u64;
-    for scc in &sccs {
-        let mut scc_bits = Bitset::zeros(rn);
-        for &u in scc {
-            scc_bits.set(u as usize);
-        }
-        let has_internal_edge = scc
-            .iter()
-            .any(|&u| row(u).iter().any(|&v| scc_bits.get(v as usize)));
-        if !has_internal_edge {
-            continue;
-        }
-        let divergent = match fairness {
-            Fairness::Unfair => true,
-            Fairness::WeaklyFair => {
-                fair_admissible_frontier(program, index, &residual_ids, scc, &scc_bits)
-            }
-        };
-        if divergent {
-            let result = ConvergenceResult::Divergence {
-                states: scc
-                    .iter()
-                    .map(|&u| index.state(residual_ids[u as usize]))
-                    .collect(),
-                fairness,
-            };
-            emit_wave(&stats);
-            return Ok((result, stats));
-        }
-    }
-
+    let residual: Vec<StateId> = region
+        .and(&resolved.not())
+        .iter_ones()
+        .map(StateId::from_index)
+        .collect();
+    stats.convergence.peeled_states = stats.convergence.region_states - residual.len() as u64;
+    let mut rows = Decoder::new(program, &index);
+    let local = |t: StateId| residual.binary_search(&t).ok();
+    let found = analyze_residual(&mut rows, program, &index, &residual, local, fairness)?;
+    stats.evals += found.evals;
+    stats.convergence.sccs_found = found.sccs_found;
     emit_wave(&stats);
-    Ok((ConvergenceResult::Converges, stats))
-}
-
-/// The monolithic fair-admissibility test with enabledness re-derived from
-/// guards: an action has a CSR row pair at a state exactly when its guard
-/// holds there, so evaluating the guard (and, when enabled, the successor)
-/// reproduces the CSR-based test bit for bit.
-fn fair_admissible_frontier(
-    program: &Program,
-    index: &SpaceIndex,
-    residual_ids: &[StateId],
-    scc: &[u32],
-    scc_bits: &Bitset,
-) -> bool {
-    let mut scratch = index.scratch_state();
-    let mut succ = index.scratch_state();
-    let in_scc = |t: StateId| -> bool {
-        residual_ids
-            .binary_search(&t)
-            .is_ok_and(|lt| scc_bits.get(lt))
-    };
-    'actions: for aid in program.action_ids() {
-        let act = program.action(aid);
-        let mut has_internal = false;
-        for &u in scc {
-            let id = residual_ids[u as usize];
-            index.decode_state(id, &mut scratch);
-            if !act.enabled(&scratch) {
-                // Not continuously enabled on a tour of the SCC: imposes no
-                // fairness obligation here.
-                continue 'actions;
-            }
-            if !has_internal {
-                act.successor_into(&scratch, &mut succ);
-                let t = index
-                    .id_of(&succ)
-                    .expect("round 1 already vetted every residual state's successors");
-                if in_scc(t) {
-                    has_internal = true;
-                }
-            }
-        }
-        if !has_internal {
-            // Enabled everywhere in the SCC but every execution leaves it:
-            // a fair computation cannot stay forever.
-            return false;
-        }
-    }
-    true
+    Ok((found.result, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::{check_convergence_opts, check_convergence_stats};
+    use crate::convergence::check_convergence_stats;
     use crate::space::StateSpace;
     use nonmask_program::Domain;
 
     fn pred_eq(p: &Program, name: &str, var: &str, value: i64) -> Predicate {
         let v = p.var_by_name(var).unwrap();
         Predicate::new(name, [v], move |s| s.get(v) == value)
+    }
+
+    /// The frontier verdict alone, with a disabled journal.
+    fn frontier(
+        p: &Program,
+        from: &Predicate,
+        to: &Predicate,
+        fairness: Fairness,
+        opts: CheckOptions,
+    ) -> Result<ConvergenceResult, SpaceError> {
+        check_convergence_frontier_stats(p, from, to, fairness, opts, &Journal::disabled())
+            .map(|(result, _)| result)
     }
 
     /// A program whose region mixes chains, deadlocks, or cycles depending
@@ -549,8 +357,10 @@ mod tests {
         opts: CheckOptions,
     ) -> (ConvergenceResult, ConvergenceResult) {
         let space = StateSpace::enumerate_with_options(p, opts).unwrap();
-        let mono = check_convergence_opts(&space, p, from, to, fairness, opts).unwrap();
-        let front = check_convergence_frontier_opts(p, from, to, fairness, opts).unwrap();
+        let (mono, _) =
+            check_convergence_stats(&space, p, from, to, fairness, opts, &Journal::disabled())
+                .unwrap();
+        let front = frontier(p, from, to, fairness, opts).unwrap();
         (mono, front)
     }
 
@@ -739,7 +549,7 @@ mod tests {
     fn frontier_budget_floor_is_enforced() {
         let p = countdown(99_999, 0);
         let s = pred_eq(&p, "x=0", "x", 0);
-        let err = check_convergence_frontier_opts(
+        let err = frontier(
             &p,
             &Predicate::always_true(),
             &s,
@@ -754,15 +564,48 @@ mod tests {
     }
 
     #[test]
+    fn frontier_budget_counts_the_round_deltas() {
+        // A round's per-segment deltas add up to a fifth full-range bitset
+        // held until the merge: a budget that fits four bitsets but not
+        // five must trip at the floor, before any round runs.
+        let p = countdown(99_999, 0);
+        let s = pred_eq(&p, "x=0", "x", 0);
+        let bitset = 100_000u64.div_ceil(64) * 8;
+        let scratch = scratch_bytes(2, 1);
+        let budget = 4 * bitset + scratch + bitset / 2;
+        let err = frontier(
+            &p,
+            &Predicate::always_true(),
+            &s,
+            Fairness::WeaklyFair,
+            CheckOptions::serial().memory_budget(budget),
+        )
+        .unwrap_err();
+        let SpaceError::BudgetExceeded {
+            phase, required, ..
+        } = err
+        else {
+            panic!("expected BudgetExceeded, got {err:?}");
+        };
+        assert_eq!(phase, "frontier bitsets");
+        assert_eq!(required, 5 * bitset + scratch);
+    }
+
+    #[test]
     fn domain_escape_is_an_error() {
         let mut b = Program::builder("bad");
         let x = b.var("x", Domain::range(0, 2));
         b.closure_action("overflow", [x], [x], |_| true, move |s| s.set(x, 7));
         let p = b.build();
         let s = pred_eq(&p, "x=0", "x", 0);
-        let err =
-            check_convergence_frontier(&p, &Predicate::always_true(), &s, Fairness::WeaklyFair)
-                .unwrap_err();
+        let err = frontier(
+            &p,
+            &Predicate::always_true(),
+            &s,
+            Fairness::WeaklyFair,
+            CheckOptions::default(),
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             SpaceError::EscapedDomain {
@@ -773,13 +616,46 @@ mod tests {
     }
 
     #[test]
+    fn domain_escape_outranks_an_earlier_fault_span_escape_in_its_row() {
+        // At x=1, `jump` (action 0) leaves T = x<=1 and `overflow` (action
+        // 1) leaves x's domain. The whole row is undefined, so the check
+        // fails with the error enumeration raises, not with an
+        // EscapesFaultSpan verdict for the first action.
+        let mut b = Program::builder("both");
+        let x = b.var("x", Domain::range(0, 2));
+        b.closure_action(
+            "jump",
+            [x],
+            [x],
+            move |s| s.get(x) == 1,
+            move |s| s.set(x, 2),
+        );
+        b.closure_action(
+            "overflow",
+            [x],
+            [x],
+            move |s| s.get(x) == 1,
+            move |s| s.set(x, 7),
+        );
+        let p = b.build();
+        let s = pred_eq(&p, "x=0", "x", 0);
+        let x_id = p.var_by_name("x").unwrap();
+        let t = Predicate::new("x<=1", [x_id], move |st| st.get(x_id) <= 1);
+        let err = frontier(&p, &t, &s, Fairness::WeaklyFair, CheckOptions::default()).unwrap_err();
+        assert_eq!(err, StateSpace::enumerate(&p).unwrap_err());
+        assert!(
+            matches!(err, SpaceError::EscapedDomain { ref action, .. } if action == "overflow")
+        );
+    }
+
+    #[test]
     fn segment_boundary_states_round_trip() {
         // Every state on a segment boundary must decode and step
         // identically whether reached from the segment before or after the
         // boundary — i.e. verdicts cannot depend on where the plan cuts.
         let p = countdown(4999, 0);
         let s = pred_eq(&p, "x=0", "x", 0);
-        let base = check_convergence_frontier_opts(
+        let base = frontier(
             &p,
             &Predicate::always_true(),
             &s,
@@ -790,7 +666,7 @@ mod tests {
         // Boundaries at powers of two, at odd primes, and off-by-one from
         // the state count.
         for seg in [64, 127, 4999, 4998, 2500] {
-            let r = check_convergence_frontier_opts(
+            let r = frontier(
                 &p,
                 &Predicate::always_true(),
                 &s,

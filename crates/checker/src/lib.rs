@@ -49,7 +49,13 @@
 //! running any SCC analysis, so the Tarjan pass vanishes in the common
 //! converging case (see the [`convergence`] module docs).
 //!
-//! ## Out-of-core: segments, work-stealing, and the frontier
+//! ## One transition source: resident, segmented, decoded
+//!
+//! Every pass reads transitions through the [`Successors`] trait — the
+//! `(action, successor)` row of a state id, in action order — implemented
+//! by the resident CSR ([`StateSpace`]), a built [`Segment`], and a
+//! [`Decoder`] that evaluates guards on demand (see [`successors`]).
+//! Closure and the convergence residual analysis are written once on it.
 //!
 //! When the whole CSR table does not fit the memory budget, the id range
 //! splits into contiguous **segments** ([`SegmentPlan`], [`segment`]):
@@ -61,15 +67,15 @@
 //! when transition density is skewed across the id range — and because
 //! per-segment results are still merged in segment order, verdicts and
 //! witnesses remain bit-identical for every thread count and claim order.
-//! [`SegmentedSpace`] exposes the scan/find primitives;
-//! [`closure::is_closed_segmented`] is closure checking on top of them.
+//! [`is_closed_bits`] runs on a [`SegmentedSpace`] or a [`Decoder`] as
+//! well as on a [`StateSpace`], and reports the same violation on each.
 //!
-//! For convergence-only queries on such instances, the **frontier** mode
-//! ([`frontier`], [`check_convergence_frontier`]) goes further and never
-//! materializes transitions at all: it runs the Kahn-style peel as a
-//! round-based fixpoint over per-segment row buffers, decoding successors
-//! on demand, with four bitsets of live memory. Its verdicts, witnesses,
-//! and statistics are bit-identical to the resident checker's.
+//! For convergence-only queries on such instances,
+//! [`check_convergence_frontier_stats`] ([`frontier`]) never materializes
+//! transitions at all: it runs the Kahn-style peel as a round-based
+//! fixpoint over decoded rows, with five bitsets of live memory, and ends
+//! in the resident checker's own residual analysis. Its verdicts,
+//! witnesses, and statistics are bit-identical to the resident checker's.
 //!
 //! # Example: verifying a tiny stabilizing program
 //!
@@ -96,11 +102,11 @@
 //!
 //! Passes accept a [`nonmask_obs::Journal`] through the `*_journaled` /
 //! `*_stats` variants ([`StateSpace::enumerate_journaled`],
-//! [`convergence::check_convergence_stats`]) and emit structured JSON-lines
-//! events (CSR build phases, convergence wave sizes). [`CheckCounters`]
-//! aggregates per-pass work counts for reports. With the default disabled
-//! journal no event is ever formatted, so instrumented paths cost
-//! near-nothing.
+//! [`check_convergence_stats`], [`check_convergence_frontier_stats`]) and
+//! emit structured JSON-lines events (CSR build phases, convergence wave
+//! sizes, frontier rounds). [`CheckCounters`] aggregates per-pass work
+//! counts for reports. With the default disabled journal no event is ever
+//! formatted, so instrumented paths cost near-nothing.
 //!
 //! A panic in a caller-supplied closure (predicate, guard, action body) no
 //! longer aborts the process: every public entry point returns
@@ -124,25 +130,22 @@ pub mod replay;
 pub mod segment;
 pub mod space;
 pub mod span;
+pub mod successors;
 
 pub use bounds::{check_variant, worst_case_moves, worst_case_moves_bits, VariantReport};
 pub use cache::{Bitset, OnesIter};
 pub use closure::{
-    is_closed, is_closed_bits, is_closed_segmented, preserves, preserves_given,
-    preserves_given_bits, Violation,
+    is_closed, is_closed_bits, preserves, preserves_given, preserves_given_bits, Violation,
 };
 pub use containment::{certify_containment, ContainmentVerdict};
 pub use convergence::{
-    check_convergence, check_convergence_bits, check_convergence_opts, check_convergence_stats,
-    shortest_path_to, ConvergenceResult, ConvergenceStats, Fairness, PathStep,
+    check_convergence, check_convergence_bits_stats, check_convergence_stats, shortest_path_to,
+    ConvergenceResult, ConvergenceStats, Fairness, PathStep,
 };
 pub use counters::CheckCounters;
 pub use error::CheckError;
 pub use expected::{expected_moves, ExpectedMoves};
-pub use frontier::{
-    check_convergence_frontier, check_convergence_frontier_bits_stats,
-    check_convergence_frontier_opts, check_convergence_frontier_stats, FrontierStats,
-};
+pub use frontier::{check_convergence_frontier_stats, FrontierStats};
 pub use options::{
     steal_find, steal_tasks, CheckOptions, SegmentPlan, DEFAULT_MEMORY_BUDGET,
     DEFAULT_SEGMENT_STATES,
@@ -154,3 +157,4 @@ pub use space::{
     SpaceError, SpaceIndex, StateId, StateSpace, Transitions, TransitionsIter, DEFAULT_STATE_LIMIT,
 };
 pub use span::{compute_fault_span, compute_fault_span_opts, StateSet};
+pub use successors::{Decoder, RowSource, Successors};

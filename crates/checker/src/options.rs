@@ -1,21 +1,18 @@
-//! Tuning knobs for the exhaustive checker, plus the two scheduling
-//! primitives every pass is built on.
+//! Tuning knobs for the exhaustive checker, plus the work-stealing pool
+//! every pass runs on.
 //!
 //! All state-space passes (enumeration, closure, convergence, bounds,
 //! fault-span) are *embarrassingly parallel over contiguous [`StateId`]
-//! ranges*. Two schedulers exist:
-//!
-//! * `run_chunks` — the original static scheduler: split `0..len` into
-//!   one balanced chunk per worker and concatenate per-chunk results in
-//!   chunk order.
-//! * `steal_tasks` / `steal_find` — the work-stealing scheduler: a
-//!   shared atomic claim counter hands out *task indices* (typically one
-//!   per [segment](crate::segment)) to whichever worker is free, so a
-//!   skewed task no longer idles the rest of the pool. Results are still
-//!   merged **in task order** (`steal_tasks`) or reduced to the
-//!   lowest-index hit (`steal_find`), so multi-threaded runs return
-//!   **bit-identical results** to single-threaded runs — including which
-//!   violation or divergence witness is reported first.
+//! ranges*, and all of them go through one scheduler, [`steal_tasks`] /
+//! [`steal_find`]: a shared atomic claim counter hands out *task indices*
+//! (typically one per [segment](crate::segment)) to whichever worker is
+//! free, so a skewed task does not idle the rest of the pool. Results are
+//! merged **in task order** (`steal_tasks`) or reduced to the lowest-index
+//! hit (`steal_find`), so multi-threaded runs return **bit-identical
+//! results** to single-threaded runs — including which violation or
+//! divergence witness is reported first. `run_chunks` is `steal_tasks`
+//! over one balanced id chunk per worker, and `steal_parts` hands each
+//! task its own pre-split sub-slice of an output array.
 //!
 //! [`StateId`]: crate::StateId
 
@@ -236,52 +233,60 @@ pub(crate) fn chunk_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Split `0..len` into at most `workers` contiguous chunks, run `f` on each
-/// chunk (in parallel when `workers > 1`), and return the per-chunk results
-/// **in chunk order**. Deterministic reductions over the returned vector
-/// (concatenation, first-`Some`, minimum-index) therefore reproduce the
-/// sequential left-to-right scan exactly.
+/// Split `0..len` into at most `workers` balanced chunks
+/// ([`chunk_ranges`]), run `f` on each under [`steal_tasks`], and return
+/// the per-chunk results **in chunk order**. Deterministic reductions over
+/// the returned vector (concatenation, first-`Some`, minimum-index)
+/// therefore reproduce the sequential left-to-right scan exactly.
 ///
-/// `f` runs caller-supplied closures (predicates, guards, action bodies);
-/// a panic in any chunk — worker thread or the single-chunk serial path —
-/// is caught and returned as [`CheckError::WorkerFailed`] instead of
-/// aborting the process.
+/// A panic in any chunk is returned as [`CheckError::WorkerFailed`]
+/// instead of aborting the process.
 pub(crate) fn run_chunks<T, F>(len: usize, workers: usize, f: F) -> Result<Vec<T>, CheckError>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
     let ranges = chunk_ranges(len, workers);
-    if ranges.len() <= 1 {
-        return ranges
-            .into_iter()
-            .map(|r| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(r))).map_err(|p| {
-                    CheckError::WorkerFailed {
-                        payload: payload_string(p),
-                    }
-                })
-            })
-            .collect();
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(move || f(r)))
-            .collect();
-        // Join *every* handle before converting errors: joining a panicked
-        // worker consumes its payload, and a handle left unjoined would
-        // make the scope re-raise the panic on exit.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .map(|r| {
-                r.map_err(|p| CheckError::WorkerFailed {
-                    payload: payload_string(p),
-                })
-            })
-            .collect()
+    steal_tasks(ranges.len(), workers, |i| f(ranges[i].clone()))
+}
+
+/// Split `out` into consecutive sub-slices of the given lengths.
+pub(crate) fn split_lens<T>(
+    mut out: &mut [T],
+    lens: impl IntoIterator<Item = usize>,
+) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (head, tail) = std::mem::take(&mut out).split_at_mut(len);
+            out = tail;
+            head
+        })
+        .collect()
+}
+
+/// Run `f(i, parts[i])` for every part under [`steal_tasks`], each part
+/// moved into exactly one task, and return the results in task order.
+/// Two-phase passes (count, prefix sum, fill) fill disjoint sub-slices of
+/// their output arrays this way, so the layout does not depend on the
+/// thread count or the claim order.
+pub(crate) fn steal_parts<P, R, F>(
+    parts: Vec<P>,
+    workers: usize,
+    f: F,
+) -> Result<Vec<R>, CheckError>
+where
+    P: Send,
+    R: Send,
+    F: Fn(usize, P) -> R + Sync,
+{
+    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    steal_tasks(slots.len(), workers, |i| {
+        let part = slots[i]
+            .lock()
+            .expect("a part's lock is only held to take it")
+            .take()
+            .expect("each part is claimed exactly once");
+        f(i, part)
     })
 }
 
@@ -306,48 +311,50 @@ where
     F: Fn(usize) -> T + Sync,
 {
     if workers <= 1 || tasks <= 1 {
-        return (0..tasks)
-            .map(|i| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))).map_err(|p| {
-                    CheckError::WorkerFailed {
-                        payload: payload_string(p),
-                    }
-                })
-            })
-            .collect();
+        return (0..tasks).map(|i| catching(|| f(i))).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    let (f, next, slots) = (&f, &next, &slots);
-    let workers = workers.min(tasks);
+    run_workers(workers.min(tasks), || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks {
+            return;
+        }
+        let out = f(i);
+        *slots[i].lock().unwrap() = Some(out);
+    })?;
+    Ok(slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap()
+                .expect("every task ran to completion")
+        })
+        .collect())
+}
+
+/// Run `f` on the calling thread, returning a panic as
+/// [`CheckError::WorkerFailed`].
+fn catching<T>(f: impl FnOnce() -> T) -> Result<T, CheckError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|p| {
+        CheckError::WorkerFailed {
+            payload: payload_string(p),
+        }
+    })
+}
+
+/// Run `worker` on `workers` scoped threads and join every one of them
+/// before reporting the first panic as [`CheckError::WorkerFailed`]: a
+/// handle left unjoined would make the scope re-raise its panic.
+fn run_workers(workers: usize, worker: impl Fn() + Sync) -> Result<(), CheckError> {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks {
-                        return;
-                    }
-                    let out = f(i);
-                    *slots[i].lock().unwrap() = Some(out);
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&worker)).collect();
         let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        for r in joined {
+        joined.into_iter().try_for_each(|r| {
             r.map_err(|p| CheckError::WorkerFailed {
                 payload: payload_string(p),
-            })?;
-        }
-        Ok(slots
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .unwrap()
-                    .take()
-                    .expect("every task ran to completion")
             })
-            .collect())
+        })
     })
 }
 
@@ -372,12 +379,7 @@ where
 {
     if workers <= 1 || tasks <= 1 {
         for i in 0..tasks {
-            let out =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))).map_err(|p| {
-                    CheckError::WorkerFailed {
-                        payload: payload_string(p),
-                    }
-                })?;
+            let out = catching(|| f(i))?;
             if out.is_some() {
                 return Ok(out);
             }
@@ -387,34 +389,20 @@ where
     let next = AtomicUsize::new(0);
     let best = AtomicUsize::new(usize::MAX);
     let hits: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::new());
-    let (f, next, best, hits) = (&f, &next, &best, &hits);
-    let workers = workers.min(tasks);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks || i > best.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Some(out) = f(i) {
-                        best.fetch_min(i, Ordering::AcqRel);
-                        hits.lock().unwrap().push((i, out));
-                        return;
-                    }
-                })
-            })
-            .collect();
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        for r in joined {
-            r.map_err(|p| CheckError::WorkerFailed {
-                payload: payload_string(p),
-            })?;
+    run_workers(workers.min(tasks), || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks || i > best.load(Ordering::Acquire) {
+            return;
         }
-        let mut found = std::mem::take(&mut *hits.lock().unwrap());
-        found.sort_by_key(|&(i, _)| i);
-        Ok(found.into_iter().map(|(_, out)| out).next())
-    })
+        if let Some(out) = f(i) {
+            best.fetch_min(i, Ordering::AcqRel);
+            hits.lock().unwrap().push((i, out));
+            return;
+        }
+    })?;
+    let mut found = hits.into_inner().unwrap();
+    found.sort_by_key(|&(i, _)| i);
+    Ok(found.into_iter().map(|(_, out)| out).next())
 }
 
 #[cfg(test)]

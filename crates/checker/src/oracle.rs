@@ -26,11 +26,9 @@
 //! The oracle does not actually need resident CSR arrays:
 //! [`StepOracle::over_index`] builds it from a bare [`SpaceIndex`]
 //! (O(variables) memory, no enumeration pass). Domain membership comes
-//! from the index's id bijection and transition lookups re-derive
-//! successors from the guards, which is bit-equivalent to reading the CSR
-//! row — a `(action, succ)` pair exists in a row exactly when the action's
-//! guard holds and its effect produces `succ`, and rows list actions in
-//! id order, so the lowest-id tie-break is identical.
+//! from the index's id bijection either way, and transition lookups try
+//! each action's guard and effect instead of reading the CSR row — in the
+//! same action order, so the lowest-id tie-break is identical.
 
 use nonmask_program::{ActionId, Program, State};
 
@@ -78,19 +76,12 @@ impl std::fmt::Display for StepFault {
 
 impl std::error::Error for StepFault {}
 
-/// What backs the oracle's domain-membership and transition lookups.
-#[derive(Debug, Clone, Copy)]
-enum Backing<'a> {
-    /// Resident CSR space: transition lookups read the CSR row.
-    Resident(&'a StateSpace),
-    /// Bare index: transition lookups re-derive successors from guards.
-    Index(&'a SpaceIndex),
-}
-
 /// A per-step validity oracle over an enumerated state space.
 #[derive(Debug, Clone, Copy)]
 pub struct StepOracle<'a> {
-    backing: Backing<'a>,
+    index: &'a SpaceIndex,
+    /// The resident CSR table, if any; without it rows are decoded.
+    space: Option<&'a StateSpace>,
     program: &'a Program,
 }
 
@@ -98,7 +89,8 @@ impl<'a> StepOracle<'a> {
     /// Build an oracle for `program` over its enumerated `space`.
     pub fn new(space: &'a StateSpace, program: &'a Program) -> Self {
         StepOracle {
-            backing: Backing::Resident(space),
+            index: space.index(),
+            space: Some(space),
             program,
         }
     }
@@ -109,7 +101,8 @@ impl<'a> StepOracle<'a> {
     /// instead of O(states + transitions).
     pub fn over_index(index: &'a SpaceIndex, program: &'a Program) -> Self {
         StepOracle {
-            backing: Backing::Index(index),
+            index,
+            space: None,
             program,
         }
     }
@@ -117,18 +110,12 @@ impl<'a> StepOracle<'a> {
     /// The resident state space backing this oracle, if it was built with
     /// [`StepOracle::new`]; `None` for index-backed oracles.
     pub fn space(&self) -> Option<&'a StateSpace> {
-        match self.backing {
-            Backing::Resident(space) => Some(space),
-            Backing::Index(_) => None,
-        }
+        self.space
     }
 
     /// Is `state` inside the enumerated domains?
     fn contains(&self, state: &State) -> bool {
-        match self.backing {
-            Backing::Resident(space) => space.id_of(state).is_some(),
-            Backing::Index(index) => index.id_of(state).is_some(),
-        }
+        self.index.id_of(state).is_some()
     }
 
     /// Is `(before, after)` a transition of the program? Returns the
@@ -139,39 +126,28 @@ impl<'a> StepOracle<'a> {
     ///
     /// [`StepFault::UnknownBefore`] / [`StepFault::UnknownAfter`] when a
     /// state escapes the enumerated domains, [`StepFault::NoMatchingAction`]
-    /// when no action's CSR row contains the pair.
+    /// when no action produces the pair. An index-backed oracle tries each
+    /// action on its own, so an action escaping its domain at `before`
+    /// does not hide another action's valid step.
     pub fn is_valid_transition(
         &self,
         before: &State,
         after: &State,
     ) -> Result<ActionId, StepFault> {
-        match self.backing {
-            Backing::Resident(space) => {
-                let pre = space.id_of(before).ok_or(StepFault::UnknownBefore)?;
-                let post = space.id_of(after).ok_or(StepFault::UnknownAfter)?;
-                space
-                    .successors(pre)
-                    .iter()
-                    .find(|&(_, succ)| succ == post)
-                    .map(|(action, _)| action)
-                    .ok_or(StepFault::NoMatchingAction)
-            }
-            Backing::Index(index) => {
-                if index.id_of(before).is_none() {
-                    return Err(StepFault::UnknownBefore);
-                }
-                if index.id_of(after).is_none() {
-                    return Err(StepFault::UnknownAfter);
-                }
-                self.program
-                    .action_ids()
-                    .find(|&a| {
-                        let act = self.program.action(a);
-                        act.enabled(before) && &act.successor(before) == after
-                    })
-                    .ok_or(StepFault::NoMatchingAction)
-            }
+        let pre = self.index.id_of(before).ok_or(StepFault::UnknownBefore)?;
+        let post = self.index.id_of(after).ok_or(StepFault::UnknownAfter)?;
+        match self.space {
+            Some(space) => space
+                .successors(pre)
+                .iter()
+                .find(|&(_, t)| t == post)
+                .map(|(a, _)| a),
+            None => self
+                .program
+                .action_ids()
+                .find(|&a| self.validate_step(a, before, after).is_ok()),
         }
+        .ok_or(StepFault::NoMatchingAction)
     }
 
     /// Did `action` legally produce `after` from `before`? Stricter than
@@ -450,6 +426,42 @@ mod tests {
         assert_eq!(
             by_index.is_valid_transition(&inside, &escaped),
             Err(StepFault::UnknownAfter)
+        );
+    }
+
+    #[test]
+    fn index_backed_oracle_matches_a_step_beside_an_escaping_action() {
+        // At x=1, `overflow` leaves x's domain, so no CSR exists; the
+        // oracle still names `inc` for its own valid step.
+        let mut b = Program::builder("escape");
+        let x = b.var("x", Domain::range(0, 2));
+        b.closure_action(
+            "inc",
+            [x],
+            [x],
+            move |s| s.get(x) < 2,
+            move |s| {
+                let v = s.get(x);
+                s.set(x, v + 1);
+            },
+        );
+        b.closure_action(
+            "overflow",
+            [x],
+            [x],
+            move |s| s.get(x) == 1,
+            move |s| s.set(x, 7),
+        );
+        let p = b.build();
+        assert!(StateSpace::enumerate(&p).is_err());
+        let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
+        let oracle = StepOracle::over_index(&index, &p);
+        let (one, two) = (p.state_from([1]).unwrap(), p.state_from([2]).unwrap());
+        let inc = p.action_ids().next().unwrap();
+        assert_eq!(oracle.is_valid_transition(&one, &two), Ok(inc));
+        assert_eq!(
+            oracle.is_valid_transition(&two, &one),
+            Err(StepFault::NoMatchingAction)
         );
     }
 

@@ -14,21 +14,21 @@
 //! searches) scale to spaces whose monolithic CSR would blow the budget.
 //!
 //! Determinism matches the monolithic CSR exactly: a segment's rows are
-//! built by the same decode → guard → successor evaluation in the same
-//! (state-ascending, action-ascending) order, [`scan`](SegmentedSpace::scan)
-//! merges per-segment results in segment order, and
-//! [`scan_find`](SegmentedSpace::scan_find) reduces to the lowest-segment
-//! hit — so every thread count, segment size, and claim interleaving
+//! the same [`Decoder`] rows the monolithic build copies, in the same
+//! (state-ascending, action-ascending) order, and
+//! [`scan`](SegmentedSpace::scan) merges per-segment results in segment
+//! order — so every thread count, segment size, and claim interleaving
 //! reports the identical result and witness.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nonmask_obs::{Event, Journal};
-use nonmask_program::{ActionId, Program, VarId};
+use nonmask_program::{ActionId, Program};
 
-use crate::options::{steal_find, steal_tasks, CheckOptions, SegmentPlan};
+use crate::options::{steal_tasks, CheckOptions, SegmentPlan};
 use crate::space::{scratch_bytes, SpaceError, SpaceIndex, StateId, Transitions};
+use crate::successors::{Decoder, Successors};
 
 /// One resident shard of the transition relation: the CSR rows of the
 /// contiguous id range [`Segment::range`], with segment-local `offsets`
@@ -44,43 +44,21 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Build the segment covering `range`, evaluating each state's guards
-    /// once and resolving successors to global ids through `index`.
+    /// Build the segment covering `range` from its decoded rows.
     pub(crate) fn build(
         program: &Program,
         index: &SpaceIndex,
         range: Range<usize>,
     ) -> Result<Segment, SpaceError> {
-        let mut scratch = index.scratch_state();
-        let mut succ_buf = index.scratch_state();
+        let mut rows = Decoder::new(program, index);
         let mut offsets = Vec::with_capacity(range.len() + 1);
         offsets.push(0u32);
         let mut actions = Vec::new();
         let mut succs = Vec::new();
         for i in range.clone() {
-            index.decode_state(StateId::from_index(i), &mut scratch);
-            for a in program.action_ids() {
-                let act = program.action(a);
-                if !act.enabled(&scratch) {
-                    continue;
-                }
-                act.successor_into(&scratch, &mut succ_buf);
-                match index.id_of(&succ_buf) {
-                    Some(t) => {
-                        actions.push(a);
-                        succs.push(t);
-                    }
-                    None => {
-                        return Err(SpaceError::EscapedDomain {
-                            action: act.name().to_string(),
-                            var: program
-                                .var(VarId::from_index(index.escaping_var(&succ_buf)))
-                                .name()
-                                .to_string(),
-                        })
-                    }
-                }
-            }
+            let row = rows.row(StateId::from_index(i))?;
+            actions.extend_from_slice(row.actions());
+            succs.extend_from_slice(row.succs());
             let total =
                 u32::try_from(actions.len()).map_err(|_| SpaceError::TooManyTransitions {
                     count: actions.len() as u64,
@@ -233,7 +211,12 @@ impl<'p> SegmentedSpace<'p> {
     /// [`SpaceError::EscapedDomain`] / [`SpaceError::TooManyTransitions`]
     /// as in monolithic enumeration.
     pub fn build_segment(&self, ti: usize) -> Result<Segment, SpaceError> {
-        let seg = Segment::build(self.program, &self.index, self.plan.range(ti))?;
+        self.build_range(self.plan.range(ti))
+    }
+
+    /// [`build_segment`](SegmentedSpace::build_segment) for any id range.
+    pub(crate) fn build_range(&self, range: Range<usize>) -> Result<Segment, SpaceError> {
+        let seg = Segment::build(self.program, &self.index, range)?;
         self.segments_built.fetch_add(1, Ordering::Relaxed);
         let bytes = seg.resident_bytes();
         let peak = self
@@ -252,7 +235,8 @@ impl<'p> SegmentedSpace<'p> {
         Ok(seg)
     }
 
-    fn workers(&self) -> usize {
+    /// Workers a scan runs, the count the budget check assumes.
+    pub(crate) fn workers(&self) -> usize {
         self.options.workers_for(self.index.len())
     }
 
@@ -303,30 +287,6 @@ impl<'p> SegmentedSpace<'p> {
             outs.push(out);
         }
         Ok(outs)
-    }
-
-    /// Work-stealing search over segments: the hit from the
-    /// **lowest-indexed** segment wins, so the witness matches a
-    /// sequential sweep for every thread count. Workers stop claiming
-    /// segments above the best hit found so far.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`scan`](SegmentedSpace::scan); an error in a segment below
-    /// every hit takes precedence, exactly as it would sequentially.
-    pub fn scan_find<T, F>(&self, f: F) -> Result<Option<T>, SpaceError>
-    where
-        T: Send,
-        F: Fn(usize, &Segment) -> Option<T> + Sync,
-    {
-        let hit = steal_find(self.plan.count(), self.workers(), |ti| {
-            match self.build_segment(ti) {
-                Err(e) => Some(Err(e)),
-                Ok(seg) => f(ti, &seg).map(Ok),
-            }
-        })
-        .map_err(SpaceError::from)?;
-        hit.transpose()
     }
 }
 
@@ -383,38 +343,6 @@ mod tests {
                 .flat_map(|id| space.successors(id).iter())
                 .collect();
             assert_eq!(flat, expect, "seg_states={seg_states}");
-        }
-    }
-
-    #[test]
-    fn scan_find_reports_lowest_segment_hit_across_threads() {
-        let p = counter(9999);
-        // Hits exist in many segments (every state with x > 2 has `reset`
-        // enabled); the witness must be the lowest id for every thread
-        // count and segment size.
-        for threads in [1, 2, 8] {
-            for seg_states in [512, 1000] {
-                let opts = CheckOptions::default()
-                    .threads(threads)
-                    .segment_states(seg_states);
-                let seg_space = SegmentedSpace::new(&p, opts).unwrap();
-                let hit = seg_space
-                    .scan_find(|_, seg| {
-                        seg.range().find_map(|i| {
-                            let id = StateId::from_index(i);
-                            seg.successors(id)
-                                .iter()
-                                .any(|(_, t)| t.index() == 0)
-                                .then_some(id)
-                        })
-                    })
-                    .unwrap();
-                assert_eq!(
-                    hit.map(|id| id.index()),
-                    Some(3),
-                    "threads={threads} seg_states={seg_states}"
-                );
-            }
         }
     }
 

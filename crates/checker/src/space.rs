@@ -66,11 +66,10 @@
 use nonmask_obs::{Event, Journal};
 use nonmask_program::{ActionId, Predicate, Program, State, VarId};
 
-use std::sync::Mutex;
-
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::options::{steal_tasks, CheckOptions};
+use crate::options::{split_lens, steal_parts, steal_tasks, CheckOptions};
+use crate::successors::{Decoder, Successors};
 
 /// Identifier of a state within a [`StateSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -193,6 +192,7 @@ impl From<CheckError> for SpaceError {
     fn from(e: CheckError) -> Self {
         match e {
             CheckError::WorkerFailed { payload } => SpaceError::WorkerFailed { payload },
+            CheckError::Space(e) => e,
             // Containment sweeps never run during space construction; keep
             // the conversion total for error-context plumbing.
             other @ CheckError::NonMonotoneContainment { .. } => SpaceError::WorkerFailed {
@@ -514,12 +514,6 @@ pub struct StateSpace {
 /// [`CheckOptions::memory_budget`], not this count.
 pub const DEFAULT_STATE_LIMIT: usize = u32::MAX as usize + 1;
 
-/// Escape diagnostic produced during transition construction.
-struct Escape {
-    action: ActionId,
-    var: usize,
-}
-
 /// Exclusive prefix sum of per-state transition counts, producing the CSR
 /// `offsets` array (`counts.len() + 1` entries).
 ///
@@ -676,81 +670,45 @@ impl StateSpace {
             });
         }
 
-        // Phase 2: fill the final arrays in place. The flat columns are
-        // pre-split along the plan's offsets into one disjoint sub-slice
-        // pair per segment; a stealing worker takes the pair for the
-        // segment it claimed, so any thread count and any claim order
-        // produce the identical layout. A worker stops at the first
-        // escaping action in its segment; segments are in ascending id
-        // order and escapes are reduced by lowest segment index, so the
-        // reported witness matches a sequential scan.
+        // Phase 2: copy each state's decoded row into the final arrays.
+        // The flat columns are pre-split along the plan's offsets into one
+        // disjoint sub-slice pair per segment, so any thread count and any
+        // claim order produce the identical layout. A worker stops at the
+        // first escaping action in its segment, and the lowest segment's
+        // escape is reported, matching a sequential scan.
         let mut actions = vec![ActionId::from_index(0); m];
         let mut succs = vec![StateId(0); m];
-        {
-            // One segment's pre-split destination slices, taken once by
-            // whichever worker claims the segment.
-            type FillSlot<'a> = Mutex<Option<(&'a mut [ActionId], &'a mut [StateId])>>;
-            let mut slices: Vec<FillSlot<'_>> = Vec::with_capacity(tasks);
-            let mut a_rest: &mut [ActionId] = &mut actions;
-            let mut s_rest: &mut [StateId] = &mut succs;
-            for ti in 0..tasks {
+        let lens: Vec<usize> = (0..tasks)
+            .map(|ti| {
                 let r = plan.range(ti);
-                let take = (offsets[r.end] - offsets[r.start]) as usize;
-                let (a_chunk, rest) = std::mem::take(&mut a_rest).split_at_mut(take);
-                a_rest = rest;
-                let (s_chunk, rest) = std::mem::take(&mut s_rest).split_at_mut(take);
-                s_rest = rest;
-                slices.push(Mutex::new(Some((a_chunk, s_chunk))));
+                (offsets[r.end] - offsets[r.start]) as usize
+            })
+            .collect();
+        let parts: Vec<_> = split_lens(&mut actions, lens.iter().copied())
+            .into_iter()
+            .zip(split_lens(&mut succs, lens))
+            .collect();
+        let phase_started = std::time::Instant::now();
+        let filled = steal_parts(parts, workers, |ti, (actions, succs)| {
+            let mut rows = Decoder::new(program, &index);
+            let mut k = 0;
+            for i in plan.range(ti) {
+                let row = rows.row(StateId(i as u32))?;
+                let next = k + row.len();
+                actions[k..next].copy_from_slice(row.actions());
+                succs[k..next].copy_from_slice(row.succs());
+                k = next;
             }
-            let phase_started = std::time::Instant::now();
-            let escapes: Vec<Option<Escape>> = steal_tasks(tasks, workers, |ti| {
-                let (actions, succs) = slices[ti]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("each fill segment is claimed exactly once");
-                let mut scratch = State::zeroed(nv);
-                let mut succ = State::zeroed(nv);
-                let mut k = 0usize;
-                for i in plan.range(ti) {
-                    index.radix.decode_into(i as u64, &mut scratch);
-                    for a in program.action_ids() {
-                        let act = program.action(a);
-                        if !act.enabled(&scratch) {
-                            continue;
-                        }
-                        act.successor_into(&scratch, &mut succ);
-                        match index.radix.index_of(&succ) {
-                            Some(idx) => {
-                                actions[k] = a;
-                                succs[k] = StateId(idx as u32);
-                                k += 1;
-                            }
-                            None => {
-                                return Some(Escape {
-                                    action: a,
-                                    var: index.radix.escaping_var(&succ),
-                                });
-                            }
-                        }
-                    }
-                }
-                debug_assert_eq!(k, succs.len(), "impure guard: phase-2 count drifted");
-                None
-            })?;
-            journal.emit_with(|| Event::CsrPhase {
-                phase: "fill".to_string(),
-                states: n as u64,
-                transitions: m as u64,
-                micros: phase_started.elapsed().as_micros() as u64,
-            });
-            if let Some(e) = escapes.into_iter().flatten().next() {
-                return Err(SpaceError::EscapedDomain {
-                    action: program.action(e.action).name().to_string(),
-                    var: program.var(VarId::from_index(e.var)).name().to_string(),
-                });
-            }
-        }
+            debug_assert_eq!(k, succs.len(), "impure guard: phase-2 count drifted");
+            Ok::<(), SpaceError>(())
+        })?;
+        journal.emit_with(|| Event::CsrPhase {
+            phase: "fill".to_string(),
+            states: n as u64,
+            transitions: m as u64,
+            micros: phase_started.elapsed().as_micros() as u64,
+        });
+        filled.into_iter().collect::<Result<(), _>>()?;
 
         Ok(StateSpace {
             index,

@@ -1,0 +1,176 @@
+//! One transition source for every pass: the [`Successors`] trait.
+//!
+//! Closure and convergence ask one question of the
+//! transition relation: *what is the `(action, successor)` row of this
+//! state?* Three sources answer it, with bit-identical rows (enabled
+//! actions in id order, each paired with its successor's id):
+//!
+//! - the resident CSR table of a [`StateSpace`] (a slice view);
+//! - a built [`Segment`] of a [`SegmentedSpace`] (a slice view of one
+//!   id range);
+//! - a [`Decoder`] over a [`Program`] and its [`SpaceIndex`], which
+//!   evaluates guards and effects on demand and owns its scratch states.
+//!
+//! The decode → guard → successor → id loop exists only in the
+//! [`Decoder`]'s [`Successors::row`]; the CSR build and segment builds
+//! copy its rows.
+//!
+//! Whole-space sweeps (closure) go through [`RowSource`], which hands each
+//! segment task its own `Successors`, so one scan serves every source.
+
+use std::ops::Range;
+
+use nonmask_program::{ActionId, Program, State, VarId};
+
+use crate::options::{CheckOptions, SegmentPlan};
+use crate::segment::{Segment, SegmentedSpace};
+use crate::space::{SpaceError, SpaceIndex, StateId, StateSpace, Transitions};
+
+/// A source of transition rows.
+pub trait Successors {
+    /// The `(action, successor)` row of `id`, in action-id order.
+    ///
+    /// # Errors
+    ///
+    /// [`SpaceError::EscapedDomain`] when an enabled action leaves the
+    /// state space (only sources that evaluate actions can fail).
+    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError>;
+}
+
+impl Successors for &StateSpace {
+    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
+        Ok(self.successors(id))
+    }
+}
+
+impl Successors for Segment {
+    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
+        Ok(self.successors(id))
+    }
+}
+
+/// Rows decoded on demand from a program's guards and effects: no
+/// transition is stored, and memory is two scratch states plus one row.
+#[derive(Debug)]
+pub struct Decoder<'a> {
+    program: &'a Program,
+    index: &'a SpaceIndex,
+    state: State,
+    succ: State,
+    actions: Vec<ActionId>,
+    succs: Vec<StateId>,
+}
+
+impl<'a> Decoder<'a> {
+    /// A decoder over `program`'s state space `index`.
+    pub fn new(program: &'a Program, index: &'a SpaceIndex) -> Self {
+        Decoder {
+            program,
+            index,
+            state: index.scratch_state(),
+            succ: index.scratch_state(),
+            actions: Vec::with_capacity(program.action_count()),
+            succs: Vec::with_capacity(program.action_count()),
+        }
+    }
+}
+
+impl Successors for Decoder<'_> {
+    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
+        self.index.decode_state(id, &mut self.state);
+        self.actions.clear();
+        self.succs.clear();
+        for a in self.program.action_ids() {
+            let act = self.program.action(a);
+            if !act.enabled(&self.state) {
+                continue;
+            }
+            act.successor_into(&self.state, &mut self.succ);
+            let Some(t) = self.index.id_of(&self.succ) else {
+                let var = VarId::from_index(self.index.escaping_var(&self.succ));
+                return Err(SpaceError::EscapedDomain {
+                    action: act.name().to_string(),
+                    var: self.program.var(var).name().to_string(),
+                });
+            };
+            self.actions.push(a);
+            self.succs.push(t);
+        }
+        Ok(Transitions::new(&self.actions, &self.succs))
+    }
+}
+
+/// A whole state space that parallel sweeps can split by segment: each
+/// task gets its own [`Successors`] over its id range.
+pub trait RowSource: Sync {
+    /// The per-task row source.
+    type Rows<'s>: Successors
+    where
+        Self: 's;
+
+    /// The id↔state bijection of the space.
+    fn index(&self) -> &SpaceIndex;
+
+    /// The segment plan a sweep with `options` follows, and its worker
+    /// count.
+    fn schedule(&self, options: CheckOptions) -> (SegmentPlan, usize) {
+        let len = self.index().len();
+        (options.segment_plan(len), options.workers_for(len))
+    }
+
+    /// The row source of the ids in `range`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever building the source can raise (a segment over budget).
+    fn rows(&self, range: Range<usize>) -> Result<Self::Rows<'_>, SpaceError>;
+}
+
+impl RowSource for StateSpace {
+    type Rows<'s> = &'s StateSpace;
+
+    fn index(&self) -> &SpaceIndex {
+        StateSpace::index(self)
+    }
+
+    fn rows(&self, _range: Range<usize>) -> Result<&StateSpace, SpaceError> {
+        Ok(self)
+    }
+}
+
+impl RowSource for SegmentedSpace<'_> {
+    type Rows<'s>
+        = Segment
+    where
+        Self: 's;
+
+    fn index(&self) -> &SpaceIndex {
+        SegmentedSpace::index(self)
+    }
+
+    /// The space's own plan and worker count, whatever the caller asks:
+    /// its memory budget holds for exactly that many resident segments.
+    fn schedule(&self, _options: CheckOptions) -> (SegmentPlan, usize) {
+        (self.plan(), self.workers())
+    }
+
+    fn rows(&self, range: Range<usize>) -> Result<Segment, SpaceError> {
+        self.build_range(range)
+    }
+}
+
+/// Each task gets a fresh decoder over the same program and index.
+impl RowSource for Decoder<'_> {
+    type Rows<'s>
+        = Decoder<'s>
+    where
+        Self: 's;
+
+    fn index(&self) -> &SpaceIndex {
+        self.index
+    }
+
+    fn rows(&self, _range: Range<usize>) -> Result<Decoder<'_>, SpaceError> {
+        Ok(Decoder::new(self.program, self.index))
+    }
+}

@@ -365,12 +365,11 @@ impl Design {
 
         // Work counters: convergence figures are summed over the two
         // daemon passes; the CSR-row figure counts whole-space scans (one
-        // per distinct preservation query, two closure checks per action,
-        // and the two per-constraint obligation sweeps).
+        // per distinct preservation query, one per closure check, and the
+        // two per-constraint obligation sweeps).
         let states = space.len() as u64;
         let bitset_builds = 2 + self.constraints.len() as u64;
-        let scan_count =
-            cache_misses + 2 * p.action_count() as u64 + 2 * self.constraints.len() as u64;
+        let scan_count = cache_misses + 2 + 2 * self.constraints.len() as u64;
         let counters = CheckCounters {
             states,
             transitions: space.transition_count() as u64,
@@ -421,10 +420,9 @@ impl Design {
         t_bits: &Bitset,
         c_bits: &[Bitset],
     ) -> Result<ClosureReport, CheckError> {
-        let p = &self.program;
         let opts = self.options;
-        let invariant = closure::is_closed_bits(space, p, s_bits, opts)?;
-        let fault_span = closure::is_closed_bits(space, p, t_bits, opts)?;
+        let invariant = closure::is_closed_bits(space, s_bits, opts)?;
+        let fault_span = closure::is_closed_bits(space, t_bits, opts)?;
 
         let mut unguarded = Vec::new();
         let mut non_establishing = Vec::new();

@@ -9,9 +9,10 @@
 //! with `cargo test --release -- --ignored`.
 
 use nonmask_checker::{
-    check_convergence_bits, check_convergence_frontier, is_closed_bits, Bitset, CheckOptions,
-    ConvergenceResult, Fairness, StateSpace, DEFAULT_MEMORY_BUDGET,
+    check_convergence_bits_stats, check_convergence_frontier_stats, is_closed_bits, Bitset,
+    CheckOptions, ConvergenceResult, Fairness, StateSpace, DEFAULT_MEMORY_BUDGET,
 };
+use nonmask_obs::Journal;
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
 use nonmask_protocols::Tree;
@@ -39,13 +40,11 @@ fn token_ring_16m_states_within_default_budget() {
     let s = ring.invariant();
     let s_bits = Bitset::for_predicate(&space, &s, opts).unwrap();
     assert!(
-        is_closed_bits(&space, ring.program(), &s_bits, opts)
-            .unwrap()
-            .is_none(),
+        is_closed_bits(&space, &s_bits, opts).unwrap().is_none(),
         "the invariant is closed"
     );
     let t_bits = Bitset::ones(space.len());
-    let r = check_convergence_bits(
+    let (r, _) = check_convergence_bits_stats(
         &space,
         ring.program(),
         &t_bits,
@@ -80,11 +79,13 @@ fn diffusing_2e28_states_converges_within_default_budget() {
 
     // The paper's diffusing computation converges without fairness
     // (tests/paper_claims.rs), so the frontier peel resolves everything.
-    let r = check_convergence_frontier(
+    let (r, _) = check_convergence_frontier_stats(
         dc.program(),
         &nonmask_program::Predicate::always_true(),
         &dc.invariant(),
         Fairness::Unfair,
+        opts,
+        &Journal::disabled(),
     )
     .expect("frontier mode stays within the default budget");
     assert!(matches!(r, ConvergenceResult::Converges), "{r:?}");

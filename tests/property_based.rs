@@ -2,9 +2,9 @@
 
 use nonmask::TheoremOutcome;
 use nonmask_checker::{
-    check_convergence, check_convergence_frontier_stats, check_convergence_opts, is_closed,
-    is_closed_bits, is_closed_segmented, worst_case_moves, Bitset, CheckOptions, Fairness,
-    SegmentedSpace, StateSpace,
+    check_convergence, check_convergence_frontier_stats, check_convergence_stats, is_closed,
+    is_closed_bits, worst_case_moves, Bitset, CheckOptions, Decoder, Fairness, SegmentedSpace,
+    StateSpace, Successors,
 };
 use nonmask_graph::Shape;
 use nonmask_obs::{Event, Journal, MemoryBuffer};
@@ -266,7 +266,8 @@ fn assert_parallel_matches_serial(
     let opts = CheckOptions::default().threads(threads);
     for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
         let serial = check_convergence(&space, p, t, s, fairness).unwrap();
-        let parallel = check_convergence_opts(&space, p, t, s, fairness, opts).unwrap();
+        let (parallel, _) =
+            check_convergence_stats(&space, p, t, s, fairness, opts, &Journal::disabled()).unwrap();
         prop_assert_eq!(
             &serial,
             &parallel,
@@ -278,7 +279,7 @@ fn assert_parallel_matches_serial(
     let s_bits = Bitset::for_predicate(&space, s, opts).unwrap();
     prop_assert_eq!(
         is_closed(&space, p, s).unwrap(),
-        is_closed_bits(&space, p, &s_bits, opts).unwrap(),
+        is_closed_bits(&space, &s_bits, opts).unwrap(),
         "closure with {} threads",
         threads
     );
@@ -325,9 +326,10 @@ proptest! {
 
     /// Segment boundaries are invisible: for any random program, any
     /// thread count, and segment sizes that do and do not divide the
-    /// state count, the work-stealing segmented build reproduces every
-    /// CSR row of the monolithic space, in id order — and segmented
-    /// closure agrees with the resident check.
+    /// state count, the work-stealing segmented build and the on-demand
+    /// decoder reproduce every CSR row of the monolithic space, in id
+    /// order — and closure reports the same witness on all three row
+    /// sources.
     #[test]
     fn segmented_rows_match_monolithic_on_random_programs(
         domains in proptest::collection::vec(domain_strategy(), 1..=4),
@@ -355,22 +357,83 @@ proptest! {
             .unwrap();
         let rebuilt: Vec<_> = per_segment.into_iter().flatten().collect();
         prop_assert_eq!(rebuilt.len(), n);
+        let mut decoder = Decoder::new(&p, space.index());
         for id in space.ids() {
             let monolithic: Vec<_> = space.successors(id).iter().collect();
             prop_assert_eq!(&rebuilt[id.index()], &monolithic, "row of {}", id);
+            let decoded: Vec<_> = decoder.row(id).unwrap().iter().collect();
+            prop_assert_eq!(&decoded, &monolithic, "decoded row of {}", id);
         }
 
-        // Closure verdicts agree for an arbitrary predicate (witness
-        // *order* differs by construction — see `is_closed_segmented` —
-        // so only the verdict is compared here).
+        // Closure reports the same witness — lowest action, then lowest
+        // state — from every row source.
         let even = Predicate::new("even", p.var_ids(), |s: &State| {
             s.slots().iter().sum::<i64>() % 2 == 0
         });
         let bits = Bitset::for_predicate(&space, &even, opts).unwrap();
-        prop_assert_eq!(
-            is_closed_segmented(&seg_space, &bits).unwrap().is_none(),
-            is_closed_bits(&space, &p, &bits, opts).unwrap().is_none()
-        );
+        let resident = is_closed_bits(&space, &bits, opts).unwrap();
+        prop_assert_eq!(&is_closed_bits(&seg_space, &bits, opts).unwrap(), &resident);
+        let decoded = Decoder::new(&p, space.index());
+        prop_assert_eq!(&is_closed_bits(&decoded, &bits, opts).unwrap(), &resident);
+    }
+}
+
+/// Weighted slot sum, for random predicates that read every variable.
+fn weighted_sum(s: &State) -> i64 {
+    s.slots().iter().zip(1i64..).map(|(&v, w)| v * w).sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The frontier checker agrees with the resident one on random
+    /// programs, goals and fault spans: same verdict, same witness, same
+    /// `ConvergenceStats`, under both daemons, serially and with work
+    /// stealing, for segment sizes that do and do not divide the state
+    /// count. Random goals leave most regions divergent, so the shared
+    /// residual and fair-admissibility code sees arbitrary components.
+    #[test]
+    fn frontier_matches_resident_on_random_programs(
+        domains in proptest::collection::vec(domain_strategy(), 1..=6),
+        actions in proptest::collection::vec((0usize..6, 0usize..6, 1i64..=3), 1..=5),
+        goal_mod in 2i64..=5,
+        span_mod in 1i64..=3,
+        threads in 2usize..=8,
+        seg_pick in 0usize..3,
+    ) {
+        let first = domains[0].size().unwrap() as usize;
+        let p = program_with_actions(domains, actions);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let n = space.len();
+        let goal = Predicate::new("goal", p.var_ids(), move |s: &State| {
+            weighted_sum(s).rem_euclid(goal_mod) == 0
+        });
+        // span_mod = 1 makes the fault span `true`; otherwise computations
+        // can leave it, so fault-span escapes are compared too.
+        let span = Predicate::new("span", p.var_ids(), move |s: &State| {
+            let w = weighted_sum(s);
+            w.rem_euclid(goal_mod) == 0 || w.rem_euclid(span_mod) == 0
+        });
+        // `n / first` and `n` divide the state count; `n / 2 + 1` does not
+        // once n > 2.
+        let sizes = [n / 2 + 1, n / first, n];
+        for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
+            for threads in [1, threads] {
+                let opts = CheckOptions::default()
+                    .threads(threads)
+                    .segment_states(sizes[seg_pick]);
+                let (resident, resident_stats) = check_convergence_stats(
+                    &space, &p, &span, &goal, fairness, opts, &Journal::disabled(),
+                )
+                .unwrap();
+                let (frontier, frontier_stats) = check_convergence_frontier_stats(
+                    &p, &span, &goal, fairness, opts, &Journal::disabled(),
+                )
+                .unwrap();
+                prop_assert_eq!(&frontier, &resident, "{:?} with {} threads", fairness, threads);
+                prop_assert_eq!(frontier_stats.convergence, resident_stats);
+            }
+        }
     }
 }
 
