@@ -63,8 +63,9 @@ pub fn worst_case_moves(
 ) -> Result<Option<u64>, CheckError> {
     let _ = program;
     let opts = CheckOptions::default();
-    let from_bits = Bitset::for_predicate(space, from, opts)?;
-    let to_bits = Bitset::for_predicate(space, to, opts)?;
+    let [from_bits, to_bits] = Bitset::for_predicates(space.index(), &[from, to], opts)?
+        .try_into()
+        .expect("two predicates, two caches");
     worst_case_moves_bits(space, &from_bits, &to_bits, opts)
 }
 

@@ -3,22 +3,28 @@
 //! Closure, convergence, and bounds checking all repeatedly ask "does
 //! predicate P hold at state s?" for the same handful of predicates (`S`,
 //! `T`, each constraint). A [`Bitset`] evaluates the predicate **once per
-//! state** — in parallel, over word-aligned chunks — and every later pass
-//! answers membership with a single bit test. Compound predicates like
-//! Theorem 3's "T ∧ lower constraints ∧ ¬S" are composed with bitwise
-//! [`and`](Bitset::and)/[`not`](Bitset::not) instead of re-evaluating the
-//! conjuncts.
+//! state** and every later pass answers membership with a single bit test.
+//! Compound predicates like Theorem 3's "T ∧ lower constraints ∧ ¬S" are
+//! composed with bitwise [`and`](Bitset::and)/[`not`](Bitset::not) instead
+//! of re-evaluating the conjuncts.
+//!
+//! All caches come from one decode loop,
+//! [`for_predicates`](Bitset::for_predicates): it evaluates any number of
+//! predicates in one pass over the space, in parallel over word-aligned
+//! chunks. Each worker decodes the first state of its chunk and reaches
+//! every later one by an odometer step ([`SpaceIndex::step_state`]), so a
+//! state costs no division however many predicates read it.
 
 use nonmask_program::Predicate;
 
 use crate::error::CheckError;
-use crate::options::{run_chunks, CheckOptions};
+use crate::options::{chunk_ranges, split_lens, steal_parts, CheckOptions};
 use crate::space::{SpaceIndex, StateId, StateSpace};
 
 /// A fixed-length set of state indices, one bit per state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitset {
-    words: Vec<u64>,
+    pub(crate) words: Vec<u64>,
     len: usize,
 }
 
@@ -41,43 +47,7 @@ impl Bitset {
         b
     }
 
-    /// Build from a membership function, evaluating `f` once per index.
-    ///
-    /// Workers own disjoint *word-aligned* chunks (multiples of 64 bits),
-    /// so no two threads touch the same word and the result is identical
-    /// for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::WorkerFailed`] if `f` panics.
-    pub fn from_fn<F>(len: usize, opts: CheckOptions, f: F) -> Result<Self, CheckError>
-    where
-        F: Fn(usize) -> bool + Sync,
-    {
-        let word_count = len.div_ceil(64);
-        let workers = opts.workers_for(len);
-        let words: Vec<u64> = run_chunks(word_count, workers, |word_range| {
-            word_range
-                .map(|wi| {
-                    let mut word = 0u64;
-                    let base = wi * 64;
-                    for bit in 0..64usize.min(len - base.min(len)) {
-                        if f(base + bit) {
-                            word |= 1 << bit;
-                        }
-                    }
-                    word
-                })
-                .collect::<Vec<u64>>()
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
-        Ok(Bitset { words, len })
-    }
-
-    /// Evaluate `pred` once at every state of `space`, decoding each state
-    /// into a per-worker scratch buffer (no per-state allocation).
+    /// Evaluate `pred` once at every state of `space`.
     ///
     /// # Errors
     ///
@@ -87,44 +57,57 @@ impl Bitset {
         pred: &Predicate,
         opts: CheckOptions,
     ) -> Result<Self, CheckError> {
-        Self::for_predicate_index(space.index(), pred, opts)
+        let mut caches = Self::for_predicates(space.index(), &[pred], opts)?;
+        Ok(caches.pop().expect("one predicate, one cache"))
     }
 
-    /// [`for_predicate`](Bitset::for_predicate) from a bare [`SpaceIndex`]:
-    /// predicate caches need only the id↔state bijection, so out-of-core
-    /// passes build them without ever materializing a CSR.
+    /// Evaluate every predicate of `preds` at every state of `index` in
+    /// one pass, returning their caches in `preds` order.
+    ///
+    /// Each worker owns a word-aligned chunk of ids (a multiple of 64
+    /// states), decodes its first state once and steps to each next one
+    /// with [`SpaceIndex::step_state`]; every predicate is evaluated on
+    /// that one decoded state and sets its bit in place, in the worker's
+    /// own pre-split slice of each output. No two workers touch the same
+    /// word, so the result is identical for every worker count.
     ///
     /// # Errors
     ///
-    /// [`CheckError::WorkerFailed`] if `pred` panics.
-    pub fn for_predicate_index(
+    /// [`CheckError::WorkerFailed`] if a predicate panics.
+    pub fn for_predicates(
         index: &SpaceIndex,
-        pred: &Predicate,
+        preds: &[&Predicate],
         opts: CheckOptions,
-    ) -> Result<Self, CheckError> {
+    ) -> Result<Vec<Self>, CheckError> {
         let len = index.len();
-        let word_count = len.div_ceil(64);
         let workers = opts.workers_for(len);
-        let words: Vec<u64> = run_chunks(word_count, workers, |word_range| {
-            let mut scratch = index.scratch_state();
-            word_range
-                .map(|wi| {
-                    let mut word = 0u64;
-                    let base = wi * 64;
-                    for bit in 0..64usize.min(len - base.min(len)) {
-                        index.decode_state(StateId::from_index(base + bit), &mut scratch);
-                        if pred.holds(&scratch) {
-                            word |= 1 << bit;
+        let chunks = chunk_ranges(len.div_ceil(64), workers);
+        let mut caches: Vec<Bitset> = preds.iter().map(|_| Bitset::zeros(len)).collect();
+        // parts[c][p]: predicate `p`'s words of chunk `c`.
+        let mut parts: Vec<Vec<&mut [u64]>> = chunks.iter().map(|_| Vec::new()).collect();
+        for cache in &mut caches {
+            let slices = split_lens(&mut cache.words, chunks.iter().map(ExactSizeIterator::len));
+            for (part, slice) in parts.iter_mut().zip(slices) {
+                part.push(slice);
+            }
+        }
+        steal_parts(parts, workers, |ci, mut out| {
+            let first_word = chunks[ci].start;
+            let mut state = index.scratch_state();
+            index.decode_state(StateId::from_index(first_word * 64), &mut state);
+            for w in 0..chunks[ci].len() {
+                let base = (first_word + w) * 64;
+                for bit in 0..64.min(len - base) {
+                    for (pred, words) in preds.iter().zip(out.iter_mut()) {
+                        if pred.holds(&state) {
+                            words[w] |= 1 << bit;
                         }
                     }
-                    word
-                })
-                .collect::<Vec<u64>>()
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
-        Ok(Bitset { words, len })
+                    index.step_state(&mut state);
+                }
+            }
+        })?;
+        Ok(caches)
     }
 
     /// Whether state index `i` is in the set.
@@ -268,18 +251,81 @@ impl Iterator for OnesIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nonmask_program::{Domain, Program};
+
+    /// The index of a one-variable space `x ∈ 0..len`, so that state id
+    /// `i` is the state `x = i`.
+    fn line(len: usize) -> SpaceIndex {
+        let mut b = Program::builder("line");
+        b.var("x", Domain::range(0, len as i64 - 1));
+        SpaceIndex::of_program(&b.build(), CheckOptions::default()).unwrap()
+    }
+
+    /// The predicate `f(x)` over [`line`]'s variable.
+    fn on_x(name: &str, f: impl Fn(usize) -> bool + Send + Sync + 'static) -> Predicate {
+        let x = nonmask_program::VarId::from_index(0);
+        Predicate::new(name, [x], move |s| f(s.get(x) as usize))
+    }
+
+    /// The cache of `f` over `line(len)`.
+    fn bits(len: usize, f: impl Fn(usize) -> bool + Send + Sync + 'static) -> Bitset {
+        let mut caches =
+            Bitset::for_predicates(&line(len), &[&on_x("f", f)], CheckOptions::serial()).unwrap();
+        caches.pop().unwrap()
+    }
 
     #[test]
-    fn from_fn_matches_direct_evaluation() {
-        for len in [0, 1, 63, 64, 65, 2048, 5000] {
-            let b = Bitset::from_fn(len, CheckOptions::serial(), |i| i % 3 == 0).unwrap();
-            let par =
-                Bitset::from_fn(len, CheckOptions::default().threads(4), |i| i % 3 == 0).unwrap();
-            assert_eq!(b, par, "len={len}");
-            for i in 0..len {
-                assert_eq!(b.get(i), i % 3 == 0, "len={len} i={i}");
+    fn for_predicates_matches_direct_evaluation() {
+        // Word boundaries (63/64/65) and lengths that split unevenly over
+        // the workers.
+        for len in [1, 63, 64, 65, 2048, 5000] {
+            let index = line(len);
+            let thirds = on_x("i%3", |i| i % 3 == 0);
+            let fives = on_x("i%5", |i| i % 5 == 1);
+            let preds = [&thirds, &fives];
+            let serial = Bitset::for_predicates(&index, &preds, CheckOptions::serial()).unwrap();
+            for threads in [2, 4, 7] {
+                let par = Bitset::for_predicates(
+                    &index,
+                    &preds,
+                    CheckOptions::default().threads(threads),
+                )
+                .unwrap();
+                assert_eq!(serial, par, "len={len} threads={threads}");
             }
-            assert_eq!(b.count_ones(), (0..len).filter(|i| i % 3 == 0).count());
+            assert_eq!(serial.len(), 2);
+            for i in 0..len {
+                assert_eq!(serial[0].get(i), i % 3 == 0, "len={len} i={i}");
+                assert_eq!(serial[1].get(i), i % 5 == 1, "len={len} i={i}");
+            }
+            assert_eq!(
+                serial[0].count_ones(),
+                (0..len).filter(|i| i % 3 == 0).count()
+            );
+            assert_eq!(serial[0].len(), len);
+        }
+    }
+
+    #[test]
+    fn for_predicates_of_nothing_is_empty() {
+        let caches = Bitset::for_predicates(&line(100), &[], CheckOptions::serial()).unwrap();
+        assert!(caches.is_empty());
+    }
+
+    #[test]
+    fn for_predicates_surfaces_a_panic() {
+        let boom = on_x("boom", |i| {
+            assert!(i != 4000, "predicate poisoned");
+            true
+        });
+        for threads in [1, 4] {
+            let err = Bitset::for_predicates(
+                &line(5000),
+                &[&Predicate::always_true(), &boom],
+                CheckOptions::default().threads(threads),
+            )
+            .unwrap_err();
+            assert!(matches!(err, CheckError::WorkerFailed { .. }), "{err:?}");
         }
     }
 
@@ -296,8 +342,8 @@ mod tests {
 
     #[test]
     fn boolean_algebra() {
-        let a = Bitset::from_fn(130, CheckOptions::serial(), |i| i % 2 == 0).unwrap();
-        let b = Bitset::from_fn(130, CheckOptions::serial(), |i| i % 3 == 0).unwrap();
+        let a = bits(130, |i| i % 2 == 0);
+        let b = bits(130, |i| i % 3 == 0);
         let both = a.and(&b);
         let neither = a.not().and(&b.not());
         for i in 0..130 {
@@ -310,13 +356,14 @@ mod tests {
 
     #[test]
     fn iter_ones_ascending() {
-        for len in [0, 1, 63, 64, 65, 130, 1000] {
-            let b = Bitset::from_fn(len, CheckOptions::serial(), |i| i % 7 == 0 || i == len - 1)
-                .unwrap();
+        for len in [1, 63, 64, 65, 130, 1000] {
+            let b = bits(len, move |i| i % 7 == 0 || i == len - 1);
             let got: Vec<usize> = b.iter_ones().collect();
             let want: Vec<usize> = (0..len).filter(|&i| b.get(i)).collect();
             assert_eq!(got, want, "len={len}");
         }
+        assert_eq!(Bitset::zeros(0).iter_ones().count(), 0);
+        assert_eq!(Bitset::ones(0).iter_ones().count(), 0);
         assert_eq!(Bitset::zeros(500).iter_ones().count(), 0);
         assert_eq!(Bitset::ones(500).iter_ones().count(), 500);
     }

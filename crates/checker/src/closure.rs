@@ -11,6 +11,8 @@
 //! in parallel). Every source, thread count and segment size reports the
 //! same violation: the lowest violating action, then its lowest state.
 
+use std::ops::Range;
+
 use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
@@ -75,18 +77,20 @@ pub fn preserves_given(
 ) -> Result<Option<Violation>, CheckError> {
     let _ = program;
     let opts = CheckOptions::default();
-    let pred_bits = Bitset::for_predicate(space, pred, opts)?;
-    let assuming_bits = Bitset::for_predicate(space, assuming, opts)?;
+    let [pred_bits, assuming_bits] =
+        Bitset::for_predicates(space.index(), &[pred, assuming], opts)?
+            .try_into()
+            .expect("two predicates, two caches");
     preserves_given_bits(space, action, &pred_bits, &assuming_bits, opts)
 }
 
 /// [`preserves_given`] over precomputed predicate caches.
 ///
 /// `pred_bits` and `assuming_bits` must be evaluations of the predicates
-/// over exactly this `space` (see [`Bitset::for_predicate`]). This is the
-/// hot path shared by the closure report, the theorem side conditions, and
-/// Theorem 3's layered obligations: one bit test per state and per
-/// successor, no predicate evaluation at all.
+/// over exactly this `space` (see [`Bitset::for_predicate`]): one bit test
+/// per state and per successor, no predicate evaluation at all, and the
+/// scan stops at the first violation. To ask the question of every action
+/// at once, sweep once with [`breaking_actions`].
 pub fn preserves_given_bits(
     space: &StateSpace,
     action: ActionId,
@@ -132,6 +136,207 @@ pub fn is_closed_bits<R: RowSource>(
     first_violation(space, pred_bits, None, None, opts)
 }
 
+/// Which actions break `pred` where `assuming` holds: entry `a` is `true`
+/// iff some transition of action `a` leads from a state of
+/// `pred ∧ assuming` to a state outside `pred`, that is, iff
+/// [`preserves_given_bits`] would report a violation for `a`.
+///
+/// One sweep over `pred ∧ assuming` answers the question for all
+/// `action_count` actions at once, where asking [`preserves_given_bits`]
+/// per action costs one sweep each. Theorem 3's side conditions ask it of
+/// every action for the same (constraint, assumption) pair.
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
+/// [`CheckError::Space`] if a segment build exceeds the budget or an
+/// action escapes its domain.
+pub fn breaking_actions<R: RowSource>(
+    source: &R,
+    action_count: usize,
+    pred_bits: &Bitset,
+    assuming_bits: &Bitset,
+    opts: CheckOptions,
+) -> Result<Vec<bool>, CheckError> {
+    let (plan, workers) = source.schedule(opts);
+    let sweep = |ti: usize| -> Result<Vec<bool>, SpaceError> {
+        let range = plan.range(ti);
+        let mut rows = source.rows(range.clone())?;
+        let mut breaking = vec![false; action_count];
+        let mut unmarked = action_count;
+        for i in members(pred_bits, Some(assuming_bits), range) {
+            if unmarked == 0 {
+                break;
+            }
+            for (a, succ) in rows.row(StateId::from_index(i))? {
+                if !pred_bits.contains(succ) && !breaking[a.index()] {
+                    breaking[a.index()] = true;
+                    unmarked -= 1;
+                }
+            }
+        }
+        Ok(breaking)
+    };
+    let mut breaking = vec![false; action_count];
+    for part in steal_tasks(plan.count(), workers, sweep)? {
+        for (b, p) in breaking.iter_mut().zip(part?) {
+            *b |= p;
+        }
+    }
+    Ok(breaking)
+}
+
+/// The two closure obligations of one repair: a convergence action and
+/// the constraint it must establish.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RepairWitnesses {
+    /// The lowest-id state of `T ∧ ¬c` where the action is not enabled.
+    pub unguarded: Option<StateId>,
+    /// The transition of the action from the lowest-id `T` state where it
+    /// leads outside `c`.
+    pub non_establishing: Option<Violation>,
+}
+
+/// Check the closure obligations of every repair `(action, c_bits)` in one
+/// sweep over the states of `t_bits`: the action must be enabled wherever
+/// `T ∧ ¬c` holds, and executing it from `T` must establish `c`. Returns
+/// one [`RepairWitnesses`] per repair, in `repairs` order; each witness is
+/// the lowest-id one, as a per-repair scan in id order would find.
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
+/// [`CheckError::Space`] if a segment build exceeds the budget or an
+/// action escapes its domain.
+///
+/// # Panics
+///
+/// Panics if two repairs share an action.
+pub fn repair_obligations<R: RowSource>(
+    source: &R,
+    t_bits: &Bitset,
+    repairs: &[(ActionId, &Bitset)],
+    opts: CheckOptions,
+) -> Result<Vec<RepairWitnesses>, CheckError> {
+    let k = repairs.len();
+    let action_count = repairs
+        .iter()
+        .map(|(a, _)| a.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut repair_of = vec![None; action_count];
+    for (r, (a, _)) in repairs.iter().enumerate() {
+        assert!(
+            repair_of[a.index()].replace(r).is_none(),
+            "action {a} repairs two constraints"
+        );
+    }
+    type Found = (Vec<Option<StateId>>, Vec<Option<(StateId, StateId)>>);
+    let (plan, workers) = source.schedule(opts);
+    let sweep = |ti: usize| -> Result<Found, SpaceError> {
+        let range = plan.range(ti);
+        let mut rows = source.rows(range.clone())?;
+        let mut unguarded = vec![None; k];
+        let mut non_establishing = vec![None; k];
+        // Per repair, the states of the current word where its action is
+        // enabled.
+        let mut enabled = vec![0u64; k];
+        for (w, mask) in words_in(range) {
+            let t_word = t_bits.words[w] & mask;
+            if t_word == 0 {
+                continue;
+            }
+            enabled.fill(0);
+            for bit in ones(t_word) {
+                let id = StateId::from_index(w * 64 + bit);
+                for (a, succ) in rows.row(id)? {
+                    let Some(r) = repair_of.get(a.index()).copied().flatten() else {
+                        continue;
+                    };
+                    enabled[r] |= 1 << bit;
+                    if non_establishing[r].is_none() && !repairs[r].1.contains(succ) {
+                        non_establishing[r] = Some((id, succ));
+                    }
+                }
+            }
+            for (r, (_, c_bits)) in repairs.iter().enumerate() {
+                let bad = t_word & !c_bits.words[w] & !enabled[r];
+                if bad != 0 && unguarded[r].is_none() {
+                    let bit = bad.trailing_zeros() as usize;
+                    unguarded[r] = Some(StateId::from_index(w * 64 + bit));
+                }
+            }
+        }
+        Ok((unguarded, non_establishing))
+    };
+    // Segments come in id order: the first segment with a witness holds
+    // the lowest one.
+    let mut unguarded = vec![None; k];
+    let mut non_establishing = vec![None; k];
+    for part in steal_tasks(plan.count(), workers, sweep)? {
+        let (u, n) = part?;
+        for (first, found) in unguarded.iter_mut().zip(u) {
+            *first = first.or(found);
+        }
+        for (first, found) in non_establishing.iter_mut().zip(n) {
+            *first = first.or(found);
+        }
+    }
+    let index = source.index();
+    Ok(unguarded
+        .into_iter()
+        .zip(non_establishing)
+        .zip(repairs)
+        .map(
+            |((unguarded, non_establishing), &(action, _))| RepairWitnesses {
+                unguarded,
+                non_establishing: non_establishing.map(|(before, after)| Violation {
+                    action,
+                    before: index.state(before),
+                    after: index.state(after),
+                }),
+            },
+        )
+        .collect())
+}
+
+/// The words of a bitset that overlap the id `range`, each with the mask
+/// of its bits inside the range.
+fn words_in(range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+    (range.start / 64..range.end.div_ceil(64)).map(move |w| {
+        let lo = range.start.max(w * 64) - w * 64;
+        let width = range.end.min(w * 64 + 64) - w * 64 - lo;
+        let mask = if width == 64 {
+            u64::MAX
+        } else {
+            ((1 << width) - 1) << lo
+        };
+        (w, mask)
+    })
+}
+
+/// The set bit positions of `word`, ascending.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+        word &= word - 1;
+        Some(bit)
+    })
+}
+
+/// The ids in `range` that are members of `a` (and of `b`, when given),
+/// ascending, a word at a time.
+fn members<'a>(
+    a: &'a Bitset,
+    b: Option<&'a Bitset>,
+    range: Range<usize>,
+) -> impl Iterator<Item = usize> + 'a {
+    words_in(range).flat_map(move |(w, mask)| {
+        let word = a.words[w] & b.map_or(u64::MAX, |b| b.words[w]) & mask;
+        ones(word).map(move |bit| w * 64 + bit)
+    })
+}
+
 /// The one closure scan: among transitions from a state in `pred_bits`
 /// (and `assuming`, when given) to a state outside it — by action `only`,
 /// when given — the one with the lowest action, then the lowest state.
@@ -150,12 +355,9 @@ fn first_violation<R: RowSource>(
         let range = plan.range(ti);
         let mut rows = source.rows(range.clone())?;
         let (mut limit, mut best) = (limit, None);
-        for i in range {
+        for i in members(pred_bits, assuming, range) {
             if limit == floor {
                 break;
-            }
-            if !pred_bits.get(i) || assuming.is_some_and(|b| !b.get(i)) {
-                continue;
             }
             for (a, succ) in rows.row(StateId::from_index(i))? {
                 if (floor..limit).contains(&a.index()) && !pred_bits.contains(succ) {
@@ -423,6 +625,152 @@ mod tests {
             .expect("inc breaks evenness");
         assert_eq!(v.before.slots()[0], 0);
         assert_eq!(v.after.slots()[0], 1);
+    }
+
+    #[test]
+    fn breaking_actions_marks_every_violator() {
+        let p = program();
+        let x = p.var_by_name("x").unwrap();
+        let y = p.var_by_name("y").unwrap();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let opts = CheckOptions::serial();
+        let eq = Predicate::new("x=y", [x, y], move |s| s.get(x) == s.get(y));
+        let le = Predicate::new("y<=x", [x, y], move |s| s.get(y) <= s.get(x));
+        let small = Predicate::new("x<3", [x], move |s| s.get(x) < 3);
+        let [eq, le, small] = Bitset::for_predicates(space.index(), &[&eq, &le, &small], opts)
+            .unwrap()
+            .try_into()
+            .unwrap();
+        let all = Bitset::ones(space.len());
+        // copy keeps x=y; bump breaks it.
+        assert_eq!(
+            breaking_actions(&space, 2, &eq, &all, opts).unwrap(),
+            [false, true]
+        );
+        // bump breaks y<=x only by wrapping 3 -> 0, which x<3 rules out.
+        assert_eq!(
+            breaking_actions(&space, 2, &le, &all, opts).unwrap(),
+            [false, true]
+        );
+        assert_eq!(
+            breaking_actions(&space, 2, &le, &small, opts).unwrap(),
+            [false, false]
+        );
+        // An empty assumption leaves nothing to break.
+        let none = Bitset::zeros(space.len());
+        assert_eq!(
+            breaking_actions(&space, 2, &eq, &none, opts).unwrap(),
+            [false, false]
+        );
+    }
+
+    #[test]
+    fn repair_obligations_report_the_lowest_witnesses() {
+        // `fix` repairs x=0 only from x=1, and sends x=3 to x=2.
+        let mut b = Program::builder("repair");
+        let x = b.var("x", Domain::range(0, 3));
+        let fix = b.convergence_action(
+            "fix",
+            [x],
+            [x],
+            move |s| s.get(x) % 2 == 1,
+            move |s| {
+                let v = s.get(x);
+                s.set(x, if v == 1 { 0 } else { 2 });
+            },
+        );
+        let p = b.build();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let opts = CheckOptions::serial();
+        let zero = Predicate::new("x=0", [x], move |s| s.get(x) == 0);
+        let below3 = Predicate::new("x<3", [x], move |s| s.get(x) < 3);
+        let [zero, below3] = Bitset::for_predicates(space.index(), &[&zero, &below3], opts)
+            .unwrap()
+            .try_into()
+            .unwrap();
+        let t = Bitset::ones(space.len());
+        let found = repair_obligations(&space, &t, &[(fix, &zero)], opts).unwrap();
+        assert_eq!(
+            found,
+            [RepairWitnesses {
+                // x=2 violates x=0 and disables fix.
+                unguarded: Some(StateId(2)),
+                non_establishing: Some(Violation {
+                    action: fix,
+                    before: State::new(vec![3]),
+                    after: State::new(vec![2]),
+                }),
+            }]
+        );
+        // x<3 is violated only at x=3, where fix runs and establishes it.
+        let found = repair_obligations(&space, &t, &[(fix, &below3)], opts).unwrap();
+        assert_eq!(found[0].unguarded, None);
+        assert_eq!(found[0].non_establishing, None);
+        // Outside T nothing is checked.
+        let empty = Bitset::zeros(space.len());
+        let found = repair_obligations(&space, &empty, &[(fix, &zero)], opts).unwrap();
+        assert_eq!(
+            found[0],
+            RepairWitnesses {
+                unguarded: None,
+                non_establishing: None
+            }
+        );
+    }
+
+    #[test]
+    fn repair_obligations_agree_across_sources_and_threads() {
+        // x in 0..=9999; `halve` (enabled on odd x) and `top` (enabled on
+        // x > 9000) repair "x is even" and "x <= 9000".
+        let mut b = Program::builder("big");
+        let x = b.var("x", Domain::range(0, 9999));
+        let halve = b.convergence_action(
+            "halve",
+            [x],
+            [x],
+            move |s| s.get(x) % 2 == 1 && s.get(x) != 4097,
+            move |s| {
+                let v = s.get(x);
+                s.set(x, v / 2);
+            },
+        );
+        let top = b.convergence_action(
+            "top",
+            [x],
+            [x],
+            move |s| s.get(x) > 9000 && s.get(x) != 9500,
+            move |s| s.set(x, 9000),
+        );
+        let p = b.build();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let even = Predicate::new("even", [x], move |s| s.get(x) % 2 == 0);
+        let low = Predicate::new("low", [x], move |s| s.get(x) <= 9000);
+        let caches =
+            Bitset::for_predicates(space.index(), &[&even, &low], CheckOptions::serial()).unwrap();
+        let t = Bitset::ones(space.len());
+        let repairs = [(halve, &caches[0]), (top, &caches[1])];
+        let serial = repair_obligations(&space, &t, &repairs, CheckOptions::serial()).unwrap();
+        // 4097 is odd and disabled; 3 halves to the odd 1; 9500 is stuck.
+        assert_eq!(serial[0].unguarded, Some(StateId(4097)));
+        let v = serial[0].non_establishing.as_ref().unwrap();
+        assert_eq!((v.before.slots(), v.after.slots()), (&[3][..], &[1][..]));
+        assert_eq!(serial[1].unguarded, Some(StateId(9500)));
+        assert_eq!(serial[1].non_establishing, None);
+        for threads in [2, 8] {
+            for seg in [0, 1000, 4097] {
+                let opts = CheckOptions::default().threads(threads).segment_states(seg);
+                let got = repair_obligations(&space, &t, &repairs, opts).unwrap();
+                assert_eq!(got, serial, "threads={threads} seg={seg}");
+                if seg != 0 {
+                    let seg_space = SegmentedSpace::new(&p, opts).unwrap();
+                    let got = repair_obligations(&seg_space, &t, &repairs, opts).unwrap();
+                    assert_eq!(got, serial, "segmented threads={threads} seg={seg}");
+                }
+                let decoded = crate::Decoder::new(&p, space.index());
+                let got = repair_obligations(&decoded, &t, &repairs, opts).unwrap();
+                assert_eq!(got, serial, "decoded threads={threads} seg={seg}");
+            }
+        }
     }
 
     #[test]

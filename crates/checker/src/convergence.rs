@@ -183,8 +183,9 @@ pub fn check_convergence_stats(
     opts: CheckOptions,
     journal: &Journal,
 ) -> Result<(ConvergenceResult, ConvergenceStats), CheckError> {
-    let from_bits = Bitset::for_predicate(space, from, opts)?;
-    let to_bits = Bitset::for_predicate(space, to, opts)?;
+    let [from_bits, to_bits] = Bitset::for_predicates(space.index(), &[from, to], opts)?
+        .try_into()
+        .expect("two predicates, two caches");
     let (result, stats) =
         check_convergence_bits_stats(space, program, &from_bits, &to_bits, fairness, opts)?;
     journal.emit_with(|| Event::Wave {

@@ -17,12 +17,15 @@ pub struct CheckCounters {
     pub states: u64,
     /// Transitions in the CSR table.
     pub transitions: u64,
-    /// Predicate caches ([`Bitset`](crate::Bitset)s) built.
+    /// Predicate caches ([`Bitset`](crate::Bitset)s) built by evaluating
+    /// a predicate (caches composed bitwise from others do not count).
     pub bitset_builds: u64,
-    /// State decodings performed while building predicate caches
-    /// (`bitset_builds × states`).
+    /// State decodings performed while building predicate caches: one per
+    /// state for each pass of [`Bitset::for_predicates`](crate::Bitset::for_predicates),
+    /// however many predicates the pass evaluates.
     pub states_decoded: u64,
-    /// CSR rows visited by closure/preservation scans.
+    /// CSR rows visited by closure and preservation sweeps, counted as
+    /// whole-space scans times the state count.
     pub csr_rows_visited: u64,
     /// Region (`T ∧ ¬S`) states examined by convergence passes.
     pub region_states: u64,
@@ -30,9 +33,12 @@ pub struct CheckCounters {
     pub peeled_states: u64,
     /// Strongly connected components Tarjan examined in the residuals.
     pub sccs_found: u64,
-    /// Preservation-memo lookups answered from cache.
+    /// Preservation queries (action, constraint, assumption) answered
+    /// from the memo of an earlier sweep.
     pub cache_hits: u64,
-    /// Preservation-memo lookups that ran a fresh scan.
+    /// Preservation queries that ran a fresh sweep: one
+    /// [`breaking_actions`](crate::breaking_actions) sweep per
+    /// (constraint, assumption), answering every action at once.
     pub cache_misses: u64,
     /// Segment row-buffers built by out-of-core passes (segmented scans
     /// and frontier rounds); zero for fully resident runs.

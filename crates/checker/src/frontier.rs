@@ -88,8 +88,9 @@ pub fn check_convergence_frontier_stats(
     journal: &Journal,
 ) -> Result<(ConvergenceResult, FrontierStats), SpaceError> {
     let index = SpaceIndex::of_program(program, options)?;
-    let from_bits = Bitset::for_predicate_index(&index, from, options)?;
-    let to_bits = Bitset::for_predicate_index(&index, to, options)?;
+    let [from_bits, to_bits] = Bitset::for_predicates(&index, &[from, to], options)?
+        .try_into()
+        .expect("two predicates, two caches");
     let mut stats = FrontierStats::default();
     let n = index.len();
     let region = from_bits.and(&to_bits.not());

@@ -44,7 +44,9 @@
 //! count** because per-task results are reduced in task order (the
 //! lowest-id witness always wins). Predicates are evaluated once per state
 //! into [`Bitset`] caches (`*_bits` function variants) that callers can
-//! share across passes and compose with bitwise `and`/`not`. Convergence
+//! share across passes and compose with bitwise `and`/`not`;
+//! [`Bitset::for_predicates`] evaluates any number of them in one decode
+//! pass. Convergence
 //! peels the region down to the states that can stay in it forever before
 //! running any SCC analysis, so the Tarjan pass vanishes in the common
 //! converging case (see the [`convergence`] module docs).
@@ -67,8 +69,9 @@
 //! when transition density is skewed across the id range — and because
 //! per-segment results are still merged in segment order, verdicts and
 //! witnesses remain bit-identical for every thread count and claim order.
-//! [`is_closed_bits`] runs on a [`SegmentedSpace`] or a [`Decoder`] as
-//! well as on a [`StateSpace`], and reports the same violation on each.
+//! [`is_closed_bits`], [`breaking_actions`] and [`repair_obligations`] run
+//! on a [`SegmentedSpace`] or a [`Decoder`] as well as on a
+//! [`StateSpace`], and report the same answer on each.
 //!
 //! For convergence-only queries on such instances,
 //! [`check_convergence_frontier_stats`] ([`frontier`]) never materializes
@@ -135,7 +138,8 @@ pub mod successors;
 pub use bounds::{check_variant, worst_case_moves, worst_case_moves_bits, VariantReport};
 pub use cache::{Bitset, OnesIter};
 pub use closure::{
-    is_closed, is_closed_bits, preserves, preserves_given, preserves_given_bits, Violation,
+    breaking_actions, is_closed, is_closed_bits, preserves, preserves_given, preserves_given_bits,
+    repair_obligations, RepairWitnesses, Violation,
 };
 pub use containment::{certify_containment, ContainmentVerdict};
 pub use convergence::{

@@ -259,10 +259,8 @@ pub fn attribute_constraints(
     opts: CheckOptions,
 ) -> Result<ConstraintAttribution, CheckError> {
     let k = constraints.len();
-    let bits: Vec<Bitset> = constraints
-        .iter()
-        .map(|c| Bitset::for_predicate(space, c, opts))
-        .collect::<Result<_, _>>()?;
+    let preds: Vec<&nonmask_program::Predicate> = constraints.iter().collect();
+    let bits = Bitset::for_predicates(space.index(), &preds, opts)?;
     let actions = program.action_count();
     let mut establishes = vec![true; actions * k];
     let mut entered_from_outside = vec![false; actions * k];

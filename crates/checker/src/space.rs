@@ -296,6 +296,24 @@ impl Radix {
         }
     }
 
+    /// Advance `out` to the next enumeration position, as an odometer:
+    /// the last variable cycles fastest and a wrapped slot carries into
+    /// the one before it. The last position wraps to the first.
+    #[inline]
+    fn step(&self, out: &mut State) {
+        for i in (0..self.mins.len()).rev() {
+            let var = VarId::from_index(i);
+            let slot = out.get(var);
+            // Compare the offset before adding, so a domain ending at
+            // `i64::MAX` wraps instead of overflowing.
+            if slot.wrapping_sub(self.mins[i]) + 1 < self.sizes[i] {
+                out.set(var, slot + 1);
+                return;
+            }
+            out.set(var, self.mins[i]);
+        }
+    }
+
     /// The state at enumeration position `idx`, freshly allocated.
     fn state_of(&self, idx: u64) -> State {
         let mut out = State::zeroed(self.mins.len());
@@ -385,6 +403,19 @@ impl SpaceIndex {
     pub fn decode_state(&self, id: StateId, out: &mut State) {
         assert!(id.index() < self.len, "state id {id} out of range");
         self.radix.decode_into(id.0 as u64, out);
+    }
+
+    /// Step `state`, the decoding of some id `i`, to the decoding of
+    /// `i + 1` without a division: an odometer step that touches one slot
+    /// plus one per carry, where [`decode_state`](SpaceIndex::decode_state)
+    /// divides once per variable. Sweeps decode the first id of their
+    /// range and step from there. The last state wraps to the first.
+    ///
+    /// `state` must be a state of this space (every slot in its domain).
+    #[inline]
+    pub fn step_state(&self, state: &mut State) {
+        debug_assert_eq!(state.len(), self.radix.var_count());
+        self.radix.step(state);
     }
 
     /// A zeroed scratch state of this space's arity.
@@ -631,8 +662,8 @@ impl StateSpace {
             let range = plan.range(ti);
             let mut scratch = State::zeroed(nv);
             let mut out = Vec::with_capacity(range.len());
-            for i in range {
-                index.radix.decode_into(i as u64, &mut scratch);
+            index.radix.decode_into(range.start as u64, &mut scratch);
+            for _ in range {
                 let mut c = 0u32;
                 for a in program.action_ids() {
                     if program.action(a).enabled(&scratch) {
@@ -640,6 +671,7 @@ impl StateSpace {
                     }
                 }
                 out.push(c);
+                index.radix.step(&mut scratch);
             }
             out
         })?
@@ -941,6 +973,77 @@ mod tests {
         for id in space.ids() {
             space.decode_state(id, &mut scratch);
             assert_eq!(scratch, space.state(id));
+        }
+    }
+
+    #[test]
+    fn step_state_is_the_next_decoding() {
+        // A negative minimum, a single-value domain, a boolean and an
+        // enumeration: every carry shape, ending in a carry through every
+        // slot at the last id, which wraps to the first.
+        let mut b = Program::builder("odometer");
+        b.var("a", Domain::range(-3, -1));
+        b.var("one", Domain::range(7, 7));
+        b.var("b", Domain::Bool);
+        b.var("c", Domain::enumeration(["p", "q", "r"]));
+        let index = SpaceIndex::of_program(&b.build(), CheckOptions::default()).unwrap();
+        assert_eq!(index.len(), 3 * 2 * 3);
+        let mut stepped = index.state(StateId(0));
+        for i in 1..index.len() {
+            index.step_state(&mut stepped);
+            assert_eq!(stepped, index.state(StateId::from_index(i)), "id {i}");
+        }
+        assert_eq!(stepped.slots(), &[-1, 7, 1, 2]);
+        index.step_state(&mut stepped);
+        assert_eq!(stepped, index.state(StateId(0)));
+        assert_eq!(stepped.slots(), &[-3, 7, 0, 0]);
+
+        // A domain ending at `i64::MAX` steps off its top value without
+        // overflowing.
+        let mut b = Program::builder("top");
+        b.var("hi", Domain::range(i64::MAX - 1, i64::MAX));
+        b.var("lo", Domain::range(i64::MAX - 2, i64::MAX));
+        let index = SpaceIndex::of_program(&b.build(), CheckOptions::default()).unwrap();
+        let mut stepped = index.state(StateId(0));
+        for i in 1..index.len() {
+            index.step_state(&mut stepped);
+            assert_eq!(stepped, index.state(StateId::from_index(i)), "id {i}");
+        }
+        assert_eq!(stepped.slots(), &[i64::MAX, i64::MAX]);
+        index.step_state(&mut stepped);
+        assert_eq!(stepped.slots(), &[i64::MAX - 1, i64::MAX - 2]);
+    }
+
+    #[test]
+    fn decoder_rows_match_the_table_in_any_order() {
+        // Consecutive ids step; repeated, backward and skipping ids decode.
+        let mut b = Program::builder("two-counters");
+        let x = b.var("x", Domain::range(0, 4));
+        let y = b.var("y", Domain::range(-2, 2));
+        b.closure_action(
+            "inc-y",
+            [x, y],
+            [y],
+            move |s| s.get(y) < 2 && s.get(x) != 3,
+            move |s| {
+                let v = s.get(y);
+                s.set(y, v + 1);
+            },
+        );
+        b.closure_action(
+            "zero-x",
+            [x],
+            [x],
+            move |s| s.get(x) > 0,
+            move |s| s.set(x, 0),
+        );
+        let p = b.build();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let mut rows = Decoder::new(&p, space.index());
+        let order = (0..space.len()).chain([3, 3, 2, 24, 0, 1, 2, 17, 5, 6]);
+        for i in order {
+            let id = StateId::from_index(i);
+            assert_eq!(rows.row(id).unwrap(), space.successors(id), "row {i}");
         }
     }
 

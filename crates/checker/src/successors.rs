@@ -51,10 +51,14 @@ impl Successors for Segment {
 
 /// Rows decoded on demand from a program's guards and effects: no
 /// transition is stored, and memory is two scratch states plus one row.
+/// A row asked for right after the previous id steps the scratch state
+/// ([`SpaceIndex::step_state`]) instead of decoding it.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     program: &'a Program,
     index: &'a SpaceIndex,
+    /// The id whose state `state` holds, once a row has been decoded.
+    decoded: Option<StateId>,
     state: State,
     succ: State,
     actions: Vec<ActionId>,
@@ -67,6 +71,7 @@ impl<'a> Decoder<'a> {
         Decoder {
             program,
             index,
+            decoded: None,
             state: index.scratch_state(),
             succ: index.scratch_state(),
             actions: Vec::with_capacity(program.action_count()),
@@ -77,7 +82,13 @@ impl<'a> Decoder<'a> {
 
 impl Successors for Decoder<'_> {
     fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
-        self.index.decode_state(id, &mut self.state);
+        match self.decoded {
+            Some(prev) if prev.index() + 1 == id.index() && id.index() < self.index.len() => {
+                self.index.step_state(&mut self.state);
+            }
+            _ => self.index.decode_state(id, &mut self.state),
+        }
+        self.decoded = Some(id);
         self.actions.clear();
         self.succs.clear();
         for a in self.program.action_ids() {

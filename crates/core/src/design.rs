@@ -1,11 +1,11 @@
 //! The design workflow: program + constraints → verified tolerance.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
 use nonmask_checker::{
     bounds, closure, convergence::check_convergence_bits_stats, Bitset, CheckCounters, CheckError,
-    CheckOptions, Fairness, SpaceError, StateSpace, Violation,
+    CheckOptions, Fairness, SpaceError, StateSpace,
 };
 use nonmask_graph::{ConstraintGraph, ConstraintRef, GraphError, Layering, NodePartition, Shape};
 use nonmask_program::{ActionId, ActionKind, Predicate, Program};
@@ -216,22 +216,26 @@ impl Design {
         let started = Instant::now();
         let graph = self.constraint_graph()?;
         let shape = graph.shape();
-        let s = self.invariant();
         let t = &self.fault_span;
         let p = &self.program;
         let opts = self.options;
 
-        // Predicate-evaluation caches, shared by every pass below: `S`,
-        // `T`, and each constraint are evaluated exactly once per state
-        // (in parallel), and all later obligations are bit tests.
+        // Predicate-evaluation caches, shared by every pass below: one
+        // decode pass evaluates `T` and each constraint (and `S`, when it
+        // is overridden) once per state, and all later obligations are bit
+        // tests. The default `S` is `T ∧ (∀ i :: c_i)` (see
+        // `Design::invariant`), composed bitwise.
         let eval_started = Instant::now();
-        let s_bits = Bitset::for_predicate(space, &s, opts)?;
-        let t_bits = Bitset::for_predicate(space, t, opts)?;
-        let c_bits: Vec<Bitset> = self
-            .constraints
-            .iter()
-            .map(|c| Bitset::for_predicate(space, c.predicate(), opts))
-            .collect::<Result<_, _>>()?;
+        let mut preds: Vec<&Predicate> = vec![t];
+        preds.extend(self.constraints.iter().map(Constraint::predicate));
+        preds.extend(&self.invariant_override);
+        let evaluated = preds.len() as u64;
+        let mut caches = Bitset::for_predicates(space.index(), &preds, opts)?.into_iter();
+        let t_bits = caches.next().expect("one cache per predicate");
+        let c_bits: Vec<Bitset> = caches.by_ref().take(self.constraints.len()).collect();
+        let s_bits = caches
+            .next()
+            .unwrap_or_else(|| c_bits.iter().fold(t_bits.clone(), |s, c| s.and(c)));
         let predicate_eval = eval_started.elapsed();
 
         // --- 1. Closure obligations -----------------------------------
@@ -240,11 +244,11 @@ impl Design {
         let closure_time = closure_started.elapsed();
 
         // --- 2. Theorem side conditions --------------------------------
-        // Memoized conditional-preservation oracle over the bit caches.
-        // `tag` keys the `assuming` set: 0 = T, 1 = S, 2+layer = Theorem
-        // 3's per-layer assumption.
+        // Memoized conditional-preservation oracle over the bit caches,
+        // keyed by (constraint, assumption): one `breaking_actions` sweep
+        // answers the query for every action at once.
         let theorem_started = Instant::now();
-        let mut memo: HashMap<(ActionId, usize, u8), bool> = HashMap::new();
+        let mut memo: HashMap<(usize, Assumption), Vec<bool>> = HashMap::new();
         let mut cache_hits: u64 = 0;
         let mut cache_misses: u64 = 0;
         // The graph crate's order-search callbacks return `bool`, so the
@@ -252,26 +256,27 @@ impl Design {
         // is parked here (answering `false`) and re-raised below, after the
         // theorem selection unwinds.
         let mut oracle_error: Option<CheckError> = None;
-        let mut preserves_under = |a: ActionId, ci: usize, assuming: &Bitset, tag: u8| -> bool {
-            match memo.entry((a, ci, tag)) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    cache_hits += 1;
-                    *e.get()
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    cache_misses += 1;
-                    match closure::preserves_given_bits(space, a, &c_bits[ci], assuming, opts) {
-                        Ok(violation) => *slot.insert(violation.is_none()),
-                        Err(e) => {
-                            if oracle_error.is_none() {
-                                oracle_error = Some(e);
-                            }
-                            *slot.insert(false)
-                        }
+        let mut preserves_under =
+            |a: ActionId, ci: usize, assuming: &Bitset, key: Assumption| -> bool {
+                let breaking = match memo.entry((ci, key)) {
+                    Entry::Occupied(e) => {
+                        cache_hits += 1;
+                        e.into_mut()
                     }
-                }
-            }
-        };
+                    Entry::Vacant(slot) => {
+                        cache_misses += 1;
+                        let n = p.action_count();
+                        slot.insert(
+                            closure::breaking_actions(space, n, &c_bits[ci], assuming, opts)
+                                .unwrap_or_else(|e| {
+                                    oracle_error.get_or_insert(e);
+                                    vec![true; n]
+                                }),
+                        )
+                    }
+                };
+                !breaking[a.index()]
+            };
 
         let mut reasons: Vec<String> = Vec::new();
 
@@ -307,9 +312,9 @@ impl Design {
         // actions on S-states.
         let mut closure_preserve_ok = true;
         for a in p.action_ids() {
-            let (assuming, tag): (&Bitset, u8) = match p.action(a).kind() {
-                ActionKind::Closure => (&t_bits, 0),
-                ActionKind::Combined => (&s_bits, 1),
+            let (assuming, key) = match p.action(a).kind() {
+                ActionKind::Closure => (&t_bits, Assumption::T),
+                ActionKind::Combined => (&s_bits, Assumption::S),
                 ActionKind::Convergence => continue,
             };
             for ci in 0..self.constraints.len() {
@@ -317,7 +322,7 @@ impl Design {
                 {
                     continue; // its own constraint is its convergence target
                 }
-                if !preserves_under(a, ci, assuming, tag) {
+                if !preserves_under(a, ci, assuming, key) {
                     closure_preserve_ok = false;
                     reasons.push(format!(
                         "action `{}` does not preserve constraint `{}`",
@@ -363,19 +368,18 @@ impl Design {
             total: space.len(),
         };
 
-        // Work counters: convergence figures are summed over the two
-        // daemon passes; the CSR-row figure counts whole-space scans (one
-        // per distinct preservation query, one per closure check, and the
-        // two per-constraint obligation sweeps).
+        // Work counters: one decode pass built every evaluated predicate
+        // cache. The CSR-row figure counts whole-space scans: one
+        // `breaking_actions` sweep per memo miss, the two closure scans of
+        // `S` and `T`, and the one repair-obligations sweep. Convergence
+        // figures are summed over the two daemon passes.
         let states = space.len() as u64;
-        let bitset_builds = 2 + self.constraints.len() as u64;
-        let scan_count = cache_misses + 2 + 2 * self.constraints.len() as u64;
         let counters = CheckCounters {
             states,
             transitions: space.transition_count() as u64,
-            bitset_builds,
-            states_decoded: bitset_builds * states,
-            csr_rows_visited: scan_count * states,
+            bitset_builds: evaluated,
+            states_decoded: states,
+            csr_rows_visited: (cache_misses + 3) * states,
             region_states: fair_stats.region_states + unfair_stats.region_states,
             peeled_states: fair_stats.peeled_states + unfair_stats.peeled_states,
             sccs_found: fair_stats.sccs_found + unfair_stats.sccs_found,
@@ -409,7 +413,9 @@ impl Design {
         })
     }
 
-    /// The closure obligations over the shared predicate caches. The
+    /// The closure obligations over the shared predicate caches: `S` and
+    /// `T` closed, then one sweep over the `T` states for every
+    /// constraint's repair ([`closure::repair_obligations`]). The
     /// convergence action's enabledness is read off the transition table
     /// (a `(action, successor)` pair exists exactly when the guard holds),
     /// so no guard or predicate is re-evaluated here.
@@ -424,37 +430,23 @@ impl Design {
         let invariant = closure::is_closed_bits(space, s_bits, opts)?;
         let fault_span = closure::is_closed_bits(space, t_bits, opts)?;
 
+        let repairs: Vec<(ActionId, &Bitset)> = self
+            .constraints
+            .iter()
+            .map(Constraint::action)
+            .zip(c_bits)
+            .collect();
         let mut unguarded = Vec::new();
         let mut non_establishing = Vec::new();
-        for (i, c) in self.constraints.iter().enumerate() {
-            let aid = c.action();
-            // ¬c ∧ T must enable the convergence action.
-            if let Some(id) = space.ids().find(|&id| {
-                t_bits.contains(id)
-                    && !c_bits[i].contains(id)
-                    && !space.successors(id).actions().contains(&aid)
-            }) {
+        let witnesses = closure::repair_obligations(space, t_bits, &repairs, opts)?;
+        for (i, w) in witnesses.into_iter().enumerate() {
+            // ¬c ∧ T must enable the convergence action …
+            if let Some(id) = w.unguarded {
                 unguarded.push((i, space.state(id)));
             }
-            // Executing from T ∧ guard must establish c.
-            for id in space.ids() {
-                if !t_bits.contains(id) {
-                    continue;
-                }
-                let Some((_, succ)) = space.successors(id).iter().find(|&(a, _)| a == aid) else {
-                    continue;
-                };
-                if !c_bits[i].contains(succ) {
-                    non_establishing.push((
-                        i,
-                        Violation {
-                            action: aid,
-                            before: space.state(id),
-                            after: space.state(succ),
-                        },
-                    ));
-                    break;
-                }
+            // … and executing it from T ∧ guard must establish c.
+            if let Some(v) = w.non_establishing {
+                non_establishing.push((i, v));
             }
         }
 
@@ -476,7 +468,7 @@ impl Design {
         c_bits: &[Bitset],
         reads_ok: bool,
         closure_preserve_ok: bool,
-        preserves_under: &mut impl FnMut(ActionId, usize, &Bitset, u8) -> bool,
+        preserves_under: &mut impl FnMut(ActionId, usize, &Bitset, Assumption) -> bool,
         reasons: &mut Vec<String>,
     ) -> TheoremOutcome {
         // Theorem 1: out-tree shape + the closure/read conditions.
@@ -493,9 +485,9 @@ impl Design {
             let mut orders = Vec::new();
             let mut all_ordered = true;
             for node in graph.node_ids() {
-                match graph
-                    .linear_preservation_order(node, |a, c| preserves_under(a, c.0, t_bits, 0))
-                {
+                match graph.linear_preservation_order(node, |a, c| {
+                    preserves_under(a, c.0, t_bits, Assumption::T)
+                }) {
                     Some(order) => orders.push((node, order)),
                     None => {
                         all_ordered = false;
@@ -521,6 +513,11 @@ impl Design {
             };
         };
 
+        // The constraint each convergence (or merged) action repairs.
+        let mut constraint_of = vec![None; self.program.action_count()];
+        for (j, c) in self.constraints.iter().enumerate() {
+            constraint_of[c.action().index()] = Some(j);
+        }
         let mut ok = true;
         for layer in 0..layering.len() {
             // `assuming`: T ∧ all constraints of lower layers, composed
@@ -560,15 +557,12 @@ impl Design {
                         // layers must preserve this layer.
                         ActionKind::Convergence | ActionKind::Combined => {
                             !is_this_constraint
-                                && self
-                                    .constraints
-                                    .iter()
-                                    .position(|c| c.action() == a)
+                                && constraint_of[a.index()]
                                     .and_then(|j| layering.layer_of(ConstraintRef(j)))
                                     .is_some_and(|l| l > layer)
                         }
                     };
-                    if applicable && !preserves_under(a, ci, &assuming, 2 + layer as u8) {
+                    if applicable && !preserves_under(a, ci, &assuming, Assumption::Layer(layer)) {
                         ok = false;
                         reasons.push(format!(
                             "layer {layer}: action `{}` does not preserve constraint `{}` given lower layers",
@@ -584,7 +578,7 @@ impl Design {
             for node in layer_graph.node_ids() {
                 if layer_graph
                     .linear_preservation_order_adjacent(node, |a, c| {
-                        preserves_under(a, c.0, &assuming, 2 + layer as u8)
+                        preserves_under(a, c.0, &assuming, Assumption::Layer(layer))
                     })
                     .is_none()
                 {
@@ -607,6 +601,18 @@ impl Design {
             }
         }
     }
+}
+
+/// The states a preservation query assumes, the second half of the
+/// preservation memo's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Assumption {
+    /// The fault span `T`: closure actions, Theorem 2's orders.
+    T,
+    /// The invariant `S`: merged closure/convergence actions.
+    S,
+    /// Theorem 3's `T ∧ ¬S ∧` the constraints below this layer.
+    Layer(usize),
 }
 
 /// Incremental construction of a [`Design`]; see [`Design::builder`].

@@ -19,7 +19,7 @@ use nonmask_checker::{
 use nonmask_graph::{ConstraintRef, Layering, NodePartition};
 use nonmask_lang::{compile_def_with_processes, compile_predicate, ProgramDef};
 use nonmask_obs::{Event, Journal};
-use nonmask_program::ActionId;
+use nonmask_program::{ActionId, Predicate};
 
 use crate::grammar::{self, Candidate, SynthSpec};
 use crate::lattice::classify;
@@ -217,11 +217,11 @@ pub fn synthesize(
         .map(|c| compile_predicate(&pool_prog, &pooled, c.name.clone(), &c.expr))
         .collect::<Result<_, _>>()?;
     let s_pred = compile_predicate(&pool_prog, &pooled, "S", &spec.goal)?;
-    let c_bits: Vec<Bitset> = c_preds
-        .iter()
-        .map(|p| Bitset::for_predicate(&space, p, sopts))
-        .collect::<Result<_, _>>()?;
-    let s_bits = Bitset::for_predicate(&space, &s_pred, sopts)?;
+    // One decode pass evaluates every constraint and the goal.
+    let mut preds: Vec<&Predicate> = c_preds.iter().collect();
+    preds.push(&s_pred);
+    let mut c_bits = Bitset::for_predicates(space.index(), &preds, sopts)?;
+    let s_bits = c_bits.pop().expect("one cache per predicate");
 
     // Phase 2: classify extensions into the implication lattice.
     let lat = classify(&c_bits);

@@ -1,12 +1,12 @@
 //! Property-based tests over the core invariants of the reproduction.
 
-use nonmask::TheoremOutcome;
+use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
-    check_convergence, check_convergence_frontier_stats, check_convergence_stats, is_closed,
-    is_closed_bits, worst_case_moves, Bitset, CheckOptions, Decoder, Fairness, SegmentedSpace,
-    StateSpace, Successors,
+    breaking_actions, check_convergence, check_convergence_frontier_stats, check_convergence_stats,
+    is_closed, is_closed_bits, preserves_given_bits, worst_case_moves, Bitset, CheckOptions,
+    Decoder, Fairness, SegmentedSpace, SpaceIndex, StateId, StateSpace, Successors, Violation,
 };
-use nonmask_graph::Shape;
+use nonmask_graph::{NodePartition, Shape};
 use nonmask_obs::{Event, Journal, MemoryBuffer};
 use nonmask_program::scheduler::Random;
 use nonmask_program::{Domain, Executor, Predicate, Program, RunConfig, State};
@@ -496,5 +496,237 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Strategy: a bounded domain that may hold a single value, start below
+/// zero, or be boolean — every shape the odometer step must carry across.
+fn step_domain_strategy() -> BoxedStrategy<Domain> {
+    prop_oneof![
+        Just(Domain::Bool),
+        (-4i64..=2, 0i64..=3).prop_map(|(min, span)| Domain::range(min, min + span)),
+        (1usize..=3).prop_map(|n| Domain::enumeration((0..n).map(|i| format!("label{i}")))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The odometer step is the decoder's successor: stepping the decoding
+    /// of every id gives the decoding of the next id, and the last id (a
+    /// carry through every variable) wraps to the first.
+    #[test]
+    fn step_state_follows_decode_state(
+        domains in proptest::collection::vec(step_domain_strategy(), 1..=6)
+    ) {
+        let p = program_over(domains);
+        let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
+        let mut stepped = index.scratch_state();
+        index.decode_state(StateId::from_index(0), &mut stepped);
+        for i in 1..=index.len() {
+            index.step_state(&mut stepped);
+            let want = index.state(StateId::from_index(i % index.len()));
+            prop_assert_eq!(&stepped, &want, "step to id {} of {}", i, index.len());
+        }
+    }
+}
+
+/// A pseudo-random predicate over every variable of `p`: holds at about
+/// `percent`% of the states, chosen by hashing the slots with `seed`.
+fn hashed_predicate(p: &Program, name: &str, seed: u64, percent: u64) -> Predicate {
+    Predicate::new(name, p.var_ids(), move |s: &State| {
+        let mut h = seed;
+        for &v in s.slots() {
+            h = (h ^ v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h ^= h >> 29;
+        }
+        h % 100 < percent
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The fused pass equals one pass per predicate: `for_predicates`
+    /// returns, per predicate, exactly the cache `for_predicate` builds and
+    /// the bits a direct evaluation gives, serially and with N workers,
+    /// on spaces whose size is rarely a multiple of 64.
+    #[test]
+    fn fused_predicate_caches_match_per_predicate_caches(
+        domains in proptest::collection::vec(domain_strategy(), 4..=8),
+        seeds in proptest::collection::vec((0u64..1000, 0u64..=100), 0..=5),
+        threads in 2usize..=8,
+    ) {
+        let p = program_over(domains);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let preds: Vec<Predicate> = seeds
+            .iter()
+            .map(|&(seed, percent)| hashed_predicate(&p, "r", seed, percent))
+            .collect();
+        let refs: Vec<&Predicate> = preds.iter().collect();
+        for threads in [1, threads] {
+            let opts = CheckOptions::default().threads(threads);
+            let fused = Bitset::for_predicates(space.index(), &refs, opts).unwrap();
+            prop_assert_eq!(fused.len(), preds.len());
+            for (bits, pred) in fused.iter().zip(&preds) {
+                prop_assert_eq!(bits, &Bitset::for_predicate(&space, pred, opts).unwrap());
+                prop_assert_eq!(bits.len(), space.len());
+                for id in space.ids() {
+                    prop_assert_eq!(bits.contains(id), pred.holds(&space.state(id)));
+                }
+            }
+        }
+    }
+
+    /// One sweep per (predicate, assumption) answers the per-action
+    /// question: `breaking_actions(..)[a]` is `true` exactly when
+    /// `preserves_given_bits` finds a violation for `a`, on every row
+    /// source and thread count.
+    #[test]
+    fn breaking_actions_match_per_action_preservation(
+        domains in proptest::collection::vec(domain_strategy(), 1..=5),
+        actions in proptest::collection::vec((0usize..5, 0usize..5, 1i64..=3), 0..=5),
+        pred_seed in (0u64..1000, 30u64..=100),
+        assume_seed in (0u64..1000, 0u64..=100),
+        threads in 1usize..=8,
+    ) {
+        let p = program_with_actions(domains, actions);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let opts = CheckOptions::default().threads(threads).segment_states(7);
+        let pred = hashed_predicate(&p, "pred", pred_seed.0, pred_seed.1);
+        let assuming = hashed_predicate(&p, "assuming", assume_seed.0, assume_seed.1);
+        let [pred_bits, assuming_bits] = Bitset::for_predicates(space.index(), &[&pred, &assuming], opts)
+            .unwrap()
+            .try_into()
+            .unwrap();
+        let n = p.action_count();
+        let breaking = breaking_actions(&space, n, &pred_bits, &assuming_bits, opts).unwrap();
+        prop_assert_eq!(breaking.len(), n);
+        for a in p.action_ids() {
+            let preserves = preserves_given_bits(&space, a, &pred_bits, &assuming_bits, opts)
+                .unwrap()
+                .is_none();
+            prop_assert_eq!(!breaking[a.index()], preserves, "action {}", a);
+        }
+        let seg_space = SegmentedSpace::new(&p, opts).unwrap();
+        prop_assert_eq!(
+            &breaking_actions(&seg_space, n, &pred_bits, &assuming_bits, opts).unwrap(),
+            &breaking
+        );
+        let decoded = Decoder::new(&p, space.index());
+        prop_assert_eq!(
+            &breaking_actions(&decoded, n, &pred_bits, &assuming_bits, opts).unwrap(),
+            &breaking
+        );
+    }
+}
+
+/// A design over `domains` with one convergence action per constraint:
+/// repair `k` guards on `guard_seed`'s hashed predicate over every
+/// variable and bumps one variable, wrapping within its domain, so that
+/// guards miss some violations and effects fail to establish some
+/// constraints.
+fn random_repair_design(
+    domains: &[Domain],
+    repairs: &[(usize, i64, u64, u64, u64)],
+    span_seed: u64,
+) -> Design {
+    let mut b = Program::builder("random-repairs");
+    let vars: Vec<_> = domains
+        .iter()
+        .enumerate()
+        .map(|(i, d)| b.var(format!("v{i}"), d.clone()))
+        .collect();
+    let shape = b.build();
+    let mut b = Program::builder("random-repairs");
+    for (i, d) in domains.iter().enumerate() {
+        b.var(format!("v{i}"), d.clone());
+    }
+    let mut constraints = Vec::new();
+    for (k, &(w, delta, guard_seed, c_seed, c_percent)) in repairs.iter().enumerate() {
+        let wv = vars[w % vars.len()];
+        let wmin = domains[w % vars.len()].min_value();
+        let size = domains[w % vars.len()].size().unwrap() as i64;
+        let guard = hashed_predicate(&shape, "guard", guard_seed, 70);
+        let action = b.convergence_action(
+            format!("fix{k}"),
+            vars.iter().copied(),
+            [wv],
+            move |s| guard.holds(s),
+            move |s| {
+                let v = s.get(wv);
+                s.set(wv, wmin + (v - wmin + delta).rem_euclid(size));
+            },
+        );
+        constraints.push((hashed_predicate(&shape, "c", c_seed, c_percent), action));
+    }
+    let mut design = Design::builder(b.build())
+        .partition(NodePartition::new().group("all", vars.iter().copied()))
+        .fault_span(hashed_predicate(&shape, "T", span_seed, 90));
+    for (k, (pred, action)) in constraints.into_iter().enumerate() {
+        design = design.constraint(format!("c{k}"), pred, action);
+    }
+    design.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The one repair-obligations sweep reports what the per-constraint
+    /// loops report, witnesses included: for each constraint, the
+    /// lowest-id `T ∧ ¬c` state where its action is disabled, and the
+    /// action's transition from the lowest-id `T` state where it misses
+    /// `c`.
+    #[test]
+    fn closure_obligations_match_per_constraint_loops(
+        domains in proptest::collection::vec(domain_strategy(), 2..=7),
+        repairs in proptest::collection::vec(
+            (0usize..6, 1i64..=3, 0u64..1000, 0u64..1000, 40u64..=100),
+            1..=5,
+        ),
+        span_seed in 0u64..1000,
+        threads in 1usize..=8,
+    ) {
+        let design = random_repair_design(&domains, &repairs, span_seed)
+            .with_options(CheckOptions::default().threads(threads));
+        let report = design.verify().unwrap();
+        let space = StateSpace::enumerate(design.program()).unwrap();
+        let opts = CheckOptions::serial();
+        let t_bits = Bitset::for_predicate(&space, design.fault_span(), opts).unwrap();
+        // The per-constraint loops, one pair of scans per constraint.
+        let mut unguarded = Vec::new();
+        let mut non_establishing = Vec::new();
+        for (i, c) in design.constraints().iter().enumerate() {
+            let c_bits = Bitset::for_predicate(&space, c.predicate(), opts).unwrap();
+            let aid = c.action();
+            if let Some(id) = space.ids().find(|&id| {
+                t_bits.contains(id)
+                    && !c_bits.contains(id)
+                    && !space.successors(id).actions().contains(&aid)
+            }) {
+                unguarded.push((i, space.state(id)));
+            }
+            for id in space.ids() {
+                if !t_bits.contains(id) {
+                    continue;
+                }
+                let Some((_, succ)) = space.successors(id).iter().find(|&(a, _)| a == aid) else {
+                    continue;
+                };
+                if !c_bits.contains(succ) {
+                    non_establishing.push((
+                        i,
+                        Violation {
+                            action: aid,
+                            before: space.state(id),
+                            after: space.state(succ),
+                        },
+                    ));
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(&report.closure.unguarded_constraints, &unguarded);
+        prop_assert_eq!(&report.closure.non_establishing, &non_establishing);
     }
 }
