@@ -5,7 +5,7 @@ use nonmask_program::{Executor, Predicate, Program, RunConfig, State};
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
 use nonmask_protocols::Tree;
-use nonmask_sim::threaded::run_threaded_until;
+use nonmask_sim::threaded::run_threaded;
 use nonmask_sim::{Refinement, SimConfig, Simulation};
 
 use crate::table::Table;
@@ -31,7 +31,7 @@ fn compare(t: &mut Table, name: &str, program: &Program, s: &Predicate, corrupt:
 
     // Real threads: lock-per-variable, low-atomicity reads, stopping at
     // the first consistent snapshot inside S.
-    let threaded = run_threaded_until(program, &refinement, &corrupt, 50_000_000, Some(s));
+    let threaded = run_threaded(program, &refinement, &corrupt, 50_000_000, Some(s));
     let threaded_ok = threaded.stopped_on_predicate && s.holds(&threaded.final_state);
 
     t.row([

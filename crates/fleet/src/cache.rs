@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use nonmask_checker::{worst_case_moves, CheckOptions, StateSpace};
-use nonmask_program::{Predicate, Program};
+use nonmask_program::{ActionId, Predicate, Program};
 
 use crate::config::FleetProtocol;
 use crate::FleetError;
@@ -30,13 +30,15 @@ pub struct Verdict {
     pub bound: Option<u64>,
 }
 
-/// The shared immutable runtime of one configuration: program, goal, and
-/// the lazily computed [`Verdict`].
+/// The shared immutable runtime of one configuration: program, goal, the
+/// action list every tenant's round-robin daemon walks, and the lazily
+/// computed [`Verdict`].
 #[derive(Debug)]
 pub struct ConfigRuntime {
     key: String,
     program: Program,
     goal: Predicate,
+    actions: Vec<ActionId>,
     verdict: OnceLock<Result<Verdict, String>>,
 }
 
@@ -45,6 +47,7 @@ impl ConfigRuntime {
         let (program, goal) = protocol.build();
         ConfigRuntime {
             key: protocol.key(),
+            actions: program.action_ids().collect(),
             program,
             goal,
             verdict: OnceLock::new(),
@@ -64,6 +67,11 @@ impl ConfigRuntime {
     /// The goal predicate (the protocol's invariant).
     pub fn goal(&self) -> &Predicate {
         &self.goal
+    }
+
+    /// Every action id of the program, in declaration order.
+    pub(crate) fn actions(&self) -> &[ActionId] {
+        &self.actions
     }
 }
 
@@ -87,22 +95,14 @@ impl VerdictCache {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Config`] when `protocols` is empty, two
-    /// configurations share a key, or a program is too wide for the
-    /// per-tenant metadata layout.
+    /// [`FleetError::Config`] when `protocols` is empty or two
+    /// configurations share a key.
     pub fn build(protocols: &[FleetProtocol]) -> Result<Self, FleetError> {
         if protocols.is_empty() {
             return Err(FleetError::Config("no protocol configurations".into()));
         }
         let runtimes: Vec<ConfigRuntime> = protocols.iter().map(ConfigRuntime::new).collect();
         for (i, a) in runtimes.iter().enumerate() {
-            if a.program.action_count() > u16::MAX as usize {
-                return Err(FleetError::Config(format!(
-                    "{}: {} actions exceed the tenant cursor range",
-                    a.key,
-                    a.program.action_count()
-                )));
-            }
             if runtimes[..i].iter().any(|b| b.key == a.key) {
                 return Err(FleetError::Config(format!(
                     "duplicate configuration {}",

@@ -10,16 +10,21 @@
 //!
 //! A *tick* examines one tenant once: if the goal holds it either injects
 //! the next pending fault (starting a fresh convergence episode) or
-//! retires the tenant; otherwise it fires the next enabled action in
-//! round-robin order. The goal is checked **before** every step, so each
-//! counted step departs a ¬goal state — which is exactly the regime the
-//! checker's `worst_case_moves` bound quantifies, making the fleet's
-//! empirical latencies directly comparable to the certified bound.
+//! retires the tenant; otherwise it fires the action its own
+//! [`RoundRobin`] daemon selects. The goal is checked **before** every
+//! step, so each counted step departs a ¬goal state — which is exactly the
+//! regime the checker's `worst_case_moves` bound quantifies, making the
+//! fleet's empirical latencies directly comparable to the certified bound.
+//!
+//! This is the engine that tests observed convergence against the
+//! certified bound at population scale (10^6 and more tenants); no other
+//! engine runs enough independent executions to.
 
 use std::time::Instant;
 
 use nonmask_obs::{CounterSet, Counters, Journal};
-use nonmask_program::{ActionId, State, VarId};
+use nonmask_program::scheduler::RoundRobin;
+use nonmask_program::{Scheduler, State, VarId};
 use rand::{split_seed, Rng, SplitMix64};
 
 use crate::cache::VerdictCache;
@@ -49,8 +54,8 @@ struct TenantMeta {
     episode_steps: u32,
     /// Steps of the final episode (set when the tenant stabilizes).
     latency: u32,
-    /// Round-robin position in the program's action list.
-    cursor: u16,
+    /// The tenant's daemon: a position in the program's action list.
+    daemon: RoundRobin,
     faults_left: u16,
     status: u8,
 }
@@ -95,7 +100,6 @@ fn burst(
 ) -> (u64, u64, u64) {
     let program = rt.program();
     let goal = rt.goal();
-    let action_count = program.action_count();
     let (mut ticks, mut steps, mut faults) = (0u64, 0u64, 0u64);
     for _ in 0..TICKS_PER_SWEEP {
         ticks += 1;
@@ -116,28 +120,16 @@ fn burst(
         } else if meta.episode_steps >= max_steps {
             meta.status = EXHAUSTED;
             break;
+        } else if let Some(action) = meta.daemon.select(program, rt.actions(), state) {
+            program.action(action).apply(state);
+            meta.episode_steps += 1;
+            steps += 1;
         } else {
-            // Fire the next enabled action, round-robin from the cursor.
-            let mut fired = false;
-            for k in 0..action_count {
-                let idx = (meta.cursor as usize + k) % action_count;
-                let action = program.action(ActionId::from_index(idx));
-                if action.enabled(state) {
-                    action.apply(state);
-                    meta.cursor = ((idx + 1) % action_count) as u16;
-                    meta.episode_steps += 1;
-                    steps += 1;
-                    fired = true;
-                    break;
-                }
-            }
-            if !fired {
-                // A deadlock outside the goal: `worst_case_moves` returning
-                // a finite bound certifies this cannot happen, so reaching
-                // here contradicts the cached verdict.
-                meta.status = STUCK;
-                break;
-            }
+            // A deadlock outside the goal: `worst_case_moves` returning a
+            // finite bound certifies this cannot happen, so reaching here
+            // contradicts the cached verdict.
+            meta.status = STUCK;
+            break;
         }
     }
     (ticks, steps, faults)
@@ -181,7 +173,7 @@ fn process_slab(
             rng,
             episode_steps: 0,
             latency: u32::MAX,
-            cursor: 0,
+            daemon: RoundRobin::new(),
             faults_left: config.faults_per_tenant as u16,
             status: RUNNING,
         });

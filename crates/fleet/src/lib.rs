@@ -7,8 +7,8 @@
 //! - **Tenants, not simulators.** Each protocol instance ("tenant") is a
 //!   few dozen bytes — its state slots in a flat per-slab `i64` arena
 //!   plus a 24-byte metadata record (an 8-byte [`rand::SplitMix64`]
-//!   fault stream, episode counters, a round-robin cursor). No per-step
-//!   allocation anywhere.
+//!   fault stream, episode counters, a 4-byte `RoundRobin` daemon). No
+//!   per-step allocation anywhere.
 //! - **Batch stepping.** Tenants are grouped into slabs; a work-stealing
 //!   pool (the checker's `steal_tasks`) claims slabs and bursts each
 //!   tenant tens of ticks per visit so a slab's arena stays hot in

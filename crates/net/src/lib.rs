@@ -25,6 +25,11 @@
 //!   dropped / corrupted / rejected, actions fired) and episode
 //!   latencies, renderable as text or JSON.
 //!
+//! Of the repository's engines, this is the one that tests the designs
+//! over real sockets (experiments E15 and N1): framing, transport faults
+//! and a detector that sees only what nodes report. Each node picks its
+//! actions through its own `RoundRobin` daemon, as the simulators do.
+//!
 //! The topology (who owns what, who caches what) is extracted with
 //! [`nonmask_sim::Refinement`], so anything refinable in the simulator
 //! runs here unchanged. The `nonmask-run` binary drives the token-ring

@@ -29,7 +29,8 @@
 
 use std::time::Duration;
 
-use nonmask_program::{byzantine_lie_in, ActionKind, Program, State, StepLog, VarId};
+use nonmask_program::scheduler::RoundRobin;
+use nonmask_program::{byzantine_lie_in, ActionKind, Program, Scheduler, State, StepLog, VarId};
 
 use crate::counters::CounterSnapshot;
 use crate::fault::{FaultConfig, Injector, PartitionMap};
@@ -118,7 +119,8 @@ pub(crate) struct NodeCore<'a> {
     crashed: bool,
     shutting: bool,
     finalized: bool,
-    cursor: usize,
+    /// The node's daemon over its own actions.
+    daemon: RoundRobin,
     /// Earliest tick the node may execute actions again (cooldown).
     next_exec_tick: u64,
     /// Next heartbeat deadline (absolute tick; staggered per node so a
@@ -179,7 +181,7 @@ impl<'a> NodeCore<'a> {
             crashed: false,
             shutting: false,
             finalized: false,
-            cursor: 0,
+            daemon: RoundRobin::new(),
             next_exec_tick: 0,
             next_hb_tick,
             last_report_tick: 0,
@@ -371,22 +373,16 @@ impl<'a> NodeCore<'a> {
             return 0;
         }
         self.load(scratch);
+        // `program` is copied out of `self`, so the action and its write
+        // set borrow nothing of `self` while frames go out.
+        let program = self.program;
         let mut changes = 0u64;
         let mut executed = false;
         for _ in 0..self.timing.steps_per_tick {
-            let k = self.spec.actions.len();
-            let mut chosen = None;
-            for off in 0..k {
-                let idx = (self.cursor + off) % k;
-                if self.program.action(self.spec.actions[idx]).enabled(scratch) {
-                    chosen = Some(idx);
-                    break;
-                }
-            }
-            let Some(idx) = chosen else { break };
-            self.cursor = (idx + 1) % k;
-            let action_id = self.spec.actions[idx];
-            let action = self.program.action(action_id);
+            let Some(action_id) = self.daemon.select(program, &self.spec.actions, scratch) else {
+                break;
+            };
+            let action = program.action(action_id);
             let before = self.step_log.as_ref().map(|_| self.snapshot());
             action.apply(scratch);
             self.store(scratch);
@@ -404,8 +400,7 @@ impl<'a> NodeCore<'a> {
                 self.counters.convergence_steps += 1;
             }
             executed = true;
-            let writes: Vec<VarId> = action.writes().to_vec();
-            for w in writes {
+            for &w in action.writes() {
                 let value = scratch.get(w);
                 self.data_seq += 1;
                 let frame = Frame::Update {

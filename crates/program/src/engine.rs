@@ -6,6 +6,10 @@
 //! [`Trace`]. This realizes the paper's computations: fair, maximal
 //! sequences of steps in which enabled actions execute (Section 2), with
 //! faults interleaved as state-changing actions (Section 3).
+//!
+//! It is the engine that tests the §2 daemons, including the remark that
+//! the derived programs converge under an unfair one (experiment E8): each
+//! step offers every action to [`Scheduler::select`].
 
 use crate::action::{ActionId, ActionKind};
 use crate::fault::{FaultInjector, NoFaults};
@@ -223,6 +227,7 @@ impl<'p> Executor<'p> {
             t.set_initial(state.clone());
         }
 
+        let all_actions: Vec<ActionId> = p.action_ids().collect();
         let mut action_counts = vec![0u64; p.action_count()];
         let mut kind_counts = KindCounts::default();
         let mut fault_events = 0u64;
@@ -257,12 +262,12 @@ impl<'p> Executor<'p> {
                 }
             }
 
-            let enabled = p.enabled_actions(&state);
-            if enabled.is_empty() {
-                break StopReason::Deadlock;
-            }
-            let Some(chosen) = scheduler.select(&enabled, &state, steps) else {
-                break StopReason::SchedulerStopped;
+            let Some(chosen) = scheduler.select(p, &all_actions, &state) else {
+                break if p.any_enabled(&state) {
+                    StopReason::SchedulerStopped
+                } else {
+                    StopReason::Deadlock
+                };
             };
 
             let before = config.validate_writes.then(|| state.clone());

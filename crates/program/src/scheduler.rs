@@ -7,20 +7,26 @@
 //! by [`RoundRobin`]; [`Random`] is fair with probability 1; [`Adversarial`]
 //! deliberately ignores fairness — Section 8 remarks that the derived
 //! programs converge even then, which experiment E8 verifies.
+//!
+//! `select` is every engine's one action pick: the shared-memory
+//! [`Executor`](crate::Executor) offers all of a program's actions, the
+//! other engines one process's actions, each to a [`RoundRobin`] of its own.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::action::ActionId;
+use crate::program::Program;
 use crate::state::State;
 
 /// A daemon selecting which enabled action executes next.
-///
-/// `enabled` is never empty when `select` is called; returning `None` makes
-/// the engine stop the run (useful for schedulers with scripted endings).
 pub trait Scheduler {
-    /// Choose one of `enabled` to execute at `state` in step `step`.
-    fn select(&mut self, enabled: &[ActionId], state: &State, step: u64) -> Option<ActionId>;
+    /// Choose one of `actions` of program `p` whose guard holds at `state`.
+    ///
+    /// Returns `None` when none of them is enabled, or when the daemon
+    /// declines to pick (a script that ran out); an engine tells the two
+    /// apart with [`Program::any_enabled`].
+    fn select(&mut self, p: &Program, actions: &[ActionId], state: &State) -> Option<ActionId>;
 
     /// A short human-readable name, used in reports.
     fn name(&self) -> &str {
@@ -28,34 +34,34 @@ pub trait Scheduler {
     }
 }
 
-/// Weakly fair round-robin daemon: cycles through action ids, executing the
-/// next enabled one at or after the cursor.
+/// Fair round-robin daemon: executes the first enabled action at or after
+/// its position in the offered action list, wrapping around.
 ///
 /// Every continuously enabled action is executed within one full rotation,
-/// so round-robin computations are fair in the paper's sense.
+/// so round-robin computations are fair in the paper's sense. The daemon is
+/// a single `u32`, small enough for the fleet's per-tenant record.
 #[derive(Debug, Clone, Default)]
 pub struct RoundRobin {
-    cursor: u32,
+    position: u32,
 }
 
 impl RoundRobin {
-    /// Create a round-robin daemon starting at action 0.
+    /// Create a round-robin daemon starting at the first offered action.
     pub fn new() -> Self {
-        RoundRobin { cursor: 0 }
+        RoundRobin { position: 0 }
     }
 }
 
 impl Scheduler for RoundRobin {
-    fn select(&mut self, enabled: &[ActionId], _state: &State, _step: u64) -> Option<ActionId> {
-        // Pick the enabled action with the smallest id >= cursor, wrapping.
-        let chosen = enabled
-            .iter()
-            .copied()
-            .filter(|a| a.0 >= self.cursor)
-            .min_by_key(|a| a.0)
-            .or_else(|| enabled.iter().copied().min_by_key(|a| a.0))?;
-        self.cursor = chosen.0 + 1;
-        Some(chosen)
+    fn select(&mut self, p: &Program, actions: &[ActionId], state: &State) -> Option<ActionId> {
+        let enabled = |a: &ActionId| p.action(*a).enabled(state);
+        let start = (self.position as usize).min(actions.len());
+        let i = match actions[start..].iter().position(enabled) {
+            Some(i) => start + i,
+            None => actions[..start].iter().position(enabled)?,
+        };
+        self.position = i as u32 + 1;
+        Some(actions[i])
     }
 
     fn name(&self) -> &str {
@@ -67,6 +73,9 @@ impl Scheduler for RoundRobin {
 #[derive(Debug, Clone)]
 pub struct Random {
     rng: StdRng,
+    /// The enabled offered actions of the current step, in offered order;
+    /// kept so steps do not allocate.
+    enabled: Vec<ActionId>,
 }
 
 impl Random {
@@ -74,17 +83,21 @@ impl Random {
     pub fn seeded(seed: u64) -> Self {
         Random {
             rng: StdRng::seed_from_u64(seed),
+            enabled: Vec::new(),
         }
     }
 }
 
 impl Scheduler for Random {
-    fn select(&mut self, enabled: &[ActionId], _state: &State, _step: u64) -> Option<ActionId> {
-        if enabled.is_empty() {
+    fn select(&mut self, p: &Program, actions: &[ActionId], state: &State) -> Option<ActionId> {
+        self.enabled.clear();
+        self.enabled
+            .extend(actions.iter().filter(|a| p.action(**a).enabled(state)));
+        if self.enabled.is_empty() {
             return None;
         }
-        let i = self.rng.gen_range(0..enabled.len());
-        Some(enabled[i])
+        let i = self.rng.gen_range(0..self.enabled.len());
+        Some(self.enabled[i])
     }
 
     fn name(&self) -> &str {
@@ -131,8 +144,12 @@ impl Adversarial {
 }
 
 impl Scheduler for Adversarial {
-    fn select(&mut self, enabled: &[ActionId], _state: &State, _step: u64) -> Option<ActionId> {
-        enabled.iter().copied().min_by_key(|a| self.rank(*a))
+    fn select(&mut self, p: &Program, actions: &[ActionId], state: &State) -> Option<ActionId> {
+        actions
+            .iter()
+            .copied()
+            .filter(|&a| p.action(a).enabled(state))
+            .min_by_key(|&a| self.rank(a))
     }
 
     fn name(&self) -> &str {
@@ -141,7 +158,8 @@ impl Scheduler for Adversarial {
 }
 
 /// Replays a fixed sequence of action ids, skipping entries that are not
-/// enabled; stops when the script is exhausted.
+/// enabled; stops when the script is exhausted. A scripted id that is not
+/// among the offered actions counts as not enabled.
 ///
 /// Useful in tests to force a program down a specific computation.
 #[derive(Debug, Clone)]
@@ -171,9 +189,9 @@ impl Fixed {
 }
 
 impl Scheduler for Fixed {
-    fn select(&mut self, enabled: &[ActionId], _state: &State, _step: u64) -> Option<ActionId> {
+    fn select(&mut self, p: &Program, actions: &[ActionId], state: &State) -> Option<ActionId> {
         while let Some(next) = self.script.pop_front() {
-            if enabled.contains(&next) {
+            if actions.contains(&next) && p.action(next).enabled(state) {
                 return Some(next);
             }
             if !self.skip_disabled {
@@ -191,88 +209,120 @@ impl Scheduler for Fixed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Domain;
 
     fn a(i: u32) -> ActionId {
         ActionId(i)
     }
 
-    fn st() -> State {
-        State::zeroed(0)
+    /// Four actions over one `mask` variable: action `i` is enabled iff
+    /// bit `i` of the mask is set. Effects are no-ops; only guards matter.
+    fn masked() -> Program {
+        let mut b = Program::builder("masked");
+        let mask = b.var("mask", Domain::range(0, 15));
+        for i in 0..4 {
+            b.closure_action(
+                format!("a{i}"),
+                [mask],
+                [mask],
+                move |s| s.get(mask) >> i & 1 == 1,
+                |_| {},
+            );
+        }
+        b.build()
+    }
+
+    /// Run `s` once at each mask, offering all four actions.
+    fn picks(s: &mut dyn Scheduler, masks: &[i64]) -> Vec<Option<ActionId>> {
+        let p = masked();
+        let all: Vec<ActionId> = p.action_ids().collect();
+        masks
+            .iter()
+            .map(|&m| s.select(&p, &all, &p.state_from([m]).unwrap()))
+            .collect()
     }
 
     #[test]
     fn round_robin_cycles() {
-        let mut s = RoundRobin::new();
-        let enabled = [a(0), a(1), a(2)];
-        assert_eq!(s.select(&enabled, &st(), 0), Some(a(0)));
-        assert_eq!(s.select(&enabled, &st(), 1), Some(a(1)));
-        assert_eq!(s.select(&enabled, &st(), 2), Some(a(2)));
-        assert_eq!(s.select(&enabled, &st(), 3), Some(a(0)));
+        let got = picks(&mut RoundRobin::new(), &[0b0111; 4]);
+        assert_eq!(got, [Some(a(0)), Some(a(1)), Some(a(2)), Some(a(0))]);
     }
 
     #[test]
     fn round_robin_skips_disabled() {
-        let mut s = RoundRobin::new();
-        assert_eq!(s.select(&[a(1), a(3)], &st(), 0), Some(a(1)));
-        assert_eq!(s.select(&[a(0), a(3)], &st(), 1), Some(a(3)));
-        assert_eq!(s.select(&[a(0)], &st(), 2), Some(a(0)));
+        let got = picks(&mut RoundRobin::new(), &[0b1010, 0b1001, 0b0001]);
+        assert_eq!(got, [Some(a(1)), Some(a(3)), Some(a(0))]);
     }
 
     #[test]
     fn round_robin_is_fair() {
         // Every action enabled forever is selected within one rotation.
-        let mut s = RoundRobin::new();
-        let enabled = [a(0), a(1), a(2), a(3)];
-        let mut seen = std::collections::HashSet::new();
-        for step in 0..4 {
-            seen.insert(s.select(&enabled, &st(), step).unwrap());
-        }
+        let got = picks(&mut RoundRobin::new(), &[0b1111; 4]);
+        let seen: std::collections::HashSet<_> = got.into_iter().collect();
         assert_eq!(seen.len(), 4);
     }
 
     #[test]
+    fn round_robin_walks_the_offered_order() {
+        // A process's action list need not be sorted: the position indexes
+        // the list, and nothing enabled leaves the position where it was.
+        let p = masked();
+        let mut s = RoundRobin::new();
+        let offered = [a(3), a(1)];
+        let every = p.state_from([0b1111]).unwrap();
+        let none = p.state_from([0]).unwrap();
+        assert_eq!(s.select(&p, &offered, &every), Some(a(3)));
+        assert_eq!(s.select(&p, &offered, &none), None);
+        assert_eq!(s.select(&p, &offered, &every), Some(a(1)));
+        assert_eq!(s.select(&p, &offered, &every), Some(a(3)));
+        assert_eq!(s.select(&p, &[], &every), None);
+    }
+
+    #[test]
     fn random_is_seed_deterministic() {
-        let enabled = [a(0), a(1), a(2)];
-        let run = |seed| {
-            let mut s = Random::seeded(seed);
-            (0..20)
-                .map(|i| s.select(&enabled, &st(), i).unwrap())
-                .collect::<Vec<_>>()
-        };
+        let run = |seed| picks(&mut Random::seeded(seed), &[0b0111; 20]);
+        assert!(run(5).iter().all(|&x| matches!(x, Some(ActionId(0..=2)))));
         assert_eq!(run(5), run(5));
         assert_ne!(
             run(5),
             run(6),
             "different seeds should (almost surely) differ"
         );
+        assert_eq!(picks(&mut Random::seeded(5), &[0]), [None]);
     }
 
     #[test]
     fn adversarial_prefers_priority() {
         let mut s = Adversarial::with_priority([a(2), a(0)]);
-        assert_eq!(s.select(&[a(0), a(1), a(2)], &st(), 0), Some(a(2)));
-        assert_eq!(s.select(&[a(0), a(1)], &st(), 1), Some(a(0)));
-        assert_eq!(s.select(&[a(1)], &st(), 2), Some(a(1)));
+        let got = picks(&mut s, &[0b0111, 0b0011, 0b0010]);
+        assert_eq!(got, [Some(a(2)), Some(a(0)), Some(a(1))]);
     }
 
     #[test]
     fn adversarial_default_is_declaration_order() {
-        let mut s = Adversarial::by_declaration_order();
-        assert_eq!(s.select(&[a(2), a(1)], &st(), 0), Some(a(1)));
+        let got = picks(&mut Adversarial::by_declaration_order(), &[0b0110]);
+        assert_eq!(got, [Some(a(1))]);
     }
 
     #[test]
     fn fixed_skipping_and_strict() {
-        let mut s = Fixed::skipping([a(1), a(0)]);
-        assert_eq!(s.select(&[a(0)], &st(), 0), Some(a(0)), "a1 skipped");
-        assert_eq!(s.select(&[a(0)], &st(), 1), None, "script exhausted");
+        let got = picks(&mut Fixed::skipping([a(1), a(0)]), &[0b0001, 0b0001]);
+        assert_eq!(got, [Some(a(0)), None], "a1 skipped, then script exhausted");
 
-        let mut s = Fixed::strict([a(1), a(0)]);
-        assert_eq!(
-            s.select(&[a(0)], &st(), 0),
-            None,
-            "strict stops at disabled a1"
-        );
+        let got = picks(&mut Fixed::strict([a(1), a(0)]), &[0b0001]);
+        assert_eq!(got, [None], "strict stops at disabled a1");
+    }
+
+    #[test]
+    fn fixed_treats_unoffered_ids_as_disabled() {
+        // a(9) is not even an action of the program: its guard must never
+        // be looked up.
+        let p = masked();
+        let every = p.state_from([0b1111]).unwrap();
+        let mut s = Fixed::skipping([a(9), a(3), a(0)]);
+        assert_eq!(s.select(&p, &[a(0), a(1)], &every), Some(a(0)));
+        let mut s = Fixed::strict([a(9), a(0)]);
+        assert_eq!(s.select(&p, &[a(0), a(1)], &every), None);
     }
 
     #[test]

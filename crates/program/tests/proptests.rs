@@ -2,10 +2,26 @@
 
 use nonmask_program::scheduler::{Random, RoundRobin};
 use nonmask_program::{
-    ActionKind, Domain, Executor, Predicate, Program, RunConfig, State, StopReason,
-    TransientCorruption, VarId,
+    ActionId, ActionKind, Domain, Executor, Predicate, Program, RunConfig, Scheduler, State,
+    StopReason, TransientCorruption, VarId,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The round-robin rule as it was written before `select` evaluated
+/// guards: among the enabled ids, the smallest one at or after the cursor,
+/// else the smallest; the cursor moves past the pick.
+fn old_round_robin(cursor: &mut usize, enabled: &[ActionId]) -> Option<ActionId> {
+    let chosen = enabled
+        .iter()
+        .copied()
+        .filter(|a| a.index() >= *cursor)
+        .min_by_key(|a| a.index())
+        .or_else(|| enabled.iter().copied().min_by_key(|a| a.index()))?;
+    *cursor = chosen.index() + 1;
+    Some(chosen)
+}
 
 /// A random bounded program over 2–3 small-range variables whose actions
 /// move values around within their domains.
@@ -158,6 +174,25 @@ proptest! {
             prop_assert!(program.action(action).enabled(&current));
             program.action(action).apply(&mut current);
             prop_assert_eq!(&current, &step.state);
+        }
+    }
+
+    /// `RoundRobin::select` over all of a program's actions picks exactly
+    /// what the old cursor rule picked, state after state.
+    #[test]
+    fn round_robin_matches_the_old_cursor_rule(
+        program in random_program(),
+        seed in any::<u64>(),
+        len in 1usize..40,
+    ) {
+        let all: Vec<ActionId> = program.action_ids().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut new = RoundRobin::new();
+        let mut cursor = 0;
+        for _ in 0..len {
+            let state = program.random_state(&mut rng);
+            let old = old_round_robin(&mut cursor, &program.enabled_actions(&state));
+            prop_assert_eq!(new.select(&program, &all, &state), old);
         }
     }
 }

@@ -1,9 +1,16 @@
 //! The round-based message-passing engine.
+//!
+//! This engine tests the §7.1 refinement: the shared-memory programs still
+//! converge when each process acts on cached neighbour state that messages
+//! refresh through a lossy, delaying, partitionable network (experiments
+//! E9 and E13, and the simulator half of the conformance corpus). Each
+//! process picks its actions through its own [`RoundRobin`].
 
 use std::collections::VecDeque;
 
 use nonmask_obs::{Event, Journal};
-use nonmask_program::{byzantine_lie_in, Predicate, Program, State, StepLog, VarId};
+use nonmask_program::scheduler::RoundRobin;
+use nonmask_program::{byzantine_lie_in, Predicate, Program, Scheduler, State, StepLog, VarId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,7 +87,8 @@ pub struct Simulation<'p> {
     views: Vec<State>,
     /// Per process: messages awaiting delivery as `(deliver_round, var, value)`.
     inboxes: Vec<VecDeque<(u64, VarId, i64)>>,
-    cursors: Vec<u32>,
+    /// Per process: its daemon over its own actions.
+    daemons: Vec<RoundRobin>,
     /// While `rounds < partition_until`, messages crossing partition
     /// groups are dropped.
     partition_until: u64,
@@ -119,7 +127,7 @@ impl<'p> Simulation<'p> {
             config,
             views: vec![initial; n],
             inboxes: vec![VecDeque::new(); n],
-            cursors: vec![0; n],
+            daemons: vec![RoundRobin::new(); n],
             partition_until: 0,
             partition_group: vec![0; n],
             byzantine: vec![false; n],
@@ -188,9 +196,7 @@ impl<'p> Simulation<'p> {
 
     /// The god's-eye state: every variable read from its owner's view.
     pub fn ground_truth(&self) -> State {
-        let mut s = State::zeroed(self.program.var_count());
-        self.ground_truth_into(&mut s);
-        s
+        self.refinement.ground_truth(&self.views)
     }
 
     /// Assemble the god's-eye state into `out` — the allocation-free
@@ -201,11 +207,7 @@ impl<'p> Simulation<'p> {
     ///
     /// Panics if `out` has a different length than the program's states.
     pub fn ground_truth_into(&self, out: &mut State) {
-        assert_eq!(out.len(), self.program.var_count());
-        for var in self.program.var_ids() {
-            let owner = self.refinement.owner_of(var);
-            out.set(var, self.views[owner].get(var));
-        }
+        self.refinement.ground_truth_into(&self.views, out);
     }
 
     /// The view (own variables + caches) of process `p`.
@@ -320,28 +322,16 @@ impl<'p> Simulation<'p> {
                 continue;
             }
             let actions = self.refinement.actions_of(p);
-            if actions.is_empty() {
-                continue;
-            }
             for _ in 0..self.config.steps_per_round {
-                // Round-robin over the process's actions.
-                let k = actions.len() as u32;
-                let mut chosen = None;
-                for off in 0..k {
-                    let idx = ((self.cursors[p] + off) % k) as usize;
-                    if self.program.action(actions[idx]).enabled(&self.views[p]) {
-                        chosen = Some(idx);
-                        break;
-                    }
-                }
-                let Some(idx) = chosen else { break };
-                self.cursors[p] = (idx as u32 + 1) % k;
-                let action = self.program.action(actions[idx]);
+                let Some(id) = self.daemons[p].select(self.program, actions, &self.views[p]) else {
+                    break;
+                };
+                let action = self.program.action(id);
                 let before = self.step_log.as_ref().map(|_| self.views[p].clone());
                 action.apply(&mut self.views[p]);
                 self.steps += 1;
                 if let (Some(log), Some(before)) = (&self.step_log, before) {
-                    log.push(p, self.rounds, actions[idx], before, self.views[p].clone());
+                    log.push(p, self.rounds, id, before, self.views[p].clone());
                 }
                 for &w in action.writes() {
                     self.outgoing.push((w, self.views[p].get(w)));

@@ -11,12 +11,16 @@
 //!   latency, so arrival order is completely decoupled from send order.
 //!
 //! Determinism is preserved: all randomness comes from the seeded RNG, and
-//! ties in the event queue break by sequence number.
+//! ties in the event queue break by sequence number. That makes this the
+//! engine that tests convergence under full asynchrony reproducibly
+//! (experiment E14): no rounds, and every interleaving replays from its
+//! seed. Each process picks its action through its own [`RoundRobin`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use nonmask_program::{Predicate, Program, State, VarId};
+use nonmask_program::scheduler::RoundRobin;
+use nonmask_program::{Predicate, Program, Scheduler, State, VarId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,10 +37,6 @@ pub struct EventConfig {
     pub mean_latency: f64,
     /// Probability that a message is lost.
     pub loss_rate: f64,
-    /// Whether each wake-up also re-broadcasts the process's own variables
-    /// (the event-driven analogue of the round engine's heartbeats; without
-    /// it a single lost update can stall a protocol forever).
-    pub heartbeat: bool,
 }
 
 impl Default for EventConfig {
@@ -46,7 +46,6 @@ impl Default for EventConfig {
             mean_wake_interval: 1.0,
             mean_latency: 0.5,
             loss_rate: 0.0,
-            heartbeat: true,
         }
     }
 }
@@ -107,18 +106,48 @@ pub struct EventReport {
     pub final_state: State,
 }
 
+/// The pending events, ordered by `(time, seq)`.
+#[derive(Debug, Default)]
+struct Agenda {
+    queue: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+}
+
+impl Agenda {
+    fn push(&mut self, time: f64, kind: EventKind) {
+        self.seq += 1;
+        self.queue.push(Reverse(Event {
+            time,
+            seq: self.seq,
+            kind,
+        }));
+    }
+}
+
+/// Inverse-CDF exponential sample with the given mean; u in (0, 1].
+fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
+    let u: f64 = 1.0 - rng.gen::<f64>();
+    -mean * u.ln().max(f64::MIN_POSITIVE.ln())
+}
+
 /// The event-driven simulator.
+///
+/// Each wake-up executes at most one action, the one the process's
+/// [`RoundRobin`] daemon selects on its view, and then re-broadcasts the
+/// process's own variables (the event-driven analogue of the round
+/// engine's heartbeats; without it a single lost update could stall a
+/// protocol forever).
 #[derive(Debug)]
 pub struct EventSim<'p> {
     program: &'p Program,
     refinement: Refinement,
     config: EventConfig,
     views: Vec<State>,
-    queue: BinaryHeap<Reverse<Event>>,
-    cursors: Vec<u32>,
+    agenda: Agenda,
+    /// Per process: its daemon over its own actions.
+    daemons: Vec<RoundRobin>,
     rng: StdRng,
     now: f64,
-    seq: u64,
     steps: u64,
     messages_delivered: u64,
     messages_lost: u64,
@@ -139,10 +168,9 @@ impl<'p> EventSim<'p> {
             rng: StdRng::seed_from_u64(config.seed),
             config,
             views: vec![initial; n],
-            queue: BinaryHeap::new(),
-            cursors: vec![0; n],
+            agenda: Agenda::default(),
+            daemons: vec![RoundRobin::new(); n],
             now: 0.0,
-            seq: 0,
             steps: 0,
             messages_delivered: 0,
             messages_lost: 0,
@@ -153,24 +181,9 @@ impl<'p> EventSim<'p> {
         sim
     }
 
-    fn exp_sample(&mut self, mean: f64) -> f64 {
-        // Inverse-CDF exponential sample; u in (0, 1].
-        let u: f64 = 1.0 - self.rng.gen::<f64>();
-        -mean * u.ln().max(f64::MIN_POSITIVE.ln())
-    }
-
-    fn push(&mut self, time: f64, kind: EventKind) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
     fn schedule_wake(&mut self, process: usize) {
-        let dt = self.exp_sample(self.config.mean_wake_interval);
-        self.push(self.now + dt, EventKind::Wake { process });
+        let dt = exp_sample(&mut self.rng, self.config.mean_wake_interval);
+        self.agenda.push(self.now + dt, EventKind::Wake { process });
     }
 
     /// Current virtual time.
@@ -185,18 +198,22 @@ impl<'p> EventSim<'p> {
 
     /// The god's-eye state assembled from authoritative views.
     pub fn ground_truth(&self) -> State {
-        let mut s = State::zeroed(self.program.var_count());
-        for var in self.program.var_ids() {
-            let owner = self.refinement.owner_of(var);
-            s.set(var, self.views[owner].get(var));
-        }
-        s
+        self.refinement.ground_truth(&self.views)
+    }
+
+    /// Assemble the god's-eye state into `out` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has a different length than the program's states.
+    pub fn ground_truth_into(&self, out: &mut State) {
+        self.refinement.ground_truth_into(&self.views, out);
     }
 
     /// Process one event; returns `false` when the queue is empty (which
     /// cannot happen while wake-ups reschedule themselves).
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(event)) = self.queue.pop() else {
+        let Some(Reverse(event)) = self.agenda.queue.pop() else {
             return false;
         };
         self.now = event.time;
@@ -210,42 +227,23 @@ impl<'p> EventSim<'p> {
                 self.messages_delivered += 1;
             }
             EventKind::Wake { process } => {
+                // `program` is copied out of `self`, so the action borrows
+                // nothing of `self` while `broadcast` mutates it.
+                let program = self.program;
                 let actions = self.refinement.actions_of(process);
-                if !actions.is_empty() {
-                    let k = actions.len() as u32;
-                    for off in 0..k {
-                        let idx = ((self.cursors[process] + off) % k) as usize;
-                        if self
-                            .program
-                            .action(actions[idx])
-                            .enabled(&self.views[process])
-                        {
-                            self.cursors[process] = (idx as u32 + 1) % k;
-                            let action = self.program.action(actions[idx]);
-                            action.apply(&mut self.views[process]);
-                            self.steps += 1;
-                            let writes: Vec<(VarId, i64)> = action
-                                .writes()
-                                .iter()
-                                .map(|&w| (w, self.views[process].get(w)))
-                                .collect();
-                            for (var, value) in writes {
-                                self.broadcast(var, value);
-                            }
-                            break;
-                        }
+                if let Some(id) =
+                    self.daemons[process].select(program, actions, &self.views[process])
+                {
+                    let action = program.action(id);
+                    action.apply(&mut self.views[process]);
+                    self.steps += 1;
+                    for &var in action.writes() {
+                        self.broadcast(var, self.views[process].get(var));
                     }
                 }
-                if self.config.heartbeat {
-                    let own: Vec<(VarId, i64)> = self
-                        .refinement
-                        .vars_of(process)
-                        .iter()
-                        .map(|&v| (v, self.views[process].get(v)))
-                        .collect();
-                    for (var, value) in own {
-                        self.broadcast(var, value);
-                    }
+                for i in 0..self.refinement.vars_of(process).len() {
+                    let var = self.refinement.vars_of(process)[i];
+                    self.broadcast(var, self.views[process].get(var));
                 }
                 self.schedule_wake(process);
             }
@@ -254,13 +252,15 @@ impl<'p> EventSim<'p> {
     }
 
     fn broadcast(&mut self, var: VarId, value: i64) {
-        for reader in self.refinement.remote_readers_of(var).to_vec() {
+        // Disjoint field borrows: the reader list borrows `refinement`
+        // immutably while the loop body mutates `rng`/`agenda`/counters.
+        for &reader in self.refinement.remote_readers_of(var) {
             if self.config.loss_rate > 0.0 && self.rng.gen_bool(self.config.loss_rate) {
                 self.messages_lost += 1;
                 continue;
             }
-            let latency = self.exp_sample(self.config.mean_latency);
-            self.push(
+            let latency = exp_sample(&mut self.rng, self.config.mean_latency);
+            self.agenda.push(
                 self.now + latency,
                 EventKind::Deliver {
                     process: reader,
@@ -281,11 +281,13 @@ impl<'p> EventSim<'p> {
     ) -> EventReport {
         let mut hold_start: Option<f64> = None;
         let mut stabilized_at = None;
+        let mut truth = State::zeroed(self.program.var_count());
         while self.now < max_time {
             if !self.step() {
                 break;
             }
-            if pred.holds(&self.ground_truth()) {
+            self.ground_truth_into(&mut truth);
+            if pred.holds(&truth) {
                 let start = *hold_start.get_or_insert(self.now);
                 if self.now - start >= window {
                     stabilized_at = Some(start);

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use nonmask_program::{ActionId, ProcessId, Program, VarId};
+use nonmask_program::{ActionId, ProcessId, Program, State, VarId};
 
 /// Why a program cannot be refined into message passing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,6 +196,30 @@ impl Refinement {
     /// measure of the communication graph's density.
     pub fn channel_count(&self) -> usize {
         self.remote_readers.iter().map(Vec::len).sum()
+    }
+
+    /// The god's-eye state of per-process `views`: every variable read
+    /// from its owner's view. Engines measure stabilization on it; no
+    /// process ever executes on it.
+    pub(crate) fn ground_truth(&self, views: &[State]) -> State {
+        let mut out = State::zeroed(self.owner.len());
+        self.ground_truth_into(views, &mut out);
+        out
+    }
+
+    /// Assemble [`ground_truth`](Refinement::ground_truth) into `out`
+    /// without allocating, for loops that poll it after every step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has a different length than the program's states
+    /// or `views` lacks a process.
+    pub(crate) fn ground_truth_into(&self, views: &[State], out: &mut State) {
+        assert_eq!(out.len(), self.owner.len());
+        for (i, &owner) in self.owner.iter().enumerate() {
+            let var = VarId::from_index(i);
+            out.set(var, views[owner].get(var));
+        }
     }
 }
 

@@ -6,7 +6,10 @@
 //! time (no action-wide atomicity), so guards are evaluated over
 //! potentially inconsistent snapshots. The unidirectional-information-flow
 //! protocols in this repository (token ring, diffusing computation)
-//! stabilize regardless, which the tests observe on real threads.
+//! stabilize regardless, which the tests observe on real threads. It is
+//! the only engine that tests §8 read/write atomicity (experiment E9), so
+//! unlike the others it does not pick through a `Scheduler`: each thread
+//! tries its actions in turn on a snapshot read one variable at a time.
 //!
 //! Built on `std::thread::scope` (borrowing the program and locks without
 //! `Arc` gymnastics) and `std::sync::Mutex` (one lock per variable).
@@ -31,38 +34,10 @@ pub struct ThreadedReport {
     pub stopped_on_predicate: bool,
 }
 
-/// Tuning knobs for a threaded run.
-#[derive(Debug, Clone)]
-pub struct ThreadedOptions {
-    /// Shared budget of scheduling attempts across all threads.
-    pub attempts: u64,
-    /// How often (in scheduling attempts, per thread) a consistent
-    /// snapshot is taken to evaluate the stop predicate. Smaller detects
-    /// stabilization sooner but serializes on all locks more often.
-    pub snapshot_period: u64,
-}
-
-impl ThreadedOptions {
-    /// Options with the default snapshot period (every 256 attempts).
-    pub fn new(attempts: u64) -> Self {
-        ThreadedOptions {
-            attempts,
-            snapshot_period: 256,
-        }
-    }
-
-    /// Replace the snapshot period.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `0` (every attempt would be a full-lock snapshot *and*
-    /// `is_multiple_of(0)` never fires — an unusable configuration).
-    pub fn snapshot_period(mut self, period: u64) -> Self {
-        assert!(period > 0, "snapshot period must be positive");
-        self.snapshot_period = period;
-        self
-    }
-}
+/// How often, in scheduling attempts per thread, a consistent snapshot is
+/// taken to evaluate the stop predicate. Smaller detects stabilization
+/// sooner but serializes on all locks more often.
+const SNAPSHOT_PERIOD: u64 = 256;
 
 /// Run `program` with one thread per process, starting from `initial`.
 ///
@@ -74,19 +49,17 @@ impl ThreadedOptions {
 ///
 /// Threads run until either `stop_when` holds on a *consistent* snapshot
 /// (all variable locks held in index order — a true linearization point)
-/// or the shared budget of [`ThreadedOptions::attempts`] scheduling
-/// attempts is exhausted. The shared budget means no thread retires while
-/// others still work, so late cross-thread updates are never silently
-/// dropped.
-pub fn run_threaded_with(
+/// or the shared budget of `attempts` scheduling attempts is exhausted;
+/// without a predicate the whole budget runs down. The shared budget means
+/// no thread retires while others still work, so late cross-thread updates
+/// are never silently dropped.
+pub fn run_threaded(
     program: &Program,
     refinement: &Refinement,
     initial: &State,
-    options: &ThreadedOptions,
+    attempts: u64,
     stop_when: Option<&Predicate>,
 ) -> ThreadedReport {
-    let attempts = options.attempts;
-    let snapshot_period = options.snapshot_period.max(1);
     let locks: Vec<Mutex<i64>> = initial.slots().iter().map(|&v| Mutex::new(v)).collect();
     let steps = AtomicU64::new(0);
     let remaining = AtomicU64::new(attempts);
@@ -110,10 +83,13 @@ pub fn run_threaded_with(
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    // Shared budget: decrement one attempt; exit at zero.
-                    let prev = remaining.fetch_sub(1, Ordering::Relaxed);
-                    if prev == 0 || prev == u64::MAX {
-                        remaining.store(0, Ordering::Relaxed);
+                    // Shared budget: claim one attempt; exit once none is
+                    // left. The claim never takes the count below zero, so
+                    // no thread can run an attempt past the budget.
+                    if remaining
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| r.checked_sub(1))
+                        .is_err()
+                    {
                         break;
                     }
                     attempt += 1;
@@ -121,7 +97,7 @@ pub fn run_threaded_with(
                     // Periodically take a consistent snapshot (all locks,
                     // index order) and evaluate the stop predicate.
                     if let Some(pred) = stop_when {
-                        if attempt.is_multiple_of(snapshot_period) {
+                        if attempt.is_multiple_of(SNAPSHOT_PERIOD) {
                             let guards: Vec<_> = locks.iter().map(|m| m.lock().unwrap()).collect();
                             let full: State = guards.iter().map(|g| **g).collect();
                             drop(guards);
@@ -161,38 +137,10 @@ pub fn run_threaded_with(
     }
 }
 
-/// [`run_threaded_with`] with the default [`ThreadedOptions`] for a given
-/// attempt budget.
-pub fn run_threaded_until(
-    program: &Program,
-    refinement: &Refinement,
-    initial: &State,
-    attempts: u64,
-    stop_when: Option<&Predicate>,
-) -> ThreadedReport {
-    run_threaded_with(
-        program,
-        refinement,
-        initial,
-        &ThreadedOptions::new(attempts),
-        stop_when,
-    )
-}
-
-/// [`run_threaded_until`] without a stop predicate: run the whole attempt
-/// budget down.
-pub fn run_threaded(
-    program: &Program,
-    refinement: &Refinement,
-    initial: &State,
-    attempts: u64,
-) -> ThreadedReport {
-    run_threaded_until(program, refinement, initial, attempts, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nonmask_program::{Domain, ProcessId};
     use nonmask_protocols::diffusing::DiffusingComputation;
     use nonmask_protocols::token_ring::TokenRing;
     use nonmask_protocols::Tree;
@@ -202,7 +150,7 @@ mod tests {
         let ring = TokenRing::new(5, 5);
         let refinement = Refinement::new(ring.program()).unwrap();
         let corrupt = ring.program().state_from([3, 1, 4, 1, 2]).unwrap();
-        let report = run_threaded_until(
+        let report = run_threaded(
             ring.program(),
             &refinement,
             &corrupt,
@@ -227,35 +175,46 @@ mod tests {
         let tree = Tree::binary(7);
         let dc = DiffusingComputation::new(&tree);
         let refinement = Refinement::new(dc.program()).unwrap();
-        let report = run_threaded(dc.program(), &refinement, &dc.initial_state(), 100_000);
+        let report = run_threaded(
+            dc.program(),
+            &refinement,
+            &dc.initial_state(),
+            100_000,
+            None,
+        );
         dc.program().validate_state(&report.final_state).unwrap();
         assert!(report.steps > 0);
         assert!(!report.stopped_on_predicate);
     }
 
     #[test]
-    fn custom_snapshot_period_still_stops_on_predicate() {
-        let ring = TokenRing::new(4, 4);
-        let refinement = Refinement::new(ring.program()).unwrap();
-        let corrupt = ring.program().state_from([3, 1, 2, 0]).unwrap();
-        // An aggressive period (every attempt) must still stabilize and
-        // stop; it just checks far more often than the default 256.
-        let options = ThreadedOptions::new(50_000_000).snapshot_period(1);
-        let report = run_threaded_with(
-            ring.program(),
-            &refinement,
-            &corrupt,
-            &options,
-            Some(&ring.invariant()),
-        );
-        assert!(report.stopped_on_predicate);
-        assert_eq!(ring.privileges(&report.final_state).len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot period must be positive")]
-    fn zero_snapshot_period_is_rejected() {
-        let _ = ThreadedOptions::new(10).snapshot_period(0);
+    fn shared_budget_is_never_overrun() {
+        // Eight processes whose one action is always enabled: every
+        // claimed attempt is a step, so the step count is exactly the
+        // number of attempts the threads managed to claim.
+        let mut b = Program::builder("always");
+        for p in 0..8 {
+            let x = b.var_of(format!("x{p}"), Domain::Bool, ProcessId(p));
+            b.closure_action(
+                format!("flip{p}"),
+                [x],
+                [x],
+                |_| true,
+                move |s| {
+                    let v = s.get(x);
+                    s.set(x, 1 - v);
+                },
+            );
+        }
+        let program = b.build();
+        let refinement = Refinement::new(&program).unwrap();
+        let initial = program.min_state();
+        for _ in 0..40 {
+            for attempts in 0..10 {
+                let report = run_threaded(&program, &refinement, &initial, attempts, None);
+                assert_eq!(report.steps, attempts);
+            }
+        }
     }
 
     #[test]
@@ -263,7 +222,7 @@ mod tests {
         let ring = TokenRing::new(3, 3);
         let refinement = Refinement::new(ring.program()).unwrap();
         let initial = ring.initial_state();
-        let report = run_threaded(ring.program(), &refinement, &initial, 0);
+        let report = run_threaded(ring.program(), &refinement, &initial, 0, None);
         assert_eq!(report.final_state, initial);
         assert_eq!(report.steps, 0);
     }

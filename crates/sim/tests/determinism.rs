@@ -1,17 +1,18 @@
-//! Step-determinism regression pin for the simulator engine.
+//! Step-determinism regression pins for the two simulator engines.
 //!
-//! The engine's hot path was rewritten to be allocation-free (in-place
-//! inbox rotation, a reusable outgoing buffer, slice-backed refinement
-//! lookups, a scratch ground-truth state). None of that may change a
-//! single observable value: the RNG draw order, delivery order, action
-//! order, and therefore every counter and the final state must be
-//! bit-identical to the pre-refactor engine. The constants below were
-//! captured from the original implementation; any drift is a regression.
+//! Both hot paths are allocation-free (in-place inbox rotation, reusable
+//! buffers, slice-backed refinement lookups, a scratch ground-truth state)
+//! and pick actions through the shared `RoundRobin` daemon. None of that
+//! may change a single observable value: the RNG draw order, delivery
+//! order, action order, and therefore every counter and the final state
+//! must be bit-identical to the hand-written engines the constants below
+//! were captured from; any drift is a regression.
 
+use nonmask_program::{Predicate, Program, State};
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
 use nonmask_protocols::Tree;
-use nonmask_sim::{Refinement, SimConfig, Simulation};
+use nonmask_sim::{EventConfig, EventSim, Refinement, SimConfig, Simulation};
 
 struct Golden {
     stabilized_at_round: Option<u64>,
@@ -98,5 +99,59 @@ fn diffusing_corruption_golden() {
     assert_eq!(
         g.final_state,
         vec![1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    );
+}
+
+/// `EventSim` counterpart of the round-engine goldens: the event queue,
+/// the per-wake pick and every heartbeat broadcast consume the one seeded
+/// RNG, so any change to their order moves these numbers.
+fn run_events(program: &Program, s: &Predicate, initial: State, config: EventConfig) -> String {
+    let refinement = Refinement::new(program).unwrap();
+    let mut sim = EventSim::new(program, refinement, initial, config);
+    let r = sim.run_until_stable(s, 5.0, 10_000.0);
+    format!(
+        "stabilized_at={:?} end_time={} steps={} delivered={} lost={} final={:?}",
+        r.stabilized_at.map(f64::to_bits),
+        r.end_time.to_bits(),
+        r.steps,
+        r.messages_delivered,
+        r.messages_lost,
+        r.final_state.slots()
+    )
+}
+
+#[test]
+fn event_engine_ring_golden() {
+    let ring = TokenRing::new(5, 5);
+    let corrupt = ring.program().state_from([3, 1, 4, 1, 2]).unwrap();
+    let config = EventConfig {
+        seed: 0x00D5_EA11,
+        mean_latency: 2.0,
+        loss_rate: 0.25,
+        ..EventConfig::default()
+    };
+    assert_eq!(
+        run_events(ring.program(), &ring.invariant(), corrupt, config),
+        "stabilized_at=Some(4618460572246097244) end_time=4622408041237505902 \
+         steps=12 delivered=40 lost=23 final=[4, 4, 3, 3, 3]"
+    );
+}
+
+#[test]
+fn event_engine_diffusing_golden() {
+    // Two actions per process: the per-process round-robin pick matters.
+    let dc = DiffusingComputation::new(&Tree::binary(7));
+    let mut corrupt = dc.initial_state();
+    corrupt.set(dc.color_var(2), nonmask_protocols::diffusing::RED);
+    corrupt.set(dc.session_var(5), 1);
+    let config = EventConfig {
+        seed: 9,
+        loss_rate: 0.1,
+        ..EventConfig::default()
+    };
+    assert_eq!(
+        run_events(dc.program(), &dc.invariant(), corrupt, config),
+        "stabilized_at=Some(4616743855420822174) end_time=4621551951619649721 \
+         steps=14 delivered=202 lost=31 final=[1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1]"
     );
 }

@@ -8,7 +8,7 @@ use nonmask_program::{Executor, Predicate, RunConfig, StopReason, TransientCorru
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
 use nonmask_protocols::Tree;
-use nonmask_sim::threaded::run_threaded_until;
+use nonmask_sim::threaded::run_threaded;
 use nonmask_sim::{Refinement, SimConfig, Simulation};
 
 /// The full lifecycle on one protocol: verification, fault-free closure,
@@ -66,7 +66,7 @@ fn diffusing_lifecycle() {
     assert!(sim_report.stabilized_at_round.is_some());
 
     // 5. Real threads observe S on a consistent snapshot.
-    let threaded = run_threaded_until(
+    let threaded = run_threaded(
         dc.program(),
         &refinement,
         &dc.initial_state(),
