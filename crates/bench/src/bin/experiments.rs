@@ -5,31 +5,9 @@
 //! experiments all                  # same
 //! experiments e3 e8                # run selected experiments
 //! experiments --list               # list experiment ids
-//! experiments all --json out.json  # also write machine-readable results
 //! ```
 
 use std::process::ExitCode;
-
-use nonmask_program::json::escape;
-
-struct ExperimentResult<'a> {
-    id: &'a str,
-    report: String,
-}
-
-fn results_to_json(results: &[ExperimentResult<'_>]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\n    \"id\": \"{}\",\n    \"report\": \"{}\"\n  }}{}\n",
-            escape(r.id),
-            escape(&r.report),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push(']');
-    out
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,28 +19,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut json_path: Option<String> = None;
-    let mut selected: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--json" {
-            let Some(path) = args.get(i + 1) else {
-                eprintln!("--json needs a file path");
-                return ExitCode::FAILURE;
-            };
-            json_path = Some(path.clone());
-            i += 2;
-        } else {
-            selected.push(args[i].clone());
-            i += 1;
-        }
-    }
-
-    let ids: Vec<&str> = if selected.is_empty() || selected.iter().any(|a| a == "all") {
+    let ids: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         nonmask_bench::ALL.to_vec()
     } else {
         let mut ids = Vec::new();
-        for a in &selected {
+        for a in &args {
             let a = a.as_str();
             if nonmask_bench::ALL.contains(&a) {
                 ids.push(a);
@@ -74,21 +35,9 @@ fn main() -> ExitCode {
         ids
     };
 
-    let mut results = Vec::new();
     for id in ids {
         println!("=============================================================");
-        let report = nonmask_bench::run(id);
-        println!("{report}");
-        results.push(ExperimentResult { id, report });
-    }
-
-    if let Some(path) = json_path {
-        let json = results_to_json(&results);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
+        println!("{}", nonmask_bench::run(id));
     }
     ExitCode::SUCCESS
 }

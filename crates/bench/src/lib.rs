@@ -1,9 +1,9 @@
 //! The reproduction experiment harness.
 //!
-//! Each `f1`/`e1`…`e10` function regenerates one experiment from
+//! Each `f1`/`e1`…`e16` function regenerates one experiment from
 //! EXPERIMENTS.md (the per-experiment index lives in DESIGN.md §5) and
-//! returns its result as a rendered table plus machine-readable rows. The
-//! `experiments` binary runs them from the command line:
+//! returns its result as a rendered report. The `experiments` binary runs
+//! them from the command line:
 //!
 //! ```text
 //! cargo run -p nonmask-bench --bin experiments -- all

@@ -1,6 +1,6 @@
 //! Reactor-runtime integration tests: typed surfacing of a dead worker,
-//! wall-clock heartbeat cadence, and shard-count invariance of the
-//! logical outcome.
+//! wall-clock heartbeat cadence, shard-count invariance of the logical
+//! outcome, and convergence of large rings under churn.
 
 use std::time::Duration;
 
@@ -143,5 +143,111 @@ fn shard_count_is_invisible_to_logical_outcomes() {
             sent, received,
             "shards={shards}: a faultless run loses nothing in flight"
         );
+    }
+}
+
+/// Two crash-restarts and two partition/heals; each event waits for the
+/// previous episode to converge, so a run has five episodes.
+fn churn(n: usize) -> Vec<NetEvent> {
+    let half: Vec<usize> = (0..n).map(|i| usize::from(i >= n / 2)).collect();
+    let shifted: Vec<usize> = (0..n)
+        .map(|i| usize::from((i + n / 4) % n >= n / 2))
+        .collect();
+    let crash = |node| NetEvent::CrashRestart {
+        node,
+        at_least: Duration::ZERO,
+        down: Duration::from_millis(20),
+    };
+    let partition = |groups| NetEvent::Partition {
+        groups,
+        at_least: Duration::ZERO,
+        heal_after: Duration::from_millis(30),
+    };
+    vec![
+        crash(n / 3),
+        partition(half),
+        crash(2 * n / 3),
+        partition(shifted),
+    ]
+}
+
+/// The logical outcome of a churn run: everything but wall-clock
+/// latencies and traffic counters, which depend on scheduling.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    nodes: usize,
+    converged: bool,
+    invariant_holds: bool,
+    /// Label and converged flag of every episode.
+    episodes: Vec<(String, bool)>,
+    crashes: u64,
+}
+
+/// An `n`-node K-state ring (`k = n`) run from its legitimate all-zero
+/// state through [`churn`] on a lossless transport, with the timing the
+/// `net-churn-10k` benchmark workload uses. Asserts that every episode
+/// converged and the final state is legitimate.
+fn churn_run(n: usize, seed: u64, shards: usize) -> Outcome {
+    let ring = TokenRing::new(n, n as i64);
+    let initial = ring.program().state_from(vec![0; n]).expect("in domain");
+    let config = NetConfig {
+        seed,
+        shards,
+        tick: Duration::from_micros(500),
+        cooldown_ticks: 2,
+        heartbeat_every: 400,
+        detector: DetectorConfig {
+            stable_for: Duration::from_millis(120),
+            stable_fraction: 0.9,
+            ..DetectorConfig::default()
+        },
+        timeout: Duration::from_secs(120),
+        events: churn(n),
+        ..NetConfig::default()
+    };
+    let report = run(ring.program(), &initial, &ring.invariant(), &config).expect("runs");
+    let outcome = Outcome {
+        nodes: report.nodes.len(),
+        converged: report.converged && !report.timed_out,
+        invariant_holds: ring.invariant().holds(&report.final_state),
+        episodes: report
+            .episodes
+            .iter()
+            .map(|e| (e.label.clone(), e.latency().is_some()))
+            .collect(),
+        crashes: report.nodes.iter().map(|x| x.counters.crashes).sum(),
+    };
+    let label = format!("n={n} seed={seed:#x} shards={shards}");
+    assert!(outcome.converged, "{label}:\n{}", report.render());
+    assert!(outcome.invariant_holds, "{label}: final state illegitimate");
+    assert_eq!(outcome.episodes.len(), 5, "{label}: {:?}", outcome.episodes);
+    assert!(
+        outcome.episodes.iter().all(|(_, converged)| *converged),
+        "{label}: {:?}",
+        outcome.episodes
+    );
+    outcome
+}
+
+/// A 100-node ring converges through every churn episode on one shard
+/// and on two, with the same logical outcome.
+#[test]
+fn hundred_node_churn_outcome_is_shard_invariant() {
+    let one = churn_run(100, 0xBE7_0001, 1);
+    let two = churn_run(100, 0xBE7_0001, 2);
+    assert_eq!(one, two);
+    assert_eq!(one.crashes, 2, "exactly the scheduled crashes");
+}
+
+/// Five seeds each at 10^2 and 10^3 nodes; the 10^4-node run is the
+/// `net-churn-10k` benchmark workload, which exits 2 on any unconverged
+/// episode.
+#[test]
+#[ignore = "ten churn runs of up to a thousand nodes; run with --ignored"]
+fn churn_converges_at_a_hundred_and_a_thousand_nodes() {
+    for n in [100, 1000] {
+        for trial in 0..5 {
+            churn_run(n, 0xBE7_1000 + trial, 0);
+        }
     }
 }

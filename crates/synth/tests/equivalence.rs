@@ -171,31 +171,34 @@ fn diffusing_resynthesizes_the_merged_propagate_repair() {
 
 #[test]
 fn coloring_synthesizes_the_recoloring_action_from_scratch() {
-    let spec = specs::coloring(7, 3);
-    let out = synth(&spec);
+    for n in [7, 9] {
+        let spec = specs::coloring(n, 3);
+        let out = synth(&spec);
 
-    assert!(out.report.is_tolerant());
-    assert!(out.report.theorem.applies());
-    assert_eq!(out.distance, 0);
+        assert!(out.report.is_tolerant());
+        assert!(out.report.theorem.applies());
+        assert_eq!(out.distance, 0, "n={n}");
 
-    let tc = TreeColoring::new(&Tree::binary(7), 3);
-    let hand_prog = tc.program();
-    let synth_prog = out.design.program();
-    assert_same_layout(hand_prog, synth_prog);
-    let hand_space = StateSpace::enumerate(hand_prog).unwrap();
-    let synth_space = StateSpace::enumerate(synth_prog).unwrap();
-    let h = (hand_space, hand_prog);
-    let s = (synth_space, synth_prog);
+        let tc = TreeColoring::new(&Tree::binary(n), 3);
+        let hand_prog = tc.program();
+        let synth_prog = out.design.program();
+        assert_same_layout(hand_prog, synth_prog);
+        let hand_space = StateSpace::enumerate(hand_prog).unwrap();
+        let synth_space = StateSpace::enumerate(synth_prog).unwrap();
+        let h = (hand_space, hand_prog);
+        let s = (synth_space, synth_prog);
 
-    // Hand program: recolor@1..recolor@6 (ids 0..6); synth: repair.R.1..
-    for j in 1..7usize {
-        assert_same_extension(
-            &h,
-            ActionId::from_index(j - 1),
-            &s,
-            ActionId::from_index(j - 1),
-            &format!("repair.R.{j} vs recolor@{j}"),
-        );
+        // Hand program: recolor@1..recolor@(n-1) (ids 0..n-1); synth:
+        // repair.R.1..
+        for j in 1..n {
+            assert_same_extension(
+                &h,
+                ActionId::from_index(j - 1),
+                &s,
+                ActionId::from_index(j - 1),
+                &format!("n={n}: repair.R.{j} vs recolor@{j}"),
+            );
+        }
     }
 }
 
@@ -213,14 +216,21 @@ fn token_ring_render_matches_the_committed_golden() {
 
 #[test]
 fn pruning_saves_at_least_10x_oracle_calls_on_the_token_ring() {
-    let out = synth(&specs::token_ring_windowed(4, 3));
-    let m = out.metrics;
-    assert!(m.candidates >= 400, "grammar too small: {}", m.candidates);
-    assert!(
-        m.oracle_calls * 10 <= m.oracle_calls_unpruned,
-        "prune saves only {}x ({} vs {})",
-        m.oracle_calls_unpruned as f64 / m.oracle_calls as f64,
-        m.oracle_calls,
-        m.oracle_calls_unpruned
-    );
+    for (n, window) in [(4, 3), (5, 4)] {
+        let out = synth(&specs::token_ring_windowed(n, window));
+        assert!(out.report.is_tolerant());
+        assert_eq!(
+            out.distance, 0,
+            "n={n}: every guard should be exactly required"
+        );
+        let m = out.metrics;
+        assert!(m.candidates >= 400, "grammar too small: {}", m.candidates);
+        assert!(
+            m.oracle_calls * 10 <= m.oracle_calls_unpruned,
+            "n={n}: prune saves only {}x ({} vs {})",
+            m.oracle_calls_unpruned as f64 / m.oracle_calls as f64,
+            m.oracle_calls,
+            m.oracle_calls_unpruned
+        );
+    }
 }

@@ -5,14 +5,23 @@
 //! fit the default budget, still gets a full convergence verdict through
 //! the out-of-core frontier mode.
 //!
+//! The 16.7M-state tier of the `checker_gates.rs` gates lives here too:
+//! bytes-per-state ceilings, the segmented-scan cross-check, flat
+//! enumeration throughput within each protocol family, and the frontier
+//! verdict on diffusing binary-12.
+//!
 //! Ignored by default (they sweep 16.7M–268M states on one core); run
-//! with `cargo test --release -- --ignored`.
+//! with `cargo test --release -- --ignored --test-threads=1`, so that no
+//! other test competes for the cores the throughput gate measures.
+
+mod common;
 
 use nonmask_checker::{
     check_convergence_bits_stats, check_convergence_frontier_stats, is_closed_bits, Bitset,
     CheckOptions, ConvergenceResult, Fairness, StateSpace, DEFAULT_MEMORY_BUDGET,
 };
 use nonmask_obs::Journal;
+use nonmask_program::Predicate;
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
 use nonmask_protocols::Tree;
@@ -81,10 +90,92 @@ fn diffusing_2e28_states_converges_within_default_budget() {
     // (tests/paper_claims.rs), so the frontier peel resolves everything.
     let (r, _) = check_convergence_frontier_stats(
         dc.program(),
-        &nonmask_program::Predicate::always_true(),
+        &Predicate::always_true(),
         &dc.invariant(),
         Fairness::Unfair,
         opts,
+        &Journal::disabled(),
+    )
+    .expect("frontier mode stays within the default budget");
+    assert!(matches!(r, ConvergenceResult::Converges), "{r:?}");
+}
+
+/// Instances below this size are exempt from the flatness gate: their
+/// build phases finish in about a millisecond, so their rates are noise.
+const FLATNESS_MIN_STATES: usize = 100_000;
+
+/// Within one protocol family, the fastest instance's transitions/s may
+/// be at most this factor above the slowest's.
+const FLATNESS_FACTOR: f64 = 2.0;
+
+/// Every instance of each family stays under its committed bytes-per-state
+/// ceiling (~15% over the measured value), and the family's transitions/s
+/// stays within [`FLATNESS_FACTOR`] from slowest to fastest. Every
+/// instance clears [`FLATNESS_MIN_STATES`], so all of them enter the
+/// flatness gate.
+#[test]
+#[ignore = "enumerates two 16.7M-state spaces; run with --ignored"]
+fn csr_stays_compact_and_throughput_flat_up_to_16m_states() {
+    let ring = |n| TokenRing::new(n, n as i64).program().clone();
+    let binary = |h| {
+        DiffusingComputation::new(&Tree::binary(h))
+            .program()
+            .clone()
+    };
+    let families = [
+        (
+            "token-ring",
+            [
+                ("token-ring-n7-k7", ring(7), 52.0),
+                ("token-ring-n8-k8", ring(8), 62.0),
+            ],
+        ),
+        (
+            "diffusing-binary",
+            [
+                ("diffusing-binary-9", binary(9), 78.0),
+                ("diffusing-binary-12", binary(12), 110.0),
+            ],
+        ),
+    ];
+    for (family, instances) in families {
+        let mut rates = Vec::new();
+        for (name, program, ceiling) in instances {
+            let f = common::enumerate(&program, CheckOptions::default());
+            println!(
+                "{name}: {} states, {:.2} B/state, {:.0} transitions/s",
+                f.states,
+                f.bytes_per_state,
+                f.transitions_per_sec()
+            );
+            assert!(f.states >= FLATNESS_MIN_STATES, "{name} is too small");
+            assert!(
+                f.bytes_per_state <= ceiling,
+                "{name}: {:.2} bytes/state exceeds the committed ceiling {ceiling}",
+                f.bytes_per_state
+            );
+            rates.push((name, f.transitions_per_sec()));
+        }
+        rates.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let ((slow, min), (fast, max)) = (rates[0], rates[rates.len() - 1]);
+        assert!(
+            max <= min * FLATNESS_FACTOR,
+            "{family}: transitions/s is not flat: {fast} at {max:.0} is more than \
+             {FLATNESS_FACTOR}x {slow} at {min:.0}"
+        );
+    }
+}
+
+#[test]
+#[ignore = "frontier check over 16.7M states; run with --ignored"]
+fn diffusing_binary_12_frontier_converges() {
+    let dc = DiffusingComputation::new(&Tree::binary(12));
+    let (r, _) = check_convergence_frontier_stats(
+        dc.program(),
+        &Predicate::always_true(),
+        &dc.invariant(),
+        Fairness::Unfair,
+        CheckOptions::default(),
         &Journal::disabled(),
     )
     .expect("frontier mode stays within the default budget");
