@@ -1,7 +1,7 @@
 //! Mechanical re-verification of the paper's claims.
 
 use nonmask::Design;
-use nonmask_checker::{check_convergence, Fairness, StateSpace};
+use nonmask_checker::{check_convergence_report, CheckOptions, StateSpace};
 use nonmask_program::Predicate;
 use nonmask_protocols::atomic::AtomicActions;
 use nonmask_protocols::diffusing::DiffusingComputation;
@@ -146,18 +146,15 @@ pub fn e2() -> String {
         let closed = nonmask_checker::is_closed(&space, ring.program(), &s)
             .expect("closure")
             .is_none();
-        let fair = check_convergence(&space, ring.program(), &t_pred, &s, Fairness::WeaklyFair)
-            .expect("convergence");
-        let unfair = check_convergence(&space, ring.program(), &t_pred, &s, Fairness::Unfair)
-            .expect("convergence");
-        let moves =
-            nonmask_checker::worst_case_moves(&space, ring.program(), &t_pred, &s).expect("bounds");
+        let conv =
+            check_convergence_report(&space, ring.program(), &t_pred, &s, CheckOptions::default())
+                .expect("convergence");
         t2.row([
             format!("n={n} k={k}"),
             yn(closed).to_string(),
-            yn(fair.converges()).to_string(),
-            yn(unfair.converges()).to_string(),
-            moves.map_or("∞".into(), |m| m.to_string()),
+            yn(conv.weakly_fair.converges()).to_string(),
+            yn(conv.unfair.converges()).to_string(),
+            conv.worst_case_moves.map_or("∞".into(), |m| m.to_string()),
             space.count_satisfying(&s).expect("count").to_string(),
             space.len().to_string(),
         ]);
@@ -194,14 +191,18 @@ pub fn e3() -> String {
         let (program, invariant) = DiffusingComputation::misdesigned(&tree);
         let space = StateSpace::enumerate(&program).expect("bounded");
         let t_pred = Predicate::always_true();
-        let fair = check_convergence(&space, &program, &t_pred, &invariant, Fairness::WeaklyFair)
-            .expect("convergence");
-        let unfair = check_convergence(&space, &program, &t_pred, &invariant, Fairness::Unfair)
-            .expect("convergence");
+        let conv = check_convergence_report(
+            &space,
+            &program,
+            &t_pred,
+            &invariant,
+            CheckOptions::default(),
+        )
+        .expect("convergence");
         t2.row([
             name.to_string(),
-            yn(fair.converges()).to_string(),
-            yn(unfair.converges()).to_string(),
+            yn(conv.weakly_fair.converges()).to_string(),
+            yn(conv.unfair.converges()).to_string(),
         ]);
     }
     out.push('\n');
@@ -225,10 +226,9 @@ pub fn e8() -> String {
     let mut row = |name: &str, program: &nonmask_program::Program, s: &Predicate| {
         let space = StateSpace::enumerate(program).expect("bounded");
         let t_pred = Predicate::always_true();
-        let fair = check_convergence(&space, program, &t_pred, s, Fairness::WeaklyFair)
+        let conv = check_convergence_report(&space, program, &t_pred, s, CheckOptions::default())
             .expect("convergence");
-        let unfair =
-            check_convergence(&space, program, &t_pred, s, Fairness::Unfair).expect("convergence");
+        let (fair, unfair) = (conv.weakly_fair, conv.unfair);
         t.row([
             name.to_string(),
             yn(fair.converges()).to_string(),

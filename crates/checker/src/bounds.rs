@@ -3,23 +3,22 @@
 //! The paper's concluding remarks connect convergence proofs to *variant
 //! functions*: mappings into a well-founded set that never increase and
 //! eventually decrease along every computation. This module validates
-//! candidate variant functions mechanically and computes the exact
+//! candidate variant functions mechanically and reports the exact
 //! worst-case number of moves a program can spend outside its invariant —
 //! the quantity the rank argument of Theorem 1 bounds.
 //!
-//! Both passes here run a longest-path DFS over the region's transition
-//! graph and read the resident CSR rows of a [`StateSpace`] directly:
-//! unlike closure and convergence, they have no path over the other two
-//! [`Successors`](crate::Successors) sources. If you only need a
-//! convergence *verdict* for an instance too large to hold its transition
-//! table in memory, use
+//! The bound runs no traversal of its own. It is the largest peel height
+//! of the convergence pass
+//! ([`check_convergence_bits`](crate::check_convergence_bits)), which answers
+//! both daemons from the same region build and peel. That pass reads the
+//! resident CSR rows of a [`StateSpace`]. The out-of-core
 //! [`check_convergence_frontier_stats`](crate::check_convergence_frontier_stats)
-//! instead — it decodes rows on demand, but it cannot produce move counts.
+//! gives a convergence *verdict* for instances too large to hold their
+//! transition table in memory, but no move counts.
 
 use nonmask_program::{Predicate, Program, State};
 
-use crate::cache::Bitset;
-use crate::convergence::build_region;
+use crate::convergence::check_convergence_report;
 use crate::error::CheckError;
 use crate::options::CheckOptions;
 use crate::space::{StateId, StateSpace};
@@ -28,9 +27,10 @@ use crate::space::{StateId, StateSpace};
 /// the program inside the region `from ∧ ¬to` before every continuation
 /// reaches `to`.
 ///
-/// Returns `None` when the region admits an infinite computation (a cycle
-/// or a deadlocked region state), in which case there is no finite bound.
-/// `Some(0)` means the region is empty.
+/// Returns `None` exactly when the unfair daemon does not converge: the
+/// region admits an infinite computation (a cycle or a deadlocked region
+/// state), or a step leaves both `from` and `to`. `Some(0)` means the
+/// region is empty.
 ///
 /// This is the longest path through the region's transition graph, counting
 /// the final exit step.
@@ -61,98 +61,8 @@ pub fn worst_case_moves(
     from: &Predicate,
     to: &Predicate,
 ) -> Result<Option<u64>, CheckError> {
-    let _ = program;
-    let opts = CheckOptions::default();
-    let [from_bits, to_bits] = Bitset::for_predicates(space.index(), &[from, to], opts)?
-        .try_into()
-        .expect("two predicates, two caches");
-    worst_case_moves_bits(space, &from_bits, &to_bits, opts)
-}
-
-/// [`worst_case_moves`] over precomputed predicate caches (evaluations of
-/// `from` and `to` over exactly this `space`). The region is built in
-/// parallel chunks; the longest-path DFS itself is sequential (it visits
-/// each region edge once).
-pub fn worst_case_moves_bits(
-    space: &StateSpace,
-    from_bits: &Bitset,
-    to_bits: &Bitset,
-    opts: CheckOptions,
-) -> Result<Option<u64>, CheckError> {
-    let (region, local) = build_region(space, from_bits, to_bits, opts)?;
-    if region.is_empty() {
-        return Ok(Some(0));
-    }
-
-    // memo[li]: longest number of moves from region state li until the
-    // region is left, or None while being computed (cycle detection).
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Done(u64),
-    }
-    let mut mark = vec![Mark::White; region.len()];
-
-    // Iterative DFS with post-processing.
-    for start in 0..region.len() {
-        if matches!(mark[start], Mark::Done(_)) {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        mark[start] = Mark::Grey;
-        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            let sid = region[v];
-            let succs = space.successor_ids(sid);
-            if succs.is_empty() {
-                // Deadlock inside the region: the computation never reaches
-                // `to`, so no finite bound exists.
-                return Ok(None);
-            }
-            if *ci < succs.len() {
-                let t = succs[*ci];
-                *ci += 1;
-                let tl = local[t.index()];
-                if tl == u32::MAX {
-                    continue; // exits the region (either into `to` or out of `from`)
-                }
-                match mark[tl as usize] {
-                    Mark::White => {
-                        mark[tl as usize] = Mark::Grey;
-                        stack.push((tl as usize, 0));
-                    }
-                    Mark::Grey => return Ok(None), // cycle
-                    Mark::Done(_) => {}
-                }
-            } else {
-                // All children resolved: longest = 1 + max(child longest, 0-for-exits).
-                let mut best = 0u64;
-                for &t in succs {
-                    let tl = local[t.index()];
-                    let via = if tl == u32::MAX {
-                        1
-                    } else if let Mark::Done(d) = mark[tl as usize] {
-                        1 + d
-                    } else {
-                        unreachable!("children are resolved before their parent")
-                    };
-                    best = best.max(via);
-                }
-                mark[v] = Mark::Done(best);
-                stack.pop();
-            }
-        }
-    }
-
-    Ok(Some(
-        (0..region.len())
-            .map(|v| match mark[v] {
-                Mark::Done(d) => d,
-                _ => unreachable!("all region states are resolved"),
-            })
-            .max()
-            .unwrap_or(0),
-    ))
+    let report = check_convergence_report(space, program, from, to, CheckOptions::default())?;
+    Ok(report.worst_case_moves)
 }
 
 /// The result of validating a candidate variant function over a region.
@@ -391,25 +301,43 @@ mod tests {
     }
 
     #[test]
+    fn escape_has_no_bound() {
+        // T = x<=1, S = x=0, and `jump` leaves T ∪ S from x=1: the unfair
+        // verdict is an escape, so no finite bound may stand beside it.
+        let mut b = Program::builder("escape");
+        let x = b.var("x", Domain::range(0, 2));
+        b.closure_action(
+            "jump",
+            [x],
+            [x],
+            move |s| s.get(x) == 1,
+            move |s| s.set(x, 2),
+        );
+        let p = b.build();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let t = Predicate::new("x<=1", [x], move |st| st.get(x) <= 1);
+        assert_eq!(worst_case_moves(&space, &p, &t, &target(&p)).unwrap(), None);
+    }
+
+    #[test]
     fn parallel_bound_matches_serial() {
         let p = countdown(4999);
         let space = StateSpace::enumerate(&p).unwrap();
         let t = Predicate::always_true();
         let s = target(&p);
-        let from_bits = Bitset::for_predicate(&space, &t, CheckOptions::serial()).unwrap();
-        let to_bits = Bitset::for_predicate(&space, &s, CheckOptions::serial()).unwrap();
-        let serial =
-            worst_case_moves_bits(&space, &from_bits, &to_bits, CheckOptions::serial()).unwrap();
+        let bound = |opts| {
+            check_convergence_report(&space, &p, &t, &s, opts)
+                .unwrap()
+                .worst_case_moves
+        };
+        let serial = bound(CheckOptions::serial());
         assert_eq!(serial, Some(4999));
         for threads in [2, 4, 8] {
-            let par = worst_case_moves_bits(
-                &space,
-                &from_bits,
-                &to_bits,
-                CheckOptions::default().threads(threads),
-            )
-            .unwrap();
-            assert_eq!(serial, par, "threads={threads}");
+            assert_eq!(
+                serial,
+                bound(CheckOptions::default().threads(threads)),
+                "threads={threads}"
+            );
         }
     }
 

@@ -27,11 +27,12 @@
 //!
 //! # Pipeline
 //!
-//! The region's internal adjacency is built as a CSR graph (region-local
-//! `u32` nodes, one `offsets` array plus a flat `edges` array) with the same
-//! two-phase count/prefix-sum/fill scheme as the state space itself, so the
-//! layout is bit-identical for every thread count. The deadlock/escape sweep
-//! rides along with the counting pass.
+//! One parallel pass over the space collects the region and the lowest-id
+//! deadlock or escape. Two passes over the region's rows then count each
+//! state's internal out- and in-degree and store the internal adjacency
+//! reversed only, as a CSR graph of predecessors over region-local `u32`
+//! nodes (one `offsets` array plus a flat `edges` array), since the peel
+//! below walks nothing else.
 //!
 //! Before any SCC work, a **peeling fast path** computes the greatest set of
 //! region states from which a computation can stay in the region *forever*:
@@ -41,9 +42,14 @@
 //! region-confined path, so every cycle — and hence every nontrivial SCC —
 //! lies wholly inside the residual. In the common converging case the
 //! residual is empty and Tarjan never runs; otherwise Tarjan runs on the
-//! residual subgraph only. (Note the residual is *not* "states that cannot
-//! reach `S`": a cycle that could exit to `S` but need not is still a legal
-//! unfair divergence, and the peel keeps it.)
+//! residual subgraph only, once per daemon. (Note the residual is *not*
+//! "states that cannot reach `S`": a cycle that could exit to `S` but need
+//! not is still a legal unfair divergence, and the peel keeps it.)
+//!
+//! The peel also records each state's *height*, its longest path out of
+//! the region: a rank every region step lowers, as in Theorem 1's proof.
+//! The largest height is the worst-case bound, so one pass
+//! ([`check_convergence_bits`]) answers both daemons and the bound.
 //!
 //! Every thread count reports the same witness: the lowest-id event wins,
 //! exactly as in a sequential scan.
@@ -58,7 +64,7 @@ use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::options::{chunk_ranges, run_chunks, split_lens, steal_parts, CheckOptions};
+use crate::options::{run_chunks, CheckOptions};
 use crate::space::{offsets_from_counts, SpaceError, SpaceIndex, StateId, StateSpace};
 use crate::successors::Successors;
 
@@ -120,7 +126,7 @@ impl ConvergenceResult {
 }
 
 /// Size counters for one convergence pass, produced by
-/// [`check_convergence_stats`] and surfaced in journals as
+/// [`check_convergence_bits`] and surfaced in journals as
 /// [`Event::Wave`]: how much of the region the peeling fast path resolved
 /// before any SCC analysis, and how many components Tarjan then examined.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,6 +138,34 @@ pub struct ConvergenceStats {
     pub peeled_states: u64,
     /// Strongly connected components found in the residual subgraph.
     pub sccs_found: u64,
+}
+
+/// Both daemons' verdicts and the worst-case move bound, answered by one
+/// pass over the region `T ∧ ¬S` ([`check_convergence_bits`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvergenceReport {
+    /// The verdict under the paper's weakly fair daemon.
+    pub weakly_fair: ConvergenceResult,
+    /// The verdict under an unfair daemon.
+    pub unfair: ConvergenceResult,
+    /// The worst-case number of steps an unfair daemon can keep a
+    /// computation inside the region, counting the step that leaves it:
+    /// the longest path out of the region. `Some` exactly when
+    /// [`ConvergenceReport::unfair`] is `Converges`; `Some(0)` means the
+    /// region is empty.
+    pub worst_case_moves: Option<u64>,
+    /// Region, peel and SCC sizes of the pass.
+    pub stats: ConvergenceStats,
+}
+
+impl ConvergenceReport {
+    /// The verdict under `fairness`.
+    pub fn verdict(&self, fairness: Fairness) -> &ConvergenceResult {
+        match fairness {
+            Fairness::Unfair => &self.unfair,
+            Fairness::WeaklyFair => &self.weakly_fair,
+        }
+    }
 }
 
 /// Check that every computation of `program` from `from` (the fault span
@@ -152,17 +186,8 @@ pub fn check_convergence(
     to: &Predicate,
     fairness: Fairness,
 ) -> Result<ConvergenceResult, CheckError> {
-    let opts = CheckOptions::default();
-    let (result, _) = check_convergence_stats(
-        space,
-        program,
-        from,
-        to,
-        fairness,
-        opts,
-        &Journal::disabled(),
-    )?;
-    Ok(result)
+    let report = check_convergence_report(space, program, from, to, CheckOptions::default())?;
+    Ok(report.verdict(fairness).clone())
 }
 
 /// [`check_convergence`] with explicit [`CheckOptions`] (the result is
@@ -173,7 +198,6 @@ pub fn check_convergence(
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a predicate panics mid-scan.
-#[allow(clippy::too_many_arguments)]
 pub fn check_convergence_stats(
     space: &StateSpace,
     program: &Program,
@@ -183,151 +207,188 @@ pub fn check_convergence_stats(
     opts: CheckOptions,
     journal: &Journal,
 ) -> Result<(ConvergenceResult, ConvergenceStats), CheckError> {
-    let [from_bits, to_bits] = Bitset::for_predicates(space.index(), &[from, to], opts)?
-        .try_into()
-        .expect("two predicates, two caches");
-    let (result, stats) =
-        check_convergence_bits_stats(space, program, &from_bits, &to_bits, fairness, opts)?;
+    let report = check_convergence_report(space, program, from, to, opts)?;
+    let stats = report.stats;
     journal.emit_with(|| Event::Wave {
         fairness: fairness.to_string(),
         region: stats.region_states,
         peeled: stats.peeled_states,
         sccs: stats.sccs_found,
     });
-    Ok((result, stats))
+    Ok((report.verdict(fairness).clone(), stats))
 }
 
-/// [`check_convergence_stats`] over precomputed predicate caches
-/// (evaluations of `from` and `to` over exactly this `space`), without the
-/// journal. Lets callers share the caches across the closure, convergence,
-/// and bounds passes.
+/// [`check_convergence_bits`] over the predicates themselves: evaluates
+/// `from` and `to` into caches in one decode pass, then runs the one
+/// region pass.
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] if a predicate or action body panics.
+pub fn check_convergence_report(
+    space: &StateSpace,
+    program: &Program,
+    from: &Predicate,
+    to: &Predicate,
+    opts: CheckOptions,
+) -> Result<ConvergenceReport, CheckError> {
+    let [from_bits, to_bits] = Bitset::for_predicates(space.index(), &[from, to], opts)?
+        .try_into()
+        .expect("two predicates, two caches");
+    check_convergence_bits(space, program, &from_bits, &to_bits, opts)
+}
+
+/// Every convergence question about the region `from ∧ ¬to` in one pass,
+/// over precomputed predicate caches (evaluations of `from` and `to` over
+/// exactly this `space`), so callers can share the caches across the
+/// closure and convergence passes.
+///
+/// The region is built once, swept once for deadlocks and escapes, and
+/// Kahn-peeled once. The peel records each state's *height*, the longest
+/// path out of the region: a peeled state's internal successors are all
+/// peeled before it, so its height is one more than the largest of theirs.
+/// No event and an empty residual means both daemons converge and the
+/// bound is the largest height. Otherwise the bound is `None`, and the
+/// verdicts are the lowest-id event or, per daemon, the residual analysis.
 ///
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if an action body panics while edges are
 /// being materialized.
-pub fn check_convergence_bits_stats(
+pub fn check_convergence_bits(
     space: &StateSpace,
     program: &Program,
     from_bits: &Bitset,
     to_bits: &Bitset,
-    fairness: Fairness,
     opts: CheckOptions,
-) -> Result<(ConvergenceResult, ConvergenceStats), CheckError> {
+) -> Result<ConvergenceReport, CheckError> {
     let mut stats = ConvergenceStats::default();
-    // Region: T ∧ ¬S, with a dense local numbering.
-    let (region, local) = build_region(space, from_bits, to_bits, opts)?;
-    stats.region_states = region.len() as u64;
-    if region.is_empty() {
-        return Ok((ConvergenceResult::Converges, stats));
-    }
-
-    // Counting pass: deadlocks, escapes, and per-state internal edge counts,
-    // in parallel chunks over the region. Each worker reports its first
-    // (lowest-index) event; the minimum over workers is the sequential
-    // witness.
+    // One parallel pass over the space builds the region `T ∧ ¬S`, sorted,
+    // and sweeps it for deadlocks and escapes. Chunks are id ranges and
+    // each stops checking rows at its first event, so the first chunk with
+    // an event holds the lowest-id witness of a sequential scan. Region
+    // states are still collected past an event, so the region size is
+    // exact either way.
     enum RegionEvent {
-        Deadlock,
-        Escape { after: StateId },
+        Deadlock(StateId),
+        Escape { before: StateId, after: StateId },
     }
-    let n = region.len();
-    let workers = opts.workers_for(n);
-    let region_ref = &region;
-    let chunks = run_chunks(n, workers, move |range| {
-        let mut counts: Vec<u32> = Vec::with_capacity(range.len());
-        for li in range {
-            let id = region_ref[li];
+    let chunks = run_chunks(space.len(), opts.workers_for(space.len()), |range| {
+        let (mut region, mut event) = (Vec::new(), None);
+        for i in range.filter(|&i| from_bits.get(i) && !to_bits.get(i)) {
+            let id = StateId::from_index(i);
+            region.push(id);
+            if event.is_some() {
+                continue;
+            }
             let succs = space.successor_ids(id);
+            let escape = succs
+                .iter()
+                .find(|&&t| !from_bits.contains(t) && !to_bits.contains(t));
             if succs.is_empty() {
-                return (counts, Some((li, RegionEvent::Deadlock)));
+                event = Some(RegionEvent::Deadlock(id));
+            } else if let Some(&after) = escape {
+                event = Some(RegionEvent::Escape { before: id, after });
             }
-            let mut c = 0u32;
-            for &t in succs {
-                if to_bits.contains(t) {
-                    continue; // exits into S
-                }
-                if !from_bits.contains(t) {
-                    return (counts, Some((li, RegionEvent::Escape { after: t })));
-                }
-                c += 1;
-            }
-            counts.push(c);
         }
-        (counts, None)
+        (region, event)
     })?;
-    let mut counts: Vec<u32> = Vec::with_capacity(n);
-    let mut first_event: Option<(usize, RegionEvent)> = None;
-    for (chunk_counts, event) in chunks {
-        counts.extend(chunk_counts);
-        if let Some((li, e)) = event {
-            if first_event.as_ref().is_none_or(|(fli, _)| li < *fli) {
-                first_event = Some((li, e));
-            }
-        }
+    let (mut region, mut first_event) = (Vec::new(), None);
+    for (chunk_region, event) in chunks {
+        region.extend(chunk_region);
+        first_event = first_event.or(event);
     }
-    if let Some((li, event)) = first_event {
-        let before = space.state(region[li]);
+    stats.region_states = region.len() as u64;
+    if let Some(event) = first_event {
         let result = match event {
-            RegionEvent::Deadlock => ConvergenceResult::DeadlockOutsideTarget { state: before },
-            RegionEvent::Escape { after } => ConvergenceResult::EscapesFaultSpan {
-                before,
+            RegionEvent::Deadlock(id) => ConvergenceResult::DeadlockOutsideTarget {
+                state: space.state(id),
+            },
+            RegionEvent::Escape { before, after } => ConvergenceResult::EscapesFaultSpan {
+                before: space.state(before),
                 after: space.state(after),
             },
         };
-        return Ok((result, stats));
+        return Ok(ConvergenceReport {
+            weakly_fair: result.clone(),
+            unfair: result,
+            worst_case_moves: None,
+            stats,
+        });
+    }
+    let n = region.len();
+    let mut local = vec![u32::MAX; space.len()];
+    for (li, id) in region.iter().enumerate() {
+        local[id.index()] = li as u32;
     }
 
+    // The peel walks predecessors only, so the internal edges are stored
+    // reversed, straight from the space's rows, and no forward region CSR
+    // is built. With no event, every successor outside `S` is in the
+    // region.
+    let internal = |li: usize| {
+        space
+            .successor_ids(region[li])
+            .iter()
+            .filter(|&&t| !to_bits.contains(t))
+            .map(|t| local[t.index()] as usize)
+    };
+    let mut cursor = vec![0u32; n];
+    let mut outdeg: Vec<u32> = (0..n)
+        .map(|li| internal(li).inspect(|&t| cursor[t] += 1).count() as u32)
+        .collect();
     // Internal region edges can't outnumber the space's transitions, which
     // fit u32 offsets by construction.
-    let offsets =
-        offsets_from_counts(&counts).expect("region edges bounded by the space's transitions");
-    let m = *offsets.last().expect("offsets never empty") as usize;
-
-    // Fill pass: region-local CSR edges, each chunk filling its disjoint
-    // sub-slice (same chunk boundaries as the counting pass).
-    let ranges = chunk_ranges(n, workers);
-    let mut edges = vec![0u32; m];
-    let parts = split_lens(
-        &mut edges,
-        ranges
-            .iter()
-            .map(|r| (offsets[r.end] - offsets[r.start]) as usize),
-    );
-    steal_parts(parts, workers, |ci, out| {
-        let mut k = 0usize;
-        for li in ranges[ci].clone() {
-            for &t in space.successor_ids(region[li]) {
-                if !to_bits.contains(t) {
-                    out[k] = local[t.index()];
-                    k += 1;
-                }
-            }
+    let rev_offsets =
+        offsets_from_counts(&cursor).expect("region edges bounded by the space's transitions");
+    cursor.copy_from_slice(&rev_offsets[..n]);
+    let mut rev_edges = vec![0u32; rev_offsets[n] as usize];
+    for li in 0..n {
+        for t in internal(li) {
+            rev_edges[cursor[t] as usize] = li as u32;
+            cursor[t] += 1;
         }
-        debug_assert_eq!(k, out.len());
-    })?;
+    }
+    drop(cursor);
 
     // Peeling fast path: remove every state whose internal successors are
     // all removed; what survives (`outdeg > 0` at the fixpoint) is exactly
     // the set of states with an infinite region-confined path. Empty in the
-    // common converging case — then no SCC analysis is needed at all.
-    let (rev_offsets, rev_edges) = reverse_csr(&offsets, &edges, n);
-    let mut outdeg = counts;
+    // common converging case — then no SCC analysis is needed at all. A
+    // state is popped only after all its internal successors, so its
+    // height is final by then and can be pushed to its predecessors.
+    let mut height = vec![1u32; n];
+    let mut worst = 0u32;
     let mut worklist: Vec<u32> = (0..n as u32).filter(|&u| outdeg[u as usize] == 0).collect();
     let mut removed = worklist.len();
     while let Some(u) = worklist.pop() {
+        let hu = height[u as usize];
+        worst = worst.max(hu);
         let (lo, hi) = (
             rev_offsets[u as usize] as usize,
             rev_offsets[u as usize + 1] as usize,
         );
         for &p in &rev_edges[lo..hi] {
-            outdeg[p as usize] -= 1;
-            if outdeg[p as usize] == 0 {
-                worklist.push(p);
+            let p = p as usize;
+            height[p] = height[p].max(hu + 1);
+            outdeg[p] -= 1;
+            if outdeg[p] == 0 {
+                worklist.push(p as u32);
                 removed += 1;
             }
         }
     }
     stats.peeled_states = removed as u64;
+    if removed == n {
+        return Ok(ConvergenceReport {
+            weakly_fair: ConvergenceResult::Converges,
+            unfair: ConvergenceResult::Converges,
+            worst_case_moves: Some(worst.into()),
+            stats,
+        });
+    }
+    drop((height, rev_offsets, rev_edges));
+
     // `outdeg` is spent: reuse it as the region's residual-local numbering
     // (`u32::MAX` for peeled states), so lookups stay O(1).
     let mut residual: Vec<StateId> = Vec::with_capacity(n - removed);
@@ -345,61 +406,25 @@ pub fn check_convergence_bits_stats(
         (r != u32::MAX).then_some(r as usize)
     };
     let mut rows = space;
-    let found = analyze_residual(
-        &mut rows,
-        program,
-        space.index(),
-        &residual,
-        in_residual,
-        fairness,
-    )?;
-    stats.sccs_found = found.sccs_found;
-    Ok((found.result, stats))
-}
-
-/// The region `from ∧ ¬to` as a sorted id list plus the inverse (dense
-/// local) numbering, built in parallel chunks.
-pub(crate) fn build_region(
-    space: &StateSpace,
-    from_bits: &Bitset,
-    to_bits: &Bitset,
-    opts: CheckOptions,
-) -> Result<(Vec<StateId>, Vec<u32>), CheckError> {
-    let workers = opts.workers_for(space.len());
-    let region: Vec<StateId> = run_chunks(space.len(), workers, |range| {
-        range
-            .filter(|&i| from_bits.get(i) && !to_bits.get(i))
-            .map(StateId::from_index)
-            .collect::<Vec<StateId>>()
-    })?
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut local = vec![u32::MAX; space.len()];
-    for (li, id) in region.iter().enumerate() {
-        local[id.index()] = li as u32;
-    }
-    Ok((region, local))
-}
-
-/// Transpose a CSR graph over `n` nodes: `(rev_offsets, rev_edges)` with
-/// the predecessors of `u` at `rev_edges[rev_offsets[u]..rev_offsets[u+1]]`.
-fn reverse_csr(offsets: &[u32], edges: &[u32], n: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut rev_counts = vec![0u32; n];
-    for &t in edges {
-        rev_counts[t as usize] += 1;
-    }
-    let rev_offsets = offsets_from_counts(&rev_counts).expect("transpose has the same edge count");
-    let mut cursor: Vec<u32> = rev_offsets[..n].to_vec();
-    let mut rev_edges = vec![0u32; edges.len()];
-    for u in 0..n {
-        let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
-        for &t in &edges[lo..hi] {
-            rev_edges[cursor[t as usize] as usize] = u as u32;
-            cursor[t as usize] += 1;
-        }
-    }
-    (rev_offsets, rev_edges)
+    let mut analyze = |fairness| {
+        analyze_residual(
+            &mut rows,
+            program,
+            space.index(),
+            &residual,
+            in_residual,
+            fairness,
+        )
+    };
+    let unfair = analyze(Fairness::Unfair)?;
+    let weakly_fair = analyze(Fairness::WeaklyFair)?;
+    stats.sccs_found = unfair.sccs_found;
+    Ok(ConvergenceReport {
+        weakly_fair: weakly_fair.result,
+        unfair: unfair.result,
+        worst_case_moves: None,
+        stats,
+    })
 }
 
 /// What [`analyze_residual`] found.
@@ -1051,19 +1076,6 @@ mod tests {
         let sccs = tarjan_sccs_csr(&offsets, &edges, &alive);
         assert!(sccs.contains(&vec![0]));
         assert!(!sccs.iter().any(|c| c.contains(&1)));
-    }
-
-    #[test]
-    fn reverse_csr_transposes() {
-        let adj = vec![vec![1, 2], vec![2], vec![0, 2]];
-        let (offsets, edges) = csr_of(&adj);
-        let (ro, re) = reverse_csr(&offsets, &edges, 3);
-        let preds = |u: usize| -> Vec<u32> { re[ro[u] as usize..ro[u + 1] as usize].to_vec() };
-        assert_eq!(preds(0), vec![2]);
-        assert_eq!(preds(1), vec![0]);
-        let mut p2 = preds(2);
-        p2.sort_unstable();
-        assert_eq!(p2, vec![0, 1, 2]);
     }
 
     #[test]

@@ -27,11 +27,15 @@ pub struct CheckCounters {
     /// CSR rows visited by closure and preservation sweeps, counted as
     /// whole-space scans times the state count.
     pub csr_rows_visited: u64,
-    /// Region (`T ∧ ¬S`) states examined by convergence passes.
+    /// Region (`T ∧ ¬S`) states examined by the convergence pass. One
+    /// pass answers both daemons and the worst-case bound, so the region
+    /// is counted once.
     pub region_states: u64,
-    /// Region states resolved by the Kahn-style peel (no SCC work needed).
+    /// Region states resolved by the pass's Kahn-style peel (no SCC work
+    /// needed).
     pub peeled_states: u64,
-    /// Strongly connected components Tarjan examined in the residuals.
+    /// Strongly connected components Tarjan found in the residual, counted
+    /// once although the residual is analysed once per daemon.
     pub sccs_found: u64,
     /// Preservation queries (action, constraint, assumption) answered
     /// from the memo of an earlier sweep.

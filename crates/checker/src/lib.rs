@@ -135,7 +135,7 @@ pub mod space;
 pub mod span;
 pub mod successors;
 
-pub use bounds::{check_variant, worst_case_moves, worst_case_moves_bits, VariantReport};
+pub use bounds::{check_variant, worst_case_moves, VariantReport};
 pub use cache::{Bitset, OnesIter};
 pub use closure::{
     breaking_actions, is_closed, is_closed_bits, preserves, preserves_given, preserves_given_bits,
@@ -143,8 +143,8 @@ pub use closure::{
 };
 pub use containment::{certify_containment, ContainmentVerdict};
 pub use convergence::{
-    check_convergence, check_convergence_bits_stats, check_convergence_stats, shortest_path_to,
-    ConvergenceResult, ConvergenceStats, Fairness, PathStep,
+    check_convergence, check_convergence_bits, check_convergence_report, check_convergence_stats,
+    shortest_path_to, ConvergenceReport, ConvergenceResult, ConvergenceStats, Fairness, PathStep,
 };
 pub use counters::CheckCounters;
 pub use error::CheckError;

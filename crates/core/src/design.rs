@@ -1,11 +1,11 @@
 //! The design workflow: program + constraints → verified tolerance.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use nonmask_checker::{
-    bounds, closure, convergence::check_convergence_bits_stats, Bitset, CheckCounters, CheckError,
-    CheckOptions, Fairness, SpaceError, StateSpace,
+    check_convergence_bits, closure, Bitset, CheckCounters, CheckError, CheckOptions, SpaceError,
+    StateSpace,
 };
 use nonmask_graph::{ConstraintGraph, ConstraintRef, GraphError, Layering, NodePartition, Shape};
 use nonmask_program::{ActionId, ActionKind, Predicate, Program};
@@ -205,7 +205,7 @@ impl Design {
     ///    that the merged action coincides with the closure action there.
     /// 3. **Ground truth** — direct model checking of convergence under
     ///    both weakly fair and unfair daemons, and the worst-case number of
-    ///    moves outside `S`.
+    ///    moves outside `S`, all from one pass over the region `T ∧ ¬S`.
     ///
     /// # Errors
     ///
@@ -350,17 +350,11 @@ impl Design {
         }
 
         // --- 3. Ground truth -------------------------------------------
-        // Both daemons share the same `S`/`T` bit caches; no predicate is
-        // re-evaluated between the two convergence passes and the bound.
+        // One pass over the region `T ∧ ¬S`, on the shared `S`/`T` bit
+        // caches, answers both daemons and the worst-case bound.
         let conv_started = Instant::now();
-        let (conv_fair, fair_stats) =
-            check_convergence_bits_stats(space, p, &t_bits, &s_bits, Fairness::WeaklyFair, opts)?;
-        let (conv_unfair, unfair_stats) =
-            check_convergence_bits_stats(space, p, &t_bits, &s_bits, Fairness::Unfair, opts)?;
+        let conv = check_convergence_bits(space, p, &t_bits, &s_bits, opts)?;
         let convergence_time = conv_started.elapsed();
-        let bounds_started = Instant::now();
-        let worst = bounds::worst_case_moves_bits(space, &t_bits, &s_bits, opts)?;
-        let bounds_time = bounds_started.elapsed();
 
         let state_counts = StateCounts {
             invariant: s_bits.count_ones(),
@@ -372,7 +366,7 @@ impl Design {
         // cache. The CSR-row figure counts whole-space scans: one
         // `breaking_actions` sweep per memo miss, the two closure scans of
         // `S` and `T`, and the one repair-obligations sweep. Convergence
-        // figures are summed over the two daemon passes.
+        // figures are those of the one region pass.
         let states = space.len() as u64;
         let counters = CheckCounters {
             states,
@@ -380,9 +374,9 @@ impl Design {
             bitset_builds: evaluated,
             states_decoded: states,
             csr_rows_visited: (cache_misses + 3) * states,
-            region_states: fair_stats.region_states + unfair_stats.region_states,
-            peeled_states: fair_stats.peeled_states + unfair_stats.peeled_states,
-            sccs_found: fair_stats.sccs_found + unfair_stats.sccs_found,
+            region_states: conv.stats.region_states,
+            peeled_states: conv.stats.peeled_states,
+            sccs_found: conv.stats.sccs_found,
             cache_hits,
             cache_misses,
             // Design::verify runs fully resident; the out-of-core figures
@@ -396,9 +390,9 @@ impl Design {
             shape,
             closure: closure_report,
             theorem,
-            convergence: conv_fair,
-            convergence_unfair: conv_unfair,
-            worst_case_moves: worst,
+            convergence: conv.weakly_fair,
+            convergence_unfair: conv.unfair,
+            worst_case_moves: conv.worst_case_moves,
             state_counts,
             counters,
             timings: VerifyTimings {
@@ -407,7 +401,7 @@ impl Design {
                 closure: closure_time,
                 theorem: theorem_time,
                 convergence: convergence_time,
-                bounds: bounds_time,
+                bounds: Duration::ZERO,
                 total: started.elapsed(),
             },
         })
@@ -676,7 +670,7 @@ impl DesignBuilder {
     }
 
     /// Set the number of worker threads for every state-space sweep
-    /// (enumeration, predicate evaluation, closure, convergence, bounds).
+    /// (enumeration, predicate evaluation, closure, convergence).
     ///
     /// `0` (the default) auto-detects via
     /// [`std::thread::available_parallelism`]; `1` forces fully serial

@@ -94,8 +94,10 @@ pub struct ToleranceReport {
     /// Convergence under an unfair daemon (Section 8 remarks the derived
     /// programs need no fairness; this field checks that claim).
     pub convergence_unfair: ConvergenceResult,
-    /// Worst-case number of moves outside `S` before convergence (finite
-    /// exactly when unfair convergence holds), `None` if unbounded.
+    /// Worst-case number of moves outside `S` before convergence: `Some`
+    /// exactly when [`ToleranceReport::convergence_unfair`] is
+    /// `Converges`, `None` otherwise (a cycle, a deadlock, or an escape
+    /// from `T`).
     pub worst_case_moves: Option<u64>,
     /// Number of states in `S`, in `T`, and in total (diagnostics).
     pub state_counts: StateCounts,
@@ -121,9 +123,11 @@ pub struct VerifyTimings {
     pub closure: Duration,
     /// The theorem side conditions (part 2).
     pub theorem: Duration,
-    /// Ground-truth convergence under both daemons (part 3).
+    /// Ground-truth convergence under both daemons and the worst-case
+    /// move bound (part 3): one pass over the region answers all three.
     pub convergence: Duration,
-    /// The worst-case move bound (part 3).
+    /// Always zero: the worst-case bound is computed inside the
+    /// convergence pass and timed in [`VerifyTimings::convergence`].
     pub bounds: Duration,
     /// Everything above, end to end.
     pub total: Duration,

@@ -17,8 +17,8 @@
 mod common;
 
 use nonmask_checker::{
-    check_convergence_bits_stats, check_convergence_frontier_stats, is_closed_bits, Bitset,
-    CheckOptions, ConvergenceResult, Fairness, StateSpace, DEFAULT_MEMORY_BUDGET,
+    check_convergence_bits, check_convergence_frontier_stats, is_closed_bits, Bitset, CheckOptions,
+    ConvergenceResult, Fairness, StateSpace, DEFAULT_MEMORY_BUDGET,
 };
 use nonmask_obs::Journal;
 use nonmask_program::Predicate;
@@ -53,16 +53,8 @@ fn token_ring_16m_states_within_default_budget() {
         "the invariant is closed"
     );
     let t_bits = Bitset::ones(space.len());
-    let (r, _) = check_convergence_bits_stats(
-        &space,
-        ring.program(),
-        &t_bits,
-        &s_bits,
-        Fairness::WeaklyFair,
-        opts,
-    )
-    .unwrap();
-    assert!(r.converges(), "{r:?}");
+    let r = check_convergence_bits(&space, ring.program(), &t_bits, &s_bits, opts).unwrap();
+    assert!(r.weakly_fair.converges(), "{r:?}");
 }
 
 /// The headline out-of-core case: a 14-node diffusing computation has

@@ -2,9 +2,10 @@
 
 use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
-    breaking_actions, check_convergence, check_convergence_frontier_stats, check_convergence_stats,
-    is_closed, is_closed_bits, preserves_given_bits, worst_case_moves, Bitset, CheckOptions,
-    Decoder, Fairness, SegmentedSpace, SpaceIndex, StateId, StateSpace, Successors, Violation,
+    breaking_actions, check_convergence, check_convergence_bits, check_convergence_frontier_stats,
+    check_convergence_stats, is_closed, is_closed_bits, preserves_given_bits, worst_case_moves,
+    Bitset, CheckOptions, ConvergenceResult, Decoder, Fairness, SegmentedSpace, SpaceIndex,
+    StateId, StateSpace, Successors, Violation,
 };
 use nonmask_graph::{NodePartition, Shape};
 use nonmask_obs::{Event, Journal, MemoryBuffer};
@@ -729,4 +730,151 @@ proptest! {
         prop_assert_eq!(&report.closure.unguarded_constraints, &unguarded);
         prop_assert_eq!(&report.closure.non_establishing, &non_establishing);
     }
+}
+
+/// The longest-path DFS the worst-case bound used before the peel heights
+/// replaced it, kept as their reference: the longest path through the
+/// region `from ∧ ¬to`, counting the exit step, or `None` when the region
+/// has a cycle or a deadlocked state. It counts an edge leaving both
+/// `from` and `to` as an exit.
+fn reference_worst_case_moves(space: &StateSpace, from: &Bitset, to: &Bitset) -> Option<u64> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        White,
+        Grey,
+        Done(u64),
+    }
+    let region: Vec<StateId> = space
+        .ids()
+        .filter(|&id| from.contains(id) && !to.contains(id))
+        .collect();
+    let mut local = vec![u32::MAX; space.len()];
+    for (li, id) in region.iter().enumerate() {
+        local[id.index()] = li as u32;
+    }
+    let mut mark = vec![Mark::White; region.len()];
+    for start in 0..region.len() {
+        if matches!(mark[start], Mark::Done(_)) {
+            continue;
+        }
+        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        mark[start] = Mark::Grey;
+        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
+            let succs = space.successor_ids(region[v]);
+            if succs.is_empty() {
+                return None;
+            }
+            if *ci < succs.len() {
+                let tl = local[succs[*ci].index()];
+                *ci += 1;
+                if tl == u32::MAX {
+                    continue;
+                }
+                match mark[tl as usize] {
+                    Mark::White => {
+                        mark[tl as usize] = Mark::Grey;
+                        stack.push((tl as usize, 0));
+                    }
+                    Mark::Grey => return None,
+                    Mark::Done(_) => {}
+                }
+            } else {
+                let best = succs
+                    .iter()
+                    .map(|t| match local[t.index()] {
+                        u32::MAX => 1,
+                        tl => match mark[tl as usize] {
+                            Mark::Done(d) => 1 + d,
+                            _ => unreachable!("children are resolved before their parent"),
+                        },
+                    })
+                    .max()
+                    .unwrap_or(0);
+                mark[v] = Mark::Done(best);
+                stack.pop();
+            }
+        }
+    }
+    Some(
+        mark.iter()
+            .map(|m| match m {
+                Mark::Done(d) => *d,
+                _ => unreachable!("all region states are resolved"),
+            })
+            .max()
+            .unwrap_or(0),
+    )
+}
+
+/// The one region pass answers what three passes answered before: on
+/// random programs with random goals and random, usually non-closed fault
+/// spans, its bound equals the longest-path DFS's (except that an escape
+/// from the fault span now has no bound), and each daemon's verdict and
+/// the stats equal the single-daemon entry points', serially and with N
+/// workers. Every verdict kind must occur across the cases.
+#[test]
+fn one_region_pass_matches_the_longest_path_dfs() {
+    use proptest::strategy::Strategy;
+    const CASES: usize = 96;
+    let mut rng = proptest::test_runner::rng_for("one_region_pass_matches_the_longest_path_dfs");
+    let domains = proptest::collection::vec(domain_strategy(), 2..=9);
+    let actions = proptest::collection::vec((0usize..9, 0usize..9, 1i64..=3), 1..=6);
+    let seeds = (0u64..1000, 0u64..1000, 5u64..=95, 40u64..=100, 2usize..=8);
+    // Converges, deadlock, escape, divergence.
+    let mut kinds = [0usize; 4];
+    for case in 0..CASES {
+        let p = program_with_actions(domains.generate(&mut rng), actions.generate(&mut rng));
+        let (goal_seed, span_seed, goal_percent, span_percent, threads) = seeds.generate(&mut rng);
+        let goal = hashed_predicate(&p, "goal", goal_seed, goal_percent);
+        let span = hashed_predicate(&p, "span", span_seed, span_percent);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let opts = CheckOptions::serial();
+        let from = Bitset::for_predicate(&space, &span, opts).unwrap();
+        let to = Bitset::for_predicate(&space, &goal, opts).unwrap();
+        let reference = reference_worst_case_moves(&space, &from, &to);
+        let serial = check_convergence_bits(&space, &p, &from, &to, opts).unwrap();
+        kinds[match serial.unfair {
+            ConvergenceResult::Converges => 0,
+            ConvergenceResult::DeadlockOutsideTarget { .. } => 1,
+            ConvergenceResult::EscapesFaultSpan { .. } => 2,
+            ConvergenceResult::Divergence { .. } => 3,
+        }] += 1;
+        let expected = match serial.unfair {
+            ConvergenceResult::EscapesFaultSpan { .. } => None,
+            _ => reference,
+        };
+        assert_eq!(serial.worst_case_moves, expected, "case {case}: bound");
+        for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
+            let (single, stats) = check_convergence_stats(
+                &space,
+                &p,
+                &span,
+                &goal,
+                fairness,
+                opts,
+                &Journal::disabled(),
+            )
+            .unwrap();
+            assert_eq!(serial.verdict(fairness), &single, "case {case}: {fairness}");
+            assert_eq!(
+                serial.verdict(fairness),
+                &check_convergence(&space, &p, &span, &goal, fairness).unwrap(),
+                "case {case}: {fairness}"
+            );
+            assert_eq!(serial.stats, stats, "case {case}: stats");
+        }
+        let parallel = check_convergence_bits(
+            &space,
+            &p,
+            &from,
+            &to,
+            CheckOptions::default().threads(threads),
+        )
+        .unwrap();
+        assert_eq!(parallel, serial, "case {case}: {threads} threads");
+    }
+    assert!(
+        kinds.iter().all(|&k| k > 0),
+        "verdict kinds seen: {kinds:?}"
+    );
 }
