@@ -14,9 +14,11 @@
 //!
 //! [`StateSpace`] exploits this in both directions. [`id_of`]
 //! (`state → index`) is `O(|vars|)` multiply-adds with **no hash map and no
-//! heap traffic**. The decode direction (`index → state`) means states never
-//! need to be materialized at all: the space stores **no** `Vec<State>` —
-//! [`state`] re-derives any state from its id on demand, and hot loops use
+//! heap traffic**; a successor's id is cheaper still, its state's id moved
+//! by the slots the action changed ([`SpaceIndex::successor_id`]). The
+//! decode direction (`index → state`) means states never need to be
+//! materialized at all: the space stores **no** `Vec<State>` — [`state`]
+//! re-derives any state from its id on demand, and hot loops use
 //! [`decode_state`] to decode into a reusable scratch `State` without
 //! allocating.
 //!
@@ -296,21 +298,86 @@ impl Radix {
         }
     }
 
-    /// Advance `out` to the next enumeration position, as an odometer:
-    /// the last variable cycles fastest and a wrapped slot carries into
-    /// the one before it. The last position wraps to the first.
+    /// The position of `succ`, a successor of `state` at position `idx`,
+    /// from the slots that differ: `idx + Σ (succ[i] − state[i]) · stride_i`
+    /// over them, or `None` when a differing slot is outside its domain
+    /// (or the arity differs), exactly where [`Radix::index_of`] is `None`.
+    /// `state` must be the decoding of `idx`, so an unchanged slot is in
+    /// its domain and needs no check.
+    ///
+    /// Slots are compared four at a time, by one branch on their or-ed
+    /// XORs; only a group holding a change is walked slot by slot.
     #[inline]
-    fn step(&self, out: &mut State) {
+    fn successor_index(&self, idx: u64, state: &State, succ: &State) -> Option<u64> {
+        const GROUP: usize = 4;
+        let (from, to) = (state.slots(), succ.slots());
+        debug_assert_eq!(from.len(), self.mins.len());
+        if to.len() != from.len() {
+            return None;
+        }
+        let mut acc = idx;
+        let (mut groups, mut succ_groups) = (from.chunks_exact(GROUP), to.chunks_exact(GROUP));
+        let mut base = 0;
+        for (old, new) in (&mut groups).zip(&mut succ_groups) {
+            if old.iter().zip(new).fold(0, |d, (a, b)| d | (a ^ b)) != 0 {
+                for (j, (&o, &n)) in old.iter().zip(new).enumerate() {
+                    acc = self.shift(base + j, o, n, acc)?;
+                }
+            }
+            base += GROUP;
+        }
+        let rest = groups.remainder().iter().zip(succ_groups.remainder());
+        for (j, (&o, &n)) in rest.enumerate() {
+            acc = self.shift(base + j, o, n, acc)?;
+        }
+        debug_assert_eq!(Some(acc), self.index_of(succ));
+        Some(acc)
+    }
+
+    /// `acc` moved by slot `i` changing from `old` to `new`, or `None`
+    /// when `new` is outside the slot's domain.
+    #[inline(always)]
+    fn shift(&self, i: usize, old: i64, new: i64, acc: u64) -> Option<u64> {
+        if new == old {
+            return Some(acc);
+        }
+        let offset = new.wrapping_sub(self.mins[i]);
+        if offset < 0 || offset >= self.sizes[i] {
+            return None;
+        }
+        // A decrease adds its two's complement; the true position is in
+        // range, so the wrapped sum is exact.
+        let delta = new.wrapping_sub(old) as u64;
+        Some(acc.wrapping_add(delta.wrapping_mul(self.strides[i])))
+    }
+
+    /// Advance `out`, the decoding of some position `i`, to the decoding
+    /// of `i + k` as an odometer: add `k` at the last digit and carry into
+    /// the one before it. A digit that a carry of exactly 1 wraps resets
+    /// without a division, so `k = 1` never divides; only a digit that a
+    /// larger carry overflows divides. Positions past the last wrap to the
+    /// first.
+    #[inline]
+    fn advance(&self, out: &mut State, k: u64) {
+        let mut carry = k;
         for i in (0..self.mins.len()).rev() {
             let var = VarId::from_index(i);
-            let slot = out.get(var);
-            // Compare the offset before adding, so a domain ending at
-            // `i64::MAX` wraps instead of overflowing.
-            if slot.wrapping_sub(self.mins[i]) + 1 < self.sizes[i] {
-                out.set(var, slot + 1);
+            // Work on the offset, so a domain ending at `i64::MAX` wraps
+            // instead of overflowing. Offsets and carries stay below 2^33.
+            let v = out.get(var).wrapping_sub(self.mins[i]) as u64 + carry;
+            let size = self.sizes[i] as u64;
+            if v < size {
+                out.set(var, self.mins[i] + v as i64);
                 return;
             }
-            out.set(var, self.mins[i]);
+            let digit = if v == size {
+                carry = 1;
+                0
+            } else {
+                carry = v / size;
+                v % size
+            };
+            out.set(var, self.mins[i] + digit as i64);
         }
     }
 
@@ -394,7 +461,10 @@ impl SpaceIndex {
         self.radix.state_of(id.0 as u64)
     }
 
-    /// Decode the state with id `id` into `out`, reusing `out`'s buffer.
+    /// Decode the state with id `id` into `out`, reusing `out`'s buffer:
+    /// one division per variable. A loop that moves to higher ids decodes
+    /// its first one and [`advance_state`](SpaceIndex::advance_state)s
+    /// from there.
     ///
     /// # Panics
     ///
@@ -405,17 +475,27 @@ impl SpaceIndex {
         self.radix.decode_into(id.0 as u64, out);
     }
 
-    /// Step `state`, the decoding of some id `i`, to the decoding of
-    /// `i + 1` without a division: an odometer step that touches one slot
-    /// plus one per carry, where [`decode_state`](SpaceIndex::decode_state)
-    /// divides once per variable. Sweeps decode the first id of their
-    /// range and step from there. The last state wraps to the first.
+    /// Advance `state`, the decoding of some id `i`, to the decoding of
+    /// `i + k` by carries instead of a full decode: it touches one slot
+    /// plus one per carry, and divides only at a slot that a carry of more
+    /// than 1 reaches, where [`decode_state`](SpaceIndex::decode_state)
+    /// divides once per variable. Ids past the last wrap to the first.
     ///
-    /// `state` must be a state of this space (every slot in its domain).
+    /// `state` must be a state of this space (every slot in its domain),
+    /// and `k` at most [`len`](SpaceIndex::len).
+    #[inline]
+    pub fn advance_state(&self, state: &mut State, k: usize) {
+        debug_assert_eq!(state.len(), self.radix.var_count());
+        debug_assert!(k <= self.len);
+        self.radix.advance(state, k as u64);
+    }
+
+    /// [`advance_state`](SpaceIndex::advance_state) by one: the odometer
+    /// step that never divides. Sweeps decode the first id of their range
+    /// and step from there. The last state wraps to the first.
     #[inline]
     pub fn step_state(&self, state: &mut State) {
-        debug_assert_eq!(state.len(), self.radix.var_count());
-        self.radix.step(state);
+        self.advance_state(state, 1);
     }
 
     /// A zeroed scratch state of this space's arity.
@@ -428,6 +508,21 @@ impl SpaceIndex {
     #[inline]
     pub fn id_of(&self, state: &State) -> Option<StateId> {
         let idx = self.radix.index_of(state)?;
+        debug_assert!((idx as usize) < self.len);
+        Some(StateId(idx as u32))
+    }
+
+    /// The id of `succ`, a successor of `state` whose id is `id`, from
+    /// the slots that differ: the slots are compared four at a time, and
+    /// only a changed one pays a range check and a multiply-add. `None` exactly where
+    /// [`id_of`](SpaceIndex::id_of)`(succ)` is `None`. No declared write
+    /// set is trusted, so an effect that writes an undeclared variable
+    /// still gets the right id.
+    ///
+    /// `state` must be the decoding of `id`.
+    #[inline]
+    pub fn successor_id(&self, id: StateId, state: &State, succ: &State) -> Option<StateId> {
+        let idx = self.radix.successor_index(id.0 as u64, state, succ)?;
         debug_assert!((idx as usize) < self.len);
         Some(StateId(idx as u32))
     }
@@ -671,7 +766,7 @@ impl StateSpace {
                     }
                 }
                 out.push(c);
-                index.radix.step(&mut scratch);
+                index.step_state(&mut scratch);
             }
             out
         })?
@@ -997,6 +1092,17 @@ mod tests {
         index.step_state(&mut stepped);
         assert_eq!(stepped, index.state(StateId(0)));
         assert_eq!(stepped.slots(), &[-3, 7, 0, 0]);
+        // Advancing by any gap up to a full turn: a gap that overflows a
+        // digit by more than one divides there.
+        let n = index.len();
+        for i in 0..n {
+            for k in 0..=n {
+                index.decode_state(StateId::from_index(i), &mut stepped);
+                index.advance_state(&mut stepped, k);
+                let want = index.state(StateId::from_index((i + k) % n));
+                assert_eq!(stepped, want, "id {i} + {k}");
+            }
+        }
 
         // A domain ending at `i64::MAX` steps off its top value without
         // overflowing.
@@ -1012,11 +1118,63 @@ mod tests {
         assert_eq!(stepped.slots(), &[i64::MAX, i64::MAX]);
         index.step_state(&mut stepped);
         assert_eq!(stepped.slots(), &[i64::MAX - 1, i64::MAX - 2]);
+        // … and takes a multi-digit carry off it.
+        index.decode_state(StateId(2), &mut stepped);
+        index.advance_state(&mut stepped, 3);
+        assert_eq!(stepped.slots(), &[i64::MAX, i64::MAX]);
+    }
+
+    #[test]
+    fn successor_id_is_id_of_the_successor() {
+        // Negative minima, an effect that writes a variable it does not
+        // declare, a self-loop, and an effect that leaves the domain.
+        let mut b = Program::builder("moves");
+        let x = b.var("x", Domain::range(-2, 1));
+        let y = b.var("y", Domain::Bool);
+        let z = b.var("z", Domain::range(-5, -3));
+        b.closure_action(
+            "x-and-z",
+            [x],
+            [x],
+            |_| true,
+            move |s| {
+                s.set(x, -1 - s.get(x));
+                s.set(z, -8 - s.get(z));
+            },
+        );
+        b.closure_action("stay", [y], [y], |_| true, |_| {});
+        b.closure_action(
+            "z-down",
+            [z],
+            [z],
+            |_| true,
+            move |s| s.set(z, s.get(z) - 1),
+        );
+        let p = b.build();
+        let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
+        let mut succ = index.scratch_state();
+        let mut escapes = 0;
+        for id in index.ids() {
+            let state = index.state(id);
+            for a in p.action_ids() {
+                p.action(a).successor_into(&state, &mut succ);
+                let got = index.successor_id(id, &state, &succ);
+                assert_eq!(got, index.id_of(&succ), "{} at {id}", p.action(a).name());
+                escapes += usize::from(got.is_none());
+            }
+        }
+        assert_eq!(escapes, 4 * 2, "z-down escapes at z = -5");
+        let state = index.state(StateId(0));
+        assert_eq!(
+            index.successor_id(StateId(0), &state, &State::new(vec![0])),
+            None
+        );
     }
 
     #[test]
     fn decoder_rows_match_the_table_in_any_order() {
-        // Consecutive ids step; repeated, backward and skipping ids decode.
+        // Higher ids advance (by one or by a gap), a repeated id reuses
+        // its state, and backward ids decode.
         let mut b = Program::builder("two-counters");
         let x = b.var("x", Domain::range(0, 4));
         let y = b.var("y", Domain::range(-2, 2));

@@ -137,9 +137,10 @@ pub fn compute_fault_span_opts(
                 frontier.push(next);
             }
         }
-        // … plus fault transitions; `id_of` is the arithmetic mixed-radix
-        // lookup and the states are decoded into scratch buffers, so no
-        // hashing or allocation happens here either.
+        // … plus fault transitions, decoded into scratch buffers; a fault
+        // successor's id is the state's id moved by the slots the fault
+        // changed (`successor_id`), so no hashing or allocation happens
+        // here either.
         if faults.is_empty() {
             continue;
         }
@@ -149,7 +150,7 @@ pub fn compute_fault_span_opts(
                 continue;
             }
             fault.successor_into(&scratch, &mut succ);
-            if let Some(nid) = space.id_of(&succ) {
+            if let Some(nid) = space.index().successor_id(id, &scratch, &succ) {
                 if !members.contains(nid) {
                     members.set(nid.index());
                     count += 1;

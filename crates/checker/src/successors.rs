@@ -12,8 +12,12 @@
 //!   evaluates guards and effects on demand and owns its scratch states.
 //!
 //! The decode → guard → successor → id loop exists only in the
-//! [`Decoder`]'s [`Successors::row`]; the CSR build and segment builds
-//! copy its rows.
+//! [`Decoder`]'s [`Successors::row`]; the CSR build, segment builds and
+//! frontier rounds read their rows from it. A row costs one guard call
+//! per action plus, per enabled action, one effect and one id
+//! computed from the slots that action changed; moving to the row's
+//! state costs a carry from the previous id when the id is higher, and
+//! a full decode only on the first row or a move backwards.
 //!
 //! Whole-space sweeps (closure) go through [`RowSource`], which hands each
 //! segment task its own `Successors`, so one scan serves every source.
@@ -51,8 +55,15 @@ impl Successors for Segment {
 
 /// Rows decoded on demand from a program's guards and effects: no
 /// transition is stored, and memory is two scratch states plus one row.
-/// A row asked for right after the previous id steps the scratch state
-/// ([`SpaceIndex::step_state`]) instead of decoding it.
+///
+/// A row asked for at the previous id or any higher one advances the
+/// scratch state by carries ([`SpaceIndex::advance_state`]), which
+/// divides only where a carry of more than one lands; the first row and
+/// a move backwards decode in full ([`SpaceIndex::decode_state`], one
+/// division per variable). Each successor's id is the row's id moved by
+/// the slots its action changed ([`SpaceIndex::successor_id`]): only a
+/// changed slot pays a range check and a multiply-add. No declared write
+/// set is trusted.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     program: &'a Program,
@@ -83,28 +94,28 @@ impl<'a> Decoder<'a> {
 impl Successors for Decoder<'_> {
     fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
         match self.decoded {
-            Some(prev) if prev.index() + 1 == id.index() && id.index() < self.index.len() => {
-                self.index.step_state(&mut self.state);
+            Some(prev) if prev <= id && id.index() < self.index.len() => {
+                self.index
+                    .advance_state(&mut self.state, id.index() - prev.index());
             }
             _ => self.index.decode_state(id, &mut self.state),
         }
         self.decoded = Some(id);
         self.actions.clear();
         self.succs.clear();
-        for a in self.program.action_ids() {
-            let act = self.program.action(a);
+        for (a, act) in self.program.actions().iter().enumerate() {
             if !act.enabled(&self.state) {
                 continue;
             }
             act.successor_into(&self.state, &mut self.succ);
-            let Some(t) = self.index.id_of(&self.succ) else {
+            let Some(t) = self.index.successor_id(id, &self.state, &self.succ) else {
                 let var = VarId::from_index(self.index.escaping_var(&self.succ));
                 return Err(SpaceError::EscapedDomain {
                     action: act.name().to_string(),
                     var: self.program.var(var).name().to_string(),
                 });
             };
-            self.actions.push(a);
+            self.actions.push(ActionId::from_index(a));
             self.succs.push(t);
         }
         Ok(Transitions::new(&self.actions, &self.succs))

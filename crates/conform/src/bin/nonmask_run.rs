@@ -1345,7 +1345,7 @@ mod byzantine {
         match protocol {
             "bfs" => {
                 let proto = MinPlusOne::with_byzantine(topo, 0, byz);
-                let map = ContainmentMap::bfs(&proto);
+                let map = ContainmentMap::bfs(&proto).map_err(|e| e.to_string())?;
                 let goal = proto.safe_goal();
                 let program = proto.program().clone();
                 Ok(Instance {
@@ -1359,7 +1359,7 @@ mod byzantine {
             }
             "spanning-tree" => {
                 let proto = SpanningTree::with_byzantine(topo, 0, byz);
-                let map = ContainmentMap::spanning_tree(&proto);
+                let map = ContainmentMap::spanning_tree(&proto).map_err(|e| e.to_string())?;
                 let goal = proto.safe_goal();
                 let program = proto.program().clone();
                 Ok(Instance {

@@ -50,18 +50,44 @@ pub struct ContainmentMap {
     nodes: Vec<NodeExpect>,
 }
 
+/// Why a protocol instance has no containment expectations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ContainmentError {
+    /// The instance has no Byzantine nodes: every distance to a liar
+    /// would be infinite and the radius meaningless.
+    NoByzantine {
+        /// The instance's protocol name.
+        protocol: String,
+    },
+}
+
+impl std::fmt::Display for ContainmentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ContainmentError::NoByzantine { protocol } => {
+                write!(
+                    f,
+                    "containment of {protocol} needs at least one Byzantine node"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ContainmentError {}
+
 impl ContainmentMap {
     /// Expectations for a Byzantine min+1 BFS instance.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the instance has no Byzantine nodes (every distance
-    /// would be infinite and the radius meaningless).
-    pub fn bfs(proto: &MinPlusOne) -> Self {
-        assert!(
-            !proto.byzantine().is_empty(),
-            "containment needs at least one Byzantine node"
-        );
+    /// [`ContainmentError::NoByzantine`] when the instance has no
+    /// Byzantine nodes.
+    pub fn bfs(proto: &MinPlusOne) -> Result<Self, ContainmentError> {
+        let protocol = format!("bfs-{}", proto.topology().len());
+        if proto.byzantine().is_empty() {
+            return Err(ContainmentError::NoByzantine { protocol });
+        }
         let legit = proto.legit_distances();
         let to_byz = proto.distance_to_byzantine();
         let safe = proto.safe_set();
@@ -76,25 +102,26 @@ impl ContainmentMap {
                     .unwrap_or_default(),
             })
             .collect();
-        ContainmentMap {
-            protocol: format!("bfs-{}", proto.topology().len()),
+        Ok(ContainmentMap {
+            protocol,
             predicted_radius: proto.predicted_radius(),
             byzantine: proto.byzantine().to_vec(),
             nodes,
-        }
+        })
     }
 
     /// Expectations for a Byzantine spanning-tree instance: a node
     /// must pin both its distance and its parent pointer.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the instance has no Byzantine nodes.
-    pub fn spanning_tree(proto: &SpanningTree) -> Self {
-        assert!(
-            !proto.byzantine().is_empty(),
-            "containment needs at least one Byzantine node"
-        );
+    /// [`ContainmentError::NoByzantine`] when the instance has no
+    /// Byzantine nodes.
+    pub fn spanning_tree(proto: &SpanningTree) -> Result<Self, ContainmentError> {
+        let protocol = format!("spanning-tree-{}", proto.topology().len());
+        if proto.byzantine().is_empty() {
+            return Err(ContainmentError::NoByzantine { protocol });
+        }
         let legit = proto.legit_distances();
         let to_byz = proto.distance_to_byzantine();
         let safe = proto.safe_set();
@@ -116,12 +143,12 @@ impl ContainmentMap {
                 }
             })
             .collect();
-        ContainmentMap {
-            protocol: format!("spanning-tree-{}", proto.topology().len()),
+        Ok(ContainmentMap {
+            protocol,
             predicted_radius: proto.predicted_radius(),
             byzantine: proto.byzantine().to_vec(),
             nodes,
-        }
+        })
     }
 
     /// The sorted Byzantine node set of the judged instance.
@@ -180,8 +207,32 @@ mod tests {
     /// line(6), root 0, liar 5: safe set [T,T,T,F,F], radius 2.
     fn line_map() -> (MinPlusOne, ContainmentMap) {
         let proto = MinPlusOne::with_byzantine(&Topology::line(6), 0, &[5]);
-        let map = ContainmentMap::bfs(&proto);
+        let map = ContainmentMap::bfs(&proto).unwrap();
         (proto, map)
+    }
+
+    #[test]
+    fn bfs_without_liars_is_an_error() {
+        let proto = MinPlusOne::with_byzantine(&Topology::line(4), 0, &[]);
+        let err = ContainmentMap::bfs(&proto).unwrap_err();
+        assert_eq!(
+            err,
+            ContainmentError::NoByzantine {
+                protocol: "bfs-4".to_string()
+            }
+        );
+        assert!(err.to_string().contains("at least one Byzantine node"));
+    }
+
+    #[test]
+    fn spanning_tree_without_liars_is_an_error() {
+        let proto = SpanningTree::with_byzantine(&Topology::line(4), 0, &[]);
+        assert_eq!(
+            ContainmentMap::spanning_tree(&proto).unwrap_err(),
+            ContainmentError::NoByzantine {
+                protocol: "spanning-tree-4".to_string()
+            }
+        );
     }
 
     #[test]

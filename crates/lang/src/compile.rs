@@ -28,7 +28,7 @@ fn eval(e: &CExpr, s: &State) -> i64 {
         CExpr::Const(v) => *v,
         CExpr::Var(id) => s.get(*id),
         CExpr::Not(inner) => (!truthy(eval(inner, s))) as i64,
-        CExpr::Neg(inner) => -eval(inner, s),
+        CExpr::Neg(inner) => eval(inner, s).wrapping_neg(),
         CExpr::Bin(op, l, r) => {
             let (a, b) = (eval(l, s), eval(r, s));
             match op {
@@ -38,19 +38,20 @@ fn eval(e: &CExpr, s: &State) -> i64 {
                 // Division and modulo are Euclidean (non-negative
                 // remainder for positive divisors — what `mod K` counters
                 // want); division by zero yields 0 rather than trapping,
+                // and `i64::MIN / -1` wraps like the other operators,
                 // since guards must be total functions of the state.
                 BinOp::Div => {
                     if b == 0 {
                         0
                     } else {
-                        a.div_euclid(b)
+                        a.wrapping_div_euclid(b)
                     }
                 }
                 BinOp::Mod => {
                     if b == 0 {
                         0
                     } else {
-                        a.rem_euclid(b)
+                        a.wrapping_rem_euclid(b)
                     }
                 }
                 BinOp::Eq => (a == b) as i64,
@@ -403,6 +404,22 @@ mod tests {
         assert_eq!(s.slots()[1], 2, "-4 mod 3 = 2 (Euclidean)");
         p.action(ids[1]).apply(&mut s);
         assert_eq!(s.slots()[1], 0, "division by zero yields 0");
+    }
+
+    #[test]
+    fn overflowing_negation_and_division_wrap() {
+        // `i64::MIN` negated, divided by -1 and taken mod -1: each wraps
+        // like `+`, `-` and `*` instead of trapping.
+        let p = compile(
+            "program w var x : 0..1 \
+             action neg : -(-9223372036854775807 - 1) < 0 -> x := 1 \
+             action div : (-9223372036854775807 - 1) / -1 < 0 -> x := 1 \
+             action rem : (-9223372036854775807 - 1) % -1 == 0 -> x := 1",
+        );
+        let s = p.min_state();
+        for a in p.action_ids() {
+            assert!(p.action(a).enabled(&s), "{}", p.action(a).name());
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@ use crate::ast::{ActionDef, BinOp, DomainDef, Expr, ProgramDef, RoleDef, VarDef}
 use crate::lexer::{lex, Spanned, Tok};
 use crate::LangError;
 
+/// How deep parentheses and prefix operators may nest: each level is a
+/// few stack frames of recursive descent, so the limit keeps a hostile
+/// input an error instead of a stack overflow.
+const MAX_NESTING: u32 = 128;
+
 /// Parse a program text into its AST.
 ///
 /// # Errors
@@ -18,6 +23,7 @@ pub fn parse(source: &str) -> Result<ProgramDef, LangError> {
         tokens,
         pos: 0,
         last_line,
+        nesting: 0,
     };
     let def = p.program()?;
     if let Some(t) = p.peek() {
@@ -43,6 +49,8 @@ struct Parser {
     pos: usize,
     /// Line of the last token (used for end-of-input errors).
     last_line: u32,
+    /// Open parentheses and prefix operators around the current token.
+    nesting: u32,
 }
 
 impl Parser {
@@ -355,12 +363,30 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr, LangError> {
         if self.eat_punct("!") {
-            return Ok(Expr::Not(Box::new(self.unary_expr()?)));
+            return Ok(Expr::Not(Box::new(self.nested(Self::unary_expr)?)));
         }
         if self.eat_punct("-") {
-            return Ok(Expr::Neg(Box::new(self.unary_expr()?)));
+            return Ok(Expr::Neg(Box::new(self.nested(Self::unary_expr)?)));
         }
         self.primary()
+    }
+
+    /// Parse one nesting level deeper with `inner`, or fail past
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Expr, LangError>,
+    ) -> Result<Expr, LangError> {
+        if self.nesting == MAX_NESTING {
+            return Err(LangError::new(
+                self.line(),
+                format!("expression nested more than {MAX_NESTING} levels deep"),
+            ));
+        }
+        self.nesting += 1;
+        let e = inner(self);
+        self.nesting -= 1;
+        e
     }
 
     fn primary(&mut self) -> Result<Expr, LangError> {
@@ -384,7 +410,7 @@ impl Parser {
                 tok: Tok::Punct("("),
                 ..
             }) => {
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
@@ -496,6 +522,27 @@ mod tests {
     fn rejects_unknown_kind() {
         let err = parse("program p var x : bool action a [magic] : x -> x := false").unwrap_err();
         assert!(err.message.contains("magic"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let depth = MAX_NESTING as usize;
+        let ok = format!(
+            "program p var x : bool action a : {}x{} -> x := x",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        assert!(parse(&ok).is_ok());
+        for deep in [
+            format!("program p var x : bool action a : {}x", "(".repeat(100_000)),
+            format!(
+                "program p var x : bool action a : {}x -> x := x",
+                "!-".repeat(50_000)
+            ),
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.message.contains("nested more than"), "{}", err.message);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property tests: printing and reparsing is the identity on random ASTs.
+//! Property tests: printing and reparsing is the identity on random ASTs,
+//! and the front end returns an error, never a panic, on any text.
 
 use nonmask_lang::{parse, pretty, ActionDef, BinOp, DomainDef, Expr, ProgramDef, VarDef};
 use nonmask_program::ActionKind;
@@ -191,5 +192,103 @@ proptest! {
         for a in program.action_ids() {
             let _ = program.action(a).enabled(&s);
         }
+    }
+}
+
+/// Tokens of the language (and a few near misses, such as integers past
+/// `i64`), for token-soup inputs that get past the lexer into the parser
+/// and compiler. Line breaks are added separately.
+const TOKENS: &str = "program var action role bool true false closure convergence combined \
+    x y.1 c.0 green red : ; , .. -> := [ ] { } ( ) + - * / % == != < <= > >= && || ! \
+    0 1 -7 9223372036854775807 9223372036854775808 99999999999999999999";
+
+fn tokens() -> Vec<&'static str> {
+    TOKENS.split_whitespace().chain(["\n"]).collect()
+}
+
+/// One edit of a program text: `(kind, position, length, token)`.
+type Mutation = (u8, usize, usize, usize);
+
+/// Apply `mutations` to `text` character-wise: delete a span, insert a
+/// token, replace a span by a token, duplicate a span, or truncate.
+fn mutate(text: &str, mutations: &[Mutation]) -> String {
+    let tokens = tokens();
+    let mut chars: Vec<char> = text.chars().collect();
+    for &(kind, at, len, token) in mutations {
+        let at = at % (chars.len() + 1);
+        let end = (at + len).min(chars.len());
+        let token: Vec<char> = tokens[token % tokens.len()].chars().collect();
+        match kind % 5 {
+            0 => {
+                chars.drain(at..end);
+            }
+            1 => {
+                chars.splice(at..at, token);
+            }
+            2 => {
+                chars.splice(at..end, token);
+            }
+            3 => {
+                let span: Vec<char> = chars[at..end].to_vec();
+                chars.splice(at..at, span);
+            }
+            _ => chars.truncate(at),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// The front end on any text: `parse` and `compile` return, never panic,
+/// and a compiled program's guards and effects are total on its minimum
+/// state.
+fn front_end_returns(source: &str) {
+    let parsed = parse(source);
+    if let Ok(program) = nonmask_lang::compile(source) {
+        assert!(
+            parsed.is_ok(),
+            "compile accepted what parse rejected:\n{source}"
+        );
+        let state = program.min_state();
+        for a in program.action_ids() {
+            let action = program.action(a);
+            let _ = action.enabled(&state);
+            let _ = action.successor(&state);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, read as text with invalid UTF-8 replaced.
+    #[test]
+    fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        front_end_returns(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Random sequences of the language's own tokens.
+    #[test]
+    fn token_soup_never_panics(
+        picks in proptest::collection::vec(proptest::sample::select(tokens()), 0..64),
+        header in any::<bool>(),
+    ) {
+        let mut source = String::from(if header { "program p\n" } else { "" });
+        for t in picks {
+            source.push_str(t);
+            source.push(' ');
+        }
+        front_end_returns(&source);
+    }
+
+    /// Printouts of valid programs with a few random edits.
+    #[test]
+    fn mutated_printouts_never_panic(
+        def in program_strategy(),
+        mutations in proptest::collection::vec(
+            (any::<u8>(), any::<usize>(), 0usize..12, any::<usize>()),
+            1..6,
+        ),
+    ) {
+        front_end_returns(&mutate(&pretty(&def), &mutations));
     }
 }

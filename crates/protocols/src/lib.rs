@@ -38,4 +38,4 @@ pub mod xyz;
 
 pub use bfs::MinPlusOne;
 pub use spanning_tree::SpanningTree;
-pub use topology::Tree;
+pub use topology::{Tree, TreeError};

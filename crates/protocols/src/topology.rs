@@ -11,19 +11,72 @@ pub struct Tree {
     parent: Vec<usize>,
 }
 
+/// Why a parent vector is not a rooted tree ([`Tree::from_parents`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TreeError {
+    /// The vector is empty: a tree has at least its root.
+    Empty,
+    /// Node `0` is not its own parent, so it is not the root.
+    RootHasParent {
+        /// The parent the vector gives node `0`.
+        parent: usize,
+    },
+    /// Some node's parent is not a node of the tree.
+    ParentOutOfRange {
+        /// The node.
+        node: usize,
+        /// Its out-of-range parent.
+        parent: usize,
+    },
+    /// Some node never reaches the root: the parents form a cycle.
+    Cycle {
+        /// The lowest node whose parent chain misses the root.
+        node: usize,
+    },
+}
+
+impl std::fmt::Display for TreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TreeError::Empty => f.write_str("a tree has at least its root"),
+            TreeError::RootHasParent { parent } => {
+                write!(
+                    f,
+                    "node 0 must be the root (its own parent), not a child of {parent}"
+                )
+            }
+            TreeError::ParentOutOfRange { node, parent } => {
+                write!(f, "parent {parent} of node {node} is out of range")
+            }
+            TreeError::Cycle { node } => {
+                write!(f, "parent vector contains a cycle (at {node})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TreeError {}
+
 impl Tree {
     /// Build a tree from a parent vector.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the vector is empty, `parent[0] != 0`, some parent index
-    /// is out of range, or the structure has a cycle (i.e. is not a tree).
-    pub fn from_parents(parent: Vec<usize>) -> Self {
-        assert!(!parent.is_empty(), "a tree has at least its root");
-        assert_eq!(parent[0], 0, "node 0 must be the root (its own parent)");
+    /// A [`TreeError`] if the vector is empty, `parent[0] != 0`, some
+    /// parent index is out of range, or the structure has a cycle (i.e.
+    /// is not a tree).
+    pub fn from_parents(parent: Vec<usize>) -> Result<Self, TreeError> {
+        let Some(&root_parent) = parent.first() else {
+            return Err(TreeError::Empty);
+        };
+        if root_parent != 0 {
+            return Err(TreeError::RootHasParent {
+                parent: root_parent,
+            });
+        }
         let n = parent.len();
-        for (j, &p) in parent.iter().enumerate() {
-            assert!(p < n, "parent of {j} out of range");
+        if let Some((node, &p)) = parent.iter().enumerate().find(|&(_, &p)| p >= n) {
+            return Err(TreeError::ParentOutOfRange { node, parent: p });
         }
         // Every node must reach the root in < n hops.
         for start in 0..n {
@@ -34,9 +87,11 @@ impl Tree {
                 }
                 j = parent[j];
             }
-            assert_eq!(j, 0, "parent vector contains a cycle (at {start})");
+            if j != 0 {
+                return Err(TreeError::Cycle { node: start });
+            }
         }
-        Tree { parent }
+        Ok(Tree { parent })
     }
 
     /// A chain `0 - 1 - … - (n-1)` rooted at `0`.
@@ -179,7 +234,8 @@ mod tests {
             let t = Tree::random(n, &mut rng);
             assert_eq!(t.len(), n);
             // from_parents validates; rebuild to exercise the validator.
-            let _ = Tree::from_parents((0..n).map(|j| t.parent(j)).collect());
+            let rebuilt = Tree::from_parents((0..n).map(|j| t.parent(j)).collect());
+            assert_eq!(rebuilt, Ok(t));
         }
     }
 
@@ -193,14 +249,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cycle")]
-    fn cyclic_parents_rejected() {
-        let _ = Tree::from_parents(vec![0, 2, 1]);
+    fn empty_parents_rejected() {
+        assert_eq!(Tree::from_parents(vec![]), Err(TreeError::Empty));
     }
 
     #[test]
-    #[should_panic(expected = "root")]
     fn non_root_zero_rejected() {
-        let _ = Tree::from_parents(vec![1, 0]);
+        assert_eq!(
+            Tree::from_parents(vec![1, 0]),
+            Err(TreeError::RootHasParent { parent: 1 })
+        );
+    }
+
+    #[test]
+    fn out_of_range_parent_rejected() {
+        assert_eq!(
+            Tree::from_parents(vec![0, 0, 3]),
+            Err(TreeError::ParentOutOfRange { node: 2, parent: 3 })
+        );
+    }
+
+    #[test]
+    fn cyclic_parents_rejected() {
+        let err = Tree::from_parents(vec![0, 2, 1]).unwrap_err();
+        assert_eq!(err, TreeError::Cycle { node: 1 });
+        assert!(err.to_string().contains("cycle"));
     }
 }

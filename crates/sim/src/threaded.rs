@@ -50,9 +50,11 @@ const SNAPSHOT_PERIOD: u64 = 256;
 /// Threads run until either `stop_when` holds on a *consistent* snapshot
 /// (all variable locks held in index order — a true linearization point)
 /// or the shared budget of `attempts` scheduling attempts is exhausted;
-/// without a predicate the whole budget runs down. The shared budget means
-/// no thread retires while others still work, so late cross-thread updates
-/// are never silently dropped.
+/// without a predicate the whole budget runs down. A run that stops ends
+/// exactly at that snapshot: an action still in flight, whose guard read
+/// may predate it, publishes no write after it and is not counted. The
+/// shared budget means no thread retires while others still work, so
+/// before a stop late cross-thread updates are never silently dropped.
 pub fn run_threaded(
     program: &Program,
     refinement: &Refinement,
@@ -100,8 +102,10 @@ pub fn run_threaded(
                         if attempt.is_multiple_of(SNAPSHOT_PERIOD) {
                             let guards: Vec<_> = locks.iter().map(|m| m.lock().unwrap()).collect();
                             let full: State = guards.iter().map(|g| **g).collect();
-                            drop(guards);
                             if pred.holds(&full) {
+                                // Set while every lock is held: a writer
+                                // that takes a lock after this reads the
+                                // flag under it (the mutex orders the two).
                                 stop.store(true, Ordering::Relaxed);
                                 break;
                             }
@@ -121,7 +125,13 @@ pub fn run_threaded(
                     }
                     action.apply(&mut snapshot);
                     for &w in action.writes() {
-                        *locks[w.index()].lock().unwrap() = snapshot.get(w);
+                        let mut slot = locks[w.index()].lock().unwrap();
+                        // A write after the stop snapshot would move the
+                        // final state off it; the run has ended.
+                        if stop.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        *slot = snapshot.get(w);
                     }
                     steps.fetch_add(1, Ordering::Relaxed);
                 }
@@ -161,13 +171,34 @@ mod tests {
             report.stopped_on_predicate,
             "threads observed stabilization before the budget ran out"
         );
-        // S is closed, so the post-join state is still legitimate.
+        // The run ends at the snapshot that satisfied S.
         assert_eq!(
             ring.privileges(&report.final_state).len(),
             1,
             "final state: {:?}",
             report.final_state
         );
+    }
+
+    #[test]
+    fn a_stopped_run_ends_inside_the_stop_predicate() {
+        // Low-atomicity reads let an action whose guard read predates the
+        // stop snapshot fire after it and leave S. Unless in-flight writes
+        // are dropped at the stop, about 1 run in 70 ends outside S, so
+        // the run is repeated until that race would show.
+        let ring = TokenRing::new(5, 5);
+        let refinement = Refinement::new(ring.program()).unwrap();
+        let corrupt = ring.program().state_from([3, 1, 4, 1, 2]).unwrap();
+        let s = ring.invariant();
+        for run in 0..400 {
+            let report = run_threaded(ring.program(), &refinement, &corrupt, 50_000_000, Some(&s));
+            assert!(report.stopped_on_predicate, "run {run}");
+            assert!(
+                s.holds(&report.final_state),
+                "run {run}: {:?}",
+                report.final_state
+            );
+        }
     }
 
     #[test]

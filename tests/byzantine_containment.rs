@@ -29,7 +29,7 @@ const LIE_SEED: u64 = 0xB12A;
 fn acceptance_instance() -> (MinPlusOne, ContainmentMap) {
     let topo = Topology::random_connected(64, 3, 1);
     let proto = MinPlusOne::with_byzantine(&topo, 0, &[32, 63]);
-    let map = ContainmentMap::bfs(&proto);
+    let map = ContainmentMap::bfs(&proto).unwrap();
     (proto, map)
 }
 
@@ -112,7 +112,7 @@ fn the_checker_certifies_what_the_layers_observe_on_a_small_instance() {
     // instance (liars mid-graph and at the highest id).
     let topo = Topology::random_connected(6, 2, 1);
     let proto = MinPlusOne::with_byzantine(&topo, 0, &[3, 5]);
-    let map = ContainmentMap::bfs(&proto);
+    let map = ContainmentMap::bfs(&proto).unwrap();
 
     let space = StateSpace::enumerate(proto.program()).expect("enumerable");
     let verdict = certify_containment(
@@ -205,7 +205,7 @@ fn a_lang_role_annotation_drives_the_byzantine_injector() {
 fn the_timeline_renders_the_containment_story() {
     let topo = Topology::random_connected(6, 2, 1);
     let proto = MinPlusOne::with_byzantine(&topo, 0, &[3, 5]);
-    let map = ContainmentMap::bfs(&proto);
+    let map = ContainmentMap::bfs(&proto).unwrap();
     let records = sim_records(&proto, &map, SEED);
     let rendered = render_timeline(&records);
     assert!(

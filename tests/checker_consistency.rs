@@ -213,7 +213,7 @@ fn st_and_mt_verdicts_identical_on_all_protocols() {
     use nonmask_protocols::token_ring::windowed_design;
     use nonmask_protocols::{xyz, Tree};
 
-    let tree = Tree::from_parents(vec![0, 0, 1]);
+    let tree = Tree::from_parents(vec![0, 0, 1]).unwrap();
     let designs: Vec<(&str, Design)> = vec![
         ("xyz out-tree", xyz::out_tree().unwrap().0),
         ("xyz ordered", xyz::ordered().unwrap().0),

@@ -4,13 +4,13 @@ use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
     breaking_actions, check_convergence, check_convergence_bits, check_convergence_frontier_stats,
     check_convergence_stats, is_closed, is_closed_bits, preserves_given_bits, worst_case_moves,
-    Bitset, CheckOptions, ConvergenceResult, Decoder, Fairness, SegmentedSpace, SpaceIndex,
-    StateId, StateSpace, Successors, Violation,
+    Bitset, CheckOptions, ConvergenceResult, Decoder, Fairness, SegmentedSpace, SpaceError,
+    SpaceIndex, StateId, StateSpace, Successors, Violation,
 };
 use nonmask_graph::{NodePartition, Shape};
 use nonmask_obs::{Event, Journal, MemoryBuffer};
 use nonmask_program::scheduler::Random;
-use nonmask_program::{Domain, Executor, Predicate, Program, RunConfig, State};
+use nonmask_program::{ActionId, Domain, Executor, Predicate, Program, RunConfig, State, VarId};
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
 use nonmask_protocols::Tree;
@@ -32,7 +32,7 @@ fn tree_strategy() -> impl Strategy<Value = Tree> {
                 .collect();
             parents
         })
-        .prop_map(Tree::from_parents)
+        .prop_map(|parents| Tree::from_parents(parents).unwrap())
 }
 
 proptest! {
@@ -311,7 +311,7 @@ proptest! {
             threads,
         )?;
 
-        let dc = DiffusingComputation::new(&Tree::from_parents(vec![0, 0, 1, 1]));
+        let dc = DiffusingComputation::new(&Tree::from_parents(vec![0, 0, 1, 1]).unwrap());
         let design = dc.design().unwrap();
         assert_parallel_matches_serial(
             design.program(),
@@ -462,7 +462,7 @@ proptest! {
         seg_pick in 0usize..3,
     ) {
         let ring = TokenRing::new(5, 5);
-        let dc = DiffusingComputation::new(&Tree::from_parents(vec![0, 0, 1, 1, 2]));
+        let dc = DiffusingComputation::new(&Tree::from_parents(vec![0, 0, 1, 1, 2]).unwrap());
         let cases = [
             (ring.program().clone(), ring.invariant()),
             (dc.program().clone(), dc.invariant()),
@@ -528,6 +528,164 @@ proptest! {
             index.step_state(&mut stepped);
             let want = index.state(StateId::from_index(i % index.len()));
             prop_assert_eq!(&stepped, &want, "step to id {} of {}", i, index.len());
+        }
+    }
+}
+
+/// One random action of [`program_with_moves`]: `(guard var, write var,
+/// other var, shape, delta)`. Shapes: 0 wraps the written variable by
+/// `delta`; 1 is a self-loop; 2 also wraps `other` without declaring it;
+/// 3 writes past the written variable's domain (above or below by
+/// `delta`); 4 wraps both and declares both.
+type Move = (usize, usize, usize, u8, i64);
+
+/// Build a program over `domains` with one action per [`Move`]. Each
+/// guard holds where its variable is off one value, so an escaping
+/// action fails at some rows and not others.
+fn program_with_moves(domains: Vec<Domain>, moves: Vec<Move>) -> Program {
+    let mut b = Program::builder("random-moves");
+    let vars: Vec<_> = domains
+        .iter()
+        .enumerate()
+        .map(|(i, d)| b.var(format!("v{i}"), d.clone()))
+        .collect();
+    let bounds: Vec<(i64, i64)> = domains
+        .iter()
+        .map(|d| (d.min_value(), d.size().unwrap() as i64))
+        .collect();
+    for (k, (g, w, o, shape, delta)) in moves.into_iter().enumerate() {
+        let (g, w, o) = (g % vars.len(), w % vars.len(), o % vars.len());
+        let (gv, wv, ov) = (vars[g], vars[w], vars[o]);
+        let off = bounds[g].0 + k as i64 % bounds[g].1;
+        let guard = move |s: &State| s.get(gv) != off;
+        let wrap = move |s: &mut State, v: VarId, (min, size): (i64, i64)| {
+            let x = s.get(v);
+            s.set(v, min + (x - min + delta).rem_euclid(size));
+        };
+        let (wb, ob) = (bounds[w], bounds[o]);
+        let name = format!("a{k}");
+        match shape {
+            0 => b.closure_action(name, [gv, wv], [wv], guard, move |s| wrap(s, wv, wb)),
+            1 => b.closure_action(name, [gv], [wv], guard, |_| {}),
+            2 => b.closure_action(name, [gv, wv], [wv], guard, move |s| {
+                wrap(s, wv, wb);
+                wrap(s, ov, ob);
+            }),
+            3 => b.closure_action(name, [gv], [wv], guard, move |s| {
+                let out = if delta % 2 == 0 {
+                    wb.0 + wb.1 - 1 + delta
+                } else {
+                    wb.0 - delta
+                };
+                s.set(wv, out);
+            }),
+            _ => b.closure_action(name, [gv, wv, ov], [wv, ov], guard, move |s| {
+                wrap(s, wv, wb);
+                wrap(s, ov, ob);
+            }),
+        };
+    }
+    b.build()
+}
+
+/// A row as a comparable value: the `(action, successor)` pairs, or the
+/// escaping action and variable names.
+type RowOutcome = Result<Vec<(ActionId, StateId)>, (String, String)>;
+
+/// The reference row of `id`: each enabled action's successor built
+/// afresh and looked up with `id_of`; an escape names the first
+/// variable outside its domain.
+fn reference_row(p: &Program, index: &SpaceIndex, id: StateId) -> RowOutcome {
+    let state = index.state(id);
+    let mut row = Vec::new();
+    for a in p.action_ids() {
+        let act = p.action(a);
+        if !act.enabled(&state) {
+            continue;
+        }
+        let succ = act.successor(&state);
+        let Some(t) = index.id_of(&succ) else {
+            let escaped = (0..p.var_count())
+                .map(VarId::from_index)
+                .find(|&v| {
+                    let d = p.var(v).domain();
+                    let off = succ.get(v) - d.min_value();
+                    off < 0 || off >= d.size().unwrap() as i64
+                })
+                .unwrap();
+            return Err((act.name().to_string(), p.var(escaped).name().to_string()));
+        };
+        row.push((a, t));
+    }
+    Ok(row)
+}
+
+fn decoded_row(rows: &mut Decoder<'_>, id: StateId) -> RowOutcome {
+    match rows.row(id) {
+        Ok(row) => Ok(row.iter().collect()),
+        Err(SpaceError::EscapedDomain { action, var }) => Err((action, var)),
+        Err(e) => panic!("unexpected row error {e}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `Decoder` rows (ids from the changed slots, states advanced by
+    /// carries) equal rows built with `Action::successor` and `id_of`,
+    /// escapes included, whether the rows are asked for consecutively,
+    /// ascending with random gaps, or descending; and advancing the
+    /// decoding of `i` by `k` is the decoding of `i + k`.
+    #[test]
+    fn decoder_rows_match_successor_and_id_of(
+        domains in proptest::collection::vec(step_domain_strategy(), 1..=5),
+        moves in proptest::collection::vec(
+            (0usize..5, 0usize..5, 0usize..5, 0u8..5, 1i64..=3),
+            0..=5,
+        ),
+        gaps in proptest::collection::vec(1usize..=9, 1..=16),
+        jumps in proptest::collection::vec((any::<u64>(), any::<u64>()), 8),
+    ) {
+        let p = program_with_moves(domains, moves);
+        let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
+        let n = index.len();
+        let want: Vec<RowOutcome> =
+            index.ids().map(|id| reference_row(&p, &index, id)).collect();
+
+        let ascending: Vec<usize> = gaps
+            .iter()
+            .cycle()
+            .scan(0usize, |i, &gap| {
+                let at = *i;
+                *i += gap;
+                Some(at)
+            })
+            .take_while(|&i| i < n)
+            .collect();
+        for (name, order) in [
+            ("consecutive", (0..n).collect::<Vec<_>>()),
+            ("gapped", ascending),
+            ("descending", (0..n).rev().collect()),
+        ] {
+            let mut rows = Decoder::new(&p, &index);
+            for i in order {
+                let id = StateId::from_index(i);
+                prop_assert_eq!(decoded_row(&mut rows, id), want[i].clone(), "{} row {}", name, i);
+            }
+        }
+
+        let pairs = jumps
+            .iter()
+            .map(|&(a, b)| {
+                let i = (a % n as u64) as usize;
+                (i, (b % (n - i) as u64) as usize)
+            })
+            .chain([(0, n - 1), (n - 1, 0)]);
+        let mut advanced = index.scratch_state();
+        for (i, k) in pairs {
+            index.decode_state(StateId::from_index(i), &mut advanced);
+            index.advance_state(&mut advanced, k);
+            prop_assert_eq!(&advanced, &index.state(StateId::from_index(i + k)), "{} + {}", i, k);
         }
     }
 }

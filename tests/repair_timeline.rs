@@ -113,7 +113,7 @@ fn containment_timeline_pins_the_measured_radius() {
     // line(6), root 0, liar at 5: safe set [T,T,T,F,F] ⇒ predicted
     // radius 2, with nodes 3 and 4 unstable.
     let proto = MinPlusOne::with_byzantine(&Topology::line(6), 0, &[5]);
-    let map = ContainmentMap::bfs(&proto);
+    let map = ContainmentMap::bfs(&proto).unwrap();
 
     let (journal, buffer) = Journal::memory();
     let cfg = SimRunConfig {
