@@ -5,11 +5,13 @@
 //! yields a state where `R` holds. A state predicate `R` of `p` is closed
 //! iff each action of `p` preserves `R`." (Section 2.)
 //!
-//! Every check is one scan over the rows of a [`RowSource`] (a `(action,
-//! successor)` pair exists exactly when the action is enabled) and over
-//! [`Bitset`] predicate caches (each predicate is evaluated once per state,
-//! in parallel). Every source, thread count and segment size reports the
-//! same violation: the lowest violating action, then its lowest state.
+//! Every check is one scan over the rows of a [`RowSource`], the resident
+//! CSR or a [`Decoder`](crate::Decoder) (a `(action, successor)` pair
+//! exists exactly when the action is enabled), and over [`Bitset`]
+//! predicate caches (each predicate is evaluated once per state, in
+//! parallel). Both sources, every thread count and every segment size
+//! report the same violation: the lowest violating action, then its
+//! lowest state.
 
 use std::ops::Range;
 
@@ -116,18 +118,15 @@ pub fn is_closed(
     is_closed_bits(space, &Bitset::for_predicate(space, pred, opts)?, opts)
 }
 
-/// [`is_closed`] over a precomputed predicate cache, on any row source: a
-/// resident [`StateSpace`], a [`SegmentedSpace`](crate::SegmentedSpace)
-/// (one built segment per worker, for tables over the memory budget) or a
-/// [`Decoder`](crate::Decoder) (no table at all). A `SegmentedSpace` scans
-/// with its own worker count, whatever `opts` asks, so its memory budget
-/// holds.
+/// [`is_closed`] over a precomputed predicate cache, on either row source:
+/// a resident [`StateSpace`] or a [`Decoder`](crate::Decoder) (no table at
+/// all, for spaces whose table would not fit the memory budget).
 ///
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
-/// [`CheckError::Space`] if a segment build exceeds the budget or an
-/// action escapes its domain.
+/// [`CheckError::Space`] if an action escapes its domain (only a
+/// [`Decoder`](crate::Decoder) evaluates actions).
 pub fn is_closed_bits<R: RowSource>(
     space: &R,
     pred_bits: &Bitset,
@@ -149,8 +148,8 @@ pub fn is_closed_bits<R: RowSource>(
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
-/// [`CheckError::Space`] if a segment build exceeds the budget or an
-/// action escapes its domain.
+/// [`CheckError::Space`] if an action escapes its domain (only a
+/// [`Decoder`](crate::Decoder) evaluates actions).
 pub fn breaking_actions<R: RowSource>(
     source: &R,
     action_count: usize,
@@ -158,10 +157,11 @@ pub fn breaking_actions<R: RowSource>(
     assuming_bits: &Bitset,
     opts: CheckOptions,
 ) -> Result<Vec<bool>, CheckError> {
-    let (plan, workers) = source.schedule(opts);
+    let len = source.index().len();
+    let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
     let sweep = |ti: usize| -> Result<Vec<bool>, SpaceError> {
         let range = plan.range(ti);
-        let mut rows = source.rows(range.clone())?;
+        let mut rows = source.rows();
         let mut breaking = vec![false; action_count];
         let mut unmarked = action_count;
         for i in members(pred_bits, Some(assuming_bits), range) {
@@ -206,8 +206,8 @@ pub struct RepairWitnesses {
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
-/// [`CheckError::Space`] if a segment build exceeds the budget or an
-/// action escapes its domain.
+/// [`CheckError::Space`] if an action escapes its domain (only a
+/// [`Decoder`](crate::Decoder) evaluates actions).
 ///
 /// # Panics
 ///
@@ -232,10 +232,11 @@ pub fn repair_obligations<R: RowSource>(
         );
     }
     type Found = (Vec<Option<StateId>>, Vec<Option<(StateId, StateId)>>);
-    let (plan, workers) = source.schedule(opts);
+    let len = source.index().len();
+    let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
     let sweep = |ti: usize| -> Result<Found, SpaceError> {
         let range = plan.range(ti);
-        let mut rows = source.rows(range.clone())?;
+        let mut rows = source.rows();
         let mut unguarded = vec![None; k];
         let mut non_establishing = vec![None; k];
         // Per repair, the states of the current word where its action is
@@ -347,13 +348,14 @@ fn first_violation<R: RowSource>(
     only: Option<ActionId>,
     opts: CheckOptions,
 ) -> Result<Option<Violation>, CheckError> {
-    let (plan, workers) = source.schedule(opts);
+    let len = source.index().len();
+    let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
     // Actions `floor..limit` can still beat the best hit so far; a hit by
     // `floor` itself cannot be beaten.
     let (floor, limit) = only.map_or((0, usize::MAX), |a| (a.index(), a.index() + 1));
     let scan = |ti: usize| -> Result<Option<(ActionId, usize, StateId)>, SpaceError> {
         let range = plan.range(ti);
-        let mut rows = source.rows(range.clone())?;
+        let mut rows = source.rows();
         let (mut limit, mut best) = (limit, None);
         for i in members(pred_bits, assuming, range) {
             if limit == floor {
@@ -396,7 +398,7 @@ fn first_violation<R: RowSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::SegmentedSpace;
+    use crate::successors::Decoder;
     use nonmask_program::Domain;
 
     /// x, y in 0..=3; action `copy` sets y := x; action `bump` increments x
@@ -553,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn segmented_closure_matches_monolithic_verdict() {
+    fn decoded_closure_matches_resident_verdict() {
         let mut b = Program::builder("big");
         let x = b.var("x", Domain::range(0, 9999));
         b.closure_action(
@@ -568,63 +570,27 @@ mod tests {
         );
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
+        let decoded = Decoder::new(&p, space.index());
         let even = Predicate::new("even", [x], move |s| s.get(x) % 2 == 0);
         let bits = Bitset::for_predicate(&space, &even, CheckOptions::default()).unwrap();
-        // Broken at every even x: the segmented sweep must report the
+        // Broken at every even x: the decoded sweep must report the
         // lowest-id witness for every thread count and segment size.
         for threads in [1, 2, 8] {
-            for seg in [512, 1000] {
+            for seg in [512, 1000, 4097] {
                 let opts = CheckOptions::default().threads(threads).segment_states(seg);
-                let seg_space = SegmentedSpace::new(&p, opts).unwrap();
-                let v = is_closed_bits(&seg_space, &bits, opts)
+                let v = is_closed_bits(&decoded, &bits, opts)
                     .unwrap()
                     .expect("inc breaks evenness");
                 assert_eq!(v.before.slots()[0], 0, "threads={threads} seg={seg}");
                 assert_eq!(v.after.slots()[0], 1);
+                assert_eq!(Some(v), is_closed_bits(&space, &bits, opts).unwrap());
             }
         }
         // A closed predicate passes.
         let all = Bitset::ones(space.len());
-        let seg_space = SegmentedSpace::new(&p, CheckOptions::default()).unwrap();
-        assert!(is_closed_bits(&seg_space, &all, CheckOptions::default())
+        assert!(is_closed_bits(&decoded, &all, CheckOptions::default())
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn segmented_closure_keeps_the_space_worker_count() {
-        let mut b = Program::builder("big");
-        let x = b.var("x", Domain::range(0, 9999));
-        b.closure_action(
-            "inc",
-            [x],
-            [x],
-            move |s| s.get(x) < 9999,
-            move |s| {
-                let v = s.get(x);
-                s.set(x, v + 1);
-            },
-        );
-        let p = b.build();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let even = Predicate::new("even", [x], move |s| s.get(x) % 2 == 0);
-        let bits = Bitset::for_predicate(&space, &even, CheckOptions::default()).unwrap();
-        // A budget that holds one resident segment but not two.
-        let serial = CheckOptions::serial().segment_states(1000);
-        let one = SegmentedSpace::new(&p, serial).unwrap();
-        let segment_bytes = one.build_segment(0).unwrap().resident_bytes();
-        let seg_space =
-            SegmentedSpace::new(&p, serial.memory_budget(segment_bytes + 4096)).unwrap();
-        // Asking for eight threads must not run more segments at once than
-        // the budget was checked for.
-        let eight = CheckOptions::default().threads(8);
-        assert_eq!(seg_space.schedule(eight).1, 1);
-        assert_eq!(space.schedule(eight).1, 8);
-        let v = is_closed_bits(&seg_space, &bits, eight)
-            .unwrap()
-            .expect("inc breaks evenness");
-        assert_eq!(v.before.slots()[0], 0);
-        assert_eq!(v.after.slots()[0], 1);
     }
 
     #[test]
@@ -756,17 +722,12 @@ mod tests {
         assert_eq!((v.before.slots(), v.after.slots()), (&[3][..], &[1][..]));
         assert_eq!(serial[1].unguarded, Some(StateId(9500)));
         assert_eq!(serial[1].non_establishing, None);
-        for threads in [2, 8] {
-            for seg in [0, 1000, 4097] {
+        let decoded = Decoder::new(&p, space.index());
+        for threads in [1, 2, 8] {
+            for seg in [0, 512, 1000, 4097] {
                 let opts = CheckOptions::default().threads(threads).segment_states(seg);
                 let got = repair_obligations(&space, &t, &repairs, opts).unwrap();
                 assert_eq!(got, serial, "threads={threads} seg={seg}");
-                if seg != 0 {
-                    let seg_space = SegmentedSpace::new(&p, opts).unwrap();
-                    let got = repair_obligations(&seg_space, &t, &repairs, opts).unwrap();
-                    assert_eq!(got, serial, "segmented threads={threads} seg={seg}");
-                }
-                let decoded = crate::Decoder::new(&p, space.index());
                 let got = repair_obligations(&decoded, &t, &repairs, opts).unwrap();
                 assert_eq!(got, serial, "decoded threads={threads} seg={seg}");
             }

@@ -44,13 +44,6 @@ pub struct CheckCounters {
     /// [`breaking_actions`](crate::breaking_actions) sweep per
     /// (constraint, assumption), answering every action at once.
     pub cache_misses: u64,
-    /// Segment row-buffers built by out-of-core passes (segmented scans
-    /// and frontier rounds); zero for fully resident runs.
-    pub segments_built: u64,
-    /// Frontier convergence fixpoint rounds executed.
-    pub frontier_rounds: u64,
-    /// Successor evaluations performed by frontier convergence rounds.
-    pub frontier_evals: u64,
 }
 
 impl CounterSet for CheckCounters {
@@ -70,9 +63,6 @@ impl CounterSet for CheckCounters {
             ("sccs_found", self.sccs_found),
             ("cache_hits", self.cache_hits),
             ("cache_misses", self.cache_misses),
-            ("segments_built", self.segments_built),
-            ("frontier_rounds", self.frontier_rounds),
-            ("frontier_evals", self.frontier_evals),
         ]
     }
 }
@@ -90,12 +80,12 @@ mod tests {
             ..CheckCounters::default()
         };
         assert_eq!(counters.scope(), "checker");
-        assert_eq!(counters.fields().len(), 13);
+        assert_eq!(counters.fields().len(), 10);
         let (journal, buffer) = Journal::memory();
         counters.emit(&journal);
         journal.flush();
         let lines: Vec<_> = buffer.contents().lines().map(String::from).collect();
-        assert_eq!(lines.len(), 13);
+        assert_eq!(lines.len(), 10);
         let first = Event::parse_line(&lines[0]).unwrap();
         assert_eq!(
             first.event,
@@ -116,6 +106,6 @@ mod tests {
         };
         let json = counters.to_json();
         assert!(json.starts_with("{\"states\":1,\"transitions\":2,"));
-        assert!(json.ends_with("\"frontier_evals\":0}"));
+        assert!(json.ends_with("\"cache_misses\":0}"));
     }
 }

@@ -30,8 +30,8 @@ pub enum CheckError {
         /// The larger radius that failed.
         failed: u64,
     },
-    /// A row source failed mid-sweep: a segment over the memory budget,
-    /// or an action that wrote outside its domain.
+    /// A row source failed mid-sweep: an action wrote outside its
+    /// domain.
     Space(SpaceError),
 }
 

@@ -64,8 +64,6 @@ pub struct FrontierStats {
     /// Successor evaluations across all rounds — the frontier's unit of
     /// work, typically a small multiple of the region size.
     pub evals: u64,
-    /// Segment row-buffers built across all rounds.
-    pub segments_built: u64,
 }
 
 /// [`check_convergence_stats`](crate::convergence::check_convergence_stats)
@@ -242,7 +240,6 @@ pub fn check_convergence_frontier_stats(
         })
         .map_err(SpaceError::from)?;
 
-        stats.segments_built += plan.count() as u64;
         let round_evals: u64 = results.iter().map(|r| r.evals).sum();
         stats.evals += round_evals;
         stats.rounds = round;
@@ -265,8 +262,8 @@ pub fn check_convergence_frontier_stats(
         }
 
         // Budget: the concurrent residency this round actually was —
-        // bitsets plus one row buffer per worker (post-hoc, like the
-        // segment builds).
+        // bitsets plus one row buffer per worker (post-hoc, once the
+        // buffers' sizes are known).
         let peak_rows = results.iter().map(|r| r.row_bytes).max().unwrap_or(0);
         let required =
             bitset_bytes + workers as u64 * peak_rows + scratch_bytes(2 * workers as u64, nv);
@@ -274,7 +271,7 @@ pub fn check_convergence_frontier_stats(
             return Err(SpaceError::BudgetExceeded {
                 required,
                 budget: options.memory_budget,
-                phase: "segment build",
+                phase: "frontier rows",
             });
         }
 
@@ -590,6 +587,44 @@ mod tests {
         };
         assert_eq!(phase, "frontier bitsets");
         assert_eq!(required, 5 * bitset + scratch);
+    }
+
+    #[test]
+    fn frontier_budget_counts_one_round_of_row_buffers() {
+        // Past the bitset floor, each round checks the floor plus its
+        // largest segment row buffer: 4 bytes per buffered state, per
+        // offset and per internal successor. A full 25,000-state segment
+        // of the countdown buffers 25,000 + 25,001 + 25,000 entries.
+        let p = countdown(99_999, 0);
+        let s = pred_eq(&p, "x=0", "x", 0);
+        let floor = 5 * (100_000u64.div_ceil(64) * 8) + scratch_bytes(2, 1);
+        let rows = 4 * (25_000 + 25_001 + 25_000);
+        let opts = CheckOptions::serial().segment_states(25_000);
+        let err = frontier(
+            &p,
+            &Predicate::always_true(),
+            &s,
+            Fairness::WeaklyFair,
+            opts.memory_budget(floor + rows - 1),
+        )
+        .unwrap_err();
+        let SpaceError::BudgetExceeded {
+            phase, required, ..
+        } = err
+        else {
+            panic!("expected BudgetExceeded, got {err:?}");
+        };
+        assert_eq!(phase, "frontier rows");
+        assert_eq!(required, floor + rows);
+        let fits = frontier(
+            &p,
+            &Predicate::always_true(),
+            &s,
+            Fairness::WeaklyFair,
+            opts.memory_budget(floor + rows),
+        )
+        .unwrap();
+        assert!(fits.converges());
     }
 
     #[test]

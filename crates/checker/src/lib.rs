@@ -51,27 +51,25 @@
 //! running any SCC analysis, so the Tarjan pass vanishes in the common
 //! converging case (see the [`convergence`] module docs).
 //!
-//! ## One transition source: resident, segmented, decoded
+//! ## One transition source: resident or decoded
 //!
 //! Every pass reads transitions through the [`Successors`] trait — the
 //! `(action, successor)` row of a state id, in action order — implemented
-//! by the resident CSR ([`StateSpace`]), a built [`Segment`], and a
-//! [`Decoder`] that evaluates guards on demand (see [`successors`]).
-//! Closure and the convergence residual analysis are written once on it.
+//! by the resident CSR ([`StateSpace`]) and by a [`Decoder`] that
+//! evaluates guards and effects on demand (see [`successors`]). Closure
+//! and the convergence residual analysis are written once on it.
 //!
-//! When the whole CSR table does not fit the memory budget, the id range
-//! splits into contiguous **segments** ([`SegmentPlan`], [`segment`]):
-//! each segment's offsets/actions/succs columns are built independently
-//! from the arithmetic index, scanned, and dropped, so resident memory is
-//! one segment per worker instead of the whole table. Workers claim
-//! segments through a **work-stealing** scheduler (an atomic claim
-//! counter; no fixed chunk assignment), which keeps the cores busy even
-//! when transition density is skewed across the id range — and because
-//! per-segment results are still merged in segment order, verdicts and
-//! witnesses remain bit-identical for every thread count and claim order.
-//! [`is_closed_bits`], [`breaking_actions`] and [`repair_obligations`] run
-//! on a [`SegmentedSpace`] or a [`Decoder`] as well as on a
-//! [`StateSpace`], and report the same answer on each.
+//! Whole-space sweeps split the id range into contiguous **segments**
+//! ([`SegmentPlan`]), claimed by workers through a **work-stealing**
+//! scheduler (an atomic claim counter; no fixed chunk assignment), which
+//! keeps the cores busy even when transition density is skewed across the
+//! id range — and because per-segment results are merged in segment
+//! order, verdicts and witnesses remain bit-identical for every thread
+//! count and claim order. [`is_closed_bits`], [`breaking_actions`] and
+//! [`repair_obligations`] run on a [`Decoder`] as well as on a
+//! [`StateSpace`], and report the same answer on each: with a decoder no
+//! transition is stored, so closure questions reach spaces whose CSR
+//! table does not fit the memory budget.
 //!
 //! For convergence-only queries on such instances,
 //! [`check_convergence_frontier_stats`] ([`frontier`]) never materializes
@@ -130,7 +128,6 @@ pub mod frontier;
 pub mod options;
 pub mod oracle;
 pub mod replay;
-pub mod segment;
 pub mod space;
 pub mod span;
 pub mod successors;
@@ -156,9 +153,6 @@ pub use options::{
 };
 pub use oracle::{attribute_constraints, ConstraintAttribution, StepFault, StepOracle};
 pub use replay::{replay_constraints, ConstraintTransition};
-pub use segment::{Segment, SegmentedSpace};
-pub use space::{
-    SpaceError, SpaceIndex, StateId, StateSpace, Transitions, TransitionsIter, DEFAULT_STATE_LIMIT,
-};
+pub use space::{SpaceError, SpaceIndex, StateId, StateSpace, Transitions, TransitionsIter};
 pub use span::{compute_fault_span, compute_fault_span_opts, StateSet};
 pub use successors::{Decoder, RowSource, Successors};

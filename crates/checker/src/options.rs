@@ -5,7 +5,7 @@
 //! fault-span) are *embarrassingly parallel over contiguous [`StateId`]
 //! ranges*, and all of them go through one scheduler, [`steal_tasks`] /
 //! [`steal_find`]: a shared atomic claim counter hands out *task indices*
-//! (typically one per [segment](crate::segment)) to whichever worker is
+//! (typically one per segment of the [`SegmentPlan`]) to whichever worker is
 //! free, so a skewed task does not idle the rest of the pool. Results are
 //! merged **in task order** (`steal_tasks`) or reduced to the lowest-index
 //! hit (`steal_find`), so multi-threaded runs return **bit-identical
@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::error::{payload_string, CheckError};
-use crate::space::DEFAULT_STATE_LIMIT;
 
 /// Below this many work items a pass runs on the calling thread: spawning
 /// workers costs more than the work itself on small spaces.
@@ -31,23 +30,21 @@ const PARALLEL_THRESHOLD: usize = 2048;
 ///
 /// At the CSR cost of `4·(states+1) + 8·transitions` bytes this admits
 /// spaces of hundreds of millions of states (the seed representation's
-/// ~100+ bytes/state capped out around 2 million). Segmented passes
-/// ([`SegmentedSpace`](crate::SegmentedSpace)) and the frontier
-/// convergence mode stay under the same budget with only a bounded window
-/// of the transition relation resident.
+/// ~100+ bytes/state capped out around 2 million). The frontier
+/// convergence mode stays under the same budget with no transition table
+/// at all: five bitsets plus one round's row buffer per worker.
 pub const DEFAULT_MEMORY_BUDGET: u64 = 8 << 30;
 
 /// Default [`CheckOptions::segment_states`]: 2^22 states per segment.
 ///
-/// A built segment costs roughly `4·(seg+1) + 8·seg·actions` bytes, so at
-/// the default size even transition-dense protocols keep each resident
-/// segment in the low hundreds of MiB.
+/// A frontier round buffers at most one segment's rows per worker, so at
+/// the default size even transition-dense protocols keep each row buffer
+/// in the low hundreds of MiB.
 pub const DEFAULT_SEGMENT_STATES: usize = 1 << 22;
 
 /// Options shared by all checker passes.
 ///
 /// The default is `threads: 0` (auto-detect the available parallelism), the
-/// [default state limit](DEFAULT_STATE_LIMIT) (the full `u32` id range), the
 /// [default memory budget](DEFAULT_MEMORY_BUDGET), and automatic
 /// [segment sizing](DEFAULT_SEGMENT_STATES). Spaces smaller than a few
 /// thousand states always run single-threaded regardless of `threads`, so
@@ -71,21 +68,17 @@ pub struct CheckOptions {
     /// [`std::thread::available_parallelism`]. Results are identical for
     /// every value — only wall-clock time changes.
     pub threads: usize,
-    /// Maximum number of states a [`StateSpace`](crate::StateSpace) built
-    /// with these options may contain. Defaults to the full `u32` id range;
-    /// in practice `memory_budget` binds first.
-    pub state_limit: usize,
     /// Maximum resident bytes a pass may allocate: for monolithic
     /// enumeration the CSR arrays (`4·(states+1) + 8·transitions`) plus
-    /// per-worker scratch; for segmented passes the concurrently resident
-    /// segment windows. Enumeration fails with
+    /// per-worker scratch; for the frontier convergence mode its bitsets
+    /// plus the row buffers of one round. A pass fails with
     /// [`SpaceError::BudgetExceeded`](crate::SpaceError::BudgetExceeded)
     /// — naming the phase that tripped — before the big allocations
     /// happen.
     pub memory_budget: u64,
-    /// States per segment for segmented/out-of-core passes; `0` means
-    /// auto ([`DEFAULT_SEGMENT_STATES`], shrunk so small spaces still
-    /// split into one task per worker). Any positive value is honored
+    /// States per segment, the unit of work of every parallel sweep; `0`
+    /// means auto ([`DEFAULT_SEGMENT_STATES`], shrunk so small spaces
+    /// still split into one task per worker). Any positive value is honored
     /// exactly, whether or not it divides the state count; results are
     /// identical for every value.
     pub segment_states: usize,
@@ -95,7 +88,6 @@ impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
             threads: 0,
-            state_limit: DEFAULT_STATE_LIMIT,
             memory_budget: DEFAULT_MEMORY_BUDGET,
             segment_states: 0,
         }
@@ -114,19 +106,13 @@ impl CheckOptions {
         self
     }
 
-    /// Set the state-count limit for enumeration.
-    pub fn state_limit(mut self, limit: usize) -> Self {
-        self.state_limit = limit;
-        self
-    }
-
-    /// Set the resident-memory budget (bytes) for enumeration.
+    /// Set the resident-memory budget (bytes).
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.memory_budget = bytes;
         self
     }
 
-    /// Set the segment size (states per segment) for segmented passes
+    /// Set the segment size (states per segment) of parallel sweeps
     /// (`0` = auto).
     pub fn segment_states(mut self, states: usize) -> Self {
         self.segment_states = states;
@@ -171,8 +157,8 @@ impl CheckOptions {
 
 /// A partition of `0..len` state ids into contiguous same-size segments
 /// (the last may be shorter). Segments are the unit of work for the
-/// work-stealing scheduler and the unit of residency for out-of-core
-/// passes: task `i` covers [`range(i)`](SegmentPlan::range).
+/// work-stealing scheduler: task `i` covers
+/// [`range(i)`](SegmentPlan::range).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentPlan {
     len: usize,
@@ -519,11 +505,9 @@ mod tests {
     #[test]
     fn builder_style() {
         let o = CheckOptions::serial()
-            .state_limit(7)
             .memory_budget(1 << 20)
             .segment_states(4096);
         assert_eq!(o.threads, 1);
-        assert_eq!(o.state_limit, 7);
         assert_eq!(o.memory_budget, 1 << 20);
         assert_eq!(o.segment_states, 4096);
         assert_eq!(CheckOptions::default().threads, 0);

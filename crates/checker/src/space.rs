@@ -46,10 +46,10 @@
 //! the peak memory of a collect-then-concatenate build.
 //!
 //! The decode machinery is factored into [`SpaceIndex`] — the id↔state
-//! bijection *without* any transition arrays. Out-of-core passes
-//! ([`SegmentedSpace`](crate::SegmentedSpace), the frontier convergence
-//! mode) work from a `SpaceIndex` alone and re-derive transitions on
-//! demand, so the full CSR never needs to be resident.
+//! bijection *without* any transition arrays. Out-of-core passes (closure
+//! sweeps over a [`Decoder`], the frontier convergence mode) work from a
+//! `SpaceIndex` alone and re-derive transitions on demand, so the full
+//! CSR never needs to be resident.
 //!
 //! # Memory budget
 //!
@@ -58,8 +58,7 @@
 //! whose resident bytes — CSR arrays plus the transient counts column and
 //! per-worker decode scratch — would exceed it, instead of the seed's blunt
 //! 2-million-state cap. The [`SpaceError::BudgetExceeded`] error names the
-//! phase (`"offsets"`, `"succs"`, or `"segment build"`) whose requirement
-//! tripped first.
+//! phase (`"offsets"` or `"succs"`) whose requirement tripped first.
 //!
 //! [`id_of`]: StateSpace::id_of
 //! [`state`]: StateSpace::state
@@ -108,10 +107,9 @@ pub enum SpaceError {
         /// Name of the unbounded variable.
         var: String,
     },
-    /// The state space exceeds the configured state limit (or the `u32` id
-    /// range).
+    /// The state space has more states than `u32` ids can number.
     TooLarge {
-        /// The limit that was exceeded.
+        /// The limit that was exceeded: `u32::MAX + 1` states.
         limit: usize,
     },
     /// A build phase would exceed the configured
@@ -126,9 +124,9 @@ pub enum SpaceError {
         budget: u64,
         /// Which build phase tripped: `"offsets"` (per-state counts +
         /// offsets column), `"succs"` (flat transition arrays),
-        /// `"segment build"` (a resident segment window), or
-        /// `"frontier bitsets"` (the frontier mode's predicate and
-        /// resolved-set bitsets).
+        /// `"frontier bitsets"` (the frontier mode's predicate, region,
+        /// resolved and delta bitsets), or `"frontier rows"` (those
+        /// bitsets plus one round's row buffer per worker).
         phase: &'static str,
     },
     /// The space has more transitions than CSR `u32` offsets can index.
@@ -394,10 +392,10 @@ impl Radix {
 ///
 /// A `SpaceIndex` knows how many states exist and how to decode any
 /// [`StateId`] into a [`State`] (and back via [`id_of`](SpaceIndex::id_of))
-/// without materializing anything per state. Out-of-core passes — the
-/// [segmented scans](crate::SegmentedSpace) and the frontier convergence
-/// mode — are built on a `SpaceIndex` plus on-demand successor evaluation,
-/// so the transition relation never needs to be resident at once.
+/// without materializing anything per state. Out-of-core passes — closure
+/// sweeps over a [`Decoder`] and the frontier convergence mode — are built
+/// on a `SpaceIndex` plus on-demand successor evaluation, so the
+/// transition relation never needs to be resident at once.
 #[derive(Debug, Clone)]
 pub struct SpaceIndex {
     len: usize,
@@ -405,23 +403,21 @@ pub struct SpaceIndex {
 }
 
 impl SpaceIndex {
-    /// Derive the index of `program`'s state space, validating the state
-    /// limit (and `u32` id range) from `options` without allocating
-    /// anything proportional to the space.
+    /// Derive the index of `program`'s state space, checking that `u32`
+    /// ids can number it, without allocating anything proportional to the
+    /// space. No option changes the index; `_options` is accepted so that
+    /// existing callers keep compiling.
     ///
     /// # Errors
     ///
     /// [`SpaceError::Unbounded`] for unbounded programs;
-    /// [`SpaceError::TooLarge`] when the state limit is exceeded.
-    pub fn of_program(program: &Program, options: CheckOptions) -> Result<Self, SpaceError> {
+    /// [`SpaceError::TooLarge`] past `u32::MAX + 1` states.
+    pub fn of_program(program: &Program, _options: CheckOptions) -> Result<Self, SpaceError> {
         let (radix, total) = Radix::of(program)?;
-        // Ids are u32, so the effective cap is the configured limit clamped
-        // to the representable id range.
         let id_cap = u32::MAX as u128 + 1;
-        let effective = u128::min(options.state_limit as u128, id_cap);
-        if total > effective {
+        if total > id_cap {
             return Err(SpaceError::TooLarge {
-                limit: effective as usize,
+                limit: id_cap as usize,
             });
         }
         Ok(SpaceIndex {
@@ -557,8 +553,8 @@ pub struct Transitions<'a> {
 }
 
 impl<'a> Transitions<'a> {
-    /// A row view over parallel action/successor slices. Segment storage
-    /// shares this view type with the monolithic CSR.
+    /// A row view over parallel action/successor slices: a CSR row or a
+    /// [`Decoder`]'s row buffer.
     pub(crate) fn new(actions: &'a [ActionId], succs: &'a [StateId]) -> Self {
         debug_assert_eq!(actions.len(), succs.len());
         Transitions { actions, succs }
@@ -635,11 +631,6 @@ pub struct StateSpace {
     succs: Vec<StateId>,
 }
 
-/// Default cap on the number of states [`StateSpace::enumerate`] will build:
-/// the full `u32` id range. In practice the binding constraint is the
-/// [`CheckOptions::memory_budget`], not this count.
-pub const DEFAULT_STATE_LIMIT: usize = u32::MAX as usize + 1;
-
 /// Exclusive prefix sum of per-state transition counts, producing the CSR
 /// `offsets` array (`counts.len() + 1` entries).
 ///
@@ -682,7 +673,7 @@ impl StateSpace {
     /// # Errors
     ///
     /// [`SpaceError::Unbounded`] for unbounded programs;
-    /// [`SpaceError::TooLarge`] when the state limit is exceeded;
+    /// [`SpaceError::TooLarge`] past `u32::MAX + 1` states;
     /// [`SpaceError::BudgetExceeded`] when the CSR arrays would not fit the
     /// memory budget; [`SpaceError::TooManyTransitions`] when the edge count
     /// overflows `u32` offsets; [`SpaceError::EscapedDomain`] when an action
@@ -691,17 +682,8 @@ impl StateSpace {
         Self::enumerate_with_options(program, CheckOptions::default())
     }
 
-    /// Enumerate with an explicit state-count limit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StateSpace::enumerate`].
-    pub fn enumerate_with_limit(program: &Program, limit: usize) -> Result<Self, SpaceError> {
-        Self::enumerate_with_options(program, CheckOptions::default().state_limit(limit))
-    }
-
-    /// Enumerate with explicit [`CheckOptions`] (worker threads, state
-    /// limit, memory budget). The result is identical for every thread
+    /// Enumerate with explicit [`CheckOptions`] (worker threads, memory
+    /// budget, segment size). The result is identical for every thread
     /// count.
     ///
     /// # Errors
@@ -1246,29 +1228,15 @@ mod tests {
     }
 
     #[test]
-    fn limit_is_enforced() {
-        let p = counter(1000);
-        assert_eq!(
-            StateSpace::enumerate_with_limit(&p, 100).unwrap_err(),
-            SpaceError::TooLarge { limit: 100 }
-        );
-    }
-
-    #[test]
     fn astronomically_large_spaces_rejected_without_overflow() {
-        // 2^40-ish states: far beyond both the default limit and u32 ids.
+        // 2^40 states: far beyond u32 ids.
         let mut b = Program::builder("huge");
         for i in 0..40 {
             b.var(format!("x{i}"), Domain::Bool);
         }
         let p = b.build();
-        assert!(matches!(
-            StateSpace::enumerate(&p).unwrap_err(),
-            SpaceError::TooLarge { .. }
-        ));
-        // Even with a usize::MAX limit the u32 id range caps the space.
         assert_eq!(
-            StateSpace::enumerate_with_limit(&p, usize::MAX).unwrap_err(),
+            StateSpace::enumerate(&p).unwrap_err(),
             SpaceError::TooLarge {
                 limit: u32::MAX as usize + 1
             }

@@ -2,32 +2,28 @@
 //!
 //! Closure and convergence ask one question of the
 //! transition relation: *what is the `(action, successor)` row of this
-//! state?* Three sources answer it, with bit-identical rows (enabled
+//! state?* Two sources answer it, with bit-identical rows (enabled
 //! actions in id order, each paired with its successor's id):
 //!
 //! - the resident CSR table of a [`StateSpace`] (a slice view);
-//! - a built [`Segment`] of a [`SegmentedSpace`] (a slice view of one
-//!   id range);
 //! - a [`Decoder`] over a [`Program`] and its [`SpaceIndex`], which
-//!   evaluates guards and effects on demand and owns its scratch states.
+//!   evaluates guards and effects on demand and owns its scratch states,
+//!   so no transition is ever stored.
 //!
 //! The decode → guard → successor → id loop exists only in the
-//! [`Decoder`]'s [`Successors::row`]; the CSR build, segment builds and
-//! frontier rounds read their rows from it. A row costs one guard call
+//! [`Decoder`]'s [`Successors::row`]; the CSR build and the frontier
+//! rounds read their rows from it. A row costs one guard call
 //! per action plus, per enabled action, one effect and one id
 //! computed from the slots that action changed; moving to the row's
 //! state costs a carry from the previous id when the id is higher, and
 //! a full decode only on the first row or a move backwards.
 //!
 //! Whole-space sweeps (closure) go through [`RowSource`], which hands each
-//! segment task its own `Successors`, so one scan serves every source.
-
-use std::ops::Range;
+//! task of the [segment plan](crate::CheckOptions::segment_plan) its own
+//! `Successors`, so one scan serves both sources.
 
 use nonmask_program::{ActionId, Program, State, VarId};
 
-use crate::options::{CheckOptions, SegmentPlan};
-use crate::segment::{Segment, SegmentedSpace};
 use crate::space::{SpaceError, SpaceIndex, StateId, StateSpace, Transitions};
 
 /// A source of transition rows.
@@ -42,12 +38,6 @@ pub trait Successors {
 }
 
 impl Successors for &StateSpace {
-    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
-        Ok(self.successors(id))
-    }
-}
-
-impl Successors for Segment {
     fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
         Ok(self.successors(id))
     }
@@ -122,8 +112,8 @@ impl Successors for Decoder<'_> {
     }
 }
 
-/// A whole state space that parallel sweeps can split by segment: each
-/// task gets its own [`Successors`] over its id range.
+/// A whole state space that parallel sweeps can split: each task gets its
+/// own [`Successors`].
 pub trait RowSource: Sync {
     /// The per-task row source.
     type Rows<'s>: Successors
@@ -133,19 +123,8 @@ pub trait RowSource: Sync {
     /// The id↔state bijection of the space.
     fn index(&self) -> &SpaceIndex;
 
-    /// The segment plan a sweep with `options` follows, and its worker
-    /// count.
-    fn schedule(&self, options: CheckOptions) -> (SegmentPlan, usize) {
-        let len = self.index().len();
-        (options.segment_plan(len), options.workers_for(len))
-    }
-
-    /// The row source of the ids in `range`.
-    ///
-    /// # Errors
-    ///
-    /// Whatever building the source can raise (a segment over budget).
-    fn rows(&self, range: Range<usize>) -> Result<Self::Rows<'_>, SpaceError>;
+    /// A row source for one task.
+    fn rows(&self) -> Self::Rows<'_>;
 }
 
 impl RowSource for StateSpace {
@@ -155,29 +134,8 @@ impl RowSource for StateSpace {
         StateSpace::index(self)
     }
 
-    fn rows(&self, _range: Range<usize>) -> Result<&StateSpace, SpaceError> {
-        Ok(self)
-    }
-}
-
-impl RowSource for SegmentedSpace<'_> {
-    type Rows<'s>
-        = Segment
-    where
-        Self: 's;
-
-    fn index(&self) -> &SpaceIndex {
-        SegmentedSpace::index(self)
-    }
-
-    /// The space's own plan and worker count, whatever the caller asks:
-    /// its memory budget holds for exactly that many resident segments.
-    fn schedule(&self, _options: CheckOptions) -> (SegmentPlan, usize) {
-        (self.plan(), self.workers())
-    }
-
-    fn rows(&self, range: Range<usize>) -> Result<Segment, SpaceError> {
-        self.build_range(range)
+    fn rows(&self) -> &StateSpace {
+        self
     }
 }
 
@@ -192,7 +150,7 @@ impl RowSource for Decoder<'_> {
         self.index
     }
 
-    fn rows(&self, _range: Range<usize>) -> Result<Decoder<'_>, SpaceError> {
-        Ok(Decoder::new(self.program, self.index))
+    fn rows(&self) -> Decoder<'_> {
+        Decoder::new(self.program, self.index)
     }
 }

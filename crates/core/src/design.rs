@@ -121,7 +121,7 @@ impl Design {
         self.layering.as_ref()
     }
 
-    /// The checker options (worker threads, state limit) used by
+    /// The checker options (worker threads, memory budget) used by
     /// [`Design::verify`]. Defaults to auto-detected parallelism; see
     /// [`DesignBuilder::threads`].
     pub fn options(&self) -> CheckOptions {
@@ -379,11 +379,6 @@ impl Design {
             sccs_found: conv.stats.sccs_found,
             cache_hits,
             cache_misses,
-            // Design::verify runs fully resident; the out-of-core figures
-            // are populated only by frontier/segmented entry points.
-            segments_built: 0,
-            frontier_rounds: 0,
-            frontier_evals: 0,
         };
 
         Ok(ToleranceReport {
@@ -662,7 +657,7 @@ impl DesignBuilder {
         self
     }
 
-    /// Set the checker options (worker threads and state limit) used by
+    /// Set the checker options (worker threads and memory budget) used by
     /// [`Design::verify`]. Defaults to [`CheckOptions::default`].
     pub fn options(mut self, options: CheckOptions) -> Self {
         self.options = options;

@@ -6,10 +6,23 @@ use crate::ast::{ActionDef, BinOp, DomainDef, Expr, ProgramDef, RoleDef, VarDef}
 use crate::lexer::{lex, Spanned, Tok};
 use crate::LangError;
 
-/// How deep parentheses and prefix operators may nest: each level is a
-/// few stack frames of recursive descent, so the limit keeps a hostile
+/// How deep an expression may nest, counted two ways: the parentheses
+/// and prefix operators around a token (each a few stack frames of
+/// recursive descent), and the depth of the built tree, where each
+/// operator of a chain like `x + x + x` is one level (every later pass
+/// over the tree recurses once per level). The limit keeps a hostile
 /// input an error instead of a stack overflow.
 const MAX_NESTING: u32 = 128;
+
+/// A parsed expression and the depth of its tree (a leaf is 1).
+type Tree = (Expr, u32);
+
+fn too_deep(line: u32) -> LangError {
+    LangError::new(
+        line,
+        format!("expression nested more than {MAX_NESTING} levels deep"),
+    )
+}
 
 /// Parse a program text into its AST.
 ///
@@ -286,29 +299,30 @@ impl Parser {
     }
 
     // Precedence climbing: || < && < comparisons < additive < multiplicative < unary.
+    // Each level returns its tree together with the tree's depth.
     fn expr(&mut self) -> Result<Expr, LangError> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
+    fn or_expr(&mut self) -> Result<Tree, LangError> {
         let mut lhs = self.and_expr()?;
         while self.eat_punct("||") {
             let rhs = self.and_expr()?;
-            lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
+    fn and_expr(&mut self) -> Result<Tree, LangError> {
         let mut lhs = self.cmp_expr()?;
         while self.eat_punct("&&") {
             let rhs = self.cmp_expr()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
+    fn cmp_expr(&mut self) -> Result<Tree, LangError> {
         let lhs = self.add_expr()?;
         let op = if self.eat_punct("==") {
             BinOp::Eq
@@ -326,10 +340,10 @@ impl Parser {
             return Ok(lhs);
         };
         let rhs = self.add_expr()?;
-        Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
+        self.bin(op, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
+    fn add_expr(&mut self) -> Result<Tree, LangError> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = if self.eat_punct("+") {
@@ -340,11 +354,11 @@ impl Parser {
                 return Ok(lhs);
             };
             let rhs = self.mul_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(op, lhs, rhs)?;
         }
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
+    fn mul_expr(&mut self) -> Result<Tree, LangError> {
         let mut lhs = self.unary_expr()?;
         loop {
             let op = if self.eat_punct("*") {
@@ -357,16 +371,18 @@ impl Parser {
                 return Ok(lhs);
             };
             let rhs = self.unary_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(op, lhs, rhs)?;
         }
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, LangError> {
+    fn unary_expr(&mut self) -> Result<Tree, LangError> {
         if self.eat_punct("!") {
-            return Ok(Expr::Not(Box::new(self.nested(Self::unary_expr)?)));
+            let (inner, depth) = self.nested(Self::unary_expr)?;
+            return self.node(Expr::Not(Box::new(inner)), depth + 1);
         }
         if self.eat_punct("-") {
-            return Ok(Expr::Neg(Box::new(self.nested(Self::unary_expr)?)));
+            let (inner, depth) = self.nested(Self::unary_expr)?;
+            return self.node(Expr::Neg(Box::new(inner)), depth + 1);
         }
         self.primary()
     }
@@ -375,13 +391,10 @@ impl Parser {
     /// [`MAX_NESTING`].
     fn nested(
         &mut self,
-        inner: fn(&mut Self) -> Result<Expr, LangError>,
-    ) -> Result<Expr, LangError> {
+        inner: fn(&mut Self) -> Result<Tree, LangError>,
+    ) -> Result<Tree, LangError> {
         if self.nesting == MAX_NESTING {
-            return Err(LangError::new(
-                self.line(),
-                format!("expression nested more than {MAX_NESTING} levels deep"),
-            ));
+            return Err(too_deep(self.line()));
         }
         self.nesting += 1;
         let e = inner(self);
@@ -389,28 +402,41 @@ impl Parser {
         e
     }
 
-    fn primary(&mut self) -> Result<Expr, LangError> {
+    /// `lhs op rhs`, or an error if the tree would be too deep.
+    fn bin(&self, op: BinOp, (lhs, l): Tree, (rhs, r): Tree) -> Result<Tree, LangError> {
+        self.node(Expr::Bin(op, Box::new(lhs), Box::new(rhs)), l.max(r) + 1)
+    }
+
+    /// `expr` with its tree `depth`, or an error past [`MAX_NESTING`].
+    fn node(&self, expr: Expr, depth: u32) -> Result<Tree, LangError> {
+        if depth > MAX_NESTING {
+            return Err(too_deep(self.line()));
+        }
+        Ok((expr, depth))
+    }
+
+    fn primary(&mut self) -> Result<Tree, LangError> {
         match self.next() {
             Some(Spanned {
                 tok: Tok::Int(v), ..
-            }) => Ok(Expr::Int(v)),
+            }) => Ok((Expr::Int(v), 1)),
             Some(Spanned {
                 tok: Tok::Keyword("true"),
                 ..
-            }) => Ok(Expr::Bool(true)),
+            }) => Ok((Expr::Bool(true), 1)),
             Some(Spanned {
                 tok: Tok::Keyword("false"),
                 ..
-            }) => Ok(Expr::Bool(false)),
+            }) => Ok((Expr::Bool(false), 1)),
             Some(Spanned {
                 tok: Tok::Ident(name),
                 ..
-            }) => Ok(Expr::Ident(name)),
+            }) => Ok((Expr::Ident(name), 1)),
             Some(Spanned {
                 tok: Tok::Punct("("),
                 ..
             }) => {
-                let e = self.nested(Self::expr)?;
+                let e = self.nested(Self::or_expr)?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
@@ -542,6 +568,30 @@ mod tests {
         ] {
             let err = parse(&deep).unwrap_err();
             assert!(err.message.contains("nested more than"), "{}", err.message);
+        }
+    }
+
+    #[test]
+    fn long_operator_chains_are_an_error_not_a_stack_overflow() {
+        let guard = |terms: usize, op: &str| {
+            format!(
+                "program p var x : 0..1 action a : {} == x -> x := x",
+                vec!["x"; terms].join(op)
+            )
+        };
+        // `n` terms and the comparison make a tree `n + 1` deep.
+        let deepest = MAX_NESTING as usize - 1;
+        let program = crate::compile(&guard(deepest, " + ")).unwrap();
+        assert_eq!(program.action_count(), 1);
+        let err = parse(&guard(deepest + 1, " + ")).unwrap_err();
+        assert!(err.message.contains("nested more than"), "{}", err.message);
+        for op in [" + ", " - ", " * ", " / ", " % ", " && ", " || "] {
+            let err = crate::compile(&guard(100_000, op)).unwrap_err();
+            assert!(
+                err.message.contains("nested more than"),
+                "{op}: {}",
+                err.message
+            );
         }
     }
 

@@ -44,22 +44,20 @@ pub enum Event {
         /// Wall-clock duration of the phase in microseconds.
         micros: u64,
     },
-    /// One segment processed by an out-of-core pass (a segmented scan or a
-    /// frontier-convergence round). Deliberately carries **no** wall-clock
-    /// field: segment events are emitted in segment order regardless of
-    /// which worker built the segment, so journals are bit-identical for
+    /// One step of an out-of-core pass over the segment plan; today one
+    /// frontier-convergence round. Deliberately carries **no** wall-clock
+    /// field: the event sums the round's segments after the merge,
+    /// whichever worker swept them, so journals are bit-identical for
     /// every thread count.
     Segment {
-        /// Producing pass: `"scan"` for full-relation sweeps,
-        /// `"frontier-round"` for one convergence round.
+        /// Producing pass: `"frontier-round"` for one convergence round
+        /// (the only pass that emits this event).
         phase: String,
-        /// Segment index within the plan (or round number for
-        /// `"frontier-round"`).
+        /// Round number, from 1.
         index: u64,
-        /// States covered by the segment (or resolved this round).
+        /// States resolved this round.
         states: u64,
-        /// Transitions materialized in the segment (or successor
-        /// evaluations this round).
+        /// Successor evaluations this round.
         transitions: u64,
     },
     /// Progress of one convergence-wave analysis (region build, peel,
@@ -651,7 +649,7 @@ pub(crate) mod tests {
                 micros: 42,
             },
             Event::Segment {
-                phase: "scan".into(),
+                phase: "frontier-round".into(),
                 index: 2,
                 states: 4096,
                 transitions: 20480,
@@ -719,7 +717,7 @@ pub(crate) mod tests {
 {"ev":"span-close","t_us":7,"name":"enumerate","micros":1234}
 {"ev":"counter","t_us":7,"scope":"checker","name":"states_decoded","value":98765}
 {"ev":"csr-phase","t_us":7,"phase":"count","states":3125,"transitions":15625,"micros":42}
-{"ev":"segment","t_us":7,"phase":"scan","index":2,"states":4096,"transitions":20480}
+{"ev":"segment","t_us":7,"phase":"frontier-round","index":2,"states":4096,"transitions":20480}
 {"ev":"wave","t_us":7,"fairness":"weakly-fair","region":3120,"peeled":3120,"sccs":0}
 {"ev":"constraint-violated","t_us":7,"step":0,"constraint":"x.1>=x.2"}
 {"ev":"constraint-repaired","t_us":7,"step":3,"constraint":"x.1>=x.2","action":"fix.2"}

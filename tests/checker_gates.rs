@@ -4,7 +4,8 @@
 //!   ceiling on each instance. Each ceiling sits ~15% over the measured
 //!   value, so a layout regression (anything that adds bytes per
 //!   transition) fails while allocator noise passes.
-//! - The segmented scan sees exactly the CSR's transitions.
+//! - A decoded sweep over the segment plan sees exactly the CSR's
+//!   transitions.
 //! - The frontier convergence check of diffusing binary-9 converges at one
 //!   and several threads, and its serial work is pinned.
 //!

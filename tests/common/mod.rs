@@ -1,7 +1,9 @@
 //! Shared by the checker gate tests (`checker_gates.rs`, `large_space.rs`):
 //! one journaled CSR enumeration, measured the way the gates need it.
 
-use nonmask_checker::{CheckOptions, SegmentedSpace, StateSpace};
+use nonmask_checker::{
+    steal_tasks, CheckOptions, Decoder, SpaceIndex, StateId, StateSpace, Successors,
+};
 use nonmask_obs::{Event, Journal};
 use nonmask_program::Program;
 
@@ -30,8 +32,9 @@ impl CsrFigures {
 }
 
 /// Enumerate `program` into the resident CSR table, then sweep the same
-/// relation segment-at-a-time through [`SegmentedSpace::scan`] and assert
-/// that it sees exactly the CSR's transitions.
+/// relation through [`Decoder`] rows, one work-stealing task per segment
+/// of the plan, and assert that the sweep sees exactly the CSR's
+/// transitions.
 pub fn enumerate(program: &Program, opts: CheckOptions) -> CsrFigures {
     let (journal, buffer) = Journal::memory();
     let space = StateSpace::enumerate_journaled(program, opts, &journal)
@@ -54,14 +57,24 @@ pub fn enumerate(program: &Program, opts: CheckOptions) -> CsrFigures {
     };
     drop(space);
 
-    let segmented = SegmentedSpace::new(program, opts).expect("segment plans fit the budget");
-    let per_segment = segmented
-        .scan(|_, seg| seg.transition_count())
-        .expect("segmented scan of a resident-sized instance");
+    let index = SpaceIndex::of_program(program, opts).expect("the CSR build indexed it");
+    let plan = opts.segment_plan(index.len());
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let per_segment = steal_tasks(plan.count(), workers, |ti| {
+        let mut rows = Decoder::new(program, &index);
+        plan.range(ti)
+            .map(|i| {
+                rows.row(StateId::from_index(i))
+                    .expect("the CSR build decoded it")
+                    .len()
+            })
+            .sum::<usize>()
+    })
+    .expect("no decoder task panics");
     assert_eq!(
         per_segment.iter().sum::<usize>(),
         figures.transitions,
-        "the segmented scan must see every CSR transition"
+        "the decoded sweep must see every CSR transition"
     );
     figures
 }

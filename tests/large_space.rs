@@ -6,7 +6,7 @@
 //! the out-of-core frontier mode.
 //!
 //! The 16.7M-state tier of the `checker_gates.rs` gates lives here too:
-//! bytes-per-state ceilings, the segmented-scan cross-check, flat
+//! bytes-per-state ceilings, the decoded-sweep cross-check, flat
 //! enumeration throughput within each protocol family, and the frontier
 //! verdict on diffusing binary-12.
 //!
