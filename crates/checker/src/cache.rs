@@ -225,6 +225,80 @@ impl Bitset {
     }
 }
 
+/// Up to [`MaskColumn::WIDTH`] predicate caches packed per state: bit `j`
+/// of the mask of state `i` is predicate `j` at `i`.
+///
+/// A [`Bitset`] answers one predicate with one bit per state; the column
+/// answers a whole group of them with one `u64` load, so one sweep can ask
+/// every (action, predicate) preservation question of the group at once
+/// (see [`breaking_actions`](crate::breaking_actions)). It costs 8 bytes
+/// per state per group of 64 predicates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MaskColumn {
+    masks: Vec<u64>,
+}
+
+impl MaskColumn {
+    /// The most predicates one column packs.
+    pub const WIDTH: usize = 64;
+
+    /// Pack `preds` (at most [`WIDTH`](Self::WIDTH) caches over the same
+    /// space) into one column: predicate `j` becomes bit `j`. Workers own
+    /// disjoint word-aligned chunks of states, so the column is the same
+    /// for every worker count.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::WorkerFailed`] if a worker panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `preds` holds more than [`WIDTH`](Self::WIDTH) caches or
+    /// two of them differ in length.
+    pub fn pack(preds: &[&Bitset], opts: CheckOptions) -> Result<Self, CheckError> {
+        assert!(preds.len() <= Self::WIDTH, "at most 64 predicates a column");
+        let len = preds.first().map_or(0, |p| p.len);
+        assert!(preds.iter().all(|p| p.len == len), "bitset length mismatch");
+        let workers = opts.workers_for(len);
+        let chunks = chunk_ranges(len.div_ceil(64), workers);
+        let mut masks = vec![0u64; len];
+        let parts = split_lens(
+            &mut masks,
+            chunks.iter().map(|c| (c.end * 64).min(len) - c.start * 64),
+        );
+        steal_parts(parts, workers, |ci, out| {
+            let first_word = chunks[ci].start;
+            for w in chunks[ci].clone() {
+                let out = &mut out[(w - first_word) * 64..];
+                for (j, pred) in preds.iter().enumerate() {
+                    let mut word = pred.words[w];
+                    while word != 0 {
+                        out[word.trailing_zeros() as usize] |= 1 << j;
+                        word &= word - 1;
+                    }
+                }
+            }
+        })?;
+        Ok(MaskColumn { masks })
+    }
+
+    /// The predicate bits of state index `i`.
+    #[inline]
+    pub fn at(&self, i: usize) -> u64 {
+        self.masks[i]
+    }
+
+    /// Number of states the column ranges over.
+    pub fn len(&self) -> usize {
+        self.masks.len()
+    }
+
+    /// Whether the column ranges over zero states.
+    pub fn is_empty(&self) -> bool {
+        self.masks.is_empty()
+    }
+}
+
 /// Ascending iterator over the member indices of a [`Bitset`], produced by
 /// [`Bitset::iter_ones`]. Skips zero words a whole word at a time.
 #[derive(Debug, Clone)]
@@ -366,6 +440,39 @@ mod tests {
         assert_eq!(Bitset::ones(0).iter_ones().count(), 0);
         assert_eq!(Bitset::zeros(500).iter_ones().count(), 0);
         assert_eq!(Bitset::ones(500).iter_ones().count(), 500);
+    }
+
+    #[test]
+    fn mask_column_packs_each_predicate_into_its_bit() {
+        for len in [1, 63, 64, 65, 5000] {
+            let caches: Vec<Bitset> = (1..=64)
+                .map(|k| bits(len, move |i| (i * 31 + k) % (k + 1) == 0))
+                .collect();
+            let refs: Vec<&Bitset> = caches.iter().collect();
+            let serial = MaskColumn::pack(&refs, CheckOptions::serial()).unwrap();
+            assert_eq!(serial.len(), len);
+            for i in 0..len {
+                for (j, b) in caches.iter().enumerate() {
+                    assert_eq!(
+                        serial.at(i) >> j & 1 == 1,
+                        b.get(i),
+                        "len={len} i={i} j={j}"
+                    );
+                }
+            }
+            for threads in [2, 7] {
+                let par = MaskColumn::pack(&refs[..3], CheckOptions::default().threads(threads));
+                let par = par.unwrap();
+                assert!(
+                    (0..len).all(|i| par.at(i) == serial.at(i) & 0b111),
+                    "len={len}"
+                );
+            }
+        }
+        let none = MaskColumn::pack(&[], CheckOptions::serial()).unwrap();
+        assert!(none.is_empty());
+        let empty = MaskColumn::pack(&[&Bitset::zeros(0)], CheckOptions::serial()).unwrap();
+        assert!(empty.is_empty());
     }
 
     #[test]

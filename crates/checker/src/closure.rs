@@ -12,12 +12,20 @@
 //! parallel). Both sources, every thread count and every segment size
 //! report the same violation: the lowest violating action, then its
 //! lowest state.
+//!
+//! Many questions over the same states take one sweep. [`breaking_actions`]
+//! reads a [`MaskColumn`] of up to 64 predicates per state and, for every
+//! transition `x → y` of action `a` out of the assumed states, ORs
+//! `mask(x) & !mask(y)` into `a`'s entry: one pass says which actions
+//! break which predicates of the group. A violation's witness costs one
+//! more scan ([`preserves_given_bits`] on the breaking action), run only
+//! when there is a violation.
 
 use std::ops::Range;
 
 use nonmask_program::{ActionId, Predicate, Program, State};
 
-use crate::cache::Bitset;
+use crate::cache::{Bitset, MaskColumn};
 use crate::error::CheckError;
 use crate::options::{steal_find, steal_tasks, CheckOptions};
 use crate::space::{SpaceError, StateId, StateSpace};
@@ -92,7 +100,8 @@ pub fn preserves_given(
 /// over exactly this `space` (see [`Bitset::for_predicate`]): one bit test
 /// per state and per successor, no predicate evaluation at all, and the
 /// scan stops at the first violation. To ask the question of every action
-/// at once, sweep once with [`breaking_actions`].
+/// and every predicate of a [`MaskColumn`] at once, sweep once with
+/// [`breaking_actions`].
 pub fn preserves_given_bits(
     space: &StateSpace,
     action: ActionId,
@@ -135,55 +144,57 @@ pub fn is_closed_bits<R: RowSource>(
     first_violation(space, pred_bits, None, None, opts)
 }
 
-/// Which actions break `pred` where `assuming` holds: entry `a` is `true`
-/// iff some transition of action `a` leads from a state of
-/// `pred ∧ assuming` to a state outside `pred`, that is, iff
-/// [`preserves_given_bits`] would report a violation for `a`.
+/// Which actions break which predicates of a [`MaskColumn`] group where
+/// `assuming` holds: bit `j` of entry `a` is set iff some transition of
+/// action `a` leads from a state of `assuming ∧ pred_j` to a state outside
+/// `pred_j`, that is, iff [`preserves_given_bits`] would report a
+/// violation of `pred_j` for `a`.
 ///
-/// One sweep over `pred ∧ assuming` answers the question for all
-/// `action_count` actions at once, where asking [`preserves_given_bits`]
-/// per action costs one sweep each. Theorem 3's side conditions ask it of
-/// every action for the same (constraint, assumption) pair.
+/// One sweep over the states of `assuming` answers the question for all
+/// `action_count` actions and every predicate of the group at once: per
+/// transition `x → y` of action `a`, `broken[a] |= mask(x) & !mask(y)`.
+/// Closure is the special case `assuming = pred_j` (the states outside
+/// `pred_j` contribute nothing to bit `j`), and Theorem 3's side
+/// conditions ask it of every action and constraint under the same layer
+/// assumption. Every row of `assuming` is read, whatever the answer.
 ///
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
 /// [`CheckError::Space`] if an action escapes its domain (only a
 /// [`Decoder`](crate::Decoder) evaluates actions).
+///
+/// # Panics
+///
+/// Panics if `masks` does not range over exactly the states of `source`.
 pub fn breaking_actions<R: RowSource>(
     source: &R,
     action_count: usize,
-    pred_bits: &Bitset,
-    assuming_bits: &Bitset,
+    masks: &MaskColumn,
+    assuming: &Bitset,
     opts: CheckOptions,
-) -> Result<Vec<bool>, CheckError> {
+) -> Result<Vec<u64>, CheckError> {
     let len = source.index().len();
+    assert_eq!(masks.len(), len, "mask column length mismatch");
     let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
-    let sweep = |ti: usize| -> Result<Vec<bool>, SpaceError> {
-        let range = plan.range(ti);
+    let sweep = |ti: usize| -> Result<Vec<u64>, SpaceError> {
         let mut rows = source.rows();
-        let mut breaking = vec![false; action_count];
-        let mut unmarked = action_count;
-        for i in members(pred_bits, Some(assuming_bits), range) {
-            if unmarked == 0 {
-                break;
-            }
+        let mut broken = vec![0u64; action_count];
+        for i in members(assuming, None, plan.range(ti)) {
+            let held = masks.at(i);
             for (a, succ) in rows.row(StateId::from_index(i))? {
-                if !pred_bits.contains(succ) && !breaking[a.index()] {
-                    breaking[a.index()] = true;
-                    unmarked -= 1;
-                }
+                broken[a.index()] |= held & !masks.at(succ.index());
             }
         }
-        Ok(breaking)
+        Ok(broken)
     };
-    let mut breaking = vec![false; action_count];
+    let mut broken = vec![0u64; action_count];
     for part in steal_tasks(plan.count(), workers, sweep)? {
-        for (b, p) in breaking.iter_mut().zip(part?) {
+        for (b, p) in broken.iter_mut().zip(part?) {
             *b |= p;
         }
     }
-    Ok(breaking)
+    Ok(broken)
 }
 
 /// The two closure obligations of one repair: a convergence action and
@@ -607,26 +618,25 @@ mod tests {
             .unwrap()
             .try_into()
             .unwrap();
+        // Bit 0: x=y, bit 1: y<=x, bit 2: x<3.
+        let masks = MaskColumn::pack(&[&eq, &le, &small], opts).unwrap();
         let all = Bitset::ones(space.len());
-        // copy keeps x=y; bump breaks it.
+        // copy keeps all three; bump breaks x=y, y<=x (3 -> 0 wraps) and
+        // x<3 (2 -> 3).
         assert_eq!(
-            breaking_actions(&space, 2, &eq, &all, opts).unwrap(),
-            [false, true]
+            breaking_actions(&space, 2, &masks, &all, opts).unwrap(),
+            [0b000, 0b111]
         );
-        // bump breaks y<=x only by wrapping 3 -> 0, which x<3 rules out.
+        // Assuming x<3 rules out the wrap, so bump keeps y<=x there.
         assert_eq!(
-            breaking_actions(&space, 2, &le, &all, opts).unwrap(),
-            [false, true]
-        );
-        assert_eq!(
-            breaking_actions(&space, 2, &le, &small, opts).unwrap(),
-            [false, false]
+            breaking_actions(&space, 2, &masks, &small, opts).unwrap(),
+            [0b000, 0b101]
         );
         // An empty assumption leaves nothing to break.
         let none = Bitset::zeros(space.len());
         assert_eq!(
-            breaking_actions(&space, 2, &eq, &none, opts).unwrap(),
-            [false, false]
+            breaking_actions(&space, 2, &masks, &none, opts).unwrap(),
+            [0, 0]
         );
     }
 

@@ -24,8 +24,11 @@ pub struct CheckCounters {
     /// state for each pass of [`Bitset::for_predicates`](crate::Bitset::for_predicates),
     /// however many predicates the pass evaluates.
     pub states_decoded: u64,
-    /// CSR rows visited by closure and preservation sweeps, counted as
-    /// whole-space scans times the state count.
+    /// CSR rows read by closure and preservation sweeps: every row of
+    /// each sweep's assumption (the closure sweeps over `T` and `S`, the
+    /// repair sweep over `T`, one per memo miss), plus, per closure
+    /// witness scan, the rows of the predicate up to its witness, as a
+    /// scan in id order reads them.
     pub csr_rows_visited: u64,
     /// Region (`T ∧ ¬S`) states examined by the convergence pass. One
     /// pass answers both daemons and the worst-case bound, so the region
@@ -38,11 +41,13 @@ pub struct CheckCounters {
     /// once although the residual is analysed once per daemon.
     pub sccs_found: u64,
     /// Preservation queries (action, constraint, assumption) answered
-    /// from the memo of an earlier sweep.
+    /// from the memo of an earlier sweep, including the closure sweeps
+    /// over `T` and `S` that run before any query.
     pub cache_hits: u64,
     /// Preservation queries that ran a fresh sweep: one
     /// [`breaking_actions`](crate::breaking_actions) sweep per
-    /// (constraint, assumption), answering every action at once.
+    /// (assumption, mask group), answering every action and every
+    /// predicate of the group at once.
     pub cache_misses: u64,
 }
 

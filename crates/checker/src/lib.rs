@@ -69,7 +69,12 @@
 //! [`repair_obligations`] run on a [`Decoder`] as well as on a
 //! [`StateSpace`], and report the same answer on each: with a decoder no
 //! transition is stored, so closure questions reach spaces whose CSR
-//! table does not fit the memory budget.
+//! table does not fit the memory budget. A sweep asks as many questions
+//! as it can: [`breaking_actions`] answers closure and preservation for
+//! every action and up to 64 predicates (a [`MaskColumn`], 8 bytes per
+//! state) in one pass over the assumed states, and
+//! [`repair_obligations`] checks every constraint's repair in one pass
+//! over `T`.
 //!
 //! For convergence-only queries on such instances,
 //! [`check_convergence_frontier_stats`] ([`frontier`]) never materializes
@@ -133,7 +138,7 @@ pub mod span;
 pub mod successors;
 
 pub use bounds::{check_variant, worst_case_moves, VariantReport};
-pub use cache::{Bitset, OnesIter};
+pub use cache::{Bitset, MaskColumn, OnesIter};
 pub use closure::{
     breaking_actions, is_closed, is_closed_bits, preserves, preserves_given, preserves_given_bits,
     repair_obligations, RepairWitnesses, Violation,

@@ -741,13 +741,8 @@ impl StateSpace {
             let mut out = Vec::with_capacity(range.len());
             index.radix.decode_into(range.start as u64, &mut scratch);
             for _ in range {
-                let mut c = 0u32;
-                for a in program.action_ids() {
-                    if program.action(a).enabled(&scratch) {
-                        c += 1;
-                    }
-                }
-                out.push(c);
+                let enabled = program.actions().iter().filter(|a| a.enabled(&scratch));
+                out.push(enabled.count() as u32);
                 index.step_state(&mut scratch);
             }
             out

@@ -4,8 +4,8 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::time::{Duration, Instant};
 
 use nonmask_checker::{
-    check_convergence_bits, closure, Bitset, CheckCounters, CheckError, CheckOptions, SpaceError,
-    StateSpace,
+    check_convergence_bits, closure, Bitset, CheckCounters, CheckError, CheckOptions, MaskColumn,
+    SpaceError, StateSpace,
 };
 use nonmask_graph::{ConstraintGraph, ConstraintRef, GraphError, Layering, NodePartition, Shape};
 use nonmask_program::{ActionId, ActionKind, Predicate, Program};
@@ -196,7 +196,8 @@ impl Design {
     ///
     /// 1. **Closure checks** — `S` and `T` closed; each convergence action
     ///    guards exactly its constraint's violation and establishes the
-    ///    constraint.
+    ///    constraint. `S`/`T` closure is read off the same sweeps over `T`
+    ///    and over `S` that answer the theorems' preservation questions.
     /// 2. **Method-level theorem checks** — which of Theorems 1–3 applies
     ///    (structural shape conditions from the graph crate, semantic
     ///    preservation obligations discharged by the checker). For merged
@@ -239,16 +240,50 @@ impl Design {
         let predicate_eval = eval_started.elapsed();
 
         // --- 1. Closure obligations -----------------------------------
+        // The shared caches `[T, S, c_0, c_1, …]`, packed per state into
+        // mask columns of 64 predicates each (see `slot`). One
+        // `breaking_actions` sweep over an assumption's states answers
+        // every (action, predicate) preservation question of a group.
+        // The group-0 sweeps over `T` and over `S` run first: bit `T` of
+        // the one and bit `S` of the other are the closure verdicts, and
+        // both pre-fill the preservation memo below.
         let closure_started = Instant::now();
-        let closure_report = self.check_closure_bits(space, &s_bits, &t_bits, &c_bits)?;
+        let n = p.action_count();
+        let masks = {
+            let mut packed: Vec<&Bitset> = vec![&t_bits, &s_bits];
+            packed.extend(&c_bits);
+            packed
+                .chunks(MaskColumn::WIDTH)
+                .map(|group| MaskColumn::pack(group, opts))
+                .collect::<Result<Vec<_>, _>>()?
+        };
+        // CSR rows the sweeps read: each sweep reads every row of its
+        // assumption.
+        let mut rows_visited = 0u64;
+        let mut memo: HashMap<(Assumption, usize), Vec<u64>> = HashMap::new();
+        for (key, assuming) in [(Assumption::T, &t_bits), (Assumption::S, &s_bits)] {
+            rows_visited += assuming.count_ones() as u64;
+            let broken = closure::breaking_actions(space, n, &masks[0], assuming, opts)?;
+            memo.insert((key, 0), broken);
+        }
+        let (closure_report, closure_rows) = self.check_closure_bits(
+            space,
+            [&memo[&(Assumption::T, 0)], &memo[&(Assumption::S, 0)]],
+            &s_bits,
+            &t_bits,
+            &c_bits,
+        )?;
+        rows_visited += closure_rows;
         let closure_time = closure_started.elapsed();
 
         // --- 2. Theorem side conditions --------------------------------
-        // Memoized conditional-preservation oracle over the bit caches,
-        // keyed by (constraint, assumption): one `breaking_actions` sweep
-        // answers the query for every action at once.
+        // Memoized conditional-preservation oracle, keyed by (assumption,
+        // mask group): one `breaking_actions` sweep answers the query for
+        // every action and every predicate of the group at once. The
+        // `T` and `S` sweeps of group 0 are already in; what misses is
+        // Theorem 3's per-layer assumptions (and, past 62 constraints,
+        // the later groups).
         let theorem_started = Instant::now();
-        let mut memo: HashMap<(usize, Assumption), Vec<bool>> = HashMap::new();
         let mut cache_hits: u64 = 0;
         let mut cache_misses: u64 = 0;
         // The graph crate's order-search callbacks return `bool`, so the
@@ -258,24 +293,25 @@ impl Design {
         let mut oracle_error: Option<CheckError> = None;
         let mut preserves_under =
             |a: ActionId, ci: usize, assuming: &Bitset, key: Assumption| -> bool {
-                let breaking = match memo.entry((ci, key)) {
+                let (group, bit) = slot(CONSTRAINT_SLOTS + ci);
+                let broken = match memo.entry((key, group)) {
                     Entry::Occupied(e) => {
                         cache_hits += 1;
                         e.into_mut()
                     }
-                    Entry::Vacant(slot) => {
+                    Entry::Vacant(entry) => {
                         cache_misses += 1;
-                        let n = p.action_count();
-                        slot.insert(
-                            closure::breaking_actions(space, n, &c_bits[ci], assuming, opts)
+                        rows_visited += assuming.count_ones() as u64;
+                        entry.insert(
+                            closure::breaking_actions(space, n, &masks[group], assuming, opts)
                                 .unwrap_or_else(|e| {
                                     oracle_error.get_or_insert(e);
-                                    vec![true; n]
+                                    vec![u64::MAX; n]
                                 }),
                         )
                     }
                 };
-                !breaking[a.index()]
+                broken[a.index()] & bit == 0
             };
 
         let mut reasons: Vec<String> = Vec::new();
@@ -348,6 +384,9 @@ impl Design {
         if let Some(e) = oracle_error {
             return Err(DesignError::Check(e));
         }
+        // The convergence pass holds the run's peak memory; the mask
+        // columns (8 bytes per state per group) are not needed there.
+        drop(masks);
 
         // --- 3. Ground truth -------------------------------------------
         // One pass over the region `T ∧ ¬S`, on the shared `S`/`T` bit
@@ -363,17 +402,16 @@ impl Design {
         };
 
         // Work counters: one decode pass built every evaluated predicate
-        // cache. The CSR-row figure counts whole-space scans: one
-        // `breaking_actions` sweep per memo miss, the two closure scans of
-        // `S` and `T`, and the one repair-obligations sweep. Convergence
-        // figures are those of the one region pass.
+        // cache. The CSR-row figure sums the rows the closure and
+        // preservation sweeps read. Convergence figures are those of the
+        // one region pass.
         let states = space.len() as u64;
         let counters = CheckCounters {
             states,
             transitions: space.transition_count() as u64,
             bitset_builds: evaluated,
             states_decoded: states,
-            csr_rows_visited: (cache_misses + 3) * states,
+            csr_rows_visited: rows_visited,
             region_states: conv.stats.region_states,
             peeled_states: conv.stats.peeled_states,
             sccs_found: conv.stats.sccs_found,
@@ -402,22 +440,44 @@ impl Design {
         })
     }
 
-    /// The closure obligations over the shared predicate caches: `S` and
-    /// `T` closed, then one sweep over the `T` states for every
-    /// constraint's repair ([`closure::repair_obligations`]). The
+    /// The closure obligations over the shared predicate caches, and the
+    /// CSR rows their scans read. `broken` holds the group-0
+    /// [`closure::breaking_actions`] sweeps over `T` and over `S`: `T`
+    /// (`S`) is closed iff no action has its `T` (`S`) bit set. Only a
+    /// violation costs another scan, of the lowest breaking action, for
+    /// its lowest-id witness. Then one sweep over the `T` states checks
+    /// every constraint's repair ([`closure::repair_obligations`]). The
     /// convergence action's enabledness is read off the transition table
     /// (a `(action, successor)` pair exists exactly when the guard holds),
     /// so no guard or predicate is re-evaluated here.
     fn check_closure_bits(
         &self,
         space: &StateSpace,
+        broken: [&[u64]; 2],
         s_bits: &Bitset,
         t_bits: &Bitset,
         c_bits: &[Bitset],
-    ) -> Result<ClosureReport, CheckError> {
+    ) -> Result<(ClosureReport, u64), CheckError> {
         let opts = self.options;
-        let invariant = closure::is_closed_bits(space, s_bits, opts)?;
-        let fault_span = closure::is_closed_bits(space, t_bits, opts)?;
+        let mut rows = 0u64;
+        let mut witness = |broken: &[u64], bit: u64, pred: &Bitset| {
+            let Some(a) = broken.iter().position(|b| b & bit != 0) else {
+                return Ok(None);
+            };
+            let v =
+                closure::preserves_given_bits(space, ActionId::from_index(a), pred, pred, opts)?
+                    .expect("a breaking action has a violation");
+            // The rows of `pred` a scan in id order reads up to its
+            // witness.
+            let before = space.id_of(&v.before).expect("a state of the space");
+            rows += pred
+                .iter_ones()
+                .take_while(|&i| i <= before.index())
+                .count() as u64;
+            Ok::<_, CheckError>(Some(v))
+        };
+        let fault_span = witness(broken[0], slot(T_SLOT).1, t_bits)?;
+        let invariant = witness(broken[1], slot(S_SLOT).1, s_bits)?;
 
         let repairs: Vec<(ActionId, &Bitset)> = self
             .constraints
@@ -428,6 +488,7 @@ impl Design {
         let mut unguarded = Vec::new();
         let mut non_establishing = Vec::new();
         let witnesses = closure::repair_obligations(space, t_bits, &repairs, opts)?;
+        rows += t_bits.count_ones() as u64;
         for (i, w) in witnesses.into_iter().enumerate() {
             // ¬c ∧ T must enable the convergence action …
             if let Some(id) = w.unguarded {
@@ -439,12 +500,13 @@ impl Design {
             }
         }
 
-        Ok(ClosureReport {
+        let report = ClosureReport {
             invariant,
             fault_span,
             unguarded_constraints: unguarded,
             non_establishing,
-        })
+        };
+        Ok((report, rows))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -592,7 +654,18 @@ impl Design {
     }
 }
 
-/// The states a preservation query assumes, the second half of the
+/// The mask slots of the shared predicate caches: `T`, then `S`, then
+/// constraint `i` at `CONSTRAINT_SLOTS + i`.
+const T_SLOT: usize = 0;
+const S_SLOT: usize = 1;
+const CONSTRAINT_SLOTS: usize = 2;
+
+/// The mask group of slot `k`, and the mask of its bit within the group.
+fn slot(k: usize) -> (usize, u64) {
+    (k / MaskColumn::WIDTH, 1 << (k % MaskColumn::WIDTH))
+}
+
+/// The states a preservation query assumes, the first half of the
 /// preservation memo's key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Assumption {
@@ -1016,6 +1089,70 @@ mod tests {
         let b = d.verify().unwrap();
         assert_eq!(a.is_tolerant(), b.is_tolerant());
         assert_eq!(a.worst_case_moves, b.worst_case_moves);
+    }
+
+    #[test]
+    fn csr_rows_visited_counts_the_rows_read() {
+        // T is `true` and S is `x != y ∧ x <= z`, counted here state by
+        // state. The design has no closure action and applies Theorem 1,
+        // so no preservation query runs: the rows read are the closure
+        // sweeps over T and over S, then the repair sweep over T.
+        let report = good_xyz().verify().unwrap();
+        let states = (0..4).flat_map(|x| (0..4).flat_map(move |y| (0..4).map(move |z| (x, y, z))));
+        let all = states.clone().count() as u64;
+        let s = states.filter(|&(x, y, z)| x != y && x <= z).count() as u64;
+        assert_eq!((all, s), (64, 30));
+        assert!(report.closure.ok());
+        assert_eq!(report.counters.cache_hits + report.counters.cache_misses, 0);
+        assert_eq!(report.counters.csr_rows_visited, all + s + all);
+    }
+
+    #[test]
+    fn closure_witness_matches_the_whole_relation_scan() {
+        // x in 0..=3, S = T ∧ (x = 0). Two closure actions leave `x = 0`:
+        // `jump` (x := 2) and, first in action order, `inc`. The witness
+        // is `inc`'s, as `closure::is_closed` (a scan of every action)
+        // reports it.
+        let mut b = Program::builder("leave");
+        let x = b.var("x", Domain::range(0, 3));
+        let fix = b.convergence_action(
+            "fix",
+            [x],
+            [x],
+            move |s| s.get(x) != 0,
+            move |s| s.set(x, 0),
+        );
+        b.closure_action(
+            "inc",
+            [x],
+            [x],
+            move |s| s.get(x) < 3,
+            move |s| s.set(x, s.get(x) + 1),
+        );
+        b.closure_action("jump", [x], [x], |_| true, move |s| s.set(x, 2));
+        let program = b.build();
+        let d = Design::builder(program)
+            .partition(NodePartition::new().group("x", [x]))
+            .constraint(
+                "x=0",
+                Predicate::new("x=0", [x], move |s| s.get(x) == 0),
+                fix,
+            )
+            .build()
+            .unwrap();
+        let space = StateSpace::enumerate(d.program()).unwrap();
+        let report = d.verify_with(&space).unwrap();
+        let v = report.closure.invariant.clone().expect("S is not closed");
+        assert_eq!(d.program().action(v.action).name(), "inc");
+        assert_eq!((v.before.slots(), v.after.slots()), (&[0][..], &[1][..]));
+        let scanned = closure::is_closed(&space, d.program(), &d.invariant()).unwrap();
+        assert_eq!(Some(v), scanned);
+        assert_eq!(report.closure.fault_span, None);
+        // |T| + |S| for the closure sweeps, one row for the witness scan
+        // (x = 0 is the first S state), |T| for the repair sweep; both
+        // closure actions' questions are answered by the `T` sweep.
+        assert_eq!(report.counters.cache_misses, 0);
+        assert_eq!(report.counters.csr_rows_visited, 4 + 1 + 1 + 4);
     }
 
     #[test]

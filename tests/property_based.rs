@@ -4,8 +4,8 @@ use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
     breaking_actions, check_convergence, check_convergence_bits, check_convergence_frontier_stats,
     check_convergence_stats, is_closed, is_closed_bits, preserves_given_bits, worst_case_moves,
-    Bitset, CheckOptions, ConvergenceResult, Decoder, Fairness, SpaceError, SpaceIndex, StateId,
-    StateSpace, Successors, Violation,
+    Bitset, CheckOptions, ConvergenceResult, Decoder, Fairness, MaskColumn, SpaceError, SpaceIndex,
+    StateId, StateSpace, Successors, Violation,
 };
 use nonmask_graph::{NodePartition, Shape};
 use nonmask_obs::{Event, Journal, MemoryBuffer};
@@ -723,41 +723,56 @@ proptest! {
         }
     }
 
-    /// One sweep per (predicate, assumption) answers the per-action
-    /// question: `breaking_actions(..)[a]` is `true` exactly when
-    /// `preserves_given_bits` finds a violation for `a`, on every row
-    /// source and thread count.
+    /// One sweep per assumption answers every (action, predicate)
+    /// question of a mask group: bit `j` of `breaking_actions(..)[a]` is
+    /// set exactly when `preserves_given_bits` finds a violation of
+    /// predicate `j` by `a`, for 1 to 64 predicates, on both row sources
+    /// at 1, 2 and 8 threads.
     #[test]
     fn breaking_actions_match_per_action_preservation(
         domains in proptest::collection::vec(domain_strategy(), 1..=5),
         actions in proptest::collection::vec((0usize..5, 0usize..5, 1i64..=3), 0..=5),
-        pred_seed in (0u64..1000, 30u64..=100),
+        pred_seeds in proptest::collection::vec((0u64..1000, 30u64..=100), 64),
+        // A full group half the time, so its top bit is exercised.
+        width in prop_oneof![Just(64usize), 1usize..=64],
         assume_seed in (0u64..1000, 0u64..=100),
-        threads in 1usize..=8,
     ) {
         let p = program_with_actions(domains, actions);
         let space = StateSpace::enumerate(&p).unwrap();
-        let opts = CheckOptions::default().threads(threads).segment_states(7);
-        let pred = hashed_predicate(&p, "pred", pred_seed.0, pred_seed.1);
-        let assuming = hashed_predicate(&p, "assuming", assume_seed.0, assume_seed.1);
-        let [pred_bits, assuming_bits] = Bitset::for_predicates(space.index(), &[&pred, &assuming], opts)
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let n = p.action_count();
-        let breaking = breaking_actions(&space, n, &pred_bits, &assuming_bits, opts).unwrap();
-        prop_assert_eq!(breaking.len(), n);
-        for a in p.action_ids() {
-            let preserves = preserves_given_bits(&space, a, &pred_bits, &assuming_bits, opts)
-                .unwrap()
-                .is_none();
-            prop_assert_eq!(!breaking[a.index()], preserves, "action {}", a);
-        }
         let decoded = Decoder::new(&p, space.index());
-        prop_assert_eq!(
-            &breaking_actions(&decoded, n, &pred_bits, &assuming_bits, opts).unwrap(),
-            &breaking
-        );
+        let mut preds: Vec<Predicate> = pred_seeds[..width]
+            .iter()
+            .map(|&(seed, percent)| hashed_predicate(&p, "pred", seed, percent))
+            .collect();
+        preds.push(hashed_predicate(&p, "assuming", assume_seed.0, assume_seed.1));
+        let refs: Vec<&Predicate> = preds.iter().collect();
+        let mut caches = Bitset::for_predicates(space.index(), &refs, CheckOptions::serial()).unwrap();
+        let assuming = caches.pop().unwrap();
+        let packed: Vec<&Bitset> = caches.iter().collect();
+        let masks = MaskColumn::pack(&packed, CheckOptions::serial()).unwrap();
+        let n = p.action_count();
+        let mut expected = vec![0u64; n];
+        for a in p.action_ids() {
+            for (j, bits) in caches.iter().enumerate() {
+                let broken = preserves_given_bits(&space, a, bits, &assuming, CheckOptions::serial())
+                    .unwrap()
+                    .is_some();
+                expected[a.index()] |= u64::from(broken) << j;
+            }
+        }
+        for threads in [1, 2, 8] {
+            let opts = CheckOptions::default().threads(threads).segment_states(7);
+            prop_assert_eq!(
+                &breaking_actions(&space, n, &masks, &assuming, opts).unwrap(),
+                &expected,
+                "resident, threads={}", threads
+            );
+            prop_assert_eq!(
+                &breaking_actions(&decoded, n, &masks, &assuming, opts).unwrap(),
+                &expected,
+                "decoded, threads={}", threads
+            );
+        }
     }
 }
 
