@@ -7,10 +7,10 @@
 //! worst-case number of moves a program can spend outside its invariant —
 //! the quantity the rank argument of Theorem 1 bounds.
 //!
-//! The bound runs no traversal of its own. It is the largest peel height
+//! The bound runs no traversal of its own. It is the largest height
 //! of the convergence pass
 //! ([`check_convergence_bits`](crate::check_convergence_bits)), which answers
-//! both daemons from the same region build and peel. That pass reads the
+//! both daemons from the same region DFS. That pass reads the
 //! resident CSR rows of a [`StateSpace`]. The out-of-core
 //! [`check_convergence_frontier_stats`](crate::check_convergence_frontier_stats)
 //! gives a convergence *verdict* for instances too large to hold their

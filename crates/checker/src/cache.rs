@@ -130,6 +130,13 @@ impl Bitset {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
+    /// Remove state index `i`.
+    #[inline]
+    pub(crate) fn unset(&mut self, i: usize) {
+        debug_assert!(i < self.len);
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
     /// Number of states the set ranges over (not the member count).
     pub fn len(&self) -> usize {
         self.len

@@ -27,29 +27,35 @@
 //!
 //! # Pipeline
 //!
-//! One parallel pass over the space collects the region and the lowest-id
-//! deadlock or escape. Two passes over the region's rows then count each
-//! state's internal out- and in-degree and store the internal adjacency
-//! reversed only, as a CSR graph of predecessors over region-local `u32`
-//! nodes (one `offsets` array plus a flat `edges` array), since the peel
-//! below walks nothing else.
+//! One parallel pass over the space counts the region and finds the
+//! lowest-id deadlock or escape. With none, one iterative Tarjan DFS runs
+//! from the region's states over their internal edges, read straight from
+//! the space's rows, and gives each state a *height*: its longest path
+//! out of the region, counting the exit step. A singleton
+//! component without a self-loop completes after all its internal
+//! successors, so its height is one more than the largest of theirs; a
+//! component with an internal edge, and every state with a path into one,
+//! is *infinite*. The infinite states are exactly those that can stay in
+//! the region forever — the greatest fixpoint of "has an internal
+//! successor in the set" — so every cycle lies among them. They are the
+//! *residual*, and the rest are peeled. (Note the residual is *not* "states
+//! that cannot reach `S`": a cycle that could exit to `S` but need not is
+//! still a legal unfair divergence, and it stays.)
 //!
-//! Before any SCC work, a **peeling fast path** computes the greatest set of
-//! region states from which a computation can stay in the region *forever*:
-//! repeatedly remove (via reverse edges and internal out-degree counters,
-//! Kahn-style, `O(V+E)`) every state all of whose internal successors are
-//! already removed. A state survives iff it starts an infinite
-//! region-confined path, so every cycle — and hence every nontrivial SCC —
-//! lies wholly inside the residual. In the common converging case the
-//! residual is empty and Tarjan never runs; otherwise Tarjan runs on the
-//! residual subgraph only, once per daemon. (Note the residual is *not*
-//! "states that cannot reach `S`": a cycle that could exit to `S` but need
-//! not is still a legal unfair divergence, and the peel keeps it.)
+//! The heights are a rank every region step lowers, as in Theorem 1's
+//! proof, and the largest is the worst-case bound. In the common
+//! converging case the residual is empty, and one pass
+//! ([`check_convergence_bits`]) has answered both daemons and the bound.
+//! Otherwise the residual analysis runs once per daemon. The search keeps
+//! two `u32`s per state and its stacks; nothing it holds is sized by the
+//! edge count.
 //!
-//! The peel also records each state's *height*, its longest path out of
-//! the region: a rank every region step lowers, as in Theorem 1's proof.
-//! The largest height is the worst-case bound, so one pass
-//! ([`check_convergence_bits`]) answers both daemons and the bound.
+//! This is not the seed's whole-region Tarjan, which collected a list per
+//! component and looked states up by binary search in sorted id lists.
+//! Here a component is a slice of the DFS stack, so a singleton allocates
+//! nothing, and the search's arrays are indexed by state id, so every
+//! lookup is one load. The same search, over a residual-local graph, is
+//! the residual analysis's Tarjan.
 //!
 //! Every thread count reports the same witness: the lowest-id event wins,
 //! exactly as in a sequential scan.
@@ -65,7 +71,7 @@ use nonmask_program::{ActionId, Predicate, Program, State};
 use crate::cache::Bitset;
 use crate::error::CheckError;
 use crate::options::{run_chunks, CheckOptions};
-use crate::space::{offsets_from_counts, SpaceError, SpaceIndex, StateId, StateSpace};
+use crate::space::{SpaceError, SpaceIndex, StateId, StateSpace};
 use crate::successors::Successors;
 
 /// The daemon assumption under which convergence is checked.
@@ -127,13 +133,14 @@ impl ConvergenceResult {
 
 /// Size counters for one convergence pass, produced by
 /// [`check_convergence_bits`] and surfaced in journals as
-/// [`Event::Wave`]: how much of the region the peeling fast path resolved
-/// before any SCC analysis, and how many components Tarjan then examined.
+/// [`Event::Wave`]: how much of the region the region pass resolved
+/// before any residual analysis, and how many components that analysis
+/// then examined.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvergenceStats {
     /// States in the region `T ∧ ¬S`.
     pub region_states: u64,
-    /// Region states removed by the Kahn-style peel (all of them, in the
+    /// Region states with no infinite region path (all of them, in the
     /// common converging case).
     pub peeled_states: u64,
     /// Strongly connected components found in the residual subgraph.
@@ -243,13 +250,15 @@ pub fn check_convergence_report(
 /// exactly this `space`), so callers can share the caches across the
 /// closure and convergence passes.
 ///
-/// The region is built once, swept once for deadlocks and escapes, and
-/// Kahn-peeled once. The peel records each state's *height*, the longest
-/// path out of the region: a peeled state's internal successors are all
-/// peeled before it, so its height is one more than the largest of theirs.
-/// No event and an empty residual means both daemons converge and the
-/// bound is the largest height. Otherwise the bound is `None`, and the
-/// verdicts are the lowest-id event or, per daemon, the residual analysis.
+/// The region is swept once for deadlocks and escapes, then searched by
+/// one DFS over its internal edges. The search gives each state its
+/// *height*, the longest path out of the region: a state whose internal
+/// successors all have finite heights has one more than the largest of
+/// theirs, and a state on or leading into a region cycle has an infinite
+/// one. Those are the residual. No event and an empty residual
+/// means both daemons converge and the bound is the largest height.
+/// Otherwise the bound is `None`, and the verdicts are the lowest-id event
+/// or, per daemon, the residual analysis.
 ///
 /// # Errors
 ///
@@ -263,24 +272,25 @@ pub fn check_convergence_bits(
     opts: CheckOptions,
 ) -> Result<ConvergenceReport, CheckError> {
     let mut stats = ConvergenceStats::default();
-    // One parallel pass over the space builds the region `T ∧ ¬S`, sorted,
-    // and sweeps it for deadlocks and escapes. Chunks are id ranges and
-    // each stops checking rows at its first event, so the first chunk with
-    // an event holds the lowest-id witness of a sequential scan. Region
-    // states are still collected past an event, so the region size is
-    // exact either way.
+    let in_region = |i: usize| from_bits.get(i) && !to_bits.get(i);
+    // One parallel pass over the space counts the region `T ∧ ¬S` and
+    // sweeps it for deadlocks and escapes. Chunks are id ranges and each
+    // stops checking rows at its first event, so the first chunk with an
+    // event holds the lowest-id witness of a sequential scan. Region states
+    // are still counted past an event, so the region size is exact either
+    // way.
     enum RegionEvent {
         Deadlock(StateId),
         Escape { before: StateId, after: StateId },
     }
     let chunks = run_chunks(space.len(), opts.workers_for(space.len()), |range| {
-        let (mut region, mut event) = (Vec::new(), None);
-        for i in range.filter(|&i| from_bits.get(i) && !to_bits.get(i)) {
-            let id = StateId::from_index(i);
-            region.push(id);
+        let (mut size, mut event) = (0u64, None);
+        for i in range.filter(|&i| in_region(i)) {
+            size += 1;
             if event.is_some() {
                 continue;
             }
+            let id = StateId::from_index(i);
             let succs = space.successor_ids(id);
             let escape = succs
                 .iter()
@@ -291,14 +301,13 @@ pub fn check_convergence_bits(
                 event = Some(RegionEvent::Escape { before: id, after });
             }
         }
-        (region, event)
+        (size, event)
     })?;
-    let (mut region, mut first_event) = (Vec::new(), None);
-    for (chunk_region, event) in chunks {
-        region.extend(chunk_region);
+    let mut first_event = None;
+    for (size, event) in chunks {
+        stats.region_states += size;
         first_event = first_event.or(event);
     }
-    stats.region_states = region.len() as u64;
     if let Some(event) = first_event {
         let result = match event {
             RegionEvent::Deadlock(id) => ConvergenceResult::DeadlockOutsideTarget {
@@ -316,70 +325,39 @@ pub fn check_convergence_bits(
             stats,
         });
     }
-    let n = region.len();
-    let mut local = vec![u32::MAX; space.len()];
-    for (li, id) in region.iter().enumerate() {
-        local[id.index()] = li as u32;
-    }
 
-    // The peel walks predecessors only, so the internal edges are stored
-    // reversed, straight from the space's rows, and no forward region CSR
-    // is built. With no event, every successor outside `S` is in the
-    // region.
-    let internal = |li: usize| {
-        space
-            .successor_ids(region[li])
-            .iter()
-            .filter(|&&t| !to_bits.contains(t))
-            .map(|t| local[t.index()] as usize)
-    };
-    let mut cursor = vec![0u32; n];
-    let mut outdeg: Vec<u32> = (0..n)
-        .map(|li| internal(li).inspect(|&t| cursor[t] += 1).count() as u32)
-        .collect();
-    // Internal region edges can't outnumber the space's transitions, which
-    // fit u32 offsets by construction.
-    let rev_offsets =
-        offsets_from_counts(&cursor).expect("region edges bounded by the space's transitions");
-    cursor.copy_from_slice(&rev_offsets[..n]);
-    let mut rev_edges = vec![0u32; rev_offsets[n] as usize];
-    for li in 0..n {
-        for t in internal(li) {
-            rev_edges[cursor[t] as usize] = li as u32;
-            cursor[t] += 1;
-        }
+    // One DFS from the region's states, over internal edges read straight
+    // from the space's rows, numbered by state id. With no event, every
+    // successor outside `S` is in the region.
+    let mut heights = tarjan(
+        space.len(),
+        (0..space.len()).filter(|&i| in_region(i)).map(|i| i as u32),
+        |v| {
+            space
+                .successor_ids(StateId::from_index(v as usize))
+                .iter()
+                .filter(|&&t| !to_bits.contains(t))
+                .map(|t| t.index() as u32)
+        },
+        |_, _| Ok::<_, CheckError>(()),
+    )?;
+    // The residual is the infinite region states, ascending. The heights
+    // become its numbering (`u32::MAX` for every other state), so lookups
+    // stay O(1).
+    let (mut residual, mut worst) = (Vec::new(), 0u32);
+    for (i, h) in heights.iter_mut().enumerate() {
+        *h = if !in_region(i) {
+            u32::MAX
+        } else if *h == INFINITE {
+            residual.push(StateId::from_index(i));
+            residual.len() as u32 - 1
+        } else {
+            worst = worst.max(*h);
+            u32::MAX
+        };
     }
-    drop(cursor);
-
-    // Peeling fast path: remove every state whose internal successors are
-    // all removed; what survives (`outdeg > 0` at the fixpoint) is exactly
-    // the set of states with an infinite region-confined path. Empty in the
-    // common converging case — then no SCC analysis is needed at all. A
-    // state is popped only after all its internal successors, so its
-    // height is final by then and can be pushed to its predecessors.
-    let mut height = vec![1u32; n];
-    let mut worst = 0u32;
-    let mut worklist: Vec<u32> = (0..n as u32).filter(|&u| outdeg[u as usize] == 0).collect();
-    let mut removed = worklist.len();
-    while let Some(u) = worklist.pop() {
-        let hu = height[u as usize];
-        worst = worst.max(hu);
-        let (lo, hi) = (
-            rev_offsets[u as usize] as usize,
-            rev_offsets[u as usize + 1] as usize,
-        );
-        for &p in &rev_edges[lo..hi] {
-            let p = p as usize;
-            height[p] = height[p].max(hu + 1);
-            outdeg[p] -= 1;
-            if outdeg[p] == 0 {
-                worklist.push(p as u32);
-                removed += 1;
-            }
-        }
-    }
-    stats.peeled_states = removed as u64;
-    if removed == n {
+    stats.peeled_states = stats.region_states - residual.len() as u64;
+    if residual.is_empty() {
         return Ok(ConvergenceReport {
             weakly_fair: ConvergenceResult::Converges,
             unfair: ConvergenceResult::Converges,
@@ -387,22 +365,8 @@ pub fn check_convergence_bits(
             stats,
         });
     }
-    drop((height, rev_offsets, rev_edges));
-
-    // `outdeg` is spent: reuse it as the region's residual-local numbering
-    // (`u32::MAX` for peeled states), so lookups stay O(1).
-    let mut residual: Vec<StateId> = Vec::with_capacity(n - removed);
-    for (d, &id) in outdeg.iter_mut().zip(&region) {
-        *d = if *d > 0 {
-            residual.push(id);
-            residual.len() as u32 - 1
-        } else {
-            u32::MAX
-        };
-    }
-    // A state outside the region has `local == u32::MAX`, past `outdeg`.
     let in_residual = |t: StateId| {
-        let r = *outdeg.get(local[t.index()] as usize)?;
+        let r = heights[t.index()];
         (r != u32::MAX).then_some(r as usize)
     };
     let mut rows = space;
@@ -437,15 +401,15 @@ pub(crate) struct Residual {
     pub evals: u64,
 }
 
-/// The residual analysis both peels end in. `residual` holds, ascending,
-/// the region states the peel could not resolve: exactly those starting an
-/// infinite region-confined path, so every cycle lies inside it, and
-/// `local` maps an id to its position there. Tarjan runs over a
+/// The residual analysis both convergence passes end in. `residual`
+/// holds, ascending, the region states the pass could not resolve:
+/// exactly those starting an infinite region-confined path, so every
+/// cycle lies inside it, and `local` maps an id to its position there. Tarjan runs over a
 /// residual-local CSR (rows in action order, filtered to residual
-/// targets), keeping only components with an internal edge (a residual
-/// chain state feeding a cycle is a singleton SCC and cannot host one); the
-/// first such component that is a legal computation under `fairness` is
-/// the divergence witness.
+/// targets), and only components with an internal edge are examined (a
+/// residual chain state feeding a cycle is a singleton SCC and cannot host
+/// one); the first such component that is a legal computation under
+/// `fairness` is the divergence witness.
 pub(crate) fn analyze_residual(
     rows: &mut impl Successors,
     program: &Program,
@@ -469,29 +433,31 @@ pub(crate) fn analyze_residual(
         );
         offsets.push(edges.len() as u32);
     }
-    let sccs = tarjan_sccs_csr(&offsets, &edges, &Bitset::ones(residual.len()));
-    let mut result = ConvergenceResult::Converges;
-    for scc in &sccs {
-        let mut scc_bits = Bitset::zeros(residual.len());
-        for &u in scc {
-            scc_bits.set(u as usize);
-        }
-        let has_internal_edge = scc.iter().any(|&u| {
-            let (lo, hi) = (
-                offsets[u as usize] as usize,
-                offsets[u as usize + 1] as usize,
-            );
-            edges[lo..hi].iter().any(|&v| scc_bits.get(v as usize))
-        });
-        if !has_internal_edge {
-            continue;
+    let n = residual.len();
+    let (mut result, mut sccs_found) = (ConvergenceResult::Converges, 0u64);
+    let mut scc_bits = Bitset::zeros(n);
+    let row = |u: u32| {
+        let (lo, hi) = (
+            offsets[u as usize] as usize,
+            offsets[u as usize + 1] as usize,
+        );
+        edges[lo..hi].iter().copied()
+    };
+    let component = |scc: &[u32], cyclic: bool| -> Result<(), SpaceError> {
+        sccs_found += 1;
+        if !cyclic || !result.converges() {
+            return Ok(());
         }
         let states = scc.iter().map(|&u| residual[u as usize]);
         let divergent = match fairness {
             Fairness::Unfair => true,
             Fairness::WeaklyFair => {
+                scc.iter().for_each(|&u| scc_bits.set(u as usize));
                 let in_scc = |t: StateId| local(t).is_some_and(|lt| scc_bits.get(lt));
-                fair_admissible(rows, program.action_count(), states.clone(), in_scc)?
+                let admissible =
+                    fair_admissible(rows, program.action_count(), states.clone(), in_scc)?;
+                scc.iter().for_each(|&u| scc_bits.unset(u as usize));
+                admissible
             }
         };
         if divergent {
@@ -499,12 +465,13 @@ pub(crate) fn analyze_residual(
                 states: states.map(|id| index.state(id)).collect(),
                 fairness,
             };
-            break;
         }
-    }
+        Ok(())
+    };
+    tarjan(n, 0..n as u32, row, component)?;
     Ok(Residual {
         result,
-        sccs_found: sccs.len() as u64,
+        sccs_found,
         evals,
     })
 }
@@ -609,78 +576,102 @@ pub fn shortest_path_to(
     Ok(None)
 }
 
-/// Iterative Tarjan SCC over a CSR graph, restricted to the `alive`
-/// sub-nodes (both roots and traversed edges). Returns each component as a
-/// sorted vector of node indices. ([`analyze_residual`] runs it over the
-/// residual subgraph with every node alive.)
-pub(crate) fn tarjan_sccs_csr(offsets: &[u32], edges: &[u32], alive: &Bitset) -> Vec<Vec<u32>> {
-    let n = offsets.len() - 1;
-    let row = |u: u32| -> &[u32] {
-        let (lo, hi) = (
-            offsets[u as usize] as usize,
-            offsets[u as usize + 1] as usize,
-        );
-        &edges[lo..hi]
-    };
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut sccs = Vec::new();
+/// The [`tarjan`] height of a node with an infinite path.
+const INFINITE: u32 = u32::MAX;
 
-    // Explicit DFS stack: (node, next child position).
-    let mut call: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n as u32 {
-        if index[root as usize] != u32::MAX || !alive.get(root as usize) {
+/// Iterative Tarjan SCC over the nodes `0..n` reachable from `roots`,
+/// whose out-edges `row(v)` yields. Components complete in reverse
+/// topological order, and each is handed to `component` as its members,
+/// sorted, with whether it is *cyclic* (two or more members, or a
+/// self-loop). A component is a slice of the DFS stack, so a singleton
+/// allocates nothing.
+///
+/// Returns each node's *height*: the number of nodes on its longest path,
+/// or [`INFINITE`] when a path from it reaches a cyclic component (0 for a
+/// node never reached). A singleton's height is one more than the largest
+/// of its successors', all of which completed before it; a cyclic
+/// component's members are infinite. The first `Err` from `component` ends
+/// the search.
+fn tarjan<I, E>(
+    n: usize,
+    roots: impl IntoIterator<Item = u32>,
+    mut row: impl FnMut(u32) -> I,
+    mut component: impl FnMut(&[u32], bool) -> Result<(), E>,
+) -> Result<Vec<u32>, E>
+where
+    I: Iterator<Item = u32>,
+{
+    const UNSEEN: u32 = u32::MAX;
+    const DONE: u32 = u32::MAX - 1;
+    // DFS numbers and finite heights then stay below both sentinels.
+    assert!(n <= DONE as usize, "{n} nodes overflow the u32 numbering");
+    // `index[v]` is `UNSEEN`, then v's DFS number while v is on the stack,
+    // then `DONE`. `low[v]` is v's lowlink, then its height once done.
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut stack: Vec<u32> = Vec::new();
+    // Explicit DFS stack: (node, its unread out-edges, the largest height
+    // among its done successors, whether it has a self-loop).
+    let mut call: Vec<(u32, I, u32, bool)> = Vec::new();
+    let mut next_index = 0u32;
+    for root in roots {
+        if index[root as usize] != UNSEEN {
             continue;
         }
-        call.push((root, 0));
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci < row(v).len() {
-                let w = row(v)[*ci];
-                *ci += 1;
-                if !alive.get(w as usize) {
-                    continue;
-                }
-                if index[w as usize] == u32::MAX {
-                    index[w as usize] = next_index;
-                    low[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    call.push((w, 0));
-                } else if on_stack[w as usize] {
-                    low[v as usize] = low[v as usize].min(index[w as usize]);
-                }
-            } else {
-                call.pop();
-                if let Some(&mut (parent, _)) = call.last_mut() {
-                    low[parent as usize] = low[parent as usize].min(low[v as usize]);
-                }
-                if low[v as usize] == index[v as usize] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
+        let mut enter = Some(root);
+        loop {
+            if let Some(w) = enter.take() {
+                index[w as usize] = next_index;
+                low[w as usize] = next_index;
+                next_index += 1;
+                stack.push(w);
+                call.push((w, row(w), 0, false));
+            }
+            let Some((v, edges, reach, self_loop)) = call.last_mut() else {
+                break;
+            };
+            let v = *v as usize;
+            if let Some(w) = edges.next() {
+                match index[w as usize] {
+                    UNSEEN => enter = Some(w),
+                    DONE => *reach = (*reach).max(low[w as usize]),
+                    iw => {
+                        low[v] = low[v].min(iw);
+                        *self_loop |= w as usize == v;
                     }
-                    comp.sort_unstable();
-                    sccs.push(comp);
+                }
+                continue;
+            }
+            let (_, _, reach, self_loop) = call.pop().expect("a frame was just read");
+            if low[v] == index[v] {
+                let start = stack.iter().rposition(|&u| u as usize == v);
+                let start = start.expect("v is on the stack");
+                let members = &mut stack[start..];
+                let cyclic = members.len() > 1 || self_loop;
+                let height = if cyclic {
+                    INFINITE
+                } else {
+                    reach.saturating_add(1)
+                };
+                for &u in members.iter() {
+                    index[u as usize] = DONE;
+                    low[u as usize] = height;
+                }
+                members.sort_unstable();
+                component(members, cyclic)?;
+                stack.truncate(start);
+            }
+            if let Some((parent, _, reach, _)) = call.last_mut() {
+                let p = *parent as usize;
+                if index[v] == DONE {
+                    *reach = (*reach).max(low[v]);
+                } else {
+                    low[p] = low[p].min(low[v]);
                 }
             }
         }
     }
-    sccs
+    Ok(low)
 }
 
 #[cfg(test)]
@@ -747,10 +738,10 @@ mod tests {
         // region; `exit` jumps to the target. Unfair daemons can spin
         // forever; a weakly fair daemon must eventually run `exit`.
         //
-        // This is also the soundness test for the peeling fast path: every
-        // region state here *can* reach S (via `exit`), so a
-        // "cannot-reach-S" residual would be empty and the unfair
-        // divergence missed. The peel keeps the spin cycle alive.
+        // This is also the soundness test for the residual: every region
+        // state here *can* reach S (via `exit`), so a "cannot-reach-S"
+        // residual would be empty and the unfair divergence missed. The
+        // region pass keeps the spin cycle infinite.
         let mut b = Program::builder("spin");
         let x = b.var("x", Domain::Bool);
         let y = b.var("y", Domain::Bool);
@@ -983,7 +974,7 @@ mod tests {
     #[test]
     fn divergence_witness_is_thread_count_invariant() {
         // A large region full of internal 2-cycles (spin on y) plus exits:
-        // the peel keeps every cycle and each thread count must report the
+        // the residual keeps every cycle and each thread count must report the
         // identical witness SCC.
         let mut b = Program::builder("mt-div");
         let x = b.var("x", Domain::range(0, 4095));
@@ -1039,43 +1030,73 @@ mod tests {
         }
     }
 
-    fn csr_of(adj: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-        let counts: Vec<u32> = adj.iter().map(|r| r.len() as u32).collect();
-        let offsets = offsets_from_counts(&counts).unwrap();
-        let edges: Vec<u32> = adj.iter().flatten().copied().collect();
-        (offsets, edges)
+    /// Every component of `adj` in completion order, with its cyclic flag,
+    /// and every node's height.
+    fn tarjan_of(adj: &[Vec<u32>]) -> (Vec<(Vec<u32>, bool)>, Vec<u32>) {
+        let mut sccs = Vec::new();
+        let heights = tarjan(
+            adj.len(),
+            0..adj.len() as u32,
+            |v| adj[v as usize].iter().copied(),
+            |scc, cyclic| {
+                sccs.push((scc.to_vec(), cyclic));
+                Ok::<_, ()>(())
+            },
+        )
+        .unwrap();
+        (sccs, heights)
     }
 
     #[test]
     fn tarjan_handles_multiple_components() {
-        // Direct unit test of the SCC helper.
         // 0 -> 1 -> 0 (SCC {0,1}); 2 -> 3 (two singletons); 4 self-loop.
         let adj = vec![vec![1], vec![0], vec![3], vec![], vec![4]];
-        let (offsets, edges) = csr_of(&adj);
-        let mut sccs = tarjan_sccs_csr(&offsets, &edges, &Bitset::ones(adj.len()));
-        sccs.sort();
-        assert!(sccs.contains(&vec![0, 1]));
-        assert!(sccs.contains(&vec![2]));
-        assert!(sccs.contains(&vec![3]));
-        assert!(sccs.contains(&vec![4]));
-        assert_eq!(sccs.len(), 4);
+        let (sccs, heights) = tarjan_of(&adj);
+        assert_eq!(
+            sccs,
+            vec![
+                (vec![0, 1], true),
+                (vec![3], false),
+                (vec![2], false),
+                (vec![4], true),
+            ]
+        );
+        assert_eq!(heights, vec![INFINITE, INFINITE, 2, 1, INFINITE]);
     }
 
     #[test]
-    fn tarjan_respects_alive_filter() {
-        // Same graph, but with node 1 peeled: the {0,1} cycle disappears
-        // and 0 becomes a singleton.
-        let adj = vec![vec![1], vec![0], vec![3], vec![], vec![4]];
-        let (offsets, edges) = csr_of(&adj);
-        let mut alive = Bitset::ones(adj.len());
-        let mut without_1 = Bitset::zeros(adj.len());
-        for u in [0usize, 2, 3, 4] {
-            without_1.set(u);
-        }
-        std::mem::swap(&mut alive, &mut without_1);
-        let sccs = tarjan_sccs_csr(&offsets, &edges, &alive);
-        assert!(sccs.contains(&vec![0]));
-        assert!(!sccs.iter().any(|c| c.contains(&1)));
+    fn tarjan_heights_cover_every_edge_kind() {
+        // 0 -> 1 -> 2 -> 1 (a cycle fed by a chain) and 0 -> 3 -> 4; then
+        // 5 -> 3 crosses into a done singleton, 6 -> 2 into a done cycle;
+        // 7 -> 8 -> {9, 7} and 9 -> 8 back-edges two branches into one
+        // component.
+        let adj = vec![
+            vec![1, 3],
+            vec![2],
+            vec![1],
+            vec![4],
+            vec![],
+            vec![3],
+            vec![2],
+            vec![8],
+            vec![9, 7],
+            vec![8],
+        ];
+        let (sccs, heights) = tarjan_of(&adj);
+        assert_eq!(
+            sccs,
+            vec![
+                (vec![1, 2], true),
+                (vec![4], false),
+                (vec![3], false),
+                (vec![0], false),
+                (vec![5], false),
+                (vec![6], false),
+                (vec![7, 8, 9], true),
+            ]
+        );
+        let inf = INFINITE;
+        assert_eq!(heights, vec![inf, inf, inf, 2, 1, 3, inf, inf, inf, inf]);
     }
 
     #[test]
@@ -1128,6 +1149,190 @@ mod tests {
                 region: 5,
                 peeled: 5,
                 sccs: 0,
+            }
+        );
+    }
+
+    /// A program over `x ∈ 0..=max` with one action per edge `(a, b)`,
+    /// enabled at `x = a` and setting `x := b`, plus, with `exit`, one
+    /// action enabled at every `x > 0` that sets `x := 0`.
+    fn graph(max: i64, edges: &[(i64, i64)], exit: bool) -> Program {
+        let mut b = Program::builder("graph");
+        let x = b.var("x", Domain::range(0, max));
+        for &(from, to) in edges {
+            b.convergence_action(
+                format!("{from}->{to}"),
+                [x],
+                [x],
+                move |s| s.get(x) == from,
+                move |s| s.set(x, to),
+            );
+        }
+        if exit {
+            b.convergence_action(
+                "exit",
+                [x],
+                [x],
+                move |s| s.get(x) > 0,
+                move |s| s.set(x, 0),
+            );
+        }
+        b.build()
+    }
+
+    /// The one region pass over `T = x ≤ span` and `S = x ∈ goal`, serially
+    /// and with four workers (which must agree), and the state `x = v` of
+    /// the space, for witnesses.
+    fn region_pass(
+        p: &Program,
+        span: i64,
+        goal: &'static [i64],
+    ) -> (ConvergenceReport, impl Fn(usize) -> State) {
+        let space = StateSpace::enumerate(p).unwrap();
+        let x = p.var_by_name("x").unwrap();
+        let t = Predicate::new("T", [x], move |s| s.get(x) <= span);
+        let s = Predicate::new("S", [x], move |s| goal.contains(&s.get(x)));
+        let serial = check_convergence_report(&space, p, &t, &s, CheckOptions::serial()).unwrap();
+        let par = CheckOptions::default().threads(4);
+        assert_eq!(
+            check_convergence_report(&space, p, &t, &s, par).unwrap(),
+            serial
+        );
+        (serial, move |v| space.state(StateId::from_index(v)))
+    }
+
+    fn divergence(states: Vec<State>, fairness: Fairness) -> ConvergenceResult {
+        ConvergenceResult::Divergence { states, fairness }
+    }
+
+    fn stats(region_states: u64, peeled_states: u64, sccs_found: u64) -> ConvergenceStats {
+        ConvergenceStats {
+            region_states,
+            peeled_states,
+            sccs_found,
+        }
+    }
+
+    #[test]
+    fn self_loop_singleton_is_residual() {
+        // 3 -> 2 -> 1 -> 0 with a self-loop at 2: 2 and 3 can stay in the
+        // region forever, 1 cannot. The self-loop is a cyclic singleton; a
+        // weakly fair daemon must take 2 -> 1, enabled there.
+        let p = graph(3, &[(1, 0), (2, 1), (2, 2), (3, 2)], false);
+        let (report, st) = region_pass(&p, 3, &[0]);
+        assert_eq!(
+            report,
+            ConvergenceReport {
+                weakly_fair: ConvergenceResult::Converges,
+                unfair: divergence(vec![st(2)], Fairness::Unfair),
+                worst_case_moves: None,
+                stats: stats(3, 1, 2),
+            }
+        );
+    }
+
+    #[test]
+    fn chain_into_a_cycle_from_the_lowest_root_is_residual() {
+        // The search starts at 1, the lowest region id, and reaches the
+        // cycle 3 <-> 4 only through the chain 1 -> 2 -> 3. Both chain
+        // states can exit to S, yet each starts an infinite region path.
+        let p = graph(4, &[(1, 2), (1, 0), (2, 3), (2, 0), (3, 4), (4, 3)], false);
+        let (report, st) = region_pass(&p, 4, &[0]);
+        assert_eq!(
+            report,
+            ConvergenceReport {
+                weakly_fair: divergence(vec![st(3), st(4)], Fairness::WeaklyFair),
+                unfair: divergence(vec![st(3), st(4)], Fairness::Unfair),
+                worst_case_moves: None,
+                stats: stats(4, 0, 3),
+            }
+        );
+    }
+
+    #[test]
+    fn cross_edge_into_a_completed_cycle_is_residual() {
+        // The first root completes the cycle 1 <-> 2. Roots 3 and 4 come
+        // later and reach it only by a cross edge into that completed
+        // component, so they are infinite too. `exit`, enabled everywhere
+        // in the cycle, rescues the weakly fair daemon.
+        let p = graph(4, &[(1, 2), (2, 1), (3, 1), (4, 3)], true);
+        let (report, st) = region_pass(&p, 4, &[0]);
+        assert_eq!(
+            report,
+            ConvergenceReport {
+                weakly_fair: ConvergenceResult::Converges,
+                unfair: divergence(vec![st(1), st(2)], Fairness::Unfair),
+                worst_case_moves: None,
+                stats: stats(4, 0, 3),
+            }
+        );
+    }
+
+    #[test]
+    fn back_edge_into_another_branch_joins_its_component() {
+        // From 1 the search takes 1 -> 2 first; 2's back edge to 1 leaves
+        // it on the stack after its branch returns. The second branch,
+        // 1 -> 3, then meets 2 on the stack, so 3 joins {1, 2, 3}.
+        let p = graph(3, &[(1, 2), (1, 3), (2, 1), (3, 2)], true);
+        let (report, st) = region_pass(&p, 3, &[0]);
+        assert_eq!(
+            report,
+            ConvergenceReport {
+                weakly_fair: ConvergenceResult::Converges,
+                unfair: divergence(vec![st(1), st(2), st(3)], Fairness::Unfair),
+                worst_case_moves: None,
+                stats: stats(3, 0, 1),
+            }
+        );
+    }
+
+    #[test]
+    fn heights_count_the_exit_step_across_completed_successors() {
+        // 4 -> 3 -> 2 -> 1 -> 0 plus the shortcut 4 -> 1. Every root after
+        // the first meets only completed successors; the longest path out,
+        // from 4, takes four steps.
+        let p = graph(4, &[(1, 0), (2, 1), (3, 2), (4, 3), (4, 1)], false);
+        let (report, _) = region_pass(&p, 4, &[0]);
+        assert_eq!(
+            report,
+            ConvergenceReport {
+                weakly_fair: ConvergenceResult::Converges,
+                unfair: ConvergenceResult::Converges,
+                worst_case_moves: Some(4),
+                stats: stats(4, 4, 0),
+            }
+        );
+    }
+
+    #[test]
+    fn lowest_id_event_wins() {
+        // T = x ≤ 5. 2 and 4 escape to 6, outside T and S; 3 and 5 are
+        // deadlocked. The escape at 2 is the lowest event; with 2 in S the
+        // deadlock at 3 is. The region is counted in full either way.
+        let p = graph(6, &[(1, 0), (2, 6), (4, 6), (6, 0)], false);
+        let (report, st) = region_pass(&p, 5, &[0]);
+        let escape = ConvergenceResult::EscapesFaultSpan {
+            before: st(2),
+            after: st(6),
+        };
+        assert_eq!(
+            report,
+            ConvergenceReport {
+                weakly_fair: escape.clone(),
+                unfair: escape,
+                worst_case_moves: None,
+                stats: stats(5, 0, 0),
+            }
+        );
+        let (report, st) = region_pass(&p, 5, &[0, 2]);
+        let deadlock = ConvergenceResult::DeadlockOutsideTarget { state: st(3) };
+        assert_eq!(
+            report,
+            ConvergenceReport {
+                weakly_fair: deadlock.clone(),
+                unfair: deadlock,
+                worst_case_moves: None,
+                stats: stats(4, 0, 0),
             }
         );
     }

@@ -34,8 +34,8 @@ pub struct CheckCounters {
     /// pass answers both daemons and the worst-case bound, so the region
     /// is counted once.
     pub region_states: u64,
-    /// Region states resolved by the pass's Kahn-style peel (no SCC work
-    /// needed).
+    /// Region states with no infinite region path, resolved by the pass's
+    /// region DFS (no residual analysis needed).
     pub peeled_states: u64,
     /// Strongly connected components Tarjan found in the residual, counted
     /// once although the residual is analysed once per daemon.

@@ -11,10 +11,11 @@
 //!
 //! # Algorithm
 //!
-//! The monolithic checker peels the region `T ∧ ¬S` Kahn-style: a state is
-//! *resolved* (cannot stay in the region forever) exactly when **all** of
-//! its internal successors are resolved. The frontier mode computes the
-//! same fixpoint in rounds. Each round, work-stealing workers sweep the
+//! A region state is *resolved* (cannot stay in the region forever)
+//! exactly when **all** of its internal successors are resolved; the
+//! monolithic checker finds the same set as the states its region DFS
+//! gives a finite height. The frontier mode computes the fixpoint in
+//! rounds. Each round, work-stealing workers sweep the
 //! [segment plan](crate::CheckOptions::segment_plan): a worker buffers the
 //! internal-successor rows of its segment's still-unresolved region states
 //! (a throwaway mini-CSR, dropped at segment end), then runs an in-segment

@@ -46,10 +46,13 @@
 //! into [`Bitset`] caches (`*_bits` function variants) that callers can
 //! share across passes and compose with bitwise `and`/`not`;
 //! [`Bitset::for_predicates`] evaluates any number of them in one decode
-//! pass. Convergence
-//! peels the region down to the states that can stay in it forever before
-//! running any SCC analysis, so the Tarjan pass vanishes in the common
-//! converging case (see the [`convergence`] module docs).
+//! pass. Convergence answers both daemons and the worst-case bound with
+//! one DFS over the region's resident rows: it gives every region state
+//! its height (the longest path out) or marks it infinite, holding two
+//! `u32`s per state and nothing sized by the edge count. The infinite
+//! states are the residual, empty in the common converging case, and only
+//! they go to the per-daemon residual analysis (see the [`convergence`]
+//! module docs).
 //!
 //! ## One transition source: resident or decoded
 //!
@@ -78,8 +81,8 @@
 //!
 //! For convergence-only queries on such instances,
 //! [`check_convergence_frontier_stats`] ([`frontier`]) never materializes
-//! transitions at all: it runs the Kahn-style peel as a round-based
-//! fixpoint over decoded rows, with five bitsets of live memory, and ends
+//! transitions at all: it peels the region as a round-based fixpoint
+//! over decoded rows, with five bitsets of live memory, and ends
 //! in the resident checker's own residual analysis. Its verdicts,
 //! witnesses, and statistics are bit-identical to the resident checker's.
 //!

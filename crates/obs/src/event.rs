@@ -67,8 +67,8 @@ pub enum Event {
         fairness: String,
         /// States in the region `T ∧ ¬S`.
         region: u64,
-        /// States removed by the Kahn-style peel (they cannot stay in the
-        /// region forever).
+        /// Region states with no infinite region path (they cannot stay
+        /// in the region forever).
         peeled: u64,
         /// Strongly connected components found in the residual.
         sccs: u64,

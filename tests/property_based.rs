@@ -960,12 +960,35 @@ fn reference_worst_case_moves(space: &StateSpace, from: &Bitset, to: &Bitset) ->
     )
 }
 
+/// The residual by its definition, as a greatest fixpoint: starting from
+/// the region `from ∧ ¬to`, repeatedly drop every state with no successor
+/// left in the set. Returns the region's size and the fixpoint.
+fn reference_residual(space: &StateSpace, from: &Bitset, to: &Bitset) -> (u64, Bitset) {
+    let mut alive = from.and(&to.not());
+    let region = alive.count_ones() as u64;
+    loop {
+        let mut next = Bitset::zeros(space.len());
+        for i in alive.iter_ones() {
+            let succs = space.successor_ids(StateId::from_index(i));
+            if succs.iter().any(|&t| alive.contains(t)) {
+                next.set(i);
+            }
+        }
+        if next.count_ones() == alive.count_ones() {
+            return (region, alive);
+        }
+        alive = next;
+    }
+}
+
 /// The one region pass answers what three passes answered before: on
 /// random programs with random goals and random, usually non-closed fault
 /// spans, its bound equals the longest-path DFS's (except that an escape
-/// from the fault span now has no bound), and each daemon's verdict and
-/// the stats equal the single-daemon entry points', serially and with N
-/// workers. Every verdict kind must occur across the cases.
+/// from the fault span now has no bound), its region and peel sizes match
+/// the greatest-fixpoint residual's, and each daemon's verdict and the
+/// stats equal the single-daemon entry points', serially and with N
+/// workers. Every verdict kind must occur across the cases, and a goal
+/// widened to converge must give bounds above 1.
 #[test]
 fn one_region_pass_matches_the_longest_path_dfs() {
     use proptest::strategy::Strategy;
@@ -976,6 +999,7 @@ fn one_region_pass_matches_the_longest_path_dfs() {
     let seeds = (0u64..1000, 0u64..1000, 5u64..=95, 40u64..=100, 2usize..=8);
     // Converges, deadlock, escape, divergence.
     let mut kinds = [0usize; 4];
+    let mut longest = 0;
     for case in 0..CASES {
         let p = program_with_actions(domains.generate(&mut rng), actions.generate(&mut rng));
         let (goal_seed, span_seed, goal_percent, span_percent, threads) = seeds.generate(&mut rng);
@@ -998,6 +1022,22 @@ fn one_region_pass_matches_the_longest_path_dfs() {
             _ => reference,
         };
         assert_eq!(serial.worst_case_moves, expected, "case {case}: bound");
+        // A deadlock or escape ends the pass before any state is peeled.
+        let (region, residual) = reference_residual(&space, &from, &to);
+        let residual = residual.count_ones() as u64;
+        let event = matches!(
+            serial.unfair,
+            ConvergenceResult::DeadlockOutsideTarget { .. }
+                | ConvergenceResult::EscapesFaultSpan { .. }
+        );
+        let peeled = if event { 0 } else { region - residual };
+        assert_eq!(serial.stats.region_states, region, "case {case}: region");
+        assert_eq!(serial.stats.peeled_states, peeled, "case {case}: peeled");
+        assert_eq!(
+            serial.stats.sccs_found == 0,
+            event || residual == 0,
+            "case {case}: a nonempty residual holds a cycle"
+        );
         for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
             let (single, stats) = check_convergence_stats(
                 &space,
@@ -1026,9 +1066,31 @@ fn one_region_pass_matches_the_longest_path_dfs() {
         )
         .unwrap();
         assert_eq!(parallel, serial, "case {case}: {threads} threads");
+
+        // The random goals above rarely leave a converging region that is
+        // not empty. Widening the goal by every state that could stay
+        // outside it forever, and by every deadlock, leaves one that
+        // converges, so its heights meet the DFS's on real paths.
+        let all = Bitset::ones(space.len());
+        let (_, stays) = reference_residual(&space, &all, &to);
+        let mut wide = to.or(&stays);
+        for id in space.ids().filter(|&id| space.successor_ids(id).is_empty()) {
+            wide.set(id.index());
+        }
+        let converging = check_convergence_bits(&space, &p, &all, &wide, opts).unwrap();
+        let bound = reference_worst_case_moves(&space, &all, &wide);
+        assert!(converging.unfair.converges(), "case {case}: wide goal");
+        assert_eq!(
+            converging.worst_case_moves, bound,
+            "case {case}: wide bound"
+        );
+        let stats = converging.stats;
+        assert_eq!(stats.peeled_states, stats.region_states, "case {case}");
+        longest = longest.max(bound.expect("a converging region has a bound"));
     }
     assert!(
         kinds.iter().all(|&k| k > 0),
         "verdict kinds seen: {kinds:?}"
     );
+    assert!(longest > 1, "longest converging bound: {longest}");
 }
