@@ -1,7 +1,7 @@
 //! E12 — expected vs worst-case convergence cost; E13 — network
 //! sensitivity of the message-passing refinement.
 
-use nonmask_checker::{expected_moves, worst_case_moves, StateSpace};
+use nonmask_checker::{check_convergence, expected_moves, CheckOptions, StateSpace};
 use nonmask_program::scheduler::Random;
 use nonmask_program::{Executor, Predicate, RunConfig};
 use nonmask_protocols::diffusing::DiffusingComputation;
@@ -32,8 +32,10 @@ pub fn e12() -> String {
     let mut row = |name: &str, program: &nonmask_program::Program, s: &Predicate| {
         let space = StateSpace::enumerate(program).expect("bounded");
         let t_pred = Predicate::always_true();
-        let worst = worst_case_moves(&space, program, &t_pred, s).expect("bounds");
-        let em = expected_moves(&space, program, &t_pred, s, 1e-10, 100_000);
+        let worst = check_convergence(&space, program, &t_pred, s, CheckOptions::default())
+            .expect("bounds")
+            .worst_case_moves;
+        let em = expected_moves(&space, &t_pred, s, 1e-10, 100_000);
         // Simulated mean over uniformly random starts and schedules.
         let mut rng = StdRng::seed_from_u64(3);
         let mut total = 0u64;
@@ -195,17 +197,12 @@ mod tests {
         let ring = TokenRing::new(4, 4);
         let s = ring.invariant();
         let space = StateSpace::enumerate(ring.program()).unwrap();
-        let worst = worst_case_moves(&space, ring.program(), &Predicate::always_true(), &s)
+        let t = Predicate::always_true();
+        let worst = check_convergence(&space, ring.program(), &t, &s, CheckOptions::default())
             .expect("bounds")
+            .worst_case_moves
             .expect("finite") as f64;
-        let em = expected_moves(
-            &space,
-            ring.program(),
-            &Predicate::always_true(),
-            &s,
-            1e-10,
-            100_000,
-        );
+        let em = expected_moves(&space, &t, &s, 1e-10, 100_000);
         assert!(em.converged());
         assert!(
             em.max() <= worst + 1e-9,

@@ -1,8 +1,8 @@
 //! Convergence-cost measurements.
 
-use nonmask_checker::{check_convergence, worst_case_moves, Fairness, StateSpace};
+use nonmask_checker::{check_convergence, CheckOptions, ConvergenceReport, Fairness, StateSpace};
 use nonmask_program::scheduler::{Random, RoundRobin};
-use nonmask_program::{Executor, Predicate, RunConfig};
+use nonmask_program::{Executor, Predicate, Program, RunConfig};
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::three_state::ThreeState;
 use nonmask_protocols::token_ring::TokenRing;
@@ -157,9 +157,8 @@ pub fn e6() -> String {
         }
         steps.sort_unstable();
         let bound = if n <= 5 {
-            let space = StateSpace::enumerate(ring.program()).expect("bounded");
-            worst_case_moves(&space, ring.program(), &Predicate::always_true(), &s)
-                .expect("bounds")
+            stabilizing(ring.program(), &s)
+                .worst_case_moves
                 .map_or("∞".to_string(), |m| m.to_string())
         } else {
             "(state space too large)".to_string()
@@ -181,16 +180,9 @@ pub fn e6() -> String {
         let mut cells = vec![format!("n={n}")];
         for k in [2i64, 3, 4, 5] {
             let ring = TokenRing::new(n, k);
-            let space = StateSpace::enumerate(ring.program()).expect("bounded");
-            let r = check_convergence(
-                &space,
-                ring.program(),
-                &Predicate::always_true(),
-                &ring.invariant(),
-                Fairness::WeaklyFair,
-            )
-            .expect("convergence");
-            cells.push(if r.converges() { "yes" } else { "NO" }.to_string());
+            let r = stabilizing(ring.program(), &ring.invariant());
+            let yes = r.verdict(Fairness::WeaklyFair).converges();
+            cells.push(if yes { "yes" } else { "NO" }.to_string());
         }
         t2.row(cells);
     }
@@ -203,23 +195,9 @@ pub fn e6() -> String {
     );
     for n in [3usize, 4, 5] {
         let ts = ThreeState::new(n);
-        let ts_space = StateSpace::enumerate(ts.program()).expect("bounded");
-        let ts_bound = worst_case_moves(
-            &ts_space,
-            ts.program(),
-            &Predicate::always_true(),
-            &ts.invariant(),
-        )
-        .expect("bounds");
+        let ts_bound = stabilizing(ts.program(), &ts.invariant()).worst_case_moves;
         let ring = TokenRing::new(n, n as i64);
-        let ring_space = StateSpace::enumerate(ring.program()).expect("bounded");
-        let ring_bound = worst_case_moves(
-            &ring_space,
-            ring.program(),
-            &Predicate::always_true(),
-            &ring.invariant(),
-        )
-        .expect("bounds");
+        let ring_bound = stabilizing(ring.program(), &ring.invariant()).worst_case_moves;
         t3.row([
             n.to_string(),
             ts_bound.map_or("∞".into(), |m| m.to_string()),
@@ -229,6 +207,14 @@ pub fn e6() -> String {
     out.push('\n');
     out.push_str(&t3.render());
     out
+}
+
+/// The convergence report of `program` from every state to `s`,
+/// enumerating its space.
+fn stabilizing(program: &Program, s: &Predicate) -> ConvergenceReport {
+    let space = StateSpace::enumerate(program).expect("bounded");
+    let t = Predicate::always_true();
+    check_convergence(&space, program, &t, s, CheckOptions::default()).expect("convergence")
 }
 
 #[cfg(test)]

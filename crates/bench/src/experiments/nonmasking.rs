@@ -11,7 +11,7 @@
 //! nonmasking picture.
 
 use nonmask_checker::{
-    check_convergence, compute_fault_span, is_closed, worst_case_moves, Fairness, StateSpace,
+    check_convergence, compute_fault_span, is_closed, CheckOptions, Fairness, StateSpace,
 };
 use nonmask_program::{Action, ActionKind, State};
 use nonmask_protocols::diffusing::{DiffusingComputation, RED};
@@ -62,22 +62,19 @@ pub fn e11() -> String {
                 )
             })
             .collect();
-        let span = compute_fault_span(&space, program, &s, &faults).expect("span");
+        let span = compute_fault_span(&space, &s, &faults).expect("span");
         let t_pred = span.to_predicate(&space, "T");
-        let closed = is_closed(&space, program, &t_pred)
-            .expect("closure")
-            .is_none();
-        let conv = check_convergence(&space, program, &t_pred, &s, Fairness::WeaklyFair)
+        let closed = is_closed(&space, &t_pred).expect("closure").is_none();
+        let conv = check_convergence(&space, program, &t_pred, &s, CheckOptions::default())
             .expect("convergence");
-        let moves = worst_case_moves(&space, program, &t_pred, &s).expect("bounds");
         t.row([
             "windowed ring n=3 / corrupt x.2 only".to_string(),
             space.count_satisfying(&s).expect("count").to_string(),
             span.len().to_string(),
             space.len().to_string(),
             yn(closed).to_string(),
-            yn(conv.converges()).to_string(),
-            moves.map_or("∞".into(), |m| m.to_string()),
+            yn(conv.weakly_fair.converges()).to_string(),
+            conv.worst_case_moves.map_or("∞".into(), |m| m.to_string()),
         ]);
     }
 
@@ -101,22 +98,19 @@ pub fn e11() -> String {
                 ));
             }
         }
-        let span = compute_fault_span(&space, dc.program(), &s, &faults).expect("span");
+        let span = compute_fault_span(&space, &s, &faults).expect("span");
         let t_pred = span.to_predicate(&space, "T");
-        let closed = is_closed(&space, dc.program(), &t_pred)
-            .expect("closure")
-            .is_none();
-        let conv = check_convergence(&space, dc.program(), &t_pred, &s, Fairness::WeaklyFair)
+        let closed = is_closed(&space, &t_pred).expect("closure").is_none();
+        let conv = check_convergence(&space, dc.program(), &t_pred, &s, CheckOptions::default())
             .expect("convergence");
-        let moves = worst_case_moves(&space, dc.program(), &t_pred, &s).expect("bounds");
         t.row([
             "diffusing binary-5 / redden leaves".to_string(),
             space.count_satisfying(&s).expect("count").to_string(),
             span.len().to_string(),
             space.len().to_string(),
             yn(closed).to_string(),
-            yn(conv.converges()).to_string(),
-            moves.map_or("∞".into(), |m| m.to_string()),
+            yn(conv.weakly_fair.converges()).to_string(),
+            conv.worst_case_moves.map_or("∞".into(), |m| m.to_string()),
         ]);
     }
 
@@ -147,7 +141,7 @@ pub fn ring_sandwich() -> (usize, usize, usize) {
             )
         })
         .collect();
-    let span = compute_fault_span(&space, program, &s, &faults).expect("span");
+    let span = compute_fault_span(&space, &s, &faults).expect("span");
     (
         space.count_satisfying(&s).expect("count"),
         span.len(),
@@ -175,13 +169,12 @@ pub fn ring_span_is_closed() -> bool {
             )
         })
         .collect();
-    let span = compute_fault_span(&space, program, &s, &faults).expect("span");
+    let span = compute_fault_span(&space, &s, &faults).expect("span");
     let t_pred = span.to_predicate(&space, "T");
-    is_closed(&space, program, &t_pred)
-        .expect("closure")
-        .is_none()
-        && check_convergence(&space, program, &t_pred, &s, Fairness::WeaklyFair)
+    is_closed(&space, &t_pred).expect("closure").is_none()
+        && check_convergence(&space, program, &t_pred, &s, CheckOptions::default())
             .expect("convergence")
+            .verdict(Fairness::WeaklyFair)
             .converges()
 }
 

@@ -1,7 +1,7 @@
 //! Mechanical re-verification of the paper's claims.
 
 use nonmask::Design;
-use nonmask_checker::{check_convergence_report, CheckOptions, StateSpace};
+use nonmask_checker::{check_convergence, CheckOptions, StateSpace};
 use nonmask_program::Predicate;
 use nonmask_protocols::atomic::AtomicActions;
 use nonmask_protocols::diffusing::DiffusingComputation;
@@ -143,12 +143,11 @@ pub fn e2() -> String {
         let space = StateSpace::enumerate(ring.program()).expect("bounded");
         let s = ring.invariant();
         let t_pred = Predicate::always_true();
-        let closed = nonmask_checker::is_closed(&space, ring.program(), &s)
+        let closed = nonmask_checker::is_closed(&space, &s)
             .expect("closure")
             .is_none();
-        let conv =
-            check_convergence_report(&space, ring.program(), &t_pred, &s, CheckOptions::default())
-                .expect("convergence");
+        let conv = check_convergence(&space, ring.program(), &t_pred, &s, CheckOptions::default())
+            .expect("convergence");
         t2.row([
             format!("n={n} k={k}"),
             yn(closed).to_string(),
@@ -191,7 +190,7 @@ pub fn e3() -> String {
         let (program, invariant) = DiffusingComputation::misdesigned(&tree);
         let space = StateSpace::enumerate(&program).expect("bounded");
         let t_pred = Predicate::always_true();
-        let conv = check_convergence_report(
+        let conv = check_convergence(
             &space,
             &program,
             &t_pred,
@@ -226,7 +225,7 @@ pub fn e8() -> String {
     let mut row = |name: &str, program: &nonmask_program::Program, s: &Predicate| {
         let space = StateSpace::enumerate(program).expect("bounded");
         let t_pred = Predicate::always_true();
-        let conv = check_convergence_report(&space, program, &t_pred, s, CheckOptions::default())
+        let conv = check_convergence(&space, program, &t_pred, s, CheckOptions::default())
             .expect("convergence");
         let (fair, unfair) = (conv.weakly_fair, conv.unfair);
         t.row([

@@ -1,69 +1,24 @@
-//! Worst-case convergence bounds and variant functions.
+//! Variant functions.
 //!
 //! The paper's concluding remarks connect convergence proofs to *variant
 //! functions*: mappings into a well-founded set that never increase and
 //! eventually decrease along every computation. This module validates
-//! candidate variant functions mechanically and reports the exact
-//! worst-case number of moves a program can spend outside its invariant —
-//! the quantity the rank argument of Theorem 1 bounds.
+//! candidate variant functions mechanically.
 //!
-//! The bound runs no traversal of its own. It is the largest height
-//! of the convergence pass
-//! ([`check_convergence_bits`](crate::check_convergence_bits)), which answers
-//! both daemons from the same region DFS. That pass reads the
-//! resident CSR rows of a [`StateSpace`]. The out-of-core
-//! [`check_convergence_frontier_stats`](crate::check_convergence_frontier_stats)
-//! gives a convergence *verdict* for instances too large to hold their
-//! transition table in memory, but no move counts.
+//! The exact worst-case number of moves a program can spend outside its
+//! invariant — the quantity the rank argument of Theorem 1 bounds — is not
+//! here: it is [`ConvergenceReport::worst_case_moves`], the largest height
+//! of the convergence pass ([`check_convergence`]), which answers both
+//! daemons from the same region DFS. [`check_variant`] runs a cycle search
+//! of its own and shares no code with that pass, so the two can check each
+//! other.
+//!
+//! [`ConvergenceReport::worst_case_moves`]: crate::ConvergenceReport::worst_case_moves
+//! [`check_convergence`]: crate::check_convergence
 
-use nonmask_program::{Predicate, Program, State};
+use nonmask_program::{Predicate, State};
 
-use crate::convergence::check_convergence_report;
-use crate::error::CheckError;
-use crate::options::CheckOptions;
 use crate::space::{StateId, StateSpace};
-
-/// The worst-case number of steps an adversarial (unfair) daemon can keep
-/// the program inside the region `from ∧ ¬to` before every continuation
-/// reaches `to`.
-///
-/// Returns `None` exactly when the unfair daemon does not converge: the
-/// region admits an infinite computation (a cycle or a deadlocked region
-/// state), or a step leaves both `from` and `to`. `Some(0)` means the
-/// region is empty.
-///
-/// This is the longest path through the region's transition graph, counting
-/// the final exit step.
-///
-/// ```
-/// use nonmask_program::{Domain, Predicate, Program};
-/// use nonmask_checker::{worst_case_moves, StateSpace};
-///
-/// let mut b = Program::builder("down");
-/// let x = b.var("x", Domain::range(0, 4));
-/// b.convergence_action("dec", [x], [x],
-///     move |s| s.get(x) > 0,
-///     move |s| { let v = s.get(x); s.set(x, v - 1); });
-/// let p = b.build();
-/// let space = StateSpace::enumerate(&p)?;
-/// let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
-/// let bound = worst_case_moves(&space, &p, &Predicate::always_true(), &s)?;
-/// assert_eq!(bound, Some(4), "x=4 takes four decrements");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// # Errors
-///
-/// [`CheckError::WorkerFailed`] if a predicate panics at some state.
-pub fn worst_case_moves(
-    space: &StateSpace,
-    program: &Program,
-    from: &Predicate,
-    to: &Predicate,
-) -> Result<Option<u64>, CheckError> {
-    let report = check_convergence_report(space, program, from, to, CheckOptions::default())?;
-    Ok(report.worst_case_moves)
-}
 
 /// The result of validating a candidate variant function over a region.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,12 +53,10 @@ pub enum VariantReport {
 /// eventually leaves the region).
 pub fn check_variant(
     space: &StateSpace,
-    program: &Program,
     from: &Predicate,
     to: &Predicate,
     f: impl Fn(&State) -> u64,
 ) -> VariantReport {
-    let _ = program;
     let mut local = vec![u32::MAX; space.len()];
     let mut region: Vec<StateId> = Vec::new();
     let mut scratch = space.scratch_state();
@@ -219,133 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn countdown_worst_case_is_max() {
-        let p = countdown(7);
-        let space = StateSpace::enumerate(&p).unwrap();
-        let moves = worst_case_moves(&space, &p, &Predicate::always_true(), &target(&p)).unwrap();
-        assert_eq!(moves, Some(7));
-    }
-
-    #[test]
-    fn empty_region_is_zero_moves() {
-        let p = countdown(3);
-        let space = StateSpace::enumerate(&p).unwrap();
-        let moves = worst_case_moves(&space, &p, &Predicate::always_false(), &target(&p)).unwrap();
-        assert_eq!(moves, Some(0));
-    }
-
-    #[test]
-    fn cycle_has_no_bound() {
-        let mut b = Program::builder("cycle");
-        let x = b.var("x", Domain::Bool);
-        let y = b.var("y", Domain::Bool);
-        b.closure_action(
-            "toggle",
-            [x, y],
-            [y],
-            move |s| !s.get_bool(x),
-            move |s| s.toggle(y),
-        );
-        let p = b.build();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let s = Predicate::new("x", [x], move |st| st.get_bool(x));
-        assert_eq!(
-            worst_case_moves(&space, &p, &Predicate::always_true(), &s).unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    fn deadlock_has_no_bound() {
-        let mut b = Program::builder("stuck");
-        let x = b.var("x", Domain::range(0, 2));
-        b.convergence_action("go", [x], [x], move |s| s.get(x) == 1, move |s| s.set(x, 0));
-        let p = b.build();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let s = target(&p);
-        assert_eq!(
-            worst_case_moves(&space, &p, &Predicate::always_true(), &s).unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    fn branching_takes_longest_path() {
-        // From x: either jump straight to 0 or step down by 1. Worst case
-        // still walks all the way down.
-        let mut b = Program::builder("branch");
-        let x = b.var("x", Domain::range(0, 5));
-        b.convergence_action(
-            "jump",
-            [x],
-            [x],
-            move |s| s.get(x) > 0,
-            move |s| s.set(x, 0),
-        );
-        b.convergence_action(
-            "step",
-            [x],
-            [x],
-            move |s| s.get(x) > 0,
-            move |s| {
-                let v = s.get(x);
-                s.set(x, v - 1);
-            },
-        );
-        let p = b.build();
-        let space = StateSpace::enumerate(&p).unwrap();
-        assert_eq!(
-            worst_case_moves(&space, &p, &Predicate::always_true(), &target(&p)).unwrap(),
-            Some(5)
-        );
-    }
-
-    #[test]
-    fn escape_has_no_bound() {
-        // T = x<=1, S = x=0, and `jump` leaves T ∪ S from x=1: the unfair
-        // verdict is an escape, so no finite bound may stand beside it.
-        let mut b = Program::builder("escape");
-        let x = b.var("x", Domain::range(0, 2));
-        b.closure_action(
-            "jump",
-            [x],
-            [x],
-            move |s| s.get(x) == 1,
-            move |s| s.set(x, 2),
-        );
-        let p = b.build();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let t = Predicate::new("x<=1", [x], move |st| st.get(x) <= 1);
-        assert_eq!(worst_case_moves(&space, &p, &t, &target(&p)).unwrap(), None);
-    }
-
-    #[test]
-    fn parallel_bound_matches_serial() {
-        let p = countdown(4999);
-        let space = StateSpace::enumerate(&p).unwrap();
-        let t = Predicate::always_true();
-        let s = target(&p);
-        let bound = |opts| {
-            check_convergence_report(&space, &p, &t, &s, opts)
-                .unwrap()
-                .worst_case_moves
-        };
-        let serial = bound(CheckOptions::serial());
-        assert_eq!(serial, Some(4999));
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                serial,
-                bound(CheckOptions::default().threads(threads)),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn valid_variant_accepted() {
         let p = countdown(5);
         let space = StateSpace::enumerate(&p).unwrap();
-        let r = check_variant(&space, &p, &Predicate::always_true(), &target(&p), |s| {
+        let r = check_variant(&space, &Predicate::always_true(), &target(&p), |s| {
             s.slots()[0] as u64
         });
         assert_eq!(r, VariantReport::Valid);
@@ -355,7 +185,7 @@ mod tests {
     fn increasing_variant_rejected() {
         let p = countdown(5);
         let space = StateSpace::enumerate(&p).unwrap();
-        let r = check_variant(&space, &p, &Predicate::always_true(), &target(&p), |s| {
+        let r = check_variant(&space, &Predicate::always_true(), &target(&p), |s| {
             10 - s.slots()[0] as u64
         });
         assert!(matches!(r, VariantReport::Increases { .. }));
@@ -384,7 +214,7 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x", [x], move |st| st.get_bool(x));
-        let r = check_variant(&space, &p, &Predicate::always_true(), &s, |_| 1);
+        let r = check_variant(&space, &Predicate::always_true(), &s, |_| 1);
         assert!(matches!(r, VariantReport::StuckPlateau { .. }));
     }
 
@@ -395,7 +225,7 @@ mod tests {
         b.convergence_action("go", [x], [x], move |s| s.get(x) == 1, move |s| s.set(x, 0));
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
-        let r = check_variant(&space, &p, &Predicate::always_true(), &target(&p), |s| {
+        let r = check_variant(&space, &Predicate::always_true(), &target(&p), |s| {
             s.slots()[0] as u64
         });
         assert!(matches!(r, VariantReport::Deadlock { .. }));

@@ -55,49 +55,17 @@ impl Violation {
     }
 }
 
-/// Does `action` preserve `pred`?
-///
-/// Checks every state of `space` where `pred` and the guard hold; returns
-/// the first violation found, or `None` if the action preserves `pred`.
-///
-/// # Errors
-///
-/// [`CheckError::WorkerFailed`] if `pred` panics at some state.
-pub fn preserves(
-    space: &StateSpace,
-    program: &Program,
-    action: ActionId,
-    pred: &Predicate,
-) -> Result<Option<Violation>, CheckError> {
-    preserves_given(space, program, action, pred, &Predicate::always_true())
-}
-
-/// Does `action` preserve `pred` in states where `assuming` also holds?
+/// Does `action` preserve the predicate of `pred_bits` in states where the
+/// predicate of `assuming_bits` also holds?
 ///
 /// This is Theorem 3's conditional preservation: "each closure action of
 /// `p` preserves each constraint in that partition *whenever all constraints
 /// in lower numbered partitions hold*". Only states satisfying
-/// `assuming ∧ pred ∧ guard` are considered.
-pub fn preserves_given(
-    space: &StateSpace,
-    program: &Program,
-    action: ActionId,
-    pred: &Predicate,
-    assuming: &Predicate,
-) -> Result<Option<Violation>, CheckError> {
-    let _ = program;
-    let opts = CheckOptions::default();
-    let [pred_bits, assuming_bits] =
-        Bitset::for_predicates(space.index(), &[pred, assuming], opts)?
-            .try_into()
-            .expect("two predicates, two caches");
-    preserves_given_bits(space, action, &pred_bits, &assuming_bits, opts)
-}
-
-/// [`preserves_given`] over precomputed predicate caches.
+/// `assuming ∧ pred ∧ guard` are considered; plain preservation assumes
+/// [`Bitset::ones`]. Returns the first violation, or `None`.
 ///
 /// `pred_bits` and `assuming_bits` must be evaluations of the predicates
-/// over exactly this `space` (see [`Bitset::for_predicate`]): one bit test
+/// over exactly this `space` (see [`Bitset::for_predicates`]): one bit test
 /// per state and per successor, no predicate evaluation at all, and the
 /// scan stops at the first violation. To ask the question of every action
 /// and every predicate of a [`MaskColumn`] at once, sweep once with
@@ -112,17 +80,12 @@ pub fn preserves_given_bits(
     first_violation(space, pred_bits, Some(assuming_bits), Some(action), opts)
 }
 
-/// Is `pred` closed in `program` (preserved by *every* action)?
+/// Is `pred` closed in the space's program (preserved by *every* action)?
 ///
 /// Returns the first violation found, or `None` when `pred` is closed.
 /// This discharges the paper's Closure requirement for both the invariant
 /// `S` and the fault-span `T`.
-pub fn is_closed(
-    space: &StateSpace,
-    program: &Program,
-    pred: &Predicate,
-) -> Result<Option<Violation>, CheckError> {
-    let _ = program;
+pub fn is_closed(space: &StateSpace, pred: &Predicate) -> Result<Option<Violation>, CheckError> {
     let opts = CheckOptions::default();
     is_closed_bits(space, &Bitset::for_predicate(space, pred, opts)?, opts)
 }
@@ -412,6 +375,21 @@ mod tests {
     use crate::successors::Decoder;
     use nonmask_program::Domain;
 
+    /// [`preserves_given_bits`] over the predicates themselves.
+    fn preserves(
+        space: &StateSpace,
+        action: ActionId,
+        pred: &Predicate,
+        assuming: &Predicate,
+    ) -> Option<Violation> {
+        let opts = CheckOptions::serial();
+        let [pred, assuming] = Bitset::for_predicates(space.index(), &[pred, assuming], opts)
+            .unwrap()
+            .try_into()
+            .unwrap();
+        preserves_given_bits(space, action, &pred, &assuming, opts).unwrap()
+    }
+
     /// x, y in 0..=3; action `copy` sets y := x; action `bump` increments x
     /// (wrapping).
     fn program() -> Program {
@@ -451,10 +429,9 @@ mod tests {
         let copy = p.action_ids().next().unwrap();
         let bump = p.action_ids().nth(1).unwrap();
 
-        assert!(preserves(&space, &p, copy, &eq).unwrap().is_none());
-        let v = preserves(&space, &p, bump, &eq)
-            .unwrap()
-            .expect("bump breaks x=y");
+        let all = Predicate::always_true();
+        assert!(preserves(&space, copy, &eq, &all).is_none());
+        let v = preserves(&space, bump, &eq, &all).expect("bump breaks x=y");
         assert_eq!(v.action, bump);
         assert!(eq.holds(&v.before));
         assert!(!eq.holds(&v.after));
@@ -465,11 +442,11 @@ mod tests {
     fn closure_of_trivial_predicates() {
         let p = program();
         let space = StateSpace::enumerate(&p).unwrap();
-        assert!(is_closed(&space, &p, &Predicate::always_true())
+        assert!(is_closed(&space, &Predicate::always_true())
             .unwrap()
             .is_none());
         // `false` is vacuously closed: it never holds before execution.
-        assert!(is_closed(&space, &p, &Predicate::always_false())
+        assert!(is_closed(&space, &Predicate::always_false())
             .unwrap()
             .is_none());
     }
@@ -480,9 +457,7 @@ mod tests {
         let x = p.var_by_name("x").unwrap();
         let space = StateSpace::enumerate(&p).unwrap();
         let x0 = Predicate::new("x=0", [x], move |s| s.get(x) == 0);
-        let v = is_closed(&space, &p, &x0)
-            .unwrap()
-            .expect("bump violates x=0");
+        let v = is_closed(&space, &x0).unwrap().expect("bump violates x=0");
         assert_eq!(p.action(v.action).name(), "bump");
     }
 
@@ -496,12 +471,10 @@ mod tests {
 
         // bump does not preserve y<=x in general (x wraps 3 -> 0) …
         let le = Predicate::new("y<=x", [x, y], move |s| s.get(y) <= s.get(x));
-        assert!(preserves(&space, &p, bump, &le).unwrap().is_some());
+        assert!(preserves(&space, bump, &le, &Predicate::always_true()).is_some());
         // … but it does when assuming x<3 (no wrap happens).
         let small = Predicate::new("x<3", [x], move |s| s.get(x) < 3);
-        assert!(preserves_given(&space, &p, bump, &le, &small)
-            .unwrap()
-            .is_none());
+        assert!(preserves(&space, bump, &le, &small).is_none());
     }
 
     #[test]
@@ -521,7 +494,7 @@ mod tests {
         let space = StateSpace::enumerate(&p).unwrap();
         let small = Predicate::new("x<=1", [x], move |s| s.get(x) <= 1);
         let a = p.action_ids().next().unwrap();
-        assert!(preserves(&space, &p, a, &small).unwrap().is_none());
+        assert!(preserves(&space, a, &small, &Predicate::always_true()).is_none());
     }
 
     #[test]
@@ -768,7 +741,7 @@ mod tests {
             }
             true
         });
-        let err = is_closed(&space, &p, &poisoned).unwrap_err();
+        let err = is_closed(&space, &poisoned).unwrap_err();
         assert!(
             matches!(err, CheckError::WorkerFailed { ref payload }
                 if payload.contains("poisoned at x=7777")),
@@ -781,7 +754,7 @@ mod tests {
         let small = b.build();
         let small_space = StateSpace::enumerate(&small).unwrap();
         let always_panics = Predicate::new("boom", [y], |_| panic!("always boom"));
-        let err = is_closed(&small_space, &small, &always_panics).unwrap_err();
+        let err = is_closed(&small_space, &always_panics).unwrap_err();
         assert!(matches!(err, CheckError::WorkerFailed { .. }));
     }
 }

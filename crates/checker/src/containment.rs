@@ -17,10 +17,9 @@
 //! shared across all radii, so the sweep costs one enumeration plus
 //! one region analysis per radius.
 
-use nonmask_obs::Journal;
 use nonmask_program::{Predicate, Program};
 
-use crate::convergence::{check_convergence_stats, ConvergenceResult, Fairness};
+use crate::convergence::{check_convergence, Fairness};
 use crate::error::CheckError;
 use crate::options::CheckOptions;
 use crate::space::StateSpace;
@@ -69,16 +68,8 @@ pub fn certify_containment(
     let mut radius = None;
     for r in 0..=max_radius {
         let goal = goal_at(r);
-        let (result, _) = check_convergence_stats(
-            space,
-            program,
-            &from,
-            &goal,
-            fairness,
-            opts,
-            &Journal::disabled(),
-        )?;
-        let converges = matches!(result, ConvergenceResult::Converges);
+        let report = check_convergence(space, program, &from, &goal, opts)?;
+        let converges = report.verdict(fairness).converges();
         if converges && radius.is_none() {
             radius = Some(r);
         }

@@ -65,7 +65,6 @@
 //! [`frontier`](crate::frontier) peel ends in this same code, fed decoded
 //! rows instead of CSR rows.
 
-use nonmask_obs::{Event, Journal};
 use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
@@ -132,10 +131,11 @@ impl ConvergenceResult {
 }
 
 /// Size counters for one convergence pass, produced by
-/// [`check_convergence_bits`] and surfaced in journals as
-/// [`Event::Wave`]: how much of the region the region pass resolved
-/// before any residual analysis, and how many components that analysis
-/// then examined.
+/// [`check_convergence_bits`]: how much of the region the region pass
+/// resolved before any residual analysis, and how many components that
+/// analysis then examined. The resident pass journals nothing; a caller
+/// that keeps a journal emits these sizes as an
+/// [`Event::Wave`](nonmask_obs::Event::Wave).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvergenceStats {
     /// States in the region `T ∧ ¬S`.
@@ -176,63 +176,38 @@ impl ConvergenceReport {
 }
 
 /// Check that every computation of `program` from `from` (the fault span
-/// `T`) reaches `to` (the invariant `S`), under the given fairness
-/// assumption.
+/// `T`) reaches `to` (the invariant `S`): both daemons' verdicts, the
+/// worst-case move bound and the pass's sizes, in one [`ConvergenceReport`].
 ///
-/// `Converges` under [`Fairness::Unfair`] implies `Converges` under
-/// [`Fairness::WeaklyFair`]; divergence witnesses found under
-/// `WeaklyFair` are also divergences under `Unfair`.
+/// Evaluates `from` and `to` into caches in one decode pass, then runs the
+/// one region pass ([`check_convergence_bits`]). The report is identical
+/// for every thread count. `Converges` under [`Fairness::Unfair`] implies
+/// `Converges` under [`Fairness::WeaklyFair`]; divergence witnesses found
+/// under `WeaklyFair` are also divergences under `Unfair`.
 ///
-/// # Errors
+/// ```
+/// use nonmask_program::{Domain, Predicate, Program};
+/// use nonmask_checker::{check_convergence, CheckOptions, StateSpace};
 ///
-/// [`CheckError::WorkerFailed`] if a predicate panics mid-scan.
-pub fn check_convergence(
-    space: &StateSpace,
-    program: &Program,
-    from: &Predicate,
-    to: &Predicate,
-    fairness: Fairness,
-) -> Result<ConvergenceResult, CheckError> {
-    let report = check_convergence_report(space, program, from, to, CheckOptions::default())?;
-    Ok(report.verdict(fairness).clone())
-}
-
-/// [`check_convergence`] with explicit [`CheckOptions`] (the result is
-/// identical for every thread count) that additionally reports
-/// [`ConvergenceStats`] and journals the pass: one [`Event::Wave`] per
-/// invocation with the region, peel, and SCC sizes.
-///
-/// # Errors
-///
-/// [`CheckError::WorkerFailed`] if a predicate panics mid-scan.
-pub fn check_convergence_stats(
-    space: &StateSpace,
-    program: &Program,
-    from: &Predicate,
-    to: &Predicate,
-    fairness: Fairness,
-    opts: CheckOptions,
-    journal: &Journal,
-) -> Result<(ConvergenceResult, ConvergenceStats), CheckError> {
-    let report = check_convergence_report(space, program, from, to, opts)?;
-    let stats = report.stats;
-    journal.emit_with(|| Event::Wave {
-        fairness: fairness.to_string(),
-        region: stats.region_states,
-        peeled: stats.peeled_states,
-        sccs: stats.sccs_found,
-    });
-    Ok((report.verdict(fairness).clone(), stats))
-}
-
-/// [`check_convergence_bits`] over the predicates themselves: evaluates
-/// `from` and `to` into caches in one decode pass, then runs the one
-/// region pass.
+/// let mut b = Program::builder("down");
+/// let x = b.var("x", Domain::range(0, 4));
+/// b.convergence_action("dec", [x], [x],
+///     move |s| s.get(x) > 0,
+///     move |s| { let v = s.get(x); s.set(x, v - 1); });
+/// let p = b.build();
+/// let space = StateSpace::enumerate(&p)?;
+/// let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
+/// let report = check_convergence(&space, &p, &Predicate::always_true(), &s,
+///     CheckOptions::default())?;
+/// assert!(report.unfair.converges());
+/// assert_eq!(report.worst_case_moves, Some(4), "x=4 takes four decrements");
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 ///
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a predicate or action body panics.
-pub fn check_convergence_report(
+pub fn check_convergence(
     space: &StateSpace,
     program: &Program,
     from: &Predicate,
@@ -684,10 +659,20 @@ mod tests {
         Predicate::new(name, [v], move |s| s.get(v) == value)
     }
 
-    #[test]
-    fn converging_countdown() {
+    /// The report from `from` to `to` with the default options.
+    fn check(
+        space: &StateSpace,
+        p: &Program,
+        from: &Predicate,
+        to: &Predicate,
+    ) -> ConvergenceReport {
+        check_convergence(space, p, from, to, CheckOptions::default()).unwrap()
+    }
+
+    /// x counts down from `max` to 0 by `dec`.
+    fn countdown(max: i64) -> Program {
         let mut b = Program::builder("down");
-        let x = b.var("x", Domain::range(0, 5));
+        let x = b.var("x", Domain::range(0, max));
         b.convergence_action(
             "dec",
             [x],
@@ -698,16 +683,27 @@ mod tests {
                 s.set(x, v - 1);
             },
         );
-        let p = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn converging_countdown() {
+        let p = countdown(5);
         let space = StateSpace::enumerate(&p).unwrap();
         let s = pred_eq(&p, "x=0", "x", 0);
-        for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
-            assert!(
-                check_convergence(&space, &p, &Predicate::always_true(), &s, fairness)
-                    .unwrap()
-                    .converges()
-            );
-        }
+        let report = check(&space, &p, &Predicate::always_true(), &s);
+        assert!(report.unfair.converges());
+        assert!(report.weakly_fair.converges());
+        assert_eq!(report.worst_case_moves, Some(5), "x=5 takes five steps");
+        // The countdown peels its whole region.
+        assert_eq!(
+            report.stats,
+            ConvergenceStats {
+                region_states: 5,
+                peeled_states: 5,
+                sccs_found: 0,
+            }
+        );
     }
 
     #[test]
@@ -719,17 +715,12 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = pred_eq(&p, "x=0", "x", 0);
-        let r = check_convergence(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &s,
-            Fairness::WeaklyFair,
-        )
-        .unwrap();
+        let report = check(&space, &p, &Predicate::always_true(), &s);
         assert!(
-            matches!(r, ConvergenceResult::DeadlockOutsideTarget { ref state } if state.slots() == [2])
+            matches!(report.weakly_fair, ConvergenceResult::DeadlockOutsideTarget { ref state } if state.slots() == [2])
         );
+        assert_eq!(report.unfair, report.weakly_fair);
+        assert_eq!(report.worst_case_moves, None, "a deadlock has no bound");
     }
 
     #[test]
@@ -762,22 +753,13 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x", [x], move |st| st.get_bool(x));
-
-        let unfair =
-            check_convergence(&space, &p, &Predicate::always_true(), &s, Fairness::Unfair).unwrap();
+        let report = check(&space, &p, &Predicate::always_true(), &s);
         assert!(
-            matches!(unfair, ConvergenceResult::Divergence { ref states, fairness: Fairness::Unfair } if states.len() == 2)
+            matches!(report.unfair, ConvergenceResult::Divergence { ref states, fairness: Fairness::Unfair } if states.len() == 2)
         );
-
-        let fair = check_convergence(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &s,
-            Fairness::WeaklyFair,
-        )
-        .unwrap();
+        let fair = report.verdict(Fairness::WeaklyFair);
         assert!(fair.converges(), "weak fairness forces `exit`: {fair:?}");
+        assert_eq!(report.worst_case_moves, None);
     }
 
     #[test]
@@ -797,14 +779,8 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x", [x], move |st| st.get_bool(x));
-        let r = check_convergence(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &s,
-            Fairness::WeaklyFair,
-        )
-        .unwrap();
+        let report = check(&space, &p, &Predicate::always_true(), &s);
+        let r = report.verdict(Fairness::WeaklyFair);
         assert!(
             matches!(
                 r,
@@ -815,6 +791,7 @@ mod tests {
             ),
             "got {r:?}"
         );
+        assert_eq!(report.worst_case_moves, None, "a cycle has no bound");
     }
 
     #[test]
@@ -834,21 +811,11 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x", [x], move |st| st.get_bool(x));
-
-        let unfair =
-            check_convergence(&space, &p, &Predicate::always_true(), &s, Fairness::Unfair).unwrap();
+        let report = check(&space, &p, &Predicate::always_true(), &s);
         assert!(
-            matches!(unfair, ConvergenceResult::Divergence { ref states, .. } if states.len() == 1)
+            matches!(report.unfair, ConvergenceResult::Divergence { ref states, .. } if states.len() == 1)
         );
-        assert!(check_convergence(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &s,
-            Fairness::WeaklyFair
-        )
-        .unwrap()
-        .converges());
+        assert!(report.weakly_fair.converges());
     }
 
     #[test]
@@ -866,31 +833,62 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = pred_eq(&p, "x=0", "x", 0);
-        let x_id = p.var_by_name("x").unwrap();
-        let t = Predicate::new("x<=1", [x_id], move |st| st.get(x_id) <= 1);
-        let r = check_convergence(&space, &p, &t, &s, Fairness::WeaklyFair).unwrap();
+        let t = Predicate::new("x<=1", [x], move |st| st.get(x) <= 1);
+        let report = check(&space, &p, &t, &s);
+        let r = &report.weakly_fair;
         assert!(
             matches!(r, ConvergenceResult::EscapesFaultSpan { .. }),
             "got {r:?}"
         );
+        // The unfair verdict is the same escape, so no finite bound may
+        // stand beside it.
+        assert_eq!(report.unfair, report.weakly_fair);
+        assert_eq!(report.worst_case_moves, None);
     }
 
     #[test]
     fn empty_region_converges_trivially() {
-        let mut b = Program::builder("trivial");
-        let x = b.var("x", Domain::Bool);
-        let _ = x;
+        let p = countdown(3);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let s = pred_eq(&p, "x=0", "x", 0);
+        for (from, to) in [
+            (Predicate::always_true(), Predicate::always_true()),
+            (Predicate::always_false(), s),
+        ] {
+            let report = check(&space, &p, &from, &to);
+            assert!(report.weakly_fair.converges());
+            assert_eq!(report.worst_case_moves, Some(0), "an empty region");
+        }
+    }
+
+    #[test]
+    fn branching_takes_longest_path() {
+        // From x: either jump straight to 0 or step down by 1. Worst case
+        // still walks all the way down.
+        let mut b = Program::builder("branch");
+        let x = b.var("x", Domain::range(0, 5));
+        b.convergence_action(
+            "jump",
+            [x],
+            [x],
+            move |s| s.get(x) > 0,
+            move |s| s.set(x, 0),
+        );
+        b.convergence_action(
+            "step",
+            [x],
+            [x],
+            move |s| s.get(x) > 0,
+            move |s| {
+                let v = s.get(x);
+                s.set(x, v - 1);
+            },
+        );
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
-        let r = check_convergence(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &Predicate::always_true(),
-            Fairness::WeaklyFair,
-        )
-        .unwrap();
-        assert!(r.converges());
+        let s = pred_eq(&p, "x=0", "x", 0);
+        let report = check(&space, &p, &Predicate::always_true(), &s);
+        assert_eq!(report.worst_case_moves, Some(5));
     }
 
     #[test]
@@ -912,18 +910,15 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = pred_eq(&p, "x=0", "x", 0);
-        let t = Predicate::new("x<=1", [p.var_by_name("x").unwrap()], {
-            let x = p.var_by_name("x").unwrap();
-            move |st| st.get(x) <= 1
-        });
-        let r = check_convergence(&space, &p, &t, &s, Fairness::Unfair).unwrap();
+        let t = Predicate::new("x<=1", [x], move |st| st.get(x) <= 1);
+        let r = check(&space, &p, &t, &s).unfair;
         assert!(r.converges(), "got {r:?}");
     }
 
     #[test]
     fn multi_threaded_matches_single_threaded() {
-        // A 4096-state countdown (above the parallel threshold): every
-        // outcome field must be bit-identical across worker counts.
+        // 4096- and 5000-state countdowns (above the parallel threshold):
+        // every report field must be bit-identical across worker counts.
         let mut b = Program::builder("mt");
         let x = b.var("x", Domain::range(0, 4095));
         b.convergence_action(
@@ -936,39 +931,28 @@ mod tests {
                 s.set(x, v - 1);
             },
         );
-        let p = b.build();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let s = pred_eq(&p, "x=0", "x", 0);
-        // x=1 deadlocks outside the target: a witness exists, and all
-        // thread counts must agree on it.
-        let serial = check_convergence_stats(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &s,
-            Fairness::WeaklyFair,
-            CheckOptions::serial(),
-            &Journal::disabled(),
-        )
-        .unwrap()
-        .0;
-        for threads in [2, 4, 8] {
-            let par = check_convergence_stats(
-                &space,
-                &p,
-                &Predicate::always_true(),
-                &s,
-                Fairness::WeaklyFair,
-                CheckOptions::default().threads(threads),
-                &Journal::disabled(),
-            )
-            .unwrap()
-            .0;
-            assert_eq!(serial, par, "threads={threads}");
+        // x=1 deadlocks outside the target of the first: a witness exists,
+        // and all thread counts must agree on it. The second converges,
+        // and all must agree on its bound.
+        for (p, deadlock, bound) in [
+            (b.build(), true, None),
+            (countdown(4999), false, Some(4999)),
+        ] {
+            let space = StateSpace::enumerate(&p).unwrap();
+            let s = pred_eq(&p, "x=0", "x", 0);
+            let t = Predicate::always_true();
+            let serial = check_convergence(&space, &p, &t, &s, CheckOptions::serial()).unwrap();
+            for threads in [2, 4, 8] {
+                let opts = CheckOptions::default().threads(threads);
+                let par = check_convergence(&space, &p, &t, &s, opts).unwrap();
+                assert_eq!(serial, par, "threads={threads}");
+            }
+            assert_eq!(
+                matches!(serial.weakly_fair, ConvergenceResult::DeadlockOutsideTarget { ref state } if state.slots() == [1]),
+                deadlock
+            );
+            assert_eq!(serial.worst_case_moves, bound);
         }
-        assert!(
-            matches!(serial, ConvergenceResult::DeadlockOutsideTarget { ref state } if state.slots() == [1])
-        );
     }
 
     #[test]
@@ -999,33 +983,16 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = pred_eq(&p, "x=0", "x", 0);
-        let serial = check_convergence_stats(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &s,
-            Fairness::Unfair,
-            CheckOptions::serial(),
-            &Journal::disabled(),
-        )
-        .unwrap()
-        .0;
+        let t = Predicate::always_true();
+        let serial = check_convergence(&space, &p, &t, &s, CheckOptions::serial()).unwrap();
         assert!(
-            matches!(serial, ConvergenceResult::Divergence { ref states, .. } if states.len() == 2),
-            "got {serial:?}"
+            matches!(serial.unfair, ConvergenceResult::Divergence { ref states, .. } if states.len() == 2),
+            "got {:?}",
+            serial.unfair
         );
         for threads in [2, 8] {
-            let par = check_convergence_stats(
-                &space,
-                &p,
-                &Predicate::always_true(),
-                &s,
-                Fairness::Unfair,
-                CheckOptions::default().threads(threads),
-                &Journal::disabled(),
-            )
-            .unwrap()
-            .0;
+            let opts = CheckOptions::default().threads(threads);
+            let par = check_convergence(&space, &p, &t, &s, opts).unwrap();
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -1105,54 +1072,6 @@ mod tests {
         assert_eq!(Fairness::WeaklyFair.to_string(), "weakly-fair");
     }
 
-    #[test]
-    fn stats_reported_and_wave_journaled() {
-        // The countdown peels its whole region; the stats and the Wave
-        // event must agree on the sizes.
-        let mut b = Program::builder("down");
-        let x = b.var("x", Domain::range(0, 5));
-        b.convergence_action(
-            "dec",
-            [x],
-            [x],
-            move |s| s.get(x) > 0,
-            move |s| {
-                let v = s.get(x);
-                s.set(x, v - 1);
-            },
-        );
-        let p = b.build();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let s = pred_eq(&p, "x=0", "x", 0);
-        let (journal, buffer) = Journal::memory();
-        let (result, stats) = check_convergence_stats(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &s,
-            Fairness::WeaklyFair,
-            CheckOptions::default(),
-            &journal,
-        )
-        .unwrap();
-        assert!(result.converges());
-        assert_eq!(stats.region_states, 5);
-        assert_eq!(stats.peeled_states, 5);
-        assert_eq!(stats.sccs_found, 0);
-        journal.flush();
-        let text = buffer.contents();
-        let record = Event::parse_line(text.trim()).unwrap();
-        assert_eq!(
-            record.event,
-            Event::Wave {
-                fairness: "weakly-fair".to_string(),
-                region: 5,
-                peeled: 5,
-                sccs: 0,
-            }
-        );
-    }
-
     /// A program over `x ∈ 0..=max` with one action per edge `(a, b)`,
     /// enabled at `x = a` and setting `x := b`, plus, with `exit`, one
     /// action enabled at every `x > 0` that sets `x := 0`.
@@ -1192,12 +1111,9 @@ mod tests {
         let x = p.var_by_name("x").unwrap();
         let t = Predicate::new("T", [x], move |s| s.get(x) <= span);
         let s = Predicate::new("S", [x], move |s| goal.contains(&s.get(x)));
-        let serial = check_convergence_report(&space, p, &t, &s, CheckOptions::serial()).unwrap();
+        let serial = check_convergence(&space, p, &t, &s, CheckOptions::serial()).unwrap();
         let par = CheckOptions::default().threads(4);
-        assert_eq!(
-            check_convergence_report(&space, p, &t, &s, par).unwrap(),
-            serial
-        );
+        assert_eq!(check_convergence(&space, p, &t, &s, par).unwrap(), serial);
         (serial, move |v| space.state(StateId::from_index(v)))
     }
 

@@ -1,8 +1,9 @@
 //! Expected convergence time under a uniformly random daemon.
 //!
-//! The worst-case move count ([`crate::bounds::worst_case_moves`]) bounds
-//! an *adversarial* daemon; the expected move count under a *uniformly
-//! random* daemon is what simulation actually observes. This module solves
+//! The worst-case move count
+//! ([`ConvergenceReport::worst_case_moves`](crate::ConvergenceReport::worst_case_moves))
+//! bounds an *adversarial* daemon; the expected move count under a
+//! *uniformly random* daemon is what simulation actually observes. This module solves
 //! the absorbing-Markov-chain equations
 //!
 //! ```text
@@ -12,7 +13,7 @@
 //!
 //! by Gauss–Seidel value iteration over the region `T ∧ ¬S`.
 
-use nonmask_program::{Predicate, Program};
+use nonmask_program::Predicate;
 
 use crate::space::{StateId, StateSpace};
 
@@ -66,13 +67,11 @@ impl ExpectedMoves {
 /// `max_sweeps` caps the iteration count.
 pub fn expected_moves(
     space: &StateSpace,
-    program: &Program,
     from: &Predicate,
     to: &Predicate,
     tolerance: f64,
     max_sweeps: u32,
 ) -> ExpectedMoves {
-    let _ = program;
     let mut local = vec![usize::MAX; space.len()];
     let mut region: Vec<StateId> = Vec::new();
     let mut scratch = space.scratch_state();
@@ -150,7 +149,7 @@ pub fn expected_moves(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonmask_program::Domain;
+    use nonmask_program::{Domain, Program};
 
     #[test]
     fn deterministic_chain_has_exact_expectation() {
@@ -170,7 +169,7 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
-        let em = expected_moves(&space, &p, &Predicate::always_true(), &s, 1e-12, 10_000);
+        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-12, 10_000);
         assert!(em.converged());
         assert_eq!(em.region_len(), 5);
         assert!((em.max() - 5.0).abs() < 1e-9);
@@ -206,7 +205,7 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
-        let em = expected_moves(&space, &p, &Predicate::always_true(), &s, 1e-12, 100_000);
+        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-12, 100_000);
         assert!(em.converged());
         let id1 = space.id_of(&p.state_from([1]).unwrap()).unwrap();
         let id2 = space.id_of(&p.state_from([2]).unwrap()).unwrap();
@@ -222,7 +221,7 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
-        let em = expected_moves(&space, &p, &Predicate::always_true(), &s, 1e-9, 100);
+        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-9, 100);
         assert!(!em.converged());
     }
 
@@ -234,7 +233,6 @@ mod tests {
         let space = StateSpace::enumerate(&p).unwrap();
         let em = expected_moves(
             &space,
-            &p,
             &Predicate::always_true(),
             &Predicate::always_true(),
             1e-9,

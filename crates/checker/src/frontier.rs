@@ -1,6 +1,6 @@
 //! Frontier convergence: the out-of-core convergence check.
 //!
-//! [`check_convergence_stats`](crate::convergence::check_convergence_stats)
+//! [`check_convergence`](crate::convergence::check_convergence)
 //! needs the whole CSR transition relation resident, which caps the
 //! checkable instance at the memory budget. This module answers the same
 //! question — does every computation from `T` reach `S`? — from a bare
@@ -67,12 +67,12 @@ pub struct FrontierStats {
     pub evals: u64,
 }
 
-/// [`check_convergence_stats`](crate::convergence::check_convergence_stats)
-/// without a resident transition relation: the same verdict, witness and
-/// [`ConvergenceStats`], plus the frontier's own [`FrontierStats`].
-/// Journals one [`Event::Segment`] (phase `"frontier-round"`) per round
-/// with the states resolved and successor evaluations, plus the same final
-/// [`Event::Wave`] the resident checker emits.
+/// [`check_convergence`](crate::convergence::check_convergence) for one
+/// daemon without a resident transition relation: the same verdict,
+/// witness and [`ConvergenceStats`], plus the frontier's own
+/// [`FrontierStats`]. Journals one [`Event::Segment`] (phase
+/// `"frontier-round"`) per round with the states resolved and successor
+/// evaluations, plus a final [`Event::Wave`] with the stats.
 ///
 /// # Errors
 ///
@@ -309,7 +309,7 @@ pub fn check_convergence_frontier_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::check_convergence_stats;
+    use crate::convergence::check_convergence;
     use crate::space::StateSpace;
     use nonmask_program::Domain;
 
@@ -356,9 +356,8 @@ mod tests {
         opts: CheckOptions,
     ) -> (ConvergenceResult, ConvergenceResult) {
         let space = StateSpace::enumerate_with_options(p, opts).unwrap();
-        let (mono, _) =
-            check_convergence_stats(&space, p, from, to, fairness, opts, &Journal::disabled())
-                .unwrap();
+        let mono = check_convergence(&space, p, from, to, opts).unwrap();
+        let mono = mono.verdict(fairness).clone();
         let front = frontier(p, from, to, fairness, opts).unwrap();
         (mono, front)
     }
@@ -501,16 +500,9 @@ mod tests {
         let s = pred_eq(&p, "x=0", "x", 0);
         let opts = CheckOptions::default().segment_states(1000);
         let space = StateSpace::enumerate_with_options(&p, opts).unwrap();
-        let (_, mono_stats) = check_convergence_stats(
-            &space,
-            &p,
-            &Predicate::always_true(),
-            &s,
-            Fairness::WeaklyFair,
-            opts,
-            &Journal::disabled(),
-        )
-        .unwrap();
+        let mono_stats = check_convergence(&space, &p, &Predicate::always_true(), &s, opts)
+            .unwrap()
+            .stats;
         let (journal, buffer) = Journal::memory();
         let (result, stats) = check_convergence_frontier_stats(
             &p,

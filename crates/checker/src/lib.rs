@@ -16,13 +16,15 @@
 //! - [`closure`] — the *preservation oracle* (`does action a preserve
 //!   predicate c?`), plain and conditional (Theorem 3's "whenever all
 //!   constraints in lower-numbered partitions hold").
-//! - [`convergence`] — convergence checking under an unfair daemon (no
-//!   cycle may exist outside `S`) and under the paper's weakly fair daemon
-//!   (no *fair-admissible* cycle may exist: a strongly connected component
+//! - [`convergence`] — one call, [`check_convergence`], answers the
+//!   convergence question under an unfair daemon (no cycle may exist
+//!   outside `S`) and under the paper's weakly fair daemon (no
+//!   *fair-admissible* cycle may exist: a strongly connected component
 //!   every always-enabled action of which can be executed without leaving
-//!   the component).
-//! - [`bounds`] — worst-case convergence move counts and variant-function
-//!   validation (the concluding remarks' discussion of variant functions).
+//!   the component), with the worst-case move bound, in one
+//!   [`ConvergenceReport`].
+//! - [`bounds`] — variant-function validation (the concluding remarks'
+//!   discussion of variant functions).
 //!
 //! # Performance model
 //!
@@ -38,8 +40,8 @@
 //! the [`space`] module docs).
 //!
 //! Every state-space sweep — enumeration, transition construction,
-//! predicate evaluation, closure, the convergence region analysis, and the
-//! bounds region build — runs in parallel, controlled by
+//! predicate evaluation, closure, and the convergence region's deadlock
+//! and escape sweep — runs in parallel, controlled by
 //! [`CheckOptions::threads`]; results are **bit-identical for every thread
 //! count** because per-task results are reduced in task order (the
 //! lowest-id witness always wins). Predicates are evaluated once per state
@@ -90,7 +92,7 @@
 //!
 //! ```
 //! use nonmask_program::{Domain, Predicate, Program};
-//! use nonmask_checker::{StateSpace, convergence::{check_convergence, Fairness, ConvergenceResult}};
+//! use nonmask_checker::{check_convergence, CheckOptions, ConvergenceResult, Fairness, StateSpace};
 //!
 //! // One variable that convergence actions drive to 0.
 //! let mut b = Program::builder("to-zero");
@@ -103,18 +105,21 @@
 //! let space = StateSpace::enumerate(&p).unwrap();
 //! let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
 //! let t = Predicate::always_true();
-//! let result = check_convergence(&space, &p, &t, &s, Fairness::WeaklyFair).unwrap();
-//! assert!(matches!(result, ConvergenceResult::Converges));
+//! let report = check_convergence(&space, &p, &t, &s, CheckOptions::default()).unwrap();
+//! assert!(matches!(report.verdict(Fairness::WeaklyFair), ConvergenceResult::Converges));
+//! assert_eq!(report.worst_case_moves, Some(3), "x=3 takes three steps");
 //! ```
 //!
 //! # Observability
 //!
-//! Passes accept a [`nonmask_obs::Journal`] through the `*_journaled` /
-//! `*_stats` variants ([`StateSpace::enumerate_journaled`],
-//! [`check_convergence_stats`], [`check_convergence_frontier_stats`]) and
-//! emit structured JSON-lines events (CSR build phases, convergence wave
-//! sizes, frontier rounds). [`CheckCounters`] aggregates per-pass work
-//! counts for reports. With the default disabled journal no event is ever
+//! The out-of-core passes accept a [`nonmask_obs::Journal`]
+//! ([`StateSpace::enumerate_journaled`],
+//! [`check_convergence_frontier_stats`]) and emit structured JSON-lines
+//! events (CSR build phases, frontier rounds, convergence wave sizes).
+//! The resident convergence pass journals nothing: its sizes come back in
+//! [`ConvergenceReport::stats`], for a caller that keeps a journal to emit
+//! as an [`Event::Wave`](nonmask_obs::Event::Wave). [`CheckCounters`]
+//! aggregates per-pass work counts for reports. With the default disabled journal no event is ever
 //! formatted, so instrumented paths cost near-nothing.
 //!
 //! A panic in a caller-supplied closure (predicate, guard, action body) no
@@ -140,16 +145,16 @@ pub mod space;
 pub mod span;
 pub mod successors;
 
-pub use bounds::{check_variant, worst_case_moves, VariantReport};
+pub use bounds::{check_variant, VariantReport};
 pub use cache::{Bitset, MaskColumn, OnesIter};
 pub use closure::{
-    breaking_actions, is_closed, is_closed_bits, preserves, preserves_given, preserves_given_bits,
-    repair_obligations, RepairWitnesses, Violation,
+    breaking_actions, is_closed, is_closed_bits, preserves_given_bits, repair_obligations,
+    RepairWitnesses, Violation,
 };
 pub use containment::{certify_containment, ContainmentVerdict};
 pub use convergence::{
-    check_convergence, check_convergence_bits, check_convergence_report, check_convergence_stats,
-    shortest_path_to, ConvergenceReport, ConvergenceResult, ConvergenceStats, Fairness, PathStep,
+    check_convergence, check_convergence_bits, shortest_path_to, ConvergenceReport,
+    ConvergenceResult, ConvergenceStats, Fairness, PathStep,
 };
 pub use counters::CheckCounters;
 pub use error::CheckError;
@@ -162,5 +167,5 @@ pub use options::{
 pub use oracle::{attribute_constraints, ConstraintAttribution, StepFault, StepOracle};
 pub use replay::{replay_constraints, ConstraintTransition};
 pub use space::{SpaceError, SpaceIndex, StateId, StateSpace, Transitions, TransitionsIter};
-pub use span::{compute_fault_span, compute_fault_span_opts, StateSet};
+pub use span::{compute_fault_span, StateSet};
 pub use successors::{Decoder, RowSource, Successors};

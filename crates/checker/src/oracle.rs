@@ -231,7 +231,7 @@ impl ConstraintAttribution {
     /// Does no transition by `action` *exit* constraint `c` (start in a
     /// state satisfying it, end in one violating it)? This is global
     /// preservation over the whole relation — stronger than the checker's
-    /// assumption-relative `preserves_given`, and the hard-prune criterion
+    /// assumption-relative `preserves_given_bits`, and the hard-prune criterion
     /// the synthesizer applies to candidates against already-established
     /// lower constraints.
     ///

@@ -914,20 +914,7 @@ impl StateSpace {
     ///
     /// [`CheckError::WorkerFailed`] if `pred` panics.
     pub fn satisfying(&self, pred: &Predicate) -> Result<Vec<StateId>, CheckError> {
-        self.satisfying_opts(pred, CheckOptions::default())
-    }
-
-    /// Ids of the states satisfying `pred`, with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::WorkerFailed`] if `pred` panics.
-    pub fn satisfying_opts(
-        &self,
-        pred: &Predicate,
-        options: CheckOptions,
-    ) -> Result<Vec<StateId>, CheckError> {
-        Ok(Bitset::for_predicate(self, pred, options)?
+        Ok(Bitset::for_predicate(self, pred, CheckOptions::default())?
             .iter_ones()
             .map(StateId::from_index)
             .collect())
@@ -1212,13 +1199,18 @@ mod tests {
         let x = p.var_by_name("x").unwrap();
         let space = StateSpace::enumerate(&p).unwrap();
         let pred = Predicate::new("mod7", [x], move |s| s.get(x) % 7 == 0);
-        let serial = space
-            .satisfying_opts(&pred, CheckOptions::serial())
-            .unwrap();
-        let parallel = space
-            .satisfying_opts(&pred, CheckOptions::default().threads(4))
-            .unwrap();
-        assert_eq!(serial, parallel);
+        // `satisfying` is a scan of `Bitset::for_predicate`, here with
+        // explicit options.
+        let ids = |opts| {
+            Bitset::for_predicate(&space, &pred, opts)
+                .unwrap()
+                .iter_ones()
+                .map(StateId::from_index)
+                .collect::<Vec<_>>()
+        };
+        let serial = ids(CheckOptions::serial());
+        assert_eq!(serial, ids(CheckOptions::default().threads(4)));
+        assert_eq!(serial, space.satisfying(&pred).unwrap());
         assert_eq!(serial.len(), space.count_satisfying(&pred).unwrap());
     }
 

@@ -12,7 +12,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use nonmask_program::{Action, Predicate, Program, State};
+use nonmask_program::{Action, Predicate, State};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
@@ -28,27 +28,14 @@ pub struct StateSet {
 }
 
 impl StateSet {
-    /// The states satisfying `pred`.
+    /// The states satisfying `pred` (evaluated once per state, in parallel
+    /// chunks with the [default options](CheckOptions::default)).
     ///
     /// # Errors
     ///
     /// [`CheckError::WorkerFailed`] if `pred` panics at some state.
     pub fn from_predicate(space: &StateSpace, pred: &Predicate) -> Result<Self, CheckError> {
-        Self::from_predicate_opts(space, pred, CheckOptions::default())
-    }
-
-    /// [`StateSet::from_predicate`] with explicit [`CheckOptions`] (the
-    /// predicate is evaluated once per state, in parallel chunks).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::WorkerFailed`] if `pred` panics at some state.
-    pub fn from_predicate_opts(
-        space: &StateSpace,
-        pred: &Predicate,
-        opts: CheckOptions,
-    ) -> Result<Self, CheckError> {
-        let members = Bitset::for_predicate(space, pred, opts)?;
+        let members = Bitset::for_predicate(space, pred, CheckOptions::default())?;
         let count = members.count_ones();
         Ok(StateSet { members, count })
     }
@@ -91,38 +78,25 @@ impl StateSet {
     }
 }
 
-/// Compute the fault span of `invariant` under `program`'s actions plus
-/// the given `faults` (arbitrary state-transformers with guards): the
+/// Compute the fault span of `invariant` under the space's program actions
+/// plus the given `faults` (arbitrary state-transformers with guards): the
 /// reachability closure of the invariant states.
 ///
 /// Fault actions may produce states outside the space only if domains are
 /// violated; such transitions are ignored (a fault cannot create an
-/// unrepresentable state).
-pub fn compute_fault_span(
-    space: &StateSpace,
-    program: &Program,
-    invariant: &Predicate,
-    faults: &[Action],
-) -> Result<StateSet, CheckError> {
-    compute_fault_span_opts(space, program, invariant, faults, CheckOptions::default())
-}
-
-/// [`compute_fault_span`] with explicit [`CheckOptions`]: the invariant is
-/// seeded in parallel; the reachability sweep itself is sequential (each
-/// state is expanded exactly once).
+/// unrepresentable state). The invariant is seeded in parallel with the
+/// [default options](CheckOptions::default); the reachability sweep itself
+/// is sequential (each state is expanded exactly once).
 ///
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if `invariant` panics at some state.
-pub fn compute_fault_span_opts(
+pub fn compute_fault_span(
     space: &StateSpace,
-    program: &Program,
     invariant: &Predicate,
     faults: &[Action],
-    opts: CheckOptions,
 ) -> Result<StateSet, CheckError> {
-    let _ = program;
-    let mut members = Bitset::for_predicate(space, invariant, opts)?;
+    let mut members = Bitset::for_predicate(space, invariant, CheckOptions::default())?;
     let mut frontier: Vec<StateId> = members.iter_ones().map(StateId::from_index).collect();
     let mut count = frontier.len();
 
@@ -166,7 +140,7 @@ pub fn compute_fault_span_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonmask_program::{ActionKind, Domain};
+    use nonmask_program::{ActionKind, Domain, Program};
 
     /// x counts down; faults can bump x by +1 (but never above 3).
     fn setup() -> (Program, Predicate, Vec<Action>) {
@@ -202,7 +176,7 @@ mod tests {
     fn span_is_reachability_closure() {
         let (p, s, faults) = setup();
         let space = StateSpace::enumerate(&p).unwrap();
-        let span = compute_fault_span(&space, &p, &s, &faults).unwrap();
+        let span = compute_fault_span(&space, &s, &faults).unwrap();
         // From x=0, faults reach up to 3; decs reach everything below.
         // x=4, x=5 are unreachable.
         assert_eq!(span.len(), 4);
@@ -216,10 +190,10 @@ mod tests {
     fn span_predicate_closed_and_contains_invariant() {
         let (p, s, faults) = setup();
         let space = StateSpace::enumerate(&p).unwrap();
-        let span = compute_fault_span(&space, &p, &s, &faults).unwrap();
+        let span = compute_fault_span(&space, &s, &faults).unwrap();
         let t = span.to_predicate(&space, "T");
         // T is closed under program actions …
-        assert!(crate::closure::is_closed(&space, &p, &t).unwrap().is_none());
+        assert!(crate::closure::is_closed(&space, &t).unwrap().is_none());
         // … contains S …
         for id in space.ids() {
             if s.holds(&space.state(id)) {
@@ -227,17 +201,16 @@ mod tests {
             }
         }
         // … and the program converges from T back to S.
-        let r =
-            crate::convergence::check_convergence(&space, &p, &t, &s, crate::Fairness::WeaklyFair)
-                .unwrap();
-        assert!(r.converges());
+        let r = crate::convergence::check_convergence(&space, &p, &t, &s, CheckOptions::default())
+            .unwrap();
+        assert!(r.weakly_fair.converges());
     }
 
     #[test]
     fn no_faults_means_span_is_program_reachability() {
         let (p, s, _) = setup();
         let space = StateSpace::enumerate(&p).unwrap();
-        let span = compute_fault_span(&space, &p, &s, &[]).unwrap();
+        let span = compute_fault_span(&space, &s, &[]).unwrap();
         // The only invariant state is x=0, and dec cannot leave it.
         assert_eq!(span.len(), 1);
     }

@@ -24,10 +24,11 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use nonmask_checker::convergence::{check_convergence_stats, shortest_path_to};
-use nonmask_checker::{replay_constraints, CheckOptions, Fairness, StateSpace};
+use nonmask_checker::{
+    check_convergence, replay_constraints, shortest_path_to, CheckOptions, Fairness, StateSpace,
+};
 use nonmask_net::{run, FaultConfig, Journal, NetConfig, NetEvent};
-use nonmask_obs::{parse_journal, render_timeline};
+use nonmask_obs::{parse_journal, render_timeline, Event};
 use nonmask_program::{Predicate, Program, State};
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
@@ -315,16 +316,22 @@ fn check_ring(args: &Args) -> Result<ExitCode, String> {
     let opts = CheckOptions::default();
     let space = StateSpace::enumerate_journaled(program, opts, &journal)
         .map_err(|e| format!("enumeration failed: {e}"))?;
-    let (convergence, _) = check_convergence_stats(
+    let report = check_convergence(
         &space,
         program,
         &Predicate::always_true(),
         &ring.invariant(),
-        Fairness::WeaklyFair,
         opts,
-        &journal,
     )
     .map_err(|e| format!("convergence check failed: {e}"))?;
+    let fairness = Fairness::WeaklyFair;
+    journal.emit_with(|| Event::Wave {
+        fairness: fairness.to_string(),
+        region: report.stats.region_states,
+        peeled: report.stats.peeled_states,
+        sccs: report.stats.sccs_found,
+    });
+    let convergence = report.verdict(fairness);
 
     // §4 constraint decomposition of the ring: c.j ≡ `x.j = x.(j-1)`.
     // The constraint graph is the ring's chain (c.j reads only c.(j-1)'s

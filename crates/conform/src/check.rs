@@ -19,7 +19,7 @@
 //!    bound plus an explicit granularity slack.
 
 use nonmask_checker::oracle::{attribute_constraints, ConstraintAttribution, StepOracle};
-use nonmask_checker::{worst_case_moves, CheckOptions, StateSpace};
+use nonmask_checker::{check_convergence, CheckOptions, StateSpace};
 use nonmask_program::Predicate;
 
 use crate::runner::RunOutcome;
@@ -48,8 +48,10 @@ impl ProtocolOracle {
         let opts = CheckOptions::default();
         let space = StateSpace::enumerate_with_options(&spec.program, opts)
             .map_err(|e| format!("{}: enumeration failed: {e}", spec.name))?;
-        let bound = worst_case_moves(&space, &spec.program, &Predicate::always_true(), &spec.goal)
-            .map_err(|e| format!("{}: bound computation failed: {e}", spec.name))?;
+        let all = Predicate::always_true();
+        let bound = check_convergence(&space, &spec.program, &all, &spec.goal, opts)
+            .map_err(|e| format!("{}: bound computation failed: {e}", spec.name))?
+            .worst_case_moves;
         let attribution = attribute_constraints(&space, &spec.program, &spec.constraints, opts)
             .map_err(|e| format!("{}: attribution failed: {e}", spec.name))?;
         for &(action, c) in &spec.designated {

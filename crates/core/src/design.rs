@@ -1145,7 +1145,7 @@ mod tests {
         let v = report.closure.invariant.clone().expect("S is not closed");
         assert_eq!(d.program().action(v.action).name(), "inc");
         assert_eq!((v.before.slots(), v.after.slots()), (&[0][..], &[1][..]));
-        let scanned = closure::is_closed(&space, d.program(), &d.invariant()).unwrap();
+        let scanned = closure::is_closed(&space, &d.invariant()).unwrap();
         assert_eq!(Some(v), scanned);
         assert_eq!(report.closure.fault_span, None);
         // |T| + |S| for the closure sweeps, one row for the witness scan

@@ -9,7 +9,7 @@
 //! stage's states* can be simpler than the global one.
 
 use nonmask_checker::{
-    closure, convergence::check_convergence, CheckError, ConvergenceResult, Fairness, StateSpace,
+    check_convergence, closure, CheckError, CheckOptions, ConvergenceResult, Fairness, StateSpace,
     Violation,
 };
 use nonmask_program::{Predicate, Program, State};
@@ -102,8 +102,10 @@ impl ConvergenceStair {
                 .find(|s| to.holds(s) && !from.holds(s));
             reports.push(StageReport {
                 stage: i,
-                target_closed: closure::is_closed(space, program, to)?,
-                convergence: check_convergence(space, program, from, to, fairness)?,
+                target_closed: closure::is_closed(space, to)?,
+                convergence: check_convergence(space, program, from, to, CheckOptions::default())?
+                    .verdict(fairness)
+                    .clone(),
                 inclusion_witness,
             });
         }

@@ -72,8 +72,8 @@ impl CandidateTriple {
         space: &StateSpace,
     ) -> Result<(Option<Violation>, Option<Violation>), CheckError> {
         Ok((
-            closure::is_closed(space, &self.program, &self.invariant)?,
-            closure::is_closed(space, &self.program, &self.fault_span)?,
+            closure::is_closed(space, &self.invariant)?,
+            closure::is_closed(space, &self.fault_span)?,
         ))
     }
 

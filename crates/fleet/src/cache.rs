@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use nonmask_checker::{worst_case_moves, CheckOptions, StateSpace};
+use nonmask_checker::{check_convergence, CheckOptions, StateSpace};
 use nonmask_program::{ActionId, Predicate, Program};
 
 use crate::config::FleetProtocol;
@@ -144,9 +144,9 @@ impl VerdictCache {
 
     /// The verdict of configuration `idx`, enumerating on first demand.
     ///
-    /// Spaces are enumerated single-threaded: the fleet's parallelism is
-    /// over slabs, and nesting a checker pool inside a fleet worker
-    /// would oversubscribe without speeding anything up.
+    /// Spaces are enumerated and bounded single-threaded: the fleet's
+    /// parallelism is over slabs, and nesting a checker pool inside a
+    /// fleet worker would oversubscribe without speeding anything up.
     ///
     /// # Errors
     ///
@@ -157,13 +157,15 @@ impl VerdictCache {
         let rt = &self.runtimes[idx];
         let computed = rt.verdict.get_or_init(|| {
             self.enumerations.fetch_add(1, Ordering::Relaxed);
-            let space = StateSpace::enumerate_with_options(&rt.program, CheckOptions::serial())
+            let opts = CheckOptions::serial();
+            let space = StateSpace::enumerate_with_options(&rt.program, opts)
                 .map_err(|e| format!("{}: enumeration failed: {e}", rt.key))?;
-            let bound = worst_case_moves(&space, &rt.program, &Predicate::always_true(), &rt.goal)
+            let all = Predicate::always_true();
+            let report = check_convergence(&space, &rt.program, &all, &rt.goal, opts)
                 .map_err(|e| format!("{}: bound failed: {e}", rt.key))?;
             Ok(Verdict {
                 states: space.len() as u64,
-                bound,
+                bound: report.worst_case_moves,
             })
         });
         computed.as_ref().map_err(|e| FleetError::Check(e.clone()))

@@ -125,8 +125,8 @@ fn burst(
             meta.episode_steps += 1;
             steps += 1;
         } else {
-            // A deadlock outside the goal: `worst_case_moves` returning a
-            // finite bound certifies this cannot happen, so reaching here
+            // A deadlock outside the goal: a finite `worst_case_moves`
+            // bound certifies this cannot happen, so reaching here
             // contradicts the cached verdict.
             meta.status = STUCK;
             break;

@@ -15,7 +15,8 @@
 //!   cache.
 //! - **Verdict cache.** Configurations are certified once: the first
 //!   tenant of each `(protocol, parameters)` pair pays the exhaustive
-//!   enumeration and `worst_case_moves` bound; every other tenant hits
+//!   enumeration and the convergence pass's worst-case bound
+//!   (`ConvergenceReport::worst_case_moves`); every other tenant hits
 //!   the [`VerdictCache`]. Empirical stabilization latencies are then
 //!   compared against the certified bound — the fleet is a
 //!   million-sample experimental check of the checker.

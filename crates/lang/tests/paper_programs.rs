@@ -2,7 +2,7 @@
 //! verbatim from the paper's notation), compiled, and verified with the
 //! model checker.
 
-use nonmask_checker::{check_convergence, is_closed, Fairness, StateSpace};
+use nonmask_checker::{check_convergence, is_closed, CheckOptions, Fairness, StateSpace};
 use nonmask_lang::{compile, parse, pretty};
 use nonmask_program::Predicate;
 
@@ -60,10 +60,11 @@ fn parsed_token_ring_is_stabilizing() {
     let s = Predicate::new("one-privilege", program.var_ids(), move |st| {
         p2.enabled_actions(st).len() == 1
     });
-    assert!(is_closed(&space, &program, &s).unwrap().is_none());
+    assert!(is_closed(&space, &s).unwrap().is_none());
+    let t = Predicate::always_true();
+    let report = check_convergence(&space, &program, &t, &s, CheckOptions::default()).unwrap();
     for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
-        let r =
-            check_convergence(&space, &program, &Predicate::always_true(), &s, fairness).unwrap();
+        let r = report.verdict(fairness);
         assert!(r.converges(), "{fairness}: {r:?}");
     }
 }
@@ -94,13 +95,11 @@ fn parsed_diffusing_chain_is_stabilizing() {
     };
     let s = r(c1, sn1, c0, sn0).and(&r(c2, sn2, c1, sn1)).named("S");
 
-    assert!(
-        is_closed(&space, &program, &s).unwrap().is_none(),
-        "S is closed"
-    );
+    assert!(is_closed(&space, &s).unwrap().is_none(), "S is closed");
+    let t = Predicate::always_true();
+    let report = check_convergence(&space, &program, &t, &s, CheckOptions::default()).unwrap();
     for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
-        let verdict =
-            check_convergence(&space, &program, &Predicate::always_true(), &s, fairness).unwrap();
+        let verdict = report.verdict(fairness);
         assert!(verdict.converges(), "{fairness}: {verdict:?}");
     }
 }
@@ -140,13 +139,7 @@ fn pretty_printed_paper_program_still_verifies() {
     let s = Predicate::new("one-privilege", program.var_ids(), move |st| {
         p2.enabled_actions(st).len() == 1
     });
-    let verdict = check_convergence(
-        &space,
-        &program,
-        &Predicate::always_true(),
-        &s,
-        Fairness::WeaklyFair,
-    )
-    .unwrap();
-    assert!(verdict.converges());
+    let t = Predicate::always_true();
+    let report = check_convergence(&space, &program, &t, &s, CheckOptions::default()).unwrap();
+    assert!(report.weakly_fair.converges());
 }

@@ -288,7 +288,7 @@ impl AtomicActions {
 mod tests {
     use super::*;
     use nonmask::TheoremOutcome;
-    use nonmask_checker::{check_convergence, ConvergenceResult, Fairness, StateSpace};
+    use nonmask_checker::{check_convergence, CheckOptions, ConvergenceResult, StateSpace};
     use nonmask_graph::Shape;
     use nonmask_program::scheduler::Random;
     use nonmask_program::{Executor, RunConfig};
@@ -329,9 +329,10 @@ mod tests {
             aa.program(),
             &Predicate::always_true(),
             &aa.invariant(),
-            Fairness::Unfair,
+            CheckOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .unfair;
         assert!(
             matches!(r, ConvergenceResult::Divergence { .. }),
             "unfair daemon diverges: {r:?}"
@@ -405,9 +406,10 @@ mod tests {
             aa.program(),
             &Predicate::always_true(),
             &aa.invariant(),
-            Fairness::WeaklyFair,
+            CheckOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .weakly_fair;
         assert!(r.converges(), "{r:?}");
     }
 

@@ -327,7 +327,7 @@ impl MinPlusOne {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonmask_checker::{check_convergence, Fairness, StateSpace};
+    use nonmask_checker::{check_convergence, CheckOptions, Fairness, StateSpace};
     use nonmask_program::scheduler::Random;
     use nonmask_program::{Executor, RunConfig, StopReason};
 
@@ -365,9 +365,10 @@ mod tests {
             p.program(),
             &Predicate::always_true(),
             &p.invariant(),
-            Fairness::WeaklyFair,
+            CheckOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .weakly_fair;
         assert!(result.converges(), "{result:?}");
     }
 

@@ -141,7 +141,7 @@ impl TreeColoring {
 mod tests {
     use super::*;
     use nonmask::TheoremOutcome;
-    use nonmask_checker::{worst_case_moves, StateSpace};
+    use nonmask_checker::{check_convergence, CheckOptions, StateSpace};
     use nonmask_graph::Shape;
     use nonmask_program::scheduler::Random;
     use nonmask_program::{Executor, RunConfig, StopReason};
@@ -180,13 +180,15 @@ mod tests {
         // argument); in particular the bound is finite.
         let tc = TreeColoring::new(&Tree::binary(6), 3);
         let space = StateSpace::enumerate(tc.program()).unwrap();
-        let bound = worst_case_moves(
+        let bound = check_convergence(
             &space,
             tc.program(),
             &Predicate::always_true(),
             &tc.invariant(),
+            CheckOptions::default(),
         )
         .unwrap()
+        .worst_case_moves
         .expect("finite");
         let rank_sum: u64 = (1..6).map(|j| tc.tree().depth(j) as u64).sum();
         assert!(bound <= rank_sum, "bound {bound} <= Σ depths {rank_sum}");

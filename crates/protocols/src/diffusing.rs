@@ -317,7 +317,7 @@ impl DiffusingComputation {
 mod tests {
     use super::*;
     use nonmask::TheoremOutcome;
-    use nonmask_checker::{check_convergence, Fairness, StateSpace};
+    use nonmask_checker::{check_convergence, CheckOptions, Fairness, StateSpace};
     use nonmask_graph::Shape;
     use nonmask_program::scheduler::RoundRobin;
     use nonmask_program::{Executor, RunConfig, StopReason};
@@ -398,8 +398,10 @@ mod tests {
         let space = StateSpace::enumerate(dc.program()).unwrap();
         let s = dc.invariant();
         let t = Predicate::always_true();
+        let report =
+            check_convergence(&space, dc.program(), &t, &s, CheckOptions::default()).unwrap();
         for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
-            let r = check_convergence(&space, dc.program(), &t, &s, fairness).unwrap();
+            let r = report.verdict(fairness);
             assert!(r.converges(), "{fairness}: {r:?}");
         }
     }
@@ -422,14 +424,11 @@ mod tests {
         for (tree, name, fairness, expect_converges) in cases {
             let (program, invariant) = DiffusingComputation::misdesigned(&tree);
             let space = StateSpace::enumerate(&program).unwrap();
-            let r = check_convergence(
-                &space,
-                &program,
-                &Predicate::always_true(),
-                &invariant,
-                fairness,
-            )
-            .unwrap();
+            let t = Predicate::always_true();
+            let report =
+                check_convergence(&space, &program, &t, &invariant, CheckOptions::default())
+                    .unwrap();
+            let r = report.verdict(fairness);
             assert_eq!(
                 r.converges(),
                 expect_converges,

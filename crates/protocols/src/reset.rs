@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn reset_tolerates_wave_corruption() {
-        use nonmask_checker::{check_convergence, Fairness, StateSpace};
+        use nonmask_checker::{check_convergence, CheckOptions, StateSpace};
         let reset = DistributedReset::new(&Tree::chain(3), 1, 0);
         let space = StateSpace::enumerate(reset.program()).unwrap();
         let r = check_convergence(
@@ -280,9 +280,10 @@ mod tests {
             reset.program(),
             &Predicate::always_true(),
             &reset.invariant(),
-            Fairness::WeaklyFair,
+            CheckOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .weakly_fair;
         assert!(r.converges());
     }
 

@@ -174,7 +174,7 @@ impl ThreeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonmask_checker::{check_convergence, is_closed, Fairness, StateSpace};
+    use nonmask_checker::{check_convergence, is_closed, CheckOptions, Fairness, StateSpace};
     use nonmask_program::scheduler::Random;
     use nonmask_program::{Executor, RunConfig};
 
@@ -185,18 +185,14 @@ mod tests {
             let space = StateSpace::enumerate(ts.program()).unwrap();
             let s = ts.invariant();
             assert!(
-                is_closed(&space, ts.program(), &s).unwrap().is_none(),
+                is_closed(&space, &s).unwrap().is_none(),
                 "n={n}: one-privilege set is closed"
             );
+            let t = Predicate::always_true();
+            let report =
+                check_convergence(&space, ts.program(), &t, &s, CheckOptions::default()).unwrap();
             for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
-                let r = check_convergence(
-                    &space,
-                    ts.program(),
-                    &Predicate::always_true(),
-                    &s,
-                    fairness,
-                )
-                .unwrap();
+                let r = report.verdict(fairness);
                 assert!(r.converges(), "n={n} {fairness}: {r:?}");
             }
         }
@@ -213,9 +209,10 @@ mod tests {
             ts.program(),
             &Predicate::always_true(),
             &ts.invariant(),
-            Fairness::WeaklyFair,
+            CheckOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .weakly_fair;
         assert!(r.converges());
     }
 

@@ -392,7 +392,7 @@ pub fn windowed_design(n: usize, m: i64) -> Result<(Design, WindowedTokenRing), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonmask_checker::{check_convergence, worst_case_moves, Fairness, StateSpace};
+    use nonmask_checker::{check_convergence, CheckOptions, Fairness, StateSpace};
     use nonmask_program::scheduler::RoundRobin;
     use nonmask_program::{Executor, RunConfig};
 
@@ -417,14 +417,14 @@ mod tests {
             let space = StateSpace::enumerate(ring.program()).unwrap();
             let s = ring.invariant();
             let t = Predicate::always_true();
+            let report =
+                check_convergence(&space, ring.program(), &t, &s, CheckOptions::default()).unwrap();
             for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
-                let r = check_convergence(&space, ring.program(), &t, &s, fairness).unwrap();
+                let r = report.verdict(fairness);
                 assert!(r.converges(), "n={n} k={k} {fairness}: {r:?}");
             }
             assert!(
-                worst_case_moves(&space, ring.program(), &t, &s)
-                    .unwrap()
-                    .is_some(),
+                report.worst_case_moves.is_some(),
                 "n={n} k={k}: finite convergence bound"
             );
         }
@@ -435,9 +435,7 @@ mod tests {
         let ring = TokenRing::new(4, 4);
         let space = StateSpace::enumerate(ring.program()).unwrap();
         let s = ring.invariant();
-        assert!(nonmask_checker::is_closed(&space, ring.program(), &s)
-            .unwrap()
-            .is_none());
+        assert!(nonmask_checker::is_closed(&space, &s).unwrap().is_none());
     }
 
     #[test]
@@ -496,9 +494,10 @@ mod tests {
             ring.program(),
             &Predicate::always_true(),
             &ring.invariant(),
-            Fairness::WeaklyFair,
+            CheckOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .weakly_fair;
         assert!(!r.converges(), "k=2 < n=4 should admit divergence: {r:?}");
     }
 

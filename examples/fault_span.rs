@@ -11,7 +11,7 @@
 //! ```
 
 use nonmask_checker::{
-    check_convergence, compute_fault_span, is_closed, worst_case_moves, Fairness, StateSpace,
+    check_convergence, compute_fault_span, is_closed, CheckOptions, Fairness, StateSpace,
 };
 use nonmask_program::{Action, ActionKind, State};
 use nonmask_protocols::token_ring::windowed_design;
@@ -40,7 +40,7 @@ fn main() {
     println!("program: {} ({} states)", program.name(), space.len());
     println!("fault model: overwrite x.2 with an arbitrary value\n");
 
-    let span = compute_fault_span(&space, program, &s, &faults).expect("span");
+    let span = compute_fault_span(&space, &s, &faults).expect("span");
     let t = span.to_predicate(&space, "T");
 
     println!(
@@ -50,16 +50,19 @@ fn main() {
     println!("|T| = {:>3}   (derived fault span)", span.len());
     println!("|U| = {:>3}   (all states)\n", space.len());
 
-    let t_closed = is_closed(&space, program, &t).expect("closure").is_none();
-    let conv =
-        check_convergence(&space, program, &t, &s, Fairness::WeaklyFair).expect("convergence");
-    let moves = worst_case_moves(&space, program, &t, &s).expect("bounds");
+    let t_closed = is_closed(&space, &t).expect("closure").is_none();
+    let report =
+        check_convergence(&space, program, &t, &s, CheckOptions::default()).expect("convergence");
+    let conv = report.verdict(Fairness::WeaklyFair);
     println!("T closed under program actions: {t_closed}");
     println!(
         "every fair computation from T reaches S: {}",
         conv.converges()
     );
-    println!("worst-case moves outside S: {:?}\n", moves);
+    println!(
+        "worst-case moves outside S: {:?}\n",
+        report.worst_case_moves
+    );
 
     assert!(t_closed && conv.converges());
     let s_count = space.count_satisfying(&s).expect("count");

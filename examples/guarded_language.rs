@@ -5,7 +5,7 @@
 //! cargo run --example guarded_language
 //! ```
 
-use nonmask_checker::{check_convergence, Fairness, StateSpace};
+use nonmask_checker::{check_convergence, CheckOptions, Fairness, StateSpace};
 use nonmask_lang::compile;
 use nonmask_program::scheduler::RoundRobin;
 use nonmask_program::{Executor, Predicate, RunConfig};
@@ -37,9 +37,11 @@ fn main() {
     let s = Predicate::new("one-privilege", program.var_ids(), move |st| {
         p2.enabled_actions(st).len() == 1
     });
+    let t = Predicate::always_true();
+    let report =
+        check_convergence(&space, &program, &t, &s, CheckOptions::default()).expect("convergence");
     for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
-        let verdict = check_convergence(&space, &program, &Predicate::always_true(), &s, fairness)
-            .expect("convergence");
+        let verdict = report.verdict(fairness);
         println!(
             "convergence under the {fairness} daemon: {}",
             verdict.converges()

@@ -17,7 +17,8 @@
 //!   inside the witness set (the cycle is real).
 
 use nonmask_checker::{
-    check_convergence, expected_moves, worst_case_moves, ConvergenceResult, Fairness, StateSpace,
+    check_convergence, expected_moves, CheckOptions, ConvergenceReport, ConvergenceResult,
+    StateSpace,
 };
 use nonmask_program::scheduler::{Adversarial, Random, RoundRobin};
 use nonmask_program::{ActionKind, Domain, Executor, Predicate, Program, RunConfig, VarId};
@@ -93,8 +94,13 @@ fn checker_verdicts_match_execution() {
         let t = Predicate::always_true();
         let space = StateSpace::enumerate(&program).unwrap();
 
-        let fair = check_convergence(&space, &program, &t, &s, Fairness::WeaklyFair).unwrap();
-        let unfair = check_convergence(&space, &program, &t, &s, Fairness::Unfair).unwrap();
+        let report = check_convergence(&space, &program, &t, &s, CheckOptions::default()).unwrap();
+        let ConvergenceReport {
+            weakly_fair: fair,
+            unfair,
+            worst_case_moves,
+            ..
+        } = report;
 
         // Unfair convergence implies fair convergence.
         if unfair.converges() {
@@ -122,7 +128,7 @@ fn checker_verdicts_match_execution() {
                     );
                 }
                 // The Markov analysis converges too.
-                let em = expected_moves(&space, &program, &t, &s, 1e-9, 1_000_000);
+                let em = expected_moves(&space, &t, &s, 1e-9, 1_000_000);
                 assert!(em.converged(), "trial {trial}: expected moves diverged");
             }
             ConvergenceResult::DeadlockOutsideTarget { state } => {
@@ -156,9 +162,7 @@ fn checker_verdicts_match_execution() {
 
         if unfair.converges() {
             converged_unfair += 1;
-            let bound = worst_case_moves(&space, &program, &t, &s)
-                .unwrap()
-                .expect("unfair convergence implies a finite bound");
+            let bound = worst_case_moves.expect("unfair convergence implies a finite bound");
             // No daemon exceeds the bound from any start.
             for id in space.ids() {
                 for variant in 0..3u64 {
@@ -204,7 +208,7 @@ fn checker_verdicts_match_execution() {
 /// (Timings are the only report fields allowed to differ.)
 #[test]
 fn st_and_mt_verdicts_identical_on_all_protocols() {
-    use nonmask::{CheckOptions, Design};
+    use nonmask::Design;
     use nonmask_protocols::aggregate::WaveAggregation;
     use nonmask_protocols::atomic::AtomicActions;
     use nonmask_protocols::coloring::TreeColoring;
@@ -302,7 +306,8 @@ fn worst_case_bound_is_tight_somewhere() {
         let s = random_target(&mut rng);
         let t = Predicate::always_true();
         let space = StateSpace::enumerate(&program).unwrap();
-        if let Some(bound) = worst_case_moves(&space, &program, &t, &s).unwrap() {
+        let report = check_convergence(&space, &program, &t, &s, CheckOptions::default()).unwrap();
+        if let Some(bound) = report.worst_case_moves {
             finite += 1;
             max_bound = max_bound.max(bound);
         }

@@ -1,7 +1,7 @@
 //! End-to-end integration across all crates: design → verify → execute →
 //! inject faults → refine to message passing → run on threads.
 
-use nonmask_checker::{worst_case_moves, StateSpace};
+use nonmask_checker::{check_convergence, CheckOptions, StateSpace};
 use nonmask_program::fault::BurstCorruption;
 use nonmask_program::scheduler::{Adversarial, Random, RoundRobin};
 use nonmask_program::{Executor, Predicate, RunConfig, StopReason, TransientCorruption};
@@ -85,8 +85,10 @@ fn token_ring_adversarial_respects_bound() {
     let ring = TokenRing::new(4, 4);
     let s = ring.invariant();
     let space = StateSpace::enumerate(ring.program()).unwrap();
-    let bound = worst_case_moves(&space, ring.program(), &Predicate::always_true(), &s)
+    let t = Predicate::always_true();
+    let bound = check_convergence(&space, ring.program(), &t, &s, CheckOptions::default())
         .unwrap()
+        .worst_case_moves
         .expect("finite bound");
 
     // Try several adversarial priority orders from several corrupt states.
@@ -138,14 +140,15 @@ fn windowed_ring_bound_consistency() {
     let (design, _) = nonmask_protocols::token_ring::windowed_design(3, 3).unwrap();
     let report = design.verify().unwrap();
     let space = StateSpace::enumerate(design.program()).unwrap();
-    let direct = worst_case_moves(
+    let direct = check_convergence(
         &space,
         design.program(),
         design.fault_span(),
         &design.invariant(),
+        CheckOptions::default(),
     )
     .unwrap();
-    assert_eq!(report.worst_case_moves, direct);
+    assert_eq!(report.worst_case_moves, direct.worst_case_moves);
 }
 
 /// States and domains serialize through `nonmask_program::json` (the
@@ -173,14 +176,16 @@ fn json_roundtrips() {
 /// path from an initial state into the livelock.
 #[test]
 fn divergence_counterexample_path() {
-    use nonmask_checker::{check_convergence, shortest_path_to, ConvergenceResult, Fairness};
+    use nonmask_checker::{shortest_path_to, ConvergenceResult};
     let (design, _) = nonmask_protocols::xyz::interfering().unwrap();
     let program = design.program();
     let space = StateSpace::enumerate(program).unwrap();
     let s = design.invariant();
     let t = Predicate::always_true();
     let ConvergenceResult::Divergence { states, .. } =
-        check_convergence(&space, program, &t, &s, Fairness::WeaklyFair).unwrap()
+        check_convergence(&space, program, &t, &s, CheckOptions::default())
+            .unwrap()
+            .weakly_fair
     else {
         panic!("interfering design should diverge");
     };

@@ -6,14 +6,22 @@
 
 use nonmask::{CandidateTriple, TheoremOutcome};
 use nonmask_checker::{
-    check_convergence, is_closed, worst_case_moves, ConvergenceResult, Fairness, StateSpace,
+    check_convergence, is_closed, CheckOptions, ConvergenceReport, ConvergenceResult, Fairness,
+    StateSpace,
 };
 use nonmask_graph::Shape;
-use nonmask_program::{Predicate, ProcessId};
+use nonmask_program::{Predicate, ProcessId, Program};
 use nonmask_protocols::atomic::AtomicActions;
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::{windowed_design, TokenRing};
 use nonmask_protocols::{xyz, Tree};
+
+/// Convergence of `program` from every state to `s`: both daemons and the
+/// worst-case bound.
+fn stabilization(space: &StateSpace, program: &Program, s: &Predicate) -> ConvergenceReport {
+    let t = Predicate::always_true();
+    check_convergence(space, program, &t, s, CheckOptions::default()).unwrap()
+}
 
 /// §3: the definition of fault-tolerance classifies masking vs nonmasking
 /// by whether S = T.
@@ -55,23 +63,12 @@ fn section3_global_repair_special_case() {
     let s = Predicate::new("S", [x, y], move |st| st.get(x) == 0 && st.get(y) == 0);
     let space = StateSpace::enumerate(&p).unwrap();
     assert!(
-        is_closed(&space, &p, &s).unwrap().is_none(),
+        is_closed(&space, &s).unwrap().is_none(),
         "trivially preserves S"
     );
-    let r = check_convergence(
-        &space,
-        &p,
-        &Predicate::always_true(),
-        &s,
-        Fairness::WeaklyFair,
-    )
-    .unwrap();
-    assert!(r.converges());
-    assert_eq!(
-        worst_case_moves(&space, &p, &Predicate::always_true(), &s).unwrap(),
-        Some(1),
-        "establishes S in one step"
-    );
+    let r = stabilization(&space, &p, &s);
+    assert!(r.weakly_fair.converges());
+    assert_eq!(r.worst_case_moves, Some(1), "establishes S in one step");
 }
 
 /// §4: the example constraint graph — repairing x!=y by changing x "can
@@ -114,8 +111,8 @@ fn section5_rank_bound_dominates_real_runs() {
     let dc = DiffusingComputation::new(&tree);
     let s = dc.invariant();
     let space = StateSpace::enumerate(dc.program()).unwrap();
-    let bound = worst_case_moves(&space, dc.program(), &Predicate::always_true(), &s)
-        .unwrap()
+    let bound = stabilization(&space, dc.program(), &s)
+        .worst_case_moves
         .expect("finite bound");
 
     let mut rng = StdRng::seed_from_u64(99);
@@ -198,15 +195,8 @@ fn section7_token_ring_specification() {
     }
     // Convergence from every state = recovery from arbitrary privilege
     // corruption.
-    let r = check_convergence(
-        &space,
-        ring.program(),
-        &Predicate::always_true(),
-        &s,
-        Fairness::WeaklyFair,
-    )
-    .unwrap();
-    assert!(r.converges());
+    let r = stabilization(&space, ring.program(), &s);
+    assert!(r.weakly_fair.converges());
 }
 
 /// §8: "the fairness requirement on program computations is often
@@ -217,35 +207,16 @@ fn section7_token_ring_specification() {
 fn section8_fairness_remark() {
     let dc = DiffusingComputation::new(&Tree::binary(4));
     let space = StateSpace::enumerate(dc.program()).unwrap();
-    let r = check_convergence(
-        &space,
-        dc.program(),
-        &Predicate::always_true(),
-        &dc.invariant(),
-        Fairness::Unfair,
-    )
-    .unwrap();
-    assert!(r.converges(), "diffusing computation needs no fairness");
+    let r = stabilization(&space, dc.program(), &dc.invariant());
+    assert!(
+        r.unfair.converges(),
+        "diffusing computation needs no fairness"
+    );
 
     let aa = AtomicActions::new(4);
     let space = StateSpace::enumerate(aa.program()).unwrap();
-    let unfair = check_convergence(
-        &space,
-        aa.program(),
-        &Predicate::always_true(),
-        &aa.invariant(),
-        Fairness::Unfair,
-    )
-    .unwrap();
-    let fair = check_convergence(
-        &space,
-        aa.program(),
-        &Predicate::always_true(),
-        &aa.invariant(),
-        Fairness::WeaklyFair,
-    )
-    .unwrap();
-    assert!(!unfair.converges() && fair.converges());
+    let r = stabilization(&space, aa.program(), &aa.invariant());
+    assert!(!r.unfair.converges() && r.weakly_fair.converges());
 }
 
 /// Abstract: the three named applications — diffusing computations, atomic

@@ -3,9 +3,9 @@
 use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
     breaking_actions, check_convergence, check_convergence_bits, check_convergence_frontier_stats,
-    check_convergence_stats, is_closed, is_closed_bits, preserves_given_bits, worst_case_moves,
-    Bitset, CheckOptions, ConvergenceResult, Decoder, Fairness, MaskColumn, SpaceError, SpaceIndex,
-    StateId, StateSpace, Successors, Violation,
+    is_closed, is_closed_bits, preserves_given_bits, Bitset, CheckOptions, ConvergenceResult,
+    Decoder, Fairness, MaskColumn, SpaceError, SpaceIndex, StateId, StateSpace, Successors,
+    Violation,
 };
 use nonmask_graph::{NodePartition, Shape};
 use nonmask_obs::{Event, Journal, MemoryBuffer};
@@ -77,8 +77,10 @@ proptest! {
         ring.program().validate_state(&start).unwrap();
         let s = ring.invariant();
         let space = StateSpace::enumerate(ring.program()).unwrap();
-        let bound = worst_case_moves(&space, ring.program(), &Predicate::always_true(), &s)
+        let t = Predicate::always_true();
+        let bound = check_convergence(&space, ring.program(), &t, &s, CheckOptions::default())
             .expect("bounds")
+            .worst_case_moves
             .expect("finite bound");
         let report = Executor::new(ring.program()).run(
             start,
@@ -264,26 +266,26 @@ fn assert_parallel_matches_serial(
     threads: usize,
 ) -> Result<(), TestCaseError> {
     let space = StateSpace::enumerate(p).unwrap();
+    let serial = CheckOptions::serial();
     let opts = CheckOptions::default().threads(threads);
-    for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
-        let serial = check_convergence(&space, p, t, s, fairness).unwrap();
-        let (parallel, _) =
-            check_convergence_stats(&space, p, t, s, fairness, opts, &Journal::disabled()).unwrap();
-        prop_assert_eq!(
-            &serial,
-            &parallel,
-            "convergence({:?}) with {} threads",
-            fairness,
-            threads
-        );
-    }
-    let s_bits = Bitset::for_predicate(&space, s, opts).unwrap();
     prop_assert_eq!(
-        is_closed(&space, p, s).unwrap(),
-        is_closed_bits(&space, &s_bits, opts).unwrap(),
+        check_convergence(&space, p, t, s, serial).unwrap(),
+        check_convergence(&space, p, t, s, opts).unwrap(),
+        "convergence with {} threads",
+        threads
+    );
+    let closed = |opts| {
+        let s_bits = Bitset::for_predicate(&space, s, opts).unwrap();
+        is_closed_bits(&space, &s_bits, opts).unwrap()
+    };
+    let reference = closed(serial);
+    prop_assert_eq!(
+        &reference,
+        &closed(opts),
         "closure with {} threads",
         threads
     );
+    prop_assert_eq!(&reference, &is_closed(&space, s).unwrap());
     Ok(())
 }
 
@@ -404,21 +406,24 @@ proptest! {
         // `n / first` and `n` divide the state count; `n / 2 + 1` does not
         // once n > 2.
         let sizes = [n / 2 + 1, n / first, n];
-        for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
-            for threads in [1, threads] {
-                let opts = CheckOptions::default()
-                    .threads(threads)
-                    .segment_states(sizes[seg_pick]);
-                let (resident, resident_stats) = check_convergence_stats(
-                    &space, &p, &span, &goal, fairness, opts, &Journal::disabled(),
-                )
-                .unwrap();
+        for threads in [1, threads] {
+            let opts = CheckOptions::default()
+                .threads(threads)
+                .segment_states(sizes[seg_pick]);
+            let resident = check_convergence(&space, &p, &span, &goal, opts).unwrap();
+            for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
                 let (frontier, frontier_stats) = check_convergence_frontier_stats(
                     &p, &span, &goal, fairness, opts, &Journal::disabled(),
                 )
                 .unwrap();
-                prop_assert_eq!(&frontier, &resident, "{:?} with {} threads", fairness, threads);
-                prop_assert_eq!(frontier_stats.convergence, resident_stats);
+                prop_assert_eq!(
+                    &frontier,
+                    resident.verdict(fairness),
+                    "{:?} with {} threads",
+                    fairness,
+                    threads
+                );
+                prop_assert_eq!(frontier_stats.convergence, resident.stats);
             }
         }
     }
@@ -459,8 +464,9 @@ proptest! {
             // 625 divides 5^5; the other two sizes divide neither case.
             let sizes = [625, 999, n.div_ceil(3)];
             let t = Predicate::always_true();
+            let report = check_convergence(&space, p, &t, goal, CheckOptions::default()).unwrap();
             for fairness in [Fairness::WeaklyFair, Fairness::Unfair] {
-                let resident = check_convergence(&space, p, &t, goal, fairness).unwrap();
+                let resident = report.verdict(fairness);
                 let serial_opts = CheckOptions::default()
                     .threads(1)
                     .segment_states(sizes[seg_pick]);
@@ -473,8 +479,8 @@ proptest! {
                 let (rn, sn) =
                     check_convergence_frontier_stats(p, &t, goal, fairness, stolen_opts, &jn)
                         .unwrap();
-                prop_assert_eq!(&r1, &resident, "serial frontier vs resident ({:?})", fairness);
-                prop_assert_eq!(&rn, &resident, "stolen frontier vs resident ({:?})", fairness);
+                prop_assert_eq!(&r1, resident, "serial frontier vs resident ({:?})", fairness);
+                prop_assert_eq!(&rn, resident, "stolen frontier vs resident ({:?})", fairness);
                 prop_assert_eq!(s1, sn, "stats must not depend on the thread count");
                 prop_assert_eq!(
                     journal_events(j1, &b1),
@@ -985,10 +991,11 @@ fn reference_residual(space: &StateSpace, from: &Bitset, to: &Bitset) -> (u64, B
 /// random programs with random goals and random, usually non-closed fault
 /// spans, its bound equals the longest-path DFS's (except that an escape
 /// from the fault span now has no bound), its region and peel sizes match
-/// the greatest-fixpoint residual's, and each daemon's verdict and the
-/// stats equal the single-daemon entry points', serially and with N
-/// workers. Every verdict kind must occur across the cases, and a goal
-/// widened to converge must give bounds above 1.
+/// the greatest-fixpoint residual's, the two daemons' verdicts stand in
+/// the order the docs claim, and the report is the same from predicates
+/// or caches, serially and with N workers. Every verdict kind must occur
+/// across the cases, and a goal widened to converge must give bounds
+/// above 1.
 #[test]
 fn one_region_pass_matches_the_longest_path_dfs() {
     use proptest::strategy::Strategy;
@@ -1038,25 +1045,41 @@ fn one_region_pass_matches_the_longest_path_dfs() {
             event || residual == 0,
             "case {case}: a nonempty residual holds a cycle"
         );
-        for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
-            let (single, stats) = check_convergence_stats(
-                &space,
-                &p,
-                &span,
-                &goal,
-                fairness,
-                opts,
-                &Journal::disabled(),
-            )
-            .unwrap();
-            assert_eq!(serial.verdict(fairness), &single, "case {case}: {fairness}");
-            assert_eq!(
-                serial.verdict(fairness),
-                &check_convergence(&space, &p, &span, &goal, fairness).unwrap(),
-                "case {case}: {fairness}"
-            );
-            assert_eq!(serial.stats, stats, "case {case}: stats");
+        // The two daemons agree in order: unfair convergence implies fair
+        // convergence, a fair divergence is an unfair one, a deadlock or
+        // escape is the same witness under both, and a bound stands
+        // exactly beside unfair convergence.
+        let (fair, unfair) = (&serial.weakly_fair, &serial.unfair);
+        if unfair.converges() {
+            assert!(fair.converges(), "case {case}: unfair ⇒ fair");
         }
+        if let ConvergenceResult::Divergence { .. } = fair {
+            assert!(
+                matches!(unfair, ConvergenceResult::Divergence { .. }),
+                "case {case}: a fair divergence is an unfair one, got {unfair:?}"
+            );
+        }
+        let witness = |r: &ConvergenceResult| {
+            matches!(
+                r,
+                ConvergenceResult::DeadlockOutsideTarget { .. }
+                    | ConvergenceResult::EscapesFaultSpan { .. }
+            )
+        };
+        if witness(fair) || witness(unfair) {
+            assert_eq!(fair, unfair, "case {case}: one witness for both daemons");
+        }
+        assert_eq!(
+            serial.worst_case_moves.is_some(),
+            unfair.converges(),
+            "case {case}: a bound iff unfair convergence"
+        );
+        // The predicate-level entry point is the same pass.
+        assert_eq!(
+            check_convergence(&space, &p, &span, &goal, opts).unwrap(),
+            serial,
+            "case {case}: predicates vs caches"
+        );
         let parallel = check_convergence_bits(
             &space,
             &p,

@@ -91,7 +91,7 @@ fn misdesigned(tree: &Tree) -> Design {
 fn derived_span(design: &Design, faults: &[Action], keep_override: bool) -> Design {
     let space = StateSpace::enumerate(design.program()).unwrap();
     let s = design.invariant();
-    let span = compute_fault_span(&space, design.program(), &s, faults).unwrap();
+    let span = compute_fault_span(&space, &s, faults).unwrap();
     let t = span.to_predicate(&space, "T");
     with_fault_span(design, t, keep_override.then_some(s))
 }
