@@ -35,7 +35,7 @@ pub fn e12() -> String {
         let worst = check_convergence(&space, program, &t_pred, s, CheckOptions::default())
             .expect("bounds")
             .worst_case_moves;
-        let em = expected_moves(&space, &t_pred, s, 1e-10, 100_000);
+        let em = expected_moves(&space, &t_pred, s, 1e-10, 100_000).expect("expected moves");
         // Simulated mean over uniformly random starts and schedules.
         let mut rng = StdRng::seed_from_u64(3);
         let mut total = 0u64;
@@ -202,7 +202,7 @@ mod tests {
             .expect("bounds")
             .worst_case_moves
             .expect("finite") as f64;
-        let em = expected_moves(&space, &t, &s, 1e-10, 100_000);
+        let em = expected_moves(&space, &t, &s, 1e-10, 100_000).unwrap();
         assert!(em.converged());
         assert!(
             em.max() <= worst + 1e-9,

@@ -18,6 +18,9 @@
 
 use nonmask_program::{Predicate, State};
 
+use crate::cache::region_states;
+use crate::error::CheckError;
+use crate::options::catching;
 use crate::space::{StateId, StateSpace};
 
 /// The result of validating a candidate variant function over a region.
@@ -51,26 +54,35 @@ pub enum VariantReport {
 /// `f` must never increase along any region transition and must not admit a
 /// cycle of constant value (together these imply every unfair computation
 /// eventually leaves the region).
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] if `from`, `to` or `f` panics.
 pub fn check_variant(
     space: &StateSpace,
     from: &Predicate,
     to: &Predicate,
     f: impl Fn(&State) -> u64,
+) -> Result<VariantReport, CheckError> {
+    let region = region_states(space, from, to)?;
+    catching(|| variant_over(space, &region, f))
+}
+
+/// [`check_variant`] over its `region`, evaluating `f`.
+fn variant_over(
+    space: &StateSpace,
+    region: &[StateId],
+    f: impl Fn(&State) -> u64,
 ) -> VariantReport {
     let mut local = vec![u32::MAX; space.len()];
-    let mut region: Vec<StateId> = Vec::new();
-    let mut scratch = space.scratch_state();
-    for id in space.ids() {
-        space.decode_state(id, &mut scratch);
-        if from.holds(&scratch) && !to.holds(&scratch) {
-            local[id.index()] = region.len() as u32;
-            region.push(id);
-        }
+    for (li, id) in region.iter().enumerate() {
+        local[id.index()] = li as u32;
     }
 
     // Non-increase along all transitions leaving region states (whether
     // they stay in the region or exit, the variant must not grow while
     // outside `to`). Build the constant-value internal adjacency as we go.
+    let mut scratch = space.scratch_state();
     let mut succ_scratch = space.scratch_state();
     let mut flat_adj: Vec<Vec<u32>> = vec![Vec::new(); region.len()];
     for (li, &id) in region.iter().enumerate() {
@@ -178,7 +190,7 @@ mod tests {
         let r = check_variant(&space, &Predicate::always_true(), &target(&p), |s| {
             s.slots()[0] as u64
         });
-        assert_eq!(r, VariantReport::Valid);
+        assert_eq!(r, Ok(VariantReport::Valid));
     }
 
     #[test]
@@ -188,7 +200,7 @@ mod tests {
         let r = check_variant(&space, &Predicate::always_true(), &target(&p), |s| {
             10 - s.slots()[0] as u64
         });
-        assert!(matches!(r, VariantReport::Increases { .. }));
+        assert!(matches!(r, Ok(VariantReport::Increases { .. })));
     }
 
     #[test]
@@ -215,7 +227,7 @@ mod tests {
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x", [x], move |st| st.get_bool(x));
         let r = check_variant(&space, &Predicate::always_true(), &s, |_| 1);
-        assert!(matches!(r, VariantReport::StuckPlateau { .. }));
+        assert!(matches!(r, Ok(VariantReport::StuckPlateau { .. })));
     }
 
     #[test]
@@ -228,6 +240,33 @@ mod tests {
         let r = check_variant(&space, &Predicate::always_true(), &target(&p), |s| {
             s.slots()[0] as u64
         });
-        assert!(matches!(r, VariantReport::Deadlock { .. }));
+        assert!(matches!(r, Ok(VariantReport::Deadlock { .. })));
+    }
+
+    #[test]
+    fn panicking_predicate_is_a_typed_error() {
+        let p = countdown(5);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let x = p.var_by_name("x").unwrap();
+        let boom = Predicate::new("boom", [x], move |s| {
+            assert!(s.get(x) != 3, "predicate poisoned");
+            true
+        });
+        let r = check_variant(&space, &boom, &target(&p), |s| s.slots()[0] as u64);
+        assert!(matches!(r, Err(CheckError::WorkerFailed { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn panicking_variant_is_a_typed_error() {
+        let p = countdown(5);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let r = check_variant(&space, &Predicate::always_true(), &target(&p), |s| {
+            assert!(s.slots()[0] != 3, "variant poisoned");
+            s.slots()[0] as u64
+        });
+        let Err(CheckError::WorkerFailed { payload }) = r else {
+            panic!("expected WorkerFailed, got {r:?}");
+        };
+        assert!(payload.contains("variant poisoned"), "{payload}");
     }
 }

@@ -28,6 +28,22 @@ pub struct Bitset {
     len: usize,
 }
 
+/// The states of `from ∧ ¬to` in ascending id, from one cached pass over
+/// both predicates.
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] if a predicate panics.
+pub(crate) fn region_states(
+    space: &StateSpace,
+    from: &Predicate,
+    to: &Predicate,
+) -> Result<Vec<StateId>, CheckError> {
+    let caches = Bitset::for_predicates(space.index(), &[from, to], CheckOptions::default())?;
+    let region = caches[0].and(&caches[1].not());
+    Ok(region.iter_ones().map(StateId::from_index).collect())
+}
+
 impl Bitset {
     /// The empty set over `len` states.
     pub fn zeros(len: usize) -> Self {

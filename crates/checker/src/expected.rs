@@ -15,6 +15,8 @@
 
 use nonmask_program::Predicate;
 
+use crate::cache::region_states;
+use crate::error::CheckError;
 use crate::space::{StateId, StateSpace};
 
 /// The result of an expected-moves analysis.
@@ -65,31 +67,30 @@ impl ExpectedMoves {
 ///
 /// `tolerance` is the Gauss–Seidel stopping threshold (e.g. `1e-9`);
 /// `max_sweeps` caps the iteration count.
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] if `from` or `to` panics.
 pub fn expected_moves(
     space: &StateSpace,
     from: &Predicate,
     to: &Predicate,
     tolerance: f64,
     max_sweeps: u32,
-) -> ExpectedMoves {
+) -> Result<ExpectedMoves, CheckError> {
+    let region = region_states(space, from, to)?;
     let mut local = vec![usize::MAX; space.len()];
-    let mut region: Vec<StateId> = Vec::new();
-    let mut scratch = space.scratch_state();
-    for id in space.ids() {
-        space.decode_state(id, &mut scratch);
-        if from.holds(&scratch) && !to.holds(&scratch) {
-            local[id.index()] = region.len();
-            region.push(id);
-        }
+    for (li, id) in region.iter().enumerate() {
+        local[id.index()] = li;
     }
     let n = region.len();
     let mut values = vec![0.0f64; n];
     if n == 0 {
-        return ExpectedMoves {
+        return Ok(ExpectedMoves {
             region,
             values,
             converged: true,
-        };
+        });
     }
 
     // Precompute successor lists in region-local terms: Some(j) = region
@@ -139,11 +140,11 @@ pub fn expected_moves(
         }
     }
 
-    ExpectedMoves {
+    Ok(ExpectedMoves {
         region,
         values,
         converged,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -169,7 +170,7 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
-        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-12, 10_000);
+        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-12, 10_000).unwrap();
         assert!(em.converged());
         assert_eq!(em.region_len(), 5);
         assert!((em.max() - 5.0).abs() < 1e-9);
@@ -205,7 +206,7 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
-        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-12, 100_000);
+        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-12, 100_000).unwrap();
         assert!(em.converged());
         let id1 = space.id_of(&p.state_from([1]).unwrap()).unwrap();
         let id2 = space.id_of(&p.state_from([2]).unwrap()).unwrap();
@@ -221,7 +222,7 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let s = Predicate::new("x=0", [x], move |st| st.get(x) == 0);
-        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-9, 100);
+        let em = expected_moves(&space, &Predicate::always_true(), &s, 1e-9, 100).unwrap();
         assert!(!em.converged());
     }
 
@@ -237,10 +238,25 @@ mod tests {
             &Predicate::always_true(),
             1e-9,
             10,
-        );
+        )
+        .unwrap();
         assert!(em.converged());
         assert_eq!(em.region_len(), 0);
         assert_eq!(em.max(), 0.0);
         assert_eq!(em.mean(), 0.0);
+    }
+
+    #[test]
+    fn panicking_predicate_is_a_typed_error() {
+        let mut b = Program::builder("t");
+        let x = b.var("x", Domain::range(0, 3));
+        let p = b.build();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let boom = Predicate::new("boom", [x], move |s| {
+            assert!(s.get(x) != 2, "predicate poisoned");
+            false
+        });
+        let r = expected_moves(&space, &Predicate::always_true(), &boom, 1e-9, 10);
+        assert!(matches!(r, Err(CheckError::WorkerFailed { .. })), "{r:?}");
     }
 }

@@ -34,8 +34,9 @@
 //! are never materialized — [`StateSpace::state`] decodes any state from
 //! its id on demand, and hot loops decode into reusable scratch buffers
 //! ([`StateSpace::decode_state`]). Transitions live in flat CSR arrays
-//! (`offsets` + parallel `actions`/`succs` columns): resident memory is
-//! 4 bytes per state plus 8 per transition, gated by an explicit
+//! (`offsets`, a guard column of enabled-action bits, and `succs`):
+//! resident memory is 4 bytes per state for offsets, 8 per state per 64
+//! actions for guards, and 4 per transition, gated by an explicit
 //! [`CheckOptions::memory_budget`] instead of a blunt state-count cap (see
 //! the [`space`] module docs).
 //!

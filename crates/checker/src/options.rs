@@ -28,8 +28,9 @@ const PARALLEL_THRESHOLD: usize = 2048;
 
 /// Default [`CheckOptions::memory_budget`]: 8 GiB of resident CSR arrays.
 ///
-/// At the CSR cost of `4·(states+1) + 8·transitions` bytes this admits
-/// spaces of hundreds of millions of states (the seed representation's
+/// At the CSR cost of `4·(states+1) + 8·W·states + 4·transitions` bytes
+/// (`W = ⌈actions/64⌉` guard words per state) this admits spaces of
+/// hundreds of millions of states (the seed representation's
 /// ~100+ bytes/state capped out around 2 million). The frontier
 /// convergence mode stays under the same budget with no transition table
 /// at all: five bitsets plus one round's row buffer per worker.
@@ -69,8 +70,8 @@ pub struct CheckOptions {
     /// every value — only wall-clock time changes.
     pub threads: usize,
     /// Maximum resident bytes a pass may allocate: for monolithic
-    /// enumeration the CSR arrays (`4·(states+1) + 8·transitions`) plus
-    /// per-worker scratch; for the frontier convergence mode its bitsets
+    /// enumeration the CSR arrays (`4·(states+1) + 8·W·states +
+    /// 4·transitions`, `W` guard words per state) plus per-worker scratch; for the frontier convergence mode its bitsets
     /// plus the row buffers of one round. A pass fails with
     /// [`SpaceError::BudgetExceeded`](crate::SpaceError::BudgetExceeded)
     /// — naming the phase that tripped — before the big allocations
@@ -321,7 +322,7 @@ where
 
 /// Run `f` on the calling thread, returning a panic as
 /// [`CheckError::WorkerFailed`].
-fn catching<T>(f: impl FnOnce() -> T) -> Result<T, CheckError> {
+pub(crate) fn catching<T>(f: impl FnOnce() -> T) -> Result<T, CheckError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|p| {
         CheckError::WorkerFailed {
             payload: payload_string(p),

@@ -24,26 +24,37 @@
 //!
 //! # CSR transition storage
 //!
-//! Transitions are stored in compressed-sparse-row form: one `offsets` array
-//! with `len + 1` entries plus two parallel flat arrays `actions` / `succs`,
-//! so the transitions of state `i` are the slices
-//! `actions[offsets[i]..offsets[i+1]]` and `succs[offsets[i]..offsets[i+1]]`.
-//! The resident cost is **4 bytes per state + 8 bytes per transition**,
-//! independent of the number of variables — versus the seed representation's
-//! per-state heap-allocated `State` plus per-state `Vec` row (~100+ bytes per
-//! state), an order-of-magnitude cut for protocol-sized programs.
+//! The paper's programs are guarded commands, so a state's row is fixed by
+//! which guards hold there. Transitions are stored in compressed-sparse-row
+//! form over that fact, in three flat arrays:
+//!
+//! - `offsets`, `len + 1` `u32`s: state `i`'s transitions are
+//!   `succs[offsets[i]..offsets[i+1]]`;
+//! - the **guard column**, `W = ⌈A/64⌉` `u64` words per state (`A` actions,
+//!   at least one word): bit `a` of state `i`'s words is set iff action
+//!   `a` is enabled at `i`;
+//! - `succs`, one `u32` id per transition: the successors of each row's set
+//!   bits, in ascending action id.
+//!
+//! The resident cost is **`4` bytes per state for offsets, `8W` per state
+//! for guards and `4` per transition**, independent of the number of
+//! variables. Against an action column of 4 bytes per transition, the
+//! guard column is smaller whenever the average out-degree is above `2W`,
+//! which every shipped design clears (the ring 7×7 has 5.4, diffusing
+//! binary-10 8.9, both at `W = 1`).
 //!
 //! Construction is two-phase so results are bit-identical for every thread
-//! count: phase 1 counts enabled actions per state, a sequential prefix sum
-//! turns the counts into `offsets` (checking the `u32` edge-count bound),
-//! and phase 2 fills disjoint sub-slices of the final arrays in place. Both
-//! phases run under the work-stealing scheduler over the
-//! [segment plan](CheckOptions::segment_plan): tasks are contiguous id
-//! ranges claimed from a shared atomic counter, and per-task results are
-//! merged in task order, so the layout is independent of thread count and
-//! scheduling. Guards are evaluated twice (once per phase); the paper's
-//! guarded commands are pure, so the trade is deterministic layout and half
-//! the peak memory of a collect-then-concatenate build.
+//! count. Phase 1 (count) evaluates every guard once per state into the
+//! guard column and writes each row's popcount into `offsets`; an in-place
+//! prefix sum turns the counts into row bounds, checking the `u32` edge
+//! count bound. Phase 2 (fill) runs only the effects of set bits into
+//! disjoint sub-slices of `succs`, never calling a guard. Both phases run
+//! under the work-stealing scheduler over the
+//! [segment plan](CheckOptions::segment_plan), each segment owning its
+//! pre-split sub-slices of the output columns, so the layout is
+//! independent of thread count and scheduling. Guards are evaluated once
+//! per state, and the build never holds a per-segment buffer or
+//! concatenates one.
 //!
 //! The decode machinery is factored into [`SpaceIndex`] — the id↔state
 //! bijection *without* any transition arrays. Out-of-core passes (closure
@@ -55,11 +66,14 @@
 //!
 //! The id range allows up to `u32::MAX + 1` states; what actually bounds a
 //! run is the [`CheckOptions::memory_budget`]: enumeration rejects a space
-//! whose resident bytes — CSR arrays plus the transient counts column and
-//! per-worker decode scratch — would exceed it, instead of the seed's blunt
-//! 2-million-state cap. The [`SpaceError::BudgetExceeded`] error names the
-//! phase (`"offsets"` or `"succs"`) whose requirement tripped first.
+//! whose resident bytes — CSR arrays plus per-worker decode scratch —
+//! would exceed it, instead of the seed's blunt 2-million-state cap. The
+//! `"offsets"` phase needs the offsets and guard columns, known before any
+//! guard runs; the `"succs"` phase adds `4` bytes per transition, known
+//! after the count. The [`SpaceError::BudgetExceeded`] error names the
+//! phase whose requirement tripped first.
 //!
+//! [`Decoder`]: crate::Decoder
 //! [`id_of`]: StateSpace::id_of
 //! [`state`]: StateSpace::state
 //! [`decode_state`]: StateSpace::decode_state
@@ -69,8 +83,8 @@ use nonmask_program::{ActionId, Predicate, Program, State, VarId};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::options::{split_lens, steal_parts, steal_tasks, CheckOptions};
-use crate::successors::{Decoder, Successors};
+use crate::options::{split_lens, steal_parts, CheckOptions};
+use crate::successors::{fill_row, guard_bits, guard_words};
 
 /// Identifier of a state within a [`StateSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -118,12 +132,12 @@ pub enum SpaceError {
     /// instances.
     BudgetExceeded {
         /// Resident bytes the tripping phase would need (CSR arrays plus
-        /// transient build metadata and per-worker scratch).
+        /// per-worker scratch).
         required: u64,
         /// The configured budget in bytes.
         budget: u64,
-        /// Which build phase tripped: `"offsets"` (per-state counts +
-        /// offsets column), `"succs"` (flat transition arrays),
+        /// Which build phase tripped: `"offsets"` (offsets + guard
+        /// columns), `"succs"` (those plus the successor column),
         /// `"frontier bitsets"` (the frontier mode's predicate, region,
         /// resolved and delta bitsets), or `"frontier rows"` (those
         /// bitsets plus one round's row buffer per worker).
@@ -396,6 +410,8 @@ impl Radix {
 /// sweeps over a [`Decoder`] and the frontier convergence mode — are built
 /// on a `SpaceIndex` plus on-demand successor evaluation, so the
 /// transition relation never needs to be resident at once.
+///
+/// [`Decoder`]: crate::Decoder
 #[derive(Debug, Clone)]
 pub struct SpaceIndex {
     len: usize,
@@ -539,25 +555,37 @@ pub(crate) fn scratch_bytes(scratches: u64, nv: usize) -> u64 {
 }
 
 /// The `(action, successor)` transitions of one state: a zero-copy view of
-/// two parallel CSR row slices, yielded by [`StateSpace::successors`].
+/// a row's guard words and successor ids, yielded by
+/// [`StateSpace::successors`] and [`Successors::row`].
 ///
-/// Iterate it like the former `&[(ActionId, StateId)]` rows:
+/// Bit `a` of the guard words is set iff action `a` is enabled; the
+/// successors are those of the set bits in ascending action id. Iterate it
+/// like a `&[(ActionId, StateId)]` row:
 ///
 /// ```ignore
 /// for (action, succ) in space.successors(id) { ... }
 /// ```
+///
+/// [`Successors::row`]: crate::Successors::row
+/// [`Decoder`]: crate::Decoder
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transitions<'a> {
-    actions: &'a [ActionId],
+    guards: &'a [u64],
     succs: &'a [StateId],
 }
 
 impl<'a> Transitions<'a> {
-    /// A row view over parallel action/successor slices: a CSR row or a
+    /// A row view over its guard words and successor ids: a CSR row or a
     /// [`Decoder`]'s row buffer.
-    pub(crate) fn new(actions: &'a [ActionId], succs: &'a [StateId]) -> Self {
-        debug_assert_eq!(actions.len(), succs.len());
-        Transitions { actions, succs }
+    pub(crate) fn new(guards: &'a [u64], succs: &'a [StateId]) -> Self {
+        debug_assert_eq!(
+            guards
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>(),
+            succs.len()
+        );
+        Transitions { guards, succs }
     }
 
     /// Number of transitions (enabled actions) at this state.
@@ -570,23 +598,9 @@ impl<'a> Transitions<'a> {
         self.succs.is_empty()
     }
 
-    /// The actions of the row, parallel to [`Transitions::succs`].
-    pub fn actions(&self) -> &'a [ActionId] {
-        self.actions
-    }
-
-    /// The successor ids of the row, parallel to [`Transitions::actions`].
+    /// The successor ids of the row, in action-id order.
     pub fn succs(&self) -> &'a [StateId] {
         self.succs
-    }
-
-    /// The `k`-th `(action, successor)` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= len()`.
-    pub fn get(&self, k: usize) -> (ActionId, StateId) {
-        (self.actions[k], self.succs[k])
     }
 
     /// Iterate the `(action, successor)` pairs in action-id order.
@@ -595,18 +609,80 @@ impl<'a> Transitions<'a> {
     }
 }
 
-/// Iterator over a CSR row's `(action, successor)` pairs.
-pub type TransitionsIter<'a> = std::iter::Zip<
-    std::iter::Copied<std::slice::Iter<'a, ActionId>>,
-    std::iter::Copied<std::slice::Iter<'a, StateId>>,
->;
+/// The set bits of a row's guard words, as action indices in ascending
+/// order.
+#[derive(Debug, Clone)]
+pub(crate) struct GuardBits<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// The unvisited bits of the current word.
+    bits: u64,
+    /// The action index of the current word's bit 0.
+    base: usize,
+}
+
+impl<'a> GuardBits<'a> {
+    pub(crate) fn new(guards: &'a [u64]) -> Self {
+        let mut words = guards.iter();
+        let bits = words.next().copied().unwrap_or(0);
+        GuardBits {
+            words,
+            bits,
+            base: 0,
+        }
+    }
+}
+
+impl Iterator for GuardBits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.base += 64;
+        }
+        let a = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(a)
+    }
+}
+
+/// Iterator over a row's `(action, successor)` pairs.
+#[derive(Debug, Clone)]
+pub struct TransitionsIter<'a> {
+    actions: GuardBits<'a>,
+    succs: std::slice::Iter<'a, StateId>,
+}
+
+impl Iterator for TransitionsIter<'_> {
+    type Item = (ActionId, StateId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(ActionId, StateId)> {
+        let &succ = self.succs.next()?;
+        let a = self
+            .actions
+            .next()
+            .expect("one set guard bit per successor");
+        Some((ActionId::from_index(a), succ))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.succs.size_hint()
+    }
+}
+
+impl ExactSizeIterator for TransitionsIter<'_> {}
 
 impl<'a> IntoIterator for Transitions<'a> {
     type Item = (ActionId, StateId);
     type IntoIter = TransitionsIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.actions.iter().copied().zip(self.succs.iter().copied())
+        TransitionsIter {
+            actions: GuardBits::new(self.guards),
+            succs: self.succs.iter(),
+        }
     }
 }
 
@@ -615,42 +691,47 @@ impl<'a> IntoIterator for Transitions<'a> {
 /// States are never materialized: a state is a pure mixed-radix function of
 /// its id (see the [module docs](self)), decoded on demand by
 /// [`state`](StateSpace::state) / [`decode_state`](StateSpace::decode_state).
-/// Transitions live in three flat CSR arrays (`offsets`, `actions`,
-/// `succs`), built in parallel over disjoint id ranges when
+/// Transitions live in three flat CSR arrays (`offsets`, the guard column
+/// and `succs`), built in parallel over disjoint id ranges when
 /// [`CheckOptions::threads`] allows; the result is bit-identical for every
-/// thread count. Resident memory is `4·(len+1) + 8·transition_count` bytes,
-/// gated by [`CheckOptions::memory_budget`].
+/// thread count. Resident memory is
+/// `4·(len+1) + 8·W·len + 4·transition_count` bytes, `W = ⌈actions/64⌉`
+/// guard words per state, gated by [`CheckOptions::memory_budget`].
 #[derive(Debug, Clone)]
 pub struct StateSpace {
     index: SpaceIndex,
     /// CSR row bounds: state `i`'s transitions are `offsets[i]..offsets[i+1]`.
     offsets: Vec<u32>,
-    /// Flat action column, parallel to `succs`.
-    actions: Vec<ActionId>,
-    /// Flat successor column, parallel to `actions`.
+    /// Guard words per state (`W`).
+    words: usize,
+    /// The guard column: state `i`'s enabled-action bits are
+    /// `guards[i·W..(i+1)·W]`, one bit per action.
+    guards: Vec<u64>,
+    /// Flat successor column: the successors of each row's set guard bits,
+    /// in ascending action id.
     succs: Vec<StateId>,
 }
 
-/// Exclusive prefix sum of per-state transition counts, producing the CSR
-/// `offsets` array (`counts.len() + 1` entries).
+/// Turn `offsets`, whose entry `i + 1` holds row `i`'s transition count
+/// and whose entry 0 is zero, into the CSR row bounds by an in-place
+/// prefix sum.
 ///
 /// # Errors
 ///
-/// The total transition count when it exceeds the `u32` offset range.
-pub(crate) fn offsets_from_counts(counts: &[u32]) -> Result<Vec<u32>, u64> {
-    let total: u64 = counts.iter().map(|&c| c as u64).sum();
+/// The total transition count when it exceeds the `u32` offset range;
+/// `offsets` is then left unchanged.
+pub(crate) fn prefix_sum_counts(offsets: &mut [u32]) -> Result<(), u64> {
+    let total: u64 = offsets.iter().map(|&c| c as u64).sum();
     if total > u32::MAX as u64 {
         return Err(total);
     }
-    let mut offsets = Vec::with_capacity(counts.len() + 1);
     let mut acc = 0u32;
-    offsets.push(0);
-    for &c in counts {
+    for c in offsets {
         // Cannot overflow: the total was checked above.
-        acc += c;
-        offsets.push(acc);
+        acc += *c;
+        *c = acc;
     }
-    Ok(offsets)
+    Ok(())
 }
 
 impl StateSpace {
@@ -717,11 +798,11 @@ impl StateSpace {
         let nv = index.var_count();
         let plan = options.segment_plan(n);
         let tasks = plan.count();
+        let words = guard_words(program.action_count());
         // Budget floor before any large allocation: the offsets column, the
-        // transient phase-1 counts column (same size), and one decode
-        // scratch per worker.
-        let offsets_bytes = 4 * (n as u64 + 1);
-        let offsets_phase_bytes = offsets_bytes + 4 * n as u64 + scratch_bytes(workers as u64, nv);
+        // guard column, and one decode scratch per worker.
+        let table_bytes = 4 * (n as u64 + 1) + 8 * (words * n) as u64;
+        let offsets_phase_bytes = table_bytes + scratch_bytes(workers as u64, nv);
         if offsets_phase_bytes > budget {
             return Err(SpaceError::BudgetExceeded {
                 required: offsets_phase_bytes,
@@ -730,42 +811,41 @@ impl StateSpace {
             });
         }
 
-        // Phase 1: count enabled actions per state. Work-stealing over the
-        // segment plan: whichever worker is free claims the next segment;
-        // per-segment count vectors are concatenated in segment order, so
-        // the result is identical for every thread count.
+        // Phase 1: evaluate every guard once per state into the guard
+        // column, and each row's enabled count into `offsets[i + 1]`. Both
+        // columns are pre-split along the segment plan into one disjoint
+        // sub-slice pair per segment, so any thread count and any claim
+        // order produce the identical layout.
+        let mut offsets = vec![0u32; n + 1];
+        let mut guards = vec![0u64; words * n];
+        let lens = (0..tasks).map(|ti| plan.range(ti).len());
+        let parts: Vec<_> = split_lens(&mut guards, lens.clone().map(|len| len * words))
+            .into_iter()
+            .zip(split_lens(&mut offsets[1..], lens))
+            .collect();
         let phase_started = std::time::Instant::now();
-        let counts: Vec<u32> = steal_tasks(tasks, workers, |ti| {
+        steal_parts(parts, workers, |ti, (guards, counts)| {
             let range = plan.range(ti);
-            let mut scratch = State::zeroed(nv);
-            let mut out = Vec::with_capacity(range.len());
-            index.radix.decode_into(range.start as u64, &mut scratch);
-            for _ in range {
-                let enabled = program.actions().iter().filter(|a| a.enabled(&scratch));
-                out.push(enabled.count() as u32);
-                index.step_state(&mut scratch);
+            let mut state = State::zeroed(nv);
+            index.radix.decode_into(range.start as u64, &mut state);
+            for (row, count) in guards.chunks_exact_mut(words).zip(counts) {
+                *count = guard_bits(program, &state, row);
+                index.step_state(&mut state);
             }
-            out
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
-
-        let offsets = offsets_from_counts(&counts)
+        })?;
+        prefix_sum_counts(&mut offsets)
             .map_err(|count| SpaceError::TooManyTransitions { count })?;
-        drop(counts);
-        let m = *offsets.last().expect("offsets never empty") as usize;
+        let m = offsets[n] as usize;
         journal.emit_with(|| Event::CsrPhase {
             phase: "count".to_string(),
             states: n as u64,
             transitions: m as u64,
             micros: phase_started.elapsed().as_micros() as u64,
         });
-        // Exact requirement now that the edge count is known: offsets plus
-        // the two flat columns plus two decode scratches per worker (state
-        // and successor buffers in the fill loop).
-        let succs_phase_bytes =
-            offsets_bytes + 8 * m as u64 + scratch_bytes(2 * workers as u64, nv);
+        // Exact requirement now that the edge count is known: offsets and
+        // guards plus the successor column plus two decode scratches per
+        // worker (state and successor buffers in the fill loop).
+        let succs_phase_bytes = table_bytes + 4 * m as u64 + scratch_bytes(2 * workers as u64, nv);
         if succs_phase_bytes > budget {
             return Err(SpaceError::BudgetExceeded {
                 required: succs_phase_bytes,
@@ -774,36 +854,39 @@ impl StateSpace {
             });
         }
 
-        // Phase 2: copy each state's decoded row into the final arrays.
-        // The flat columns are pre-split along the plan's offsets into one
-        // disjoint sub-slice pair per segment, so any thread count and any
-        // claim order produce the identical layout. A worker stops at the
-        // first escaping action in its segment, and the lowest segment's
-        // escape is reported, matching a sequential scan.
-        let mut actions = vec![ActionId::from_index(0); m];
+        // Phase 2: run the effect of every set guard bit, calling no
+        // guard, into the successor column, pre-split along the plan's
+        // offsets. A worker stops at the first escaping action in its
+        // segment, and the lowest segment's escape is reported, matching a
+        // sequential scan.
         let mut succs = vec![StateId(0); m];
-        let lens: Vec<usize> = (0..tasks)
-            .map(|ti| {
-                let r = plan.range(ti);
-                (offsets[r.end] - offsets[r.start]) as usize
-            })
-            .collect();
-        let parts: Vec<_> = split_lens(&mut actions, lens.iter().copied())
-            .into_iter()
-            .zip(split_lens(&mut succs, lens))
-            .collect();
+        let lens = (0..tasks).map(|ti| {
+            let r = plan.range(ti);
+            (offsets[r.end] - offsets[r.start]) as usize
+        });
+        let parts = split_lens(&mut succs, lens);
         let phase_started = std::time::Instant::now();
-        let filled = steal_parts(parts, workers, |ti, (actions, succs)| {
-            let mut rows = Decoder::new(program, &index);
-            let mut k = 0;
-            for i in plan.range(ti) {
-                let row = rows.row(StateId(i as u32))?;
-                let next = k + row.len();
-                actions[k..next].copy_from_slice(row.actions());
-                succs[k..next].copy_from_slice(row.succs());
-                k = next;
+        let filled = steal_parts(parts, workers, |ti, succs| {
+            let range = plan.range(ti);
+            let base = offsets[range.start];
+            let mut state = State::zeroed(nv);
+            let mut succ = State::zeroed(nv);
+            index.radix.decode_into(range.start as u64, &mut state);
+            for i in range {
+                let row = (offsets[i] - base) as usize..(offsets[i + 1] - base) as usize;
+                let id = StateId(i as u32);
+                let bits = &guards[i * words..(i + 1) * words];
+                fill_row(
+                    program,
+                    &index,
+                    id,
+                    &state,
+                    &mut succ,
+                    bits,
+                    &mut succs[row],
+                )?;
+                index.step_state(&mut state);
             }
-            debug_assert_eq!(k, succs.len(), "impure guard: phase-2 count drifted");
             Ok::<(), SpaceError>(())
         })?;
         journal.emit_with(|| Event::CsrPhase {
@@ -817,7 +900,8 @@ impl StateSpace {
         Ok(StateSpace {
             index,
             offsets,
-            actions,
+            words,
+            guards,
             succs,
         })
     }
@@ -888,13 +972,14 @@ impl StateSpace {
     /// action-id order, as a view of the CSR row.
     pub fn successors(&self, id: StateId) -> Transitions<'_> {
         let (lo, hi) = self.row_bounds(id);
+        let i = id.index();
         Transitions {
-            actions: &self.actions[lo..hi],
+            guards: &self.guards[i * self.words..(i + 1) * self.words],
             succs: &self.succs[lo..hi],
         }
     }
 
-    /// Only the successor ids of `id` (skips the action column; the fastest
+    /// Only the successor ids of `id` (skips the guard column; the fastest
     /// row view for reachability-style sweeps).
     pub fn successor_ids(&self, id: StateId) -> &[StateId] {
         let (lo, hi) = self.row_bounds(id);
@@ -935,13 +1020,14 @@ impl StateSpace {
         self.succs.len()
     }
 
-    /// Resident bytes of the space: the three CSR arrays plus the radix
-    /// tables. This is what [`CheckOptions::memory_budget`] gates (the
-    /// radix is negligible: 24 bytes per *variable*, not per state).
+    /// Resident bytes of the space: the three CSR arrays (offsets, guard
+    /// words, successors) plus the radix tables. This is what
+    /// [`CheckOptions::memory_budget`] gates (the radix is negligible: 24
+    /// bytes per *variable*, not per state).
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.actions.len() * std::mem::size_of::<ActionId>()
+            + self.guards.len() * std::mem::size_of::<u64>()
             + self.succs.len() * std::mem::size_of::<StateId>()
             + self.index.var_count() * 3 * 8
     }
@@ -950,6 +1036,7 @@ impl StateSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::successors::{Decoder, Successors};
     use nonmask_program::Domain;
 
     fn counter(max: i64) -> Program {
@@ -979,7 +1066,7 @@ mod tests {
             if x < 4 {
                 let succs = space.successors(id);
                 assert_eq!(succs.len(), 1);
-                assert_eq!(space.state(succs.get(0).1).slots()[0], x + 1);
+                assert_eq!(space.state(succs.succs()[0]).slots()[0], x + 1);
             } else {
                 assert!(space.successors(id).is_empty());
             }
@@ -1257,9 +1344,10 @@ mod tests {
             CheckOptions::default().memory_budget(space.resident_bytes() as u64 + (64 << 10)),
         );
         assert!(ok.is_ok());
-        // A budget squeezed between the offsets floor and the full CSR cost
-        // trips at the succs phase, and the error names it.
-        let offsets_floor = 4 * (space.len() as u64 + 1) + 4 * space.len() as u64 + (64 << 10);
+        // A budget squeezed between the offsets floor (offsets and guard
+        // columns, one guard word per state) and the full CSR cost trips
+        // at the succs phase, and the error names it.
+        let offsets_floor = 4 * (space.len() as u64 + 1) + 8 * space.len() as u64 + (64 << 10);
         let err = StateSpace::enumerate_with_options(
             &p,
             CheckOptions::default().memory_budget(offsets_floor),
@@ -1276,29 +1364,55 @@ mod tests {
     fn resident_bytes_counts_csr_arrays() {
         let p = counter(4);
         let space = StateSpace::enumerate(&p).unwrap();
-        // 6 offsets + 4 actions + 4 succs = 24 + 16 + 16 bytes, plus the
-        // struct header and one variable's radix entries.
-        let expected = std::mem::size_of::<StateSpace>() + 24 + 16 + 16 + 24;
+        // 6 offsets + 5 guard words + 4 succs = 24 + 40 + 16 bytes, plus
+        // the struct header and one variable's radix entries.
+        let expected = std::mem::size_of::<StateSpace>() + 24 + 40 + 16 + 24;
         assert_eq!(space.resident_bytes(), expected);
     }
 
     #[test]
     fn offsets_prefix_sum_near_u32_boundary() {
+        let summed = |counts: &[u32]| {
+            let mut offsets = [&[0], counts].concat();
+            prefix_sum_counts(&mut offsets).map(|()| offsets)
+        };
         // Exactly u32::MAX transitions: fine.
-        let ok = offsets_from_counts(&[u32::MAX - 10, 7, 3]).unwrap();
+        let ok = summed(&[u32::MAX - 10, 7, 3]).unwrap();
         assert_eq!(ok, vec![0, u32::MAX - 10, u32::MAX - 3, u32::MAX]);
         // One more overflows the offset range and must be rejected, not
         // wrapped.
-        assert_eq!(
-            offsets_from_counts(&[u32::MAX, 1]),
-            Err(u32::MAX as u64 + 1)
-        );
+        assert_eq!(summed(&[u32::MAX, 1]), Err(u32::MAX as u64 + 1));
         // Many large counts must accumulate in u64, not saturate u32.
         assert_eq!(
-            offsets_from_counts(&[u32::MAX, u32::MAX, u32::MAX]),
+            summed(&[u32::MAX, u32::MAX, u32::MAX]),
             Err(3 * (u32::MAX as u64))
         );
-        assert_eq!(offsets_from_counts(&[]), Ok(vec![0]));
+        assert_eq!(summed(&[]), Ok(vec![0]));
+    }
+
+    #[test]
+    fn multi_word_rows_iterate_in_action_order() {
+        // 128 actions, two guard words per state; only actions 0, 63, 64
+        // and 127 are ever enabled, each moving `x` to its own index, so
+        // every row straddles both words at their edge bits.
+        let mut b = Program::builder("wide");
+        let x = b.var("x", Domain::range(0, 127));
+        for a in 0..128i64 {
+            let on = matches!(a, 0 | 63 | 64 | 127);
+            b.closure_action(format!("a{a}"), [x], [x], move |_| on, move |s| s.set(x, a));
+        }
+        let p = b.build();
+        let opts = CheckOptions::default().segment_states(7);
+        let space = StateSpace::enumerate_with_options(&p, opts).unwrap();
+        assert_eq!(space.transition_count(), 4 * 128);
+        let mut rows = Decoder::new(&p, space.index());
+        for id in space.ids() {
+            let row = space.successors(id);
+            let pairs: Vec<_> = row.iter().map(|(a, t)| (a.index(), t.index())).collect();
+            assert_eq!(pairs, [(0, 0), (63, 63), (64, 64), (127, 127)], "row {id}");
+            assert_eq!(row.iter().len(), 4);
+            assert_eq!(rows.row(id).unwrap(), row, "decoded row {id}");
+        }
     }
 
     #[test]

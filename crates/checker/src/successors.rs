@@ -10,21 +10,102 @@
 //!   evaluates guards and effects on demand and owns its scratch states,
 //!   so no transition is ever stored.
 //!
-//! The decode → guard → successor → id loop exists only in the
-//! [`Decoder`]'s [`Successors::row`]; the CSR build and the frontier
-//! rounds read their rows from it. A row costs one guard call
-//! per action plus, per enabled action, one effect and one id
-//! computed from the slots that action changed; moving to the row's
-//! state costs a carry from the previous id when the id is higher, and
-//! a full decode only on the first row or a move backwards.
+//! A row has two halves, and both sources store it in the same form:
+//! the **guard words**, `⌈A/64⌉` `u64`s (at least one) whose bit `a` is
+//! set iff action `a` is enabled, written by `guard_bits`; and the
+//! successor ids of the set bits in ascending order, written by
+//! `fill_row`. The [`Decoder`] runs both in one loop over the actions,
+//! each enabled guard followed at once by its effect; the CSR build runs
+//! `guard_bits` in its count pass, keeps the words, and runs `fill_row`
+//! from them in its fill pass, so every guard is called once.
+//! Stored, a row costs `8·⌈A/64⌉` bytes of guard words plus 4 bytes per
+//! transition. Computed, it costs one guard call per action plus, per
+//! enabled action, one effect and one id computed from the slots that
+//! action changed; moving to the row's state costs a carry from the
+//! previous id when the id is higher, and a full decode only on the first
+//! row or a move backwards.
 //!
 //! Whole-space sweeps (closure) go through [`RowSource`], which hands each
 //! task of the [segment plan](crate::CheckOptions::segment_plan) its own
 //! `Successors`, so one scan serves both sources.
 
-use nonmask_program::{ActionId, Program, State, VarId};
+use nonmask_program::{Action, Program, State, VarId};
 
-use crate::space::{SpaceError, SpaceIndex, StateId, StateSpace, Transitions};
+use crate::space::{GuardBits, SpaceError, SpaceIndex, StateId, StateSpace, Transitions};
+
+/// Guard words per row for a program of `actions` actions: one bit per
+/// action, and at least one word so every row has a guard slice.
+pub(crate) fn guard_words(actions: usize) -> usize {
+    actions.div_ceil(64).max(1)
+}
+
+/// Evaluate every guard of `program` at `state` into `out`, its
+/// [`guard_words`] words: bit `a` is set iff action `a` is enabled.
+/// Returns the number of enabled actions.
+#[inline]
+pub(crate) fn guard_bits(program: &Program, state: &State, out: &mut [u64]) -> u32 {
+    let mut chunks = program.actions().chunks(64);
+    let mut enabled = 0;
+    for word in out {
+        let mut bits = 0u64;
+        for (b, act) in chunks.next().unwrap_or_default().iter().enumerate() {
+            bits |= u64::from(act.enabled(state)) << b;
+        }
+        *word = bits;
+        enabled += bits.count_ones();
+    }
+    enabled
+}
+
+/// Write into `out` the successor id of every action set in `guards` at
+/// `state` (the decoding of `id`), in ascending action id, calling no
+/// guard. `out` holds exactly one slot per set bit; `succ` is scratch.
+///
+/// # Errors
+///
+/// [`SpaceError::EscapedDomain`] at the first action whose successor
+/// leaves the space.
+#[inline]
+pub(crate) fn fill_row(
+    program: &Program,
+    index: &SpaceIndex,
+    id: StateId,
+    state: &State,
+    succ: &mut State,
+    guards: &[u64],
+    out: &mut [StateId],
+) -> Result<(), SpaceError> {
+    let actions = program.actions();
+    for (a, slot) in GuardBits::new(guards).zip(out.iter_mut()) {
+        *slot = successor(program, &actions[a], index, id, state, succ)?;
+    }
+    Ok(())
+}
+
+/// The id of `act`'s successor of `state` (the decoding of `id`),
+/// computed into the scratch `succ`.
+///
+/// # Errors
+///
+/// [`SpaceError::EscapedDomain`] when the successor leaves the space.
+#[inline]
+fn successor(
+    program: &Program,
+    act: &Action,
+    index: &SpaceIndex,
+    id: StateId,
+    state: &State,
+    succ: &mut State,
+) -> Result<StateId, SpaceError> {
+    act.successor_into(state, succ);
+    index.successor_id(id, state, succ).ok_or_else(|| {
+        let var = VarId::from_index(index.escaping_var(succ));
+        SpaceError::EscapedDomain {
+            action: act.name().to_string(),
+            var: program.var(var).name().to_string(),
+        }
+    })
+}
 
 /// A source of transition rows.
 pub trait Successors {
@@ -62,7 +143,7 @@ pub struct Decoder<'a> {
     decoded: Option<StateId>,
     state: State,
     succ: State,
-    actions: Vec<ActionId>,
+    guards: Vec<u64>,
     succs: Vec<StateId>,
 }
 
@@ -75,7 +156,7 @@ impl<'a> Decoder<'a> {
             decoded: None,
             state: index.scratch_state(),
             succ: index.scratch_state(),
-            actions: Vec::with_capacity(program.action_count()),
+            guards: vec![0; guard_words(program.action_count())],
             succs: Vec::with_capacity(program.action_count()),
         }
     }
@@ -91,24 +172,25 @@ impl Successors for Decoder<'_> {
             _ => self.index.decode_state(id, &mut self.state),
         }
         self.decoded = Some(id);
-        self.actions.clear();
+        // The row `guard_bits` then `fill_row` would give, in one loop:
+        // decoded rows were measurably slower as two passes.
+        self.guards.fill(0);
         self.succs.clear();
         for (a, act) in self.program.actions().iter().enumerate() {
-            if !act.enabled(&self.state) {
-                continue;
+            if act.enabled(&self.state) {
+                self.guards[a / 64] |= 1 << (a % 64);
+                let t = successor(
+                    self.program,
+                    act,
+                    self.index,
+                    id,
+                    &self.state,
+                    &mut self.succ,
+                )?;
+                self.succs.push(t);
             }
-            act.successor_into(&self.state, &mut self.succ);
-            let Some(t) = self.index.successor_id(id, &self.state, &self.succ) else {
-                let var = VarId::from_index(self.index.escaping_var(&self.succ));
-                return Err(SpaceError::EscapedDomain {
-                    action: act.name().to_string(),
-                    var: self.program.var(var).name().to_string(),
-                });
-            };
-            self.actions.push(ActionId::from_index(a));
-            self.succs.push(t);
         }
-        Ok(Transitions::new(&self.actions, &self.succs))
+        Ok(Transitions::new(&self.guards, &self.succs))
     }
 }
 

@@ -128,7 +128,7 @@ fn checker_verdicts_match_execution() {
                     );
                 }
                 // The Markov analysis converges too.
-                let em = expected_moves(&space, &t, &s, 1e-9, 1_000_000);
+                let em = expected_moves(&space, &t, &s, 1e-9, 1_000_000).unwrap();
                 assert!(em.converged(), "trial {trial}: expected moves diverged");
             }
             ConvergenceResult::DeadlockOutsideTarget { state } => {

@@ -367,6 +367,51 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Rows span several guard words: random actions repeated up to
+    /// 65–130 actions give two or three words per state. Every build, at
+    /// any thread count and segment size, has the serial build's rows, and
+    /// so does the on-demand decoder. A padding variable lifts the space
+    /// to at least 2,048 states, where builds go parallel.
+    #[test]
+    fn multi_word_guard_rows_match_serial_and_decoder(
+        mut domains in proptest::collection::vec(domain_strategy(), 1..=3),
+        actions in proptest::collection::vec((0usize..4, 0usize..4, 1i64..=3), 1..=4),
+        total in 65usize..=130,
+    ) {
+        let states: u64 = domains.iter().map(|d| d.size().unwrap()).product();
+        domains.push(Domain::range(0, 2048u64.div_ceil(states) as i64 - 1));
+        let repeated = actions.iter().copied().cycle().take(total).collect();
+        let p = program_with_actions(domains, repeated);
+        prop_assert_eq!(p.action_count(), total);
+        let serial = StateSpace::enumerate_with_options(&p, CheckOptions::serial()).unwrap();
+        let n = serial.len();
+        let mut decoder = Decoder::new(&p, serial.index());
+        for id in serial.ids() {
+            prop_assert_eq!(decoder.row(id).unwrap(), serial.successors(id), "decoded row of {}", id);
+        }
+        for threads in [1, 2, 8] {
+            for seg in [1, 7, n.div_ceil(3)] {
+                let opts = CheckOptions::default().threads(threads).segment_states(seg);
+                let space = StateSpace::enumerate_with_options(&p, opts).unwrap();
+                prop_assert_eq!(space.transition_count(), serial.transition_count());
+                for id in space.ids() {
+                    prop_assert_eq!(
+                        space.successors(id),
+                        serial.successors(id),
+                        "row of {} at threads={} segment={}",
+                        id,
+                        threads,
+                        seg
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Weighted slot sum, for random predicates that read every variable.
 fn weighted_sum(s: &State) -> i64 {
     s.slots().iter().zip(1i64..).map(|(&v, w)| v * w).sum()
@@ -863,7 +908,7 @@ proptest! {
             if let Some(id) = space.ids().find(|&id| {
                 t_bits.contains(id)
                     && !c_bits.contains(id)
-                    && !space.successors(id).actions().contains(&aid)
+                    && !space.successors(id).iter().any(|(a, _)| a == aid)
             }) {
                 unguarded.push((i, space.state(id)));
             }
