@@ -28,7 +28,7 @@ use nonmask_program::{ActionId, Predicate, Program, State};
 use crate::cache::{Bitset, MaskColumn};
 use crate::error::CheckError;
 use crate::options::{steal_find, steal_tasks, CheckOptions};
-use crate::space::{SpaceError, StateId, StateSpace};
+use crate::space::{StateId, StateSpace};
 use crate::successors::{RowSource, Successors};
 
 /// A witnessed preservation failure: executing `action` at `before` (where
@@ -97,7 +97,7 @@ pub fn is_closed(space: &StateSpace, pred: &Predicate) -> Result<Option<Violatio
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
-/// [`CheckError::Space`] if an action escapes its domain (only a
+/// [`CheckError::EscapedDomain`] if an action escapes its domain (only a
 /// [`Decoder`](crate::Decoder) evaluates actions).
 pub fn is_closed_bits<R: RowSource>(
     space: &R,
@@ -124,7 +124,7 @@ pub fn is_closed_bits<R: RowSource>(
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
-/// [`CheckError::Space`] if an action escapes its domain (only a
+/// [`CheckError::EscapedDomain`] if an action escapes its domain (only a
 /// [`Decoder`](crate::Decoder) evaluates actions).
 ///
 /// # Panics
@@ -140,7 +140,7 @@ pub fn breaking_actions<R: RowSource>(
     let len = source.index().len();
     assert_eq!(masks.len(), len, "mask column length mismatch");
     let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
-    let sweep = |ti: usize| -> Result<Vec<u64>, SpaceError> {
+    let sweep = |ti: usize| -> Result<Vec<u64>, CheckError> {
         let mut rows = source.rows();
         let mut broken = vec![0u64; action_count];
         for i in members(assuming, None, plan.range(ti)) {
@@ -180,7 +180,7 @@ pub struct RepairWitnesses {
 /// # Errors
 ///
 /// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
-/// [`CheckError::Space`] if an action escapes its domain (only a
+/// [`CheckError::EscapedDomain`] if an action escapes its domain (only a
 /// [`Decoder`](crate::Decoder) evaluates actions).
 ///
 /// # Panics
@@ -208,7 +208,7 @@ pub fn repair_obligations<R: RowSource>(
     type Found = (Vec<Option<StateId>>, Vec<Option<(StateId, StateId)>>);
     let len = source.index().len();
     let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
-    let sweep = |ti: usize| -> Result<Found, SpaceError> {
+    let sweep = |ti: usize| -> Result<Found, CheckError> {
         let range = plan.range(ti);
         let mut rows = source.rows();
         let mut unguarded = vec![None; k];
@@ -327,7 +327,7 @@ fn first_violation<R: RowSource>(
     // Actions `floor..limit` can still beat the best hit so far; a hit by
     // `floor` itself cannot be beaten.
     let (floor, limit) = only.map_or((0, usize::MAX), |a| (a.index(), a.index() + 1));
-    let scan = |ti: usize| -> Result<Option<(ActionId, usize, StateId)>, SpaceError> {
+    let scan = |ti: usize| -> Result<Option<(ActionId, usize, StateId)>, CheckError> {
         let range = plan.range(ti);
         let mut rows = source.rows();
         let (mut limit, mut best) = (limit, None);

@@ -70,7 +70,7 @@ use nonmask_program::{ActionId, Predicate, Program, State};
 use crate::cache::Bitset;
 use crate::error::CheckError;
 use crate::options::{run_chunks, CheckOptions};
-use crate::space::{SpaceError, SpaceIndex, StateId, StateSpace};
+use crate::space::{SpaceIndex, StateId, StateSpace};
 use crate::successors::Successors;
 
 /// The daemon assumption under which convergence is checked.
@@ -392,7 +392,7 @@ pub(crate) fn analyze_residual(
     residual: &[StateId],
     local: impl Fn(StateId) -> Option<usize>,
     fairness: Fairness,
-) -> Result<Residual, SpaceError> {
+) -> Result<Residual, CheckError> {
     let mut offsets: Vec<u32> = Vec::with_capacity(residual.len() + 1);
     offsets.push(0);
     let mut edges: Vec<u32> = Vec::new();
@@ -418,7 +418,7 @@ pub(crate) fn analyze_residual(
         );
         edges[lo..hi].iter().copied()
     };
-    let component = |scc: &[u32], cyclic: bool| -> Result<(), SpaceError> {
+    let component = |scc: &[u32], cyclic: bool| -> Result<(), CheckError> {
         sccs_found += 1;
         if !cyclic || !result.converges() {
             return Ok(());
@@ -460,7 +460,7 @@ fn fair_admissible(
     actions: usize,
     scc: impl Iterator<Item = StateId>,
     in_scc: impl Fn(StateId) -> bool,
-) -> Result<bool, SpaceError> {
+) -> Result<bool, CheckError> {
     let mut everywhere = vec![true; actions];
     let mut stays = vec![false; actions];
     let mut here = vec![false; actions];

@@ -1,9 +1,9 @@
 //! Typed failures of checker passes.
 
-use crate::space::SpaceError;
-
-/// An error raised by a checker pass (predicate caching, closure,
-/// convergence, bounds, fault-span computation).
+/// An error raised by a checker pass: state-space enumeration, predicate
+/// caching, closure, convergence (resident or frontier), bounds,
+/// containment, or fault-span computation. It is the checker's one error
+/// type; every public entry point returns it.
 ///
 /// The checker evaluates caller-supplied closures — predicates, guards,
 /// action bodies — across worker threads. A panic inside one of those
@@ -14,6 +14,49 @@ use crate::space::SpaceError;
 /// survives a poisoned closure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckError {
+    /// The program has an unbounded variable; its state space cannot be
+    /// enumerated. Bound the variable (e.g. the `mod K` token-ring
+    /// refinement) to check it.
+    Unbounded {
+        /// Name of the unbounded variable.
+        var: String,
+    },
+    /// The state space has more states than `u32` ids can number.
+    TooLarge {
+        /// The limit that was exceeded: `u32::MAX + 1` states.
+        limit: usize,
+    },
+    /// A build phase would exceed the configured
+    /// [`CheckOptions::memory_budget`](crate::CheckOptions::memory_budget).
+    /// Raise the budget (or switch convergence-only queries to the
+    /// frontier mode) to check larger instances.
+    BudgetExceeded {
+        /// Resident bytes the tripping phase would need (CSR arrays plus
+        /// per-worker scratch).
+        required: u64,
+        /// The configured budget in bytes.
+        budget: u64,
+        /// Which build phase tripped: `"offsets"` (offsets + guard
+        /// columns), `"succs"` (those plus the successor column),
+        /// `"frontier bitsets"` (the frontier mode's predicate, region,
+        /// resolved and delta bitsets), or `"frontier rows"` (those
+        /// bitsets plus one round's row buffer per worker).
+        phase: &'static str,
+    },
+    /// The space has more transitions than CSR `u32` offsets can index.
+    TooManyTransitions {
+        /// The transition count that overflowed the `u32` range.
+        count: u64,
+    },
+    /// An action wrote a value outside its variable's domain, producing a
+    /// successor that is not a state of the space. Domains must be closed
+    /// under all actions.
+    EscapedDomain {
+        /// Name of the offending action.
+        action: String,
+        /// Name of the variable whose domain was escaped.
+        var: String,
+    },
     /// A worker panicked while evaluating a caller-supplied closure; the
     /// panic payload is captured instead of aborting the process.
     WorkerFailed {
@@ -30,14 +73,36 @@ pub enum CheckError {
         /// The larger radius that failed.
         failed: u64,
     },
-    /// A row source failed mid-sweep: an action wrote outside its
-    /// domain.
-    Space(SpaceError),
 }
 
 impl std::fmt::Display for CheckError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CheckError::Unbounded { var } => write!(
+                f,
+                "variable `{var}` is unbounded; state space cannot be enumerated"
+            ),
+            CheckError::TooLarge { limit } => {
+                write!(f, "state space exceeds the limit of {limit} states")
+            }
+            CheckError::BudgetExceeded {
+                required,
+                budget,
+                phase,
+            } => write!(
+                f,
+                "state space needs {required} resident bytes in the {phase} phase, over the \
+                 memory budget of {budget} bytes; raise `CheckOptions::memory_budget` to check it"
+            ),
+            CheckError::TooManyTransitions { count } => write!(
+                f,
+                "state space has {count} transitions, more than CSR u32 offsets can index"
+            ),
+            CheckError::EscapedDomain { action, var } => write!(
+                f,
+                "action `{action}` left the state space (wrote `{var}` outside its domain); \
+                 domains must be closed under all actions"
+            ),
             CheckError::WorkerFailed { payload } => {
                 write!(f, "checker worker panicked: {payload}")
             }
@@ -47,21 +112,11 @@ impl std::fmt::Display for CheckError {
                     "containment goal family is not monotone: radius {certified} converges but radius {failed} does not"
                 )
             }
-            CheckError::Space(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for CheckError {}
-
-impl From<SpaceError> for CheckError {
-    fn from(e: SpaceError) -> Self {
-        match e {
-            SpaceError::WorkerFailed { payload } => CheckError::WorkerFailed { payload },
-            other => CheckError::Space(other),
-        }
-    }
-}
 
 /// Render a caught panic payload as a string for
 /// [`CheckError::WorkerFailed`].

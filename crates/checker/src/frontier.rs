@@ -49,8 +49,9 @@ use nonmask_program::{Predicate, Program};
 
 use crate::cache::Bitset;
 use crate::convergence::{analyze_residual, ConvergenceResult, ConvergenceStats, Fairness};
+use crate::error::CheckError;
 use crate::options::{steal_tasks, CheckOptions};
-use crate::space::{scratch_bytes, SpaceError, SpaceIndex, StateId};
+use crate::space::{scratch_bytes, SpaceIndex, StateId};
 use crate::successors::{Decoder, Successors};
 
 /// Work and progress counters for one frontier convergence pass, wrapping
@@ -76,7 +77,7 @@ pub struct FrontierStats {
 ///
 /// # Errors
 ///
-/// [`SpaceError`] for unbounded/too-large programs, budget violations,
+/// [`CheckError`] for unbounded/too-large programs, budget violations,
 /// domain escapes at region states, or worker panics.
 pub fn check_convergence_frontier_stats(
     program: &Program,
@@ -85,7 +86,7 @@ pub fn check_convergence_frontier_stats(
     fairness: Fairness,
     options: CheckOptions,
     journal: &Journal,
-) -> Result<(ConvergenceResult, FrontierStats), SpaceError> {
+) -> Result<(ConvergenceResult, FrontierStats), CheckError> {
     let index = SpaceIndex::of_program(program, options)?;
     let [from_bits, to_bits] = Bitset::for_predicates(&index, &[from, to], options)?
         .try_into()
@@ -119,7 +120,7 @@ pub fn check_convergence_frontier_stats(
     let bitset_bytes = 5 * (n.div_ceil(64) as u64 * 8);
     let floor = bitset_bytes + scratch_bytes(2 * workers as u64, nv);
     if floor > options.memory_budget {
-        return Err(SpaceError::BudgetExceeded {
+        return Err(CheckError::BudgetExceeded {
             required: floor,
             budget: options.memory_budget,
             phase: "frontier bitsets",
@@ -134,7 +135,7 @@ pub fn check_convergence_frontier_stats(
     enum RegionEvent {
         Deadlock,
         FaultEscape { after: StateId },
-        DomainEscape(SpaceError),
+        DomainEscape(CheckError),
     }
     struct SegDelta {
         word_start: usize,
@@ -238,8 +239,7 @@ pub fn check_convergence_frontier_stats(
                 row_bytes,
                 event,
             }
-        })
-        .map_err(SpaceError::from)?;
+        })?;
 
         let round_evals: u64 = results.iter().map(|r| r.evals).sum();
         stats.evals += round_evals;
@@ -269,7 +269,7 @@ pub fn check_convergence_frontier_stats(
         let required =
             bitset_bytes + workers as u64 * peak_rows + scratch_bytes(2 * workers as u64, nv);
         if required > options.memory_budget {
-            return Err(SpaceError::BudgetExceeded {
+            return Err(CheckError::BudgetExceeded {
                 required,
                 budget: options.memory_budget,
                 phase: "frontier rows",
@@ -325,7 +325,7 @@ mod tests {
         to: &Predicate,
         fairness: Fairness,
         opts: CheckOptions,
-    ) -> Result<ConvergenceResult, SpaceError> {
+    ) -> Result<ConvergenceResult, CheckError> {
         check_convergence_frontier_stats(p, from, to, fairness, opts, &Journal::disabled())
             .map(|(result, _)| result)
     }
@@ -548,7 +548,7 @@ mod tests {
             CheckOptions::default().memory_budget(1024),
         )
         .unwrap_err();
-        let SpaceError::BudgetExceeded { phase, .. } = err else {
+        let CheckError::BudgetExceeded { phase, .. } = err else {
             panic!("expected BudgetExceeded, got {err:?}");
         };
         assert_eq!(phase, "frontier bitsets");
@@ -572,7 +572,7 @@ mod tests {
             CheckOptions::serial().memory_budget(budget),
         )
         .unwrap_err();
-        let SpaceError::BudgetExceeded {
+        let CheckError::BudgetExceeded {
             phase, required, ..
         } = err
         else {
@@ -601,7 +601,7 @@ mod tests {
             opts.memory_budget(floor + rows - 1),
         )
         .unwrap_err();
-        let SpaceError::BudgetExceeded {
+        let CheckError::BudgetExceeded {
             phase, required, ..
         } = err
         else {
@@ -637,7 +637,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(
             err,
-            SpaceError::EscapedDomain {
+            CheckError::EscapedDomain {
                 action: "overflow".into(),
                 var: "x".into()
             }
@@ -673,8 +673,34 @@ mod tests {
         let err = frontier(&p, &t, &s, Fairness::WeaklyFair, CheckOptions::default()).unwrap_err();
         assert_eq!(err, StateSpace::enumerate(&p).unwrap_err());
         assert!(
-            matches!(err, SpaceError::EscapedDomain { ref action, .. } if action == "overflow")
+            matches!(err, CheckError::EscapedDomain { ref action, .. } if action == "overflow")
         );
+    }
+
+    #[test]
+    fn panicking_predicate_is_a_worker_failure() {
+        let p = countdown(4999, 0);
+        let x = p.var_by_name("x").unwrap();
+        let boom = Predicate::new("boom", [x], |_| panic!("predicate exploded"));
+        for threads in [1, 4] {
+            let opts = CheckOptions::default().threads(threads);
+            let err = frontier(
+                &p,
+                &Predicate::always_true(),
+                &boom,
+                Fairness::WeaklyFair,
+                opts,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, CheckError::WorkerFailed { ref payload } if payload.contains("predicate exploded")),
+                "threads={threads}: {err:?}"
+            );
+            assert!(
+                err.to_string().starts_with("checker worker panicked"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -167,6 +167,6 @@ pub use options::{
 };
 pub use oracle::{attribute_constraints, ConstraintAttribution, StepFault, StepOracle};
 pub use replay::{replay_constraints, ConstraintTransition};
-pub use space::{SpaceError, SpaceIndex, StateId, StateSpace, Transitions, TransitionsIter};
+pub use space::{SpaceIndex, StateId, StateSpace, Transitions, TransitionsIter};
 pub use span::{compute_fault_span, StateSet};
 pub use successors::{Decoder, RowSource, Successors};

@@ -61,7 +61,7 @@ pub const DEFAULT_SEGMENT_STATES: usize = 1 << 22;
 /// let p = b.build();
 /// let space = StateSpace::enumerate_with_options(&p, CheckOptions::default().threads(4))?;
 /// assert_eq!(space.len(), 4);
-/// # Ok::<(), nonmask_checker::SpaceError>(())
+/// # Ok::<(), nonmask_checker::CheckError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckOptions {
@@ -73,7 +73,7 @@ pub struct CheckOptions {
     /// enumeration the CSR arrays (`4·(states+1) + 8·W·states +
     /// 4·transitions`, `W` guard words per state) plus per-worker scratch; for the frontier convergence mode its bitsets
     /// plus the row buffers of one round. A pass fails with
-    /// [`SpaceError::BudgetExceeded`](crate::SpaceError::BudgetExceeded)
+    /// [`CheckError::BudgetExceeded`]
     /// — naming the phase that tripped — before the big allocations
     /// happen.
     pub memory_budget: u64,

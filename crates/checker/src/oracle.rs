@@ -23,12 +23,12 @@
 //! variables plus cached remote reads) is a program transition of the view
 //! state, which is exactly what the CSR relation describes.
 //!
-//! The oracle does not actually need resident CSR arrays:
+//! The oracle does not need resident CSR arrays:
 //! [`StepOracle::over_index`] builds it from a bare [`SpaceIndex`]
 //! (O(variables) memory, no enumeration pass). Domain membership comes
-//! from the index's id bijection either way, and transition lookups try
-//! each action's guard and effect instead of reading the CSR row — in the
-//! same action order, so the lowest-id tie-break is identical.
+//! from the index's id bijection, and transition lookups try each action's
+//! guard and effect in action order — the order of a CSR row, so the
+//! lowest-id tie-break is the row's.
 
 use nonmask_program::{ActionId, Program, State};
 
@@ -76,41 +76,20 @@ impl std::fmt::Display for StepFault {
 
 impl std::error::Error for StepFault {}
 
-/// A per-step validity oracle over an enumerated state space.
+/// A per-step validity oracle over a program's state space.
 #[derive(Debug, Clone, Copy)]
 pub struct StepOracle<'a> {
     index: &'a SpaceIndex,
-    /// The resident CSR table, if any; without it rows are decoded.
-    space: Option<&'a StateSpace>,
     program: &'a Program,
 }
 
 impl<'a> StepOracle<'a> {
-    /// Build an oracle for `program` over its enumerated `space`.
-    pub fn new(space: &'a StateSpace, program: &'a Program) -> Self {
-        StepOracle {
-            index: space.index(),
-            space: Some(space),
-            program,
-        }
-    }
-
     /// Build an oracle from a bare [`SpaceIndex`], without materializing
-    /// any transitions. Verdicts are bit-identical to an oracle over the
-    /// enumerated space (see the module docs); memory is O(variables)
-    /// instead of O(states + transitions).
+    /// any transitions. Verdicts match the enumerated space's CSR rows
+    /// (see the module docs); memory is O(variables) instead of
+    /// O(states + transitions).
     pub fn over_index(index: &'a SpaceIndex, program: &'a Program) -> Self {
-        StepOracle {
-            index,
-            space: None,
-            program,
-        }
-    }
-
-    /// The resident state space backing this oracle, if it was built with
-    /// [`StepOracle::new`]; `None` for index-backed oracles.
-    pub fn space(&self) -> Option<&'a StateSpace> {
-        self.space
+        StepOracle { index, program }
     }
 
     /// Is `state` inside the enumerated domains?
@@ -126,28 +105,24 @@ impl<'a> StepOracle<'a> {
     ///
     /// [`StepFault::UnknownBefore`] / [`StepFault::UnknownAfter`] when a
     /// state escapes the enumerated domains, [`StepFault::NoMatchingAction`]
-    /// when no action produces the pair. An index-backed oracle tries each
-    /// action on its own, so an action escaping its domain at `before`
-    /// does not hide another action's valid step.
+    /// when no action produces the pair. The oracle tries each action on
+    /// its own, so an action escaping its domain at `before` does not hide
+    /// another action's valid step.
     pub fn is_valid_transition(
         &self,
         before: &State,
         after: &State,
     ) -> Result<ActionId, StepFault> {
-        let pre = self.index.id_of(before).ok_or(StepFault::UnknownBefore)?;
-        let post = self.index.id_of(after).ok_or(StepFault::UnknownAfter)?;
-        match self.space {
-            Some(space) => space
-                .successors(pre)
-                .iter()
-                .find(|&(_, t)| t == post)
-                .map(|(a, _)| a),
-            None => self
-                .program
-                .action_ids()
-                .find(|&a| self.validate_step(a, before, after).is_ok()),
+        if !self.contains(before) {
+            return Err(StepFault::UnknownBefore);
         }
-        .ok_or(StepFault::NoMatchingAction)
+        if !self.contains(after) {
+            return Err(StepFault::UnknownAfter);
+        }
+        self.program
+            .action_ids()
+            .find(|&a| self.validate_step(a, before, after).is_ok())
+            .ok_or(StepFault::NoMatchingAction)
     }
 
     /// Did `action` legally produce `after` from `before`? Stricter than
@@ -331,8 +306,8 @@ mod tests {
     #[test]
     fn valid_transitions_name_their_action() {
         let p = program();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let oracle = StepOracle::new(&space, &p);
+        let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
+        let oracle = StepOracle::over_index(&index, &p);
         let before = p.state_from([2, 1, 0]).unwrap();
         let after = p.state_from([0, 1, 0]).unwrap();
         let action = oracle.is_valid_transition(&before, &after).unwrap();
@@ -343,8 +318,8 @@ mod tests {
     #[test]
     fn invalid_transitions_are_rejected() {
         let p = program();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let oracle = StepOracle::new(&space, &p);
+        let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
+        let oracle = StepOracle::over_index(&index, &p);
         let before = p.state_from([2, 1, 0]).unwrap();
         // Nothing jumps y from 1 to... the x=0 write at the same time.
         let after = p.state_from([0, 0, 0]).unwrap();
@@ -363,8 +338,8 @@ mod tests {
     #[test]
     fn validate_step_distinguishes_guard_and_effect_faults() {
         let p = program();
-        let space = StateSpace::enumerate(&p).unwrap();
-        let oracle = StepOracle::new(&space, &p);
+        let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
+        let oracle = StepOracle::over_index(&index, &p);
         let fix_x = p
             .action_ids()
             .find(|&a| p.action(a).name() == "fix-x")
@@ -391,25 +366,29 @@ mod tests {
         let p = program();
         let space = StateSpace::enumerate(&p).unwrap();
         let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
-        let resident = StepOracle::new(&space, &p);
         let by_index = StepOracle::over_index(&index, &p);
-        assert!(resident.space().is_some());
-        assert!(by_index.space().is_none());
-        // Exhaustive agreement over every ordered state pair, including
-        // the action chosen on ties and the exact fault on rejection.
+        // Exhaustive agreement with the CSR rows over every ordered state
+        // pair, including the action chosen on ties.
         for pre in index.ids() {
             let before = index.state(pre);
+            let row = space.successors(pre);
             for post in index.ids() {
                 let after = index.state(post);
+                let resident = row
+                    .iter()
+                    .find(|&(_, t)| t == post)
+                    .map(|(a, _)| a)
+                    .ok_or(StepFault::NoMatchingAction);
                 assert_eq!(
-                    resident.is_valid_transition(&before, &after),
+                    resident,
                     by_index.is_valid_transition(&before, &after),
                     "disagree on {before:?} -> {after:?}"
                 );
                 for a in p.action_ids() {
                     assert_eq!(
-                        resident.validate_step(a, &before, &after),
-                        by_index.validate_step(a, &before, &after),
+                        row.iter().any(|t| t == (a, post)),
+                        by_index.validate_step(a, &before, &after).is_ok(),
+                        "disagree on {a} at {before:?} -> {after:?}"
                     );
                 }
             }

@@ -70,7 +70,7 @@
 //! would exceed it, instead of the seed's blunt 2-million-state cap. The
 //! `"offsets"` phase needs the offsets and guard columns, known before any
 //! guard runs; the `"succs"` phase adds `4` bytes per transition, known
-//! after the count. The [`SpaceError::BudgetExceeded`] error names the
+//! after the count. The [`CheckError::BudgetExceeded`] error names the
 //! phase whose requirement tripped first.
 //!
 //! [`Decoder`]: crate::Decoder
@@ -111,111 +111,6 @@ impl std::fmt::Display for StateId {
     }
 }
 
-/// Errors raised while enumerating a state space.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpaceError {
-    /// The program has an unbounded variable; its state space cannot be
-    /// enumerated. Bound the variable (e.g. the `mod K` token-ring
-    /// refinement) to check it.
-    Unbounded {
-        /// Name of the unbounded variable.
-        var: String,
-    },
-    /// The state space has more states than `u32` ids can number.
-    TooLarge {
-        /// The limit that was exceeded: `u32::MAX + 1` states.
-        limit: usize,
-    },
-    /// A build phase would exceed the configured
-    /// [`CheckOptions::memory_budget`]. Raise the budget (or switch
-    /// convergence-only queries to the frontier mode) to check larger
-    /// instances.
-    BudgetExceeded {
-        /// Resident bytes the tripping phase would need (CSR arrays plus
-        /// per-worker scratch).
-        required: u64,
-        /// The configured budget in bytes.
-        budget: u64,
-        /// Which build phase tripped: `"offsets"` (offsets + guard
-        /// columns), `"succs"` (those plus the successor column),
-        /// `"frontier bitsets"` (the frontier mode's predicate, region,
-        /// resolved and delta bitsets), or `"frontier rows"` (those
-        /// bitsets plus one round's row buffer per worker).
-        phase: &'static str,
-    },
-    /// The space has more transitions than CSR `u32` offsets can index.
-    TooManyTransitions {
-        /// The transition count that overflowed the `u32` range.
-        count: u64,
-    },
-    /// An action wrote a value outside its variable's domain, producing a
-    /// successor that is not a state of the space. Domains must be closed
-    /// under all actions.
-    EscapedDomain {
-        /// Name of the offending action.
-        action: String,
-        /// Name of the variable whose domain was escaped.
-        var: String,
-    },
-    /// An enumeration worker panicked while evaluating a guard or action
-    /// body (see [`CheckError::WorkerFailed`]).
-    WorkerFailed {
-        /// The panic payload, rendered as a string.
-        payload: String,
-    },
-}
-
-impl std::fmt::Display for SpaceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpaceError::Unbounded { var } => write!(
-                f,
-                "variable `{var}` is unbounded; state space cannot be enumerated"
-            ),
-            SpaceError::TooLarge { limit } => {
-                write!(f, "state space exceeds the limit of {limit} states")
-            }
-            SpaceError::BudgetExceeded {
-                required,
-                budget,
-                phase,
-            } => write!(
-                f,
-                "state space needs {required} resident bytes in the {phase} phase, over the \
-                 memory budget of {budget} bytes; raise `CheckOptions::memory_budget` to check it"
-            ),
-            SpaceError::TooManyTransitions { count } => write!(
-                f,
-                "state space has {count} transitions, more than CSR u32 offsets can index"
-            ),
-            SpaceError::EscapedDomain { action, var } => write!(
-                f,
-                "action `{action}` left the state space (wrote `{var}` outside its domain); \
-                 domains must be closed under all actions"
-            ),
-            SpaceError::WorkerFailed { payload } => {
-                write!(f, "enumeration worker panicked: {payload}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpaceError {}
-
-impl From<CheckError> for SpaceError {
-    fn from(e: CheckError) -> Self {
-        match e {
-            CheckError::WorkerFailed { payload } => SpaceError::WorkerFailed { payload },
-            CheckError::Space(e) => e,
-            // Containment sweeps never run during space construction; keep
-            // the conversion total for error-context plumbing.
-            other @ CheckError::NonMonotoneContainment { .. } => SpaceError::WorkerFailed {
-                payload: other.to_string(),
-            },
-        }
-    }
-}
-
 /// The mixed-radix index: per variable, the domain minimum, the domain
 /// size, and the stride (product of the sizes of all later variables).
 #[derive(Debug, Clone)]
@@ -227,14 +122,14 @@ struct Radix {
 
 impl Radix {
     /// Derive the radix of `program`, returning the total state count.
-    fn of(program: &Program) -> Result<(Radix, u128), SpaceError> {
+    fn of(program: &Program) -> Result<(Radix, u128), CheckError> {
         let n = program.var_count();
         let mut mins = vec![0i64; n];
         let mut sizes = vec![0i64; n];
         for i in 0..n {
             let decl = program.var(VarId::from_index(i));
             let Some(size) = decl.domain().size() else {
-                return Err(SpaceError::Unbounded {
+                return Err(CheckError::Unbounded {
                     var: decl.name().to_string(),
                 });
             };
@@ -285,7 +180,7 @@ impl Radix {
     }
 
     /// The first variable of `state` whose value is outside its domain,
-    /// for [`SpaceError::EscapedDomain`] diagnostics.
+    /// for [`CheckError::EscapedDomain`] diagnostics.
     fn escaping_var(&self, state: &State) -> usize {
         let slots = state.slots();
         let arity = slots.len().min(self.mins.len());
@@ -426,13 +321,13 @@ impl SpaceIndex {
     ///
     /// # Errors
     ///
-    /// [`SpaceError::Unbounded`] for unbounded programs;
-    /// [`SpaceError::TooLarge`] past `u32::MAX + 1` states.
-    pub fn of_program(program: &Program, _options: CheckOptions) -> Result<Self, SpaceError> {
+    /// [`CheckError::Unbounded`] for unbounded programs;
+    /// [`CheckError::TooLarge`] past `u32::MAX + 1` states.
+    pub fn of_program(program: &Program, _options: CheckOptions) -> Result<Self, CheckError> {
         let (radix, total) = Radix::of(program)?;
         let id_cap = u32::MAX as u128 + 1;
         if total > id_cap {
-            return Err(SpaceError::TooLarge {
+            return Err(CheckError::TooLarge {
                 limit: id_cap as usize,
             });
         }
@@ -540,7 +435,7 @@ impl SpaceIndex {
     }
 
     /// The first variable of `state` outside its domain, for
-    /// [`SpaceError::EscapedDomain`] diagnostics.
+    /// [`CheckError::EscapedDomain`] diagnostics.
     pub(crate) fn escaping_var(&self, state: &State) -> usize {
         self.radix.escaping_var(state)
     }
@@ -549,7 +444,7 @@ impl SpaceIndex {
 /// Estimated bytes of per-worker decode scratch for `scratches` reusable
 /// `State` buffers of `nv` variables each (slots plus `Vec` header),
 /// counted against the memory budget so the `required` figure in
-/// [`SpaceError::BudgetExceeded`] reflects what the pass actually holds.
+/// [`CheckError::BudgetExceeded`] reflects what the pass actually holds.
 pub(crate) fn scratch_bytes(scratches: u64, nv: usize) -> u64 {
     scratches * (8 * nv as u64 + 48)
 }
@@ -748,18 +643,19 @@ impl StateSpace {
     /// let p = b.build();
     /// let space = StateSpace::enumerate(&p)?;
     /// assert_eq!(space.len(), 4);
-    /// # Ok::<(), nonmask_checker::SpaceError>(())
+    /// # Ok::<(), nonmask_checker::CheckError>(())
     /// ```
     ///
     /// # Errors
     ///
-    /// [`SpaceError::Unbounded`] for unbounded programs;
-    /// [`SpaceError::TooLarge`] past `u32::MAX + 1` states;
-    /// [`SpaceError::BudgetExceeded`] when the CSR arrays would not fit the
-    /// memory budget; [`SpaceError::TooManyTransitions`] when the edge count
-    /// overflows `u32` offsets; [`SpaceError::EscapedDomain`] when an action
-    /// writes outside a domain.
-    pub fn enumerate(program: &Program) -> Result<Self, SpaceError> {
+    /// [`CheckError::Unbounded`] for unbounded programs;
+    /// [`CheckError::TooLarge`] past `u32::MAX + 1` states;
+    /// [`CheckError::BudgetExceeded`] when the CSR arrays would not fit the
+    /// memory budget; [`CheckError::TooManyTransitions`] when the edge count
+    /// overflows `u32` offsets; [`CheckError::EscapedDomain`] when an action
+    /// writes outside a domain; [`CheckError::WorkerFailed`] when a guard or
+    /// action body panics.
+    pub fn enumerate(program: &Program) -> Result<Self, CheckError> {
         Self::enumerate_with_options(program, CheckOptions::default())
     }
 
@@ -773,7 +669,7 @@ impl StateSpace {
     pub fn enumerate_with_options(
         program: &Program,
         options: CheckOptions,
-    ) -> Result<Self, SpaceError> {
+    ) -> Result<Self, CheckError> {
         Self::enumerate_journaled(program, options, &Journal::disabled())
     }
 
@@ -790,7 +686,7 @@ impl StateSpace {
         program: &Program,
         options: CheckOptions,
         journal: &Journal,
-    ) -> Result<Self, SpaceError> {
+    ) -> Result<Self, CheckError> {
         let index = SpaceIndex::of_program(program, options)?;
         let n = index.len();
         let budget = options.memory_budget;
@@ -804,7 +700,7 @@ impl StateSpace {
         let table_bytes = 4 * (n as u64 + 1) + 8 * (words * n) as u64;
         let offsets_phase_bytes = table_bytes + scratch_bytes(workers as u64, nv);
         if offsets_phase_bytes > budget {
-            return Err(SpaceError::BudgetExceeded {
+            return Err(CheckError::BudgetExceeded {
                 required: offsets_phase_bytes,
                 budget,
                 phase: "offsets",
@@ -834,7 +730,7 @@ impl StateSpace {
             }
         })?;
         prefix_sum_counts(&mut offsets)
-            .map_err(|count| SpaceError::TooManyTransitions { count })?;
+            .map_err(|count| CheckError::TooManyTransitions { count })?;
         let m = offsets[n] as usize;
         journal.emit_with(|| Event::CsrPhase {
             phase: "count".to_string(),
@@ -847,7 +743,7 @@ impl StateSpace {
         // worker (state and successor buffers in the fill loop).
         let succs_phase_bytes = table_bytes + 4 * m as u64 + scratch_bytes(2 * workers as u64, nv);
         if succs_phase_bytes > budget {
-            return Err(SpaceError::BudgetExceeded {
+            return Err(CheckError::BudgetExceeded {
                 required: succs_phase_bytes,
                 budget,
                 phase: "succs",
@@ -887,7 +783,7 @@ impl StateSpace {
                 )?;
                 index.step_state(&mut state);
             }
-            Ok::<(), SpaceError>(())
+            Ok::<(), CheckError>(())
         })?;
         journal.emit_with(|| Event::CsrPhase {
             phase: "fill".to_string(),
@@ -1311,7 +1207,7 @@ mod tests {
         let p = b.build();
         assert_eq!(
             StateSpace::enumerate(&p).unwrap_err(),
-            SpaceError::TooLarge {
+            CheckError::TooLarge {
                 limit: u32::MAX as usize + 1
             }
         );
@@ -1325,7 +1221,7 @@ mod tests {
         let err =
             StateSpace::enumerate_with_options(&p, CheckOptions::default().memory_budget(1024))
                 .unwrap_err();
-        let SpaceError::BudgetExceeded {
+        let CheckError::BudgetExceeded {
             required,
             budget,
             phase,
@@ -1353,7 +1249,7 @@ mod tests {
             CheckOptions::default().memory_budget(offsets_floor),
         )
         .unwrap_err();
-        let SpaceError::BudgetExceeded { phase, .. } = err else {
+        let CheckError::BudgetExceeded { phase, .. } = err else {
             panic!("expected BudgetExceeded, got {err:?}");
         };
         assert_eq!(phase, "succs");
@@ -1422,7 +1318,7 @@ mod tests {
         let p = b.build();
         assert!(matches!(
             StateSpace::enumerate(&p).unwrap_err(),
-            SpaceError::Unbounded { var } if var == "y"
+            CheckError::Unbounded { var } if var == "y"
         ));
     }
 
@@ -1435,7 +1331,7 @@ mod tests {
         let err = StateSpace::enumerate(&p).unwrap_err();
         assert_eq!(
             err,
-            SpaceError::EscapedDomain {
+            CheckError::EscapedDomain {
                 action: "overflow".into(),
                 var: "x".into()
             }
@@ -1473,7 +1369,7 @@ mod tests {
                     .unwrap_err();
             assert_eq!(
                 err,
-                SpaceError::EscapedDomain {
+                CheckError::EscapedDomain {
                     action: "bad".into(),
                     var: "x".into()
                 },

@@ -31,7 +31,8 @@
 
 use nonmask_program::{Action, Program, State, VarId};
 
-use crate::space::{GuardBits, SpaceError, SpaceIndex, StateId, StateSpace, Transitions};
+use crate::error::CheckError;
+use crate::space::{GuardBits, SpaceIndex, StateId, StateSpace, Transitions};
 
 /// Guard words per row for a program of `actions` actions: one bit per
 /// action, and at least one word so every row has a guard slice.
@@ -63,7 +64,7 @@ pub(crate) fn guard_bits(program: &Program, state: &State, out: &mut [u64]) -> u
 ///
 /// # Errors
 ///
-/// [`SpaceError::EscapedDomain`] at the first action whose successor
+/// [`CheckError::EscapedDomain`] at the first action whose successor
 /// leaves the space.
 #[inline]
 pub(crate) fn fill_row(
@@ -74,7 +75,7 @@ pub(crate) fn fill_row(
     succ: &mut State,
     guards: &[u64],
     out: &mut [StateId],
-) -> Result<(), SpaceError> {
+) -> Result<(), CheckError> {
     let actions = program.actions();
     for (a, slot) in GuardBits::new(guards).zip(out.iter_mut()) {
         *slot = successor(program, &actions[a], index, id, state, succ)?;
@@ -87,7 +88,7 @@ pub(crate) fn fill_row(
 ///
 /// # Errors
 ///
-/// [`SpaceError::EscapedDomain`] when the successor leaves the space.
+/// [`CheckError::EscapedDomain`] when the successor leaves the space.
 #[inline]
 fn successor(
     program: &Program,
@@ -96,11 +97,11 @@ fn successor(
     id: StateId,
     state: &State,
     succ: &mut State,
-) -> Result<StateId, SpaceError> {
+) -> Result<StateId, CheckError> {
     act.successor_into(state, succ);
     index.successor_id(id, state, succ).ok_or_else(|| {
         let var = VarId::from_index(index.escaping_var(succ));
-        SpaceError::EscapedDomain {
+        CheckError::EscapedDomain {
             action: act.name().to_string(),
             var: program.var(var).name().to_string(),
         }
@@ -113,13 +114,13 @@ pub trait Successors {
     ///
     /// # Errors
     ///
-    /// [`SpaceError::EscapedDomain`] when an enabled action leaves the
+    /// [`CheckError::EscapedDomain`] when an enabled action leaves the
     /// state space (only sources that evaluate actions can fail).
-    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError>;
+    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, CheckError>;
 }
 
 impl Successors for &StateSpace {
-    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
+    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, CheckError> {
         Ok(self.successors(id))
     }
 }
@@ -163,7 +164,7 @@ impl<'a> Decoder<'a> {
 }
 
 impl Successors for Decoder<'_> {
-    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, SpaceError> {
+    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, CheckError> {
         match self.decoded {
             Some(prev) if prev <= id && id.index() < self.index.len() => {
                 self.index

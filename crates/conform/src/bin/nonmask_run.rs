@@ -112,6 +112,18 @@ options:
   --list            list protocols and exit
   --help            this text";
 
+/// The value after flag `name` in `argv`, parsed as `T` (a `String` takes
+/// it as is). Every subcommand's flags read their values through this, so
+/// a missing value and a value that fails to parse have one wording.
+fn value<T>(argv: &mut std::slice::Iter<'_, String>, name: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let raw = argv.next().ok_or_else(|| format!("{name} needs a value"))?;
+    raw.parse().map_err(|e| format!("{name}: {e}"))
+}
+
 struct Args {
     protocol: String,
     nodes: usize,
@@ -146,76 +158,26 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         journal: None,
         shards: 0,
     };
-    let mut i = 0;
-    while i < argv.len() {
-        let arg = argv[i].as_str();
-        let mut value = |name: &str| -> Result<String, String> {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg {
-            "--nodes" => {
-                args.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--k" => args.k = Some(value("--k")?.parse().map_err(|e| format!("--k: {e}"))?),
-            "--loss" => {
-                args.loss = value("--loss")?
-                    .parse()
-                    .map_err(|e| format!("--loss: {e}"))?
-            }
-            "--corrupt" => {
-                args.corrupt = Some(
-                    value("--corrupt")?
-                        .parse()
-                        .map_err(|e| format!("--corrupt: {e}"))?,
-                )
-            }
-            "--dup" => args.dup = Some(value("--dup")?.parse().map_err(|e| format!("--dup: {e}"))?),
-            "--delay" => {
-                args.delay = Some(
-                    value("--delay")?
-                        .parse()
-                        .map_err(|e| format!("--delay: {e}"))?,
-                )
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--crash" => {
-                args.crash = Some(
-                    value("--crash")?
-                        .parse()
-                        .map_err(|e| format!("--crash: {e}"))?,
-                )
-            }
-            "--down-ms" => {
-                args.down_ms = value("--down-ms")?
-                    .parse()
-                    .map_err(|e| format!("--down-ms: {e}"))?
-            }
-            "--timeout-ms" => {
-                args.timeout_ms = value("--timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--timeout-ms: {e}"))?
-            }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--json" => args.json = Some(value("--json")?),
-            "--journal" => args.journal = Some(value("--journal")?),
+    let mut argv = argv.iter();
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--nodes" => args.nodes = value(&mut argv, "--nodes")?,
+            "--k" => args.k = Some(value(&mut argv, "--k")?),
+            "--loss" => args.loss = value(&mut argv, "--loss")?,
+            "--corrupt" => args.corrupt = Some(value(&mut argv, "--corrupt")?),
+            "--dup" => args.dup = Some(value(&mut argv, "--dup")?),
+            "--delay" => args.delay = Some(value(&mut argv, "--delay")?),
+            "--seed" => args.seed = value(&mut argv, "--seed")?,
+            "--crash" => args.crash = Some(value(&mut argv, "--crash")?),
+            "--down-ms" => args.down_ms = value(&mut argv, "--down-ms")?,
+            "--timeout-ms" => args.timeout_ms = value(&mut argv, "--timeout-ms")?,
+            "--shards" => args.shards = value(&mut argv, "--shards")?,
+            "--json" => args.json = Some(value(&mut argv, "--json")?),
+            "--journal" => args.journal = Some(value(&mut argv, "--journal")?),
             other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
             other if args.protocol.is_empty() => args.protocol = other.to_owned(),
             other => return Err(format!("unexpected argument `{other}`")),
         }
-        i += 1;
     }
     if args.protocol.is_empty() {
         return Err("missing protocol".to_owned());
@@ -509,6 +471,8 @@ fn main() -> ExitCode {
 mod conform {
     use std::process::ExitCode;
 
+    use super::value;
+
     use nonmask_conform::{
         check_run, default_specs, run_corpus, run_net_journaled, run_sim, run_sim_journaled,
         shrink_schedule, CorpusConfig, CorpusReport, ProtocolOracle, ProtocolSpec, RunInput,
@@ -533,29 +497,17 @@ mod conform {
             sim_only: false,
             planted: false,
         };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            let mut value = |name: &str| -> Result<String, String> {
-                i += 1;
-                argv.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg {
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            match arg.as_str() {
                 "--smoke" => args.smoke = true,
                 "--sim-only" => args.sim_only = true,
                 "--planted-bug" => args.planted = true,
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--out" => args.out = value("--out")?,
-                "--journal" => args.journal = Some(value("--journal")?),
+                "--seed" => args.seed = value(&mut argv, "--seed")?,
+                "--out" => args.out = value(&mut argv, "--out")?,
+                "--journal" => args.journal = Some(value(&mut argv, "--journal")?),
                 other => return Err(format!("unknown conform option `{other}`")),
             }
-            i += 1;
         }
         Ok(args)
     }
@@ -788,6 +740,8 @@ mod conform {
 mod fleet {
     use std::process::ExitCode;
 
+    use super::value;
+
     use nonmask_fleet::{run_fleet, FleetConfig, FleetProtocol};
     use nonmask_obs::Journal;
 
@@ -814,47 +768,19 @@ mod fleet {
             journal: None,
             out: None,
         };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            let mut value = |name: &str| -> Result<String, String> {
-                i += 1;
-                argv.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg {
-                "--tenants" => {
-                    args.tenants = value("--tenants")?
-                        .parse()
-                        .map_err(|e| format!("--tenants: {e}"))?
-                }
-                "--protocols" => args.protocols = value("--protocols")?,
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--workers" => {
-                    args.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--slab-size" => {
-                    args.slab_size = value("--slab-size")?
-                        .parse()
-                        .map_err(|e| format!("--slab-size: {e}"))?
-                }
-                "--faults" => {
-                    args.faults = value("--faults")?
-                        .parse()
-                        .map_err(|e| format!("--faults: {e}"))?
-                }
-                "--journal" => args.journal = Some(value("--journal")?),
-                "--out" => args.out = Some(value("--out")?),
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            match arg.as_str() {
+                "--tenants" => args.tenants = value(&mut argv, "--tenants")?,
+                "--protocols" => args.protocols = value(&mut argv, "--protocols")?,
+                "--seed" => args.seed = value(&mut argv, "--seed")?,
+                "--workers" => args.workers = value(&mut argv, "--workers")?,
+                "--slab-size" => args.slab_size = value(&mut argv, "--slab-size")?,
+                "--faults" => args.faults = value(&mut argv, "--faults")?,
+                "--journal" => args.journal = Some(value(&mut argv, "--journal")?),
+                "--out" => args.out = Some(value(&mut argv, "--out")?),
                 other => return Err(format!("unknown fleet option `{other}`")),
             }
-            i += 1;
         }
         Ok(args)
     }
@@ -961,6 +887,8 @@ mod fleet {
 mod synth {
     use std::process::ExitCode;
 
+    use super::value;
+
     use nonmask_conform::{run_corpus, CorpusConfig, ProtocolSpec};
     use nonmask_lang::compile_predicate;
     use nonmask_obs::Journal;
@@ -993,55 +921,21 @@ mod synth {
             conform: false,
             seed: 1,
         };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            let mut value = |name: &str| -> Result<String, String> {
-                i += 1;
-                argv.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg {
-                "--protocol" => args.protocol = value("--protocol")?,
-                "--nodes" => {
-                    args.nodes = Some(
-                        value("--nodes")?
-                            .parse()
-                            .map_err(|e| format!("--nodes: {e}"))?,
-                    )
-                }
-                "--window" => {
-                    args.window = Some(
-                        value("--window")?
-                            .parse()
-                            .map_err(|e| format!("--window: {e}"))?,
-                    )
-                }
-                "--colors" => {
-                    args.colors = Some(
-                        value("--colors")?
-                            .parse()
-                            .map_err(|e| format!("--colors: {e}"))?,
-                    )
-                }
-                "--threads" => {
-                    args.threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--out" => args.out = Some(value("--out")?),
-                "--journal" => args.journal = Some(value("--journal")?),
-                "--golden" => args.golden = Some(value("--golden")?),
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            match arg.as_str() {
+                "--protocol" => args.protocol = value(&mut argv, "--protocol")?,
+                "--nodes" => args.nodes = Some(value(&mut argv, "--nodes")?),
+                "--window" => args.window = Some(value(&mut argv, "--window")?),
+                "--colors" => args.colors = Some(value(&mut argv, "--colors")?),
+                "--threads" => args.threads = value(&mut argv, "--threads")?,
+                "--seed" => args.seed = value(&mut argv, "--seed")?,
+                "--out" => args.out = Some(value(&mut argv, "--out")?),
+                "--journal" => args.journal = Some(value(&mut argv, "--journal")?),
+                "--golden" => args.golden = Some(value(&mut argv, "--golden")?),
                 "--conform" => args.conform = true,
                 other => return Err(format!("unknown synth option `{other}`")),
             }
-            i += 1;
         }
         if args.protocol.is_empty() {
             return Err("synth needs --protocol token-ring|diffusing|coloring".to_owned());
@@ -1207,6 +1101,8 @@ mod byzantine {
     use std::process::ExitCode;
     use std::time::Duration;
 
+    use super::value;
+
     use nonmask_checker::{certify_containment, CheckOptions, Fairness, StateSpace};
     use nonmask_conform::{
         run_net_journaled, run_sim_journaled, ContainmentMap, FaultSchedule, NetRunConfig,
@@ -1241,59 +1137,25 @@ mod byzantine {
             timeout_ms: 60_000,
             out: None,
         };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            let mut value = |name: &str| -> Result<String, String> {
-                i += 1;
-                argv.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg {
-                "--protocol" => args.protocol = value("--protocol")?,
-                "--nodes" => {
-                    args.nodes = value("--nodes")?
-                        .parse()
-                        .map_err(|e| format!("--nodes: {e}"))?
-                }
-                "--degree" => {
-                    args.degree = value("--degree")?
-                        .parse()
-                        .map_err(|e| format!("--degree: {e}"))?
-                }
-                "--topo-seed" => {
-                    args.topo_seed = value("--topo-seed")?
-                        .parse()
-                        .map_err(|e| format!("--topo-seed: {e}"))?
-                }
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            match arg.as_str() {
+                "--protocol" => args.protocol = value(&mut argv, "--protocol")?,
+                "--nodes" => args.nodes = value(&mut argv, "--nodes")?,
+                "--degree" => args.degree = value(&mut argv, "--degree")?,
+                "--topo-seed" => args.topo_seed = value(&mut argv, "--topo-seed")?,
                 "--byz" => {
-                    let list = value("--byz")?;
+                    let list: String = value(&mut argv, "--byz")?;
                     let nodes: Result<Vec<usize>, _> =
                         list.split(',').map(str::trim).map(str::parse).collect();
                     args.byz = Some(nodes.map_err(|e| format!("--byz: {e}"))?);
                 }
-                "--seed" => {
-                    args.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--check-nodes" => {
-                    args.check_nodes = Some(
-                        value("--check-nodes")?
-                            .parse()
-                            .map_err(|e| format!("--check-nodes: {e}"))?,
-                    )
-                }
-                "--timeout-ms" => {
-                    args.timeout_ms = value("--timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--timeout-ms: {e}"))?
-                }
-                "--out" => args.out = Some(value("--out")?),
+                "--seed" => args.seed = value(&mut argv, "--seed")?,
+                "--check-nodes" => args.check_nodes = Some(value(&mut argv, "--check-nodes")?),
+                "--timeout-ms" => args.timeout_ms = value(&mut argv, "--timeout-ms")?,
+                "--out" => args.out = Some(value(&mut argv, "--out")?),
                 other => return Err(format!("unknown byzantine option `{other}`")),
             }
-            i += 1;
         }
         if args.nodes < 4 {
             return Err("byzantine needs --nodes >= 4".to_owned());
@@ -1580,5 +1442,71 @@ mod byzantine {
             eprintln!("RADIUS VIOLATION: sim/net/checker disagree (see above)");
             Ok(ExitCode::from(2))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        parse_args(&argv(args))
+            .err()
+            .expect("the arguments are rejected")
+    }
+
+    #[test]
+    fn a_flag_without_a_value_is_named() {
+        assert_eq!(
+            parse_err(&["token-ring", "--nodes"]),
+            "--nodes needs a value"
+        );
+        assert_eq!(parse_err(&["token-ring", "--json"]), "--json needs a value");
+    }
+
+    #[test]
+    fn a_value_that_fails_to_parse_names_its_flag() {
+        assert_eq!(
+            parse_err(&["token-ring", "--nodes", "x"]),
+            "--nodes: invalid digit found in string"
+        );
+        assert_eq!(
+            parse_err(&["token-ring", "--loss", "high"]),
+            "--loss: invalid float literal"
+        );
+    }
+
+    #[test]
+    fn an_unknown_option_is_rejected() {
+        assert_eq!(
+            parse_err(&["token-ring", "--bogus"]),
+            "unknown option `--bogus`"
+        );
+        assert_eq!(
+            parse_err(&["token-ring", "diffusing"]),
+            "unexpected argument `diffusing`"
+        );
+    }
+
+    #[test]
+    fn flags_take_the_next_argument_as_their_value() {
+        let args = parse_args(&argv(&[
+            "--nodes",
+            "7",
+            "diffusing",
+            "--k",
+            "9",
+            "--journal",
+            "--seed",
+        ]))
+        .unwrap();
+        assert_eq!(args.protocol, "diffusing");
+        assert_eq!((args.nodes, args.k), (7, Some(9)));
+        assert_eq!(args.journal.as_deref(), Some("--seed"));
+        assert_eq!(args.seed, 1, "an unset flag keeps its default");
     }
 }

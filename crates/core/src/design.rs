@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use nonmask_checker::{
     check_convergence_bits, closure, Bitset, CheckCounters, CheckError, CheckOptions, MaskColumn,
-    SpaceError, StateSpace,
+    StateSpace,
 };
 use nonmask_graph::{ConstraintGraph, ConstraintRef, GraphError, Layering, NodePartition, Shape};
 use nonmask_program::{ActionId, ActionKind, Predicate, Program};
@@ -23,10 +23,10 @@ pub enum DesignError {
     UnknownAction(ActionId),
     /// The constraint graph could not be derived.
     Graph(GraphError),
-    /// The state space could not be enumerated.
-    Space(SpaceError),
-    /// A checker pass failed — today this means a caller-supplied closure
-    /// (predicate, guard, or action body) panicked inside a worker.
+    /// The state space could not be enumerated (unbounded, too large,
+    /// over the memory budget, or an action escaped its domain), or a
+    /// caller-supplied closure (predicate, guard, or action body) panicked
+    /// inside a checker worker.
     Check(CheckError),
 }
 
@@ -38,7 +38,6 @@ impl std::fmt::Display for DesignError {
             }
             DesignError::UnknownAction(a) => write!(f, "action {a} is not part of the program"),
             DesignError::Graph(e) => write!(f, "constraint graph: {e}"),
-            DesignError::Space(e) => write!(f, "state space: {e}"),
             DesignError::Check(e) => write!(f, "checker: {e}"),
         }
     }
@@ -49,12 +48,6 @@ impl std::error::Error for DesignError {}
 impl From<GraphError> for DesignError {
     fn from(e: GraphError) -> Self {
         DesignError::Graph(e)
-    }
-}
-
-impl From<SpaceError> for DesignError {
-    fn from(e: SpaceError) -> Self {
-        DesignError::Space(e)
     }
 }
 
@@ -176,10 +169,9 @@ impl Design {
     ///
     /// # Errors
     ///
-    /// [`DesignError::Space`] for unbounded or oversized programs;
-    /// [`DesignError::Graph`] if the constraint graph cannot be derived;
-    /// [`DesignError::Check`] if a predicate, guard, or action body panics
-    /// inside a checker worker.
+    /// [`DesignError::Check`] for unbounded or oversized programs, or if a
+    /// predicate, guard, or action body panics inside a checker worker;
+    /// [`DesignError::Graph`] if the constraint graph cannot be derived.
     pub fn verify(&self) -> Result<ToleranceReport, DesignError> {
         let started = Instant::now();
         let space = StateSpace::enumerate_with_options(&self.program, self.options)?;
@@ -936,6 +928,31 @@ mod tests {
             .constraint("c", pred, ActionId::from_index(7))
             .build();
         assert!(matches!(result, Err(DesignError::UnknownAction(_))));
+    }
+
+    #[test]
+    fn unbounded_program_is_a_check_error() {
+        let mut b = Program::builder("p");
+        let x = b.var("x", Domain::Unbounded);
+        let fix = b.convergence_action(
+            "fix",
+            [x],
+            [x],
+            move |s| s.get(x) != 0,
+            move |s| s.set(x, 0),
+        );
+        let program = b.build();
+        let c = Predicate::new("x=0", [x], move |s| s.get(x) == 0);
+        let d = Design::builder(program)
+            .partition(NodePartition::new().group("x", [x]))
+            .constraint("x=0", c, fix)
+            .build()
+            .unwrap();
+        let err = d.verify().unwrap_err();
+        assert!(
+            matches!(err, DesignError::Check(CheckError::Unbounded { ref var }) if var == "x"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,62 +1,10 @@
-//! Minimal JSON serialization for states and domains.
+//! Minimal JSON serialization for states.
 //!
 //! The workspace builds offline, so instead of a `serde` feature this
-//! module hand-rolls the two serializations downstream tooling actually
-//! needs — [`State`] as an array of slot values, [`Domain`] in the same
-//! externally-tagged shape `serde` would emit (`"Bool"`, `"Unbounded"`,
-//! `{"Range":{"min":0,"max":7}}`, `{"Enum":{"labels":[...]}}`) — plus a
-//! tiny recursive-descent parser for reading them back.
+//! module hand-rolls what downstream tooling writes: [`State`] as an array
+//! of slot values, and [`escape`] for string literals.
 
 use crate::state::State;
-use crate::value::Domain;
-
-/// Error raised when parsing malformed or mis-shaped JSON.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// What went wrong, with an input byte offset where applicable.
-    pub message: String,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json error: {}", self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
-    Err(JsonError {
-        message: message.into(),
-    })
-}
-
-/// A parsed JSON value (integers only; this format never emits floats).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// An integer number.
-    Int(i64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object, in source order.
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Look up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
 
 /// Escape `s` as the contents of a JSON string literal (no quotes added).
 pub fn escape(s: &str) -> String {
@@ -81,271 +29,17 @@ pub fn state_to_json(state: &State) -> String {
     format!("[{}]", slots.join(","))
 }
 
-/// Parse a [`State`] from the output of [`state_to_json`].
-pub fn state_from_json(input: &str) -> Result<State, JsonError> {
-    match parse(input)? {
-        JsonValue::Array(items) => {
-            let mut slots = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    JsonValue::Int(v) => slots.push(v),
-                    other => return err(format!("state slot is not an integer: {other:?}")),
-                }
-            }
-            Ok(State::new(slots))
-        }
-        other => err(format!("state is not an array: {other:?}")),
-    }
-}
-
-/// Serialize a [`Domain`] in serde's externally-tagged enum shape.
-pub fn domain_to_json(domain: &Domain) -> String {
-    match domain {
-        Domain::Bool => "\"Bool\"".to_owned(),
-        Domain::Unbounded => "\"Unbounded\"".to_owned(),
-        Domain::Range { min, max } => {
-            format!("{{\"Range\":{{\"min\":{min},\"max\":{max}}}}}")
-        }
-        Domain::Enum { labels } => {
-            let labels: Vec<String> = labels
-                .iter()
-                .map(|l| format!("\"{}\"", escape(l)))
-                .collect();
-            format!("{{\"Enum\":{{\"labels\":[{}]}}}}", labels.join(","))
-        }
-    }
-}
-
-/// Parse a [`Domain`] from the output of [`domain_to_json`].
-pub fn domain_from_json(input: &str) -> Result<Domain, JsonError> {
-    match parse(input)? {
-        JsonValue::Str(tag) => match tag.as_str() {
-            "Bool" => Ok(Domain::Bool),
-            "Unbounded" => Ok(Domain::Unbounded),
-            other => err(format!("unknown unit domain `{other}`")),
-        },
-        obj @ JsonValue::Object(_) => {
-            if let Some(range) = obj.get("Range") {
-                match (range.get("min"), range.get("max")) {
-                    (Some(JsonValue::Int(min)), Some(JsonValue::Int(max))) => Ok(Domain::Range {
-                        min: *min,
-                        max: *max,
-                    }),
-                    _ => err("Range domain needs integer `min` and `max`"),
-                }
-            } else if let Some(e) = obj.get("Enum") {
-                match e.get("labels") {
-                    Some(JsonValue::Array(items)) => {
-                        let mut labels = Vec::with_capacity(items.len());
-                        for item in items {
-                            match item {
-                                JsonValue::Str(s) => labels.push(s.clone()),
-                                other => {
-                                    return err(format!("enum label is not a string: {other:?}"))
-                                }
-                            }
-                        }
-                        Ok(Domain::Enum { labels })
-                    }
-                    _ => err("Enum domain needs a `labels` array"),
-                }
-            } else {
-                err("unknown domain variant")
-            }
-        }
-        other => err(format!("domain is neither a tag nor an object: {other:?}")),
-    }
-}
-
-/// Parse an arbitrary JSON document (integers only).
-pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
-    skip_ws(bytes, pos);
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        err(format!("expected `{}` at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => err("unexpected end of input"),
-        Some(b'n') => parse_keyword(bytes, pos, "null", JsonValue::Null),
-        Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Array(items));
-                    }
-                    _ => return err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Object(fields));
-                    }
-                    _ => return err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            if bytes[*pos] == b'-' {
-                *pos += 1;
-            }
-            while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-            match text.parse::<i64>() {
-                Ok(v) => Ok(JsonValue::Int(v)),
-                Err(_) => err(format!("bad integer `{text}` at byte {start}")),
-            }
-        }
-        Some(c) => err(format!("unexpected byte `{}` at {pos}", *c as char)),
-    }
-}
-
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        err(format!("bad keyword at byte {pos}"))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&c) = bytes.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| JsonError {
-                    message: "invalid utf-8 in string".to_owned(),
-                })
-            }
-            b'\\' => {
-                let esc = bytes.get(*pos).copied();
-                *pos += 1;
-                match esc {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32);
-                        match hex {
-                            Some(ch) => {
-                                *pos += 4;
-                                let mut buf = [0u8; 4];
-                                out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                            }
-                            None => return err(format!("bad \\u escape at byte {pos}")),
-                        }
-                    }
-                    _ => return err(format!("bad escape at byte {pos}")),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    err("unterminated string")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn state_roundtrip() {
-        let s = State::new(vec![3, -1, 4]);
-        assert_eq!(state_from_json(&state_to_json(&s)).unwrap(), s);
-    }
-
-    #[test]
-    fn domain_roundtrips() {
-        for d in [
-            Domain::Bool,
-            Domain::range(-2, 7),
-            Domain::enumeration(["green", "red \"x\"\n"]),
-            Domain::Unbounded,
-        ] {
-            assert_eq!(domain_from_json(&domain_to_json(&d)).unwrap(), d);
-        }
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(state_from_json("[1, 2").is_err());
-        assert!(state_from_json("{\"a\":1}").is_err());
-        assert!(domain_from_json("\"Wat\"").is_err());
-        assert!(parse("[1] tail").is_err());
+    fn output_is_pinned() {
+        assert_eq!(state_to_json(&State::new(vec![3, -1, 4])), "[3,-1,4]");
+        assert_eq!(state_to_json(&State::new(Vec::<i64>::new())), "[]");
+        assert_eq!(
+            escape("red \"x\"\\\n\r\t\u{1}é"),
+            "red \\\"x\\\"\\\\\\n\\r\\t\\u0001é"
+        );
     }
 }

@@ -54,7 +54,7 @@ pub use lattice::{classify, ImplicationLattice};
 pub use search::{synthesize, ChosenAction, SynthMetrics, SynthOptions, SynthResult};
 
 use nonmask::DesignError;
-use nonmask_checker::{CheckError, SpaceError};
+use nonmask_checker::CheckError;
 use nonmask_graph::LayeringError;
 use nonmask_lang::LangError;
 
@@ -63,9 +63,8 @@ use nonmask_lang::LangError;
 pub enum SynthError {
     /// The spec's expressions failed to compile against its program.
     Lang(LangError),
-    /// Enumerating the pooled state space failed (e.g. budget exceeded).
-    Space(SpaceError),
-    /// A checker sweep failed.
+    /// Enumerating the pooled state space (e.g. budget exceeded) or a
+    /// checker sweep failed.
     Check(CheckError),
     /// Assembling the winning design failed.
     Design(DesignError),
@@ -94,7 +93,6 @@ impl std::fmt::Display for SynthError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SynthError::Lang(e) => write!(f, "spec compilation failed: {e}"),
-            SynthError::Space(e) => write!(f, "pooled enumeration failed: {e}"),
             SynthError::Check(e) => write!(f, "checker sweep failed: {e}"),
             SynthError::Design(e) => write!(f, "design assembly failed: {e}"),
             SynthError::Layering(e) => write!(f, "derived layering rejected: {e}"),
@@ -117,12 +115,6 @@ impl std::error::Error for SynthError {}
 impl From<LangError> for SynthError {
     fn from(e: LangError) -> Self {
         SynthError::Lang(e)
-    }
-}
-
-impl From<SpaceError> for SynthError {
-    fn from(e: SpaceError) -> Self {
-        SynthError::Space(e)
     }
 }
 

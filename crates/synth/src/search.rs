@@ -14,7 +14,7 @@
 
 use nonmask::{CheckOptions, Design, DesignBuilder, ToleranceReport};
 use nonmask_checker::{
-    attribute_constraints, preserves_given_bits, steal_tasks, Bitset, CheckError, StateSpace,
+    attribute_constraints, preserves_given_bits, steal_tasks, Bitset, StateSpace,
 };
 use nonmask_graph::{ConstraintRef, Layering, NodePartition};
 use nonmask_lang::{compile_def_with_processes, compile_predicate, ProgramDef};
@@ -324,59 +324,52 @@ pub fn synthesize(
     };
     let chunk = opts.chunk.max(1);
     let tasks = survivors.len().div_ceil(chunk);
-    let battery: Result<Vec<Verdict>, CheckError> = (|| {
-        let per_task = steal_tasks(tasks, workers, |t| -> Result<Vec<Verdict>, CheckError> {
-            let lo = t * chunk;
-            let hi = (lo + chunk).min(survivors.len());
-            let mut out = Vec::with_capacity(hi - lo);
-            for &fi in &survivors[lo..hi] {
-                let cand = &flat[fi];
-                let ci = cand.constraint;
-                let aid = ActionId::from_index(base_count + fi);
-                let guard = compile_predicate(
-                    &pool_prog,
-                    &pooled,
-                    cand.action.name.clone(),
-                    &cand.action.guard,
-                )
-                .map_err(|e| CheckError::WorkerFailed {
-                    payload: format!("guard compile: {e}"),
-                })?;
-                let enabled = Bitset::for_predicate(&space, &guard, serial)?;
-                let mut calls = 1u64;
-                let covered = required[ci].and(&enabled.not()).count_ones() == 0;
-                let extras = enabled.and(&required[ci].not()).count_ones() as u64;
+    let per_task = steal_tasks(tasks, workers, |t| -> Result<Vec<Verdict>, SynthError> {
+        let lo = t * chunk;
+        let hi = (lo + chunk).min(survivors.len());
+        let mut out = Vec::with_capacity(hi - lo);
+        for &fi in &survivors[lo..hi] {
+            let cand = &flat[fi];
+            let ci = cand.constraint;
+            let aid = ActionId::from_index(base_count + fi);
+            let guard = compile_predicate(
+                &pool_prog,
+                &pooled,
+                cand.action.name.clone(),
+                &cand.action.guard,
+            )?;
+            let enabled = Bitset::for_predicate(&space, &guard, serial)?;
+            let mut calls = 1u64;
+            let covered = required[ci].and(&enabled.not()).count_ones() == 0;
+            let extras = enabled.and(&required[ci].not()).count_ones() as u64;
+            calls += 1;
+            let mut ok =
+                preserves_given_bits(&space, aid, &s_bits, &s_bits, serial)?.is_none() && covered;
+            for &j in &lower[ci] {
                 calls += 1;
-                let mut ok = preserves_given_bits(&space, aid, &s_bits, &s_bits, serial)?.is_none()
-                    && covered;
-                for &j in &lower[ci] {
-                    calls += 1;
-                    let kept = preserves_given_bits(
-                        &space,
-                        aid,
-                        &c_bits[j],
-                        &assuming[lat.layer_of[ci]],
-                        serial,
-                    )?
-                    .is_none();
-                    ok = ok && kept;
-                }
-                out.push(Verdict {
-                    flat: fi,
-                    certified: ok,
-                    extras,
-                    calls,
-                });
+                let kept = preserves_given_bits(
+                    &space,
+                    aid,
+                    &c_bits[j],
+                    &assuming[lat.layer_of[ci]],
+                    serial,
+                )?
+                .is_none();
+                ok = ok && kept;
             }
-            Ok(out)
-        })?;
-        let mut all = Vec::with_capacity(survivors.len());
-        for chunk_result in per_task {
-            all.extend(chunk_result?);
+            out.push(Verdict {
+                flat: fi,
+                certified: ok,
+                extras,
+                calls,
+            });
         }
-        Ok(all)
-    })();
-    let verdicts = battery?;
+        Ok(out)
+    })?;
+    let mut verdicts = Vec::with_capacity(survivors.len());
+    for chunk_result in per_task {
+        verdicts.extend(chunk_result?);
+    }
 
     let oracle_calls: u64 = verdicts.iter().map(|v| v.calls).sum();
     let oracle_calls_unpruned: u64 = flat

@@ -151,27 +151,6 @@ fn windowed_ring_bound_consistency() {
     assert_eq!(report.worst_case_moves, direct.worst_case_moves);
 }
 
-/// States and domains serialize through `nonmask_program::json` (the
-/// in-tree replacement for the old `serde` feature).
-#[test]
-fn json_roundtrips() {
-    use nonmask_program::json;
-    use nonmask_program::{Domain, State};
-    let s = State::new(vec![3, 1, 4]);
-    let back = json::state_from_json(&json::state_to_json(&s)).unwrap();
-    assert_eq!(s, back);
-
-    for d in [
-        Domain::Bool,
-        Domain::range(0, 7),
-        Domain::enumeration(["green", "red"]),
-        Domain::Unbounded,
-    ] {
-        let back = json::domain_from_json(&json::domain_to_json(&d)).unwrap();
-        assert_eq!(d, back);
-    }
-}
-
 /// A divergence witness can be expanded into a replayable counterexample
 /// path from an initial state into the livelock.
 #[test]

@@ -69,7 +69,7 @@ fn diffusing_2e28_states_converges_within_default_budget() {
     let opts = CheckOptions::default();
 
     match StateSpace::enumerate_with_options(dc.program(), opts) {
-        Err(nonmask_checker::SpaceError::BudgetExceeded {
+        Err(nonmask_checker::CheckError::BudgetExceeded {
             required, budget, ..
         }) => {
             assert!(required > budget, "refusal must be over-budget");

@@ -3,8 +3,8 @@
 use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
     breaking_actions, check_convergence, check_convergence_bits, check_convergence_frontier_stats,
-    is_closed, is_closed_bits, preserves_given_bits, Bitset, CheckOptions, ConvergenceResult,
-    Decoder, Fairness, MaskColumn, SpaceError, SpaceIndex, StateId, StateSpace, Successors,
+    is_closed, is_closed_bits, preserves_given_bits, Bitset, CheckError, CheckOptions,
+    ConvergenceResult, Decoder, Fairness, MaskColumn, SpaceIndex, StateId, StateSpace, Successors,
     Violation,
 };
 use nonmask_graph::{NodePartition, Shape};
@@ -331,17 +331,21 @@ proptest! {
     /// on-demand decoder reproduces every CSR row of the monolithic
     /// space, in id order — and for any thread count and segment sizes
     /// that do and do not divide the state count, closure reports the
-    /// same witness on both row sources.
+    /// same witness on both row sources. A padding variable lifts the
+    /// space to at least 2,048 states, where sweeps go parallel.
     #[test]
     fn segmented_rows_match_monolithic_on_random_programs(
-        domains in proptest::collection::vec(domain_strategy(), 1..=4),
+        mut domains in proptest::collection::vec(domain_strategy(), 1..=4),
         actions in proptest::collection::vec((0usize..4, 0usize..4, 1i64..=3), 0..=4),
         threads in 1usize..=8,
         seg_pick in 0usize..4,
     ) {
+        let states: u64 = domains.iter().map(|d| d.size().unwrap()).product();
+        domains.push(Domain::range(0, 2048u64.div_ceil(states) as i64 - 1));
         let p = program_with_actions(domains, actions);
         let space = StateSpace::enumerate(&p).unwrap();
         let n = space.len();
+        prop_assert!(n >= 2048, "{} states", n);
         // One size of each kind: degenerate, non-dividing, roughly a
         // third (almost never divides), and everything-in-one-segment.
         let sizes = [1, 7, n.div_ceil(3).max(1), n.max(1)];
@@ -660,7 +664,7 @@ fn reference_row(p: &Program, index: &SpaceIndex, id: StateId) -> RowOutcome {
 fn decoded_row(rows: &mut Decoder<'_>, id: StateId) -> RowOutcome {
     match rows.row(id) {
         Ok(row) => Ok(row.iter().collect()),
-        Err(SpaceError::EscapedDomain { action, var }) => Err((action, var)),
+        Err(CheckError::EscapedDomain { action, var }) => Err((action, var)),
         Err(e) => panic!("unexpected row error {e}"),
     }
 }
