@@ -252,13 +252,21 @@ impl Bitset {
 /// of the mask of state `i` is predicate `j` at `i`.
 ///
 /// A [`Bitset`] answers one predicate with one bit per state; the column
-/// answers a whole group of them with one `u64` load, so one sweep can ask
+/// answers a whole group of them with one load, so one sweep can ask
 /// every (action, predicate) preservation question of the group at once
-/// (see [`breaking_actions`](crate::breaking_actions)). It costs 8 bytes
-/// per state per group of 64 predicates.
+/// (see [`breaking_actions`](crate::breaking_actions)). A group of `P`
+/// predicates costs `⌈P/8⌉` bytes per state, plus 8 bytes of padding at
+/// the end so that every state's mask is one unaligned 8-byte load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskColumn {
-    masks: Vec<u64>,
+    /// State `i`'s mask is the little-endian bytes `bytes[i·width..]`,
+    /// `width` of them, followed by the next state's (or the padding).
+    bytes: Vec<u8>,
+    /// Bytes per state, `⌈P/8⌉`.
+    width: usize,
+    /// The low `P` bits: clears the next state's bytes off a load.
+    mask: u64,
+    len: usize,
 }
 
 impl MaskColumn {
@@ -282,43 +290,54 @@ impl MaskColumn {
         assert!(preds.len() <= Self::WIDTH, "at most 64 predicates a column");
         let len = preds.first().map_or(0, |p| p.len);
         assert!(preds.iter().all(|p| p.len == len), "bitset length mismatch");
+        let width = preds.len().div_ceil(8);
         let workers = opts.workers_for(len);
         let chunks = chunk_ranges(len.div_ceil(64), workers);
-        let mut masks = vec![0u64; len];
+        let mut bytes = vec![0u8; width * len + 8];
         let parts = split_lens(
-            &mut masks,
-            chunks.iter().map(|c| (c.end * 64).min(len) - c.start * 64),
+            &mut bytes,
+            chunks
+                .iter()
+                .map(|c| ((c.end * 64).min(len) - c.start * 64) * width),
         );
         steal_parts(parts, workers, |ci, out| {
             let first_word = chunks[ci].start;
             for w in chunks[ci].clone() {
-                let out = &mut out[(w - first_word) * 64..];
+                let out = &mut out[(w - first_word) * 64 * width..];
                 for (j, pred) in preds.iter().enumerate() {
                     let mut word = pred.words[w];
                     while word != 0 {
-                        out[word.trailing_zeros() as usize] |= 1 << j;
+                        out[word.trailing_zeros() as usize * width + j / 8] |= 1 << (j % 8);
                         word &= word - 1;
                     }
                 }
             }
         })?;
-        Ok(MaskColumn { masks })
+        Ok(MaskColumn {
+            bytes,
+            width,
+            mask: u64::MAX.checked_shr((64 - preds.len()) as u32).unwrap_or(0),
+            len,
+        })
     }
 
     /// The predicate bits of state index `i`.
     #[inline]
     pub fn at(&self, i: usize) -> u64 {
-        self.masks[i]
+        debug_assert!(i < self.len);
+        let at = i * self.width;
+        let word = self.bytes[at..at + 8].try_into().expect("eight bytes");
+        u64::from_le_bytes(word) & self.mask
     }
 
     /// Number of states the column ranges over.
     pub fn len(&self) -> usize {
-        self.masks.len()
+        self.len
     }
 
     /// Whether the column ranges over zero states.
     pub fn is_empty(&self) -> bool {
-        self.masks.is_empty()
+        self.len == 0
     }
 }
 

@@ -47,8 +47,8 @@
 //! converging case the residual is empty, and one pass
 //! ([`check_convergence_bits`]) has answered both daemons and the bound.
 //! Otherwise the residual analysis runs once per daemon. The search keeps
-//! two `u32`s per state and its stacks; nothing it holds is sized by the
-//! edge count.
+//! one `u32` and one bit per state and its stacks; nothing it holds is
+//! sized by the edge count.
 //!
 //! This is not the seed's whole-region Tarjan, which collected a list per
 //! component and looked states up by binary search in sorted id lists.
@@ -567,6 +567,10 @@ const INFINITE: u32 = u32::MAX;
 /// of its successors', all of which completed before it; a cyclic
 /// component's members are infinite. The first `Err` from `component` ends
 /// the search.
+///
+/// One `u32` per node, after Pearce's single-array variant: a node's DFS
+/// number lives in its call frame, and `low` holds its lowlink while it is
+/// on the stack, then its height. A bit per node marks the completed ones.
 fn tarjan<I, E>(
     n: usize,
     roots: impl IntoIterator<Item = u32>,
@@ -576,49 +580,52 @@ fn tarjan<I, E>(
 where
     I: Iterator<Item = u32>,
 {
-    const UNSEEN: u32 = u32::MAX;
-    const DONE: u32 = u32::MAX - 1;
-    // DFS numbers and finite heights then stay below both sentinels.
-    assert!(n <= DONE as usize, "{n} nodes overflow the u32 numbering");
-    // `index[v]` is `UNSEEN`, then v's DFS number while v is on the stack,
-    // then `DONE`. `low[v]` is v's lowlink, then its height once done.
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0u32; n];
+    const UNSEEN: u32 = 0;
+    // DFS numbers run from 1, so they stay above `UNSEEN`.
+    assert!(
+        n < u32::MAX as usize,
+        "{n} nodes overflow the u32 numbering"
+    );
+    // `low[v]` is `UNSEEN`, then v's lowlink while v is on the stack, then
+    // its height (never `UNSEEN`) once `done` holds v.
+    let mut low = vec![UNSEEN; n];
+    let mut done = Bitset::zeros(n);
     let mut stack: Vec<u32> = Vec::new();
-    // Explicit DFS stack: (node, its unread out-edges, the largest height
-    // among its done successors, whether it has a self-loop).
-    let mut call: Vec<(u32, I, u32, bool)> = Vec::new();
-    let mut next_index = 0u32;
+    // Explicit DFS stack: (node, its DFS number, its unread out-edges, the
+    // largest height among its done successors, whether it has a
+    // self-loop).
+    let mut call: Vec<(u32, u32, I, u32, bool)> = Vec::new();
+    let mut next_index = UNSEEN;
     for root in roots {
-        if index[root as usize] != UNSEEN {
+        if low[root as usize] != UNSEEN {
             continue;
         }
         let mut enter = Some(root);
         loop {
             if let Some(w) = enter.take() {
-                index[w as usize] = next_index;
-                low[w as usize] = next_index;
                 next_index += 1;
+                low[w as usize] = next_index;
                 stack.push(w);
-                call.push((w, row(w), 0, false));
+                call.push((w, next_index, row(w), 0, false));
             }
-            let Some((v, edges, reach, self_loop)) = call.last_mut() else {
+            let Some((v, _, edges, reach, self_loop)) = call.last_mut() else {
                 break;
             };
             let v = *v as usize;
             if let Some(w) = edges.next() {
-                match index[w as usize] {
-                    UNSEEN => enter = Some(w),
-                    DONE => *reach = (*reach).max(low[w as usize]),
-                    iw => {
-                        low[v] = low[v].min(iw);
-                        *self_loop |= w as usize == v;
-                    }
+                let w = w as usize;
+                if done.get(w) {
+                    *reach = (*reach).max(low[w]);
+                } else if low[w] == UNSEEN {
+                    enter = Some(w as u32);
+                } else {
+                    low[v] = low[v].min(low[w]);
+                    *self_loop |= w == v;
                 }
                 continue;
             }
-            let (_, _, reach, self_loop) = call.pop().expect("a frame was just read");
-            if low[v] == index[v] {
+            let (_, index, _, reach, self_loop) = call.pop().expect("a frame was just read");
+            if low[v] == index {
                 let start = stack.iter().rposition(|&u| u as usize == v);
                 let start = start.expect("v is on the stack");
                 let members = &mut stack[start..];
@@ -629,16 +636,16 @@ where
                     reach.saturating_add(1)
                 };
                 for &u in members.iter() {
-                    index[u as usize] = DONE;
+                    done.set(u as usize);
                     low[u as usize] = height;
                 }
                 members.sort_unstable();
                 component(members, cyclic)?;
                 stack.truncate(start);
             }
-            if let Some((parent, _, reach, _)) = call.last_mut() {
+            if let Some((parent, _, _, reach, _)) = call.last_mut() {
                 let p = *parent as usize;
-                if index[v] == DONE {
+                if done.get(v) {
                     *reach = (*reach).max(low[v]);
                 } else {
                     low[p] = low[p].min(low[v]);
@@ -1064,6 +1071,111 @@ mod tests {
         );
         let inf = INFINITE;
         assert_eq!(heights, vec![inf, inf, inf, 2, 1, 3, inf, inf, inf, inf]);
+    }
+
+    #[test]
+    fn tarjan_matches_a_reachability_reference_on_random_graphs() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (mut self_loops, mut unreached) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=24usize);
+            let density = rng.gen_range(0.0..0.25);
+            let adj: Vec<Vec<u32>> = (0..n)
+                .map(|_| (0..n as u32).filter(|_| rng.gen_bool(density)).collect())
+                .collect();
+            // Roots in random order, repeats allowed; the rest is reached
+            // only through edges, or never.
+            let roots: Vec<u32> = (0..rng.gen_range(0..=n))
+                .map(|_| rng.gen_range(0..n as u32))
+                .collect();
+
+            // Reference: `reach[u][v]` iff a path of one or more edges
+            // leads from u to v.
+            let mut reach = vec![vec![false; n]; n];
+            for (u, row) in reach.iter_mut().enumerate() {
+                let mut todo = adj[u].clone();
+                while let Some(v) = todo.pop() {
+                    if !std::mem::replace(&mut row[v as usize], true) {
+                        todo.extend(&adj[v as usize]);
+                    }
+                }
+            }
+            let reached: Vec<bool> = (0..n)
+                .map(|v| {
+                    roots
+                        .iter()
+                        .any(|&r| r as usize == v || reach[r as usize][v])
+                })
+                .collect();
+            let cyclic = |u: usize| reach[u][u];
+            let mut want: Vec<(Vec<u32>, bool)> = (0..n)
+                .filter(|&u| reached[u])
+                .map(|u| {
+                    let scc = (0..n)
+                        .filter(|&v| v == u || (reach[u][v] && reach[v][u]))
+                        .map(|v| v as u32)
+                        .collect();
+                    (scc, cyclic(u))
+                })
+                .collect();
+            want.sort();
+            want.dedup();
+            // Heights: the longest path over the condensation, infinite
+            // behind any cycle, 0 where the search never goes.
+            fn height(u: usize, adj: &[Vec<u32>], memo: &mut [Option<u32>]) -> u32 {
+                if let Some(h) = memo[u] {
+                    return h;
+                }
+                let below = adj[u].iter().map(|&v| height(v as usize, adj, memo));
+                let h = below.max().unwrap_or(0) + 1;
+                memo[u] = Some(h);
+                h
+            }
+            let mut memo = vec![None; n];
+            let want_heights: Vec<u32> = (0..n)
+                .map(|u| {
+                    if !reached[u] {
+                        0
+                    } else if cyclic(u) || (0..n).any(|v| reach[u][v] && cyclic(v)) {
+                        INFINITE
+                    } else {
+                        height(u, &adj, &mut memo)
+                    }
+                })
+                .collect();
+
+            let mut sccs = Vec::new();
+            let heights = tarjan(
+                n,
+                roots.iter().copied(),
+                |v| adj[v as usize].iter().copied(),
+                |scc, cyclic| {
+                    sccs.push((scc.to_vec(), cyclic));
+                    Ok::<_, ()>(())
+                },
+            )
+            .unwrap();
+            assert_eq!(heights, want_heights, "seed {seed}: {adj:?} from {roots:?}");
+            // Components complete in reverse topological order: every edge
+            // out of one leads into it or into one completed before it.
+            let mut completed = vec![usize::MAX; n];
+            for (k, (scc, _)) in sccs.iter().enumerate() {
+                for &u in scc {
+                    completed[u as usize] = k;
+                }
+                let edges = scc.iter().flat_map(|&u| &adj[u as usize]);
+                assert!(
+                    edges.into_iter().all(|&v| completed[v as usize] <= k),
+                    "seed {seed}"
+                );
+            }
+            sccs.sort();
+            assert_eq!(sccs, want, "seed {seed}: {adj:?} from {roots:?}");
+            self_loops += (0..n).filter(|&u| adj[u].contains(&(u as u32))).count();
+            unreached += reached.iter().filter(|&&r| !r).count();
+        }
+        assert!(self_loops > 0 && unreached > 0, "the graphs cover both");
     }
 
     #[test]

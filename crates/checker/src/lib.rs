@@ -35,7 +35,7 @@
 //! its id on demand, and hot loops decode into reusable scratch buffers
 //! ([`StateSpace::decode_state`]). Transitions live in flat CSR arrays
 //! (`offsets`, a guard column of enabled-action bits, and `succs`):
-//! resident memory is 4 bytes per state for offsets, 8 per state per 64
+//! resident memory is 4 bytes per state for offsets, one per state per 8
 //! actions for guards, and 4 per transition, gated by an explicit
 //! [`CheckOptions::memory_budget`] instead of a blunt state-count cap (see
 //! the [`space`] module docs).
@@ -51,11 +51,11 @@
 //! [`Bitset::for_predicates`] evaluates any number of them in one decode
 //! pass. Convergence answers both daemons and the worst-case bound with
 //! one DFS over the region's resident rows: it gives every region state
-//! its height (the longest path out) or marks it infinite, holding two
-//! `u32`s per state and nothing sized by the edge count. The infinite
-//! states are the residual, empty in the common converging case, and only
-//! they go to the per-daemon residual analysis (see the [`convergence`]
-//! module docs).
+//! its height (the longest path out) or marks it infinite, holding one
+//! `u32` and one bit per state and nothing sized by the edge count. The
+//! infinite states are the residual, empty in the common converging case,
+//! and only they go to the per-daemon residual analysis (see the
+//! [`convergence`] module docs).
 //!
 //! ## One transition source: resident or decoded
 //!
@@ -77,8 +77,8 @@
 //! transition is stored, so closure questions reach spaces whose CSR
 //! table does not fit the memory budget. A sweep asks as many questions
 //! as it can: [`breaking_actions`] answers closure and preservation for
-//! every action and up to 64 predicates (a [`MaskColumn`], 8 bytes per
-//! state) in one pass over the assumed states, and
+//! every action and up to 64 predicates (a [`MaskColumn`], one byte per
+//! state per 8 predicates) in one pass over the assumed states, and
 //! [`repair_obligations`] checks every constraint's repair in one pass
 //! over `T`.
 //!

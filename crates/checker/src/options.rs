@@ -28,9 +28,9 @@ const PARALLEL_THRESHOLD: usize = 2048;
 
 /// Default [`CheckOptions::memory_budget`]: 8 GiB of resident CSR arrays.
 ///
-/// At the CSR cost of `4·(states+1) + 8·W·states + 4·transitions` bytes
-/// (`W = ⌈actions/64⌉` guard words per state) this admits spaces of
-/// hundreds of millions of states (the seed representation's
+/// At the CSR cost of `4·(states+1) + B·states + 4·transitions` bytes
+/// (`B = ⌈actions/8⌉` guard bytes per state, at least one) this admits
+/// spaces of hundreds of millions of states (the seed representation's
 /// ~100+ bytes/state capped out around 2 million). The frontier
 /// convergence mode stays under the same budget with no transition table
 /// at all: five bitsets plus one round's row buffer per worker.
@@ -70,12 +70,11 @@ pub struct CheckOptions {
     /// every value — only wall-clock time changes.
     pub threads: usize,
     /// Maximum resident bytes a pass may allocate: for monolithic
-    /// enumeration the CSR arrays (`4·(states+1) + 8·W·states +
-    /// 4·transitions`, `W` guard words per state) plus per-worker scratch; for the frontier convergence mode its bitsets
-    /// plus the row buffers of one round. A pass fails with
-    /// [`CheckError::BudgetExceeded`]
-    /// — naming the phase that tripped — before the big allocations
-    /// happen.
+    /// enumeration the CSR arrays (`4·(states+1) + B·states +
+    /// 4·transitions`, `B` guard bytes per state) plus per-worker scratch;
+    /// for the frontier convergence mode its bitsets plus the row buffers
+    /// of one round. A pass fails with [`CheckError::BudgetExceeded`] —
+    /// naming the phase that tripped — before the big allocations happen.
     pub memory_budget: u64,
     /// States per segment, the unit of work of every parallel sweep; `0`
     /// means auto ([`DEFAULT_SEGMENT_STATES`], shrunk so small spaces

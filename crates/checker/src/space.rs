@@ -30,18 +30,18 @@
 //!
 //! - `offsets`, `len + 1` `u32`s: state `i`'s transitions are
 //!   `succs[offsets[i]..offsets[i+1]]`;
-//! - the **guard column**, `W = ⌈A/64⌉` `u64` words per state (`A` actions,
-//!   at least one word): bit `a` of state `i`'s words is set iff action
-//!   `a` is enabled at `i`;
+//! - the **guard column**, `B = ⌈A/8⌉` bytes per state (`A` actions, at
+//!   least one byte): bit `a % 8` of byte `a / 8` of state `i`'s bytes is
+//!   set iff action `a` is enabled at `i`;
 //! - `succs`, one `u32` id per transition: the successors of each row's set
 //!   bits, in ascending action id.
 //!
-//! The resident cost is **`4` bytes per state for offsets, `8W` per state
+//! The resident cost is **`4` bytes per state for offsets, `B` per state
 //! for guards and `4` per transition**, independent of the number of
 //! variables. Against an action column of 4 bytes per transition, the
-//! guard column is smaller whenever the average out-degree is above `2W`,
-//! which every shipped design clears (the ring 7×7 has 5.4, diffusing
-//! binary-10 8.9, both at `W = 1`).
+//! guard column is smaller whenever the average out-degree is above
+//! `B/4`, which every shipped design clears (the ring 7×7 has 5.4 at
+//! `B = 2`, diffusing binary-10 8.9 at `B = 3`).
 //!
 //! Construction is two-phase so results are bit-identical for every thread
 //! count. Phase 1 (count) evaluates every guard once per state into the
@@ -84,7 +84,7 @@ use nonmask_program::{ActionId, Predicate, Program, State, VarId};
 use crate::cache::Bitset;
 use crate::error::CheckError;
 use crate::options::{split_lens, steal_parts, CheckOptions};
-use crate::successors::{fill_row, guard_bits, guard_words};
+use crate::successors::{fill_row, guard_bits, guard_bytes};
 
 /// Identifier of a state within a [`StateSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -450,10 +450,10 @@ pub(crate) fn scratch_bytes(scratches: u64, nv: usize) -> u64 {
 }
 
 /// The `(action, successor)` transitions of one state: a zero-copy view of
-/// a row's guard words and successor ids, yielded by
+/// a row's guard bytes and successor ids, yielded by
 /// [`StateSpace::successors`] and [`Successors::row`].
 ///
-/// Bit `a` of the guard words is set iff action `a` is enabled; the
+/// Bit `a % 8` of guard byte `a / 8` is set iff action `a` is enabled; the
 /// successors are those of the set bits in ascending action id. Iterate it
 /// like a `&[(ActionId, StateId)]` row:
 ///
@@ -465,18 +465,18 @@ pub(crate) fn scratch_bytes(scratches: u64, nv: usize) -> u64 {
 /// [`Decoder`]: crate::Decoder
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transitions<'a> {
-    guards: &'a [u64],
+    guards: &'a [u8],
     succs: &'a [StateId],
 }
 
 impl<'a> Transitions<'a> {
-    /// A row view over its guard words and successor ids: a CSR row or a
+    /// A row view over its guard bytes and successor ids: a CSR row or a
     /// [`Decoder`]'s row buffer.
-    pub(crate) fn new(guards: &'a [u64], succs: &'a [StateId]) -> Self {
+    pub(crate) fn new(guards: &'a [u8], succs: &'a [StateId]) -> Self {
         debug_assert_eq!(
             guards
                 .iter()
-                .map(|w| w.count_ones() as usize)
+                .map(|b| b.count_ones() as usize)
                 .sum::<usize>(),
             succs.len()
         );
@@ -504,23 +504,23 @@ impl<'a> Transitions<'a> {
     }
 }
 
-/// The set bits of a row's guard words, as action indices in ascending
+/// The set bits of a row's guard bytes, as action indices in ascending
 /// order.
 #[derive(Debug, Clone)]
 pub(crate) struct GuardBits<'a> {
-    words: std::slice::Iter<'a, u64>,
-    /// The unvisited bits of the current word.
-    bits: u64,
-    /// The action index of the current word's bit 0.
+    bytes: std::slice::Iter<'a, u8>,
+    /// The unvisited bits of the current byte.
+    bits: u8,
+    /// The action index of the current byte's bit 0.
     base: usize,
 }
 
 impl<'a> GuardBits<'a> {
-    pub(crate) fn new(guards: &'a [u64]) -> Self {
-        let mut words = guards.iter();
-        let bits = words.next().copied().unwrap_or(0);
+    pub(crate) fn new(guards: &'a [u8]) -> Self {
+        let mut bytes = guards.iter();
+        let bits = bytes.next().copied().unwrap_or(0);
         GuardBits {
-            words,
+            bytes,
             bits,
             base: 0,
         }
@@ -533,8 +533,8 @@ impl Iterator for GuardBits<'_> {
     #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.bits == 0 {
-            self.bits = *self.words.next()?;
-            self.base += 64;
+            self.bits = *self.bytes.next()?;
+            self.base += 8;
         }
         let a = self.base + self.bits.trailing_zeros() as usize;
         self.bits &= self.bits - 1;
@@ -590,18 +590,19 @@ impl<'a> IntoIterator for Transitions<'a> {
 /// and `succs`), built in parallel over disjoint id ranges when
 /// [`CheckOptions::threads`] allows; the result is bit-identical for every
 /// thread count. Resident memory is
-/// `4·(len+1) + 8·W·len + 4·transition_count` bytes, `W = ⌈actions/64⌉`
-/// guard words per state, gated by [`CheckOptions::memory_budget`].
+/// `4·(len+1) + B·len + 4·transition_count` bytes, `B = ⌈actions/8⌉`
+/// guard bytes per state (at least one), gated by
+/// [`CheckOptions::memory_budget`].
 #[derive(Debug, Clone)]
 pub struct StateSpace {
     index: SpaceIndex,
     /// CSR row bounds: state `i`'s transitions are `offsets[i]..offsets[i+1]`.
     offsets: Vec<u32>,
-    /// Guard words per state (`W`).
-    words: usize,
+    /// Guard bytes per state (`B`).
+    width: usize,
     /// The guard column: state `i`'s enabled-action bits are
-    /// `guards[i·W..(i+1)·W]`, one bit per action.
-    guards: Vec<u64>,
+    /// `guards[i·B..(i+1)·B]`, one bit per action.
+    guards: Vec<u8>,
     /// Flat successor column: the successors of each row's set guard bits,
     /// in ascending action id.
     succs: Vec<StateId>,
@@ -694,10 +695,10 @@ impl StateSpace {
         let nv = index.var_count();
         let plan = options.segment_plan(n);
         let tasks = plan.count();
-        let words = guard_words(program.action_count());
+        let width = guard_bytes(program.action_count());
         // Budget floor before any large allocation: the offsets column, the
         // guard column, and one decode scratch per worker.
-        let table_bytes = 4 * (n as u64 + 1) + 8 * (words * n) as u64;
+        let table_bytes = 4 * (n as u64 + 1) + (width * n) as u64;
         let offsets_phase_bytes = table_bytes + scratch_bytes(workers as u64, nv);
         if offsets_phase_bytes > budget {
             return Err(CheckError::BudgetExceeded {
@@ -713,9 +714,9 @@ impl StateSpace {
         // sub-slice pair per segment, so any thread count and any claim
         // order produce the identical layout.
         let mut offsets = vec![0u32; n + 1];
-        let mut guards = vec![0u64; words * n];
+        let mut guards = vec![0u8; width * n];
         let lens = (0..tasks).map(|ti| plan.range(ti).len());
-        let parts: Vec<_> = split_lens(&mut guards, lens.clone().map(|len| len * words))
+        let parts: Vec<_> = split_lens(&mut guards, lens.clone().map(|len| len * width))
             .into_iter()
             .zip(split_lens(&mut offsets[1..], lens))
             .collect();
@@ -724,7 +725,7 @@ impl StateSpace {
             let range = plan.range(ti);
             let mut state = State::zeroed(nv);
             index.radix.decode_into(range.start as u64, &mut state);
-            for (row, count) in guards.chunks_exact_mut(words).zip(counts) {
+            for (row, count) in guards.chunks_exact_mut(width).zip(counts) {
                 *count = guard_bits(program, &state, row);
                 index.step_state(&mut state);
             }
@@ -771,7 +772,7 @@ impl StateSpace {
             for i in range {
                 let row = (offsets[i] - base) as usize..(offsets[i + 1] - base) as usize;
                 let id = StateId(i as u32);
-                let bits = &guards[i * words..(i + 1) * words];
+                let bits = &guards[i * width..(i + 1) * width];
                 fill_row(
                     program,
                     &index,
@@ -796,7 +797,7 @@ impl StateSpace {
         Ok(StateSpace {
             index,
             offsets,
-            words,
+            width,
             guards,
             succs,
         })
@@ -870,7 +871,7 @@ impl StateSpace {
         let (lo, hi) = self.row_bounds(id);
         let i = id.index();
         Transitions {
-            guards: &self.guards[i * self.words..(i + 1) * self.words],
+            guards: &self.guards[i * self.width..(i + 1) * self.width],
             succs: &self.succs[lo..hi],
         }
     }
@@ -917,13 +918,13 @@ impl StateSpace {
     }
 
     /// Resident bytes of the space: the three CSR arrays (offsets, guard
-    /// words, successors) plus the radix tables. This is what
+    /// bytes, successors) plus the radix tables. This is what
     /// [`CheckOptions::memory_budget`] gates (the radix is negligible: 24
     /// bytes per *variable*, not per state).
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.guards.len() * std::mem::size_of::<u64>()
+            + self.guards.len()
             + self.succs.len() * std::mem::size_of::<StateId>()
             + self.index.var_count() * 3 * 8
     }
@@ -1241,9 +1242,9 @@ mod tests {
         );
         assert!(ok.is_ok());
         // A budget squeezed between the offsets floor (offsets and guard
-        // columns, one guard word per state) and the full CSR cost trips
+        // columns, one guard byte per state) and the full CSR cost trips
         // at the succs phase, and the error names it.
-        let offsets_floor = 4 * (space.len() as u64 + 1) + 8 * space.len() as u64 + (64 << 10);
+        let offsets_floor = 4 * (space.len() as u64 + 1) + space.len() as u64 + (64 << 10);
         let err = StateSpace::enumerate_with_options(
             &p,
             CheckOptions::default().memory_budget(offsets_floor),
@@ -1260,9 +1261,9 @@ mod tests {
     fn resident_bytes_counts_csr_arrays() {
         let p = counter(4);
         let space = StateSpace::enumerate(&p).unwrap();
-        // 6 offsets + 5 guard words + 4 succs = 24 + 40 + 16 bytes, plus
+        // 6 offsets + 5 guard bytes + 4 succs = 24 + 5 + 16 bytes, plus
         // the struct header and one variable's radix entries.
-        let expected = std::mem::size_of::<StateSpace>() + 24 + 40 + 16 + 24;
+        let expected = std::mem::size_of::<StateSpace>() + 24 + 5 + 16 + 24;
         assert_eq!(space.resident_bytes(), expected);
     }
 
@@ -1288,9 +1289,10 @@ mod tests {
 
     #[test]
     fn multi_word_rows_iterate_in_action_order() {
-        // 128 actions, two guard words per state; only actions 0, 63, 64
-        // and 127 are ever enabled, each moving `x` to its own index, so
-        // every row straddles both words at their edge bits.
+        // 128 actions, sixteen guard bytes per state; only actions 0, 63,
+        // 64 and 127 are ever enabled, each moving `x` to its own index, so
+        // every row sets the edge bits of bytes 0, 7, 8 and 15 and skips
+        // the empty bytes between them.
         let mut b = Program::builder("wide");
         let x = b.var("x", Domain::range(0, 127));
         for a in 0..128i64 {

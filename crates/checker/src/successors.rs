@@ -11,14 +11,14 @@
 //!   so no transition is ever stored.
 //!
 //! A row has two halves, and both sources store it in the same form:
-//! the **guard words**, `⌈A/64⌉` `u64`s (at least one) whose bit `a` is
-//! set iff action `a` is enabled, written by `guard_bits`; and the
-//! successor ids of the set bits in ascending order, written by
-//! `fill_row`. The [`Decoder`] runs both in one loop over the actions,
-//! each enabled guard followed at once by its effect; the CSR build runs
-//! `guard_bits` in its count pass, keeps the words, and runs `fill_row`
-//! from them in its fill pass, so every guard is called once.
-//! Stored, a row costs `8·⌈A/64⌉` bytes of guard words plus 4 bytes per
+//! the **guard bytes**, `B = ⌈A/8⌉` of them (at least one) whose bit `a`
+//! (bit `a % 8` of byte `a / 8`) is set iff action `a` is enabled, written
+//! by `guard_bits`; and the successor ids of the set bits in ascending
+//! order, written by `fill_row`. The [`Decoder`] runs both in one loop
+//! over the actions, each enabled guard followed at once by its effect;
+//! the CSR build runs `guard_bits` in its count pass, keeps the bytes, and
+//! runs `fill_row` from them in its fill pass, so every guard is called
+//! once. Stored, a row costs `B` bytes of guard bits plus 4 bytes per
 //! transition. Computed, it costs one guard call per action plus, per
 //! enabled action, one effect and one id computed from the slots that
 //! action changed; moving to the row's state costs a carry from the
@@ -34,25 +34,25 @@ use nonmask_program::{Action, Program, State, VarId};
 use crate::error::CheckError;
 use crate::space::{GuardBits, SpaceIndex, StateId, StateSpace, Transitions};
 
-/// Guard words per row for a program of `actions` actions: one bit per
-/// action, and at least one word so every row has a guard slice.
-pub(crate) fn guard_words(actions: usize) -> usize {
-    actions.div_ceil(64).max(1)
+/// Guard bytes per row for a program of `actions` actions: one bit per
+/// action, and at least one byte so every row has a guard slice.
+pub(crate) fn guard_bytes(actions: usize) -> usize {
+    actions.div_ceil(8).max(1)
 }
 
 /// Evaluate every guard of `program` at `state` into `out`, its
-/// [`guard_words`] words: bit `a` is set iff action `a` is enabled.
-/// Returns the number of enabled actions.
+/// [`guard_bytes`] bytes: bit `a % 8` of byte `a / 8` is set iff action
+/// `a` is enabled. Returns the number of enabled actions.
 #[inline]
-pub(crate) fn guard_bits(program: &Program, state: &State, out: &mut [u64]) -> u32 {
-    let mut chunks = program.actions().chunks(64);
+pub(crate) fn guard_bits(program: &Program, state: &State, out: &mut [u8]) -> u32 {
+    let mut chunks = program.actions().chunks(8);
     let mut enabled = 0;
-    for word in out {
-        let mut bits = 0u64;
+    for byte in out {
+        let mut bits = 0u8;
         for (b, act) in chunks.next().unwrap_or_default().iter().enumerate() {
-            bits |= u64::from(act.enabled(state)) << b;
+            bits |= u8::from(act.enabled(state)) << b;
         }
-        *word = bits;
+        *byte = bits;
         enabled += bits.count_ones();
     }
     enabled
@@ -73,7 +73,7 @@ pub(crate) fn fill_row(
     id: StateId,
     state: &State,
     succ: &mut State,
-    guards: &[u64],
+    guards: &[u8],
     out: &mut [StateId],
 ) -> Result<(), CheckError> {
     let actions = program.actions();
@@ -144,7 +144,7 @@ pub struct Decoder<'a> {
     decoded: Option<StateId>,
     state: State,
     succ: State,
-    guards: Vec<u64>,
+    guards: Vec<u8>,
     succs: Vec<StateId>,
 }
 
@@ -157,7 +157,7 @@ impl<'a> Decoder<'a> {
             decoded: None,
             state: index.scratch_state(),
             succ: index.scratch_state(),
-            guards: vec![0; guard_words(program.action_count())],
+            guards: vec![0; guard_bytes(program.action_count())],
             succs: Vec::with_capacity(program.action_count()),
         }
     }
@@ -179,7 +179,7 @@ impl Successors for Decoder<'_> {
         self.succs.clear();
         for (a, act) in self.program.actions().iter().enumerate() {
             if act.enabled(&self.state) {
-                self.guards[a / 64] |= 1 << (a % 64);
+                self.guards[a / 8] |= 1 << (a % 8);
                 let t = successor(
                     self.program,
                     act,

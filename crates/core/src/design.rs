@@ -377,8 +377,10 @@ impl Design {
             return Err(DesignError::Check(e));
         }
         // The convergence pass holds the run's peak memory; the mask
-        // columns (8 bytes per state per group) are not needed there.
+        // columns (`⌈P/8⌉` bytes per state for a group of `P` predicates)
+        // and the constraint caches are not needed there.
         drop(masks);
+        drop(c_bits);
 
         // --- 3. Ground truth -------------------------------------------
         // One pass over the region `T ∧ ¬S`, on the shared `S`/`T` bit

@@ -34,21 +34,21 @@ fn csr_stays_under_the_committed_bytes_per_state_ceilings() {
             TokenRing::new(5, 5).program().clone(),
             3_125,
             10_625,
-            29.6,
+            21.5,
         ),
         (
             "token-ring-n7-k7",
             TokenRing::new(7, 7).program().clone(),
             823_543,
             4_353_013,
-            38.2,
+            30.1,
         ),
         (
             "diffusing-binary-9",
             dc.program().clone(),
             262_144,
             2_129_920,
-            51.2,
+            45.5,
         ),
     ];
     for (name, program, states, transitions, ceiling) in instances {

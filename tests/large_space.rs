@@ -118,15 +118,15 @@ fn csr_stays_compact_and_throughput_flat_up_to_16m_states() {
         (
             "token-ring",
             [
-                ("token-ring-n7-k7", ring(7), 38.2),
-                ("token-ring-n8-k8", ring(8), 42.6),
+                ("token-ring-n7-k7", ring(7), 30.1),
+                ("token-ring-n8-k8", ring(8), 34.5),
             ],
         ),
         (
             "diffusing-binary",
             [
-                ("diffusing-binary-9", binary(9), 51.2),
-                ("diffusing-binary-12", binary(12), 62.9),
+                ("diffusing-binary-9", binary(9), 45.5),
+                ("diffusing-binary-12", binary(12), 57.1),
             ],
         ),
     ];

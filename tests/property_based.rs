@@ -372,18 +372,19 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Rows span several guard words: random actions repeated up to
-    /// 65–130 actions give two or three words per state. Every build, at
-    /// any thread count and segment size, has the serial build's rows, and
-    /// so does the on-demand decoder. A padding variable lifts the space
-    /// to at least 2,048 states, where builds go parallel.
+    /// Rows of any guard width: random actions repeated up to 1–17, 63–65
+    /// or 127–129 actions put the last action on either side of a guard
+    /// byte's edge and of an eight-byte word's edge. Every build, at any
+    /// thread count and segment size, has the serial build's rows, and so
+    /// does the on-demand decoder. A padding variable lifts the space to
+    /// at least 2,048 states, where builds go parallel.
     #[test]
     fn multi_word_guard_rows_match_serial_and_decoder(
         mut domains in proptest::collection::vec(domain_strategy(), 1..=3),
         actions in proptest::collection::vec((0usize..4, 0usize..4, 1i64..=3), 1..=4),
-        total in 65usize..=130,
+        total in prop_oneof![1usize..=17, 63usize..=65, 127usize..=129],
     ) {
         let states: u64 = domains.iter().map(|d| d.size().unwrap()).product();
         domains.push(Domain::range(0, 2048u64.div_ceil(states) as i64 - 1));
@@ -827,6 +828,44 @@ proptest! {
                 &expected,
                 "decoded, threads={}", threads
             );
+        }
+    }
+
+    /// A mask column packs 1 to 64 bitsets at `⌈P/8⌉` bytes per state:
+    /// bit `j` of `at(i)` is bitset `j` at `i` for every state, including
+    /// the last, whose load reads the column's padding, over lengths that
+    /// are not a multiple of 64, serially and at 2 and 8 threads.
+    #[test]
+    fn mask_column_bits_match_their_bitsets(
+        words in 0usize..40,
+        tail in 1usize..64,
+        seeds in proptest::collection::vec((any::<u64>(), 0u64..=100), 1..=64),
+    ) {
+        let len = words * 64 + tail;
+        let caches: Vec<Bitset> = seeds
+            .iter()
+            .map(|&(seed, percent)| {
+                let mut bits = Bitset::zeros(len);
+                for i in 0..len {
+                    let h = (seed ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    if (h >> 32) % 100 < percent {
+                        bits.set(i);
+                    }
+                }
+                bits
+            })
+            .collect();
+        let refs: Vec<&Bitset> = caches.iter().collect();
+        for threads in [1, 2, 8] {
+            let masks = MaskColumn::pack(&refs, CheckOptions::default().threads(threads)).unwrap();
+            prop_assert_eq!(masks.len(), len);
+            for i in 0..len {
+                let want = caches
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |m, (j, bits)| m | u64::from(bits.get(i)) << j);
+                prop_assert_eq!(masks.at(i), want, "state {} at threads={}", i, threads);
+            }
         }
     }
 }
