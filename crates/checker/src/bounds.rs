@@ -85,15 +85,17 @@ fn variant_over(
     let mut scratch = space.scratch_state();
     let mut succ_scratch = space.scratch_state();
     let mut flat_adj: Vec<Vec<u32>> = vec![Vec::new(); region.len()];
+    let mut rows = space.rows();
     for (li, &id) in region.iter().enumerate() {
         space.decode_state(id, &mut scratch);
-        if space.successor_ids(id).is_empty() {
+        let succs = rows.transitions(id).succs();
+        if succs.is_empty() {
             return VariantReport::Deadlock {
                 state: scratch.clone(),
             };
         }
         let fv = f(&scratch);
-        for &t in space.successor_ids(id) {
+        for &t in succs {
             let tl = local[t.index()];
             if tl != u32::MAX {
                 space.decode_state(t, &mut succ_scratch);

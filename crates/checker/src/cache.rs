@@ -8,16 +8,17 @@
 //! composed with bitwise [`and`](Bitset::and)/[`not`](Bitset::not) instead
 //! of re-evaluating the conjuncts.
 //!
-//! All caches come from one decode loop,
-//! [`for_predicates`](Bitset::for_predicates): it evaluates any number of
-//! predicates in one pass over the space, in parallel over word-aligned
-//! chunks. Each worker decodes the first state of its chunk and reaches
-//! every later one by an odometer step ([`SpaceIndex::step_state`]), so a
-//! state costs no division however many predicates read it.
+//! All caches come from one pass,
+//! [`for_predicates`](Bitset::for_predicates): it tabulates each predicate
+//! over its declared reads, then fills any number of caches in one walk
+//! over the space, in parallel over word-aligned chunks. Each worker
+//! reaches every state of its chunk by an odometer step of the tables'
+//! keys, so a state costs one table load per predicate and no division.
 
 use nonmask_program::Predicate;
 
 use crate::error::CheckError;
+use crate::footprint::PredicateTables;
 use crate::options::{chunk_ranges, split_lens, steal_parts, CheckOptions};
 use crate::space::{SpaceIndex, StateId, StateSpace};
 
@@ -80,16 +81,24 @@ impl Bitset {
     /// Evaluate every predicate of `preds` at every state of `index` in
     /// one pass, returning their caches in `preds` order.
     ///
-    /// Each worker owns a word-aligned chunk of ids (a multiple of 64
-    /// states), decodes its first state once and steps to each next one
-    /// with [`SpaceIndex::step_state`]; every predicate is evaluated on
-    /// that one decoded state and sets its bit in place, in the worker's
-    /// own pre-split slice of each output. No two workers touch the same
-    /// word, so the result is identical for every worker count.
+    /// Each predicate is first tabulated over its declared reads (see
+    /// [`footprint`](crate::footprint)): one audited entry per assignment
+    /// of them. Each worker then owns a word-aligned chunk of ids (a
+    /// multiple of 64 states) and walks it in id order, keeping every
+    /// table's key in step with the ids: a state costs one table load per
+    /// predicate and a key update per predicate that reads a changed
+    /// digit. A predicate too large to tabulate
+    /// ([`TABLE_CAP`](crate::TABLE_CAP)) is evaluated on the decoded state,
+    /// which the worker then steps with [`SpaceIndex::step_state`]. Each
+    /// bit is set in place, in the worker's own pre-split slice of each
+    /// output. No two workers touch the same word, so the result is
+    /// identical for every worker count.
     ///
     /// # Errors
     ///
-    /// [`CheckError::WorkerFailed`] if a predicate panics.
+    /// [`CheckError::UndeclaredVariable`] when a predicate depends on a
+    /// variable outside its declared reads; [`CheckError::WorkerFailed`]
+    /// if a predicate panics.
     pub fn for_predicates(
         index: &SpaceIndex,
         preds: &[&Predicate],
@@ -98,6 +107,8 @@ impl Bitset {
         let len = index.len();
         let workers = opts.workers_for(len);
         let chunks = chunk_ranges(len.div_ceil(64), workers);
+        let tables = PredicateTables::build(index, preds)?;
+        let per_row = tables.has_per_row();
         let mut caches: Vec<Bitset> = preds.iter().map(|_| Bitset::zeros(len)).collect();
         // parts[c][p]: predicate `p`'s words of chunk `c`.
         let mut parts: Vec<Vec<&mut [u64]>> = chunks.iter().map(|_| Vec::new()).collect();
@@ -109,17 +120,31 @@ impl Bitset {
         }
         steal_parts(parts, workers, |ci, mut out| {
             let first_word = chunks[ci].start;
+            let mut cursor = tables.cursor(index);
             let mut state = index.scratch_state();
-            index.decode_state(StateId::from_index(first_word * 64), &mut state);
+            if per_row {
+                index.decode_state(StateId::from_index(first_word * 64), &mut state);
+            }
             for w in 0..chunks[ci].len() {
                 let base = (first_word + w) * 64;
                 for bit in 0..64.min(len - base) {
-                    for (pred, words) in preds.iter().zip(out.iter_mut()) {
-                        if pred.holds(&state) {
-                            words[w] |= 1 << bit;
+                    tables.seek(index, &mut cursor, StateId::from_index(base + bit));
+                    if per_row {
+                        for (p, (pred, words)) in preds.iter().zip(out.iter_mut()).enumerate() {
+                            let holds =
+                                tables.get(&cursor, p).unwrap_or_else(|| pred.holds(&state));
+                            words[w] |= u64::from(holds) << bit;
+                        }
+                        index.step_state(&mut state);
+                    } else {
+                        // No predicate evaluated per row: a table load
+                        // each, with no branch on its kind (the general
+                        // loop above measured 5% slower on the
+                        // `verify-resident` benchmark, 10 paired runs).
+                        for (p, words) in out.iter_mut().enumerate() {
+                            words[w] |= u64::from(tables.holds(&cursor, p)) << bit;
                         }
                     }
-                    index.step_state(&mut state);
                 }
             }
         })?;
@@ -280,6 +305,8 @@ impl MaskColumn {
     ///
     /// # Errors
     ///
+    /// [`CheckError::BudgetExceeded`] (phase `"mask column"`) when the
+    /// column alone would exceed [`CheckOptions::memory_budget`];
     /// [`CheckError::WorkerFailed`] if a worker panics.
     ///
     /// # Panics
@@ -291,6 +318,14 @@ impl MaskColumn {
         let len = preds.first().map_or(0, |p| p.len);
         assert!(preds.iter().all(|p| p.len == len), "bitset length mismatch");
         let width = preds.len().div_ceil(8);
+        let required = (width * len + 8) as u64;
+        if required > opts.memory_budget {
+            return Err(CheckError::BudgetExceeded {
+                required,
+                budget: opts.memory_budget,
+                phase: "mask column",
+            });
+        }
         let workers = opts.workers_for(len);
         let chunks = chunk_ranges(len.div_ceil(64), workers);
         let mut bytes = vec![0u8; width * len + 8];

@@ -5,8 +5,8 @@
 //! yields a state where `R` holds. A state predicate `R` of `p` is closed
 //! iff each action of `p` preserves `R`." (Section 2.)
 //!
-//! Every check is one scan over the rows of a [`RowSource`], the resident
-//! CSR or a [`Decoder`](crate::Decoder) (a `(action, successor)` pair
+//! Every check is one scan over the rows of a [`RowSource`], a
+//! [`StateSpace`]'s footprint tables or a [`Decoder`](crate::Decoder) (a `(action, successor)` pair
 //! exists exactly when the action is enabled), and over [`Bitset`]
 //! predicate caches (each predicate is evaluated once per state, in
 //! parallel). Both sources, every thread count and every segment size

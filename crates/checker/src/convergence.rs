@@ -27,11 +27,12 @@
 //!
 //! # Pipeline
 //!
-//! One parallel pass over the space counts the region and finds the
-//! lowest-id deadlock or escape. With none, one iterative Tarjan DFS runs
-//! from the region's states over their internal edges, read straight from
-//! the space's rows, and gives each state a *height*: its longest path
-//! out of the region, counting the exit step. A singleton
+//! One iterative Tarjan DFS runs from the region's states over their
+//! internal edges, read straight from the space's rows. Every region row
+//! is read once, when its state is entered, and that read also looks for
+//! the lowest-id deadlock or escape. With none, the search has given each
+//! state a *height*: its longest path out of the region, counting the
+//! exit step. A singleton
 //! component without a self-loop completes after all its internal
 //! successors, so its height is one more than the largest of theirs; a
 //! component with an internal edge, and every state with a path into one,
@@ -63,13 +64,13 @@
 //! The residual analysis (Tarjan plus the fair-admissibility test) reads
 //! rows through [`Successors`], so the out-of-core
 //! [`frontier`](crate::frontier) peel ends in this same code, fed decoded
-//! rows instead of CSR rows.
+//! rows instead of table rows.
 
 use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::options::{run_chunks, CheckOptions};
+use crate::options::CheckOptions;
 use crate::space::{SpaceIndex, StateId, StateSpace};
 use crate::successors::Successors;
 
@@ -225,8 +226,8 @@ pub fn check_convergence(
 /// exactly this `space`), so callers can share the caches across the
 /// closure and convergence passes.
 ///
-/// The region is swept once for deadlocks and escapes, then searched by
-/// one DFS over its internal edges. The search gives each state its
+/// The region is searched by one DFS over its internal edges, which also
+/// finds its lowest-id deadlock or escape. The search gives each state its
 /// *height*, the longest path out of the region: a state whose internal
 /// successors all have finite heights has one more than the largest of
 /// theirs, and a state on or leading into a region cycle has an infinite
@@ -237,6 +238,8 @@ pub fn check_convergence(
 ///
 /// # Errors
 ///
+/// [`CheckError::BudgetExceeded`] (phase `"columns"`) when the search's
+/// `u32` and done bit per state exceed [`CheckOptions::memory_budget`];
 /// [`CheckError::WorkerFailed`] if an action body panics while edges are
 /// being materialized.
 pub fn check_convergence_bits(
@@ -248,41 +251,67 @@ pub fn check_convergence_bits(
 ) -> Result<ConvergenceReport, CheckError> {
     let mut stats = ConvergenceStats::default();
     let in_region = |i: usize| from_bits.get(i) && !to_bits.get(i);
-    // One parallel pass over the space counts the region `T ∧ ¬S` and
-    // sweeps it for deadlocks and escapes. Chunks are id ranges and each
-    // stops checking rows at its first event, so the first chunk with an
-    // event holds the lowest-id witness of a sequential scan. Region states
-    // are still counted past an event, so the region size is exact either
-    // way.
+    stats.region_states = from_bits
+        .words
+        .iter()
+        .zip(&to_bits.words)
+        .map(|(f, t)| (f & !t).count_ones() as u64)
+        .sum();
+    // One DFS from the region's states, over internal edges read straight
+    // from the space's rows, numbered by state id. Every region state is
+    // entered once, so its row is also where the search looks for
+    // deadlocks and escapes: the lowest-id one is the witness a scan in id
+    // order would find, and its successor the first in action order.
     enum RegionEvent {
         Deadlock(StateId),
         Escape { before: StateId, after: StateId },
     }
-    let chunks = run_chunks(space.len(), opts.workers_for(space.len()), |range| {
-        let (mut size, mut event) = (0u64, None);
-        for i in range.filter(|&i| in_region(i)) {
-            size += 1;
-            if event.is_some() {
-                continue;
-            }
-            let id = StateId::from_index(i);
-            let succs = space.successor_ids(id);
-            let escape = succs
+    let state_of = |e: &RegionEvent| match *e {
+        RegionEvent::Deadlock(id) | RegionEvent::Escape { before: id, .. } => id,
+    };
+    let mut first_event: Option<RegionEvent> = None;
+    // The search holds one `u32` and one done bit per state.
+    let required = 4 * space.len() as u64 + space.len().div_ceil(64) as u64 * 8;
+    if required > opts.memory_budget {
+        return Err(CheckError::BudgetExceeded {
+            required,
+            budget: opts.memory_budget,
+            phase: "columns",
+        });
+    }
+    let mut rows = space.rows();
+    let limit = StackLimit {
+        width: program.action_count(),
+        charged: required,
+        budget: opts.memory_budget,
+    };
+    let mut heights = tarjan(
+        space.len(),
+        (0..space.len()).filter(|&i| in_region(i)).map(|i| i as u32),
+        limit,
+        |v, out| {
+            let id = StateId::from_index(v as usize);
+            let row = rows.transitions(id);
+            let escape = row
+                .succs()
                 .iter()
                 .find(|&&t| !from_bits.contains(t) && !to_bits.contains(t));
-            if succs.is_empty() {
-                event = Some(RegionEvent::Deadlock(id));
-            } else if let Some(&after) = escape {
-                event = Some(RegionEvent::Escape { before: id, after });
+            let event = match escape {
+                _ if row.is_empty() => Some(RegionEvent::Deadlock(id)),
+                Some(&after) => Some(RegionEvent::Escape { before: id, after }),
+                None => None,
+            };
+            if let Some(e) = event {
+                if first_event.as_ref().is_none_or(|f| id < state_of(f)) {
+                    first_event = Some(e);
+                }
             }
-        }
-        (size, event)
-    })?;
-    let mut first_event = None;
-    for (size, event) in chunks {
-        stats.region_states += size;
-        first_event = first_event.or(event);
-    }
+            let internal = row.succs().iter().filter(|t| in_region(t.index()));
+            out.extend(internal.map(|t| t.index() as u32));
+            Ok(())
+        },
+        |_, _| Ok(()),
+    )?;
     if let Some(event) = first_event {
         let result = match event {
             RegionEvent::Deadlock(id) => ConvergenceResult::DeadlockOutsideTarget {
@@ -300,22 +329,6 @@ pub fn check_convergence_bits(
             stats,
         });
     }
-
-    // One DFS from the region's states, over internal edges read straight
-    // from the space's rows, numbered by state id. With no event, every
-    // successor outside `S` is in the region.
-    let mut heights = tarjan(
-        space.len(),
-        (0..space.len()).filter(|&i| in_region(i)).map(|i| i as u32),
-        |v| {
-            space
-                .successor_ids(StateId::from_index(v as usize))
-                .iter()
-                .filter(|&&t| !to_bits.contains(t))
-                .map(|t| t.index() as u32)
-        },
-        |_, _| Ok::<_, CheckError>(()),
-    )?;
     // The residual is the infinite region states, ascending. The heights
     // become its numbering (`u32::MAX` for every other state), so lookups
     // stay O(1).
@@ -344,7 +357,6 @@ pub fn check_convergence_bits(
         let r = heights[t.index()];
         (r != u32::MAX).then_some(r as usize)
     };
-    let mut rows = space;
     let mut analyze = |fairness| {
         analyze_residual(
             &mut rows,
@@ -411,12 +423,13 @@ pub(crate) fn analyze_residual(
     let n = residual.len();
     let (mut result, mut sccs_found) = (ConvergenceResult::Converges, 0u64);
     let mut scc_bits = Bitset::zeros(n);
-    let row = |u: u32| {
+    let row = |u: u32, out: &mut Vec<u32>| {
         let (lo, hi) = (
             offsets[u as usize] as usize,
             offsets[u as usize + 1] as usize,
         );
-        edges[lo..hi].iter().copied()
+        out.extend_from_slice(&edges[lo..hi]);
+        Ok(())
     };
     let component = |scc: &[u32], cyclic: bool| -> Result<(), CheckError> {
         sccs_found += 1;
@@ -443,7 +456,14 @@ pub(crate) fn analyze_residual(
         }
         Ok(())
     };
-    tarjan(n, 0..n as u32, row, component)?;
+    // Not charged: the residual is the region's unresolved remainder,
+    // usually a handful of states.
+    let limit = StackLimit {
+        width: program.action_count(),
+        charged: 0,
+        budget: u64::MAX,
+    };
+    tarjan(n, 0..n as u32, limit, row, component)?;
     Ok(Residual {
         result,
         sccs_found,
@@ -519,6 +539,7 @@ pub fn shortest_path_to(
     let mut seen = Bitset::for_predicate(space, from, CheckOptions::default())?;
     let mut queue: std::collections::VecDeque<StateId> =
         seen.iter_ones().map(StateId::from_index).collect();
+    let mut rows = space.rows();
     while let Some(id) = queue.pop_front() {
         if target_ids.contains(id) {
             // Rebuild the path; the start state (no parent) carries no
@@ -539,7 +560,7 @@ pub fn shortest_path_to(
             path.reverse();
             return Ok(Some(path));
         }
-        for (a, next) in space.successors(id) {
+        for (a, next) in rows.transitions(id) {
             if !seen.contains(next) {
                 seen.set(next.index());
                 parent[next.index()] = id.index() as u32;
@@ -554,10 +575,37 @@ pub fn shortest_path_to(
 /// The [`tarjan`] height of a node with an infinite path.
 const INFINITE: u32 = u32::MAX;
 
+/// What [`tarjan`]'s stacks may hold: the bytes `budget` leaves beyond
+/// the `charged` ones, for rows of at most `width` edges.
+#[derive(Debug, Clone, Copy)]
+struct StackLimit {
+    width: usize,
+    charged: u64,
+    budget: u64,
+}
+
+/// Make room for `more` items on `v`, doubling as a `Vec` does, unless
+/// the search's stacks, `held` bytes so far, would then pass `room`;
+/// `Err` carries the bytes they would hold.
+fn grow<T>(v: &mut Vec<T>, more: usize, held: &mut u64, room: u64) -> Result<(), u64> {
+    let old = v.capacity();
+    if old - v.len() >= more {
+        return Ok(());
+    }
+    let cap = (v.len() + more).max(2 * old).max(16);
+    let after = *held + ((cap - old) * std::mem::size_of::<T>()) as u64;
+    if after > room {
+        return Err(after);
+    }
+    v.reserve_exact(cap - v.len());
+    *held += ((v.capacity() - old) * std::mem::size_of::<T>()) as u64;
+    Ok(())
+}
+
 /// Iterative Tarjan SCC over the nodes `0..n` reachable from `roots`,
-/// whose out-edges `row(v)` yields. Components complete in reverse
-/// topological order, and each is handed to `component` as its members,
-/// sorted, with whether it is *cyclic* (two or more members, or a
+/// whose out-edges `row(v, out)` appends to `out`. Components complete in
+/// reverse topological order, and each is handed to `component` as its
+/// members, sorted, with whether it is *cyclic* (two or more members, or a
 /// self-loop). A component is a slice of the DFS stack, so a singleton
 /// allocates nothing.
 ///
@@ -565,36 +613,55 @@ const INFINITE: u32 = u32::MAX;
 /// or [`INFINITE`] when a path from it reaches a cyclic component (0 for a
 /// node never reached). A singleton's height is one more than the largest
 /// of its successors', all of which completed before it; a cyclic
-/// component's members are infinite. The first `Err` from `component` ends
-/// the search.
+/// component's members are infinite. The first `Err` from `row` or
+/// `component` ends the search.
 ///
 /// One `u32` per node, after Pearce's single-array variant: a node's DFS
 /// number lives in its call frame, and `low` holds its lowlink while it is
 /// on the stack, then its height. A bit per node marks the completed ones.
-fn tarjan<I, E>(
+/// The unread out-edges of the frames on the call stack share one edge
+/// stack, so a row is read once, when its node is entered. The three
+/// stacks grow as deep as the search goes (the largest component, or the
+/// longest chain), so each growth is charged against `limit` first.
+///
+/// # Errors
+///
+/// [`CheckError::TooLarge`] when `n` does not leave a `u32` DFS number
+/// free above every node; [`CheckError::BudgetExceeded`] (phase
+/// `"search stacks"`) when the stacks would take `limit.charged` past
+/// `limit.budget`; otherwise the first error of `row` or `component`.
+fn tarjan(
     n: usize,
     roots: impl IntoIterator<Item = u32>,
-    mut row: impl FnMut(u32) -> I,
-    mut component: impl FnMut(&[u32], bool) -> Result<(), E>,
-) -> Result<Vec<u32>, E>
-where
-    I: Iterator<Item = u32>,
-{
+    limit: StackLimit,
+    mut row: impl FnMut(u32, &mut Vec<u32>) -> Result<(), CheckError>,
+    mut component: impl FnMut(&[u32], bool) -> Result<(), CheckError>,
+) -> Result<Vec<u32>, CheckError> {
     const UNSEEN: u32 = 0;
     // DFS numbers run from 1, so they stay above `UNSEEN`.
-    assert!(
-        n < u32::MAX as usize,
-        "{n} nodes overflow the u32 numbering"
-    );
+    if n >= u32::MAX as usize {
+        return Err(CheckError::TooLarge {
+            limit: u32::MAX as usize - 1,
+        });
+    }
     // `low[v]` is `UNSEEN`, then v's lowlink while v is on the stack, then
     // its height (never `UNSEEN`) once `done` holds v.
     let mut low = vec![UNSEEN; n];
     let mut done = Bitset::zeros(n);
     let mut stack: Vec<u32> = Vec::new();
-    // Explicit DFS stack: (node, its DFS number, its unread out-edges, the
-    // largest height among its done successors, whether it has a
-    // self-loop).
-    let mut call: Vec<(u32, u32, I, u32, bool)> = Vec::new();
+    // Explicit DFS stack: (node, its DFS number, the start of its unread
+    // out-edges on `edges`, the largest height among its done successors,
+    // whether it has a self-loop). A frame's unread edges run from its
+    // start to the next frame's edges, or to the end of `edges`.
+    let mut call: Vec<(u32, u32, usize, u32, bool)> = Vec::new();
+    let mut edges: Vec<u32> = Vec::new();
+    let room = limit.budget.saturating_sub(limit.charged);
+    let mut held = 0u64;
+    let over = |stacks: u64| CheckError::BudgetExceeded {
+        required: limit.charged + stacks,
+        budget: limit.budget,
+        phase: "search stacks",
+    };
     let mut next_index = UNSEEN;
     for root in roots {
         if low[root as usize] != UNSEEN {
@@ -603,17 +670,24 @@ where
         let mut enter = Some(root);
         loop {
             if let Some(w) = enter.take() {
+                grow(&mut stack, 1, &mut held, room).map_err(over)?;
+                grow(&mut call, 1, &mut held, room).map_err(over)?;
+                grow(&mut edges, limit.width, &mut held, room).map_err(over)?;
                 next_index += 1;
                 low[w as usize] = next_index;
                 stack.push(w);
-                call.push((w, next_index, row(w), 0, false));
+                // Reversed, so that popping reads them in row order.
+                let start = edges.len();
+                row(w, &mut edges)?;
+                edges[start..].reverse();
+                call.push((w, next_index, start, 0, false));
             }
-            let Some((v, _, edges, reach, self_loop)) = call.last_mut() else {
+            let Some(&mut (v, _, start, ref mut reach, ref mut self_loop)) = call.last_mut() else {
                 break;
             };
-            let v = *v as usize;
-            if let Some(w) = edges.next() {
-                let w = w as usize;
+            let v = v as usize;
+            if edges.len() > start {
+                let w = edges.pop().expect("an unread edge") as usize;
                 if done.get(w) {
                     *reach = (*reach).max(low[w]);
                 } else if low[w] == UNSEEN {
@@ -1004,6 +1078,56 @@ mod tests {
         }
     }
 
+    /// No budget, for rows as wide as `adj`'s widest.
+    fn unlimited(adj: &[Vec<u32>]) -> StackLimit {
+        StackLimit {
+            width: adj.iter().map(Vec::len).max().unwrap_or(0),
+            charged: 0,
+            budget: u64::MAX,
+        }
+    }
+
+    #[test]
+    fn tarjan_charges_its_stacks_against_the_budget() {
+        // A chain 0 -> 1 -> ... -> 9999 is searched 10,000 frames deep.
+        let adj: Vec<Vec<u32>> = (0..10_000u32)
+            .map(|v| if v < 9_999 { vec![v + 1] } else { vec![] })
+            .collect();
+        let search = |limit| {
+            tarjan(
+                adj.len(),
+                [0],
+                limit,
+                |v, out| {
+                    out.extend(&adj[v as usize]);
+                    Ok(())
+                },
+                |_, _| Ok(()),
+            )
+        };
+        let tight = StackLimit {
+            charged: 1000,
+            budget: 1000 + 64 * 1024,
+            ..unlimited(&adj)
+        };
+        match search(tight) {
+            Err(CheckError::BudgetExceeded {
+                required,
+                budget,
+                phase: "search stacks",
+            }) => assert!(required > budget && budget == 1000 + 64 * 1024),
+            other => panic!("a 64 KiB room must refuse 10,000 frames, got {other:?}"),
+        }
+        // A megabyte holds them: a `u32` and a 24-byte frame per node,
+        // with one doubling of slack.
+        let roomy = StackLimit {
+            budget: 1000 + (1 << 20),
+            ..tight
+        };
+        let heights = search(roomy).unwrap();
+        assert_eq!(heights[0], 10_000);
+    }
+
     /// Every component of `adj` in completion order, with its cyclic flag,
     /// and every node's height.
     fn tarjan_of(adj: &[Vec<u32>]) -> (Vec<(Vec<u32>, bool)>, Vec<u32>) {
@@ -1011,10 +1135,14 @@ mod tests {
         let heights = tarjan(
             adj.len(),
             0..adj.len() as u32,
-            |v| adj[v as usize].iter().copied(),
+            unlimited(adj),
+            |v, out| {
+                out.extend(&adj[v as usize]);
+                Ok(())
+            },
             |scc, cyclic| {
                 sccs.push((scc.to_vec(), cyclic));
-                Ok::<_, ()>(())
+                Ok(())
             },
         )
         .unwrap();
@@ -1149,10 +1277,14 @@ mod tests {
             let heights = tarjan(
                 n,
                 roots.iter().copied(),
-                |v| adj[v as usize].iter().copied(),
+                unlimited(&adj),
+                |v, out| {
+                    out.extend(&adj[v as usize]);
+                    Ok(())
+                },
                 |scc, cyclic| {
                     sccs.push((scc.to_vec(), cyclic));
-                    Ok::<_, ()>(())
+                    Ok(())
                 },
             )
             .unwrap();

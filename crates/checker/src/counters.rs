@@ -15,7 +15,7 @@ use nonmask_obs::CounterSet;
 pub struct CheckCounters {
     /// States in the enumerated space.
     pub states: u64,
-    /// Transitions in the CSR table.
+    /// Transitions of the space, counted from its footprint tables.
     pub transitions: u64,
     /// Predicate caches ([`Bitset`](crate::Bitset)s) built by evaluating
     /// a predicate (caches composed bitwise from others do not count).
@@ -24,7 +24,7 @@ pub struct CheckCounters {
     /// state for each pass of [`Bitset::for_predicates`](crate::Bitset::for_predicates),
     /// however many predicates the pass evaluates.
     pub states_decoded: u64,
-    /// CSR rows read by closure and preservation sweeps: every row of
+    /// Rows read by closure and preservation sweeps: every row of
     /// each sweep's assumption (the closure sweeps over `T` and `S`, the
     /// repair sweep over `T`, one per memo miss), plus, per closure
     /// witness scan, the rows of the predicate up to its witness, as a

@@ -21,9 +21,11 @@ pub enum CheckError {
         /// Name of the unbounded variable.
         var: String,
     },
-    /// The state space has more states than `u32` ids can number.
+    /// The state space has more states than a pass can number: `u32` ids
+    /// number `u32::MAX + 1` states, and the region search's `u32`
+    /// numbering `u32::MAX − 1`.
     TooLarge {
-        /// The limit that was exceeded: `u32::MAX + 1` states.
+        /// The limit that was exceeded, in states.
         limit: usize,
     },
     /// A build phase would exceed the configured
@@ -31,22 +33,35 @@ pub enum CheckError {
     /// Raise the budget (or switch convergence-only queries to the
     /// frontier mode) to check larger instances.
     BudgetExceeded {
-        /// Resident bytes the tripping phase would need (CSR arrays plus
-        /// per-worker scratch).
+        /// Resident bytes the tripping phase would need.
         required: u64,
         /// The configured budget in bytes.
         budget: u64,
-        /// Which build phase tripped: `"offsets"` (offsets + guard
-        /// columns), `"succs"` (those plus the successor column),
+        /// Which phase tripped: `"columns"` (the footprint tables plus
+        /// the per-state columns every resident verification holds: the
+        /// region search's `u32` and done bit, and the `T` and `S`
+        /// caches), `"search stacks"` (the region search's DFS stacks,
+        /// charged as they grow), `"mask column"` (one packed predicate
+        /// column),
         /// `"frontier bitsets"` (the frontier mode's predicate, region,
         /// resolved and delta bitsets), or `"frontier rows"` (those
         /// bitsets plus one round's row buffer per worker).
         phase: &'static str,
     },
-    /// The space has more transitions than CSR `u32` offsets can index.
-    TooManyTransitions {
-        /// The transition count that overflowed the `u32` range.
-        count: u64,
+    /// An action or predicate depends on a variable outside its declared
+    /// footprint: a guard or effect reads it, or an effect writes it,
+    /// without the action declaring it in its reads or writes, or a
+    /// predicate reads it without declaring it. Found by the footprint
+    /// tables' audit, which is not exhaustive (see
+    /// [`footprint`](crate::footprint)); declare the variable to check the
+    /// program.
+    UndeclaredVariable {
+        /// `"action"` or `"predicate"`.
+        kind: &'static str,
+        /// The action's or predicate's name.
+        name: String,
+        /// The undeclared variable's name.
+        var: String,
     },
     /// An action wrote a value outside its variable's domain, producing a
     /// successor that is not a state of the space. Domains must be closed
@@ -94,9 +109,10 @@ impl std::fmt::Display for CheckError {
                 "state space needs {required} resident bytes in the {phase} phase, over the \
                  memory budget of {budget} bytes; raise `CheckOptions::memory_budget` to check it"
             ),
-            CheckError::TooManyTransitions { count } => write!(
+            CheckError::UndeclaredVariable { kind, name, var } => write!(
                 f,
-                "state space has {count} transitions, more than CSR u32 offsets can index"
+                "{kind} `{name}` depends on `{var}`, which it does not declare; \
+                 declare every variable it reads or writes"
             ),
             CheckError::EscapedDomain { action, var } => write!(
                 f,

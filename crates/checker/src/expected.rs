@@ -95,11 +95,12 @@ pub fn expected_moves(
 
     // Precompute successor lists in region-local terms: Some(j) = region
     // state j, None = absorbed (reached `to` or left `from`).
+    let mut rows = space.rows();
     let succs: Vec<Vec<Option<usize>>> = region
         .iter()
         .map(|&id| {
-            space
-                .successor_ids(id)
+            rows.transitions(id)
+                .succs()
                 .iter()
                 .map(|&t| {
                     let li = local[t.index()];

@@ -1,13 +1,13 @@
 //! Frontier convergence: the out-of-core convergence check.
 //!
 //! [`check_convergence`](crate::convergence::check_convergence)
-//! needs the whole CSR transition relation resident, which caps the
+//! holds the region search's `u32` per state resident, which caps the
 //! checkable instance at the memory budget. This module answers the same
 //! question — does every computation from `T` reach `S`? — from a bare
 //! [`SpaceIndex`]: rows come from a [`Decoder`], segment by segment, and
 //! the only O(states) residency is five bitsets (the two predicate caches,
 //! the region, the `resolved` frontier and one round's deltas), under a
-//! byte per state instead of 8 bytes per *transition*.
+//! byte per state.
 //!
 //! # Algorithm
 //!
@@ -18,7 +18,7 @@
 //! rounds. Each round, work-stealing workers sweep the
 //! [segment plan](crate::CheckOptions::segment_plan): a worker buffers the
 //! internal-successor rows of its segment's still-unresolved region states
-//! (a throwaway mini-CSR, dropped at segment end), then runs an in-segment
+//! (a throwaway compressed row buffer, dropped at segment end), then runs an in-segment
 //! fixpoint against the shared immutable `resolved` set plus its own local
 //! delta bits — so resolution chains *within* a segment collapse in one
 //! round. Per-segment deltas are OR-merged after the round (OR is

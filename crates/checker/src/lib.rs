@@ -33,26 +33,27 @@
 //! multiply-adds with no hash map, and the forward direction means states
 //! are never materialized — [`StateSpace::state`] decodes any state from
 //! its id on demand, and hot loops decode into reusable scratch buffers
-//! ([`StateSpace::decode_state`]). Transitions live in flat CSR arrays
-//! (`offsets`, a guard column of enabled-action bits, and `succs`):
-//! resident memory is 4 bytes per state for offsets, one per state per 8
-//! actions for guards, and 4 per transition, gated by an explicit
-//! [`CheckOptions::memory_budget`] instead of a blunt state-count cap (see
-//! the [`space`] module docs).
+//! ([`StateSpace::decode_state`]). No transition is stored: each action
+//! keeps a small table indexed by the values of the variables it reads
+//! and writes ([`footprint`]), and a row is one table load per action.
+//! The space itself is a few kilobytes; what a verification holds is its
+//! per-state columns (predicate caches, the region search's `u32` per
+//! state), gated by an explicit [`CheckOptions::memory_budget`] instead
+//! of a blunt state-count cap (see the [`space`] module docs).
 //!
-//! Every state-space sweep — enumeration, transition construction,
-//! predicate evaluation, closure, and the convergence region's deadlock
-//! and escape sweep — runs in parallel, controlled by
-//! [`CheckOptions::threads`]; results are **bit-identical for every thread
-//! count** because per-task results are reduced in task order (the
-//! lowest-id witness always wins). Predicates are evaluated once per state
-//! into [`Bitset`] caches (`*_bits` function variants) that callers can
-//! share across passes and compose with bitwise `and`/`not`;
-//! [`Bitset::for_predicates`] evaluates any number of them in one decode
-//! pass. Convergence answers both daemons and the worst-case bound with
-//! one DFS over the region's resident rows: it gives every region state
-//! its height (the longest path out) or marks it infinite, holding one
-//! `u32` and one bit per state and nothing sized by the edge count. The
+//! Every whole-space sweep — predicate evaluation and closure — runs in
+//! parallel, controlled by [`CheckOptions::threads`]; results are
+//! **bit-identical for every thread count** because per-task results are
+//! reduced in task order (the lowest-id witness always wins). Predicates
+//! are evaluated once per state into [`Bitset`] caches (`*_bits` function
+//! variants) that callers can share across passes and compose with
+//! bitwise `and`/`not`; [`Bitset::for_predicates`] fills any number of
+//! them from predicate footprint tables in one pass. Convergence answers
+//! both daemons and the worst-case bound with one DFS over the region's
+//! rows, which also finds its lowest-id deadlock or escape: it gives every
+//! region state its height (the longest path out) or marks it infinite,
+//! holding one `u32` and one bit per state and nothing sized by the edge
+//! count. The
 //! infinite states are the residual, empty in the common converging case,
 //! and only they go to the per-daemon residual analysis (see the
 //! [`convergence`] module docs).
@@ -61,9 +62,10 @@
 //!
 //! Every pass reads transitions through the [`Successors`] trait — the
 //! `(action, successor)` row of a state id, in action order — implemented
-//! by the resident CSR ([`StateSpace`]) and by a [`Decoder`] that
-//! evaluates guards and effects on demand (see [`successors`]). Closure
-//! and the convergence residual analysis are written once on it.
+//! by a [`TableRows`] reader over a [`StateSpace`]'s footprint tables and
+//! by a [`Decoder`] that evaluates guards and effects on demand (see
+//! [`successors`]). Closure and the convergence residual analysis are
+//! written once on it.
 //!
 //! Whole-space sweeps split the id range into contiguous **segments**
 //! ([`SegmentPlan`]), claimed by workers through a **work-stealing**
@@ -73,18 +75,16 @@
 //! order, verdicts and witnesses remain bit-identical for every thread
 //! count and claim order. [`is_closed_bits`], [`breaking_actions`] and
 //! [`repair_obligations`] run on a [`Decoder`] as well as on a
-//! [`StateSpace`], and report the same answer on each: with a decoder no
-//! transition is stored, so closure questions reach spaces whose CSR
-//! table does not fit the memory budget. A sweep asks as many questions
-//! as it can: [`breaking_actions`] answers closure and preservation for
+//! [`StateSpace`], and report the same answer on each. A sweep asks as
+//! many questions as it can: [`breaking_actions`] answers closure and preservation for
 //! every action and up to 64 predicates (a [`MaskColumn`], one byte per
 //! state per 8 predicates) in one pass over the assumed states, and
 //! [`repair_obligations`] checks every constraint's repair in one pass
 //! over `T`.
 //!
-//! For convergence-only queries on such instances,
-//! [`check_convergence_frontier_stats`] ([`frontier`]) never materializes
-//! transitions at all: it peels the region as a round-based fixpoint
+//! For convergence-only queries on instances whose per-state columns do
+//! not fit the budget, [`check_convergence_frontier_stats`] ([`frontier`])
+//! needs no [`StateSpace`] at all: it peels the region as a round-based fixpoint
 //! over decoded rows, with five bitsets of live memory, and ends
 //! in the resident checker's own residual analysis. Its verdicts,
 //! witnesses, and statistics are bit-identical to the resident checker's.
@@ -116,7 +116,7 @@
 //! The out-of-core passes accept a [`nonmask_obs::Journal`]
 //! ([`StateSpace::enumerate_journaled`],
 //! [`check_convergence_frontier_stats`]) and emit structured JSON-lines
-//! events (CSR build phases, frontier rounds, convergence wave sizes).
+//! events (the table build, frontier rounds, convergence wave sizes).
 //! The resident convergence pass journals nothing: its sizes come back in
 //! [`ConvergenceReport::stats`], for a caller that keeps a journal to emit
 //! as an [`Event::Wave`](nonmask_obs::Event::Wave). [`CheckCounters`]
@@ -138,6 +138,7 @@ pub mod convergence;
 pub mod counters;
 pub mod error;
 pub mod expected;
+pub mod footprint;
 pub mod frontier;
 pub mod options;
 pub mod oracle;
@@ -160,6 +161,7 @@ pub use convergence::{
 pub use counters::CheckCounters;
 pub use error::CheckError;
 pub use expected::{expected_moves, ExpectedMoves};
+pub use footprint::TABLE_CAP;
 pub use frontier::{check_convergence_frontier_stats, FrontierStats};
 pub use options::{
     steal_find, steal_tasks, CheckOptions, SegmentPlan, DEFAULT_MEMORY_BUDGET,
@@ -167,6 +169,6 @@ pub use options::{
 };
 pub use oracle::{attribute_constraints, ConstraintAttribution, StepFault, StepOracle};
 pub use replay::{replay_constraints, ConstraintTransition};
-pub use space::{SpaceIndex, StateId, StateSpace, Transitions, TransitionsIter};
+pub use space::{SpaceIndex, StateId, StateSpace, TableRows, Transitions, TransitionsIter};
 pub use span::{compute_fault_span, StateSet};
 pub use successors::{Decoder, RowSource, Successors};

@@ -10,9 +10,8 @@
 //! merged **in task order** (`steal_tasks`) or reduced to the lowest-index
 //! hit (`steal_find`), so multi-threaded runs return **bit-identical
 //! results** to single-threaded runs — including which violation or
-//! divergence witness is reported first. `run_chunks` is `steal_tasks`
-//! over one balanced id chunk per worker, and `steal_parts` hands each
-//! task its own pre-split sub-slice of an output array.
+//! divergence witness is reported first. `steal_parts` hands each task
+//! its own pre-split sub-slice of an output array.
 //!
 //! [`StateId`]: crate::StateId
 
@@ -26,14 +25,20 @@ use crate::error::{payload_string, CheckError};
 /// workers costs more than the work itself on small spaces.
 const PARALLEL_THRESHOLD: usize = 2048;
 
-/// Default [`CheckOptions::memory_budget`]: 8 GiB of resident CSR arrays.
+/// Default [`CheckOptions::memory_budget`]: 8 GiB of resident tables and
+/// per-state columns.
 ///
-/// At the CSR cost of `4·(states+1) + B·states + 4·transitions` bytes
-/// (`B = ⌈actions/8⌉` guard bytes per state, at least one) this admits
-/// spaces of hundreds of millions of states (the seed representation's
-/// ~100+ bytes/state capped out around 2 million). The frontier
-/// convergence mode stays under the same budget with no transition table
-/// at all: five bitsets plus one round's row buffer per worker.
+/// A [`StateSpace`](crate::StateSpace) stores no transition, only its
+/// per-action footprint tables (kilobytes), so what the budget bounds is
+/// the per-state columns a resident verification holds: 4 bytes and 3
+/// bits a state for the region search and the `T` and `S` caches, charged
+/// at enumeration, plus `⌈P/8⌉` bytes a state for a mask column of `P`
+/// predicates, charged when it is packed. The region search's DFS stacks
+/// are charged as they grow, since their depth is known only during the
+/// search. The enumeration charge admits spaces of up to about 1.9
+/// billion states (2^28 states need about 1.2 GB of it). The frontier
+/// convergence mode stays under the same budget with five bitsets plus
+/// one round's row buffer per worker.
 pub const DEFAULT_MEMORY_BUDGET: u64 = 8 << 30;
 
 /// Default [`CheckOptions::segment_states`]: 2^22 states per segment.
@@ -70,11 +75,12 @@ pub struct CheckOptions {
     /// every value — only wall-clock time changes.
     pub threads: usize,
     /// Maximum resident bytes a pass may allocate: for monolithic
-    /// enumeration the CSR arrays (`4·(states+1) + B·states +
-    /// 4·transitions`, `B` guard bytes per state) plus per-worker scratch;
-    /// for the frontier convergence mode its bitsets plus the row buffers
-    /// of one round. A pass fails with [`CheckError::BudgetExceeded`] —
-    /// naming the phase that tripped — before the big allocations happen.
+    /// enumeration the footprint tables plus the per-state columns every
+    /// resident verification holds (4 bytes and 3 bits a state); for a
+    /// mask column its `⌈P/8⌉` bytes a state; for the frontier convergence
+    /// mode its bitsets plus the row buffers of one round. A pass fails
+    /// with [`CheckError::BudgetExceeded`] — naming the phase that tripped —
+    /// before the big allocations happen.
     pub memory_budget: u64,
     /// States per segment, the unit of work of every parallel sweep; `0`
     /// means auto ([`DEFAULT_SEGMENT_STATES`], shrunk so small spaces
@@ -193,9 +199,9 @@ impl SegmentPlan {
     }
 }
 
-/// The contiguous chunk ranges `run_chunks` hands to `workers` workers over
-/// `0..len`, exposed so two-phase passes (count, then fill disjoint
-/// sub-slices) can split their output arrays along the same boundaries.
+/// Balanced contiguous chunk ranges of `0..len` for `workers` workers:
+/// passes that fill disjoint sub-slices of their output arrays (predicate
+/// caches, mask columns) split them along these boundaries.
 ///
 /// The split is *balanced*: no empty ranges are ever produced (`len == 0`
 /// yields no chunks at all), `workers` is clamped to `len`, and chunk sizes
@@ -219,23 +225,6 @@ pub(crate) fn chunk_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Split `0..len` into at most `workers` balanced chunks
-/// ([`chunk_ranges`]), run `f` on each under [`steal_tasks`], and return
-/// the per-chunk results **in chunk order**. Deterministic reductions over
-/// the returned vector (concatenation, first-`Some`, minimum-index)
-/// therefore reproduce the sequential left-to-right scan exactly.
-///
-/// A panic in any chunk is returned as [`CheckError::WorkerFailed`]
-/// instead of aborting the process.
-pub(crate) fn run_chunks<T, F>(len: usize, workers: usize, f: F) -> Result<Vec<T>, CheckError>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let ranges = chunk_ranges(len, workers);
-    steal_tasks(ranges.len(), workers, |i| f(ranges[i].clone()))
-}
-
 /// Split `out` into consecutive sub-slices of the given lengths.
 pub(crate) fn split_lens<T>(
     mut out: &mut [T],
@@ -252,9 +241,9 @@ pub(crate) fn split_lens<T>(
 
 /// Run `f(i, parts[i])` for every part under [`steal_tasks`], each part
 /// moved into exactly one task, and return the results in task order.
-/// Two-phase passes (count, prefix sum, fill) fill disjoint sub-slices of
-/// their output arrays this way, so the layout does not depend on the
-/// thread count or the claim order.
+/// Passes that fill disjoint sub-slices of their output arrays (predicate
+/// caches, mask columns) run this way, so the layout does not depend on
+/// the thread count or the claim order.
 pub(crate) fn steal_parts<P, R, F>(
     parts: Vec<P>,
     workers: usize,
@@ -396,18 +385,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunks_cover_range_in_order() {
-        for workers in [1, 2, 3, 8] {
-            let ids: Vec<usize> = run_chunks(10_000, workers, |r| r.collect::<Vec<_>>())
-                .unwrap()
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(ids, (0..10_000).collect::<Vec<_>>(), "workers={workers}");
-        }
-    }
-
-    #[test]
     fn chunk_ranges_tile_the_input() {
         for (len, workers) in [(0, 4), (1, 4), (10, 3), (10_000, 7), (2048, 2048)] {
             let ranges = chunk_ranges(len, workers);
@@ -445,48 +422,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn empty_range_yields_no_chunks() {
-        let out = run_chunks(0, 4, |r| r.len()).unwrap();
-        assert!(out.is_empty());
-        assert!(chunk_ranges(0, 4).is_empty());
-    }
-
-    #[test]
-    fn serial_chunk_panic_is_a_typed_error() {
-        // Small work runs on the calling thread; a poisoned closure must
-        // still surface as `WorkerFailed`, not unwind through the caller.
-        let err = run_chunks(10, 1, |r| {
-            if r.contains(&3) {
-                panic!("poisoned predicate at 3");
-            }
-            r.len()
-        })
-        .unwrap_err();
-        assert!(
-            matches!(err, CheckError::WorkerFailed { ref payload }
-                if payload.contains("poisoned predicate at 3")),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn worker_thread_panic_is_a_typed_error() {
-        let err = run_chunks(10_000, 4, |r| {
-            if r.contains(&9_999) {
-                panic!("poisoned predicate at {}", 9_999);
-            }
-            r.len()
-        })
-        .unwrap_err();
-        assert!(
-            matches!(err, CheckError::WorkerFailed { ref payload }
-                if payload.contains("poisoned predicate at 9999")),
-            "got {err:?}"
-        );
-        assert!(err.to_string().contains("checker worker panicked"));
     }
 
     #[test]
@@ -565,6 +500,7 @@ mod tests {
                     if payload.contains("poisoned task 11")),
                 "workers={workers}: got {err:?}"
             );
+            assert!(err.to_string().contains("checker worker panicked"));
         }
     }
 

@@ -2,7 +2,7 @@
 //! attribution for differential conformance checking.
 //!
 //! The exhaustive checker already knows the complete transition relation of
-//! a program (the CSR arrays of [`StateSpace`]). This module turns that
+//! a program (the rows of a [`StateSpace`]). This module turns that
 //! knowledge into an *oracle* other execution layers can be checked
 //! against, step by step:
 //!
@@ -21,13 +21,13 @@
 //! The oracle works on *states*, not ids, so execution layers can feed it
 //! their per-site views directly: an action applied to a site's view (own
 //! variables plus cached remote reads) is a program transition of the view
-//! state, which is exactly what the CSR relation describes.
+//! state, which is exactly what the transition relation describes.
 //!
-//! The oracle does not need resident CSR arrays:
+//! The oracle does not need an enumerated space:
 //! [`StepOracle::over_index`] builds it from a bare [`SpaceIndex`]
 //! (O(variables) memory, no enumeration pass). Domain membership comes
 //! from the index's id bijection, and transition lookups try each action's
-//! guard and effect in action order — the order of a CSR row, so the
+//! guard and effect in action order — the order of a row, so the
 //! lowest-id tie-break is the row's.
 
 use nonmask_program::{ActionId, Program, State};
@@ -85,7 +85,7 @@ pub struct StepOracle<'a> {
 
 impl<'a> StepOracle<'a> {
     /// Build an oracle from a bare [`SpaceIndex`], without materializing
-    /// any transitions. Verdicts match the enumerated space's CSR rows
+    /// any transitions. Verdicts match the enumerated space's rows
     /// (see the module docs); memory is O(variables) instead of
     /// O(states + transitions).
     pub fn over_index(index: &'a SpaceIndex, program: &'a Program) -> Self {
@@ -219,7 +219,7 @@ impl ConstraintAttribution {
 /// Compute constraint attribution for every action over the full
 /// transition relation.
 ///
-/// One sequential sweep over the CSR arrays after evaluating each
+/// One sequential sweep over the space's rows after evaluating each
 /// constraint into a [`Bitset`] (the bitsets are built with `opts`, so the
 /// predicate evaluation is parallel; the sweep itself visits each
 /// transition once).
@@ -240,8 +240,9 @@ pub fn attribute_constraints(
     let mut establishes = vec![true; actions * k];
     let mut entered_from_outside = vec![false; actions * k];
     let mut preserves = vec![true; actions * k];
+    let mut rows = space.rows();
     for id in space.ids() {
-        for (action, succ) in space.successors(id) {
+        for (action, succ) in rows.transitions(id) {
             let row = action.index() * k;
             for (c, cb) in bits.iter().enumerate() {
                 if cb.contains(succ) {
@@ -367,7 +368,7 @@ mod tests {
         let space = StateSpace::enumerate(&p).unwrap();
         let index = SpaceIndex::of_program(&p, CheckOptions::default()).unwrap();
         let by_index = StepOracle::over_index(&index, &p);
-        // Exhaustive agreement with the CSR rows over every ordered state
+        // Exhaustive agreement with the table rows over every ordered state
         // pair, including the action chosen on ties.
         for pre in index.ids() {
             let before = index.state(pre);
@@ -376,8 +377,8 @@ mod tests {
                 let after = index.state(post);
                 let resident = row
                     .iter()
-                    .find(|&(_, t)| t == post)
-                    .map(|(a, _)| a)
+                    .find(|&&(_, t)| t == post)
+                    .map(|&(a, _)| a)
                     .ok_or(StepFault::NoMatchingAction);
                 assert_eq!(
                     resident,
@@ -386,14 +387,14 @@ mod tests {
                 );
                 for a in p.action_ids() {
                     assert_eq!(
-                        row.iter().any(|t| t == (a, post)),
+                        row.contains(&(a, post)),
                         by_index.validate_step(a, &before, &after).is_ok(),
                         "disagree on {a} at {before:?} -> {after:?}"
                     );
                 }
             }
         }
-        // Escaped domains are reported identically without a CSR.
+        // Escaped domains are reported identically without a space.
         let escaped = State::new([5, 0, 0]);
         let inside = p.state_from([0, 0, 0]).unwrap();
         assert_eq!(
@@ -408,7 +409,7 @@ mod tests {
 
     #[test]
     fn index_backed_oracle_matches_a_step_beside_an_escaping_action() {
-        // At x=1, `overflow` leaves x's domain, so no CSR exists; the
+        // At x=1, `overflow` leaves x's domain, so no space enumerates; the
         // oracle still names `inc` for its own valid step.
         let mut b = Program::builder("escape");
         let x = b.var("x", Domain::range(0, 2));

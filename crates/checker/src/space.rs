@@ -1,4 +1,5 @@
-//! State-space enumeration and compact CSR storage.
+//! State-space enumeration: mixed-radix state ids and transitions from
+//! per-action footprint tables.
 //!
 //! # Arithmetic (mixed-radix) state ids
 //!
@@ -22,56 +23,41 @@
 //! [`decode_state`] to decode into a reusable scratch `State` without
 //! allocating.
 //!
-//! # CSR transition storage
+//! # Transitions from footprint tables
 //!
-//! The paper's programs are guarded commands, so a state's row is fixed by
-//! which guards hold there. Transitions are stored in compressed-sparse-row
-//! form over that fact, in three flat arrays:
+//! The paper's programs are guarded commands over declared variables, so
+//! an action's guard, and the distance from a state's id to its
+//! successor's, depend only on the values of the action's reads and
+//! writes. A [`StateSpace`] stores no transition: it keeps one small table
+//! per action, indexed by the values of that footprint (see
+//! [`footprint`](crate::footprint)), and computes each row from them, in
+//! ascending action id. On the shipped designs the tables hold a few
+//! hundred entries however many states there are, so the space's resident
+//! cost is a few kilobytes, and the passes' per-state columns (predicate
+//! caches, the region search's one `u32` per state) are what a
+//! verification holds.
 //!
-//! - `offsets`, `len + 1` `u32`s: state `i`'s transitions are
-//!   `succs[offsets[i]..offsets[i+1]]`;
-//! - the **guard column**, `B = ⌈A/8⌉` bytes per state (`A` actions, at
-//!   least one byte): bit `a % 8` of byte `a / 8` of state `i`'s bytes is
-//!   set iff action `a` is enabled at `i`;
-//! - `succs`, one `u32` id per transition: the successors of each row's set
-//!   bits, in ascending action id.
-//!
-//! The resident cost is **`4` bytes per state for offsets, `B` per state
-//! for guards and `4` per transition**, independent of the number of
-//! variables. Against an action column of 4 bytes per transition, the
-//! guard column is smaller whenever the average out-degree is above
-//! `B/4`, which every shipped design clears (the ring 7×7 has 5.4 at
-//! `B = 2`, diffusing binary-10 8.9 at `B = 3`).
-//!
-//! Construction is two-phase so results are bit-identical for every thread
-//! count. Phase 1 (count) evaluates every guard once per state into the
-//! guard column and writes each row's popcount into `offsets`; an in-place
-//! prefix sum turns the counts into row bounds, checking the `u32` edge
-//! count bound. Phase 2 (fill) runs only the effects of set bits into
-//! disjoint sub-slices of `succs`, never calling a guard. Both phases run
-//! under the work-stealing scheduler over the
-//! [segment plan](CheckOptions::segment_plan), each segment owning its
-//! pre-split sub-slices of the output columns, so the layout is
-//! independent of thread count and scheduling. Guards are evaluated once
-//! per state, and the build never holds a per-segment buffer or
-//! concatenates one.
+//! The build evaluates and audits every table entry once (an action whose
+//! footprint is too large to tabulate is checked over every state
+//! instead), reports the first escape from a domain in id order, and
+//! counts the transitions exactly: per action, its enabled entries times
+//! the states that share each entry. It does no per-state work for a
+//! tabled action, so the result does not depend on the thread count.
 //!
 //! The decode machinery is factored into [`SpaceIndex`] — the id↔state
-//! bijection *without* any transition arrays. Out-of-core passes (closure
-//! sweeps over a [`Decoder`], the frontier convergence mode) work from a
-//! `SpaceIndex` alone and re-derive transitions on demand, so the full
-//! CSR never needs to be resident.
+//! bijection *without* any tables. Out-of-core passes (closure sweeps over
+//! a [`Decoder`], the frontier convergence mode) work from a `SpaceIndex`
+//! alone and evaluate guards and effects on demand.
 //!
 //! # Memory budget
 //!
 //! The id range allows up to `u32::MAX + 1` states; what actually bounds a
-//! run is the [`CheckOptions::memory_budget`]: enumeration rejects a space
-//! whose resident bytes — CSR arrays plus per-worker decode scratch —
-//! would exceed it, instead of the seed's blunt 2-million-state cap. The
-//! `"offsets"` phase needs the offsets and guard columns, known before any
-//! guard runs; the `"succs"` phase adds `4` bytes per transition, known
-//! after the count. The [`CheckError::BudgetExceeded`] error names the
-//! phase whose requirement tripped first.
+//! run is the [`CheckOptions::memory_budget`]. Enumeration rejects a
+//! space, in the `"columns"` phase and before anything is allocated, when
+//! the tables plus the per-state columns every resident verification
+//! holds — the region search's `u32` and done bit per state, and the `T`
+//! and `S` caches — would exceed it. The [`CheckError::BudgetExceeded`]
+//! error names the phase whose requirement tripped.
 //!
 //! [`Decoder`]: crate::Decoder
 //! [`id_of`]: StateSpace::id_of
@@ -81,10 +67,13 @@
 use nonmask_obs::{Event, Journal};
 use nonmask_program::{ActionId, Predicate, Program, State, VarId};
 
+use std::sync::Arc;
+
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::options::{split_lens, steal_parts, CheckOptions};
-use crate::successors::{fill_row, guard_bits, guard_bytes};
+use crate::footprint::{ActionPlan, ActionTables, Cursor, Digits, Escape, RowBuf};
+use crate::options::{steal_tasks, CheckOptions};
+use crate::successors::successor;
 
 /// Identifier of a state within a [`StateSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -311,6 +300,9 @@ impl Radix {
 pub struct SpaceIndex {
     len: usize,
     radix: Radix,
+    digits: Digits,
+    /// Variable names, for diagnostics.
+    names: Arc<[String]>,
 }
 
 impl SpaceIndex {
@@ -333,7 +325,13 @@ impl SpaceIndex {
         }
         Ok(SpaceIndex {
             len: total as usize,
+            digits: Digits::new(&radix.sizes, &radix.strides),
             radix,
+            names: program
+                .vars()
+                .iter()
+                .map(|d| d.name().to_string())
+                .collect(),
         })
     }
 
@@ -439,6 +437,31 @@ impl SpaceIndex {
     pub(crate) fn escaping_var(&self, state: &State) -> usize {
         self.radix.escaping_var(state)
     }
+
+    /// Variable `v`'s domain minimum.
+    pub(crate) fn min(&self, v: usize) -> i64 {
+        self.radix.mins[v]
+    }
+
+    /// Variable `v`'s domain size.
+    pub(crate) fn size(&self, v: usize) -> usize {
+        self.radix.sizes[v] as usize
+    }
+
+    /// Variable `v`'s stride: the id distance of one step of its value.
+    pub(crate) fn stride(&self, v: usize) -> usize {
+        self.radix.strides[v] as usize
+    }
+
+    /// Variable `v`'s name.
+    pub(crate) fn name(&self, v: usize) -> &str {
+        &self.names[v]
+    }
+
+    /// The digit decoder of this space's ids.
+    pub(crate) fn digits(&self) -> &Digits {
+        &self.digits
+    }
 }
 
 /// Estimated bytes of per-worker decode scratch for `scratches` reusable
@@ -470,8 +493,8 @@ pub struct Transitions<'a> {
 }
 
 impl<'a> Transitions<'a> {
-    /// A row view over its guard bytes and successor ids: a CSR row or a
-    /// [`Decoder`]'s row buffer.
+    /// A row view over its guard bytes and successor ids: a
+    /// [`TableRows`]' or a [`Decoder`]'s row buffer.
     pub(crate) fn new(guards: &'a [u8], succs: &'a [StateId]) -> Self {
         debug_assert_eq!(
             guards
@@ -586,48 +609,23 @@ impl<'a> IntoIterator for Transitions<'a> {
 /// States are never materialized: a state is a pure mixed-radix function of
 /// its id (see the [module docs](self)), decoded on demand by
 /// [`state`](StateSpace::state) / [`decode_state`](StateSpace::decode_state).
-/// Transitions live in three flat CSR arrays (`offsets`, the guard column
-/// and `succs`), built in parallel over disjoint id ranges when
-/// [`CheckOptions::threads`] allows; the result is bit-identical for every
-/// thread count. Resident memory is
-/// `4·(len+1) + B·len + 4·transition_count` bytes, `B = ⌈actions/8⌉`
-/// guard bytes per state (at least one), gated by
-/// [`CheckOptions::memory_budget`].
+/// No transition is stored either: each action keeps a footprint table,
+/// and a row is computed from them by a [`TableRows`] reader
+/// ([`rows`](StateSpace::rows)), in ascending action id. Resident memory
+/// is the tables, [`resident_bytes`](StateSpace::resident_bytes), a few
+/// kilobytes on the shipped designs.
 #[derive(Debug, Clone)]
 pub struct StateSpace {
     index: SpaceIndex,
-    /// CSR row bounds: state `i`'s transitions are `offsets[i]..offsets[i+1]`.
-    offsets: Vec<u32>,
-    /// Guard bytes per state (`B`).
-    width: usize,
-    /// The guard column: state `i`'s enabled-action bits are
-    /// `guards[i·B..(i+1)·B]`, one bit per action.
-    guards: Vec<u8>,
-    /// Flat successor column: the successors of each row's set guard bits,
-    /// in ascending action id.
-    succs: Vec<StateId>,
+    tables: ActionTables,
+    transitions: u64,
 }
 
-/// Turn `offsets`, whose entry `i + 1` holds row `i`'s transition count
-/// and whose entry 0 is zero, into the CSR row bounds by an in-place
-/// prefix sum.
-///
-/// # Errors
-///
-/// The total transition count when it exceeds the `u32` offset range;
-/// `offsets` is then left unchanged.
-pub(crate) fn prefix_sum_counts(offsets: &mut [u32]) -> Result<(), u64> {
-    let total: u64 = offsets.iter().map(|&c| c as u64).sum();
-    if total > u32::MAX as u64 {
-        return Err(total);
-    }
-    let mut acc = 0u32;
-    for c in offsets {
-        // Cannot overflow: the total was checked above.
-        acc += *c;
-        *c = acc;
-    }
-    Ok(())
+/// Bytes of the per-state columns every resident verification holds
+/// beside the tables, over `n` states: the region search's `u32` and done
+/// bit per state, and the `T` and `S` caches.
+pub(crate) fn column_bytes(n: usize) -> u64 {
+    4 * n as u64 + 3 * (n.div_ceil(64) as u64 * 8)
 }
 
 impl StateSpace {
@@ -651,11 +649,15 @@ impl StateSpace {
     ///
     /// [`CheckError::Unbounded`] for unbounded programs;
     /// [`CheckError::TooLarge`] past `u32::MAX + 1` states;
-    /// [`CheckError::BudgetExceeded`] when the CSR arrays would not fit the
-    /// memory budget; [`CheckError::TooManyTransitions`] when the edge count
-    /// overflows `u32` offsets; [`CheckError::EscapedDomain`] when an action
-    /// writes outside a domain; [`CheckError::WorkerFailed`] when a guard or
-    /// action body panics.
+    /// [`CheckError::BudgetExceeded`] when the tables and the per-state
+    /// columns would not fit the memory budget;
+    /// [`CheckError::UndeclaredVariable`] when the tables' audit finds an
+    /// action's guard or effect depending on, or its effect writing, a
+    /// variable outside its declared reads and writes (the audit is not
+    /// exhaustive: see [`footprint`](crate::footprint));
+    /// [`CheckError::EscapedDomain`] when an action
+    /// writes outside a domain; [`CheckError::WorkerFailed`] when a guard
+    /// or action body panics.
     pub fn enumerate(program: &Program) -> Result<Self, CheckError> {
         Self::enumerate_with_options(program, CheckOptions::default())
     }
@@ -675,10 +677,10 @@ impl StateSpace {
     }
 
     /// [`enumerate_with_options`](StateSpace::enumerate_with_options),
-    /// additionally recording one [`Event::CsrPhase`] record per build
-    /// phase (`"count"`, `"fill"`) with states, transitions, and
-    /// wall-clock micros. A [disabled](Journal::disabled) journal makes
-    /// this identical to the un-journaled call.
+    /// additionally recording one [`Event::CsrPhase`] record, phase
+    /// `"fill"`, with the states, the exact transition count, and the
+    /// build's wall-clock micros. A [disabled](Journal::disabled) journal
+    /// makes this identical to the un-journaled call.
     ///
     /// # Errors
     ///
@@ -691,120 +693,46 @@ impl StateSpace {
         let index = SpaceIndex::of_program(program, options)?;
         let n = index.len();
         let budget = options.memory_budget;
-        let workers = options.workers_for(n);
-        let nv = index.var_count();
-        let plan = options.segment_plan(n);
-        let tasks = plan.count();
-        let width = guard_bytes(program.action_count());
-        // Budget floor before any large allocation: the offsets column, the
-        // guard column, and one decode scratch per worker.
-        let table_bytes = 4 * (n as u64 + 1) + (width * n) as u64;
-        let offsets_phase_bytes = table_bytes + scratch_bytes(workers as u64, nv);
-        if offsets_phase_bytes > budget {
+        let plan = ActionPlan::of(program, &index);
+        let required = plan.bytes(&index) as u64 + column_bytes(n);
+        if required > budget {
             return Err(CheckError::BudgetExceeded {
-                required: offsets_phase_bytes,
+                required,
                 budget,
-                phase: "offsets",
+                phase: "columns",
             });
         }
-
-        // Phase 1: evaluate every guard once per state into the guard
-        // column, and each row's enabled count into `offsets[i + 1]`. Both
-        // columns are pre-split along the segment plan into one disjoint
-        // sub-slice pair per segment, so any thread count and any claim
-        // order produce the identical layout.
-        let mut offsets = vec![0u32; n + 1];
-        let mut guards = vec![0u8; width * n];
-        let lens = (0..tasks).map(|ti| plan.range(ti).len());
-        let parts: Vec<_> = split_lens(&mut guards, lens.clone().map(|len| len * width))
-            .into_iter()
-            .zip(split_lens(&mut offsets[1..], lens))
-            .collect();
-        let phase_started = std::time::Instant::now();
-        steal_parts(parts, workers, |ti, (guards, counts)| {
-            let range = plan.range(ti);
-            let mut state = State::zeroed(nv);
-            index.radix.decode_into(range.start as u64, &mut state);
-            for (row, count) in guards.chunks_exact_mut(width).zip(counts) {
-                *count = guard_bits(program, &state, row);
-                index.step_state(&mut state);
-            }
-        })?;
-        prefix_sum_counts(&mut offsets)
-            .map_err(|count| CheckError::TooManyTransitions { count })?;
-        let m = offsets[n] as usize;
-        journal.emit_with(|| Event::CsrPhase {
-            phase: "count".to_string(),
-            states: n as u64,
-            transitions: m as u64,
-            micros: phase_started.elapsed().as_micros() as u64,
-        });
-        // Exact requirement now that the edge count is known: offsets and
-        // guards plus the successor column plus two decode scratches per
-        // worker (state and successor buffers in the fill loop).
-        let succs_phase_bytes = table_bytes + 4 * m as u64 + scratch_bytes(2 * workers as u64, nv);
-        if succs_phase_bytes > budget {
-            return Err(CheckError::BudgetExceeded {
-                required: succs_phase_bytes,
-                budget,
-                phase: "succs",
+        let started = std::time::Instant::now();
+        let per_row = plan.has_per_row();
+        let (tables, escape) = ActionTables::build(program, &index, plan)?;
+        let (per_row_transitions, per_row_escape) = if per_row {
+            per_row_pass(&index, tables.per_row(), options)?
+        } else {
+            (0, None)
+        };
+        // The first escape of a scan in id order, then action order.
+        if let Some((_, a, var)) = escape.into_iter().chain(per_row_escape).min() {
+            return Err(CheckError::EscapedDomain {
+                action: program.action(ActionId::from_index(a)).name().to_string(),
+                var: index.name(var).to_string(),
             });
         }
-
-        // Phase 2: run the effect of every set guard bit, calling no
-        // guard, into the successor column, pre-split along the plan's
-        // offsets. A worker stops at the first escaping action in its
-        // segment, and the lowest segment's escape is reported, matching a
-        // sequential scan.
-        let mut succs = vec![StateId(0); m];
-        let lens = (0..tasks).map(|ti| {
-            let r = plan.range(ti);
-            (offsets[r.end] - offsets[r.start]) as usize
-        });
-        let parts = split_lens(&mut succs, lens);
-        let phase_started = std::time::Instant::now();
-        let filled = steal_parts(parts, workers, |ti, succs| {
-            let range = plan.range(ti);
-            let base = offsets[range.start];
-            let mut state = State::zeroed(nv);
-            let mut succ = State::zeroed(nv);
-            index.radix.decode_into(range.start as u64, &mut state);
-            for i in range {
-                let row = (offsets[i] - base) as usize..(offsets[i + 1] - base) as usize;
-                let id = StateId(i as u32);
-                let bits = &guards[i * width..(i + 1) * width];
-                fill_row(
-                    program,
-                    &index,
-                    id,
-                    &state,
-                    &mut succ,
-                    bits,
-                    &mut succs[row],
-                )?;
-                index.step_state(&mut state);
-            }
-            Ok::<(), CheckError>(())
-        })?;
+        let transitions = tables.tabled_transitions() + per_row_transitions;
         journal.emit_with(|| Event::CsrPhase {
             phase: "fill".to_string(),
             states: n as u64,
-            transitions: m as u64,
-            micros: phase_started.elapsed().as_micros() as u64,
+            transitions,
+            micros: started.elapsed().as_micros() as u64,
         });
-        filled.into_iter().collect::<Result<(), _>>()?;
-
         Ok(StateSpace {
             index,
-            offsets,
-            width,
-            guards,
-            succs,
+            tables,
+            transitions,
         })
     }
 
-    /// The id↔state bijection of this space, without the CSR arrays. Hand
-    /// this to passes that re-derive transitions on demand.
+    /// The id↔state bijection of this space, without the tables. Hand
+    /// this to passes that evaluate transitions on demand.
     pub fn index(&self) -> &SpaceIndex {
         &self.index
     }
@@ -865,28 +793,23 @@ impl StateSpace {
         self.index.id_of(state)
     }
 
+    /// A reader of this space's rows: the loop-friendly way to read many
+    /// of them, cheapest in ascending id order.
+    pub fn rows(&self) -> TableRows<'_> {
+        TableRows::new(self)
+    }
+
     /// The `(action, successor)` pairs of every action enabled at `id`, in
-    /// action-id order, as a view of the CSR row.
-    pub fn successors(&self, id: StateId) -> Transitions<'_> {
-        let (lo, hi) = self.row_bounds(id);
-        let i = id.index();
-        Transitions {
-            guards: &self.guards[i * self.width..(i + 1) * self.width],
-            succs: &self.succs[lo..hi],
-        }
+    /// action-id order, freshly allocated (read many rows with
+    /// [`rows`](StateSpace::rows)).
+    pub fn successors(&self, id: StateId) -> Vec<(ActionId, StateId)> {
+        self.rows().transitions(id).iter().collect()
     }
 
-    /// Only the successor ids of `id` (skips the guard column; the fastest
-    /// row view for reachability-style sweeps).
-    pub fn successor_ids(&self, id: StateId) -> &[StateId] {
-        let (lo, hi) = self.row_bounds(id);
-        &self.succs[lo..hi]
-    }
-
-    #[inline]
-    fn row_bounds(&self, id: StateId) -> (usize, usize) {
-        let i = id.index();
-        (self.offsets[i] as usize, self.offsets[i + 1] as usize)
+    /// Only the successor ids of `id`, in action-id order, freshly
+    /// allocated.
+    pub fn successor_ids(&self, id: StateId) -> Vec<StateId> {
+        self.rows().transitions(id).succs().to_vec()
     }
 
     /// Ids of the states satisfying `pred` (parallel scan with the
@@ -912,21 +835,97 @@ impl StateSpace {
         Ok(Bitset::for_predicate(self, pred, CheckOptions::default())?.count_ones())
     }
 
-    /// Total number of transitions.
+    /// Total number of transitions, counted from the tables.
     pub fn transition_count(&self) -> usize {
-        self.succs.len()
+        self.transitions as usize
     }
 
-    /// Resident bytes of the space: the three CSR arrays (offsets, guard
-    /// bytes, successors) plus the radix tables. This is what
-    /// [`CheckOptions::memory_budget`] gates (the radix is negligible: 24
-    /// bytes per *variable*, not per state).
+    /// Resident bytes of the space: the footprint tables and their key
+    /// layout, plus the radix and the digit decoder (40 bytes per
+    /// *variable*). Nothing here grows with the state count; this is what
+    /// [`CheckOptions::memory_budget`] charges for the space itself.
     pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.guards.len()
-            + self.succs.len() * std::mem::size_of::<StateId>()
-            + self.index.var_count() * 3 * 8
+        std::mem::size_of::<Self>() + self.tables.bytes() + self.index.var_count() * 5 * 8
+    }
+}
+
+/// The transitions and first escape of the actions evaluated per row:
+/// every guard at every state, in parallel over the segment plan, as the
+/// [`Decoder`](crate::Decoder) evaluates them.
+///
+/// # Errors
+///
+/// [`CheckError::WorkerFailed`] when a guard or action body panics.
+fn per_row_pass(
+    index: &SpaceIndex,
+    actions: &[(usize, nonmask_program::Action)],
+    options: CheckOptions,
+) -> Result<(u64, Option<Escape>), CheckError> {
+    let n = index.len();
+    let plan = options.segment_plan(n);
+    let segments = steal_tasks(plan.count(), options.workers_for(n), |ti| {
+        let range = plan.range(ti);
+        let (mut state, mut succ) = (index.scratch_state(), index.scratch_state());
+        index.decode_state(StateId::from_index(range.start), &mut state);
+        let mut count = 0u64;
+        for i in range {
+            let id = StateId::from_index(i);
+            for &(a, ref act) in actions {
+                if !act.enabled(&state) {
+                    continue;
+                }
+                if let Err(v) = successor(act, index, id, &state, &mut succ) {
+                    return (count, Some((id, a, v)));
+                }
+                count += 1;
+            }
+            index.step_state(&mut state);
+        }
+        (count, None)
+    })?;
+    let mut total = 0;
+    for (count, escape) in segments {
+        total += count;
+        if escape.is_some() {
+            return Ok((total, escape));
+        }
+    }
+    Ok((total, None))
+}
+
+/// Rows computed from a [`StateSpace`]'s footprint tables: a reader that
+/// holds one state's table keys, so consecutive ids cost an odometer step
+/// and any other id one decode. Memory is one row plus, for actions
+/// evaluated per row, two scratch states.
+#[derive(Debug)]
+pub struct TableRows<'a> {
+    space: &'a StateSpace,
+    cursor: Cursor,
+    buf: RowBuf,
+}
+
+impl<'a> TableRows<'a> {
+    fn new(space: &'a StateSpace) -> Self {
+        TableRows {
+            space,
+            cursor: space.tables.cursor(&space.index),
+            buf: space.tables.row_buf(&space.index),
+        }
+    }
+
+    /// The `(action, successor)` row of `id`, in action-id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not from this space.
+    #[inline]
+    pub fn transitions(&mut self, id: StateId) -> Transitions<'_> {
+        assert!(id.index() < self.space.len(), "state id {id} out of range");
+        let n = self
+            .space
+            .tables
+            .row(&self.space.index, &mut self.cursor, id, &mut self.buf);
+        Transitions::new(&self.buf.guards, &self.buf.succs[..n])
     }
 }
 
@@ -961,9 +960,9 @@ mod tests {
         for id in space.ids() {
             let x = space.state(id).slots()[0];
             if x < 4 {
-                let succs = space.successors(id);
+                let succs = space.successor_ids(id);
                 assert_eq!(succs.len(), 1);
-                assert_eq!(space.state(succs.succs()[0]).slots()[0], x + 1);
+                assert_eq!(space.state(succs[0]).slots()[0], x + 1);
             } else {
                 assert!(space.successors(id).is_empty());
             }
@@ -1146,10 +1145,11 @@ mod tests {
         let p = b.build();
         let space = StateSpace::enumerate(&p).unwrap();
         let mut rows = Decoder::new(&p, space.index());
+        let mut table = space.rows();
         let order = (0..space.len()).chain([3, 3, 2, 24, 0, 1, 2, 17, 5, 6]);
         for i in order {
             let id = StateId::from_index(i);
-            assert_eq!(rows.row(id).unwrap(), space.successors(id), "row {i}");
+            assert_eq!(rows.row(id).unwrap(), table.transitions(id), "row {i}");
         }
     }
 
@@ -1160,7 +1160,7 @@ mod tests {
         let parallel =
             StateSpace::enumerate_with_options(&p, CheckOptions::default().threads(4)).unwrap();
         assert_eq!(serial.len(), parallel.len());
-        assert_eq!(serial.offsets, parallel.offsets, "CSR offsets must match");
+        assert_eq!(serial.transition_count(), parallel.transition_count());
         for id in serial.ids() {
             assert_eq!(serial.state(id), parallel.state(id));
             assert_eq!(serial.successors(id), parallel.successors(id));
@@ -1217,8 +1217,8 @@ mod tests {
     #[test]
     fn memory_budget_is_enforced() {
         let p = counter(99_999);
-        // 100k states need ~400KB of offsets alone; a 1KB budget must
-        // reject the space before any large allocation.
+        // 100k states need ~400KB of region-search column alone; a 1KB
+        // budget must reject the space before anything is built.
         let err =
             StateSpace::enumerate_with_options(&p, CheckOptions::default().memory_budget(1024))
                 .unwrap_err();
@@ -1231,60 +1231,41 @@ mod tests {
             panic!("expected BudgetExceeded, got {err:?}");
         };
         assert_eq!(budget, 1024);
-        assert!(required > 1024);
-        assert_eq!(phase, "offsets", "the floor estimate trips first");
-        // A budget that admits the resident size (plus a little slack for
-        // the per-worker scratch the accounting now includes) succeeds.
-        let space = StateSpace::enumerate(&p).unwrap();
-        let ok = StateSpace::enumerate_with_options(
-            &p,
-            CheckOptions::default().memory_budget(space.resident_bytes() as u64 + (64 << 10)),
-        );
+        assert_eq!(phase, "columns");
+        assert!(err.to_string().contains("columns phase"));
+        // The requirement is the tables (`x` has 100,000 values, past the
+        // cap, so `inc` is evaluated per row: its 4-byte start and 4-byte
+        // base key and the key layout's two 4-byte bounds, no entry) plus
+        // the per-state columns, 4 bytes and 3 bits a state. It admits
+        // the space exactly.
+        assert_eq!(required, 4 * 100_000 + 3 * 1563 * 8 + 8 + 8);
+        let ok =
+            StateSpace::enumerate_with_options(&p, CheckOptions::default().memory_budget(required));
         assert!(ok.is_ok());
-        // A budget squeezed between the offsets floor (offsets and guard
-        // columns, one guard byte per state) and the full CSR cost trips
-        // at the succs phase, and the error names it.
-        let offsets_floor = 4 * (space.len() as u64 + 1) + space.len() as u64 + (64 << 10);
         let err = StateSpace::enumerate_with_options(
             &p,
-            CheckOptions::default().memory_budget(offsets_floor),
+            CheckOptions::default().memory_budget(required - 1),
         )
         .unwrap_err();
-        let CheckError::BudgetExceeded { phase, .. } = err else {
-            panic!("expected BudgetExceeded, got {err:?}");
-        };
-        assert_eq!(phase, "succs");
-        assert!(err.to_string().contains("succs phase"));
+        assert!(matches!(
+            err,
+            CheckError::BudgetExceeded {
+                phase: "columns",
+                ..
+            }
+        ));
     }
 
     #[test]
-    fn resident_bytes_counts_csr_arrays() {
+    fn resident_bytes_counts_the_tables() {
         let p = counter(4);
         let space = StateSpace::enumerate(&p).unwrap();
-        // 6 offsets + 5 guard bytes + 4 succs = 24 + 5 + 16 bytes, plus
-        // the struct header and one variable's radix entries.
-        let expected = std::mem::size_of::<StateSpace>() + 24 + 5 + 16 + 24;
+        // `inc` keys 5 entries of 8 bytes, plus its 4-byte start and
+        // 4-byte base key, the key layout's two 4-byte bounds and one
+        // 8-byte reader, plus the struct and one variable's 40 bytes of
+        // radix and digits.
+        let expected = std::mem::size_of::<StateSpace>() + 40 + 4 + 4 + 8 + 8 + 40;
         assert_eq!(space.resident_bytes(), expected);
-    }
-
-    #[test]
-    fn offsets_prefix_sum_near_u32_boundary() {
-        let summed = |counts: &[u32]| {
-            let mut offsets = [&[0], counts].concat();
-            prefix_sum_counts(&mut offsets).map(|()| offsets)
-        };
-        // Exactly u32::MAX transitions: fine.
-        let ok = summed(&[u32::MAX - 10, 7, 3]).unwrap();
-        assert_eq!(ok, vec![0, u32::MAX - 10, u32::MAX - 3, u32::MAX]);
-        // One more overflows the offset range and must be rejected, not
-        // wrapped.
-        assert_eq!(summed(&[u32::MAX, 1]), Err(u32::MAX as u64 + 1));
-        // Many large counts must accumulate in u64, not saturate u32.
-        assert_eq!(
-            summed(&[u32::MAX, u32::MAX, u32::MAX]),
-            Err(3 * (u32::MAX as u64))
-        );
-        assert_eq!(summed(&[]), Ok(vec![0]));
     }
 
     #[test]
@@ -1308,8 +1289,8 @@ mod tests {
             let row = space.successors(id);
             let pairs: Vec<_> = row.iter().map(|(a, t)| (a.index(), t.index())).collect();
             assert_eq!(pairs, [(0, 0), (63, 63), (64, 64), (127, 127)], "row {id}");
-            assert_eq!(row.iter().len(), 4);
-            assert_eq!(rows.row(id).unwrap(), row, "decoded row {id}");
+            let decoded: Vec<_> = rows.row(id).unwrap().iter().collect();
+            assert_eq!(decoded, row, "decoded row {id}");
         }
     }
 
@@ -1339,6 +1320,41 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("left the state space"));
+    }
+
+    #[test]
+    fn escapes_of_tabled_and_per_row_actions_are_ordered_by_state() {
+        // Thirteen booleans and a last variable `x ∈ 0..=2`. `narrow`
+        // (tabled, footprint `x`) escapes at `x = 2`, id 2; `wide` reads
+        // every variable, past the cap, so it is evaluated per row, and
+        // escapes at the lowest state its guard admits. The first escape
+        // in id order is reported, whichever kind of action it is.
+        let build = |wide_guard: fn(&State) -> bool| {
+            let mut b = Program::builder("two-escapes");
+            let bools: Vec<_> = (0..13)
+                .map(|i| b.var(format!("b{i}"), Domain::Bool))
+                .collect();
+            let x = b.var("x", Domain::range(0, 2));
+            let reads: Vec<_> = bools.iter().copied().chain([x]).collect();
+            b.closure_action("wide", reads, [x], wide_guard, move |s| s.set(x, 5));
+            b.closure_action(
+                "narrow",
+                [x],
+                [x],
+                move |s| s.get(x) == 2,
+                move |s| s.set(x, 7),
+            );
+            b.build()
+        };
+        let escaped = |p: &Program| match StateSpace::enumerate(p).unwrap_err() {
+            CheckError::EscapedDomain { action, var } => (action, var),
+            other => panic!("expected EscapedDomain, got {other:?}"),
+        };
+        // `wide` everywhere: id 0, before `narrow`'s id 2.
+        assert_eq!(escaped(&build(|_| true)), ("wide".into(), "x".into()));
+        // `wide` only where `b12` holds: id 3, after `narrow`'s id 2.
+        let p = build(|s| s.slots()[12] == 1);
+        assert_eq!(escaped(&p), ("narrow".into(), "x".into()));
     }
 
     #[test]

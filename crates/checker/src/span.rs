@@ -102,9 +102,10 @@ pub fn compute_fault_span(
 
     let mut scratch = space.scratch_state();
     let mut succ = space.scratch_state();
+    let mut rows = space.rows();
     while let Some(id) = frontier.pop() {
-        // Program transitions (precomputed in CSR) …
-        for &next in space.successor_ids(id) {
+        // Program transitions, from the space's tables …
+        for &next in rows.transitions(id).succs() {
             if !members.contains(next) {
                 members.set(next.index());
                 count += 1;

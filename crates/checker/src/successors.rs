@@ -5,34 +5,29 @@
 //! state?* Two sources answer it, with bit-identical rows (enabled
 //! actions in id order, each paired with its successor's id):
 //!
-//! - the resident CSR table of a [`StateSpace`] (a slice view);
+//! - a [`TableRows`] reader over a [`StateSpace`], which computes each
+//!   row from the space's per-action footprint tables: one table load per
+//!   action, and a key update per action that reads a changed digit;
 //! - a [`Decoder`] over a [`Program`] and its [`SpaceIndex`], which
-//!   evaluates guards and effects on demand and owns its scratch states,
-//!   so no transition is ever stored.
+//!   evaluates guards and effects on demand and owns its scratch states.
 //!
-//! A row has two halves, and both sources store it in the same form:
-//! the **guard bytes**, `B = ⌈A/8⌉` of them (at least one) whose bit `a`
-//! (bit `a % 8` of byte `a / 8`) is set iff action `a` is enabled, written
-//! by `guard_bits`; and the successor ids of the set bits in ascending
-//! order, written by `fill_row`. The [`Decoder`] runs both in one loop
-//! over the actions, each enabled guard followed at once by its effect;
-//! the CSR build runs `guard_bits` in its count pass, keeps the bytes, and
-//! runs `fill_row` from them in its fill pass, so every guard is called
-//! once. Stored, a row costs `B` bytes of guard bits plus 4 bytes per
-//! transition. Computed, it costs one guard call per action plus, per
-//! enabled action, one effect and one id computed from the slots that
-//! action changed; moving to the row's state costs a carry from the
-//! previous id when the id is higher, and a full decode only on the first
-//! row or a move backwards.
+//! Neither stores a transition. Both write a row in the same form: the
+//! **guard bytes**, `B = ⌈A/8⌉` of them (at least one) whose bit `a` (bit
+//! `a % 8` of byte `a / 8`) is set iff action `a` is enabled, and the
+//! successor ids of the set bits in ascending order. A decoded row costs
+//! one guard call per action plus, per enabled action, one effect and one
+//! id computed from the slots that action changed; moving to the row's
+//! state costs a carry from the previous id when the id is higher, and a
+//! full decode only on the first row or a move backwards.
 //!
 //! Whole-space sweeps (closure) go through [`RowSource`], which hands each
 //! task of the [segment plan](crate::CheckOptions::segment_plan) its own
 //! `Successors`, so one scan serves both sources.
 
-use nonmask_program::{Action, Program, State, VarId};
+use nonmask_program::{Action, Program, State};
 
 use crate::error::CheckError;
-use crate::space::{GuardBits, SpaceIndex, StateId, StateSpace, Transitions};
+use crate::space::{SpaceIndex, StateId, StateSpace, TableRows, Transitions};
 
 /// Guard bytes per row for a program of `actions` actions: one bit per
 /// action, and at least one byte so every row has a guard slice.
@@ -40,72 +35,26 @@ pub(crate) fn guard_bytes(actions: usize) -> usize {
     actions.div_ceil(8).max(1)
 }
 
-/// Evaluate every guard of `program` at `state` into `out`, its
-/// [`guard_bytes`] bytes: bit `a % 8` of byte `a / 8` is set iff action
-/// `a` is enabled. Returns the number of enabled actions.
-#[inline]
-pub(crate) fn guard_bits(program: &Program, state: &State, out: &mut [u8]) -> u32 {
-    let mut chunks = program.actions().chunks(8);
-    let mut enabled = 0;
-    for byte in out {
-        let mut bits = 0u8;
-        for (b, act) in chunks.next().unwrap_or_default().iter().enumerate() {
-            bits |= u8::from(act.enabled(state)) << b;
-        }
-        *byte = bits;
-        enabled += bits.count_ones();
-    }
-    enabled
-}
-
-/// Write into `out` the successor id of every action set in `guards` at
-/// `state` (the decoding of `id`), in ascending action id, calling no
-/// guard. `out` holds exactly one slot per set bit; `succ` is scratch.
-///
-/// # Errors
-///
-/// [`CheckError::EscapedDomain`] at the first action whose successor
-/// leaves the space.
-#[inline]
-pub(crate) fn fill_row(
-    program: &Program,
-    index: &SpaceIndex,
-    id: StateId,
-    state: &State,
-    succ: &mut State,
-    guards: &[u8],
-    out: &mut [StateId],
-) -> Result<(), CheckError> {
-    let actions = program.actions();
-    for (a, slot) in GuardBits::new(guards).zip(out.iter_mut()) {
-        *slot = successor(program, &actions[a], index, id, state, succ)?;
-    }
-    Ok(())
-}
-
 /// The id of `act`'s successor of `state` (the decoding of `id`),
-/// computed into the scratch `succ`.
+/// computed into the scratch `succ`: the one guard-to-id step that
+/// [`Decoder`] rows, per-row actions of [`TableRows`] and the space
+/// build's per-row check all take.
 ///
 /// # Errors
 ///
-/// [`CheckError::EscapedDomain`] when the successor leaves the space.
+/// The first variable the successor leaves its domain in.
 #[inline]
-fn successor(
-    program: &Program,
+pub(crate) fn successor(
     act: &Action,
     index: &SpaceIndex,
     id: StateId,
     state: &State,
     succ: &mut State,
-) -> Result<StateId, CheckError> {
+) -> Result<StateId, usize> {
     act.successor_into(state, succ);
-    index.successor_id(id, state, succ).ok_or_else(|| {
-        let var = VarId::from_index(index.escaping_var(succ));
-        CheckError::EscapedDomain {
-            action: act.name().to_string(),
-            var: program.var(var).name().to_string(),
-        }
-    })
+    index
+        .successor_id(id, state, succ)
+        .ok_or_else(|| index.escaping_var(succ))
 }
 
 /// A source of transition rows.
@@ -119,9 +68,9 @@ pub trait Successors {
     fn row(&mut self, id: StateId) -> Result<Transitions<'_>, CheckError>;
 }
 
-impl Successors for &StateSpace {
+impl Successors for TableRows<'_> {
     fn row(&mut self, id: StateId) -> Result<Transitions<'_>, CheckError> {
-        Ok(self.successors(id))
+        Ok(self.transitions(id))
     }
 }
 
@@ -173,21 +122,19 @@ impl Successors for Decoder<'_> {
             _ => self.index.decode_state(id, &mut self.state),
         }
         self.decoded = Some(id);
-        // The row `guard_bits` then `fill_row` would give, in one loop:
-        // decoded rows were measurably slower as two passes.
+        // Each enabled guard is followed at once by its effect.
         self.guards.fill(0);
         self.succs.clear();
         for (a, act) in self.program.actions().iter().enumerate() {
             if act.enabled(&self.state) {
                 self.guards[a / 8] |= 1 << (a % 8);
-                let t = successor(
-                    self.program,
-                    act,
-                    self.index,
-                    id,
-                    &self.state,
-                    &mut self.succ,
-                )?;
+                let t =
+                    successor(act, self.index, id, &self.state, &mut self.succ).map_err(|v| {
+                        CheckError::EscapedDomain {
+                            action: act.name().to_string(),
+                            var: self.index.name(v).to_string(),
+                        }
+                    })?;
                 self.succs.push(t);
             }
         }
@@ -211,14 +158,14 @@ pub trait RowSource: Sync {
 }
 
 impl RowSource for StateSpace {
-    type Rows<'s> = &'s StateSpace;
+    type Rows<'s> = TableRows<'s>;
 
     fn index(&self) -> &SpaceIndex {
         StateSpace::index(self)
     }
 
-    fn rows(&self) -> &StateSpace {
-        self
+    fn rows(&self) -> TableRows<'_> {
+        StateSpace::rows(self)
     }
 }
 

@@ -144,9 +144,9 @@ pub fn check_run(
     require_stabilization: bool,
 ) -> RunReport {
     // Replay only needs domain membership and guard/effect re-execution
-    // (`validate_step`), so the index-backed oracle suffices: no CSR
-    // arrays are touched, and the check works even when the transition
-    // table was never materialized or has been dropped.
+    // (`validate_step`), so the index-backed oracle suffices: no table is
+    // touched, and the check works even when the space was never
+    // enumerated or has been dropped.
     let step_oracle = StepOracle::over_index(oracle.space.index(), &spec.program);
     let mut divergences = Vec::new();
     let mut repairs_observed = 0u64;

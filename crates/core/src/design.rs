@@ -249,7 +249,7 @@ impl Design {
                 .map(|group| MaskColumn::pack(group, opts))
                 .collect::<Result<Vec<_>, _>>()?
         };
-        // CSR rows the sweeps read: each sweep reads every row of its
+        // Rows the sweeps read: each sweep reads every row of its
         // assumption.
         let mut rows_visited = 0u64;
         let mut memo: HashMap<(Assumption, usize), Vec<u64>> = HashMap::new();
@@ -396,7 +396,7 @@ impl Design {
         };
 
         // Work counters: one decode pass built every evaluated predicate
-        // cache. The CSR-row figure sums the rows the closure and
+        // cache. The row figure sums the rows the closure and
         // preservation sweeps read. Convergence figures are those of the
         // one region pass.
         let states = space.len() as u64;
@@ -435,14 +435,14 @@ impl Design {
     }
 
     /// The closure obligations over the shared predicate caches, and the
-    /// CSR rows their scans read. `broken` holds the group-0
+    /// rows their scans read. `broken` holds the group-0
     /// [`closure::breaking_actions`] sweeps over `T` and over `S`: `T`
     /// (`S`) is closed iff no action has its `T` (`S`) bit set. Only a
     /// violation costs another scan, of the lowest breaking action, for
     /// its lowest-id witness. Then one sweep over the `T` states checks
     /// every constraint's repair ([`closure::repair_obligations`]). The
-    /// convergence action's enabledness is read off the transition table
-    /// (a `(action, successor)` pair exists exactly when the guard holds),
+    /// convergence action's enabledness is read off the rows (a
+    /// `(action, successor)` pair exists exactly when the guard holds),
     /// so no guard or predicate is re-evaluated here.
     fn check_closure_bits(
         &self,

@@ -33,9 +33,12 @@ pub enum Event {
         /// Counter value.
         value: u64,
     },
-    /// One phase of the checker's two-phase CSR transition build.
+    /// One phase of the checker's transition build: today one `"fill"`
+    /// record for the footprint-table build, with the exact transition
+    /// count.
     CsrPhase {
-        /// `"count"` (phase 1) or `"fill"` (phase 2).
+        /// `"fill"` for the table build (`"count"` was the first phase
+        /// of the retired two-phase build; it still parses).
         phase: String,
         /// States processed by the phase.
         states: u64,

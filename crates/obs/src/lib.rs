@@ -9,7 +9,7 @@
 //!
 //! - [`Event`] — the closed taxonomy of things worth recording: span
 //!   open/close, counters, per-constraint violation/repair transitions,
-//!   convergence-wave progress, CSR-build phase timings, and net
+//!   convergence-wave progress, transition-build timings, and net
 //!   fault/frame/detector-episode events. Every event serializes to one
 //!   stable JSON-lines record ([`Event::to_json_line`]) and parses back
 //!   ([`Event::parse_line`]), so journals are machine-checkable and any

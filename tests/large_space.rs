@@ -1,13 +1,13 @@
 //! Large-space acceptance: a full-size token ring (`8^8 = 16,777,216`
-//! states) enumerates into the compact CSR representation and passes
-//! closure + convergence within the default memory budget — and a
-//! `2^28`-state diffusing computation, whose transition table does *not*
-//! fit the default budget, still gets a full convergence verdict through
-//! the out-of-core frontier mode.
+//! states) enumerates into its footprint tables and passes closure +
+//! convergence within the default memory budget — and a `2^28`-state
+//! diffusing computation, whose enumeration charge now fits the default
+//! budget, also gets a full convergence verdict through the out-of-core
+//! frontier mode.
 //!
 //! The 16.7M-state tier of the `checker_gates.rs` gates lives here too:
 //! bytes-per-state ceilings, the decoded-sweep cross-check, flat
-//! enumeration throughput within each protocol family, and the frontier
+//! table-row throughput within each protocol family, and the frontier
 //! verdict on diffusing binary-12.
 //!
 //! Ignored by default (they sweep 16.7M–268M states on one core); run
@@ -42,8 +42,8 @@ fn token_ring_16m_states_within_default_budget() {
     );
     let per_state = bytes as f64 / space.len() as f64;
     assert!(
-        per_state < 64.0,
-        "CSR should stay under 64 bytes/state on the ring, got {per_state:.1}"
+        per_state <= 0.00033,
+        "the tables should stay under 0.00033 bytes/state on the ring, got {per_state:.6}"
     );
 
     let s = ring.invariant();
@@ -57,26 +57,38 @@ fn token_ring_16m_states_within_default_budget() {
     assert!(r.weakly_fair.converges(), "{r:?}");
 }
 
-/// The headline out-of-core case: a 14-node diffusing computation has
-/// `4^14 = 2^28 = 268,435,456` states and ~2.9G transitions, so its CSR
-/// table (~24 GB) cannot be made resident under the default 8 GiB budget
-/// — the in-core path must refuse with a budget error, and the frontier
-/// mode must still deliver the full convergence verdict.
+/// The headline large case: a 14-node diffusing computation has
+/// `4^14 = 2^28 = 268,435,456` states and 3,338,665,984 transitions. Its
+/// transitions were once a ~24 GB table that the default 8 GiB budget
+/// refused. The footprint tables store none of them, so what enumeration
+/// charges is the per-state columns: 4 bytes and 3 bits a state,
+/// 1,174,411,444 bytes with the tables, which fits the default budget,
+/// and enumeration succeeds. The region search's stacks are charged only
+/// as they grow, so this does not show that a resident verify fits; the
+/// frontier mode delivers the full convergence verdict without them.
 #[test]
 #[ignore = "sweeps 2^28 states out-of-core; takes hours on one core"]
 fn diffusing_2e28_states_converges_within_default_budget() {
     let dc = DiffusingComputation::new(&Tree::binary(14));
     let opts = CheckOptions::default();
 
-    match StateSpace::enumerate_with_options(dc.program(), opts) {
-        Err(nonmask_checker::CheckError::BudgetExceeded {
-            required, budget, ..
-        }) => {
-            assert!(required > budget, "refusal must be over-budget");
-        }
-        Ok(_) => panic!("2^28-state CSR must not fit the default budget"),
-        Err(other) => panic!("expected BudgetExceeded, got {other}"),
-    }
+    let required = match StateSpace::enumerate_with_options(dc.program(), opts.memory_budget(0)) {
+        Err(nonmask_checker::CheckError::BudgetExceeded { required, .. }) => required,
+        other => panic!("a zero budget must refuse the space, got {other:?}"),
+    };
+    assert_eq!(
+        required, 1_174_411_444,
+        "4 bytes and 3 bits a state, plus the tables"
+    );
+    assert!(
+        required <= DEFAULT_MEMORY_BUDGET,
+        "the enumeration charge fits"
+    );
+    let space = StateSpace::enumerate_with_options(dc.program(), opts)
+        .expect("2^28 states pass the default budget's enumeration charge");
+    assert_eq!(space.len(), 1 << 28);
+    assert_eq!(space.transition_count(), 3_338_665_984);
+    drop(space);
 
     // The paper's diffusing computation converges without fairness
     // (tests/paper_claims.rs), so the frontier peel resolves everything.
@@ -93,16 +105,19 @@ fn diffusing_2e28_states_converges_within_default_budget() {
 }
 
 /// Instances below this size are exempt from the flatness gate: their
-/// build phases finish in about a millisecond, so their rates are noise.
+/// row sweeps finish in about a millisecond, so their rates are noise.
 const FLATNESS_MIN_STATES: usize = 100_000;
 
-/// Within one protocol family, the fastest instance's transitions/s may
-/// be at most this factor above the slowest's.
-const FLATNESS_FACTOR: f64 = 2.0;
+/// Within one protocol family, the fastest instance's table-row
+/// transitions/s may be at most this factor above the slowest's: the
+/// highest ratio of three runs on a shared 2-vCPU host (1.47, the ring;
+/// the others 1.05–1.31), plus 15%.
+const FLATNESS_FACTOR: f64 = 1.7;
 
 /// Every instance of each family stays under its committed bytes-per-state
 /// ceiling (~15% over the measured value), and the family's transitions/s
-/// stays within [`FLATNESS_FACTOR`] from slowest to fastest. Every
+/// through a serial sweep of table rows stays within [`FLATNESS_FACTOR`]
+/// from slowest to fastest. Every
 /// instance clears [`FLATNESS_MIN_STATES`], so all of them enter the
 /// flatness gate.
 #[test]
@@ -118,15 +133,15 @@ fn csr_stays_compact_and_throughput_flat_up_to_16m_states() {
         (
             "token-ring",
             [
-                ("token-ring-n7-k7", ring(7), 30.1),
-                ("token-ring-n8-k8", ring(8), 34.5),
+                ("token-ring-n7-k7", ring(7), 0.0048),
+                ("token-ring-n8-k8", ring(8), 0.00033),
             ],
         ),
         (
             "diffusing-binary",
             [
-                ("diffusing-binary-9", binary(9), 45.5),
-                ("diffusing-binary-12", binary(12), 57.1),
+                ("diffusing-binary-9", binary(9), 0.0217),
+                ("diffusing-binary-12", binary(12), 0.00045),
             ],
         ),
     ];
@@ -135,7 +150,7 @@ fn csr_stays_compact_and_throughput_flat_up_to_16m_states() {
         for (name, program, ceiling) in instances {
             let f = common::enumerate(&program, CheckOptions::default());
             println!(
-                "{name}: {} states, {:.2} B/state, {:.0} transitions/s",
+                "{name}: {} states, {:.6} B/state, {:.0} transitions/s",
                 f.states,
                 f.bytes_per_state,
                 f.transitions_per_sec()
@@ -143,7 +158,7 @@ fn csr_stays_compact_and_throughput_flat_up_to_16m_states() {
             assert!(f.states >= FLATNESS_MIN_STATES, "{name} is too small");
             assert!(
                 f.bytes_per_state <= ceiling,
-                "{name}: {:.2} bytes/state exceeds the committed ceiling {ceiling}",
+                "{name}: {:.6} bytes/state exceeds the committed ceiling {ceiling}",
                 f.bytes_per_state
             );
             rates.push((name, f.transitions_per_sec()));

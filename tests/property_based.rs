@@ -226,11 +226,13 @@ fn program_with_actions(domains: Vec<Domain>, actions: Vec<(usize, usize, i64)>)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CSR ground truth: for every state, the CSR row
-    /// ([`StateSpace::successors`]) equals a direct per-state enumeration —
-    /// the enabled actions in declaration order, each paired with the
-    /// mixed-radix id of its successor — and the parallel `succs` column
-    /// ([`StateSpace::successor_ids`]) agrees pairwise.
+    /// Table ground truth: for every state, the row computed from the
+    /// footprint tables ([`StateSpace::successors`]) equals a direct
+    /// per-state enumeration — the enabled actions in declaration order,
+    /// each paired with the mixed-radix id of its successor — and the
+    /// successor ids alone ([`StateSpace::successor_ids`]) agree pairwise.
+    /// The transition count, computed from the tables, is the sum of the
+    /// row lengths.
     #[test]
     fn csr_rows_match_direct_enumeration(
         domains in proptest::collection::vec(domain_strategy(), 1..=4),
@@ -246,9 +248,9 @@ proptest! {
                 .filter(|&a| p.action(a).enabled(&st))
                 .map(|a| (a, space.id_of(&p.action(a).successor(&st)).unwrap()))
                 .collect();
-            let row: Vec<_> = space.successors(id).iter().collect();
+            let row = space.successors(id);
             prop_assert_eq!(&row, &expected, "row of state {}", id.index());
-            let ids: Vec<_> = space.successor_ids(id).to_vec();
+            let ids = space.successor_ids(id);
             let pair_ids: Vec<_> = row.iter().map(|&(_, t)| t).collect();
             prop_assert_eq!(ids, pair_ids);
             total += expected.len();
@@ -328,7 +330,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Segment boundaries are invisible: for any random program, the
-    /// on-demand decoder reproduces every CSR row of the monolithic
+    /// on-demand decoder reproduces every table row of the monolithic
     /// space, in id order — and for any thread count and segment sizes
     /// that do and do not divide the state count, closure reports the
     /// same witness on both row sources. A padding variable lifts the
@@ -354,7 +356,7 @@ proptest! {
             .segment_states(sizes[seg_pick]);
         let mut decoder = Decoder::new(&p, space.index());
         for id in space.ids() {
-            let monolithic: Vec<_> = space.successors(id).iter().collect();
+            let monolithic = space.successors(id);
             let decoded: Vec<_> = decoder.row(id).unwrap().iter().collect();
             prop_assert_eq!(&decoded, &monolithic, "decoded row of {}", id);
         }
@@ -395,7 +397,8 @@ proptest! {
         let n = serial.len();
         let mut decoder = Decoder::new(&p, serial.index());
         for id in serial.ids() {
-            prop_assert_eq!(decoder.row(id).unwrap(), serial.successors(id), "decoded row of {}", id);
+            let decoded: Vec<_> = decoder.row(id).unwrap().iter().collect();
+            prop_assert_eq!(decoded, serial.successors(id), "decoded row of {}", id);
         }
         for threads in [1, 2, 8] {
             for seg in [1, 7, n.div_ceil(3)] {
@@ -951,7 +954,7 @@ proptest! {
             if let Some(id) = space.ids().find(|&id| {
                 t_bits.contains(id)
                     && !c_bits.contains(id)
-                    && !space.successors(id).iter().any(|(a, _)| a == aid)
+                    && !space.successors(id).iter().any(|&(a, _)| a == aid)
             }) {
                 unguarded.push((i, space.state(id)));
             }
@@ -959,7 +962,7 @@ proptest! {
                 if !t_bits.contains(id) {
                     continue;
                 }
-                let Some((_, succ)) = space.successors(id).iter().find(|&(a, _)| a == aid) else {
+                let Some(&(_, succ)) = space.successors(id).iter().find(|&&(a, _)| a == aid) else {
                     continue;
                 };
                 if !c_bits.contains(succ) {
