@@ -365,6 +365,11 @@ impl MaskColumn {
         u64::from_le_bytes(word) & self.mask
     }
 
+    /// The mask of the column's predicate bits: the low `P` bits.
+    pub(crate) fn bits(&self) -> u64 {
+        self.mask
+    }
+
     /// Number of states the column ranges over.
     pub fn len(&self) -> usize {
         self.len

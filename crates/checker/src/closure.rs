@@ -16,10 +16,14 @@
 //! Many questions over the same states take one sweep. [`breaking_actions`]
 //! reads a [`MaskColumn`] of up to 64 predicates per state and, for every
 //! transition `x → y` of action `a` out of the assumed states, ORs
-//! `mask(x) & !mask(y)` into `a`'s entry: one pass says which actions
-//! break which predicates of the group. A violation's witness costs one
-//! more scan ([`preserves_given_bits`] on the breaking action), run only
-//! when there is a violation.
+//! `mask(x) & !mask(y)` and `!mask(y)` into `a`'s two entries, and per
+//! state the false slots whose repair has no transition into one word:
+//! one pass says which actions break which predicates of the group, and,
+//! over `T`, which repairs are unguarded or fail to establish their
+//! constraint. A violation's witness costs one more scan
+//! ([`preserves_given_bits`], [`first_leaving`] or [`first_disabled`] on
+//! the action at fault), run only when there is a violation. All of them
+//! are one early-exit scan in id order.
 
 use std::ops::Range;
 
@@ -77,7 +81,15 @@ pub fn preserves_given_bits(
     assuming_bits: &Bitset,
     opts: CheckOptions,
 ) -> Result<Option<Violation>, CheckError> {
-    first_violation(space, pred_bits, Some(assuming_bits), Some(action), opts)
+    let seek = Seek::Exit(pred_bits);
+    first_violation(
+        space,
+        pred_bits,
+        Some(assuming_bits),
+        seek,
+        Some(action),
+        opts,
+    )
 }
 
 /// Is `pred` closed in the space's program (preserved by *every* action)?
@@ -104,22 +116,46 @@ pub fn is_closed_bits<R: RowSource>(
     pred_bits: &Bitset,
     opts: CheckOptions,
 ) -> Result<Option<Violation>, CheckError> {
-    first_violation(space, pred_bits, None, None, opts)
+    first_violation(space, pred_bits, None, Seek::Exit(pred_bits), None, opts)
 }
 
-/// Which actions break which predicates of a [`MaskColumn`] group where
-/// `assuming` holds: bit `j` of entry `a` is set iff some transition of
-/// action `a` leads from a state of `assuming ∧ pred_j` to a state outside
-/// `pred_j`, that is, iff [`preserves_given_bits`] would report a
-/// violation of `pred_j` for `a`.
+/// What one [`breaking_actions`] sweep over the states of `assuming`
+/// found, per predicate `j` of its mask group.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Breaks {
+    /// Entry `a`: bit `j` is set iff some transition of action `a` leads
+    /// from a state of `assuming ∧ pred_j` to a state outside `pred_j`.
+    pub broken: Vec<u64>,
+    /// Entry `a`: bit `j` is set iff some transition of action `a` from a
+    /// state of `assuming` leads outside `pred_j`.
+    pub leaves: Vec<u64>,
+    /// Bit `j` is set iff some state of `assuming ∧ ¬pred_j` has no
+    /// transition by an action whose `repairs` entry holds bit `j`.
+    pub unguarded: u64,
+}
+
+/// Which actions break, or lead outside, which predicates of a
+/// [`MaskColumn`] group where `assuming` holds, and which repairs are not
+/// enabled where their predicate is false (see [`Breaks`]). Bit `j` of
+/// `broken[a]` is set iff [`preserves_given_bits`] would report a
+/// violation of `pred_j` for `a`; bit `j` of `leaves[a]` iff
+/// [`first_leaving`] finds a transition of `a` from `assuming` outside
+/// `pred_j`; bit `j` of `unguarded` iff [`first_disabled`] finds a state
+/// of `assuming ∧ ¬pred_j` where the repair of slot `j` is not enabled.
 ///
-/// One sweep over the states of `assuming` answers the question for all
-/// `action_count` actions and every predicate of the group at once: per
-/// transition `x → y` of action `a`, `broken[a] |= mask(x) & !mask(y)`.
-/// Closure is the special case `assuming = pred_j` (the states outside
-/// `pred_j` contribute nothing to bit `j`), and Theorem 3's side
-/// conditions ask it of every action and constraint under the same layer
-/// assumption. Every row of `assuming` is read, whatever the answer.
+/// One sweep over the states of `assuming` answers the question for every
+/// action and every predicate of the group at once: per transition
+/// `x → y` of action `a`, `broken[a] |= mask(x) & !mask(y)` and
+/// `leaves[a] |= !mask(y)`, and per state `x`, the slots false at `x`
+/// whose repair has no transition there go into `unguarded`. `repairs`
+/// maps each action to the slots of the group it repairs (zero for most
+/// actions); its length is the action count. Closure is the special case
+/// `assuming = pred_j` (the states outside `pred_j` contribute nothing to
+/// `broken`'s bit `j`), Theorem 3's side conditions ask it of every action
+/// and constraint under the same layer assumption, and a constraint's
+/// repair obligations are its bits of `unguarded` and of its action's
+/// `leaves` under `T`. Every row of `assuming` is read, whatever the
+/// answer.
 ///
 /// # Errors
 ///
@@ -129,174 +165,83 @@ pub fn is_closed_bits<R: RowSource>(
 ///
 /// # Panics
 ///
-/// Panics if `masks` does not range over exactly the states of `source`.
+/// Panics if `masks` does not range over exactly the states of `source`,
+/// or if a row holds an action without a `repairs` entry.
 pub fn breaking_actions<R: RowSource>(
     source: &R,
-    action_count: usize,
+    repairs: &[u64],
     masks: &MaskColumn,
     assuming: &Bitset,
     opts: CheckOptions,
-) -> Result<Vec<u64>, CheckError> {
+) -> Result<Breaks, CheckError> {
     let len = source.index().len();
     assert_eq!(masks.len(), len, "mask column length mismatch");
     let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
-    let sweep = |ti: usize| -> Result<Vec<u64>, CheckError> {
+    let (group, repaired) = (masks.bits(), repairs.iter().fold(0, |m, r| m | r));
+    let none = || Breaks {
+        broken: vec![0; repairs.len()],
+        leaves: vec![0; repairs.len()],
+        unguarded: 0,
+    };
+    let sweep = |ti: usize| -> Result<Breaks, CheckError> {
         let mut rows = source.rows();
-        let mut broken = vec![0u64; action_count];
+        let mut found = none();
         for i in members(assuming, None, plan.range(ti)) {
             let held = masks.at(i);
+            let mut enabled = 0;
             for (a, succ) in rows.row(StateId::from_index(i))? {
-                broken[a.index()] |= held & !masks.at(succ.index());
+                let out = group & !masks.at(succ.index());
+                found.broken[a.index()] |= held & out;
+                found.leaves[a.index()] |= out;
+                enabled |= repairs[a.index()];
             }
+            found.unguarded |= repaired & !held & !enabled;
         }
-        Ok(broken)
+        Ok(found)
     };
-    let mut broken = vec![0u64; action_count];
+    let mut found = none();
     for part in steal_tasks(plan.count(), workers, sweep)? {
-        for (b, p) in broken.iter_mut().zip(part?) {
-            *b |= p;
+        let part = part?;
+        let words = found.broken.iter_mut().chain(&mut found.leaves);
+        for (w, p) in words.zip(part.broken.into_iter().chain(part.leaves)) {
+            *w |= p;
         }
+        found.unguarded |= part.unguarded;
     }
-    Ok(broken)
+    Ok(found)
 }
 
-/// The two closure obligations of one repair: a convergence action and
-/// the constraint it must establish.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairWitnesses {
-    /// The lowest-id state of `T ∧ ¬c` where the action is not enabled.
-    pub unguarded: Option<StateId>,
-    /// The transition of the action from the lowest-id `T` state where it
-    /// leads outside `c`.
-    pub non_establishing: Option<Violation>,
-}
-
-/// Check the closure obligations of every repair `(action, c_bits)` in one
-/// sweep over the states of `t_bits`: the action must be enabled wherever
-/// `T ∧ ¬c` holds, and executing it from `T` must establish `c`. Returns
-/// one [`RepairWitnesses`] per repair, in `repairs` order; each witness is
-/// the lowest-id one, as a per-repair scan in id order would find.
+/// The transition of `action` from the lowest-id state of `from` that
+/// leads outside `target`, or `None`: the witness of a repair that does
+/// not establish its constraint (`from = T`, `target = c`).
 ///
 /// # Errors
 ///
-/// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
-/// [`CheckError::EscapedDomain`] if an action escapes its domain (only a
-/// [`Decoder`](crate::Decoder) evaluates actions).
-///
-/// # Panics
-///
-/// Panics if two repairs share an action.
-pub fn repair_obligations<R: RowSource>(
+/// As [`is_closed_bits`].
+pub fn first_leaving<R: RowSource>(
     source: &R,
-    t_bits: &Bitset,
-    repairs: &[(ActionId, &Bitset)],
+    action: ActionId,
+    from: &Bitset,
+    target: &Bitset,
     opts: CheckOptions,
-) -> Result<Vec<RepairWitnesses>, CheckError> {
-    let k = repairs.len();
-    let action_count = repairs
-        .iter()
-        .map(|(a, _)| a.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let mut repair_of = vec![None; action_count];
-    for (r, (a, _)) in repairs.iter().enumerate() {
-        assert!(
-            repair_of[a.index()].replace(r).is_none(),
-            "action {a} repairs two constraints"
-        );
-    }
-    type Found = (Vec<Option<StateId>>, Vec<Option<(StateId, StateId)>>);
-    let len = source.index().len();
-    let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
-    let sweep = |ti: usize| -> Result<Found, CheckError> {
-        let range = plan.range(ti);
-        let mut rows = source.rows();
-        let mut unguarded = vec![None; k];
-        let mut non_establishing = vec![None; k];
-        // Per repair, the states of the current word where its action is
-        // enabled.
-        let mut enabled = vec![0u64; k];
-        for (w, mask) in words_in(range) {
-            let t_word = t_bits.words[w] & mask;
-            if t_word == 0 {
-                continue;
-            }
-            enabled.fill(0);
-            for bit in ones(t_word) {
-                let id = StateId::from_index(w * 64 + bit);
-                for (a, succ) in rows.row(id)? {
-                    let Some(r) = repair_of.get(a.index()).copied().flatten() else {
-                        continue;
-                    };
-                    enabled[r] |= 1 << bit;
-                    if non_establishing[r].is_none() && !repairs[r].1.contains(succ) {
-                        non_establishing[r] = Some((id, succ));
-                    }
-                }
-            }
-            for (r, (_, c_bits)) in repairs.iter().enumerate() {
-                let bad = t_word & !c_bits.words[w] & !enabled[r];
-                if bad != 0 && unguarded[r].is_none() {
-                    let bit = bad.trailing_zeros() as usize;
-                    unguarded[r] = Some(StateId::from_index(w * 64 + bit));
-                }
-            }
-        }
-        Ok((unguarded, non_establishing))
-    };
-    // Segments come in id order: the first segment with a witness holds
-    // the lowest one.
-    let mut unguarded = vec![None; k];
-    let mut non_establishing = vec![None; k];
-    for part in steal_tasks(plan.count(), workers, sweep)? {
-        let (u, n) = part?;
-        for (first, found) in unguarded.iter_mut().zip(u) {
-            *first = first.or(found);
-        }
-        for (first, found) in non_establishing.iter_mut().zip(n) {
-            *first = first.or(found);
-        }
-    }
-    let index = source.index();
-    Ok(unguarded
-        .into_iter()
-        .zip(non_establishing)
-        .zip(repairs)
-        .map(
-            |((unguarded, non_establishing), &(action, _))| RepairWitnesses {
-                unguarded,
-                non_establishing: non_establishing.map(|(before, after)| Violation {
-                    action,
-                    before: index.state(before),
-                    after: index.state(after),
-                }),
-            },
-        )
-        .collect())
+) -> Result<Option<Violation>, CheckError> {
+    first_violation(source, from, None, Seek::Exit(target), Some(action), opts)
 }
 
-/// The words of a bitset that overlap the id `range`, each with the mask
-/// of its bits inside the range.
-fn words_in(range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
-    (range.start / 64..range.end.div_ceil(64)).map(move |w| {
-        let lo = range.start.max(w * 64) - w * 64;
-        let width = range.end.min(w * 64 + 64) - w * 64 - lo;
-        let mask = if width == 64 {
-            u64::MAX
-        } else {
-            ((1 << width) - 1) << lo
-        };
-        (w, mask)
-    })
-}
-
-/// The set bit positions of `word`, ascending.
-fn ones(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
-        word &= word - 1;
-        Some(bit)
-    })
+/// The lowest-id state of `states` where `action` is not enabled, or
+/// `None`: the witness of an unguarded repair (`states = T ∧ ¬c`).
+///
+/// # Errors
+///
+/// As [`is_closed_bits`].
+pub fn first_disabled<R: RowSource>(
+    source: &R,
+    action: ActionId,
+    states: &Bitset,
+    opts: CheckOptions,
+) -> Result<Option<State>, CheckError> {
+    let hit = first_violation(source, states, None, Seek::Disabled, Some(action), opts)?;
+    Ok(hit.map(|v| v.before))
 }
 
 /// The ids in `range` that are members of `a` (and of `b`, when given),
@@ -306,19 +251,38 @@ fn members<'a>(
     b: Option<&'a Bitset>,
     range: Range<usize>,
 ) -> impl Iterator<Item = usize> + 'a {
-    words_in(range).flat_map(move |(w, mask)| {
-        let word = a.words[w] & b.map_or(u64::MAX, |b| b.words[w]) & mask;
-        ones(word).map(move |bit| w * 64 + bit)
-    })
+    let words = range.start / 64..range.end.div_ceil(64);
+    words
+        .flat_map(move |w| {
+            let mut word = a.words[w] & b.map_or(u64::MAX, |b| b.words[w]);
+            std::iter::from_fn(move || {
+                let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+                word &= word - 1;
+                Some(w * 64 + bit)
+            })
+        })
+        .filter(move |i| range.contains(i))
 }
 
-/// The one closure scan: among transitions from a state in `pred_bits`
-/// (and `assuming`, when given) to a state outside it — by action `only`,
-/// when given — the one with the lowest action, then the lowest state.
+/// What a witness scan looks for in the rows of its states.
+#[derive(Clone, Copy)]
+enum Seek<'a> {
+    /// A transition to a state outside the set.
+    Exit(&'a Bitset),
+    /// A state where the scan's one action has no transition.
+    Disabled,
+}
+
+/// The one witness scan, over the states of `from` (and `assuming`, when
+/// given) in id order: among the transitions `seek` looks for — by action
+/// `only`, when given — the one with the lowest action, then the lowest
+/// state. A [`Seek::Disabled`] hit is the state where `only` has no
+/// transition, reported with `after == before`.
 fn first_violation<R: RowSource>(
     source: &R,
-    pred_bits: &Bitset,
+    from: &Bitset,
     assuming: Option<&Bitset>,
+    seek: Seek<'_>,
     only: Option<ActionId>,
     opts: CheckOptions,
 ) -> Result<Option<Violation>, CheckError> {
@@ -331,14 +295,25 @@ fn first_violation<R: RowSource>(
         let range = plan.range(ti);
         let mut rows = source.rows();
         let (mut limit, mut best) = (limit, None);
-        for i in members(pred_bits, assuming, range) {
+        for i in members(from, assuming, range) {
             if limit == floor {
                 break;
             }
-            for (a, succ) in rows.row(StateId::from_index(i))? {
-                if (floor..limit).contains(&a.index()) && !pred_bits.contains(succ) {
-                    limit = a.index();
-                    best = Some((a, i, succ));
+            let row = rows.row(StateId::from_index(i))?;
+            match seek {
+                Seek::Exit(target) => {
+                    for (a, succ) in row {
+                        if (floor..limit).contains(&a.index()) && !target.contains(succ) {
+                            limit = a.index();
+                            best = Some((a, i, succ));
+                        }
+                    }
+                }
+                Seek::Disabled => {
+                    if !row.iter().any(|(a, _)| a.index() == floor) {
+                        limit = floor;
+                        best = Some((ActionId::from_index(floor), i, StateId::from_index(i)));
+                    }
                 }
             }
         }
@@ -594,23 +569,66 @@ mod tests {
         // Bit 0: x=y, bit 1: y<=x, bit 2: x<3.
         let masks = MaskColumn::pack(&[&eq, &le, &small], opts).unwrap();
         let all = Bitset::ones(space.len());
+        let sweep = |assuming: &Bitset| breaking_actions(&space, &[0, 0], &masks, assuming, opts);
         // copy keeps all three; bump breaks x=y, y<=x (3 -> 0 wraps) and
-        // x<3 (2 -> 3).
-        assert_eq!(
-            breaking_actions(&space, 2, &masks, &all, opts).unwrap(),
-            [0b000, 0b111]
-        );
-        // Assuming x<3 rules out the wrap, so bump keeps y<=x there.
-        assert_eq!(
-            breaking_actions(&space, 2, &masks, &small, opts).unwrap(),
-            [0b000, 0b101]
-        );
+        // x<3 (2 -> 3). copy leads outside x<3 only from x=3, where it
+        // did not hold; bump leads outside all three. No repair is
+        // mapped, so none is unguarded.
+        let found = sweep(&all).unwrap();
+        assert_eq!(found.broken, [0b000, 0b111]);
+        assert_eq!(found.leaves, [0b100, 0b111]);
+        assert_eq!(found.unguarded, 0);
+        // Assuming x<3 rules out the wrap, so bump keeps y<=x there, but it
+        // still leads outside it from states where it did not hold.
+        let found = sweep(&small).unwrap();
+        assert_eq!(found.broken, [0b000, 0b101]);
+        assert_eq!(found.leaves, [0b000, 0b111]);
         // An empty assumption leaves nothing to break.
         let none = Bitset::zeros(space.len());
-        assert_eq!(
-            breaking_actions(&space, 2, &masks, &none, opts).unwrap(),
-            [0, 0]
-        );
+        let found = sweep(&none).unwrap();
+        assert_eq!((found.broken, found.leaves), (vec![0, 0], vec![0, 0]));
+    }
+
+    /// Per repair, its unguarded and its non-establishing witness.
+    type Witnesses = Vec<(Option<State>, Option<Violation>)>;
+
+    /// The repair obligations read off one sweep, and their witnesses.
+    fn repairs_of(
+        source: &impl RowSource,
+        repairs: &[(ActionId, &Bitset)],
+        t: &Bitset,
+        opts: CheckOptions,
+    ) -> (Breaks, Witnesses) {
+        let preds: Vec<&Bitset> = repairs.iter().map(|&(_, c)| c).collect();
+        let masks = MaskColumn::pack(&preds, opts).unwrap();
+        let actions = repairs
+            .iter()
+            .map(|(a, _)| a.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut slots = vec![0; actions];
+        for (j, (a, _)) in repairs.iter().enumerate() {
+            slots[a.index()] |= 1 << j;
+        }
+        let found = breaking_actions(source, &slots, &masks, t, opts).unwrap();
+        let witnesses = repairs
+            .iter()
+            .enumerate()
+            .map(|(j, &(a, c))| {
+                let unguarded = (found.unguarded >> j & 1 == 1).then(|| {
+                    first_disabled(source, a, &t.and(&c.not()), opts)
+                        .unwrap()
+                        .expect("a witness")
+                });
+                let leaving = (found.leaves[a.index()] >> j & 1 == 1).then(|| {
+                    first_leaving(source, a, t, c, opts)
+                        .unwrap()
+                        .expect("a witness")
+                });
+                (unguarded, leaving)
+            })
+            .collect();
+        (found, witnesses)
     }
 
     #[test]
@@ -638,33 +656,26 @@ mod tests {
             .try_into()
             .unwrap();
         let t = Bitset::ones(space.len());
-        let found = repair_obligations(&space, &t, &[(fix, &zero)], opts).unwrap();
+        let (_, found) = repairs_of(&space, &[(fix, &zero)], &t, opts);
         assert_eq!(
             found,
-            [RepairWitnesses {
+            [(
                 // x=2 violates x=0 and disables fix.
-                unguarded: Some(StateId(2)),
-                non_establishing: Some(Violation {
+                Some(State::new(vec![2])),
+                Some(Violation {
                     action: fix,
                     before: State::new(vec![3]),
                     after: State::new(vec![2]),
                 }),
-            }]
+            )]
         );
         // x<3 is violated only at x=3, where fix runs and establishes it.
-        let found = repair_obligations(&space, &t, &[(fix, &below3)], opts).unwrap();
-        assert_eq!(found[0].unguarded, None);
-        assert_eq!(found[0].non_establishing, None);
+        let (_, found) = repairs_of(&space, &[(fix, &below3)], &t, opts);
+        assert_eq!(found, [(None, None)]);
         // Outside T nothing is checked.
         let empty = Bitset::zeros(space.len());
-        let found = repair_obligations(&space, &empty, &[(fix, &zero)], opts).unwrap();
-        assert_eq!(
-            found[0],
-            RepairWitnesses {
-                unguarded: None,
-                non_establishing: None
-            }
-        );
+        let (_, found) = repairs_of(&space, &[(fix, &zero)], &empty, opts);
+        assert_eq!(found, [(None, None)]);
     }
 
     #[test]
@@ -698,20 +709,24 @@ mod tests {
             Bitset::for_predicates(space.index(), &[&even, &low], CheckOptions::serial()).unwrap();
         let t = Bitset::ones(space.len());
         let repairs = [(halve, &caches[0]), (top, &caches[1])];
-        let serial = repair_obligations(&space, &t, &repairs, CheckOptions::serial()).unwrap();
+        let serial = repairs_of(&space, &repairs, &t, CheckOptions::serial());
         // 4097 is odd and disabled; 3 halves to the odd 1; 9500 is stuck.
-        assert_eq!(serial[0].unguarded, Some(StateId(4097)));
-        let v = serial[0].non_establishing.as_ref().unwrap();
+        let (words, witnesses) = &serial;
+        assert_eq!(
+            (words.unguarded, &words.leaves[..]),
+            (0b11, &[0b01, 0b00][..])
+        );
+        assert_eq!(witnesses[0].0, Some(State::new(vec![4097])));
+        let v = witnesses[0].1.as_ref().unwrap();
         assert_eq!((v.before.slots(), v.after.slots()), (&[3][..], &[1][..]));
-        assert_eq!(serial[1].unguarded, Some(StateId(9500)));
-        assert_eq!(serial[1].non_establishing, None);
+        assert_eq!(witnesses[1], (Some(State::new(vec![9500])), None));
         let decoded = Decoder::new(&p, space.index());
         for threads in [1, 2, 8] {
             for seg in [0, 512, 1000, 4097] {
                 let opts = CheckOptions::default().threads(threads).segment_states(seg);
-                let got = repair_obligations(&space, &t, &repairs, opts).unwrap();
+                let got = repairs_of(&space, &repairs, &t, opts);
                 assert_eq!(got, serial, "threads={threads} seg={seg}");
-                let got = repair_obligations(&decoded, &t, &repairs, opts).unwrap();
+                let got = repairs_of(&decoded, &repairs, &t, opts);
                 assert_eq!(got, serial, "decoded threads={threads} seg={seg}");
             }
         }

@@ -25,9 +25,10 @@ pub struct CheckCounters {
     /// however many predicates the pass evaluates.
     pub states_decoded: u64,
     /// Rows read by closure and preservation sweeps: every row of
-    /// each sweep's assumption (the closure sweeps over `T` and `S`, the
-    /// repair sweep over `T`, one per memo miss), plus, per closure
-    /// witness scan, the rows of the predicate up to its witness, as a
+    /// each sweep's assumption (the closure sweeps over `T`, one per mask
+    /// group, which also check every repair, the group-0 sweep over `S`,
+    /// and one per memo miss), plus, per witness scan of a closure
+    /// violation, the rows of its scanned states up to its witness, as a
     /// scan in id order reads them.
     pub csr_rows_visited: u64,
     /// Region (`T ∧ ¬S`) states examined by the convergence pass. One
@@ -42,7 +43,7 @@ pub struct CheckCounters {
     pub sccs_found: u64,
     /// Preservation queries (action, constraint, assumption) answered
     /// from the memo of an earlier sweep, including the closure sweeps
-    /// over `T` and `S` that run before any query.
+    /// over `T` (every group) and `S` (group 0) that run before any query.
     pub cache_hits: u64,
     /// Preservation queries that ran a fresh sweep: one
     /// [`breaking_actions`](crate::breaking_actions) sweep per

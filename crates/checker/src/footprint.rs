@@ -270,7 +270,7 @@ impl Footprint {
         let mut size = 1usize;
         for (i, &v) in vars.iter().enumerate().rev() {
             strides[i] = size as u32;
-            size = size.checked_mul(index.size(v))?;
+            size = size.checked_mul(index.domain_size(v))?;
             if size > TABLE_CAP {
                 return None;
             }
@@ -319,10 +319,14 @@ impl Footprint {
         // The other variables that can vary, each with its least and
         // greatest value.
         let others: Vec<(VarId, i64, i64)> = (0..index.var_count())
-            .filter(|&v| !inside[v] && index.size(v) > 1)
+            .filter(|&v| !inside[v] && index.domain_size(v) > 1)
             .map(|v| {
                 let min = index.min(v);
-                (VarId::from_index(v), min, min + index.size(v) as i64 - 1)
+                (
+                    VarId::from_index(v),
+                    min,
+                    min + index.domain_size(v) as i64 - 1,
+                )
             })
             .collect();
         let mut state = index.state(StateId::from_index(0));
@@ -359,7 +363,7 @@ impl Footprint {
             // Odometer over the footprint's digits, last fastest.
             for (i, &v) in self.vars.iter().enumerate().rev() {
                 digits[i] += 1;
-                if digits[i] < index.size(v) {
+                if digits[i] < index.domain_size(v) {
                     break;
                 }
                 digits[i] = 0;
@@ -404,7 +408,7 @@ fn action_move(
     let mut delta = 0i64;
     for v in (0..old.len()).filter(|&v| inside[v] && old[v] != new[v]) {
         let offset = new[v].wrapping_sub(index.min(v));
-        if offset < 0 || offset >= index.size(v) as i64 {
+        if offset < 0 || offset >= index.domain_size(v) as i64 {
             return Ok(Move::Escapes(v));
         }
         delta += (new[v] - old[v]) * index.stride(v) as i64;
@@ -518,7 +522,9 @@ impl ActionTables {
                             .vars
                             .iter()
                             .zip(&fp.strides)
-                            .map(|(&v, &s)| (key / s as usize % index.size(v)) * index.stride(v))
+                            .map(|(&v, &s)| {
+                                (key / s as usize % index.domain_size(v)) * index.stride(v)
+                            })
                             .sum();
                         let found = (StateId::from_index(id), a, var);
                         if escape.is_none_or(|e| found < e) {
@@ -543,6 +549,11 @@ impl ActionTables {
     /// Transitions of the tabled actions.
     pub(crate) fn tabled_transitions(&self) -> u64 {
         self.tabled
+    }
+
+    /// Number of actions, tabled or evaluated per row.
+    pub(crate) fn action_count(&self) -> usize {
+        self.start.len()
     }
 
     /// The actions evaluated per row, with their ids.

@@ -74,13 +74,15 @@
 //! id range — and because per-segment results are merged in segment
 //! order, verdicts and witnesses remain bit-identical for every thread
 //! count and claim order. [`is_closed_bits`], [`breaking_actions`] and
-//! [`repair_obligations`] run on a [`Decoder`] as well as on a
-//! [`StateSpace`], and report the same answer on each. A sweep asks as
-//! many questions as it can: [`breaking_actions`] answers closure and preservation for
+//! the witness scans run on a [`Decoder`] as well as on a [`StateSpace`],
+//! and report the same answer on each. A sweep asks as many questions as
+//! it can: [`breaking_actions`] answers closure and preservation for
 //! every action and up to 64 predicates (a [`MaskColumn`], one byte per
-//! state per 8 predicates) in one pass over the assumed states, and
-//! [`repair_obligations`] checks every constraint's repair in one pass
-//! over `T`.
+//! state per 8 predicates) in one pass over the assumed states, and the
+//! same pass over `T` also answers every constraint's repair obligations
+//! (its action enabled where the constraint is false, and establishing
+//! it). A witness scan ([`first_leaving`], [`first_disabled`]) runs only
+//! for a violation the sweep found.
 //!
 //! For convergence-only queries on instances whose per-state columns do
 //! not fit the budget, [`check_convergence_frontier_stats`] ([`frontier`])
@@ -150,8 +152,8 @@ pub mod successors;
 pub use bounds::{check_variant, VariantReport};
 pub use cache::{Bitset, MaskColumn, OnesIter};
 pub use closure::{
-    breaking_actions, is_closed, is_closed_bits, preserves_given_bits, repair_obligations,
-    RepairWitnesses, Violation,
+    breaking_actions, first_disabled, first_leaving, is_closed, is_closed_bits,
+    preserves_given_bits, Breaks, Violation,
 };
 pub use containment::{certify_containment, ContainmentVerdict};
 pub use convergence::{

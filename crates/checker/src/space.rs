@@ -444,7 +444,7 @@ impl SpaceIndex {
     }
 
     /// Variable `v`'s domain size.
-    pub(crate) fn size(&self, v: usize) -> usize {
+    pub fn domain_size(&self, v: usize) -> usize {
         self.radix.sizes[v] as usize
     }
 
@@ -751,6 +751,11 @@ impl StateSpace {
     /// Number of variables per state.
     pub fn var_count(&self) -> usize {
         self.index.var_count()
+    }
+
+    /// Number of actions of the program the space was enumerated from.
+    pub fn action_count(&self) -> usize {
+        self.tables.action_count()
     }
 
     /// All state ids.

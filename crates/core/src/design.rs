@@ -5,10 +5,10 @@ use std::time::{Duration, Instant};
 
 use nonmask_checker::{
     check_convergence_bits, closure, Bitset, CheckCounters, CheckError, CheckOptions, MaskColumn,
-    StateSpace,
+    SpaceIndex, StateSpace,
 };
 use nonmask_graph::{ConstraintGraph, ConstraintRef, GraphError, Layering, NodePartition, Shape};
-use nonmask_program::{ActionId, ActionKind, Predicate, Program};
+use nonmask_program::{ActionId, ActionKind, Predicate, Program, State, VarId};
 
 use crate::constraint::Constraint;
 use crate::report::{ClosureReport, StateCounts, TheoremOutcome, ToleranceReport, VerifyTimings};
@@ -28,6 +28,12 @@ pub enum DesignError {
     /// caller-supplied closure (predicate, guard, or action body) panicked
     /// inside a checker worker.
     Check(CheckError),
+    /// The state space given to [`Design::verify_with`] does not have the
+    /// shape of the design's program; the message names what differs: the
+    /// variable count, a variable's domain size, or the action count. A
+    /// space of the same shape enumerated from a program with other
+    /// actions or domain offsets is not detected.
+    SpaceMismatch(String),
 }
 
 impl std::fmt::Display for DesignError {
@@ -39,6 +45,7 @@ impl std::fmt::Display for DesignError {
             DesignError::UnknownAction(a) => write!(f, "action {a} is not part of the program"),
             DesignError::Graph(e) => write!(f, "constraint graph: {e}"),
             DesignError::Check(e) => write!(f, "checker: {e}"),
+            DesignError::SpaceMismatch(what) => write!(f, "state space of another program: {what}"),
         }
     }
 }
@@ -202,11 +209,15 @@ impl Design {
     ///
     /// # Errors
     ///
+    /// [`DesignError::SpaceMismatch`] if `space` differs from the
+    /// program's space in its variable count, a domain size or its action
+    /// count;
     /// [`DesignError::Graph`] if the constraint graph cannot be derived;
     /// [`DesignError::Check`] if a predicate, guard, or action body panics
     /// inside a checker worker.
     pub fn verify_with(&self, space: &StateSpace) -> Result<ToleranceReport, DesignError> {
         let started = Instant::now();
+        self.check_shape(space)?;
         let graph = self.constraint_graph()?;
         let shape = graph.shape();
         let t = &self.fault_span;
@@ -236,9 +247,11 @@ impl Design {
         // mask columns of 64 predicates each (see `slot`). One
         // `breaking_actions` sweep over an assumption's states answers
         // every (action, predicate) preservation question of a group.
-        // The group-0 sweeps over `T` and over `S` run first: bit `T` of
-        // the one and bit `S` of the other are the closure verdicts, and
-        // both pre-fill the preservation memo below.
+        // The sweeps over `T` (one per group) and the group-0 sweep over
+        // `S` run first: bit `T` of the one and bit `S` of the other are
+        // the closure verdicts, the `T` sweeps also answer every
+        // constraint's repair obligations, and all of them pre-fill the
+        // preservation memo below.
         let closure_started = Instant::now();
         let n = p.action_count();
         let masks = {
@@ -249,32 +262,40 @@ impl Design {
                 .map(|group| MaskColumn::pack(group, opts))
                 .collect::<Result<Vec<_>, _>>()?
         };
+        // Per group, each action's repaired constraint slots; only the `T`
+        // sweeps' `unguarded` words are read.
+        let mut repairs = vec![vec![0u64; n]; masks.len()];
+        for (i, c) in self.constraints.iter().enumerate() {
+            let (group, bit) = slot(CONSTRAINT_SLOTS + i);
+            repairs[group][c.action().index()] |= bit;
+        }
+        let sweep = |group: usize, assuming: &Bitset| {
+            closure::breaking_actions(space, &repairs[group], &masks[group], assuming, opts)
+        };
         // Rows the sweeps read: each sweep reads every row of its
         // assumption.
-        let mut rows_visited = 0u64;
-        let mut memo: HashMap<(Assumption, usize), Vec<u64>> = HashMap::new();
-        for (key, assuming) in [(Assumption::T, &t_bits), (Assumption::S, &s_bits)] {
-            rows_visited += assuming.count_ones() as u64;
-            let broken = closure::breaking_actions(space, n, &masks[0], assuming, opts)?;
-            memo.insert((key, 0), broken);
-        }
-        let (closure_report, closure_rows) = self.check_closure_bits(
-            space,
-            [&memo[&(Assumption::T, 0)], &memo[&(Assumption::S, 0)]],
-            &s_bits,
-            &t_bits,
-            &c_bits,
-        )?;
+        let mut rows_visited = (masks.len() * t_bits.count_ones() + s_bits.count_ones()) as u64;
+        let t_sweeps = (0..masks.len())
+            .map(|group| sweep(group, &t_bits))
+            .collect::<Result<Vec<_>, _>>()?;
+        let s_broken = sweep(0, &s_bits)?.broken;
+        let (closure_report, closure_rows) =
+            self.check_closure_bits(space, &t_sweeps, &s_broken, &s_bits, &t_bits, &c_bits)?;
         rows_visited += closure_rows;
+        let mut memo: HashMap<(Assumption, usize), Vec<u64>> =
+            HashMap::from([((Assumption::S, 0), s_broken)]);
+        memo.extend(
+            (t_sweeps.into_iter().enumerate()).map(|(g, t)| ((Assumption::T, g), t.broken)),
+        );
         let closure_time = closure_started.elapsed();
 
         // --- 2. Theorem side conditions --------------------------------
         // Memoized conditional-preservation oracle, keyed by (assumption,
         // mask group): one `breaking_actions` sweep answers the query for
-        // every action and every predicate of the group at once. The
-        // `T` and `S` sweeps of group 0 are already in; what misses is
-        // Theorem 3's per-layer assumptions (and, past 62 constraints,
-        // the later groups).
+        // every action and every predicate of the group at once. Every
+        // `T` sweep and the group-0 `S` sweep are already in; what misses
+        // is Theorem 3's per-layer assumptions (and, past 62 constraints,
+        // the later `S` groups).
         let theorem_started = Instant::now();
         let mut cache_hits: u64 = 0;
         let mut cache_misses: u64 = 0;
@@ -294,13 +315,13 @@ impl Design {
                     Entry::Vacant(entry) => {
                         cache_misses += 1;
                         rows_visited += assuming.count_ones() as u64;
-                        entry.insert(
-                            closure::breaking_actions(space, n, &masks[group], assuming, opts)
-                                .unwrap_or_else(|e| {
-                                    oracle_error.get_or_insert(e);
-                                    vec![u64::MAX; n]
-                                }),
-                        )
+                        entry.insert(sweep(group, assuming).map_or_else(
+                            |e| {
+                                oracle_error.get_or_insert(e);
+                                vec![u64::MAX; n]
+                            },
+                            |sweep| sweep.broken,
+                        ))
                     }
                 };
                 broken[a.index()] & bit == 0
@@ -434,62 +455,85 @@ impl Design {
         })
     }
 
+    /// [`DesignError::SpaceMismatch`] unless `space` has the variable
+    /// count, domain sizes and action count of the design's program.
+    fn check_shape(&self, space: &StateSpace) -> Result<(), DesignError> {
+        let p = &self.program;
+        let index = SpaceIndex::of_program(p, self.options)?;
+        let differs = |what: &str, design: usize, space: usize| {
+            (design != space)
+                .then(|| format!("{what} is {design} in the design but {space} in the space"))
+        };
+        let vars = index.var_count();
+        let what = differs("the variable count", vars, space.var_count())
+            .or_else(|| {
+                (0..vars).find_map(|v| {
+                    let name = p.var(VarId::from_index(v)).name();
+                    let sizes = (index.domain_size(v), space.index().domain_size(v));
+                    differs(&format!("the domain size of `{name}`"), sizes.0, sizes.1)
+                })
+            })
+            .or_else(|| differs("the action count", p.action_count(), space.action_count()));
+        what.map_or(Ok(()), |what| Err(DesignError::SpaceMismatch(what)))
+    }
+
     /// The closure obligations over the shared predicate caches, and the
-    /// rows their scans read. `broken` holds the group-0
-    /// [`closure::breaking_actions`] sweeps over `T` and over `S`: `T`
-    /// (`S`) is closed iff no action has its `T` (`S`) bit set. Only a
-    /// violation costs another scan, of the lowest breaking action, for
-    /// its lowest-id witness. Then one sweep over the `T` states checks
-    /// every constraint's repair ([`closure::repair_obligations`]). The
-    /// convergence action's enabledness is read off the rows (a
-    /// `(action, successor)` pair exists exactly when the guard holds),
-    /// so no guard or predicate is re-evaluated here.
+    /// rows their witness scans read. `t_sweeps` holds the
+    /// [`closure::breaking_actions`] sweeps over `T`, one per mask group,
+    /// and `s_broken` the group-0 sweep's answer over `S`: `T` (`S`) is
+    /// closed iff no action has its `T` (`S`) bit set, and a constraint's
+    /// repair is unguarded (does not establish it) iff its bit of the `T`
+    /// sweep's `unguarded` (its action's `leaves`) is set. Only a violation
+    /// costs another scan, for its lowest-id witness. The convergence
+    /// action's enabledness is read off the rows (a `(action, successor)`
+    /// pair exists exactly when the guard holds), so no guard or predicate
+    /// is re-evaluated here.
     fn check_closure_bits(
         &self,
         space: &StateSpace,
-        broken: [&[u64]; 2],
+        t_sweeps: &[closure::Breaks],
+        s_broken: &[u64],
         s_bits: &Bitset,
         t_bits: &Bitset,
         c_bits: &[Bitset],
     ) -> Result<(ClosureReport, u64), CheckError> {
         let opts = self.options;
         let mut rows = 0u64;
-        let mut witness = |broken: &[u64], bit: u64, pred: &Bitset| {
+        // The rows of `states` a scan in id order reads up to its witness.
+        let mut scanned = |states: &Bitset, witness: &State| {
+            let id = space.id_of(witness).expect("a state of the space");
+            rows += states.iter_ones().take_while(|&i| i <= id.index()).count() as u64;
+        };
+        let mut closed = |broken: &[u64], bit: u64, pred: &Bitset| {
             let Some(a) = broken.iter().position(|b| b & bit != 0) else {
                 return Ok(None);
             };
             let v =
                 closure::preserves_given_bits(space, ActionId::from_index(a), pred, pred, opts)?
                     .expect("a breaking action has a violation");
-            // The rows of `pred` a scan in id order reads up to its
-            // witness.
-            let before = space.id_of(&v.before).expect("a state of the space");
-            rows += pred
-                .iter_ones()
-                .take_while(|&i| i <= before.index())
-                .count() as u64;
+            scanned(pred, &v.before);
             Ok::<_, CheckError>(Some(v))
         };
-        let fault_span = witness(broken[0], slot(T_SLOT).1, t_bits)?;
-        let invariant = witness(broken[1], slot(S_SLOT).1, s_bits)?;
+        let fault_span = closed(&t_sweeps[0].broken, slot(T_SLOT).1, t_bits)?;
+        let invariant = closed(s_broken, slot(S_SLOT).1, s_bits)?;
 
-        let repairs: Vec<(ActionId, &Bitset)> = self
-            .constraints
-            .iter()
-            .map(Constraint::action)
-            .zip(c_bits)
-            .collect();
-        let mut unguarded = Vec::new();
-        let mut non_establishing = Vec::new();
-        let witnesses = closure::repair_obligations(space, t_bits, &repairs, opts)?;
-        rows += t_bits.count_ones() as u64;
-        for (i, w) in witnesses.into_iter().enumerate() {
+        let (mut unguarded_constraints, mut non_establishing) = (Vec::new(), Vec::new());
+        for (i, (c, c_bits)) in self.constraints.iter().zip(c_bits).enumerate() {
+            let (group, bit) = slot(CONSTRAINT_SLOTS + i);
+            let (sweep, a) = (&t_sweeps[group], c.action());
             // ¬c ∧ T must enable the convergence action …
-            if let Some(id) = w.unguarded {
-                unguarded.push((i, space.state(id)));
+            if sweep.unguarded & bit != 0 {
+                let states = t_bits.and(&c_bits.not());
+                let witness = closure::first_disabled(space, a, &states, opts)?
+                    .expect("an unguarded repair has a witness");
+                scanned(&states, &witness);
+                unguarded_constraints.push((i, witness));
             }
             // … and executing it from T ∧ guard must establish c.
-            if let Some(v) = w.non_establishing {
+            if sweep.leaves[a.index()] & bit != 0 {
+                let v = closure::first_leaving(space, a, t_bits, c_bits, opts)?
+                    .expect("a repair leading outside its constraint has a witness");
+                scanned(t_bits, &v.before);
                 non_establishing.push((i, v));
             }
         }
@@ -497,7 +541,7 @@ impl Design {
         let report = ClosureReport {
             invariant,
             fault_span,
-            unguarded_constraints: unguarded,
+            unguarded_constraints,
             non_establishing,
         };
         Ok((report, rows))
@@ -978,9 +1022,15 @@ mod tests {
             .unwrap();
         let report = d.verify().unwrap();
         // ¬c at x=2 but fix is only enabled at x=1.
-        assert_eq!(report.closure.unguarded_constraints.len(), 1);
+        assert_eq!(
+            report.closure.unguarded_constraints,
+            [(0, State::new(vec![2]))]
+        );
         assert!(!report.closure.ok());
         assert!(!report.convergence.converges(), "x=2 deadlocks outside S");
+        // |T| + |S| for the closure sweeps, then the witness scan's rows
+        // of T ∧ ¬c = {1, 2} up to its witness x=2.
+        assert_eq!(report.counters.csr_rows_visited, 3 + 1 + 2);
     }
 
     #[test]
@@ -1004,7 +1054,12 @@ mod tests {
             .unwrap();
         let report = d.verify().unwrap();
         assert_eq!(report.closure.non_establishing.len(), 1);
+        let v = &report.closure.non_establishing[0].1;
+        assert_eq!((v.before.slots(), v.after.slots()), (&[1][..], &[2][..]));
         assert!(!report.convergence.converges());
+        // |T| + |S| for the closure sweeps, then the witness scan's rows
+        // of T up to its witness x=1.
+        assert_eq!(report.counters.csr_rows_visited, 3 + 1 + 2);
     }
 
     #[test]
@@ -1110,12 +1165,79 @@ mod tests {
         assert_eq!(a.worst_case_moves, b.worst_case_moves);
     }
 
+    /// One variable per name, each over `0..=max`, and one convergence
+    /// action per variable driving it to 0.
+    fn to_zero(names: &[&str], max: i64) -> Program {
+        let mut b = Program::builder("to-zero");
+        for name in names {
+            let v = b.var(*name, Domain::range(0, max));
+            b.convergence_action(
+                format!("zero-{name}"),
+                [v],
+                [v],
+                move |s| s.get(v) != 0,
+                move |s| s.set(v, 0),
+            );
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_space_of_another_program_is_a_typed_error() {
+        let mismatch = |d: &Design, p: &Program| {
+            let space = StateSpace::enumerate(p).unwrap();
+            match d.verify_with(&space) {
+                Err(DesignError::SpaceMismatch(what)) => what,
+                other => panic!("expected a mismatch, got {other:?}"),
+            }
+        };
+        // The xyz design over 3 variables and 2 actions, on larger and
+        // smaller spaces: each direction names the variable count.
+        let d = good_xyz();
+        assert_eq!(
+            mismatch(&d, &to_zero(&["a", "b", "c", "d"], 3)),
+            "the variable count is 3 in the design but 4 in the space"
+        );
+        assert_eq!(
+            mismatch(&d, &to_zero(&["a", "b"], 3)),
+            "the variable count is 3 in the design but 2 in the space"
+        );
+        // The same variable count: a domain size, then the action count.
+        assert_eq!(
+            mismatch(&d, &to_zero(&["a", "b", "c"], 4)),
+            "the domain size of `x` is 4 in the design but 5 in the space"
+        );
+        assert_eq!(
+            mismatch(&d, &to_zero(&["a", "b", "c"], 3)),
+            "the action count is 2 in the design but 3 in the space"
+        );
+        let err = d
+            .verify_with(&StateSpace::enumerate(&to_zero(&["a"], 3)).unwrap())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "state space of another program: the variable count is 3 in the design but 1 in \
+             the space"
+        );
+        // Only the shape is compared: a space with the same variables,
+        // domains and action count passes.
+        let mut b = Program::builder("same-shape");
+        for name in ["a", "b", "c"] {
+            b.var(name, Domain::range(0, 3));
+        }
+        let (a, c) = (VarId::from_index(0), VarId::from_index(2));
+        b.closure_action("noop-a", [a], [a], |_| true, |_| {});
+        b.closure_action("noop-c", [c], [c], |_| true, |_| {});
+        let space = StateSpace::enumerate(&b.build()).unwrap();
+        assert!(d.verify_with(&space).is_ok());
+    }
+
     #[test]
     fn csr_rows_visited_counts_the_rows_read() {
         // T is `true` and S is `x != y ∧ x <= z`, counted here state by
         // state. The design has no closure action and applies Theorem 1,
         // so no preservation query runs: the rows read are the closure
-        // sweeps over T and over S, then the repair sweep over T.
+        // sweeps over T (which also checks the repairs) and over S.
         let report = good_xyz().verify().unwrap();
         let states = (0..4).flat_map(|x| (0..4).flat_map(move |y| (0..4).map(move |z| (x, y, z))));
         let all = states.clone().count() as u64;
@@ -1123,7 +1245,7 @@ mod tests {
         assert_eq!((all, s), (64, 30));
         assert!(report.closure.ok());
         assert_eq!(report.counters.cache_hits + report.counters.cache_misses, 0);
-        assert_eq!(report.counters.csr_rows_visited, all + s + all);
+        assert_eq!(report.counters.csr_rows_visited, all + s);
     }
 
     #[test]
@@ -1167,11 +1289,12 @@ mod tests {
         let scanned = closure::is_closed(&space, &d.invariant()).unwrap();
         assert_eq!(Some(v), scanned);
         assert_eq!(report.closure.fault_span, None);
-        // |T| + |S| for the closure sweeps, one row for the witness scan
-        // (x = 0 is the first S state), |T| for the repair sweep; both
-        // closure actions' questions are answered by the `T` sweep.
+        // |T| + |S| for the closure sweeps (the `T` one also checks the
+        // repair), and one row for the witness scan (x = 0 is the first S
+        // state); both closure actions' questions are answered by the `T`
+        // sweep.
         assert_eq!(report.counters.cache_misses, 0);
-        assert_eq!(report.counters.csr_rows_visited, 4 + 1 + 1 + 4);
+        assert_eq!(report.counters.csr_rows_visited, 4 + 1 + 1);
     }
 
     #[test]

@@ -278,3 +278,26 @@ fn candidate_triple_detects_unclosed_span() {
     let (_, t_violation) = triple.check_closure(&space).unwrap();
     assert!(t_violation.is_some(), "the bogus span is escaped");
 }
+
+/// A design verified against the space of another tree gets a typed
+/// error naming the mismatch, in both directions.
+#[test]
+fn verify_with_rejects_the_space_of_another_tree() {
+    let design = |n| {
+        DiffusingComputation::new(&Tree::binary(n))
+            .design()
+            .unwrap()
+    };
+    let (small, large) = (design(3), design(4));
+    let space = |d: &nonmask::Design| StateSpace::enumerate(d.program()).unwrap();
+    for (d, other) in [(&small, &large), (&large, &small)] {
+        let err = d.verify_with(&space(other)).unwrap_err();
+        let (vars, its) = (d.program().var_count(), other.program().var_count());
+        let expected = format!("the variable count is {vars} in the design but {its} in the space");
+        assert!(
+            matches!(&err, nonmask::DesignError::SpaceMismatch(what) if *what == expected),
+            "{err:?}"
+        );
+    }
+    assert!(small.verify_with(&space(&small)).unwrap().is_tolerant());
+}

@@ -3,9 +3,9 @@
 use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
     breaking_actions, check_convergence, check_convergence_bits, check_convergence_frontier_stats,
-    is_closed, is_closed_bits, preserves_given_bits, Bitset, CheckError, CheckOptions,
-    ConvergenceResult, Decoder, Fairness, MaskColumn, SpaceIndex, StateId, StateSpace, Successors,
-    Violation,
+    first_disabled, first_leaving, is_closed, is_closed_bits, preserves_given_bits, Bitset,
+    CheckError, CheckOptions, ConvergenceResult, Decoder, Fairness, MaskColumn, SpaceIndex,
+    StateId, StateSpace, Successors, Violation,
 };
 use nonmask_graph::{NodePartition, Shape};
 use nonmask_obs::{Event, Journal, MemoryBuffer};
@@ -783,10 +783,14 @@ proptest! {
     }
 
     /// One sweep per assumption answers every (action, predicate)
-    /// question of a mask group: bit `j` of `breaking_actions(..)[a]` is
-    /// set exactly when `preserves_given_bits` finds a violation of
-    /// predicate `j` by `a`, for 1 to 64 predicates, on both row sources
-    /// at 1, 2 and 8 threads.
+    /// question of a mask group: bit `j` of `broken[a]` is set exactly
+    /// when `preserves_given_bits` finds a violation of predicate `j` by
+    /// `a`, bit `j` of `leaves[a]` when some transition of `a` from an
+    /// assumed state leads outside predicate `j`, and bit `j` of
+    /// `unguarded` when some assumed state outside predicate `j` enables
+    /// no action mapped to slot `j`, for 1 to 64 predicates, on both row
+    /// sources at 1, 2 and 8 threads. The lowest-id witness scans agree
+    /// with a scan of every state in id order.
     #[test]
     fn breaking_actions_match_per_action_preservation(
         domains in proptest::collection::vec(domain_strategy(), 1..=5),
@@ -795,6 +799,8 @@ proptest! {
         // A full group half the time, so its top bit is exercised.
         width in prop_oneof![Just(64usize), 1usize..=64],
         assume_seed in (0u64..1000, 0u64..=100),
+        // Per action, the slot it repairs (none when past the group).
+        repair_of in proptest::collection::vec(0usize..80, 5),
     ) {
         let p = program_with_actions(domains, actions);
         let space = StateSpace::enumerate(&p).unwrap();
@@ -810,27 +816,68 @@ proptest! {
         let packed: Vec<&Bitset> = caches.iter().collect();
         let masks = MaskColumn::pack(&packed, CheckOptions::serial()).unwrap();
         let n = p.action_count();
-        let mut expected = vec![0u64; n];
+        let slots: Vec<u64> = repair_of[..n]
+            .iter()
+            .map(|&j| if j < width { 1 << j } else { 0 })
+            .collect();
+        let mut broken = vec![0u64; n];
         for a in p.action_ids() {
             for (j, bits) in caches.iter().enumerate() {
-                let broken = preserves_given_bits(&space, a, bits, &assuming, CheckOptions::serial())
+                let hit = preserves_given_bits(&space, a, bits, &assuming, CheckOptions::serial())
                     .unwrap()
                     .is_some();
-                expected[a.index()] |= u64::from(broken) << j;
+                broken[a.index()] |= u64::from(hit) << j;
+            }
+        }
+        // Brute force over every assumed state and its row.
+        let mut leaves = vec![0u64; n];
+        let mut unguarded = 0u64;
+        for id in assuming.iter_ones().map(StateId::from_index) {
+            let row = space.successors(id);
+            for (j, bits) in caches.iter().enumerate() {
+                for &(a, succ) in &row {
+                    leaves[a.index()] |= u64::from(!bits.contains(succ)) << j;
+                }
+                let repaired = slots.iter().any(|&s| s >> j & 1 == 1);
+                let enabled = row.iter().any(|&(a, _)| slots[a.index()] >> j & 1 == 1);
+                unguarded |= u64::from(repaired && !bits.contains(id) && !enabled) << j;
             }
         }
         for threads in [1, 2, 8] {
             let opts = CheckOptions::default().threads(threads).segment_states(7);
-            prop_assert_eq!(
-                &breaking_actions(&space, n, &masks, &assuming, opts).unwrap(),
-                &expected,
-                "resident, threads={}", threads
-            );
-            prop_assert_eq!(
-                &breaking_actions(&decoded, n, &masks, &assuming, opts).unwrap(),
-                &expected,
-                "decoded, threads={}", threads
-            );
+            for (source, found) in [
+                ("resident", breaking_actions(&space, &slots, &masks, &assuming, opts).unwrap()),
+                ("decoded", breaking_actions(&decoded, &slots, &masks, &assuming, opts).unwrap()),
+            ] {
+                prop_assert_eq!(&found.broken, &broken, "{}, threads={}", source, threads);
+                prop_assert_eq!(&found.leaves, &leaves, "{}, threads={}", source, threads);
+                prop_assert_eq!(found.unguarded, unguarded, "{}, threads={}", source, threads);
+            }
+        }
+        // Each set bit has a witness, the lowest one in id order.
+        let opts = CheckOptions::default().threads(8).segment_states(7);
+        for a in p.action_ids() {
+            let j = repair_of[a.index()];
+            let Some(bits) = caches.get(j) else { continue };
+            let expected = assuming.iter_ones().map(StateId::from_index).find_map(|id| {
+                let (_, succ) = space.successors(id).into_iter().find(|&(b, _)| b == a)?;
+                (!bits.contains(succ)).then(|| Violation {
+                    action: a,
+                    before: space.state(id),
+                    after: space.state(succ),
+                })
+            });
+            prop_assert_eq!(expected.is_some(), leaves[a.index()] >> j & 1 == 1);
+            prop_assert_eq!(&first_leaving(&space, a, &assuming, bits, opts).unwrap(), &expected);
+            prop_assert_eq!(&first_leaving(&decoded, a, &assuming, bits, opts).unwrap(), &expected);
+            let outside = assuming.and(&bits.not());
+            let expected = outside
+                .iter_ones()
+                .map(StateId::from_index)
+                .find(|&id| space.successors(id).iter().all(|&(b, _)| b != a))
+                .map(|id| space.state(id));
+            prop_assert_eq!(first_disabled(&space, a, &outside, opts).unwrap(), expected);
+            prop_assert_eq!(first_disabled(&decoded, a, &outside, opts).unwrap(), expected);
         }
     }
 
