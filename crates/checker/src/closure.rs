@@ -174,6 +174,41 @@ pub fn breaking_actions<R: RowSource>(
     assuming: &Bitset,
     opts: CheckOptions,
 ) -> Result<Breaks, CheckError> {
+    sweep::<R, true>(source, repairs, masks, assuming, opts)
+}
+
+/// The [`broken`](Breaks::broken) words of [`breaking_actions`] alone, by
+/// a sweep that does none of the repair work: for the assumptions whose
+/// `leaves` and `unguarded` no caller reads. `actions` is the action
+/// count.
+///
+/// # Errors
+///
+/// As [`breaking_actions`].
+///
+/// # Panics
+///
+/// Panics if `masks` does not range over exactly the states of `source`,
+/// or if a row holds an action at or past `actions`.
+pub fn broken_actions<R: RowSource>(
+    source: &R,
+    actions: usize,
+    masks: &MaskColumn,
+    assuming: &Bitset,
+    opts: CheckOptions,
+) -> Result<Vec<u64>, CheckError> {
+    Ok(sweep::<R, false>(source, &vec![0; actions], masks, assuming, opts)?.broken)
+}
+
+/// The one [`breaking_actions`] sweep; without `REPAIRS`, `leaves` and
+/// `unguarded` stay zero and `repairs` is read for its length alone.
+fn sweep<R: RowSource, const REPAIRS: bool>(
+    source: &R,
+    repairs: &[u64],
+    masks: &MaskColumn,
+    assuming: &Bitset,
+    opts: CheckOptions,
+) -> Result<Breaks, CheckError> {
     let len = source.index().len();
     assert_eq!(masks.len(), len, "mask column length mismatch");
     let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
@@ -183,7 +218,7 @@ pub fn breaking_actions<R: RowSource>(
         leaves: vec![0; repairs.len()],
         unguarded: 0,
     };
-    let sweep = |ti: usize| -> Result<Breaks, CheckError> {
+    let task = |ti: usize| -> Result<Breaks, CheckError> {
         let mut rows = source.rows();
         let mut found = none();
         for i in members(assuming, None, plan.range(ti)) {
@@ -192,15 +227,19 @@ pub fn breaking_actions<R: RowSource>(
             for (a, succ) in rows.row(StateId::from_index(i))? {
                 let out = group & !masks.at(succ.index());
                 found.broken[a.index()] |= held & out;
-                found.leaves[a.index()] |= out;
-                enabled |= repairs[a.index()];
+                if REPAIRS {
+                    found.leaves[a.index()] |= out;
+                    enabled |= repairs[a.index()];
+                }
             }
-            found.unguarded |= repaired & !held & !enabled;
+            if REPAIRS {
+                found.unguarded |= repaired & !held & !enabled;
+            }
         }
         Ok(found)
     };
     let mut found = none();
-    for part in steal_tasks(plan.count(), workers, sweep)? {
+    for part in steal_tasks(plan.count(), workers, task)? {
         let part = part?;
         let words = found.broken.iter_mut().chain(&mut found.leaves);
         for (w, p) in words.zip(part.broken.into_iter().chain(part.leaves)) {
@@ -569,7 +608,13 @@ mod tests {
         // Bit 0: x=y, bit 1: y<=x, bit 2: x<3.
         let masks = MaskColumn::pack(&[&eq, &le, &small], opts).unwrap();
         let all = Bitset::ones(space.len());
-        let sweep = |assuming: &Bitset| breaking_actions(&space, &[0, 0], &masks, assuming, opts);
+        // The sweep without the repair work finds the same `broken`.
+        let sweep = |assuming: &Bitset| {
+            let found = breaking_actions(&space, &[0, 0], &masks, assuming, opts);
+            let broken = broken_actions(&space, 2, &masks, assuming, opts).unwrap();
+            assert_eq!(broken, found.as_ref().unwrap().broken);
+            found
+        };
         // copy keeps all three; bump breaks x=y, y<=x (3 -> 0 wraps) and
         // x<3 (2 -> 3). copy leads outside x<3 only from x=3, where it
         // did not hold; bump leads outside all three. No repair is
@@ -728,6 +773,11 @@ mod tests {
                 assert_eq!(got, serial, "threads={threads} seg={seg}");
                 let got = repairs_of(&decoded, &repairs, &t, opts);
                 assert_eq!(got, serial, "decoded threads={threads} seg={seg}");
+                let masks = MaskColumn::pack(&[&caches[0], &caches[1]], opts).unwrap();
+                let broken = broken_actions(&decoded, 2, &masks, &caches[1], opts).unwrap();
+                let slots = [0b01, 0b10];
+                let found = breaking_actions(&space, &slots, &masks, &caches[1], opts).unwrap();
+                assert_eq!(broken, found.broken, "threads={threads} seg={seg}");
             }
         }
     }

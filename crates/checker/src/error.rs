@@ -1,5 +1,9 @@
 //! Typed failures of checker passes.
 
+use nonmask_program::{ActionId, Program};
+
+use crate::space::SpaceIndex;
+
 /// An error raised by a checker pass: state-space enumeration, predicate
 /// caching, closure, convergence (resident or frontier), bounds,
 /// containment, or fault-span computation. It is the checker's one error
@@ -44,8 +48,9 @@ pub enum CheckError {
         /// charged as they grow), `"mask column"` (one packed predicate
         /// column),
         /// `"frontier bitsets"` (the frontier mode's predicate, region,
-        /// resolved and delta bitsets), or `"frontier rows"` (those
-        /// bitsets plus one round's row buffer per worker).
+        /// resolved and delta bitsets, and its action tables), or
+        /// `"frontier rows"` (those plus one round's row buffer per
+        /// worker).
         phase: &'static str,
     },
     /// An action or predicate depends on a variable outside its declared
@@ -133,6 +138,25 @@ impl std::fmt::Display for CheckError {
 }
 
 impl std::error::Error for CheckError {}
+
+impl CheckError {
+    /// The [`CheckError::EscapedDomain`] of `program`'s action `action`
+    /// leaving variable `var`'s domain.
+    pub(crate) fn escaped(
+        program: &Program,
+        index: &SpaceIndex,
+        action: usize,
+        var: usize,
+    ) -> Self {
+        CheckError::EscapedDomain {
+            action: program
+                .action(ActionId::from_index(action))
+                .name()
+                .to_string(),
+            var: index.name(var).to_string(),
+        }
+    }
+}
 
 /// Render a caught panic payload as a string for
 /// [`CheckError::WorkerFailed`].

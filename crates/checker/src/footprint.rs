@@ -9,7 +9,9 @@
 //! mixed-radix *key* of its footprint's values (the last footprint
 //! variable cycling fastest, as in the state ids):
 //!
-//! - an action entry holds the successor-id delta, or "disabled";
+//! - an action entry holds the successor-id delta, or "disabled", or the
+//!   variable whose domain the successor leaves (enumeration rejects any
+//!   such entry; the frontier check raises it only at a state it reads);
 //! - a predicate entry holds its truth value.
 //!
 //! On the shipped designs the tables are tiny (440 action entries for
@@ -67,8 +69,18 @@ use crate::successors::successor;
 pub const TABLE_CAP: usize = 1 << 12;
 
 /// The action-entry value of a disabled guard. A real delta is a
-/// difference of two `u32` ids, so it never reaches it.
+/// difference of two `u32` ids, so it never reaches it, nor an escape.
 const DISABLED: i64 = i64::MIN;
+
+/// The action entry of a successor that leaves variable `v`'s domain is
+/// `ESCAPES + v`.
+const ESCAPES: i64 = DISABLED + 1;
+
+/// The variable an escape entry names, or `None` for a delta or
+/// [`DISABLED`].
+fn escaped_var(entry: i64) -> Option<usize> {
+    (entry != DISABLED && entry < -(1 << 32)).then(|| (entry - ESCAPES) as usize)
+}
 
 /// The `start` of an item evaluated per row.
 const PER_ROW: u32 = u32::MAX;
@@ -423,10 +435,14 @@ pub(crate) struct ActionTables {
     layout: KeyLayout,
     /// Per action, where its entries start in `entries`, or `PER_ROW`.
     start: Box<[u32]>,
-    /// Successor-id deltas, [`DISABLED`] where the guard is false.
+    /// Successor-id deltas, [`DISABLED`] where the guard is false and
+    /// [`ESCAPES`] plus the variable where the successor leaves the space.
     entries: Box<[i64]>,
     /// The actions evaluated per row, in action order, with their ids.
     per_row: Box<[(usize, Action)]>,
+    /// No action is evaluated per row and no entry escapes, so every row
+    /// takes the branch-free loop.
+    plain: bool,
     /// Transitions of the tabled actions: per action, its enabled entries
     /// times the states that share each key.
     tabled: u64,
@@ -477,9 +493,10 @@ impl ActionTables {
     /// # Errors
     ///
     /// [`CheckError::UndeclaredVariable`] at the first action, in action
-    /// order, whose audit fails. Escapes are returned, not raised, so the
-    /// caller can order them against per-row ones: the lowest state id,
-    /// then the lowest action.
+    /// order, whose audit fails. Escapes are not raised: the entries keep
+    /// them, for [`row`](Self::row) to report at the states it reads, and
+    /// the lowest (state id, then action) is returned, for enumeration to
+    /// order against the per-row actions' escapes.
     pub(crate) fn build(
         program: &Program,
         index: &SpaceIndex,
@@ -530,7 +547,7 @@ impl ActionTables {
                         if escape.is_none_or(|e| found < e) {
                             escape = Some(found);
                         }
-                        DISABLED
+                        ESCAPES + var as i64
                     }
                 });
             }
@@ -540,6 +557,7 @@ impl ActionTables {
             layout,
             start: start.into(),
             entries: entries.into(),
+            plain: per_row.is_empty() && escape.is_none(),
             per_row: per_row.into(),
             tabled,
         };
@@ -588,6 +606,13 @@ impl ActionTables {
     /// Move `cursor` to `id` and write its row into `buf`: the guard bits
     /// and, at the front of `buf.succs`, the successors of the set bits;
     /// returns their number.
+    ///
+    /// # Errors
+    ///
+    /// The first action, in action order, whose successor leaves the
+    /// space, with the variable it leaves (never for the tables of a
+    /// [`StateSpace`](crate::StateSpace), whose build rejects every
+    /// escape).
     #[inline]
     pub(crate) fn row(
         &self,
@@ -595,7 +620,7 @@ impl ActionTables {
         cursor: &mut Cursor,
         id: StateId,
         buf: &mut RowBuf,
-    ) -> usize {
+    ) -> Result<usize, (usize, usize)> {
         let RowBuf {
             guards,
             succs,
@@ -604,7 +629,7 @@ impl ActionTables {
         } = buf;
         cursor.seek(index.digits(), &self.layout, id.0);
         let mut n = 0;
-        if self.per_row.is_empty() {
+        if self.plain {
             // Branch-free: every slot is written, and only an enabled
             // one is kept. The general loop below gives the same rows
             // but measured 18% slower on the `verify-resident`
@@ -621,7 +646,7 @@ impl ActionTables {
                 }
                 *byte = bits;
             }
-            return n;
+            return Ok(n);
         }
         cursor.state_into(index, state);
         guards.fill(0);
@@ -629,13 +654,17 @@ impl ActionTables {
         for (a, (&start, &key)) in self.start.iter().zip(cursor.keys.iter()).enumerate() {
             let next = if start != PER_ROW {
                 let delta = self.entries[key as usize];
+                if let Some(v) = escaped_var(delta) {
+                    return Err((a, v));
+                }
                 (delta != DISABLED).then(|| StateId(id.0.wrapping_add(delta as u32)))
             } else {
                 let (_, act) = per_row.next().expect("one per-row action per PER_ROW");
-                act.enabled(state).then(|| {
-                    successor(act, index, id, state, succ)
-                        .expect("the build checked every per-row successor")
-                })
+                if act.enabled(state) {
+                    Some(successor(act, index, id, state, succ).map_err(|v| (a, v))?)
+                } else {
+                    None
+                }
             };
             if let Some(t) = next {
                 guards[a / 8] |= 1 << (a % 8);
@@ -643,7 +672,7 @@ impl ActionTables {
                 n += 1;
             }
         }
-        n
+        Ok(n)
     }
 }
 

@@ -4,10 +4,19 @@
 //! holds the region search's `u32` per state resident, which caps the
 //! checkable instance at the memory budget. This module answers the same
 //! question — does every computation from `T` reach `S`? — from a bare
-//! [`SpaceIndex`]: rows come from a [`Decoder`], segment by segment, and
-//! the only O(states) residency is five bitsets (the two predicate caches,
-//! the region, the `resolved` frontier and one round's deltas), under a
-//! byte per state.
+//! [`SpaceIndex`] and the program's per-action
+//! [footprint tables](crate::footprint), built and audited as
+//! enumeration builds them: rows come from a [`TableRows`] reader over
+//! the tables, segment by segment, and the only O(states) residency is
+//! five bitsets (the two predicate caches, the region, the `resolved`
+//! frontier and one round's deltas), under a byte per state. The
+//! [`Decoder`](crate::Decoder), which evaluates every guard at every row,
+//! is the reference the tables are tested against, not a row source here.
+//!
+//! Unlike enumeration, the table build does not reject a domain escape:
+//! the tables keep every escaping entry, and a row raises one only when
+//! it is read. The frontier reads the rows of region states alone, so an
+//! action that escapes only outside the region does not fail the check.
 //!
 //! # Algorithm
 //!
@@ -32,7 +41,7 @@
 //! matching the monolithic witness. The residual — typically tiny, and
 //! empty whenever the program converges — then goes through the resident
 //! checker's own residual analysis (Tarjan and fair-admissibility), fed
-//! decoded rows, so SCC order and witnesses are identical.
+//! table rows, so SCC order and witnesses are identical.
 //!
 //! # Determinism
 //!
@@ -50,9 +59,38 @@ use nonmask_program::{Predicate, Program};
 use crate::cache::Bitset;
 use crate::convergence::{analyze_residual, ConvergenceResult, ConvergenceStats, Fairness};
 use crate::error::CheckError;
+use crate::footprint::{ActionPlan, ActionTables};
 use crate::options::{steal_tasks, CheckOptions};
-use crate::space::{scratch_bytes, SpaceIndex, StateId};
-use crate::successors::{Decoder, Successors};
+use crate::space::{scratch_bytes, SpaceIndex, StateId, TableRows, Transitions};
+use crate::successors::Successors;
+
+/// Table rows whose escapes are [`CheckError::EscapedDomain`] errors: the
+/// frontier's tables keep the escapes of every state, and only those of
+/// the region states it reads are raised.
+struct Rows<'a> {
+    table: TableRows<'a>,
+    program: &'a Program,
+    index: &'a SpaceIndex,
+}
+
+impl<'a> Rows<'a> {
+    fn new(program: &'a Program, index: &'a SpaceIndex, tables: &'a ActionTables) -> Self {
+        Rows {
+            table: TableRows::new(index, tables),
+            program,
+            index,
+        }
+    }
+}
+
+impl Successors for Rows<'_> {
+    fn row(&mut self, id: StateId) -> Result<Transitions<'_>, CheckError> {
+        let (program, index) = (self.program, self.index);
+        self.table
+            .try_transitions(id)
+            .map_err(|(a, v)| CheckError::escaped(program, index, a, v))
+    }
+}
 
 /// Work and progress counters for one frontier convergence pass, wrapping
 /// the monolithic [`ConvergenceStats`] so results stay comparable.
@@ -78,7 +116,10 @@ pub struct FrontierStats {
 /// # Errors
 ///
 /// [`CheckError`] for unbounded/too-large programs, budget violations,
-/// domain escapes at region states, or worker panics.
+/// domain escapes at region states (an escape elsewhere is never read),
+/// or worker panics; [`CheckError::UndeclaredVariable`] when the audit of
+/// the action tables finds a guard or effect depending on an undeclared
+/// variable, as for [`StateSpace::enumerate`](crate::StateSpace::enumerate).
 pub fn check_convergence_frontier_stats(
     program: &Program,
     from: &Predicate,
@@ -88,6 +129,7 @@ pub fn check_convergence_frontier_stats(
     journal: &Journal,
 ) -> Result<(ConvergenceResult, FrontierStats), CheckError> {
     let index = SpaceIndex::of_program(program, options)?;
+    let (tables, _) = ActionTables::build(program, &index, ActionPlan::of(program, &index))?;
     let [from_bits, to_bits] = Bitset::for_predicates(&index, &[from, to], options)?
         .try_into()
         .expect("two predicates, two caches");
@@ -113,12 +155,12 @@ pub fn check_convergence_frontier_stats(
     let nv = index.var_count();
     // Frontier residency floor: five full-range bitsets — from, to,
     // region, resolved, and the round's per-segment deltas, which together
-    // span the range and stay resident until the merge — plus per-worker
-    // decode scratch. Checked before the rounds allocate anything;
-    // per-round row buffers are accounted after each round, when their
-    // actual size is known.
-    let bitset_bytes = 5 * (n.div_ceil(64) as u64 * 8);
-    let floor = bitset_bytes + scratch_bytes(2 * workers as u64, nv);
+    // span the range and stay resident until the merge — plus the action
+    // tables and per-worker row scratch. Checked before the rounds
+    // allocate anything; per-round row buffers are accounted after each
+    // round, when their actual size is known.
+    let resident = 5 * (n.div_ceil(64) as u64 * 8) + tables.bytes() as u64;
+    let floor = resident + scratch_bytes(2 * workers as u64, nv);
     if floor > options.memory_budget {
         return Err(CheckError::BudgetExceeded {
             required: floor,
@@ -156,7 +198,7 @@ pub fn check_convergence_frontier_stats(
             let word_start = range.start / 64;
             let word_end = range.end.div_ceil(64);
             let mut delta = vec![0u64; word_end - word_start];
-            let mut rows = Decoder::new(program, &index);
+            let mut rows = Rows::new(program, &index, &tables);
             // Buffered rows of this segment's unresolved region states:
             // global state id + the internal successors, in action order.
             let mut row_states: Vec<u32> = Vec::new();
@@ -263,11 +305,11 @@ pub fn check_convergence_frontier_stats(
         }
 
         // Budget: the concurrent residency this round actually was —
-        // bitsets plus one row buffer per worker (post-hoc, once the
-        // buffers' sizes are known).
+        // bitsets and tables plus one row buffer per worker (post-hoc,
+        // once the buffers' sizes are known).
         let peak_rows = results.iter().map(|r| r.row_bytes).max().unwrap_or(0);
         let required =
-            bitset_bytes + workers as u64 * peak_rows + scratch_bytes(2 * workers as u64, nv);
+            resident + workers as u64 * peak_rows + scratch_bytes(2 * workers as u64, nv);
         if required > options.memory_budget {
             return Err(CheckError::BudgetExceeded {
                 required,
@@ -297,7 +339,7 @@ pub fn check_convergence_frontier_stats(
         .map(StateId::from_index)
         .collect();
     stats.convergence.peeled_states = stats.convergence.region_states - residual.len() as u64;
-    let mut rows = Decoder::new(program, &index);
+    let mut rows = Rows::new(program, &index, &tables);
     let local = |t: StateId| residual.binary_search(&t).ok();
     let found = analyze_residual(&mut rows, program, &index, &residual, local, fairness)?;
     stats.evals += found.evals;
@@ -554,6 +596,14 @@ mod tests {
         assert_eq!(phase, "frontier bitsets");
     }
 
+    /// Heap bytes of `p`'s action tables, as the frontier's floor
+    /// charges them.
+    fn table_bytes(p: &Program) -> u64 {
+        let index = SpaceIndex::of_program(p, CheckOptions::default()).unwrap();
+        let plan = ActionPlan::of(p, &index);
+        ActionTables::build(p, &index, plan).unwrap().0.bytes() as u64
+    }
+
     #[test]
     fn frontier_budget_counts_the_round_deltas() {
         // A round's per-segment deltas add up to a fifth full-range bitset
@@ -562,7 +612,7 @@ mod tests {
         let p = countdown(99_999, 0);
         let s = pred_eq(&p, "x=0", "x", 0);
         let bitset = 100_000u64.div_ceil(64) * 8;
-        let scratch = scratch_bytes(2, 1);
+        let scratch = scratch_bytes(2, 1) + table_bytes(&p);
         let budget = 4 * bitset + scratch + bitset / 2;
         let err = frontier(
             &p,
@@ -590,7 +640,7 @@ mod tests {
         // of the countdown buffers 25,000 + 25,001 + 25,000 entries.
         let p = countdown(99_999, 0);
         let s = pred_eq(&p, "x=0", "x", 0);
-        let floor = 5 * (100_000u64.div_ceil(64) * 8) + scratch_bytes(2, 1);
+        let floor = 5 * (100_000u64.div_ceil(64) * 8) + table_bytes(&p) + scratch_bytes(2, 1);
         let rows = 4 * (25_000 + 25_001 + 25_000);
         let opts = CheckOptions::serial().segment_states(25_000);
         let err = frontier(
@@ -675,6 +725,195 @@ mod tests {
         assert!(
             matches!(err, CheckError::EscapedDomain { ref action, .. } if action == "overflow")
         );
+    }
+
+    #[test]
+    fn escapes_only_outside_the_region_still_converge() {
+        // `jump` (x: 5,000 values, past the table cap, so evaluated per
+        // row) escapes only at x = 4999 and `over` (tabled) only at y = 2,
+        // both outside T = x < 4999 ∧ y < 2. The frontier reads region
+        // rows only, so the escapes enumeration rejects never show.
+        let mut b = Program::builder("outside");
+        let x = b.var("x", Domain::range(0, 4999));
+        let y = b.var("y", Domain::range(0, 2));
+        b.closure_action(
+            "jump",
+            [x],
+            [x],
+            move |s| s.get(x) == 4999,
+            move |s| s.set(x, 5000),
+        );
+        b.closure_action(
+            "over",
+            [y],
+            [y],
+            move |s| s.get(y) == 2,
+            move |s| s.set(y, 3),
+        );
+        b.convergence_action(
+            "dec",
+            [x],
+            [x],
+            move |s| s.get(x) > 0,
+            move |s| {
+                let v = s.get(x);
+                s.set(x, v - 1);
+            },
+        );
+        let p = b.build();
+        assert!(matches!(
+            StateSpace::enumerate(&p).unwrap_err(),
+            CheckError::EscapedDomain { .. }
+        ));
+        let t = Predicate::new("T", [x, y], move |st| st.get(x) < 4999 && st.get(y) < 2);
+        let s = pred_eq(&p, "x=0", "x", 0);
+        for threads in [1, 4] {
+            let opts = CheckOptions::default()
+                .threads(threads)
+                .segment_states(1000);
+            let (result, stats) = check_convergence_frontier_stats(
+                &p,
+                &t,
+                &s,
+                Fairness::Unfair,
+                opts,
+                &Journal::disabled(),
+            )
+            .unwrap();
+            assert!(result.converges(), "threads={threads}");
+            assert_eq!(
+                stats.convergence.region_states,
+                2 * 4998,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn per_row_actions_match_the_resident_check() {
+        // `dec` reads x (5,000 values), past the table cap, so it is
+        // evaluated per row; `drop` (y alone) is tabled. From (x, 1) both
+        // move; S = x = 0 ∧ y = 0.
+        let mut b = Program::builder("mixed");
+        let x = b.var("x", Domain::range(0, 4999));
+        let y = b.var("y", Domain::Bool);
+        b.convergence_action(
+            "dec",
+            [x],
+            [x],
+            move |s| s.get(x) > 0,
+            move |s| {
+                let v = s.get(x);
+                s.set(x, v - 1);
+            },
+        );
+        b.convergence_action(
+            "drop",
+            [y],
+            [y],
+            move |s| s.get_bool(y),
+            move |s| s.set(y, 0),
+        );
+        let p = b.build();
+        let s = Predicate::new("S", [x, y], move |st| st.get(x) == 0 && st.get(y) == 0);
+        let all = Predicate::always_true();
+        for threads in [1, 4] {
+            let opts = CheckOptions::default()
+                .threads(threads)
+                .segment_states(1000);
+            let space = StateSpace::enumerate_with_options(&p, opts).unwrap();
+            let mono = check_convergence(&space, &p, &all, &s, opts).unwrap();
+            for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
+                let (result, stats) = check_convergence_frontier_stats(
+                    &p,
+                    &all,
+                    &s,
+                    fairness,
+                    opts,
+                    &Journal::disabled(),
+                )
+                .unwrap();
+                assert_eq!(&result, mono.verdict(fairness), "threads={threads}");
+                assert_eq!(stats.convergence, mono.stats, "threads={threads}");
+                // Rounds and evaluations depend on the rows alone, so
+                // they are the same whichever source computes the rows.
+                assert_eq!(
+                    (stats.rounds, stats.evals),
+                    (11, 82_498),
+                    "threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_region_escape_is_reported_at_its_lowest_state() {
+        // States (x, y), id 3x + y; T = y < 2, S = x = 0. `stray`
+        // (tabled) escapes at y = 2, outside the region, from id 2 on;
+        // `lift` (tabled) at every (x, 1), first in the region at id 4;
+        // `bad` (x: past the table cap, evaluated per row) at (at, y),
+        // first at id 3·at. The lowest escaping region state's first
+        // escaping action is the error.
+        let program = |at: i64| {
+            let mut b = Program::builder("escapes");
+            let x = b.var("x", Domain::range(0, 4999));
+            let y = b.var("y", Domain::range(0, 2));
+            b.closure_action(
+                "stray",
+                [y],
+                [y],
+                move |s| s.get(y) == 2,
+                move |s| s.set(y, 7),
+            );
+            b.convergence_action(
+                "dec",
+                [x],
+                [x],
+                move |s| s.get(x) > 0,
+                move |s| {
+                    let v = s.get(x);
+                    s.set(x, v - 1);
+                },
+            );
+            b.closure_action(
+                "lift",
+                [y],
+                [y],
+                move |s| s.get(y) == 1,
+                move |s| s.set(y, 5),
+            );
+            b.closure_action(
+                "bad",
+                [x],
+                [x],
+                move |s| s.get(x) == at,
+                move |s| s.set(x, -1),
+            );
+            b.build()
+        };
+        for (at, action, var) in [(1, "bad", "x"), (2, "lift", "y")] {
+            let p = program(at);
+            let y = p.var_by_name("y").unwrap();
+            let t = Predicate::new("y<2", [y], move |st| st.get(y) < 2);
+            let s = pred_eq(&p, "x=0", "x", 0);
+            for threads in [1, 4] {
+                for opts in [
+                    CheckOptions::default(),
+                    CheckOptions::default().segment_states(1000),
+                ] {
+                    let err = frontier(&p, &t, &s, Fairness::WeaklyFair, opts.threads(threads))
+                        .unwrap_err();
+                    assert_eq!(
+                        err,
+                        CheckError::EscapedDomain {
+                            action: action.into(),
+                            var: var.into()
+                        },
+                        "at={at} threads={threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,10 +62,12 @@
 //!
 //! Every pass reads transitions through the [`Successors`] trait — the
 //! `(action, successor)` row of a state id, in action order — implemented
-//! by a [`TableRows`] reader over a [`StateSpace`]'s footprint tables and
-//! by a [`Decoder`] that evaluates guards and effects on demand (see
+//! by a [`TableRows`] reader over a program's footprint tables and by a
+//! [`Decoder`] that evaluates guards and effects on demand (see
 //! [`successors`]). Closure and the convergence residual analysis are
-//! written once on it.
+//! written once on it. Every production pass, the frontier rounds
+//! included, reads table rows; the decoder is the independent reference
+//! the tables are tested against.
 //!
 //! Whole-space sweeps split the id range into contiguous **segments**
 //! ([`SegmentPlan`]), claimed by workers through a **work-stealing**
@@ -86,9 +88,10 @@
 //!
 //! For convergence-only queries on instances whose per-state columns do
 //! not fit the budget, [`check_convergence_frontier_stats`] ([`frontier`])
-//! needs no [`StateSpace`] at all: it peels the region as a round-based fixpoint
-//! over decoded rows, with five bitsets of live memory, and ends
-//! in the resident checker's own residual analysis. Its verdicts,
+//! needs no [`StateSpace`] at all: it builds the program's action tables
+//! (audited as enumeration audits them) and peels the region as a
+//! round-based fixpoint over their rows, with five bitsets of live memory,
+//! and ends in the resident checker's own residual analysis. Its verdicts,
 //! witnesses, and statistics are bit-identical to the resident checker's.
 //!
 //! # Example: verifying a tiny stabilizing program
@@ -152,7 +155,7 @@ pub mod successors;
 pub use bounds::{check_variant, VariantReport};
 pub use cache::{Bitset, MaskColumn, OnesIter};
 pub use closure::{
-    breaking_actions, first_disabled, first_leaving, is_closed, is_closed_bits,
+    breaking_actions, broken_actions, first_disabled, first_leaving, is_closed, is_closed_bits,
     preserves_given_bits, Breaks, Violation,
 };
 pub use containment::{certify_containment, ContainmentVerdict};

@@ -45,9 +45,11 @@
 //! tabled action, so the result does not depend on the thread count.
 //!
 //! The decode machinery is factored into [`SpaceIndex`] — the id↔state
-//! bijection *without* any tables. Out-of-core passes (closure sweeps over
-//! a [`Decoder`], the frontier convergence mode) work from a `SpaceIndex`
-//! alone and evaluate guards and effects on demand.
+//! bijection *without* any tables. Passes that hold no [`StateSpace`]
+//! work from a `SpaceIndex`: closure sweeps over a [`Decoder`], which
+//! evaluates guards and effects on demand, and the frontier convergence
+//! mode, which builds the action tables beside the index and reads
+//! [`TableRows`] over both.
 //!
 //! # Memory budget
 //!
@@ -290,10 +292,10 @@ impl Radix {
 ///
 /// A `SpaceIndex` knows how many states exist and how to decode any
 /// [`StateId`] into a [`State`] (and back via [`id_of`](SpaceIndex::id_of))
-/// without materializing anything per state. Out-of-core passes — closure
-/// sweeps over a [`Decoder`] and the frontier convergence mode — are built
-/// on a `SpaceIndex` plus on-demand successor evaluation, so the
-/// transition relation never needs to be resident at once.
+/// without materializing anything per state. Passes without a
+/// [`StateSpace`] — closure sweeps over a [`Decoder`] and the frontier
+/// convergence mode, over its own action tables — are built on a
+/// `SpaceIndex`, so no per-state column beyond their own is resident.
 ///
 /// [`Decoder`]: crate::Decoder
 #[derive(Debug, Clone)]
@@ -712,10 +714,7 @@ impl StateSpace {
         };
         // The first escape of a scan in id order, then action order.
         if let Some((_, a, var)) = escape.into_iter().chain(per_row_escape).min() {
-            return Err(CheckError::EscapedDomain {
-                action: program.action(ActionId::from_index(a)).name().to_string(),
-                var: index.name(var).to_string(),
-            });
+            return Err(CheckError::escaped(program, &index, a, var));
         }
         let transitions = tables.tabled_transitions() + per_row_transitions;
         journal.emit_with(|| Event::CsrPhase {
@@ -801,7 +800,7 @@ impl StateSpace {
     /// A reader of this space's rows: the loop-friendly way to read many
     /// of them, cheapest in ascending id order.
     pub fn rows(&self) -> TableRows<'_> {
-        TableRows::new(self)
+        TableRows::new(&self.index, &self.tables)
     }
 
     /// The `(action, successor)` pairs of every action enabled at `id`, in
@@ -898,23 +897,26 @@ fn per_row_pass(
     Ok((total, None))
 }
 
-/// Rows computed from a [`StateSpace`]'s footprint tables: a reader that
-/// holds one state's table keys, so consecutive ids cost an odometer step
-/// and any other id one decode. Memory is one row plus, for actions
-/// evaluated per row, two scratch states.
+/// Rows computed from per-action footprint tables, a [`StateSpace`]'s or
+/// the frontier check's: a reader that holds one state's table keys, so
+/// consecutive ids cost an odometer step and any other id one decode.
+/// Memory is one row plus, for actions evaluated per row, two scratch
+/// states.
 #[derive(Debug)]
 pub struct TableRows<'a> {
-    space: &'a StateSpace,
+    index: &'a SpaceIndex,
+    tables: &'a ActionTables,
     cursor: Cursor,
     buf: RowBuf,
 }
 
 impl<'a> TableRows<'a> {
-    fn new(space: &'a StateSpace) -> Self {
+    pub(crate) fn new(index: &'a SpaceIndex, tables: &'a ActionTables) -> Self {
         TableRows {
-            space,
-            cursor: space.tables.cursor(&space.index),
-            buf: space.tables.row_buf(&space.index),
+            index,
+            tables,
+            cursor: tables.cursor(index),
+            buf: tables.row_buf(index),
         }
     }
 
@@ -925,12 +927,23 @@ impl<'a> TableRows<'a> {
     /// Panics if `id` is not from this space.
     #[inline]
     pub fn transitions(&mut self, id: StateId) -> Transitions<'_> {
-        assert!(id.index() < self.space.len(), "state id {id} out of range");
+        self.try_transitions(id)
+            .unwrap_or_else(|_| unreachable!("a space's build rejects every escape"))
+    }
+
+    /// [`transitions`](Self::transitions), or the first action of the row
+    /// whose successor leaves the space and the variable it leaves: only
+    /// tables built outside a [`StateSpace`] keep escapes.
+    #[inline]
+    pub(crate) fn try_transitions(
+        &mut self,
+        id: StateId,
+    ) -> Result<Transitions<'_>, (usize, usize)> {
+        assert!(id.index() < self.index.len(), "state id {id} out of range");
         let n = self
-            .space
             .tables
-            .row(&self.space.index, &mut self.cursor, id, &mut self.buf);
-        Transitions::new(&self.buf.guards, &self.buf.succs[..n])
+            .row(self.index, &mut self.cursor, id, &mut self.buf)?;
+        Ok(Transitions::new(&self.buf.guards, &self.buf.succs[..n]))
     }
 }
 

@@ -5,11 +5,19 @@
 //! state?* Two sources answer it, with bit-identical rows (enabled
 //! actions in id order, each paired with its successor's id):
 //!
-//! - a [`TableRows`] reader over a [`StateSpace`], which computes each
-//!   row from the space's per-action footprint tables: one table load per
-//!   action, and a key update per action that reads a changed digit;
+//! - a [`TableRows`] reader over a program's per-action footprint tables
+//!   (a [`StateSpace`]'s, or those the
+//!   [frontier check](crate::check_convergence_frontier_stats) builds for
+//!   itself): one table load per action, and a key update per action that
+//!   reads a changed digit;
 //! - a [`Decoder`] over a [`Program`] and its [`SpaceIndex`], which
 //!   evaluates guards and effects on demand and owns its scratch states.
+//!
+//! Every production pass reads table rows. The decoder evaluates every
+//! guard at every row and shares no table code, so it is the independent
+//! reference the tables are checked against (`tests/footprint_tables.rs`,
+//! `tests/property_based.rs`), and a row source any caller can build from
+//! a program alone.
 //!
 //! Neither stores a transition. Both write a row in the same form: the
 //! **guard bytes**, `B = ⌈A/8⌉` of them (at least one) whose bit `a` (bit
@@ -128,13 +136,8 @@ impl Successors for Decoder<'_> {
         for (a, act) in self.program.actions().iter().enumerate() {
             if act.enabled(&self.state) {
                 self.guards[a / 8] |= 1 << (a % 8);
-                let t =
-                    successor(act, self.index, id, &self.state, &mut self.succ).map_err(|v| {
-                        CheckError::EscapedDomain {
-                            action: act.name().to_string(),
-                            var: self.index.name(v).to_string(),
-                        }
-                    })?;
+                let t = successor(act, self.index, id, &self.state, &mut self.succ)
+                    .map_err(|v| CheckError::escaped(self.program, self.index, a, v))?;
                 self.succs.push(t);
             }
         }

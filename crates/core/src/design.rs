@@ -262,23 +262,26 @@ impl Design {
                 .map(|group| MaskColumn::pack(group, opts))
                 .collect::<Result<Vec<_>, _>>()?
         };
-        // Per group, each action's repaired constraint slots; only the `T`
-        // sweeps' `unguarded` words are read.
+        // Per group, each action's repaired constraint slots. Only the `T`
+        // sweeps' repair words (`leaves`, `unguarded`) are read, so every
+        // other sweep skips the repair work.
         let mut repairs = vec![vec![0u64; n]; masks.len()];
         for (i, c) in self.constraints.iter().enumerate() {
             let (group, bit) = slot(CONSTRAINT_SLOTS + i);
             repairs[group][c.action().index()] |= bit;
         }
         let sweep = |group: usize, assuming: &Bitset| {
-            closure::breaking_actions(space, &repairs[group], &masks[group], assuming, opts)
+            closure::broken_actions(space, n, &masks[group], assuming, opts)
         };
         // Rows the sweeps read: each sweep reads every row of its
         // assumption.
         let mut rows_visited = (masks.len() * t_bits.count_ones() + s_bits.count_ones()) as u64;
         let t_sweeps = (0..masks.len())
-            .map(|group| sweep(group, &t_bits))
+            .map(|group| {
+                closure::breaking_actions(space, &repairs[group], &masks[group], &t_bits, opts)
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        let s_broken = sweep(0, &s_bits)?.broken;
+        let s_broken = sweep(0, &s_bits)?;
         let (closure_report, closure_rows) =
             self.check_closure_bits(space, &t_sweeps, &s_broken, &s_bits, &t_bits, &c_bits)?;
         rows_visited += closure_rows;
@@ -315,13 +318,10 @@ impl Design {
                     Entry::Vacant(entry) => {
                         cache_misses += 1;
                         rows_visited += assuming.count_ones() as u64;
-                        entry.insert(sweep(group, assuming).map_or_else(
-                            |e| {
-                                oracle_error.get_or_insert(e);
-                                vec![u64::MAX; n]
-                            },
-                            |sweep| sweep.broken,
-                        ))
+                        entry.insert(sweep(group, assuming).unwrap_or_else(|e| {
+                            oracle_error.get_or_insert(e);
+                            vec![u64::MAX; n]
+                        }))
                     }
                 };
                 broken[a.index()] & bit == 0

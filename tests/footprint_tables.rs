@@ -12,13 +12,16 @@
 //! - A planted undeclared dependency (a guard that reads, an effect that
 //!   writes, a predicate that reads a variable outside its declaration)
 //!   is a typed [`CheckError::UndeclaredVariable`] naming both the action
-//!   or predicate and the variable.
+//!   or predicate and the variable, from the frontier check as from
+//!   enumeration.
 
 use nonmask::Design;
 use nonmask_checker::{
-    Bitset, CheckError, CheckOptions, Decoder, StateId, StateSpace, Successors, TABLE_CAP,
+    check_convergence_frontier_stats, Bitset, CheckError, CheckOptions, Decoder, Fairness, StateId,
+    StateSpace, Successors, TABLE_CAP,
 };
 use nonmask_graph::Topology;
+use nonmask_obs::Journal;
 use nonmask_program::{Domain, Predicate, Program, State};
 use nonmask_protocols::aggregate::WaveAggregation;
 use nonmask_protocols::atomic::AtomicActions;
@@ -319,6 +322,34 @@ fn a_guard_that_reads_an_undeclared_variable_is_named() {
         StateSpace::enumerate(&p).unwrap_err(),
         undeclared("action", "pair", "z")
     );
+}
+
+#[test]
+fn the_frontier_check_audits_its_action_tables() {
+    // The frontier check computes its rows from the same tables as
+    // enumeration, so the guard's undeclared read of `y` is the same
+    // error, where rows evaluated without the audit would find the
+    // states `x < 2 ∧ y ≠ 0` deadlocked outside `x = 2`.
+    let p = planted(
+        "peek",
+        |s, [x, y, _]| s.get(x) < 2 && s.get(y) == 0,
+        |s, [x, _, _]| s.set(x, s.get(x) + 1),
+    );
+    let x = p.var_by_name("x").unwrap();
+    let goal = Predicate::new("x=2", [x], move |s| s.get(x) == 2);
+    for threads in [1, 4] {
+        let err = check_convergence_frontier_stats(
+            &p,
+            &Predicate::always_true(),
+            &goal,
+            Fairness::WeaklyFair,
+            CheckOptions::default().threads(threads),
+            &Journal::disabled(),
+        )
+        .unwrap_err();
+        assert_eq!(err, undeclared("action", "peek", "y"), "threads={threads}");
+        assert_eq!(err, StateSpace::enumerate(&p).unwrap_err());
+    }
 }
 
 #[test]
