@@ -1105,13 +1105,13 @@ mod byzantine {
 
     use nonmask_checker::{certify_containment, CheckOptions, Fairness, StateSpace};
     use nonmask_conform::{
-        run_net_journaled, run_sim_journaled, ContainmentMap, FaultSchedule, NetRunConfig,
-        SimRunConfig,
+        radii_agree, run_net_journaled, run_sim_journaled, ContainmentMap, FaultSchedule,
+        NetRunConfig, SimRunConfig,
     };
     use nonmask_graph::Topology;
     use nonmask_obs::Journal;
-    use nonmask_program::{Predicate, Program, State};
-    use nonmask_protocols::{MinPlusOne, SpanningTree};
+    use nonmask_program::{Program, State};
+    use nonmask_protocols::{ByzantineModel, ContainmentTheory, MinPlusOne, SpanningTree};
 
     struct Args {
         protocol: String,
@@ -1186,19 +1186,12 @@ mod byzantine {
         vec![nodes / 2, nodes - 1]
     }
 
-    /// One protocol instance: its program, safe-region goal,
-    /// containment expectations, and restricted-region goal family.
+    /// One protocol instance: its program, containment model, and the
+    /// measurement built from that model.
     struct Instance {
         program: Program,
-        goal: Predicate,
+        model: ByzantineModel,
         map: ContainmentMap,
-        goal_at: Box<dyn Fn(u64) -> Predicate>,
-        max_radius: u64,
-        /// Whether the protocol's safety rule is exact (min+1: pure
-        /// minimum, no ties) or a sound upper bound (spanning tree:
-        /// the strict rule counts tie nodes the lowest-id tie-break
-        /// may in fact protect, so the checker can certify less).
-        exact: bool,
     }
 
     fn build(protocol: &str, topo: &Topology, byz: &[usize]) -> Result<Instance, String> {
@@ -1210,38 +1203,23 @@ mod byzantine {
                 return Err("node 0 is the root; pick a non-root liar".to_owned());
             }
         }
-        let max_radius = topo.len() as u64;
-        match protocol {
+        let (program, model) = match protocol {
             "bfs" => {
                 let proto = MinPlusOne::with_byzantine(topo, 0, byz);
-                let map = ContainmentMap::bfs(&proto).map_err(|e| e.to_string())?;
-                let goal = proto.safe_goal();
-                let program = proto.program().clone();
-                Ok(Instance {
-                    program,
-                    goal,
-                    map,
-                    goal_at: Box::new(move |r| proto.containment_goal(r)),
-                    max_radius,
-                    exact: true,
-                })
+                (proto.program().clone(), proto.model().clone())
             }
             "spanning-tree" => {
                 let proto = SpanningTree::with_byzantine(topo, 0, byz);
-                let map = ContainmentMap::spanning_tree(&proto).map_err(|e| e.to_string())?;
-                let goal = proto.safe_goal();
-                let program = proto.program().clone();
-                Ok(Instance {
-                    program,
-                    goal,
-                    map,
-                    goal_at: Box::new(move |r| proto.containment_goal(r)),
-                    max_radius,
-                    exact: false,
-                })
+                (proto.program().clone(), proto.model().clone())
             }
-            other => Err(format!("unknown --protocol `{other}` (bfs|spanning-tree)")),
-        }
+            other => return Err(format!("unknown --protocol `{other}` (bfs|spanning-tree)")),
+        };
+        let map = ContainmentMap::new(&model).map_err(|e| e.to_string())?;
+        Ok(Instance {
+            program,
+            model,
+            map,
+        })
     }
 
     fn journal_for(out: &Option<String>, name: &str) -> Result<(Journal, Option<String>), String> {
@@ -1265,13 +1243,13 @@ mod byzantine {
         journal: &Journal,
     ) -> Result<(u64, State, bool), String> {
         let cfg = SimRunConfig {
-            byzantine: byz_of(&inst.map),
+            byzantine: inst.model.byzantine().to_vec(),
             byzantine_seed: seed,
             ..SimRunConfig::default()
         };
         let outcome = run_sim_journaled(
             &inst.program,
-            &inst.goal,
+            &inst.model.safe_goal(),
             seed,
             &FaultSchedule::empty(),
             &cfg,
@@ -1289,20 +1267,17 @@ mod byzantine {
         journal: &Journal,
     ) -> Result<(u64, bool), String> {
         let cfg = NetRunConfig {
-            byzantine: byz_of(&inst.map),
+            byzantine: inst.model.byzantine().to_vec(),
             byzantine_seed: seed,
             timeout: Duration::from_millis(timeout_ms),
             ..NetRunConfig::default()
         };
-        let outcome = run_net_journaled(&inst.program, &inst.goal, seed, &cfg, journal)
-            .map_err(|e| format!("net run failed: {e}"))?;
+        let outcome =
+            run_net_journaled(&inst.program, &inst.model.safe_goal(), seed, &cfg, journal)
+                .map_err(|e| format!("net run failed: {e}"))?;
         let radius = inst.map.emit(&outcome.final_state, "net", seed, journal);
         journal.flush();
         Ok((radius, outcome.stabilized))
-    }
-
-    fn byz_of(map: &ContainmentMap) -> Vec<usize> {
-        map.byzantine().to_vec()
     }
 
     pub fn main(argv: &[String]) -> ExitCode {
@@ -1330,10 +1305,8 @@ mod byzantine {
             "byzantine {}: {} nodes (degree {}, topo seed {}), liars {:?}, run seed {}",
             args.protocol, args.nodes, args.degree, args.topo_seed, byz, args.seed
         );
-        println!(
-            "predicted containment radius: {}",
-            inst.map.predicted_radius
-        );
+        let predicted = inst.model.predicted_radius();
+        println!("predicted containment radius: {predicted}");
 
         let (sim_journal, sim_path) = journal_for(&args.out, "sim")?;
         let (sim_radius, _, sim_ok) = measure_sim(&inst, args.seed, &sim_journal)?;
@@ -1379,8 +1352,8 @@ mod byzantine {
         let verdict = certify_containment(
             &space,
             &small.program,
-            &small.goal_at,
-            small.max_radius,
+            |r| small.model.containment_goal(r),
+            check_nodes as u64,
             Fairness::WeaklyFair,
             CheckOptions::default(),
         )
@@ -1401,23 +1374,13 @@ mod byzantine {
             small_path.as_deref().map(|p| format!(" -> {p}")).unwrap_or_default()
         );
 
-        // The layers must agree with each other and with the theory;
-        // the checker must agree exactly where the safety rule is
-        // exact (min+1), and must never certify a *larger* radius than
-        // the measured one (a genuine containment violation) where the
-        // rule is a sound upper bound (spanning tree ties).
-        let checker_agrees = if inst.exact {
-            certified == small_radius
-        } else {
-            certified <= small_radius
-        };
+        // Every layer must have stabilized its safe region, and the
+        // radii must pass the shared agreement rule on both instances.
         let agree = sim_ok
             && net_ok
             && small_ok
-            && sim_radius == net_radius
-            && sim_radius == inst.map.predicted_radius
-            && small_radius == small.map.predicted_radius
-            && checker_agrees;
+            && radii_agree(&inst.model, &[sim_radius, net_radius], None)
+            && radii_agree(&small.model, &[small_radius], Some(certified));
         if let Some(dir) = &args.out {
             let summary = format!(
                 "{{\"protocol\":\"{}\",\"nodes\":{},\"byzantine\":{:?},\"seed\":{},\
@@ -1428,7 +1391,7 @@ mod byzantine {
                 args.nodes,
                 byz,
                 args.seed,
-                inst.map.predicted_radius,
+                predicted,
                 check_nodes,
             );
             let path = format!("{dir}/summary.json");

@@ -4,7 +4,7 @@
 //!
 //! A correct node's verdict is `stabilized` when it holds its
 //! legitimate value at shutdown **and** sits outside every liar's
-//! influence region (the protocol's safe set) — i.e. its value is
+//! influence region (the theory's safe set) — i.e. its value is
 //! provably immune to any further lie, not merely coincident with the
 //! legitimate one at sample time. Everything else is `unstable`: nodes
 //! the theory places inside the influence region, and — the case the
@@ -22,7 +22,7 @@
 
 use nonmask_obs::{Event, Journal};
 use nonmask_program::{State, VarId};
-use nonmask_protocols::{MinPlusOne, SpanningTree};
+use nonmask_protocols::{ContainmentTheory, Safety};
 
 /// What one correct node must hold to count as stabilized.
 #[derive(Debug, Clone)]
@@ -44,9 +44,6 @@ struct NodeExpect {
 pub struct ContainmentMap {
     /// The corpus-facing protocol name carried into every event.
     pub protocol: String,
-    /// The theory's predicted radius for this instance.
-    pub predicted_radius: u64,
-    byzantine: Vec<usize>,
     nodes: Vec<NodeExpect>,
 }
 
@@ -77,101 +74,46 @@ impl std::fmt::Display for ContainmentError {
 impl std::error::Error for ContainmentError {}
 
 impl ContainmentMap {
-    /// Expectations for a Byzantine min+1 BFS instance.
+    /// Expectations for a Byzantine instance under `theory`: the
+    /// model's distances and pins, and the theory's safe set.
     ///
     /// # Errors
     ///
     /// [`ContainmentError::NoByzantine`] when the instance has no
     /// Byzantine nodes.
-    pub fn bfs(proto: &MinPlusOne) -> Result<Self, ContainmentError> {
-        let protocol = format!("bfs-{}", proto.topology().len());
-        if proto.byzantine().is_empty() {
+    pub fn new(theory: &impl ContainmentTheory) -> Result<Self, ContainmentError> {
+        let model = theory.model();
+        let n = model.topology().len();
+        let protocol = format!("{}-{n}", model.protocol());
+        if model.byzantine().is_empty() {
             return Err(ContainmentError::NoByzantine { protocol });
         }
-        let legit = proto.legit_distances();
-        let to_byz = proto.distance_to_byzantine();
-        let safe = proto.safe_set();
-        let nodes = (0..proto.topology().len())
-            .filter(|v| proto.byzantine().binary_search(v).is_err())
+        let nodes = (0..n)
+            .filter(|&v| !model.is_byzantine(v))
             .map(|v| NodeExpect {
                 node: v,
-                distance: to_byz[v],
-                safe: safe[v],
-                pins: legit[v]
-                    .map(|l| vec![(proto.dist_var(v), l as i64)])
-                    .unwrap_or_default(),
+                distance: model.distance_to_byzantine()[v],
+                safe: theory.is_safe(v),
+                pins: model.pins(v).to_vec(),
             })
             .collect();
-        Ok(ContainmentMap {
-            protocol,
-            predicted_radius: proto.predicted_radius(),
-            byzantine: proto.byzantine().to_vec(),
-            nodes,
-        })
-    }
-
-    /// Expectations for a Byzantine spanning-tree instance: a node
-    /// must pin both its distance and its parent pointer.
-    ///
-    /// # Errors
-    ///
-    /// [`ContainmentError::NoByzantine`] when the instance has no
-    /// Byzantine nodes.
-    pub fn spanning_tree(proto: &SpanningTree) -> Result<Self, ContainmentError> {
-        let protocol = format!("spanning-tree-{}", proto.topology().len());
-        if proto.byzantine().is_empty() {
-            return Err(ContainmentError::NoByzantine { protocol });
-        }
-        let legit = proto.legit_distances();
-        let to_byz = proto.distance_to_byzantine();
-        let safe = proto.safe_set();
-        let nodes = (0..proto.topology().len())
-            .filter(|v| proto.byzantine().binary_search(v).is_err())
-            .map(|v| {
-                let pins = match (legit[v], proto.legit_parent(v)) {
-                    (Some(l), Some(p)) => vec![
-                        (proto.dist_var(v), l as i64),
-                        (proto.parent_var(v), p as i64),
-                    ],
-                    _ => Vec::new(),
-                };
-                NodeExpect {
-                    node: v,
-                    distance: to_byz[v],
-                    safe: safe[v],
-                    pins,
-                }
-            })
-            .collect();
-        Ok(ContainmentMap {
-            protocol,
-            predicted_radius: proto.predicted_radius(),
-            byzantine: proto.byzantine().to_vec(),
-            nodes,
-        })
-    }
-
-    /// The sorted Byzantine node set of the judged instance.
-    pub fn byzantine(&self) -> &[usize] {
-        &self.byzantine
-    }
-
-    /// Whether `node` stabilized in `final_state`.
-    fn stabilized(&self, expect: &NodeExpect, final_state: &State) -> bool {
-        expect.safe
-            && !expect.pins.is_empty()
-            && expect
-                .pins
-                .iter()
-                .all(|&(var, value)| final_state.get(var) == value)
+        Ok(ContainmentMap { protocol, nodes })
     }
 
     /// Judge `final_state` and emit one [`Event::Containment`] per
-    /// correct node, in node order; returns the measured radius.
+    /// correct node, in node order; returns the measured radius: the
+    /// largest distance-to-liar among nodes that did not stabilize.
+    ///
+    /// A node stabilized when it is safe and holds all its pins.
     pub fn emit(&self, final_state: &State, layer: &str, seed: u64, journal: &Journal) -> u64 {
         let mut radius = 0;
         for expect in &self.nodes {
-            let stabilized = self.stabilized(expect, final_state);
+            let stabilized = expect.safe
+                && !expect.pins.is_empty()
+                && expect
+                    .pins
+                    .iter()
+                    .all(|&(var, value)| final_state.get(var) == value);
             if !stabilized {
                 radius = radius.max(expect.distance);
             }
@@ -186,16 +128,25 @@ impl ContainmentMap {
         }
         radius
     }
+}
 
-    /// The measured radius of `final_state` without journaling.
-    pub fn measure(&self, final_state: &State) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|e| !self.stabilized(e, final_state))
-            .map(|e| e.distance)
-            .max()
-            .unwrap_or(0)
-    }
+/// The containment battery's agreement rule for one instance: every
+/// layer's `measured` radius equals the theory's predicted radius,
+/// and the checker's `certified` radius, when given, equals the
+/// measured one where the theory's safety rule is exact
+/// ([`Safety::AtMost`]) and is at most the measured one where the rule
+/// is a sound upper bound ([`Safety::Below`]). A larger certified
+/// radius is a genuine containment violation.
+pub fn radii_agree(
+    theory: &impl ContainmentTheory,
+    measured: &[u64],
+    certified: Option<u64>,
+) -> bool {
+    let predicted = theory.predicted_radius();
+    let exact = theory.model().safety() == Safety::AtMost;
+    measured
+        .iter()
+        .all(|&m| m == predicted && certified.is_none_or(|c| if exact { c == m } else { c <= m }))
 }
 
 #[cfg(test)]
@@ -203,18 +154,19 @@ mod tests {
     use super::*;
     use nonmask_graph::Topology;
     use nonmask_obs::{containment_radius, parse_journal};
+    use nonmask_protocols::{MinPlusOne, SpanningTree};
 
     /// line(6), root 0, liar 5: safe set [T,T,T,F,F], radius 2.
     fn line_map() -> (MinPlusOne, ContainmentMap) {
         let proto = MinPlusOne::with_byzantine(&Topology::line(6), 0, &[5]);
-        let map = ContainmentMap::bfs(&proto).unwrap();
+        let map = ContainmentMap::new(proto.model()).unwrap();
         (proto, map)
     }
 
     #[test]
     fn bfs_without_liars_is_an_error() {
         let proto = MinPlusOne::with_byzantine(&Topology::line(4), 0, &[]);
-        let err = ContainmentMap::bfs(&proto).unwrap_err();
+        let err = ContainmentMap::new(proto.model()).unwrap_err();
         assert_eq!(
             err,
             ContainmentError::NoByzantine {
@@ -228,7 +180,7 @@ mod tests {
     fn spanning_tree_without_liars_is_an_error() {
         let proto = SpanningTree::with_byzantine(&Topology::line(4), 0, &[]);
         assert_eq!(
-            ContainmentMap::spanning_tree(&proto).unwrap_err(),
+            ContainmentMap::new(proto.model()).unwrap_err(),
             ContainmentError::NoByzantine {
                 protocol: "spanning-tree-4".to_string()
             }
@@ -241,20 +193,22 @@ mod tests {
         // Even with every correct node on its legitimate value, the
         // unsafe nodes count as unstable: the next lie can move them.
         let mut state = proto.program().min_state();
-        for (v, l) in proto.legit_distances().iter().enumerate() {
+        for (v, l) in proto.model().legit_distances().iter().enumerate() {
             if let Some(l) = l {
                 state.set(proto.dist_var(v), *l as i64);
             }
         }
-        assert_eq!(map.predicted_radius, proto.predicted_radius());
-        assert_eq!(map.measure(&state), map.predicted_radius);
+        assert_eq!(
+            map.emit(&state, "sim", 9, &Journal::disabled()),
+            proto.model().predicted_radius()
+        );
     }
 
     #[test]
     fn a_perturbed_safe_node_inflates_the_radius() {
         let (proto, map) = line_map();
         let mut state = proto.program().min_state();
-        for (v, l) in proto.legit_distances().iter().enumerate() {
+        for (v, l) in proto.model().legit_distances().iter().enumerate() {
             if let Some(l) = l {
                 state.set(proto.dist_var(v), *l as i64);
             }
@@ -262,14 +216,14 @@ mod tests {
         // Node 1 is safe at distance 4 from the liar; a wrong value
         // there is a containment violation and must dominate.
         state.set(proto.dist_var(1), 3);
-        assert_eq!(map.measure(&state), 4);
+        assert_eq!(map.emit(&state, "sim", 9, &Journal::disabled()), 4);
     }
 
     #[test]
     fn emitted_events_round_trip_to_the_same_radius() {
         let (proto, map) = line_map();
         let mut state = proto.program().min_state();
-        for (v, l) in proto.legit_distances().iter().enumerate() {
+        for (v, l) in proto.model().legit_distances().iter().enumerate() {
             if let Some(l) = l {
                 state.set(proto.dist_var(v), *l as i64);
             }
@@ -280,6 +234,6 @@ mod tests {
         let records = parse_journal(&buffer.contents()).expect("locked schema");
         assert_eq!(records.len(), 5, "one event per correct node");
         assert_eq!(containment_radius(&records), Some(radius));
-        assert_eq!(radius, map.predicted_radius);
+        assert_eq!(radius, proto.model().predicted_radius());
     }
 }

@@ -32,7 +32,7 @@ pub mod shrink;
 pub mod spec;
 
 pub use check::{check_run, Divergence, ProtocolOracle, RunReport};
-pub use containment::{ContainmentError, ContainmentMap};
+pub use containment::{radii_agree, ContainmentError, ContainmentMap};
 pub use corpus::{
     default_specs, run_corpus, CorpusConfig, CorpusReport, ProtocolResult, RunInput, RunRecord,
 };

@@ -9,7 +9,7 @@ use nonmask_conform::{
     check_run, run_sim, FaultSchedule, ProtocolOracle, ProtocolSpec, SimRunConfig,
 };
 use nonmask_graph::Topology;
-use nonmask_protocols::MinPlusOne;
+use nonmask_protocols::{ContainmentTheory, MinPlusOne};
 
 /// min+1 BFS on a 4-line with the liar at the far end: the safe region
 /// is {0, 1} and node 2 flaps with the lie stream forever.
@@ -27,7 +27,7 @@ fn byzantine_spec() -> (MinPlusOne, ProtocolSpec) {
     let spec = ProtocolSpec {
         name: "bfs-4-byz".to_string(),
         program: proto.program().clone(),
-        goal: proto.safe_goal(),
+        goal: proto.model().safe_goal(),
         constraints,
         designated,
     };
@@ -58,8 +58,8 @@ fn byzantine_runs_conform_without_divergence() {
     // validated step was executed by a correct node.
     assert!(outcome.steps.iter().all(|s| s.site != 3));
     // Safe nodes hold their legitimate distances in the final state.
-    let legit = proto.legit_distances();
-    for (j, safe) in proto.safe_set().iter().enumerate() {
+    let legit = proto.model().legit_distances();
+    for (j, safe) in proto.model().safe_set().iter().enumerate() {
         if *safe {
             assert_eq!(
                 outcome.final_state.get(proto.dist_var(j)) as u64,

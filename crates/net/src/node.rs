@@ -36,6 +36,10 @@ use crate::counters::CounterSnapshot;
 use crate::fault::{FaultConfig, Injector, PartitionMap};
 use crate::wire::Frame;
 
+/// Minimum ticks between state reports (reports are additionally gated
+/// on the state actually having changed).
+const REPORT_EVERY: u64 = 1;
+
 /// What one node needs to know about the topology (derived from the
 /// refinement by the runtime).
 #[derive(Debug, Clone)]
@@ -67,16 +71,11 @@ pub(crate) struct NodeSpec {
 pub(crate) struct NodeTiming {
     /// Wall-clock duration of one tick (the unit all deadlines are in).
     pub tick: Duration,
-    /// Max actions executed per eligible service.
-    pub steps_per_tick: usize,
     /// Ticks a node rests after executing actions (paces the protocol so
     /// report skew stays well below the inter-action gap).
     pub cooldown_ticks: u64,
     /// Heartbeat broadcast period in ticks (`0` disables).
     pub heartbeat_every: u64,
-    /// Minimum ticks between state reports (reports are additionally
-    /// gated on the state actually having changed).
-    pub report_every: u64,
     /// Give up on startup dials/accepts after this long (a peer shard
     /// that died before connecting must not wedge the whole run).
     pub startup_timeout: Duration,
@@ -361,7 +360,7 @@ impl<'a> NodeCore<'a> {
         }
     }
 
-    /// Execute enabled actions, round-robin, paced by the cooldown.
+    /// Execute one enabled action, round-robin, paced by the cooldown.
     fn try_exec(
         &mut self,
         tick: u64,
@@ -378,10 +377,7 @@ impl<'a> NodeCore<'a> {
         let program = self.program;
         let mut changes = 0u64;
         let mut executed = false;
-        for _ in 0..self.timing.steps_per_tick {
-            let Some(action_id) = self.daemon.select(program, &self.spec.actions, scratch) else {
-                break;
-            };
+        if let Some(action_id) = self.daemon.select(program, &self.spec.actions, scratch) {
             let action = program.action(action_id);
             let before = self.step_log.as_ref().map(|_| self.snapshot());
             action.apply(scratch);
@@ -514,10 +510,7 @@ impl<'a> NodeCore<'a> {
             // something changed (the controller already holds the initial
             // state, and re-sending identical values at 10^4 nodes would
             // drown the control plane).
-            if self.timing.report_every > 0
-                && self.dirty
-                && tick >= self.last_report_tick + self.timing.report_every
-            {
+            if self.dirty && tick >= self.last_report_tick + REPORT_EVERY {
                 self.emit_report(false, control);
                 self.last_report_tick = tick;
                 self.dirty = false;
@@ -549,8 +542,8 @@ impl<'a> NodeCore<'a> {
             if self.timing.heartbeat_every > 0 && !self.links.is_empty() {
                 consider(self.next_hb_tick);
             }
-            if self.timing.report_every > 0 && self.dirty {
-                consider(self.last_report_tick + self.timing.report_every);
+            if self.dirty {
+                consider(self.last_report_tick + REPORT_EVERY);
             }
         }
         for link in &self.links {

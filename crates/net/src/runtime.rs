@@ -83,16 +83,12 @@ pub struct NetConfig {
     pub faults: FaultConfig,
     /// Wall-clock duration of one node-loop tick.
     pub tick: Duration,
-    /// Max actions a node executes per eligible tick.
-    pub steps_per_tick: usize,
     /// Ticks a node rests after executing (paces the protocol below the
     /// report cadence so assembled snapshots are near-consistent).
     pub cooldown_ticks: u64,
     /// Heartbeat period in ticks (`0` disables; heartbeats are what heal
     /// caches after lost updates, so disable only with a lossless net).
     pub heartbeat_every: u64,
-    /// Report period in ticks.
-    pub report_every: u64,
     /// Worker shards multiplexing the nodes (`0` = auto from available
     /// parallelism). Physical transport only: the logical per-link fault
     /// streams are shard-count-invariant.
@@ -137,10 +133,8 @@ impl Default for NetConfig {
             seed: 0,
             faults: FaultConfig::default(),
             tick: Duration::from_micros(200),
-            steps_per_tick: 1,
             cooldown_ticks: 16,
             heartbeat_every: 4,
-            report_every: 1,
             shards: 0,
             detector: DetectorConfig::default(),
             timeout: Duration::from_secs(30),
@@ -479,10 +473,8 @@ pub fn run(
     let partition = PartitionMap::new();
     let timing = NodeTiming {
         tick: config.tick,
-        steps_per_tick: config.steps_per_tick,
         cooldown_ticks: config.cooldown_ticks,
         heartbeat_every: config.heartbeat_every,
-        report_every: config.report_every,
         startup_timeout: config.timeout,
         byzantine_seed: config.byzantine_seed,
     };

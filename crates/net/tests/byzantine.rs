@@ -14,7 +14,7 @@ use std::time::Duration;
 use nonmask_graph::Topology;
 use nonmask_net::{run, DetectorConfig, FaultConfig, NetConfig, NetReport};
 use nonmask_program::byzantine_lie_in;
-use nonmask_protocols::MinPlusOne;
+use nonmask_protocols::{ContainmentTheory, MinPlusOne};
 
 const LIE_SEED: u64 = 0xB12A;
 
@@ -41,7 +41,13 @@ fn run_line_with_liar(shards: usize) -> (MinPlusOne, NetReport) {
     let proto = MinPlusOne::with_byzantine(&topo, 0, &[5]);
     let config = byz_config(7, vec![5], shards);
     let initial = proto.program().min_state();
-    let report = run(proto.program(), &initial, &proto.safe_goal(), &config).expect("run starts");
+    let report = run(
+        proto.program(),
+        &initial,
+        &proto.model().safe_goal(),
+        &config,
+    )
+    .expect("run starts");
     (proto, report)
 }
 
@@ -53,8 +59,8 @@ fn safe_region_stabilizes_despite_a_liar() {
         "safe region did not converge: {}",
         report.render()
     );
-    let legit = proto.legit_distances();
-    for (j, safe) in proto.safe_set().iter().enumerate() {
+    let legit = proto.model().legit_distances();
+    for (j, safe) in proto.model().safe_set().iter().enumerate() {
         if *safe {
             assert_eq!(
                 report.final_state.get(proto.dist_var(j)) as u64,

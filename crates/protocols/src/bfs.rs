@@ -31,11 +31,14 @@
 //!   correct shortest path (whose nodes are safe whenever `v` is).
 //!
 //! Unsafe nodes sit closer to a liar than to the root and keep getting
-//! dragged below their legitimate distance. [`MinPlusOne::predicted_radius`]
-//! is the largest `dist(v, B)` over unsafe correct nodes: beyond that
-//! radius every node stabilizes, which is what the checker certifies
-//! ([`MinPlusOne::containment_goal`]) and the sim/net journals measure.
+//! dragged below their legitimate distance. The predicted radius is the
+//! largest `dist(v, B)` over unsafe correct nodes: beyond that radius
+//! every node stabilizes, which is what the checker certifies and the
+//! sim/net journals measure. The comparison `≤` and the single pin
+//! `d.v = legit(v)` are this protocol's two facts in the shared
+//! [`ByzantineModel`], which derives the safe set, radius and goals.
 
+use crate::byzantine::{ByzantineModel, Safety};
 use nonmask_graph::Topology;
 use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, VarId};
 
@@ -43,9 +46,7 @@ use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, Va
 /// Byzantine (havoc-modelled) nodes.
 #[derive(Debug, Clone)]
 pub struct MinPlusOne {
-    topology: Topology,
-    root: usize,
-    byzantine: Vec<usize>,
+    model: ByzantineModel,
     cap: i64,
     program: Program,
     dist: Vec<VarId>,
@@ -73,27 +74,22 @@ impl MinPlusOne {
     /// Panics on an empty or disconnected topology, an out-of-range
     /// root or Byzantine index, or a Byzantine root.
     pub fn with_byzantine(topology: &Topology, root: usize, byzantine: &[usize]) -> Self {
+        let model = ByzantineModel::new("bfs", topology, root, byzantine, Safety::AtMost);
         let n = topology.len();
-        assert!(n >= 1, "the protocol needs at least one node");
-        assert!(topology.is_connected(), "the topology must be connected");
-        assert!(root < n, "root out of range");
-        let mut byz: Vec<usize> = byzantine.to_vec();
-        byz.sort_unstable();
-        byz.dedup();
-        assert!(byz.iter().all(|&b| b < n), "Byzantine index out of range");
-        assert!(!byz.contains(&root), "the root must not be Byzantine");
-
         // Legitimate distances are < n; clamping at n leaves one value
         // of headroom so transient garbage has somewhere finite to sit.
         let cap = n as i64;
-        let mut b = Program::builder(format!("min-plus-one[n={n},root={root},byz={}]", byz.len()));
+        let mut b = Program::builder(format!(
+            "min-plus-one[n={n},root={root},byz={}]",
+            model.byzantine().len()
+        ));
         let dist: Vec<VarId> = (0..n)
             .map(|j| b.var_of(format!("d.{j}"), Domain::range(0, cap), ProcessId(j)))
             .collect();
 
         let mut repairs = Vec::new();
         for j in 0..n {
-            if byz.binary_search(&j).is_ok() {
+            if model.is_byzantine(j) {
                 // One havoc per value: the adversary's repertoire. The
                 // guard keeps the transition relation loop-free.
                 let dj = dist[j];
@@ -124,7 +120,7 @@ impl MinPlusOne {
                 let (ga, ea) = (around.clone(), around);
                 let id = b.convergence_action(
                     format!("minplus1@{j}"),
-                    reads.clone(),
+                    reads,
                     [dj],
                     move |s| s.get(dj) != min_plus_one(s, &ga, cap),
                     move |s| {
@@ -137,9 +133,7 @@ impl MinPlusOne {
         }
 
         MinPlusOne {
-            topology: topology.clone(),
-            root,
-            byzantine: byz,
+            model: model.pinned(|_, v, l| vec![(dist[v], l as i64)]),
             cap,
             program: b.build(),
             dist,
@@ -147,29 +141,14 @@ impl MinPlusOne {
         }
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
+    /// The containment model: liar geometry, safe set, radius, goals.
+    pub fn model(&self) -> &ByzantineModel {
+        &self.model
     }
 
     /// The guarded-command program.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The root node.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
-    /// The sorted Byzantine node set.
-    pub fn byzantine(&self) -> &[usize] {
-        &self.byzantine
-    }
-
-    /// The domain cap (distances live in `0..=cap`).
-    pub fn cap(&self) -> i64 {
-        self.cap
     }
 
     /// The distance variable of node `j`.
@@ -192,17 +171,17 @@ impl MinPlusOne {
     ///
     /// Panics for Byzantine or out-of-range nodes.
     pub fn constraint(&self, j: usize) -> Predicate {
-        assert!(j < self.topology.len(), "node out of range");
+        let topology = self.model.topology();
+        assert!(j < topology.len(), "node out of range");
         assert!(
-            self.byzantine.binary_search(&j).is_err(),
+            !self.model.is_byzantine(j),
             "Byzantine nodes have no constraint"
         );
         let dj = self.dist[j];
-        if j == self.root {
+        if j == self.model.root() {
             return Predicate::new(format!("c.{j}"), [dj], move |s| s.get(dj) == 0);
         }
-        let around: Vec<VarId> = self
-            .topology
+        let around: Vec<VarId> = topology
             .neighbors(j)
             .iter()
             .map(|&k| self.dist[k])
@@ -218,115 +197,18 @@ impl MinPlusOne {
     /// The byzantine-free invariant: every local min+1 equation holds
     /// (equivalently, `d.j` is the BFS distance from the root).
     pub fn invariant(&self) -> Predicate {
-        let cs: Vec<Predicate> = (0..self.topology.len())
-            .filter(|j| self.byzantine.binary_search(j).is_err())
+        let cs: Vec<Predicate> = (0..self.model.topology().len())
+            .filter(|&j| !self.model.is_byzantine(j))
             .map(|j| self.constraint(j))
             .collect();
         Predicate::all("bfs-distances", cs.iter()).named("bfs-distances")
-    }
-
-    /// Hop distance of every node to the nearest Byzantine node
-    /// ([`Topology::INFINITY`] when there are none).
-    pub fn distance_to_byzantine(&self) -> Vec<u64> {
-        if self.byzantine.is_empty() {
-            vec![Topology::INFINITY; self.topology.len()]
-        } else {
-            self.topology.distances_from(&self.byzantine)
-        }
-    }
-
-    /// The legitimate distance of every node: its hop distance from the
-    /// root through *correct* nodes only. `None` for Byzantine nodes
-    /// and for correct nodes cut off from the root by the liars.
-    pub fn legit_distances(&self) -> Vec<Option<u64>> {
-        let n = self.topology.len();
-        let mut dist = vec![None; n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[self.root] = Some(0u64);
-        queue.push_back(self.root);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v].unwrap();
-            for &w in self.topology.neighbors(v) {
-                if dist[w].is_none() && self.byzantine.binary_search(&w).is_err() {
-                    dist[w] = Some(dv + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        for &b in &self.byzantine {
-            dist[b] = None;
-        }
-        dist
-    }
-
-    /// Whether each node is *safe*: correct, reachable from the root
-    /// through correct nodes, and no closer to a liar than to the root
-    /// (`legit(v) <= dist(v, B)`). Safe nodes pin their legitimate
-    /// distance under any Byzantine behaviour.
-    pub fn safe_set(&self) -> Vec<bool> {
-        let legit = self.legit_distances();
-        let to_byz = self.distance_to_byzantine();
-        (0..self.topology.len())
-            .map(|v| matches!(legit[v], Some(l) if l <= to_byz[v]))
-            .collect()
-    }
-
-    /// The predicted containment radius: the largest distance-to-liar
-    /// over correct nodes that are *not* safe (0 when every correct
-    /// node is safe — in particular whenever there are no liars).
-    /// Beyond this radius, every node stabilizes.
-    pub fn predicted_radius(&self) -> u64 {
-        let safe = self.safe_set();
-        let to_byz = self.distance_to_byzantine();
-        (0..self.topology.len())
-            .filter(|&v| self.byzantine.binary_search(&v).is_err() && !safe[v])
-            .map(|v| to_byz[v])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The containment goal at radius `r`: every correct,
-    /// root-reachable node at distance `> r` from every Byzantine node
-    /// holds its legitimate distance. The checker's restricted-region
-    /// convergence query asks for the least `r` whose goal converges.
-    pub fn containment_goal(&self, r: u64) -> Predicate {
-        let legit = self.legit_distances();
-        let to_byz = self.distance_to_byzantine();
-        let pins: Vec<Predicate> = (0..self.topology.len())
-            .filter(|&v| to_byz[v] > r)
-            .filter_map(|v| {
-                legit[v].map(|l| {
-                    let dv = self.dist[v];
-                    Predicate::new(format!("pin.{v}"), [dv], move |s| s.get(dv) == l as i64)
-                })
-            })
-            .collect();
-        let name = format!("contained@r={r}");
-        Predicate::all(name.clone(), pins.iter()).named(name)
-    }
-
-    /// The goal actually detectable at run time: every *safe* node
-    /// holds its legitimate distance (the containment goal at the
-    /// predicted radius, extended to safe nodes inside it).
-    pub fn safe_goal(&self) -> Predicate {
-        let legit = self.legit_distances();
-        let safe = self.safe_set();
-        let pins: Vec<Predicate> = (0..self.topology.len())
-            .filter(|&v| safe[v])
-            .filter_map(|v| {
-                legit[v].map(|l| {
-                    let dv = self.dist[v];
-                    Predicate::new(format!("pin.{v}"), [dv], move |s| s.get(dv) == l as i64)
-                })
-            })
-            .collect();
-        Predicate::all("safe-region", pins.iter()).named("safe-region")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byzantine::ContainmentTheory;
     use nonmask_checker::{check_convergence, CheckOptions, Fairness, StateSpace};
     use nonmask_program::scheduler::Random;
     use nonmask_program::{Executor, RunConfig, StopReason};
@@ -380,10 +262,13 @@ mod tests {
         // distances 2 and 1 from the liar, so the radius is 2.
         let t = Topology::line(6);
         let p = MinPlusOne::with_byzantine(&t, 0, &[5]);
-        assert_eq!(p.safe_set(), [true, true, true, false, false, false]);
-        assert_eq!(p.predicted_radius(), 2);
         assert_eq!(
-            p.legit_distances(),
+            p.model().safe_set(),
+            [true, true, true, false, false, false]
+        );
+        assert_eq!(p.model().predicted_radius(), 2);
+        assert_eq!(
+            p.model().legit_distances(),
             [Some(0), Some(1), Some(2), Some(3), Some(4), None]
         );
     }
@@ -399,15 +284,15 @@ mod tests {
         let verdict = certify_containment(
             &space,
             p.program(),
-            |r| p.containment_goal(r),
+            |r| p.model().containment_goal(r),
             t.diameter(),
             Fairness::WeaklyFair,
             CheckOptions::default(),
         )
         .unwrap();
-        assert_eq!(verdict.radius, Some(p.predicted_radius()));
+        assert_eq!(verdict.radius, Some(p.model().predicted_radius()));
         for &(r, converges) in &verdict.verdicts {
-            assert_eq!(converges, r >= p.predicted_radius(), "radius {r}");
+            assert_eq!(converges, r >= p.model().predicted_radius(), "radius {r}");
         }
     }
 
@@ -415,8 +300,8 @@ mod tests {
     fn no_liars_means_radius_zero_and_all_safe() {
         let t = Topology::random_connected(8, 4, 5);
         let p = MinPlusOne::new(&t, 0);
-        assert!(p.safe_set().iter().all(|&s| s));
-        assert_eq!(p.predicted_radius(), 0);
+        assert!(p.model().safe_set().iter().all(|&s| s));
+        assert_eq!(p.model().predicted_radius(), 0);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! | [`three_state`] | Dijkstra's 3-state line (checker-verified baseline) | (not constraint-based) | — |
 //! | [`bfs`] | beyond the paper: Dubois–Masuzawa–Tixeuil min+1 BFS with Byzantine containment | (general graph) | — |
 //! | [`spanning_tree`] | beyond the paper: DMT stabilizing spanning tree with Byzantine containment | (general graph) | — |
+//! | [`byzantine`] | the containment model both DMT protocols share: liar geometry, safe set, radius, goals | — | — |
 //!
 //! Every protocol exposes its program, its invariant, and (where the
 //! constraint decomposition exists) a complete [`nonmask::Design`] so that
@@ -27,6 +28,7 @@
 pub mod aggregate;
 pub mod atomic;
 pub mod bfs;
+pub mod byzantine;
 pub mod coloring;
 pub mod diffusing;
 pub mod reset;
@@ -37,5 +39,6 @@ pub mod topology;
 pub mod xyz;
 
 pub use bfs::MinPlusOne;
+pub use byzantine::{ByzantineModel, ContainmentTheory, Safety};
 pub use spanning_tree::SpanningTree;
 pub use topology::{Tree, TreeError};

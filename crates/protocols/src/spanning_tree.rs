@@ -27,7 +27,19 @@
 //! pointer: a liar at distance exactly `legit(v)` could tie `v`'s
 //! minimum with a forged distance and steal the tie-break, flapping
 //! `prnt.v` forever even though `d.v` stays pinned.
+//!
+//! The comparison `<` and the pins `d.v = legit(v)`, `prnt.v =` the
+//! lowest-id legitimate parent are this protocol's two facts in the
+//! shared [`ByzantineModel`], which derives the safe set, radius and
+//! goals. The strict rule is sound but not always tight: a node exactly
+//! equidistant between root and liar is classed unsafe because a
+//! tie-valued lie channel *may* steal its parent, yet on concrete
+//! topologies the lowest-id tie-break can make stealing impossible (the
+//! root's id 0 wins every tie it enters). The checker's
+//! restricted-region sweep adjudicates the true radius, which may
+//! therefore be smaller than the predicted one.
 
+use crate::byzantine::{ByzantineModel, Safety};
 use nonmask_graph::Topology;
 use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, VarId};
 
@@ -35,9 +47,7 @@ use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, Va
 /// optionally with Byzantine (havoc-modelled) nodes.
 #[derive(Debug, Clone)]
 pub struct SpanningTree {
-    topology: Topology,
-    root: usize,
-    byzantine: Vec<usize>,
+    model: ByzantineModel,
     cap: i64,
     program: Program,
     dist: Vec<VarId>,
@@ -74,20 +84,33 @@ impl SpanningTree {
     /// isolated non-root node, an out-of-range root or Byzantine index,
     /// or a Byzantine root.
     pub fn with_byzantine(topology: &Topology, root: usize, byzantine: &[usize]) -> Self {
+        SpanningTree::build(topology, root, byzantine, None)
+    }
+
+    /// The program builder behind [`SpanningTree::with_byzantine`] and
+    /// the planted mutant: with `trust = Some((trusting, liar))`, node
+    /// `trusting`'s repair adopts `liar` unconditionally.
+    fn build(
+        topology: &Topology,
+        root: usize,
+        byzantine: &[usize],
+        trust: Option<(usize, usize)>,
+    ) -> Self {
         let n = topology.len();
         assert!(n >= 2, "a spanning tree needs at least two nodes");
-        assert!(topology.is_connected(), "the topology must be connected");
-        assert!(root < n, "root out of range");
-        let mut byz: Vec<usize> = byzantine.to_vec();
-        byz.sort_unstable();
-        byz.dedup();
-        assert!(byz.iter().all(|&b| b < n), "Byzantine index out of range");
-        assert!(!byz.contains(&root), "the root must not be Byzantine");
+        let model = ByzantineModel::new("spanning-tree", topology, root, byzantine, Safety::Below);
+        if let Some((trusting, liar)) = trust {
+            assert!(trusting != root, "the root has no parent to corrupt");
+            assert!(
+                topology.has_edge(trusting, liar),
+                "the trusting node must neighbor the liar"
+            );
+        }
 
         let cap = n as i64;
         let mut b = Program::builder(format!(
             "spanning-tree[n={n},root={root},byz={}]",
-            byz.len()
+            model.byzantine().len()
         ));
         let mut dist = Vec::with_capacity(n);
         let mut parent = Vec::with_capacity(n);
@@ -103,7 +126,7 @@ impl SpanningTree {
         let mut repairs = Vec::new();
         for j in 0..n {
             let (dj, pj) = (dist[j], parent[j]);
-            if byz.binary_search(&j).is_ok() {
+            if model.is_byzantine(j) {
                 for v in 0..=cap {
                     b.closure_action(
                         format!("lie-d@{j}={v}"),
@@ -145,13 +168,22 @@ impl SpanningTree {
                 reads.push(dj);
                 reads.push(pj);
                 let (ga, ea) = (around.clone(), around);
+                let trusted = trust
+                    .filter(|&(trusting, _)| trusting == j)
+                    .map(|(_, liar)| (liar as i64, dist[liar]));
                 let id = b.convergence_action(
                     format!("adopt@{j}"),
                     reads,
                     [dj, pj],
                     move |s| (s.get(dj), s.get(pj)) != bfs_target(s, &ga, cap),
                     move |s| {
-                        let (d, p) = bfs_target(s, &ea, cap);
+                        let (d, p) = match trusted {
+                            // The planted bug: trust the liar
+                            // unconditionally instead of taking the
+                            // true minimum.
+                            Some((liar, liar_dist)) => ((s.get(liar_dist) + 1).min(cap), liar),
+                            None => bfs_target(s, &ea, cap),
+                        };
                         s.set(dj, d);
                         s.set(pj, p);
                     },
@@ -160,10 +192,14 @@ impl SpanningTree {
             }
         }
 
+        let pins = |m: &ByzantineModel, v: usize, l: u64| {
+            let p = m
+                .legit_parent(v)
+                .expect("a root-reachable node has a parent");
+            vec![(dist[v], l as i64), (parent[v], p as i64)]
+        };
         SpanningTree {
-            topology: topology.clone(),
-            root,
-            byzantine: byz,
+            model: model.pinned(pins),
             cap,
             program: b.build(),
             dist,
@@ -172,24 +208,14 @@ impl SpanningTree {
         }
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
+    /// The containment model: liar geometry, safe set, radius, goals.
+    pub fn model(&self) -> &ByzantineModel {
+        &self.model
     }
 
     /// The guarded-command program.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The root node.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
-    /// The sorted Byzantine node set.
-    pub fn byzantine(&self) -> &[usize] {
-        &self.byzantine
     }
 
     /// The distance variable of node `j`.
@@ -217,20 +243,20 @@ impl SpanningTree {
     ///
     /// Panics for Byzantine or out-of-range nodes.
     pub fn constraint(&self, j: usize) -> Predicate {
-        assert!(j < self.topology.len(), "node out of range");
+        let topology = self.model.topology();
+        assert!(j < topology.len(), "node out of range");
         assert!(
-            self.byzantine.binary_search(&j).is_err(),
+            !self.model.is_byzantine(j),
             "Byzantine nodes have no constraint"
         );
         let (dj, pj) = (self.dist[j], self.parent[j]);
-        if j == self.root {
-            let anchor = self.root as i64;
+        if j == self.model.root() {
+            let anchor = j as i64;
             return Predicate::new(format!("c.{j}"), [dj, pj], move |s| {
                 s.get(dj) == 0 && s.get(pj) == anchor
             });
         }
-        let around: Vec<(usize, VarId)> = self
-            .topology
+        let around: Vec<(usize, VarId)> = topology
             .neighbors(j)
             .iter()
             .map(|&k| (k, self.dist[k]))
@@ -247,146 +273,11 @@ impl SpanningTree {
     /// The byzantine-free invariant: the unique BFS tree (lowest-id
     /// tie-break) with exact distances.
     pub fn invariant(&self) -> Predicate {
-        let cs: Vec<Predicate> = (0..self.topology.len())
-            .filter(|j| self.byzantine.binary_search(j).is_err())
+        let cs: Vec<Predicate> = (0..self.model.topology().len())
+            .filter(|&j| !self.model.is_byzantine(j))
             .map(|j| self.constraint(j))
             .collect();
         Predicate::all("bfs-tree", cs.iter()).named("bfs-tree")
-    }
-
-    /// Hop distance of every node to the nearest Byzantine node
-    /// ([`Topology::INFINITY`] when there are none).
-    pub fn distance_to_byzantine(&self) -> Vec<u64> {
-        if self.byzantine.is_empty() {
-            vec![Topology::INFINITY; self.topology.len()]
-        } else {
-            self.topology.distances_from(&self.byzantine)
-        }
-    }
-
-    /// The legitimate distance of every node through correct nodes
-    /// only (`None` for Byzantine nodes and for nodes the liars cut
-    /// off from the root).
-    pub fn legit_distances(&self) -> Vec<Option<u64>> {
-        let n = self.topology.len();
-        let mut dist = vec![None; n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[self.root] = Some(0u64);
-        queue.push_back(self.root);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v].unwrap();
-            for &w in self.topology.neighbors(v) {
-                if dist[w].is_none() && self.byzantine.binary_search(&w).is_err() {
-                    dist[w] = Some(dv + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        for &b in &self.byzantine {
-            dist[b] = None;
-        }
-        dist
-    }
-
-    /// The legitimate parent of correct non-root node `j`: the
-    /// lowest-id neighbor one legitimate hop closer to the root.
-    pub fn legit_parent(&self, j: usize) -> Option<usize> {
-        let legit = self.legit_distances();
-        let lj = legit[j]?;
-        if j == self.root {
-            return Some(self.root);
-        }
-        self.topology
-            .neighbors(j)
-            .iter()
-            .copied()
-            .find(|&k| legit[k] == Some(lj.wrapping_sub(1)))
-    }
-
-    /// Whether each node is *safe*: correct, root-reachable through
-    /// correct nodes, and **strictly** closer to the root than to any
-    /// liar. Safe nodes pin both their distance and their parent.
-    ///
-    /// The strict rule is sound but not always tight: a node exactly
-    /// equidistant between root and liar is classed unsafe because a
-    /// tie-valued lie channel *may* steal its parent, yet on concrete
-    /// topologies the lowest-id tie-break can make stealing impossible
-    /// (the root's id 0 wins every tie it enters). The checker's
-    /// restricted-region sweep adjudicates the true radius, which may
-    /// therefore be smaller than [`SpanningTree::predicted_radius`].
-    pub fn safe_set(&self) -> Vec<bool> {
-        let legit = self.legit_distances();
-        let to_byz = self.distance_to_byzantine();
-        (0..self.topology.len())
-            .map(|v| matches!(legit[v], Some(l) if l < to_byz[v]))
-            .collect()
-    }
-
-    /// The predicted containment radius: the largest distance-to-liar
-    /// over correct nodes that are not safe (0 when all are safe).
-    /// An upper bound on the true radius — see [`SpanningTree::safe_set`]
-    /// for why the strict rule can be conservative on ties.
-    pub fn predicted_radius(&self) -> u64 {
-        let safe = self.safe_set();
-        let to_byz = self.distance_to_byzantine();
-        (0..self.topology.len())
-            .filter(|&v| self.byzantine.binary_search(&v).is_err() && !safe[v])
-            .map(|v| to_byz[v])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The containment goal at radius `r`: every correct,
-    /// root-reachable node at distance `> r` from every Byzantine node
-    /// holds its legitimate distance *and* parent. The checker's
-    /// restricted-region convergence query asks for the least `r`
-    /// whose goal converges; it is at most
-    /// [`SpanningTree::predicted_radius`] and can be strictly smaller
-    /// when the lowest-id tie-break protects equidistant nodes from
-    /// parent-stealing lies.
-    pub fn containment_goal(&self, r: u64) -> Predicate {
-        let legit = self.legit_distances();
-        let to_byz = self.distance_to_byzantine();
-        let pins: Vec<Predicate> = (0..self.topology.len())
-            .filter(|&v| to_byz[v] > r)
-            .filter_map(|v| {
-                let l = legit[v]? as i64;
-                let p = if v == self.root {
-                    self.root as i64
-                } else {
-                    self.legit_parent(v)? as i64
-                };
-                let (dv, pv) = (self.dist[v], self.parent[v]);
-                Some(Predicate::new(format!("pin.{v}"), [dv, pv], move |s| {
-                    s.get(dv) == l && s.get(pv) == p
-                }))
-            })
-            .collect();
-        let name = format!("contained@r={r}");
-        Predicate::all(name.clone(), pins.iter()).named(name)
-    }
-
-    /// The run-time detection goal: every safe node holds its
-    /// legitimate distance and parent.
-    pub fn safe_goal(&self) -> Predicate {
-        let legit = self.legit_distances();
-        let safe = self.safe_set();
-        let pins: Vec<Predicate> = (0..self.topology.len())
-            .filter(|&v| safe[v])
-            .filter_map(|v| {
-                let l = legit[v]? as i64;
-                let p = if v == self.root {
-                    self.root as i64
-                } else {
-                    self.legit_parent(v)? as i64
-                };
-                let (dv, pv) = (self.dist[v], self.parent[v]);
-                Some(Predicate::new(format!("pin.{v}"), [dv, pv], move |s| {
-                    s.get(dv) == l && s.get(pv) == p
-                }))
-            })
-            .collect();
-        Predicate::all("safe-region", pins.iter()).named("safe-region")
     }
 }
 
@@ -395,12 +286,14 @@ impl SpanningTree {
 /// [`SpanningTree::new`] except node `trusting` adopts node `liar` as
 /// its parent unconditionally whenever they are neighbors — the
 /// "Byzantine node accepted as parent" bug a differential harness must
-/// catch. Variable and action layout match the reference exactly.
+/// catch. Built by the same builder as the reference, so variable and
+/// action layout match it exactly.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`SpanningTree::new`], or when
-/// `trusting` and `liar` are not adjacent (the bug would be dead code).
+/// `trusting` is the root or not adjacent to `liar` (the bug would be
+/// dead code).
 #[cfg(feature = "planted-bug")]
 pub fn planted_trusting_mutant(
     topology: &Topology,
@@ -408,80 +301,13 @@ pub fn planted_trusting_mutant(
     trusting: usize,
     liar: usize,
 ) -> Program {
-    let n = topology.len();
-    assert!(n >= 2, "a spanning tree needs at least two nodes");
-    assert!(topology.is_connected(), "the topology must be connected");
-    assert!(root < n, "root out of range");
-    assert!(trusting != root, "the root has no parent to corrupt");
-    assert!(
-        topology.has_edge(trusting, liar),
-        "the trusting node must neighbor the liar"
-    );
-
-    let cap = n as i64;
-    let mut b = Program::builder(format!("spanning-tree[n={n},root={root},byz=0]"));
-    let mut dist = Vec::with_capacity(n);
-    let mut parent = Vec::with_capacity(n);
-    for j in 0..n {
-        dist.push(b.var_of(format!("d.{j}"), Domain::range(0, cap), ProcessId(j)));
-        parent.push(b.var_of(
-            format!("prnt.{j}"),
-            Domain::range(0, n as i64 - 1),
-            ProcessId(j),
-        ));
-    }
-    for j in 0..n {
-        let (dj, pj) = (dist[j], parent[j]);
-        if j == root {
-            let anchor = root as i64;
-            b.convergence_action(
-                format!("anchor@{j}"),
-                [dj, pj],
-                [dj, pj],
-                move |s| s.get(dj) != 0 || s.get(pj) != anchor,
-                move |s| {
-                    s.set(dj, 0);
-                    s.set(pj, anchor);
-                },
-            );
-        } else {
-            let around: Vec<(usize, VarId)> = topology
-                .neighbors(j)
-                .iter()
-                .map(|&k| (k, dist[k]))
-                .collect();
-            let mut reads: Vec<VarId> = around.iter().map(|&(_, v)| v).collect();
-            reads.push(dj);
-            reads.push(pj);
-            let (ga, ea) = (around.clone(), around);
-            let liar_dist = dist[liar];
-            let bugged = j == trusting;
-            b.convergence_action(
-                format!("adopt@{j}"),
-                reads,
-                [dj, pj],
-                move |s| (s.get(dj), s.get(pj)) != bfs_target(s, &ga, cap),
-                move |s| {
-                    if bugged {
-                        // The planted bug: trust the liar unconditionally
-                        // instead of taking the true minimum.
-                        s.set(dj, (s.get(liar_dist) + 1).min(cap));
-                        s.set(pj, liar as i64);
-                    } else {
-                        let (d, p) = bfs_target(s, &ea, cap);
-                        s.set(dj, d);
-                        s.set(pj, p);
-                    }
-                },
-            );
-        }
-    }
-    b.build()
+    SpanningTree::build(topology, root, &[], Some((trusting, liar))).program
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byzantine::ContainmentTheory;
     use nonmask_program::scheduler::Random;
     use nonmask_program::{Executor, RunConfig, StopReason};
 
@@ -506,7 +332,7 @@ mod tests {
             assert_eq!(d, t.distance(0, v), "node {v} distance");
             assert!(t.has_edge(v, p), "parent of {v} is a neighbor");
             assert_eq!(t.distance(0, p), d - 1, "parent of {v} is one hop closer");
-            assert_eq!(Some(p), st.legit_parent(v), "lowest-id tie-break");
+            assert_eq!(Some(p), st.model().legit_parent(v), "lowest-id tie-break");
         }
     }
 
@@ -517,8 +343,8 @@ mod tests {
         // sit at distances 2 and 1 from the liar.
         let t = Topology::line(5);
         let st = SpanningTree::with_byzantine(&t, 0, &[4]);
-        assert_eq!(st.safe_set(), [true, true, false, false, false]);
-        assert_eq!(st.predicted_radius(), 2);
+        assert_eq!(st.model().safe_set(), [true, true, false, false, false]);
+        assert_eq!(st.model().predicted_radius(), 2);
     }
 
     #[test]
@@ -531,7 +357,7 @@ mod tests {
         t.add_edge(1, 3);
         t.add_edge(2, 3);
         let st = SpanningTree::new(&t, 0);
-        assert_eq!(st.legit_parent(3), Some(1));
+        assert_eq!(st.model().legit_parent(3), Some(1));
     }
 
     #[test]
@@ -543,12 +369,16 @@ mod tests {
         // tie, so no lie can steal a parent: the true radius is 0.
         let t = Topology::ring(4);
         let st = SpanningTree::with_byzantine(&t, 0, &[2]);
-        assert_eq!(st.predicted_radius(), 1, "strict rule counts the ties");
+        assert_eq!(
+            st.model().predicted_radius(),
+            1,
+            "strict rule counts the ties"
+        );
         let space = StateSpace::enumerate(st.program()).unwrap();
         let verdict = certify_containment(
             &space,
             st.program(),
-            |r| st.containment_goal(r),
+            |r| st.model().containment_goal(r),
             t.diameter(),
             Fairness::WeaklyFair,
             CheckOptions::default(),
@@ -565,12 +395,12 @@ mod tests {
         // down — strict prediction and certified radius agree at 1.
         let t = Topology::line(4);
         let st = SpanningTree::with_byzantine(&t, 0, &[3]);
-        assert_eq!(st.predicted_radius(), 1);
+        assert_eq!(st.model().predicted_radius(), 1);
         let space = StateSpace::enumerate(st.program()).unwrap();
         let verdict = certify_containment(
             &space,
             st.program(),
-            |r| st.containment_goal(r),
+            |r| st.model().containment_goal(r),
             t.diameter(),
             Fairness::WeaklyFair,
             CheckOptions::default(),

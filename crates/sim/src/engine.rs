@@ -735,7 +735,7 @@ mod tests {
     #[test]
     fn byzantine_run_stabilizes_exactly_on_the_safe_region() {
         use nonmask_graph::Topology;
-        use nonmask_protocols::MinPlusOne;
+        use nonmask_protocols::{ContainmentTheory, MinPlusOne};
         // line(6) with the liar at 5: safe set [T,T,T,F,F,F], radius 2.
         let topo = Topology::line(6);
         let proto = MinPlusOne::with_byzantine(&topo, 0, &[5]);
@@ -751,14 +751,14 @@ mod tests {
             },
         )
         .with_byzantine([5], 13);
-        let report = sim.run_until_stable(&proto.safe_goal(), 8);
+        let report = sim.run_until_stable(&proto.model().safe_goal(), 8);
         assert!(
             report.stabilized_at_round.is_some(),
             "safe region converged despite the liar ({} rounds)",
             report.rounds
         );
-        let legit = proto.legit_distances();
-        for (j, safe) in proto.safe_set().iter().enumerate() {
+        let legit = proto.model().legit_distances();
+        for (j, safe) in proto.model().safe_set().iter().enumerate() {
             if *safe {
                 assert_eq!(
                     report.final_state.get(proto.dist_var(j)) as u64,

@@ -15,11 +15,13 @@
 
 use nonmask_checker::{certify_containment, CheckOptions, Fairness, StateSpace};
 use nonmask_conform::{
-    run_net_journaled, run_sim_journaled, ContainmentMap, FaultSchedule, NetRunConfig, SimRunConfig,
+    radii_agree, run_net_journaled, run_sim, run_sim_journaled, ContainmentMap, FaultSchedule,
+    NetRunConfig, SimRunConfig,
 };
 use nonmask_graph::Topology;
 use nonmask_obs::{containment_radius, parse_journal, render_timeline, Journal, Record};
-use nonmask_protocols::MinPlusOne;
+use nonmask_program::{Program, State};
+use nonmask_protocols::{ByzantineModel, ContainmentTheory, MinPlusOne, SpanningTree};
 
 const SEED: u64 = 1;
 const LIE_SEED: u64 = 0xB12A;
@@ -29,20 +31,20 @@ const LIE_SEED: u64 = 0xB12A;
 fn acceptance_instance() -> (MinPlusOne, ContainmentMap) {
     let topo = Topology::random_connected(64, 3, 1);
     let proto = MinPlusOne::with_byzantine(&topo, 0, &[32, 63]);
-    let map = ContainmentMap::bfs(&proto).unwrap();
+    let map = ContainmentMap::new(proto.model()).unwrap();
     (proto, map)
 }
 
 fn sim_records(proto: &MinPlusOne, map: &ContainmentMap, seed: u64) -> Vec<Record> {
     let (journal, buffer) = Journal::memory();
     let cfg = SimRunConfig {
-        byzantine: proto.byzantine().to_vec(),
+        byzantine: proto.model().byzantine().to_vec(),
         byzantine_seed: LIE_SEED,
         ..SimRunConfig::default()
     };
     let outcome = run_sim_journaled(
         proto.program(),
-        &proto.safe_goal(),
+        &proto.model().safe_goal(),
         seed,
         &FaultSchedule::empty(),
         &cfg,
@@ -58,12 +60,18 @@ fn sim_records(proto: &MinPlusOne, map: &ContainmentMap, seed: u64) -> Vec<Recor
 fn net_records(proto: &MinPlusOne, map: &ContainmentMap, seed: u64) -> Vec<Record> {
     let (journal, buffer) = Journal::memory();
     let cfg = NetRunConfig {
-        byzantine: proto.byzantine().to_vec(),
+        byzantine: proto.model().byzantine().to_vec(),
         byzantine_seed: LIE_SEED,
         ..NetRunConfig::default()
     };
-    let outcome = run_net_journaled(proto.program(), &proto.safe_goal(), seed, &cfg, &journal)
-        .expect("net infrastructure");
+    let outcome = run_net_journaled(
+        proto.program(),
+        &proto.model().safe_goal(),
+        seed,
+        &cfg,
+        &journal,
+    )
+    .expect("net infrastructure");
     assert!(outcome.stabilized, "net safe region must stabilize");
     map.emit(&outcome.final_state, "net", seed, &journal);
     journal.flush();
@@ -81,9 +89,10 @@ fn sim_and_net_journals_measure_the_same_radius_on_the_64_node_graph() {
     assert_eq!(sim_radius, net_radius, "layers disagree on the radius");
     assert_eq!(
         sim_radius,
-        proto.predicted_radius(),
+        proto.model().predicted_radius(),
         "measured radius must match the theory"
     );
+    assert!(radii_agree(proto.model(), &[sim_radius, net_radius], None));
 
     // The per-node verdicts agree node for node, not just in the max:
     // the containment suffix of both journals tells the same story.
@@ -112,13 +121,13 @@ fn the_checker_certifies_what_the_layers_observe_on_a_small_instance() {
     // instance (liars mid-graph and at the highest id).
     let topo = Topology::random_connected(6, 2, 1);
     let proto = MinPlusOne::with_byzantine(&topo, 0, &[3, 5]);
-    let map = ContainmentMap::bfs(&proto).unwrap();
+    let map = ContainmentMap::new(proto.model()).unwrap();
 
     let space = StateSpace::enumerate(proto.program()).expect("enumerable");
     let verdict = certify_containment(
         &space,
         proto.program(),
-        |r| proto.containment_goal(r),
+        |r| proto.model().containment_goal(r),
         topo.diameter(),
         Fairness::WeaklyFair,
         CheckOptions::default(),
@@ -132,7 +141,8 @@ fn the_checker_certifies_what_the_layers_observe_on_a_small_instance() {
         certified, observed,
         "checker and observation disagree on the radius"
     );
-    assert_eq!(certified, proto.predicted_radius());
+    assert_eq!(certified, proto.model().predicted_radius());
+    assert!(radii_agree(proto.model(), &[observed], Some(certified)));
 }
 
 #[test]
@@ -205,7 +215,7 @@ fn a_lang_role_annotation_drives_the_byzantine_injector() {
 fn the_timeline_renders_the_containment_story() {
     let topo = Topology::random_connected(6, 2, 1);
     let proto = MinPlusOne::with_byzantine(&topo, 0, &[3, 5]);
-    let map = ContainmentMap::bfs(&proto).unwrap();
+    let map = ContainmentMap::new(proto.model()).unwrap();
     let records = sim_records(&proto, &map, SEED);
     let rendered = render_timeline(&records);
     assert!(
@@ -219,4 +229,104 @@ fn the_timeline_renders_the_containment_story() {
             "unrecognized containment line: {line}"
         );
     }
+}
+
+/// A containment theory wrong about exactly one node: the model's safe
+/// set with node `flipped`'s verdict inverted. Built here as a value;
+/// nothing in the library can produce it.
+struct Planted<'a> {
+    model: &'a ByzantineModel,
+    flipped: usize,
+}
+
+impl ContainmentTheory for Planted<'_> {
+    fn model(&self) -> &ByzantineModel {
+        self.model
+    }
+
+    fn is_safe(&self, v: usize) -> bool {
+        self.model.is_safe(v) != (v == self.flipped)
+    }
+}
+
+/// The checker's certified radius of an enumerable instance.
+fn certified_radius(program: &Program, model: &ByzantineModel) -> u64 {
+    let space = StateSpace::enumerate(program).expect("enumerable");
+    certify_containment(
+        &space,
+        program,
+        |r| model.containment_goal(r),
+        model.topology().diameter(),
+        Fairness::WeaklyFair,
+        CheckOptions::default(),
+    )
+    .expect("containment sweep")
+    .radius
+    .expect("some radius converges")
+}
+
+/// The final state of a sim run against the true safe-region goal.
+fn safe_region_final_state(program: &Program, model: &ByzantineModel) -> State {
+    let cfg = SimRunConfig {
+        byzantine: model.byzantine().to_vec(),
+        byzantine_seed: LIE_SEED,
+        ..SimRunConfig::default()
+    };
+    let outcome = run_sim(
+        program,
+        &model.safe_goal(),
+        SEED,
+        &FaultSchedule::empty(),
+        &cfg,
+    )
+    .expect("sim infrastructure");
+    assert!(outcome.stabilized, "the safe region stabilizes");
+    outcome.final_state
+}
+
+/// Whether the run judged under `theory` passes the agreement rule.
+fn agrees(theory: &impl ContainmentTheory, state: &State, certified: u64) -> bool {
+    let map = ContainmentMap::new(theory).unwrap();
+    let measured = map.emit(state, "sim", SEED, &Journal::disabled());
+    radii_agree(theory, &[measured], Some(certified))
+}
+
+#[test]
+fn a_theory_one_node_off_fails_the_agreement_rule() {
+    // line(6), liar 5: safe set {0, 1, 2}, predicted = certified = 2.
+    let proto = MinPlusOne::with_byzantine(&Topology::line(6), 0, &[5]);
+    let model = proto.model();
+    let certified = certified_radius(proto.program(), model);
+    let state = safe_region_final_state(proto.program(), model);
+    assert!(agrees(model, &state, certified), "the true theory agrees");
+    // Node 3 called safe (one too optimistic) and node 2 called
+    // unsafe (one too pessimistic): the exact rule rejects both.
+    for flipped in [3, 2] {
+        let planted = Planted { model, flipped };
+        assert!(
+            !agrees(&planted, &state, certified),
+            "node {flipped} flipped: predicted {}, certified {certified}",
+            planted.predicted_radius()
+        );
+    }
+}
+
+#[test]
+fn the_spanning_tree_rule_misses_a_pessimistic_theory() {
+    // line(4), liar 3: strict safety keeps {0, 1}; predicted =
+    // certified = 1.
+    let proto = SpanningTree::with_byzantine(&Topology::line(4), 0, &[3]);
+    let model = proto.model();
+    let certified = certified_radius(proto.program(), model);
+    let state = safe_region_final_state(proto.program(), model);
+    assert!(agrees(model, &state, certified), "the true theory agrees");
+    let optimistic = Planted { model, flipped: 2 };
+    assert!(!agrees(&optimistic, &state, certified));
+    // The known gap: node 1 called unsafe raises the predicted and the
+    // measured radius together to 2, and `certified <= measured` still
+    // holds. Only a behavioural verdict, which judges what node 1 did
+    // rather than what the theory says of it, can reject this theory.
+    let pessimistic = Planted { model, flipped: 1 };
+    assert_eq!(pessimistic.predicted_radius(), 2);
+    assert!(agrees(&pessimistic, &state, certified));
 }

@@ -1255,3 +1255,130 @@ fn one_region_pass_matches_the_longest_path_dfs() {
     );
     assert!(longest > 1, "longest converging bound: {longest}");
 }
+
+/// Brute-force containment theory of one instance, from pairwise
+/// `Topology` distances and a BFS from the root through correct nodes
+/// only: `(legit, distance to the nearest liar, safe)` per node, for
+/// the safety comparison `admits(legit, distance)`.
+fn brute_force_theory(
+    t: &nonmask_graph::Topology,
+    liars: &[usize],
+    admits: fn(u64, u64) -> bool,
+) -> Vec<(Option<u64>, u64, bool)> {
+    let n = t.len();
+    let mut legit = vec![None; n];
+    legit[0] = Some(0u64);
+    let mut frontier = vec![0usize];
+    while !frontier.is_empty() {
+        let mut next = Vec::new();
+        for &v in &frontier {
+            for &w in t.neighbors(v) {
+                if legit[w].is_none() && !liars.contains(&w) {
+                    legit[w] = legit[v].map(|l| l + 1);
+                    next.push(w);
+                }
+            }
+        }
+        frontier = next;
+    }
+    (0..n)
+        .map(|v| {
+            let to_liar = liars.iter().map(|&b| t.distance(v, b)).min().unwrap();
+            let safe = matches!(legit[v], Some(l) if admits(l, to_liar));
+            (legit[v], to_liar, safe)
+        })
+        .collect()
+}
+
+/// The state in which every root-reachable correct node holds its
+/// legitimate distance and, when `parents` is given, its lowest-id
+/// legitimate parent; everything else stays at the domain minimum.
+fn all_legitimate_state(
+    program: &Program,
+    t: &nonmask_graph::Topology,
+    theory: &[(Option<u64>, u64, bool)],
+    dist: impl Fn(usize) -> VarId,
+    parents: Option<&dyn Fn(usize) -> VarId>,
+) -> State {
+    let mut state = program.min_state();
+    for (v, &(legit, _, _)) in theory.iter().enumerate() {
+        let Some(l) = legit else { continue };
+        state.set(dist(v), l as i64);
+        if let Some(parent) = parents {
+            let p = if v == 0 {
+                0
+            } else {
+                *t.neighbors(v)
+                    .iter()
+                    .filter(|&&k| theory[k].0 == Some(l - 1))
+                    .min()
+                    .unwrap()
+            };
+            state.set(parent(v), p as i64);
+        }
+    }
+    state
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The shared Byzantine containment model against a brute-force
+    /// theory on random connected topologies, for both protocols: the
+    /// safe set and predicted radius match, and on the all-legitimate
+    /// state every containment goal and the safe goal hold while the
+    /// containment map measures exactly the predicted radius.
+    #[test]
+    fn byzantine_model_matches_brute_force_on_random_topologies(
+        n in 4usize..=16,
+        extra in 2usize..=3,
+        seed in 0u64..1_000_000,
+        picks in proptest::collection::vec(0usize..1_000, 1..=3),
+    ) {
+        use nonmask_conform::ContainmentMap;
+        use nonmask_graph::Topology;
+        use nonmask_protocols::{ByzantineModel, ContainmentTheory, MinPlusOne, SpanningTree};
+
+        let t = Topology::random_connected(n, extra, seed);
+        let mut liars: Vec<usize> = picks.iter().map(|p| 1 + p % (n - 1)).collect();
+        liars.sort_unstable();
+        liars.dedup();
+
+        let check = |program: &Program,
+                     model: &ByzantineModel,
+                     theory: &[(Option<u64>, u64, bool)],
+                     state: &State|
+         -> Result<(), TestCaseError> {
+            let safe: Vec<bool> = theory.iter().map(|&(_, _, s)| s).collect();
+            prop_assert_eq!(model.safe_set(), safe);
+            let radius = theory
+                .iter()
+                .enumerate()
+                .filter(|&(v, &(_, _, s))| !liars.contains(&v) && !s)
+                .map(|(_, &(_, d, _))| d)
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(model.predicted_radius(), radius);
+            program.validate_state(state).unwrap();
+            for r in 0..=n as u64 {
+                prop_assert!(model.containment_goal(r).holds(state), "radius {}", r);
+            }
+            prop_assert!(model.safe_goal().holds(state));
+            let map = ContainmentMap::new(model).unwrap();
+            prop_assert_eq!(map.emit(state, "sim", seed, &Journal::disabled()), radius);
+            Ok(())
+        };
+
+        let bfs = MinPlusOne::with_byzantine(&t, 0, &liars);
+        let theory = brute_force_theory(&t, &liars, |l, d| l <= d);
+        let state = all_legitimate_state(bfs.program(), &t, &theory, |v| bfs.dist_var(v), None);
+        check(bfs.program(), bfs.model(), &theory, &state)?;
+
+        let tree = SpanningTree::with_byzantine(&t, 0, &liars);
+        let theory = brute_force_theory(&t, &liars, |l, d| l < d);
+        let parent = |v| tree.parent_var(v);
+        let state =
+            all_legitimate_state(tree.program(), &t, &theory, |v| tree.dist_var(v), Some(&parent));
+        check(tree.program(), tree.model(), &theory, &state)?;
+    }
+}

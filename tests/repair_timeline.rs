@@ -15,7 +15,7 @@ use nonmask_graph::Topology;
 use nonmask_obs::{containment_radius, parse_journal, render_timeline, repair_order, Journal};
 use nonmask_program::{Predicate, State};
 use nonmask_protocols::token_ring::TokenRing;
-use nonmask_protocols::MinPlusOne;
+use nonmask_protocols::{ContainmentTheory, MinPlusOne};
 
 #[test]
 fn journaled_repair_timeline_matches_independent_replay() {
@@ -113,17 +113,17 @@ fn containment_timeline_pins_the_measured_radius() {
     // line(6), root 0, liar at 5: safe set [T,T,T,F,F] ⇒ predicted
     // radius 2, with nodes 3 and 4 unstable.
     let proto = MinPlusOne::with_byzantine(&Topology::line(6), 0, &[5]);
-    let map = ContainmentMap::bfs(&proto).unwrap();
+    let map = ContainmentMap::new(proto.model()).unwrap();
 
     let (journal, buffer) = Journal::memory();
     let cfg = SimRunConfig {
-        byzantine: proto.byzantine().to_vec(),
+        byzantine: proto.model().byzantine().to_vec(),
         byzantine_seed: 0xB12A,
         ..SimRunConfig::default()
     };
     let outcome = run_sim_journaled(
         proto.program(),
-        &proto.safe_goal(),
+        &proto.model().safe_goal(),
         3,
         &FaultSchedule::empty(),
         &cfg,
