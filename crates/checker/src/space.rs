@@ -440,8 +440,8 @@ impl SpaceIndex {
         self.radix.escaping_var(state)
     }
 
-    /// Variable `v`'s domain minimum.
-    pub(crate) fn min(&self, v: usize) -> i64 {
+    /// Variable `v`'s domain minimum: the value of its digit 0.
+    pub fn min(&self, v: usize) -> i64 {
         self.radix.mins[v]
     }
 
@@ -450,8 +450,9 @@ impl SpaceIndex {
         self.radix.sizes[v] as usize
     }
 
-    /// Variable `v`'s stride: the id distance of one step of its value.
-    pub(crate) fn stride(&self, v: usize) -> usize {
+    /// Variable `v`'s stride: the id distance of one step of its value,
+    /// so an id is `Σ_v (value_v − min_v) · stride_v`.
+    pub fn stride(&self, v: usize) -> usize {
         self.radix.strides[v] as usize
     }
 

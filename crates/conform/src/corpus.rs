@@ -139,8 +139,26 @@ impl CorpusReport {
             .sum()
     }
 
-    /// Render a human-readable summary.
+    /// Render a human-readable summary: each protocol's header, then its
+    /// sim runs' totals and its net runs' totals on separate lines, then
+    /// one total line per layer.
+    ///
+    /// Sim runs are seeded and step-deterministic, so the sim lines are
+    /// bit-identical from run to run ([`render_layer`]`("sim")` is
+    /// diffable); net runs race real sockets, so their lines vary.
+    ///
+    /// [`render_layer`]: CorpusReport::render_layer
     pub fn render(&self) -> String {
+        self.render_layers(&LAYERS)
+    }
+
+    /// [`render`](CorpusReport::render) restricted to the runs of one
+    /// layer (`"sim"` or `"net"`).
+    pub fn render_layer(&self, layer: &str) -> String {
+        self.render_layers(&[layer])
+    }
+
+    fn render_layers(&self, layers: &[&str]) -> String {
         let mut out = String::new();
         for protocol in &self.protocols {
             let bound = match protocol.bound {
@@ -151,48 +169,65 @@ impl CorpusReport {
                 "{}: {} states, worst-case bound {bound}\n",
                 protocol.name, protocol.states
             ));
-            let (mut sim, mut net, mut repairs, mut steps) = (0usize, 0usize, 0u64, 0u64);
-            let mut worst: Option<(u64, u64)> = None;
-            for run in &protocol.runs {
-                match run.layer {
-                    "sim" => sim += 1,
-                    _ => net += 1,
+            for &layer in layers {
+                let runs: Vec<&RunRecord> =
+                    protocol.runs.iter().filter(|r| r.layer == layer).collect();
+                if runs.is_empty() {
+                    continue;
                 }
-                repairs += run.report.repairs_observed;
-                steps += run.report.steps_checked;
-                if let Some(observed) = run.report.observed {
-                    if worst.is_none_or(|(o, _)| observed > o) {
-                        worst = Some((observed, run.seed));
+                let steps: u64 = runs.iter().map(|r| r.report.steps_checked).sum();
+                let repairs: u64 = runs.iter().map(|r| r.report.repairs_observed).sum();
+                out.push_str(&format!(
+                    "  {layer}: {} runs, {steps} steps validated, {repairs} designated repairs observed\n",
+                    runs.len()
+                ));
+                let mut worst: Option<(u64, u64)> = None;
+                for run in &runs {
+                    if let Some(observed) = run.report.observed {
+                        if worst.is_none_or(|(o, _)| observed > o) {
+                            worst = Some((observed, run.seed));
+                        }
+                    }
+                }
+                if let Some((observed, seed)) = worst {
+                    out.push_str(&format!(
+                        "  {layer}: worst observed convergence: {observed} steps (seed {seed})\n"
+                    ));
+                }
+                for run in runs.iter().filter(|r| !r.report.conforms()) {
+                    out.push_str(&format!(
+                        "  DIVERGES [{} {} seed {}]:\n",
+                        run.layer, run.variant, run.seed
+                    ));
+                    for d in &run.report.divergences {
+                        out.push_str(&format!("    {d}\n"));
                     }
                 }
             }
-            out.push_str(&format!(
-                "  {sim} sim + {net} net runs, {steps} steps validated, {repairs} designated repairs observed\n"
-            ));
-            if let Some((observed, seed)) = worst {
-                out.push_str(&format!(
-                    "  worst observed convergence: {observed} steps (seed {seed})\n"
-                ));
-            }
-            for run in protocol.divergent() {
-                out.push_str(&format!(
-                    "  DIVERGES [{} {} seed {}]:\n",
-                    run.layer, run.variant, run.seed
-                ));
-                for d in &run.report.divergences {
-                    out.push_str(&format!("    {d}\n"));
-                }
-            }
         }
-        out.push_str(&format!(
-            "total: {} runs, {} steps validated, {} divergent\n",
-            self.total_runs(),
-            self.steps_checked(),
-            self.divergent_runs()
-        ));
+        for &layer in layers {
+            let runs: Vec<&RunRecord> = self
+                .protocols
+                .iter()
+                .flat_map(|p| &p.runs)
+                .filter(|r| r.layer == layer)
+                .collect();
+            if runs.is_empty() {
+                continue;
+            }
+            out.push_str(&format!(
+                "total {layer}: {} runs, {} steps validated, {} divergent\n",
+                runs.len(),
+                runs.iter().map(|r| r.report.steps_checked).sum::<u64>(),
+                runs.iter().filter(|r| !r.report.conforms()).count()
+            ));
+        }
         out
     }
 }
+
+/// The execution layers a corpus runs, in report order.
+const LAYERS: [&str; 2] = ["sim", "net"];
 
 /// The default corpus protocols: the worked designs of the paper that
 /// both execution layers can refine.

@@ -77,3 +77,31 @@ fn net_layer_conforms_on_a_reliable_run() {
     // measured, not skipped.
     assert!(report.observed.is_some());
 }
+
+#[test]
+fn the_sim_half_of_the_report_is_bit_identical_across_runs() {
+    // Net runs race real sockets, so their step counts vary from run to
+    // run; the report keeps them on their own lines, and the sim half of
+    // two runs of one fixed-seed corpus must render identically.
+    let specs = [ProtocolSpec::token_ring(3, 3), ProtocolSpec::diffusing(7)];
+    let config = CorpusConfig {
+        base_seed: 7,
+        sim_runs: 6,
+        net_runs: 2,
+        sim_only: false,
+    };
+    let run = || run_corpus(&specs, &config, &Journal::disabled()).expect("corpus infrastructure");
+    let (first, second) = (run(), run());
+    let sim = first.render_layer("sim");
+    assert_eq!(sim, second.render_layer("sim"));
+    assert!(sim.contains("  sim: 6 runs, "), "{sim}");
+    assert!(sim.contains("total sim: 12 runs, "), "{sim}");
+    assert!(
+        !sim.contains("net"),
+        "net totals leaked into the sim half:\n{sim}"
+    );
+
+    let full = first.render();
+    assert!(full.contains("  net: 2 runs, "), "{full}");
+    assert!(full.contains("total net: 4 runs, "), "{full}");
+}

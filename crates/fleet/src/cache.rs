@@ -13,9 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use nonmask_checker::{check_convergence, CheckOptions, StateSpace};
-use nonmask_program::{ActionId, Predicate, Program};
+use nonmask_program::{Predicate, Program};
 
 use crate::config::FleetProtocol;
+use crate::rows::Rows;
 use crate::FleetError;
 
 /// The cached checker verdict of one configuration.
@@ -31,15 +32,15 @@ pub struct Verdict {
 }
 
 /// The shared immutable runtime of one configuration: program, goal, the
-/// action list every tenant's round-robin daemon walks, and the lazily
-/// computed [`Verdict`].
+/// lazily computed [`Verdict`] with the state space it was computed over,
+/// and the rows tenants step on, laid out from that space on first demand.
 #[derive(Debug)]
 pub struct ConfigRuntime {
     key: String,
     program: Program,
     goal: Predicate,
-    actions: Vec<ActionId>,
-    verdict: OnceLock<Result<Verdict, String>>,
+    verdict: OnceLock<Result<(Verdict, StateSpace), String>>,
+    rows: OnceLock<Result<Rows, FleetError>>,
 }
 
 impl ConfigRuntime {
@@ -47,10 +48,10 @@ impl ConfigRuntime {
         let (program, goal) = protocol.build();
         ConfigRuntime {
             key: protocol.key(),
-            actions: program.action_ids().collect(),
             program,
             goal,
             verdict: OnceLock::new(),
+            rows: OnceLock::new(),
         }
     }
 
@@ -67,11 +68,6 @@ impl ConfigRuntime {
     /// The goal predicate (the protocol's invariant).
     pub fn goal(&self) -> &Predicate {
         &self.goal
-    }
-
-    /// Every action id of the program, in declaration order.
-    pub(crate) fn actions(&self) -> &[ActionId] {
-        &self.actions
     }
 }
 
@@ -154,6 +150,12 @@ impl VerdictCache {
     /// fails; the error is cached, so every tenant of a broken
     /// configuration sees the same failure.
     pub fn verdict(&self, idx: usize) -> Result<&Verdict, FleetError> {
+        self.checked(idx).map(|(verdict, _)| verdict)
+    }
+
+    /// The verdict of configuration `idx` and the space it was computed
+    /// over.
+    fn checked(&self, idx: usize) -> Result<&(Verdict, StateSpace), FleetError> {
         let rt = &self.runtimes[idx];
         let computed = rt.verdict.get_or_init(|| {
             self.enumerations.fetch_add(1, Ordering::Relaxed);
@@ -163,12 +165,39 @@ impl VerdictCache {
             let all = Predicate::always_true();
             let report = check_convergence(&space, &rt.program, &all, &rt.goal, opts)
                 .map_err(|e| format!("{}: bound failed: {e}", rt.key))?;
-            Ok(Verdict {
+            let verdict = Verdict {
                 states: space.len() as u64,
                 bound: report.worst_case_moves,
-            })
+            };
+            Ok((verdict, space))
         });
         computed.as_ref().map_err(|e| FleetError::Check(e.clone()))
+    }
+
+    /// The rows tenants of configuration `idx` step on, laid out from its
+    /// verdict's space on first demand (computing the verdict first if
+    /// need be). [`verdict`](VerdictCache::verdict) alone never lays them
+    /// out, so a caller that only wants verdicts pays nothing for them.
+    ///
+    /// # Errors
+    ///
+    /// The verdict's [`FleetError::Check`], or the rows': more actions
+    /// than a guard mask holds, or rows over the memory budget.
+    pub(crate) fn rows(&self, idx: usize) -> Result<&Rows, FleetError> {
+        let (_, space) = self.checked(idx)?;
+        let rt = &self.runtimes[idx];
+        rt.rows
+            .get_or_init(|| {
+                Rows::build(
+                    &rt.key,
+                    space,
+                    &rt.program,
+                    &rt.goal,
+                    CheckOptions::serial(),
+                )
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Enumerations actually performed so far (the cache's miss count).

@@ -16,6 +16,12 @@
 //! regime the checker's `worst_case_moves` bound quantifies, making the
 //! fleet's empirical latencies directly comparable to the certified bound.
 //!
+//! Ticks run on the tenant's state id over its configuration's
+//! [`Rows`], laid out from the very space the bound was computed over:
+//! the goal is a bit test, the daemon picks from the state's guard mask,
+//! an action is its successor id, and a fault moves the id by one
+//! variable's stride. No guard, effect or goal closure runs in the loop.
+//!
 //! This is the engine that tests observed convergence against the
 //! certified bound at population scale (10^6 and more tenants); no other
 //! engine runs enough independent executions to.
@@ -24,19 +30,21 @@ use std::time::Instant;
 
 use nonmask_obs::{CounterSet, Counters, Journal};
 use nonmask_program::scheduler::RoundRobin;
-use nonmask_program::{Scheduler, State, VarId};
+use nonmask_program::Program;
 use rand::{split_seed, Rng, SplitMix64};
 
 use crate::cache::VerdictCache;
 use crate::config::FleetConfig;
 use crate::hist::LatencyHistogram;
 use crate::report::{ConfigReport, FleetReport};
+use crate::rows::Rows;
 use crate::FleetError;
 
 /// Ticks granted to one tenant per sweep visit: long enough to amortize
-/// the arena⇄scratch copies, short enough that a slab's tenants advance
-/// together (cache-friendly interleaving). Any value yields identical
-/// results — per-tenant execution is sequential either way.
+/// encoding the arena slots to an id and decoding them back, short enough
+/// that a slab's tenants advance together (cache-friendly interleaving).
+/// Any value yields identical results — per-tenant execution is
+/// sequential either way.
 const TICKS_PER_SWEEP: u32 = 64;
 
 const RUNNING: u8 = 0;
@@ -54,7 +62,8 @@ struct TenantMeta {
     episode_steps: u32,
     /// Steps of the final episode (set when the tenant stabilizes).
     latency: u32,
-    /// The tenant's daemon: a position in the program's action list.
+    /// The tenant's daemon: a position in the program's action list,
+    /// picking from each state's guard mask.
     daemon: RoundRobin,
     faults_left: u16,
     status: u8,
@@ -90,27 +99,28 @@ struct SlabOutcome {
     configs: Vec<ConfigAgg>,
 }
 
-/// Run one tenant for up to `TICKS_PER_SWEEP` ticks on the scratch state.
+/// Run one tenant for up to `TICKS_PER_SWEEP` ticks on its state id,
+/// reading `slots` once and writing them back once.
 /// Returns `(ticks, steps, faults)` consumed.
 fn burst(
     meta: &mut TenantMeta,
-    state: &mut State,
-    rt: &crate::cache::ConfigRuntime,
+    slots: &mut [i64],
+    program: &Program,
+    rows: &Rows,
     max_steps: u32,
 ) -> (u64, u64, u64) {
-    let program = rt.program();
-    let goal = rt.goal();
+    let mut id = rows.encode(slots);
     let (mut ticks, mut steps, mut faults) = (0u64, 0u64, 0u64);
     for _ in 0..TICKS_PER_SWEEP {
         ticks += 1;
-        if goal.holds(state) {
+        if rows.goal(id) {
             if meta.faults_left > 0 {
                 // Transient fault: corrupt one variable, then converge again.
                 meta.faults_left -= 1;
                 faults += 1;
                 let var = meta.rng.gen_range(0..program.var_count());
                 let value = program.vars()[var].domain().sample(&mut meta.rng);
-                state.set(VarId::from_index(var), value);
+                id = rows.with_value(id, var, value);
                 meta.episode_steps = 0;
             } else {
                 meta.status = STABILIZED;
@@ -120,8 +130,8 @@ fn burst(
         } else if meta.episode_steps >= max_steps {
             meta.status = EXHAUSTED;
             break;
-        } else if let Some(action) = meta.daemon.select(program, rt.actions(), state) {
-            program.action(action).apply(state);
+        } else if let Some(action) = meta.daemon.select_mask(rows.guards(id)) {
+            id = rows.succ(id, action);
             meta.episode_steps += 1;
             steps += 1;
         } else {
@@ -132,6 +142,7 @@ fn burst(
             break;
         }
     }
+    rows.decode(id, slots);
     (ticks, steps, faults)
 }
 
@@ -149,20 +160,19 @@ fn process_slab(
 
     let mut arena = vec![0i64; n * stride];
     let mut metas: Vec<TenantMeta> = Vec::with_capacity(n);
-    let mut scratch: Vec<State> = (0..cache.len())
-        .map(|i| State::zeroed(cache.runtime(i).program().var_count()))
-        .collect();
+    let mut rows: Vec<Option<&Rows>> = vec![None; cache.len()];
     let mut agg = vec![ConfigAgg::default(); cache.len()];
     let mut hist = LatencyHistogram::new();
     let (mut ticks, mut steps, mut faults) = (0u64, 0u64, 0u64);
 
     // Init pass: one verdict lookup per tenant (the first of each
-    // configuration anywhere in the fleet pays the enumeration), then a
-    // uniformly random initial state drawn from the tenant's own stream.
+    // configuration anywhere in the fleet pays the enumeration and lays
+    // out the rows), then a uniformly random initial state drawn from the
+    // tenant's own stream.
     for t in 0..n {
         let tenant_id = lo + t as u64;
         let cfg_idx = (tenant_id % ncfg) as usize;
-        cache.verdict(cfg_idx)?;
+        rows[cfg_idx] = Some(cache.rows(cfg_idx)?);
         let program = cache.runtime(cfg_idx).program();
         let mut rng = SplitMix64(split_seed(config.master_seed, tenant_id));
         let slots = &mut arena[t * stride..t * stride + program.var_count()];
@@ -180,9 +190,9 @@ fn process_slab(
         agg[cfg_idx].tenants += 1;
     }
 
-    // Sweep until every tenant has retired. Each visit loads the tenant
-    // into the per-config scratch state, bursts up to TICKS_PER_SWEEP
-    // ticks, and stores it back — no allocation anywhere in the loop.
+    // Sweep until every tenant has retired. Each visit bursts the tenant
+    // up to TICKS_PER_SWEEP ticks on its configuration's rows — no
+    // allocation anywhere in the loop.
     let mut live = n;
     while live > 0 {
         for t in 0..n {
@@ -191,19 +201,17 @@ fn process_slab(
             }
             let tenant_id = lo + t as u64;
             let cfg_idx = (tenant_id % ncfg) as usize;
-            let rt = cache.runtime(cfg_idx);
-            let var_count = rt.program().var_count();
-            let state = &mut scratch[cfg_idx];
-            state.copy_from_slots(&arena[t * stride..t * stride + var_count]);
+            let program = cache.runtime(cfg_idx).program();
+            let config_rows = rows[cfg_idx].expect("laid out in the init pass");
+            let slots = &mut arena[t * stride..t * stride + program.var_count()];
 
             let meta = &mut metas[t];
-            let (dt, ds, df) = burst(meta, state, rt, config.max_steps);
+            let (dt, ds, df) = burst(meta, slots, program, config_rows, config.max_steps);
             ticks += dt;
             faults += df;
             steps += ds;
             agg[cfg_idx].steps += ds;
 
-            arena[t * stride..t * stride + var_count].copy_from_slice(state.slots());
             if meta.status != RUNNING {
                 live -= 1;
                 let a = &mut agg[cfg_idx];
@@ -247,7 +255,9 @@ fn process_slab(
 /// # Errors
 ///
 /// [`FleetError::Config`] for an invalid configuration,
-/// [`FleetError::Check`] when a verdict enumeration fails, and
+/// [`FleetError::Check`] when a verdict enumeration fails or a
+/// configuration's rows cannot be laid out (more than 64 actions, a domain
+/// of more than 256 values, or rows over the checker's memory budget), and
 /// [`FleetError::Worker`] when a worker panics.
 pub fn run_fleet(config: &FleetConfig, journal: &Journal) -> Result<FleetReport, FleetError> {
     if config.tenants == 0 {

@@ -1,10 +1,12 @@
 //! Stabilization-latency histogram.
 //!
 //! Latencies (steps of a tenant's final convergence episode) are small
-//! integers bounded by the checker's worst-case bound, so a flat
-//! fixed-size bucket array suffices: exact counts, O(1) record, and a
-//! merge that is associative and commutative — per-slab histograms can
-//! be reduced in any grouping without changing percentiles.
+//! integers bounded by the checker's worst-case bound, so a flat bucket
+//! array suffices: exact counts, amortized O(1) record, and a merge that
+//! is associative and commutative — per-slab histograms can be reduced
+//! in any grouping without changing percentiles. The array grows to the
+//! largest latency recorded, so a fleet's thousands of per-slab
+//! histograms each hold a few dozen buckets until they are merged.
 
 /// Latencies tracked exactly; anything larger lands in the overflow
 /// bucket (never hit in practice — checker bounds for fleet-sized
@@ -12,12 +14,23 @@
 const MAX_TRACKED: usize = 4096;
 
 /// Exact histogram of stabilization latencies (in steps).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Eq)]
 pub struct LatencyHistogram {
-    counts: Box<[u64]>,
+    /// Bucket `l` counts latency `l`; as long as the largest latency
+    /// recorded below [`MAX_TRACKED`].
+    counts: Vec<u64>,
     overflow: u64,
     total: u64,
     max: u64,
+}
+
+/// Two histograms are equal when they hold the same observations: the
+/// same nonzero buckets, whatever length each array grew to.
+impl PartialEq for LatencyHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.nonzero().eq(other.nonzero())
+            && (self.overflow, self.total, self.max) == (other.overflow, other.total, other.max)
+    }
 }
 
 impl Default for LatencyHistogram {
@@ -30,7 +43,7 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; MAX_TRACKED].into_boxed_slice(),
+            counts: Vec::new(),
             overflow: 0,
             total: 0,
             max: 0,
@@ -39,9 +52,14 @@ impl LatencyHistogram {
 
     /// Record one latency observation.
     pub fn record(&mut self, latency: u64) {
-        match self.counts.get_mut(latency as usize) {
-            Some(bucket) => *bucket += 1,
-            None => self.overflow += 1,
+        if latency < MAX_TRACKED as u64 {
+            let l = latency as usize;
+            if l >= self.counts.len() {
+                self.counts.resize(l + 1, 0);
+            }
+            self.counts[l] += 1;
+        } else {
+            self.overflow += 1;
         }
         self.total += 1;
         self.max = self.max.max(latency);
@@ -65,6 +83,9 @@ impl LatencyHistogram {
     /// Bucket-wise sum of `other` into `self`. Associative and
     /// commutative, so per-slab histograms reduce in any order.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += *theirs;
         }
@@ -158,6 +179,33 @@ mod tests {
         let mut right = a.clone();
         right.merge(&bc);
         assert_eq!(left, right);
+    }
+
+    #[test]
+    fn buckets_grow_to_the_largest_latency() {
+        let mut h = LatencyHistogram::new();
+        assert!(h.counts.is_empty(), "no buckets before the first record");
+        h.record(5);
+        h.record(2);
+        assert_eq!(h.counts.len(), 6);
+        h.record(MAX_TRACKED as u64);
+        assert_eq!(h.counts.len(), 6, "overflow adds no bucket");
+        let mut wide = from(&[40]);
+        wide.merge(&h);
+        assert_eq!(wide.counts.len(), 41, "merge extends to the longer array");
+        assert_eq!(
+            wide.nonzero().collect::<Vec<_>>(),
+            [(2, 1), (5, 1), (40, 1)]
+        );
+    }
+
+    #[test]
+    fn equality_ignores_trailing_empty_buckets() {
+        let short = from(&[1, 3]);
+        let mut long = short.clone();
+        long.counts.resize(100, 0);
+        assert_eq!(short, long);
+        assert_ne!(short, from(&[1, 4]));
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //!   the [`VerdictCache`]. Empirical stabilization latencies are then
 //!   compared against the certified bound — the fleet is a
 //!   million-sample experimental check of the checker.
+//! - **Steps over the checker's rows.** Each configuration keeps the
+//!   space its verdict was computed over and, on its first burst, lays it
+//!   out as dense rows: a guard mask, a successor id per action, the goal
+//!   bit and the variable digits per state. A tenant step is a transition
+//!   the checker enumerated, taken on a state id; no guard, effect or
+//!   goal closure runs per step.
 //! - **Determinism.** Per-tenant fault streams are split from one master
 //!   seed with [`rand::split_seed`]; a tenant's trajectory is a pure
 //!   function of the fleet configuration and its tenant id. Counters and
@@ -49,6 +55,7 @@ mod config;
 mod engine;
 mod hist;
 mod report;
+mod rows;
 
 pub use cache::{ConfigRuntime, Verdict, VerdictCache};
 pub use config::{FleetConfig, FleetProtocol};
@@ -61,7 +68,8 @@ pub use report::{ConfigReport, FleetReport};
 pub enum FleetError {
     /// The fleet configuration is invalid.
     Config(String),
-    /// A checker enumeration or bound computation failed.
+    /// A checker enumeration or bound computation failed, or a
+    /// configuration's rows could not be laid out.
     Check(String),
     /// A worker thread panicked.
     Worker(String),

@@ -50,17 +50,54 @@ impl RoundRobin {
     pub fn new() -> Self {
         RoundRobin { position: 0 }
     }
+
+    /// The pick of [`select`](Scheduler::select) from a guard mask instead
+    /// of guards: bit `i` of `mask` is set iff entry `i` of the offered
+    /// list (at most 64 entries) is enabled. Returns that entry's index.
+    ///
+    /// ```
+    /// use nonmask_program::scheduler::RoundRobin;
+    ///
+    /// let mut daemon = RoundRobin::new();
+    /// assert_eq!(daemon.select_mask(0b0110), Some(1));
+    /// assert_eq!(daemon.select_mask(0b0110), Some(2));
+    /// assert_eq!(daemon.select_mask(0b0110), Some(1), "wraps");
+    /// assert_eq!(daemon.select_mask(0), None);
+    /// ```
+    #[inline]
+    pub fn select_mask(&mut self, mask: u64) -> Option<usize> {
+        self.rotate(64, |range| {
+            let above = u64::MAX.checked_shl(range.start as u32).unwrap_or(0);
+            let below = u64::MAX.checked_shr(64 - range.end as u32).unwrap_or(0);
+            let bits = mask & above & below;
+            (bits != 0).then(|| bits.trailing_zeros() as usize)
+        })
+    }
+
+    /// The one cursor rule of both picks: the first enabled index at or
+    /// after the position, else the first before it (wrapping); the
+    /// position then moves past it. `first_in(range)` is the first
+    /// enabled index of `range`, a subrange of `0..len`.
+    #[inline]
+    fn rotate(
+        &mut self,
+        len: usize,
+        mut first_in: impl FnMut(std::ops::Range<usize>) -> Option<usize>,
+    ) -> Option<usize> {
+        let start = (self.position as usize).min(len);
+        let i = first_in(start..len).or_else(|| first_in(0..start))?;
+        self.position = i as u32 + 1;
+        Some(i)
+    }
 }
 
 impl Scheduler for RoundRobin {
     fn select(&mut self, p: &Program, actions: &[ActionId], state: &State) -> Option<ActionId> {
         let enabled = |a: &ActionId| p.action(*a).enabled(state);
-        let start = (self.position as usize).min(actions.len());
-        let i = match actions[start..].iter().position(enabled) {
-            Some(i) => start + i,
-            None => actions[..start].iter().position(enabled)?,
-        };
-        self.position = i as u32 + 1;
+        let i = self.rotate(actions.len(), |range| {
+            let start = range.start;
+            actions[range].iter().position(enabled).map(|i| start + i)
+        })?;
         Some(actions[i])
     }
 
@@ -276,6 +313,38 @@ mod tests {
         assert_eq!(s.select(&p, &offered, &every), Some(a(1)));
         assert_eq!(s.select(&p, &offered, &every), Some(a(3)));
         assert_eq!(s.select(&p, &[], &every), None);
+    }
+
+    #[test]
+    fn mask_picks_equal_guard_picks() {
+        // Six actions over one `mask` variable, action `i` enabled iff bit
+        // `i` is set: `select_mask` on the mask must pick what `select`
+        // picks on the state, from any cursor, and leave the same cursor.
+        let mut b = Program::builder("masked6");
+        let mask = b.var("mask", Domain::range(0, 63));
+        for i in 0..6 {
+            b.closure_action(
+                format!("a{i}"),
+                [mask],
+                [mask],
+                move |s| s.get(mask) >> i & 1 == 1,
+                |_| {},
+            );
+        }
+        let p = b.build();
+        let all: Vec<ActionId> = p.action_ids().collect();
+        let mut rng = StdRng::seed_from_u64(30);
+        for _ in 0..2_000 {
+            let position = rng.gen_range(0..=8u32);
+            let (mut by_guards, mut by_mask) = (RoundRobin { position }, RoundRobin { position });
+            for _ in 0..4 {
+                let m = rng.gen_range(0..64i64);
+                let picked = by_guards.select(&p, &all, &p.state_from([m]).unwrap());
+                let masked = by_mask.select_mask(m as u64).map(ActionId::from_index);
+                assert_eq!(masked, picked, "mask {m:06b} from position {position}");
+                assert_eq!(by_mask.position, by_guards.position);
+            }
+        }
     }
 
     #[test]

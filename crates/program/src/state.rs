@@ -88,21 +88,6 @@ impl State {
         self.slots.copy_from_slice(&other.slots);
     }
 
-    /// Overwrite every slot of `self` from a raw slot slice, reusing
-    /// `self`'s buffer. The flat-arena counterpart of
-    /// [`copy_from`](State::copy_from): multi-instance engines that pack
-    /// many states into one contiguous `[i64]` arena use this to load an
-    /// instance into a scratch `State` (and [`slots`](State::slots) to
-    /// store it back) without touching the allocator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots.len()` differs from the state's length.
-    #[inline]
-    pub fn copy_from_slots(&mut self, slots: &[i64]) {
-        self.slots.copy_from_slice(slots);
-    }
-
     /// View of all slots in declaration order.
     pub fn slots(&self) -> &[i64] {
         &self.slots
@@ -224,23 +209,6 @@ mod tests {
         let src = State::zeroed(2);
         let mut dst = State::zeroed(3);
         dst.copy_from(&src);
-    }
-
-    #[test]
-    fn copy_from_slots_roundtrips_through_an_arena() {
-        let arena: Vec<i64> = vec![4, -1, 9, 0, 2, 7];
-        let mut scratch = State::zeroed(3);
-        scratch.copy_from_slots(&arena[3..6]);
-        assert_eq!(scratch, State::new(vec![0, 2, 7]));
-        scratch.copy_from_slots(&arena[0..3]);
-        assert_eq!(scratch.slots(), &[4, -1, 9]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn copy_from_slots_mismatched_lengths_panics() {
-        let mut dst = State::zeroed(3);
-        dst.copy_from_slots(&[1, 2]);
     }
 
     #[test]
