@@ -20,8 +20,14 @@
 //! witness as a per-constraint repair timeline; `trace` replays any
 //! journal as human-readable text (and fails on schema drift, which is
 //! what the CI gate leans on).
+//!
+//! Every subcommand parses its flags into an `Args` and runs to a
+//! `Result<ExitCode, String>`; `main` is the one place that turns a bad
+//! command line or a failed run into an `error:` line and exit code 1.
 
+use std::num::ParseIntError;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use nonmask_checker::{
@@ -102,6 +108,8 @@ options:
   --dup P           frame duplication probability  (default loss/4)
   --delay P         frame delay probability        (default loss/2)
   --seed S          RNG seed (faults, initial and restart states)  (default 1)
+                    (every seed flag, --topo-seed included, reads decimal
+                    or 0x-prefixed hex)
   --crash NODE      crash-restart NODE into an arbitrary state mid-run
   --down-ms MS      crash downtime                 (default 50)
   --timeout-ms MS   abort threshold                (default 30000)
@@ -122,6 +130,87 @@ where
 {
     let raw = argv.next().ok_or_else(|| format!("{name} needs a value"))?;
     raw.parse().map_err(|e| format!("{name}: {e}"))
+}
+
+/// A seed flag's value: decimal, or hexadecimal after `0x`, so the hex
+/// seeds quoted for fleet populations can be pasted as they are.
+struct Seed(u64);
+
+impl FromStr for Seed {
+    type Err = ParseIntError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16).map(Seed),
+            None => s.parse().map(Seed),
+        }
+    }
+}
+
+/// A journal writing to `path`, or a disabled one when there is none.
+fn open_journal(path: Option<&str>) -> Result<Journal, String> {
+    match path {
+        Some(path) => Journal::to_file(path).map_err(|e| format!("cannot create {path}: {e}")),
+        None => Ok(Journal::disabled()),
+    }
+}
+
+/// Why a subcommand stopped short of an exit code of its own.
+enum Failure {
+    /// The command line was rejected; the usage text follows the error.
+    Usage(String),
+    /// The run failed.
+    Run(String),
+}
+
+/// Parse the subcommand's flags and run it.
+fn dispatch(argv: &[String]) -> Result<ExitCode, Failure> {
+    let rest = argv.get(1..).unwrap_or_default();
+    let usage = Failure::Usage;
+    let outcome = match argv.first().map(String::as_str) {
+        Some("trace") => {
+            let [path] = rest else {
+                return Err(usage("trace takes exactly one journal path".to_owned()));
+            };
+            trace(path)
+        }
+        Some("conform") => conform::run(&conform::parse(rest).map_err(usage)?),
+        Some("synth") => synth::run(&synth::parse(rest).map_err(usage)?),
+        Some("fleet") => fleet::run(&fleet::parse(rest).map_err(usage)?),
+        Some("byzantine") => byzantine::run(&byzantine::parse(rest).map_err(usage)?),
+        _ => {
+            let args = parse_args(argv).map_err(usage)?;
+            if args.protocol == "check" {
+                check_ring(&args)
+            } else {
+                run_protocol(&args)
+            }
+        }
+    };
+    outcome.map_err(Failure::Run)
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    if argv.iter().any(|a| a == "--list") {
+        println!("token-ring\ndiffusing");
+        return ExitCode::SUCCESS;
+    }
+    match dispatch(&argv) {
+        Ok(code) => code,
+        Err(Failure::Usage(msg)) => {
+            eprintln!("error: {msg}\n\n{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 struct Args {
@@ -167,7 +256,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--corrupt" => args.corrupt = Some(value(&mut argv, "--corrupt")?),
             "--dup" => args.dup = Some(value(&mut argv, "--dup")?),
             "--delay" => args.delay = Some(value(&mut argv, "--delay")?),
-            "--seed" => args.seed = value(&mut argv, "--seed")?,
+            "--seed" => args.seed = value::<Seed>(&mut argv, "--seed")?.0,
             "--crash" => args.crash = Some(value(&mut argv, "--crash")?),
             "--down-ms" => args.down_ms = value(&mut argv, "--down-ms")?,
             "--timeout-ms" => args.timeout_ms = value(&mut argv, "--timeout-ms")?,
@@ -185,19 +274,26 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
+/// The ring's `(nodes, k)` for subcommand `what`: `--k` defaults to
+/// `--nodes`, and both must be at least 2.
+fn ring_size(args: &Args, what: &str) -> Result<(usize, i64), String> {
+    if args.nodes < 2 {
+        return Err(format!("{what} needs --nodes >= 2"));
+    }
+    let k = args.k.unwrap_or(args.nodes as i64);
+    if k < 2 {
+        return Err(format!("{what} needs --k >= 2"));
+    }
+    Ok((args.nodes, k))
+}
+
 /// The protocol's program, goal predicate, and seeded initial state.
 fn build_protocol(args: &Args) -> Result<(Program, Predicate, State), String> {
     let mut rng = StdRng::seed_from_u64(args.seed);
     match args.protocol.as_str() {
         "token-ring" => {
-            if args.nodes < 2 {
-                return Err("token-ring needs --nodes >= 2".to_owned());
-            }
-            let k = args.k.unwrap_or(args.nodes as i64);
-            if k < 2 {
-                return Err("token-ring needs --k >= 2".to_owned());
-            }
-            let ring = TokenRing::new(args.nodes, k);
+            let (n, k) = ring_size(args, "token-ring")?;
+            let ring = TokenRing::new(n, k);
             let initial = ring.program().random_state(&mut rng);
             Ok((ring.program().clone(), ring.invariant(), initial))
         }
@@ -213,68 +309,86 @@ fn build_protocol(args: &Args) -> Result<(Program, Predicate, State), String> {
     }
 }
 
+/// A protocol run: launch the protocol as socket nodes under the
+/// requested faults and report convergence.
+fn run_protocol(args: &Args) -> Result<ExitCode, String> {
+    let (program, goal, initial) = build_protocol(args)?;
+    let faults = FaultConfig {
+        seed: args.seed,
+        drop_rate: args.loss,
+        corrupt_rate: args.corrupt.unwrap_or(args.loss / 4.0),
+        duplicate_rate: args.dup.unwrap_or(args.loss / 4.0),
+        delay_rate: args.delay.unwrap_or(args.loss / 2.0),
+        max_delay_ticks: 8,
+    };
+    let events = match args.crash {
+        Some(node) => vec![NetEvent::CrashRestart {
+            node,
+            at_least: Duration::ZERO,
+            down: Duration::from_millis(args.down_ms),
+        }],
+        None => Vec::new(),
+    };
+    let config = NetConfig {
+        seed: args.seed,
+        faults,
+        timeout: Duration::from_millis(args.timeout_ms),
+        events,
+        journal: open_journal(args.journal.as_deref())?,
+        shards: args.shards,
+        ..NetConfig::default()
+    };
+
+    println!(
+        "launching `{}` as {} socket nodes (loss {:.0}%, seed {})",
+        program.name(),
+        args.nodes,
+        args.loss * 100.0,
+        args.seed
+    );
+    let report = run(&program, &initial, &goal, &config).map_err(|e| e.to_string())?;
+    print!("{}", report.render());
+    if let Some(path) = &args.json {
+        if let Err(e) = std::fs::write(path, report.to_json()) {
+            eprintln!("failed to write {path}: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+        eprintln!("wrote {path}");
+    }
+    if let Some(path) = &args.journal {
+        eprintln!("journal written to {path}");
+    }
+    Ok(if report.converged {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
 /// `trace <journal.jsonl>`: replay a journal as a readable timeline;
 /// any schema drift is a hard failure.
-fn trace_main(argv: &[String]) -> ExitCode {
-    let [path] = argv else {
-        eprintln!("error: trace takes exactly one journal path\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match parse_journal(&text) {
-        Ok(records) => {
-            print!("{}", render_timeline(&records));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn trace(path: &str) -> Result<ExitCode, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let records = parse_journal(&text).map_err(|e| format!("{path}: {e}"))?;
+    print!("{}", render_timeline(&records));
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `check`: model-check the token ring, then journal a witness
 /// computation from a corrupt state as a §4 constraint-repair timeline.
-fn check_main(args: &Args) -> ExitCode {
-    match check_ring(args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn check_ring(args: &Args) -> Result<ExitCode, String> {
-    let n = args.nodes;
-    if n < 2 {
-        return Err("check needs --nodes >= 2".to_owned());
-    }
-    let k = args.k.unwrap_or(n as i64);
-    if k < 2 {
-        return Err("check needs --k >= 2".to_owned());
-    }
+    let (n, k) = ring_size(args, "check")?;
     let ring = TokenRing::new(n, k);
     let program = ring.program();
 
     // Journal to the requested file, or to memory (rendered at the end).
     let (journal, memory) = match &args.journal {
-        Some(path) => (
-            Journal::to_file(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            None,
-        ),
+        Some(path) => (open_journal(Some(path))?, None),
         None => {
             let (journal, buffer) = Journal::memory();
             (journal, Some(buffer))
         }
     };
-
     let opts = CheckOptions::default();
     let space = StateSpace::enumerate_journaled(program, opts, &journal)
         .map_err(|e| format!("enumeration failed: {e}"))?;
@@ -295,16 +409,12 @@ fn check_ring(args: &Args) -> Result<ExitCode, String> {
     });
     let convergence = report.verdict(fairness);
 
-    // §4 constraint decomposition of the ring: c.j ≡ `x.j = x.(j-1)`.
-    // The constraint graph is the ring's chain (c.j reads only c.(j-1)'s
-    // variables), and on the all-agree states only the root holds the
-    // privilege — the paper's Theorem 2 shape.
-    let constraints: Vec<Predicate> = (1..n)
-        .map(|j| {
-            let xj = ring.counter_var(j);
-            let xp = ring.counter_var(j - 1);
-            Predicate::new(format!("c.{j}"), [xj, xp], move |s| s.get(xj) == s.get(xp))
-        })
+    // The ring's §4 decomposition, c.j ≡ `x.j = x.(j-1)`, as
+    // `TokenRing::constraints` declares it.
+    let constraints: Vec<Predicate> = ring
+        .constraints()
+        .iter()
+        .map(|c| c.predicate().clone())
         .collect();
 
     // A maximally disagreeing start: every boundary violates its
@@ -354,132 +464,20 @@ fn check_ring(args: &Args) -> Result<ExitCode, String> {
     })
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if argv.iter().any(|a| a == "--list") {
-        println!("token-ring\ndiffusing");
-        return ExitCode::SUCCESS;
-    }
-    if argv.first().map(String::as_str) == Some("trace") {
-        return trace_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("conform") {
-        return conform::main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("synth") {
-        return synth::main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("fleet") {
-        return fleet::main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("byzantine") {
-        return byzantine::main(&argv[1..]);
-    }
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.protocol == "check" {
-        return check_main(&args);
-    }
-
-    let (program, goal, initial) = match build_protocol(&args) {
-        Ok(built) => built,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let faults = FaultConfig {
-        seed: args.seed,
-        drop_rate: args.loss,
-        corrupt_rate: args.corrupt.unwrap_or(args.loss / 4.0),
-        duplicate_rate: args.dup.unwrap_or(args.loss / 4.0),
-        delay_rate: args.delay.unwrap_or(args.loss / 2.0),
-        max_delay_ticks: 8,
-    };
-    let events = match args.crash {
-        Some(node) => vec![NetEvent::CrashRestart {
-            node,
-            at_least: Duration::ZERO,
-            down: Duration::from_millis(args.down_ms),
-        }],
-        None => Vec::new(),
-    };
-    let journal = match &args.journal {
-        Some(path) => match Journal::to_file(path) {
-            Ok(journal) => journal,
-            Err(e) => {
-                eprintln!("error: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Journal::disabled(),
-    };
-    let config = NetConfig {
-        seed: args.seed,
-        faults,
-        timeout: Duration::from_millis(args.timeout_ms),
-        events,
-        journal,
-        shards: args.shards,
-        ..NetConfig::default()
-    };
-
-    println!(
-        "launching `{}` as {} socket nodes (loss {:.0}%, seed {})",
-        program.name(),
-        args.nodes,
-        args.loss * 100.0,
-        args.seed
-    );
-    let report = match run(&program, &initial, &goal, &config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render());
-    if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &args.journal {
-        eprintln!("journal written to {path}");
-    }
-    if report.converged {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// `conform`: the fixed-seed differential conformance corpus, plus the
 /// planted-bug self-test when built with `--features planted-bug`.
 mod conform {
     use std::process::ExitCode;
 
-    use super::value;
+    use super::{open_journal, value, Seed};
 
     use nonmask_conform::{
-        check_run, default_specs, run_corpus, run_net_journaled, run_sim, run_sim_journaled,
-        shrink_schedule, CorpusConfig, CorpusReport, ProtocolOracle, ProtocolSpec, RunInput,
+        check_run, default_specs, run_corpus, run_net, run_sim, shrink_schedule, CorpusConfig,
+        CorpusReport, ProtocolOracle, ProtocolSpec, RunInput,
     };
     use nonmask_obs::{Event, Journal};
 
-    struct Args {
+    pub struct Args {
         smoke: bool,
         seed: u64,
         out: String,
@@ -488,7 +486,7 @@ mod conform {
         planted: bool,
     }
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    pub fn parse(argv: &[String]) -> Result<Args, String> {
         let mut args = Args {
             smoke: false,
             seed: 1,
@@ -503,7 +501,7 @@ mod conform {
                 "--smoke" => args.smoke = true,
                 "--sim-only" => args.sim_only = true,
                 "--planted-bug" => args.planted = true,
-                "--seed" => args.seed = value(&mut argv, "--seed")?,
+                "--seed" => args.seed = value::<Seed>(&mut argv, "--seed")?.0,
                 "--out" => args.out = value(&mut argv, "--out")?,
                 "--journal" => args.journal = Some(value(&mut argv, "--journal")?),
                 other => return Err(format!("unknown conform option `{other}`")),
@@ -512,16 +510,9 @@ mod conform {
         Ok(args)
     }
 
-    pub fn main(argv: &[String]) -> ExitCode {
-        let args = match parse(argv) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", super::USAGE);
-                return ExitCode::FAILURE;
-            }
-        };
+    pub fn run(args: &Args) -> Result<ExitCode, String> {
         if args.planted {
-            return planted_main(&args);
+            return planted(args);
         }
 
         let specs = default_specs();
@@ -531,16 +522,7 @@ mod conform {
             CorpusConfig::full(args.seed)
         };
         config.sim_only = args.sim_only;
-        let journal = match &args.journal {
-            Some(path) => match Journal::to_file(path) {
-                Ok(journal) => journal,
-                Err(e) => {
-                    eprintln!("error: cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Journal::disabled(),
-        };
+        let journal = open_journal(args.journal.as_deref())?;
         println!(
             "conformance corpus: {} protocols, {} sim + {} net runs each (base seed {})",
             specs.len(),
@@ -548,28 +530,21 @@ mod conform {
             if config.sim_only { 0 } else { config.net_runs },
             args.seed
         );
-        let report = match run_corpus(&specs, &config, &journal) {
-            Ok(report) => report,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let report = run_corpus(&specs, &config, &journal)?;
         journal.flush();
         print!("{}", report.render());
         if let Some(path) = &args.journal {
             eprintln!("verdict journal written to {path}");
         }
         if report.divergent_runs() == 0 {
-            ExitCode::SUCCESS
-        } else {
-            if let Err(msg) = write_artifacts(&report, &specs, &args.out) {
-                eprintln!("error writing artifacts: {msg}");
-            }
-            // Distinct from infrastructure failure (1): the layers ran,
-            // but they disagree with the checker.
-            ExitCode::from(2)
+            return Ok(ExitCode::SUCCESS);
         }
+        if let Err(msg) = write_artifacts(&report, &specs, &args.out) {
+            eprintln!("error writing artifacts: {msg}");
+        }
+        // Distinct from infrastructure failure (1): the layers ran, but
+        // they disagree with the checker.
+        Ok(ExitCode::from(2))
     }
 
     /// For every divergent run: shrink its fault schedule (sim) to a
@@ -592,23 +567,23 @@ mod conform {
             let oracle = ProtocolOracle::build(spec)?;
             for run in protocol.divergent() {
                 let stem = format!("{out}/{}-{}-seed{}", protocol.name, run.layer, run.seed);
-                let journal = Journal::to_file(format!("{stem}.journal.jsonl"))
-                    .map_err(|e| format!("cannot create {stem}.journal.jsonl: {e}"))?;
+                let journal = open_journal(Some(&format!("{stem}.journal.jsonl")))?;
                 match &run.input {
                     RunInput::Sim { schedule, cfg } => {
                         let shrunk = shrink_schedule(schedule, |candidate| {
-                            run_sim(&spec.program, &spec.goal, run.seed, candidate, cfg)
-                                .map(|o| !check_run(&oracle, spec, &o, true).conforms())
-                                .unwrap_or(false)
+                            run_sim(
+                                &spec.program,
+                                &spec.goal,
+                                run.seed,
+                                candidate,
+                                cfg,
+                                &Journal::disabled(),
+                            )
+                            .map(|o| !check_run(&oracle, spec, &o, true).conforms())
+                            .unwrap_or(false)
                         });
-                        let outcome = run_sim_journaled(
-                            &spec.program,
-                            &spec.goal,
-                            run.seed,
-                            &shrunk,
-                            cfg,
-                            &journal,
-                        )?;
+                        let outcome =
+                            run_sim(&spec.program, &spec.goal, run.seed, &shrunk, cfg, &journal)?;
                         let verdict = check_run(&oracle, spec, &outcome, true);
                         emit_verdict(&journal, "sim", &protocol.name, run.seed, &verdict);
                         let text = format!(
@@ -628,9 +603,8 @@ mod conform {
                         );
                     }
                     RunInput::Net { cfg } => {
-                        let outcome =
-                            run_net_journaled(&spec.program, &spec.goal, run.seed, cfg, &journal)
-                                .map_err(|e| format!("net replay failed: {e}"))?;
+                        let outcome = run_net(&spec.program, &spec.goal, run.seed, cfg, &journal)
+                            .map_err(|e| format!("net replay failed: {e}"))?;
                         let verdict = check_run(&oracle, spec, &outcome, true);
                         emit_verdict(&journal, "net", &protocol.name, run.seed, &verdict);
                         println!(
@@ -670,19 +644,13 @@ mod conform {
     /// healthy oracle — the harness must detect the divergence and
     /// shrink the fault schedule to a ≤5-event reproducer.
     #[cfg(feature = "planted-bug")]
-    fn planted_main(args: &Args) -> ExitCode {
+    fn planted(args: &Args) -> Result<ExitCode, String> {
         use nonmask_conform::{FaultSchedule, SimRunConfig};
         use nonmask_program::Predicate;
 
         let spec = ProtocolSpec::token_ring(4, 4);
         let mutant = ProtocolSpec::token_ring_mutant_program(4, 4);
-        let oracle = match ProtocolOracle::build(&spec) {
-            Ok(oracle) => oracle,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let oracle = ProtocolOracle::build(&spec)?;
         // Run for a fixed horizon (never-satisfied goal) so the token
         // always revisits the mutated root action.
         let never = Predicate::always_false();
@@ -691,14 +659,21 @@ mod conform {
             ..SimRunConfig::default()
         };
         let diverges = |schedule: &FaultSchedule| {
-            run_sim(&mutant, &never, args.seed, schedule, &cfg)
-                .map(|o| !check_run(&oracle, &spec, &o, false).conforms())
-                .unwrap_or(false)
+            run_sim(
+                &mutant,
+                &never,
+                args.seed,
+                schedule,
+                &cfg,
+                &Journal::disabled(),
+            )
+            .map(|o| !check_run(&oracle, &spec, &o, false).conforms())
+            .unwrap_or(false)
         };
         let schedule = FaultSchedule::random(&spec.program, 4, args.seed, 8, 40);
         if !diverges(&schedule) {
             eprintln!("planted bug NOT detected (seed {})", args.seed);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let shrunk = shrink_schedule(&schedule, diverges);
         println!(
@@ -717,20 +692,18 @@ mod conform {
             }
         );
         if shrunk.len() <= 5 {
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         } else {
             eprintln!("shrunk schedule still has {} faults (> 5)", shrunk.len());
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 
     #[cfg(not(feature = "planted-bug"))]
-    fn planted_main(_args: &Args) -> ExitCode {
-        eprintln!(
-            "error: the planted-bug self-test needs `--features planted-bug` \
+    fn planted(_args: &Args) -> Result<ExitCode, String> {
+        Err("the planted-bug self-test needs `--features planted-bug` \
              (cargo run -p nonmask-conform --features planted-bug --bin nonmask-run -- conform --planted-bug)"
-        );
-        ExitCode::FAILURE
+            .to_owned())
     }
 }
 
@@ -740,12 +713,11 @@ mod conform {
 mod fleet {
     use std::process::ExitCode;
 
-    use super::value;
+    use super::{open_journal, value, Seed};
 
     use nonmask_fleet::{run_fleet, FleetConfig, FleetProtocol};
-    use nonmask_obs::Journal;
 
-    struct Args {
+    pub struct Args {
         tenants: u64,
         protocols: String,
         seed: u64,
@@ -756,7 +728,7 @@ mod fleet {
         out: Option<String>,
     }
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    pub fn parse(argv: &[String]) -> Result<Args, String> {
         let defaults = FleetConfig::default();
         let mut args = Args {
             tenants: defaults.tenants,
@@ -773,7 +745,7 @@ mod fleet {
             match arg.as_str() {
                 "--tenants" => args.tenants = value(&mut argv, "--tenants")?,
                 "--protocols" => args.protocols = value(&mut argv, "--protocols")?,
-                "--seed" => args.seed = value(&mut argv, "--seed")?,
+                "--seed" => args.seed = value::<Seed>(&mut argv, "--seed")?.0,
                 "--workers" => args.workers = value(&mut argv, "--workers")?,
                 "--slab-size" => args.slab_size = value(&mut argv, "--slab-size")?,
                 "--faults" => args.faults = value(&mut argv, "--faults")?,
@@ -785,24 +757,7 @@ mod fleet {
         Ok(args)
     }
 
-    pub fn main(argv: &[String]) -> ExitCode {
-        let args = match parse(argv) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", super::USAGE);
-                return ExitCode::FAILURE;
-            }
-        };
-        match run(&args) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        }
-    }
-
-    fn run(args: &Args) -> Result<ExitCode, String> {
+    pub fn run(args: &Args) -> Result<ExitCode, String> {
         let protocols = match args.protocols.as_str() {
             "ring" => FleetProtocol::ring_mix(),
             "mixed" => FleetProtocol::mixed(),
@@ -817,12 +772,7 @@ mod fleet {
             faults_per_tenant: args.faults,
             ..FleetConfig::default()
         };
-        let journal = match &args.journal {
-            Some(path) => {
-                Journal::to_file(path).map_err(|e| format!("cannot create {path}: {e}"))?
-            }
-            None => Journal::disabled(),
-        };
+        let journal = open_journal(args.journal.as_deref())?;
         println!(
             "fleet: {} tenants over {} configurations (seed {:#x}, {} faults/tenant)",
             config.tenants,
@@ -887,15 +837,14 @@ mod fleet {
 mod synth {
     use std::process::ExitCode;
 
-    use super::value;
+    use super::{open_journal, value, Seed};
 
     use nonmask_conform::{run_corpus, CorpusConfig, ProtocolSpec};
     use nonmask_lang::compile_predicate;
     use nonmask_obs::Journal;
-    use nonmask_program::ActionId;
     use nonmask_synth::{specs, synthesize, SynthOptions, SynthResult, SynthSpec};
 
-    struct Args {
+    pub struct Args {
         protocol: String,
         nodes: Option<usize>,
         window: Option<i64>,
@@ -908,7 +857,7 @@ mod synth {
         seed: u64,
     }
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    pub fn parse(argv: &[String]) -> Result<Args, String> {
         let mut args = Args {
             protocol: String::new(),
             nodes: None,
@@ -929,7 +878,7 @@ mod synth {
                 "--window" => args.window = Some(value(&mut argv, "--window")?),
                 "--colors" => args.colors = Some(value(&mut argv, "--colors")?),
                 "--threads" => args.threads = value(&mut argv, "--threads")?,
-                "--seed" => args.seed = value(&mut argv, "--seed")?,
+                "--seed" => args.seed = value::<Seed>(&mut argv, "--seed")?.0,
                 "--out" => args.out = Some(value(&mut argv, "--out")?),
                 "--journal" => args.journal = Some(value(&mut argv, "--journal")?),
                 "--golden" => args.golden = Some(value(&mut argv, "--golden")?),
@@ -945,69 +894,34 @@ mod synth {
 
     fn spec_for(args: &Args) -> Result<SynthSpec, String> {
         match args.protocol.as_str() {
-            "token-ring" => Ok(specs::token_ring_windowed(
-                args.nodes.unwrap_or(4),
-                args.window.unwrap_or(3),
-            )),
-            "diffusing" => Ok(specs::diffusing(args.nodes.unwrap_or(7))),
-            "coloring" => Ok(specs::coloring(
-                args.nodes.unwrap_or(7),
-                args.colors.unwrap_or(3),
-            )),
-            other => Err(format!("unknown synth protocol `{other}`")),
+            "token-ring" => {
+                specs::token_ring_windowed(args.nodes.unwrap_or(4), args.window.unwrap_or(3))
+            }
+            "diffusing" => specs::diffusing(args.nodes.unwrap_or(7)),
+            "coloring" => specs::coloring(args.nodes.unwrap_or(7), args.colors.unwrap_or(3)),
+            other => return Err(format!("unknown synth protocol `{other}`")),
         }
+        .map_err(|e| e.to_string())
     }
 
-    /// A conformance-corpus spec for the synthesized design: the same
-    /// program/goal/constraints the synthesizer certified, with the
-    /// derived `repair.*` actions as the designated repairs.
+    /// A conformance-corpus spec for the synthesized design: its program,
+    /// the goal compiled against it, and the design's own constraints,
+    /// each paired with its derived `repair.*` action.
     fn corpus_spec(spec: &SynthSpec, out: &SynthResult) -> Result<ProtocolSpec, String> {
         let program = out.design.program().clone();
         let goal = compile_predicate(&program, &out.def, "goal", &spec.goal)
             .map_err(|e| format!("goal does not compile against the design: {e}"))?;
-        let base_count = spec.base.actions.len();
-        let mut constraints = Vec::with_capacity(spec.constraints.len());
-        let mut designated = Vec::with_capacity(spec.constraints.len());
-        for (ci, sc) in spec.constraints.iter().enumerate() {
-            constraints.push(
-                compile_predicate(&program, &out.def, &sc.name, &sc.expr)
-                    .map_err(|e| format!("constraint {}: {e}", sc.name))?,
-            );
-            designated.push((ActionId::from_index(base_count + ci), ci));
-        }
         Ok(ProtocolSpec {
             name: format!("synth-{}", out.spec_name),
             program,
             goal,
-            constraints,
-            designated,
+            constraints: out.design.constraints().to_vec(),
         })
     }
 
-    pub fn main(argv: &[String]) -> ExitCode {
-        let args = match parse(argv) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", super::USAGE);
-                return ExitCode::FAILURE;
-            }
-        };
-        match run(&args) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        }
-    }
-
-    fn run(args: &Args) -> Result<ExitCode, String> {
+    pub fn run(args: &Args) -> Result<ExitCode, String> {
         let spec = spec_for(args)?;
-        let journal = match &args.journal {
-            Some(path) => nonmask_obs::Journal::to_file(path)
-                .map_err(|e| format!("cannot create {path}: {e}"))?,
-            None => Journal::disabled(),
-        };
+        let journal = open_journal(args.journal.as_deref())?;
         let opts = SynthOptions {
             threads: args.threads,
             ..SynthOptions::default()
@@ -1101,19 +1015,18 @@ mod byzantine {
     use std::process::ExitCode;
     use std::time::Duration;
 
-    use super::value;
+    use super::{open_journal, value, Seed};
 
     use nonmask_checker::{certify_containment, CheckOptions, Fairness, StateSpace};
     use nonmask_conform::{
-        radii_agree, run_net_journaled, run_sim_journaled, ContainmentMap, FaultSchedule,
-        NetRunConfig, SimRunConfig,
+        radii_agree, run_net, run_sim, ContainmentMap, FaultSchedule, NetRunConfig, SimRunConfig,
     };
     use nonmask_graph::Topology;
     use nonmask_obs::Journal;
     use nonmask_program::{Program, State};
     use nonmask_protocols::{ByzantineModel, ContainmentTheory, MinPlusOne, SpanningTree};
 
-    struct Args {
+    pub struct Args {
         protocol: String,
         nodes: usize,
         degree: usize,
@@ -1125,7 +1038,7 @@ mod byzantine {
         out: Option<String>,
     }
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    pub fn parse(argv: &[String]) -> Result<Args, String> {
         let mut args = Args {
             protocol: "bfs".to_owned(),
             nodes: 64,
@@ -1143,14 +1056,14 @@ mod byzantine {
                 "--protocol" => args.protocol = value(&mut argv, "--protocol")?,
                 "--nodes" => args.nodes = value(&mut argv, "--nodes")?,
                 "--degree" => args.degree = value(&mut argv, "--degree")?,
-                "--topo-seed" => args.topo_seed = value(&mut argv, "--topo-seed")?,
+                "--topo-seed" => args.topo_seed = value::<Seed>(&mut argv, "--topo-seed")?.0,
                 "--byz" => {
                     let list: String = value(&mut argv, "--byz")?;
                     let nodes: Result<Vec<usize>, _> =
                         list.split(',').map(str::trim).map(str::parse).collect();
                     args.byz = Some(nodes.map_err(|e| format!("--byz: {e}"))?);
                 }
-                "--seed" => args.seed = value(&mut argv, "--seed")?,
+                "--seed" => args.seed = value::<Seed>(&mut argv, "--seed")?.0,
                 "--check-nodes" => args.check_nodes = Some(value(&mut argv, "--check-nodes")?),
                 "--timeout-ms" => args.timeout_ms = value(&mut argv, "--timeout-ms")?,
                 "--out" => args.out = Some(value(&mut argv, "--out")?),
@@ -1227,9 +1140,7 @@ mod byzantine {
             Some(dir) => {
                 std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
                 let path = format!("{dir}/{name}.jsonl");
-                let journal =
-                    Journal::to_file(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
-                Ok((journal, Some(path)))
+                Ok((open_journal(Some(&path))?, Some(path)))
             }
             None => Ok((Journal::disabled(), None)),
         }
@@ -1247,7 +1158,7 @@ mod byzantine {
             byzantine_seed: seed,
             ..SimRunConfig::default()
         };
-        let outcome = run_sim_journaled(
+        let outcome = run_sim(
             &inst.program,
             &inst.model.safe_goal(),
             seed,
@@ -1272,35 +1183,19 @@ mod byzantine {
             timeout: Duration::from_millis(timeout_ms),
             ..NetRunConfig::default()
         };
-        let outcome =
-            run_net_journaled(&inst.program, &inst.model.safe_goal(), seed, &cfg, journal)
-                .map_err(|e| format!("net run failed: {e}"))?;
+        let outcome = run_net(&inst.program, &inst.model.safe_goal(), seed, &cfg, journal)
+            .map_err(|e| format!("net run failed: {e}"))?;
         let radius = inst.map.emit(&outcome.final_state, "net", seed, journal);
         journal.flush();
         Ok((radius, outcome.stabilized))
     }
 
-    pub fn main(argv: &[String]) -> ExitCode {
-        let args = match parse(argv) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{}", super::USAGE);
-                return ExitCode::FAILURE;
-            }
-        };
-        match run(&args) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        }
-    }
-
-    fn run(args: &Args) -> Result<ExitCode, String> {
+    pub fn run(args: &Args) -> Result<ExitCode, String> {
         let byz = args.byz.clone().unwrap_or_else(|| default_byz(args.nodes));
         let topo = Topology::random_connected(args.nodes, args.degree, args.topo_seed);
         let inst = build(&args.protocol, &topo, &byz)?;
+        // Checked before any layer runs, so a bad size costs no run.
+        let check_nodes = check_nodes_for(&args.protocol, args.check_nodes)?;
         println!(
             "byzantine {}: {} nodes (degree {}, topo seed {}), liars {:?}, run seed {}",
             args.protocol, args.nodes, args.degree, args.topo_seed, byz, args.seed
@@ -1343,7 +1238,6 @@ mod byzantine {
         // The checker's independent verdict on a small instance of the
         // same family: enumerate the full Byzantine state space (havoc
         // actions included) and sweep the restricted-region goals.
-        let check_nodes = check_nodes_for(&args.protocol, args.check_nodes)?;
         let small_byz = default_byz(check_nodes);
         let small_topo = Topology::random_connected(check_nodes, 2, args.topo_seed);
         let small = build(&args.protocol, &small_topo, &small_byz)?;

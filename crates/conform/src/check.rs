@@ -10,10 +10,10 @@
 //! 1. **Step validity** — every recorded `(before, action, after)` view
 //!    transition must be a transition of the reference program: the
 //!    state enumerable, the guard enabled, the effect exact.
-//! 2. **Repair attribution** — every step by a *designated* repair
-//!    action must leave its attributed constraint holding; the
-//!    designation itself is cross-validated against the checker's
-//!    attribution matrix when the oracle is built.
+//! 2. **Repair attribution** — every step by a constraint's own repair
+//!    action must leave that constraint holding; each pairing is
+//!    cross-validated against the checker's attribution matrix when the
+//!    oracle is built.
 //! 3. **Convergence envelope** — once faults stop, the observed
 //!    stabilization step count must not exceed the checker's worst-case
 //!    bound plus an explicit granularity slack.
@@ -41,9 +41,10 @@ pub struct ProtocolOracle {
 impl ProtocolOracle {
     /// Enumerate the space, compute the bound, and attribute constraints.
     ///
-    /// Fails if the spec *designates* a repair pair the checker does not
-    /// attribute — a disagreement between the design and the transition
-    /// relation that would make every downstream trace check vacuous.
+    /// Fails if a constraint of the spec names a repair action the checker
+    /// does not attribute to it — a disagreement between the design and
+    /// the transition relation that would make every downstream trace
+    /// check vacuous.
     pub fn build(spec: &ProtocolSpec) -> Result<Self, String> {
         let opts = CheckOptions::default();
         let space = StateSpace::enumerate_with_options(&spec.program, opts)
@@ -52,22 +53,28 @@ impl ProtocolOracle {
         let bound = check_convergence(&space, &spec.program, &all, &spec.goal, opts)
             .map_err(|e| format!("{}: bound computation failed: {e}", spec.name))?
             .worst_case_moves;
-        let attribution = attribute_constraints(&space, &spec.program, &spec.constraints, opts)
+        let predicates: Vec<Predicate> = spec
+            .constraints
+            .iter()
+            .map(|c| c.predicate().clone())
+            .collect();
+        let attribution = attribute_constraints(&space, &spec.program, &predicates, opts)
             .map_err(|e| format!("{}: attribution failed: {e}", spec.name))?;
-        for &(action, c) in &spec.designated {
+        for (c, constraint) in spec.constraints.iter().enumerate() {
+            let action = constraint.action();
             let name = spec.program.action(action).name();
             if !attribution.establishes(action, c) {
                 return Err(format!(
                     "{}: designated pair ({name}, {}) is not established per the checker",
                     spec.name,
-                    spec.constraints[c].name()
+                    constraint.name()
                 ));
             }
             if !attribution.repairs(action, c) {
                 return Err(format!(
                     "{}: designated pair ({name}, {}) never repairs per the checker",
                     spec.name,
-                    spec.constraints[c].name()
+                    constraint.name()
                 ));
             }
         }
@@ -165,23 +172,24 @@ pub fn check_run(
             });
             continue;
         }
-        for &(action, c) in &spec.designated {
-            if action != step.action {
-                continue;
-            }
-            let constraint = &spec.constraints[c];
-            if !constraint.holds(&step.after) {
+        for constraint in spec
+            .constraints
+            .iter()
+            .filter(|c| c.action() == step.action)
+        {
+            let predicate = constraint.predicate();
+            if !predicate.holds(&step.after) {
                 divergences.push(Divergence {
                     seq: Some(step.seq),
                     kind: "repair-attribution",
                     detail: format!(
                         "site {} action `{}` left its attributed constraint `{}` violated",
                         step.site,
-                        spec.program.action(action).name(),
+                        spec.program.action(step.action).name(),
                         constraint.name()
                     ),
                 });
-            } else if !constraint.holds(&step.before) {
+            } else if !predicate.holds(&step.before) {
                 repairs_observed += 1;
             }
         }
@@ -224,6 +232,8 @@ mod tests {
     use super::*;
     use crate::runner::{run_sim, SimRunConfig};
     use crate::schedule::FaultSchedule;
+    use nonmask::Constraint;
+    use nonmask_obs::Journal;
 
     #[test]
     fn oracle_build_validates_the_designations() {
@@ -238,9 +248,13 @@ mod tests {
     #[test]
     fn a_mislabeled_designation_is_rejected() {
         let mut spec = ProtocolSpec::token_ring(3, 3);
-        // Claim pass@1 repairs c.2 — the checker knows better.
-        let (action, _) = spec.designated[0];
-        spec.designated[0] = (action, 1);
+        // Claim pass@2 repairs c.1 — the checker knows better.
+        let c1 = &spec.constraints[0];
+        spec.constraints[0] = Constraint::new(
+            c1.name(),
+            c1.predicate().clone(),
+            spec.constraints[1].action(),
+        );
         let err = match ProtocolOracle::build(&spec) {
             Ok(_) => panic!("a mislabeled designation must be rejected"),
             Err(err) => err,
@@ -259,6 +273,7 @@ mod tests {
             1,
             &schedule,
             &SimRunConfig::default(),
+            &Journal::disabled(),
         )
         .unwrap();
         let report = check_run(&oracle, &spec, &outcome, true);
@@ -276,6 +291,7 @@ mod tests {
             2,
             &FaultSchedule::empty(),
             &SimRunConfig::default(),
+            &Journal::disabled(),
         )
         .unwrap();
         let mut forged = outcome.clone();

@@ -304,6 +304,8 @@ pub fn run_corpus(
     journal: &Journal,
 ) -> Result<CorpusReport, String> {
     let mut protocols = Vec::with_capacity(specs.len());
+    // The runs themselves are not journaled; `journal` gets the verdicts.
+    let quiet = Journal::disabled();
     for spec in specs {
         let oracle = ProtocolOracle::build(spec)?;
         let nodes = nonmask_sim::Refinement::new(&spec.program)
@@ -319,7 +321,7 @@ pub fn run_corpus(
             let seed = rand::split_seed(config.base_seed, 2 * i as u64);
             let (sim_cfg, variant) = sim_variant(i);
             let schedule = FaultSchedule::random(&spec.program, nodes, seed, 4, 20);
-            let outcome = run_sim(&spec.program, &spec.goal, seed, &schedule, &sim_cfg)?;
+            let outcome = run_sim(&spec.program, &spec.goal, seed, &schedule, &sim_cfg, &quiet)?;
             let report = check_run(&oracle, spec, &outcome, true);
             emit_verdict(journal, "sim", &spec.name, seed, &report);
             runs.push(RunRecord {
@@ -338,7 +340,7 @@ pub fn run_corpus(
             for i in 0..config.net_runs {
                 let seed = rand::split_seed(config.base_seed, 2 * i as u64 + 1);
                 let (net_cfg, variant) = net_variant(i, seed, nodes);
-                let outcome = run_net(&spec.program, &spec.goal, seed, &net_cfg)
+                let outcome = run_net(&spec.program, &spec.goal, seed, &net_cfg, &quiet)
                     .map_err(|e| format!("{}: net run failed: {e}", spec.name))?;
                 let report = check_run(&oracle, spec, &outcome, true);
                 emit_verdict(journal, "net", &spec.name, seed, &report);

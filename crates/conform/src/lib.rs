@@ -11,8 +11,8 @@
 //!   [`nonmask_program::StepLog`] and replayed through the checker's
 //!   [`nonmask_checker::StepOracle`] — the state must be enumerable, the
 //!   guard enabled, the effect exact ([`check`]);
-//! - every step by a *designated* repair action must re-establish the
-//!   constraint the checker attributes to it;
+//! - every step by a constraint's repair action must re-establish that
+//!   constraint, and the checker must attribute the repair to it;
 //! - once faults stop, the observed stabilization step count must stay
 //!   inside the checker's worst-case convergence bound (plus an explicit
 //!   granularity slack);
@@ -36,9 +36,7 @@ pub use containment::{radii_agree, ContainmentError, ContainmentMap};
 pub use corpus::{
     default_specs, run_corpus, CorpusConfig, CorpusReport, ProtocolResult, RunInput, RunRecord,
 };
-pub use runner::{
-    run_net, run_net_journaled, run_sim, run_sim_journaled, NetRunConfig, RunOutcome, SimRunConfig,
-};
+pub use runner::{run_net, run_sim, NetRunConfig, RunOutcome, SimRunConfig};
 pub use schedule::{FaultSchedule, ScheduleEntry};
 pub use shrink::{ddmin, shrink_schedule};
 pub use spec::ProtocolSpec;

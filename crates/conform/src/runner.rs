@@ -86,24 +86,15 @@ pub struct RunOutcome {
     pub final_state: State,
 }
 
-/// Drive one simulator run under `schedule`, capturing every step.
+/// Drive one simulator run under `schedule`, capturing every step, with
+/// the simulator's fault/stabilization events written to `journal` (the
+/// artifact path for divergence reproductions; pass
+/// [`Journal::disabled`] for none).
 ///
 /// Entries fire before the round they are pinned to; the run ends at the
 /// first round boundary (after all entries have fired) where `goal`
 /// holds on ground truth, or when `cfg.max_rounds` is exhausted.
 pub fn run_sim(
-    exec: &Program,
-    goal: &Predicate,
-    seed: u64,
-    schedule: &FaultSchedule,
-    cfg: &SimRunConfig,
-) -> Result<RunOutcome, String> {
-    run_sim_journaled(exec, goal, seed, schedule, cfg, &Journal::disabled())
-}
-
-/// [`run_sim`] with the simulator's fault/stabilization events written
-/// to `journal` — the artifact path for divergence reproductions.
-pub fn run_sim_journaled(
     exec: &Program,
     goal: &Predicate,
     seed: u64,
@@ -233,18 +224,9 @@ impl NetRunConfig {
 /// goal first holds. Owned variables are single-writer, so the fold's
 /// final state is exact; intermediate states are one valid interleaving,
 /// which is why the envelope gets a concurrency slack of `2 × nodes`.
+/// The runtime's fault/episode events go to `journal` (pass
+/// [`Journal::disabled`] for none).
 pub fn run_net(
-    exec: &Program,
-    goal: &Predicate,
-    seed: u64,
-    cfg: &NetRunConfig,
-) -> Result<RunOutcome, NetError> {
-    run_net_journaled(exec, goal, seed, cfg, &Journal::disabled())
-}
-
-/// [`run_net`] with the runtime's fault/episode events written to
-/// `journal` — the artifact path for divergence reproductions.
-pub fn run_net_journaled(
     exec: &Program,
     goal: &Predicate,
     seed: u64,
@@ -311,8 +293,9 @@ mod tests {
         let spec = ProtocolSpec::token_ring(4, 4);
         let schedule = FaultSchedule::random(&spec.program, 4, 3, 4, 12);
         let cfg = SimRunConfig::default();
-        let a = run_sim(&spec.program, &spec.goal, 9, &schedule, &cfg).unwrap();
-        let b = run_sim(&spec.program, &spec.goal, 9, &schedule, &cfg).unwrap();
+        let off = Journal::disabled();
+        let run = || run_sim(&spec.program, &spec.goal, 9, &schedule, &cfg, &off);
+        let (a, b) = (run().unwrap(), run().unwrap());
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.observed_convergence_steps, b.observed_convergence_steps);
         assert_eq!(a.final_state, b.final_state);
@@ -328,7 +311,15 @@ mod tests {
             heartbeat_period: 2,
             ..SimRunConfig::default()
         };
-        let out = run_sim(&spec.program, &spec.goal, 5, &FaultSchedule::empty(), &cfg).unwrap();
+        let out = run_sim(
+            &spec.program,
+            &spec.goal,
+            5,
+            &FaultSchedule::empty(),
+            &cfg,
+            &Journal::disabled(),
+        )
+        .unwrap();
         assert!(out.observed_convergence_steps.is_none());
     }
 }

@@ -2,16 +2,21 @@
 //!
 //! A [`ProtocolSpec`] bundles everything the harness needs to run one
 //! protocol through every layer and judge the result against the checker:
-//! the guarded-command program, the stabilization goal, the §4 constraint
-//! decomposition, and the *designated* repair pairs — which convergence
-//! action the design holds responsible for re-establishing which
-//! constraint. The designation is cross-validated against the checker's
-//! own constraint attribution when the oracle is built
-//! ([`crate::check::ProtocolOracle::build`]), so a spec cannot silently
-//! claim repairs the transition relation does not deliver.
+//! the guarded-command program, the stabilization goal, and the §4
+//! constraint decomposition as the protocol itself declares it — a list
+//! of [`Constraint`]s, each pairing a constraint `c.j` with the one
+//! convergence action the design holds responsible for re-establishing
+//! it. The constructors take that list from the protocol's own
+//! `constraints()` (the list its `design()` certifies, where it has one),
+//! so the harness never keeps a copy of the decomposition. Each pairing is
+//! cross-validated against the checker's own constraint attribution when
+//! the oracle is built ([`crate::check::ProtocolOracle::build`]), so a
+//! spec cannot silently claim repairs the transition relation does not
+//! deliver.
 
+use nonmask::Constraint;
 use nonmask_graph::Topology;
-use nonmask_program::{ActionId, Predicate, Program};
+use nonmask_program::{Predicate, Program};
 use nonmask_protocols::coloring::TreeColoring;
 use nonmask_protocols::diffusing::DiffusingComputation;
 use nonmask_protocols::token_ring::TokenRing;
@@ -27,151 +32,83 @@ pub struct ProtocolSpec {
     pub program: Program,
     /// The stabilization goal (the protocol invariant).
     pub goal: Predicate,
-    /// The constraint decomposition `c.1 ... c.m` from the paper's §4.
-    pub constraints: Vec<Predicate>,
-    /// Designated repair pairs: `(action, constraint index)` means the
-    /// design holds `action` responsible for re-establishing
-    /// `constraints[index]` whenever it executes.
-    pub designated: Vec<(ActionId, usize)>,
+    /// The constraint decomposition `c.1 ... c.m` from the paper's §4,
+    /// each constraint carrying the repair action that must re-establish
+    /// it whenever it executes.
+    pub constraints: Vec<Constraint>,
 }
 
 impl ProtocolSpec {
-    /// Dijkstra's K-state token ring on `n` processes with modulus `k`.
-    ///
-    /// Constraints are the agreement boundaries `c.j ≡ x.j = x.(j-1)` for
-    /// `j = 1..n`; the designated repair of `c.j` is `pass@j`, whose
-    /// effect `x.j := x.(j-1)` re-establishes the boundary from any state.
+    /// Dijkstra's K-state token ring on `n` processes with modulus `k`,
+    /// decomposed by [`TokenRing::constraints`]: `c.j ≡ x.j = x.(j-1)`
+    /// repaired by `pass@j`.
     pub fn token_ring(n: usize, k: i64) -> Self {
         let ring = TokenRing::new(n, k);
-        Self::token_ring_from(&ring, format!("token-ring-{n}x{k}"))
-    }
-
-    /// The spec shared by the healthy ring and the planted mutant: same
-    /// variables, same action layout, same constraint decomposition.
-    fn token_ring_from(ring: &TokenRing, name: String) -> Self {
-        let n = ring.len();
-        let mut constraints = Vec::with_capacity(n.saturating_sub(1));
-        let mut designated = Vec::with_capacity(n.saturating_sub(1));
-        for j in 1..n {
-            let xj = ring.counter_var(j);
-            let xp = ring.counter_var(j - 1);
-            constraints.push(Predicate::new(format!("c.{j}"), [xj, xp], move |s| {
-                s.get(xj) == s.get(xp)
-            }));
-            designated.push((ring.pass_action(j), j - 1));
-        }
         ProtocolSpec {
-            name,
+            name: format!("token-ring-{n}x{k}"),
             program: ring.program().clone(),
             goal: ring.invariant(),
-            constraints,
-            designated,
+            constraints: ring.constraints(),
         }
     }
 
-    /// The diffusing computation on a binary tree of `nodes` nodes.
-    ///
-    /// Constraints are the per-node `R.j` predicates; the designated
-    /// repair of `R.j` is the combined propagate/repair action at `j`
-    /// (the root has no constraint — its actions drive the wave).
+    /// The diffusing computation on a binary tree of `nodes` nodes,
+    /// decomposed by [`DiffusingComputation::constraints`]: `R.j` per
+    /// non-root node, repaired by the combined propagate/repair action.
     pub fn diffusing(nodes: usize) -> Self {
         let dc = DiffusingComputation::new(&Tree::binary(nodes));
-        let mut constraints = Vec::new();
-        let mut designated = Vec::new();
-        for j in 0..nodes {
-            if let Some(action) = dc.combined_action(j) {
-                designated.push((action, constraints.len()));
-                constraints.push(dc.constraint(j));
-            }
-        }
         ProtocolSpec {
             name: format!("diffusing-{nodes}"),
             program: dc.program().clone(),
             goal: dc.invariant(),
-            constraints,
-            designated,
+            constraints: dc.constraints(),
         }
     }
 
     /// The stabilizing proper coloring on a binary tree of `nodes` nodes
-    /// with `colors` colors.
-    ///
-    /// Constraints are the per-edge `R.j ≡ c.j ≠ c.(P.j)` predicates; the
-    /// designated repair of `R.j` is `recolor@j`. Unlike the wave
+    /// with `colors` colors, decomposed by [`TreeColoring::constraints`]:
+    /// `R.j ≡ c.j ≠ c.(P.j)` repaired by `recolor@j`. Unlike the wave
     /// protocols this design is *silent* inside the invariant, so corpus
     /// runs exercise the termination path of both execution layers.
     pub fn coloring(nodes: usize, colors: i64) -> Self {
         let tc = TreeColoring::new(&Tree::binary(nodes), colors);
-        let mut constraints = Vec::new();
-        let mut designated = Vec::new();
-        for j in 1..nodes {
-            if let Some(action) = tc.recolor_action(j) {
-                designated.push((action, constraints.len()));
-                constraints.push(tc.constraint(j));
-            }
-        }
         ProtocolSpec {
             name: format!("coloring-{nodes}x{colors}"),
             program: tc.program().clone(),
             goal: tc.invariant(),
-            constraints,
-            designated,
+            constraints: tc.constraints(),
         }
     }
 
     /// The self-stabilizing min+1 BFS distance protocol on a fixed
     /// 6-node random connected graph (byzantine-free — the corpus
     /// exercises the healthy convergence path; Byzantine containment
-    /// has its own battery in `tests/` and `nonmask-run byzantine`).
-    ///
-    /// Constraints are the per-node min+1 equations `c.j`; the
-    /// designated repair of `c.j` is `fix@j` (`anchor@root` at the
-    /// root), whose effect rewrites `d.j` to the equation's value.
+    /// has its own battery in `tests/` and `nonmask-run byzantine`),
+    /// decomposed by [`MinPlusOne::constraints`]: the min+1 equation
+    /// per node, the root's anchor included.
     pub fn bfs() -> Self {
         let topo = Topology::random_connected(6, 2, 1);
         let proto = MinPlusOne::new(&topo, 0);
-        let n = topo.len();
-        let mut constraints = Vec::with_capacity(n);
-        let mut designated = Vec::with_capacity(n);
-        for j in 0..n {
-            if let Some(action) = proto.fix_action(j) {
-                designated.push((action, constraints.len()));
-                constraints.push(proto.constraint(j));
-            }
-        }
         ProtocolSpec {
-            name: format!("bfs-{n}"),
+            name: format!("bfs-{}", topo.len()),
             program: proto.program().clone(),
             goal: proto.invariant(),
-            constraints,
-            designated,
+            constraints: proto.constraints(),
         }
     }
 
     /// The self-stabilizing BFS spanning tree (distance + parent
-    /// pointer, lowest-id tie-break) on a 4-ring, byzantine-free.
-    ///
-    /// Constraints are the per-node BFS equations over both variables;
-    /// the designated repair of `c.j` is the node's single combined
-    /// repair action.
+    /// pointer, lowest-id tie-break) on a 4-ring, byzantine-free,
+    /// decomposed by [`SpanningTree::constraints`]: the BFS equations per
+    /// node, repaired by the node's single combined action.
     pub fn spanning_tree() -> Self {
         let topo = Topology::ring(4);
         let proto = SpanningTree::new(&topo, 0);
-        let n = topo.len();
-        let mut constraints = Vec::with_capacity(n);
-        let mut designated = Vec::with_capacity(n);
-        for j in 0..n {
-            if let Some(action) = proto.fix_action(j) {
-                designated.push((action, constraints.len()));
-                constraints.push(proto.constraint(j));
-            }
-        }
         ProtocolSpec {
-            name: format!("spanning-tree-{n}"),
+            name: format!("spanning-tree-{}", topo.len()),
             program: proto.program().clone(),
             goal: proto.invariant(),
-            constraints,
-            designated,
+            constraints: proto.constraints(),
         }
     }
 
@@ -205,54 +142,47 @@ impl ProtocolSpec {
 mod tests {
     use super::*;
 
+    /// Every constraint's repair is an action of the spec's own program,
+    /// and no two constraints share one.
+    fn assert_one_repair_each(spec: &ProtocolSpec, expected: usize) {
+        assert_eq!(spec.constraints.len(), expected, "{}", spec.name);
+        let mut actions: Vec<_> = spec.constraints.iter().map(|c| c.action()).collect();
+        assert!(actions
+            .iter()
+            .all(|a| a.index() < spec.program.action_count()));
+        actions.sort_unstable_by_key(|a| a.index());
+        actions.dedup();
+        assert_eq!(actions.len(), expected, "{}: a shared repair", spec.name);
+    }
+
     #[test]
     fn token_ring_spec_designates_every_boundary() {
         let spec = ProtocolSpec::token_ring(4, 4);
-        assert_eq!(spec.constraints.len(), 3);
-        assert_eq!(spec.designated.len(), 3);
-        // Every designated pair points at a real constraint index.
-        for &(_, c) in &spec.designated {
-            assert!(c < spec.constraints.len());
-        }
+        assert_one_repair_each(&spec, 3);
+        let names: Vec<_> = spec.constraints.iter().map(|c| c.name()).collect();
+        assert_eq!(names, ["c.1", "c.2", "c.3"]);
     }
 
     #[test]
     fn coloring_spec_designates_every_edge() {
-        let spec = ProtocolSpec::coloring(7, 3);
-        assert_eq!(spec.constraints.len(), 6);
-        assert_eq!(spec.designated.len(), 6);
-        for &(_, c) in &spec.designated {
-            assert!(c < spec.constraints.len());
-        }
+        assert_one_repair_each(&ProtocolSpec::coloring(7, 3), 6);
     }
 
     #[test]
     fn bfs_spec_designates_every_node() {
-        let spec = ProtocolSpec::bfs();
         // Every node of the 6-node graph, root included, carries its
         // min+1 (or anchor) equation and the matching repair.
-        assert_eq!(spec.constraints.len(), 6);
-        assert_eq!(spec.designated.len(), 6);
-        for &(_, c) in &spec.designated {
-            assert!(c < spec.constraints.len());
-        }
+        assert_one_repair_each(&ProtocolSpec::bfs(), 6);
     }
 
     #[test]
     fn spanning_tree_spec_designates_every_node() {
-        let spec = ProtocolSpec::spanning_tree();
-        assert_eq!(spec.constraints.len(), 4);
-        assert_eq!(spec.designated.len(), 4);
-        for &(_, c) in &spec.designated {
-            assert!(c < spec.constraints.len());
-        }
+        assert_one_repair_each(&ProtocolSpec::spanning_tree(), 4);
     }
 
     #[test]
     fn diffusing_spec_skips_the_root() {
-        let spec = ProtocolSpec::diffusing(7);
         // Binary tree of 7: six non-root nodes, one constraint each.
-        assert_eq!(spec.constraints.len(), 6);
-        assert_eq!(spec.designated.len(), 6);
+        assert_one_repair_each(&ProtocolSpec::diffusing(7), 6);
     }
 }

@@ -9,6 +9,7 @@ use nonmask_conform::{
     check_run, run_sim, FaultSchedule, ProtocolOracle, ProtocolSpec, SimRunConfig,
 };
 use nonmask_graph::Topology;
+use nonmask_obs::Journal;
 use nonmask_protocols::{ContainmentTheory, MinPlusOne};
 
 /// min+1 BFS on a 4-line with the liar at the far end: the safe region
@@ -16,20 +17,11 @@ use nonmask_protocols::{ContainmentTheory, MinPlusOne};
 fn byzantine_spec() -> (MinPlusOne, ProtocolSpec) {
     let topo = Topology::line(4);
     let proto = MinPlusOne::with_byzantine(&topo, 0, &[3]);
-    let mut constraints = Vec::new();
-    let mut designated = Vec::new();
-    for j in 0..topo.len() {
-        if let Some(action) = proto.fix_action(j) {
-            designated.push((action, constraints.len()));
-            constraints.push(proto.constraint(j));
-        }
-    }
     let spec = ProtocolSpec {
         name: "bfs-4-byz".to_string(),
         program: proto.program().clone(),
         goal: proto.model().safe_goal(),
-        constraints,
-        designated,
+        constraints: proto.constraints(),
     };
     (proto, spec)
 }
@@ -44,8 +36,15 @@ fn byzantine_runs_conform_without_divergence() {
         ..SimRunConfig::default()
     };
     assert!(!cfg.envelope_applies(), "liars never heal");
-    let outcome = run_sim(&spec.program, &spec.goal, 23, &FaultSchedule::empty(), &cfg)
-        .expect("sim infrastructure");
+    let outcome = run_sim(
+        &spec.program,
+        &spec.goal,
+        23,
+        &FaultSchedule::empty(),
+        &cfg,
+        &Journal::disabled(),
+    )
+    .expect("sim infrastructure");
     assert!(outcome.stabilized, "the safe region stabilizes");
     let report = check_run(&oracle, &spec, &outcome, true);
     assert!(
@@ -77,8 +76,18 @@ fn byzantine_sim_runs_are_bit_identical_for_the_same_input() {
         byzantine_seed: 7,
         ..SimRunConfig::default()
     };
-    let a = run_sim(&spec.program, &spec.goal, 5, &FaultSchedule::empty(), &cfg).unwrap();
-    let b = run_sim(&spec.program, &spec.goal, 5, &FaultSchedule::empty(), &cfg).unwrap();
+    let empty = FaultSchedule::empty();
+    let run = || {
+        run_sim(
+            &spec.program,
+            &spec.goal,
+            5,
+            &empty,
+            &cfg,
+            &Journal::disabled(),
+        )
+    };
+    let (a, b) = (run().unwrap(), run().unwrap());
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.final_state, b.final_state);
 }

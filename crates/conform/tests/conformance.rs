@@ -64,8 +64,14 @@ fn every_protocol_bound_is_finite() {
 fn net_layer_conforms_on_a_reliable_run() {
     let spec = ProtocolSpec::token_ring(3, 3);
     let oracle = ProtocolOracle::build(&spec).expect("oracle");
-    let outcome = run_net(&spec.program, &spec.goal, 41, &NetRunConfig::default())
-        .expect("net infrastructure");
+    let outcome = run_net(
+        &spec.program,
+        &spec.goal,
+        41,
+        &NetRunConfig::default(),
+        &Journal::disabled(),
+    )
+    .expect("net infrastructure");
     let report = check_run(&oracle, &spec, &outcome, true);
     assert!(
         report.conforms(),

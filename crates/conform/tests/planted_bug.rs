@@ -12,6 +12,7 @@
 use nonmask_conform::{
     check_run, run_sim, shrink_schedule, FaultSchedule, ProtocolOracle, ProtocolSpec, SimRunConfig,
 };
+use nonmask_obs::Journal;
 use nonmask_program::Predicate;
 
 fn harness() -> (ProtocolSpec, nonmask_program::Program, ProtocolOracle) {
@@ -36,7 +37,15 @@ fn horizon_cfg() -> (Predicate, SimRunConfig) {
 fn the_mutant_is_detected_as_a_wrong_effect() {
     let (spec, mutant, oracle) = harness();
     let (never, cfg) = horizon_cfg();
-    let outcome = run_sim(&mutant, &never, 7, &FaultSchedule::empty(), &cfg).unwrap();
+    let outcome = run_sim(
+        &mutant,
+        &never,
+        7,
+        &FaultSchedule::empty(),
+        &cfg,
+        &Journal::disabled(),
+    )
+    .unwrap();
     let report = check_run(&oracle, &spec, &outcome, false);
     assert!(!report.conforms(), "planted bug went undetected");
     let first = &report.divergences[0];
@@ -53,7 +62,7 @@ fn the_schedule_shrinks_to_at_most_five_events_and_replays_deterministically() {
     let (never, cfg) = horizon_cfg();
     let seed = 11;
     let divergences_of = |schedule: &FaultSchedule| {
-        let outcome = run_sim(&mutant, &never, seed, schedule, &cfg).unwrap();
+        let outcome = run_sim(&mutant, &never, seed, schedule, &cfg, &Journal::disabled()).unwrap();
         check_run(&oracle, &spec, &outcome, false).divergences
     };
 
@@ -99,7 +108,15 @@ fn the_trusting_parent_mutant_is_detected_as_a_wrong_effect() {
     let mutant = ProtocolSpec::spanning_tree_mutant_program(2, 1);
     let oracle = ProtocolOracle::build(&spec).expect("oracle");
     let (never, cfg) = horizon_cfg();
-    let outcome = run_sim(&mutant, &never, 1, &FaultSchedule::empty(), &cfg).unwrap();
+    let outcome = run_sim(
+        &mutant,
+        &never,
+        1,
+        &FaultSchedule::empty(),
+        &cfg,
+        &Journal::disabled(),
+    )
+    .unwrap();
     let report = check_run(&oracle, &spec, &outcome, false);
     assert!(!report.conforms(), "planted parent bug went undetected");
     let first = &report.divergences[0];
@@ -118,7 +135,7 @@ fn the_trusting_parent_schedule_shrinks_and_replays_deterministically() {
     let (never, cfg) = horizon_cfg();
     let seed = 4;
     let divergences_of = |schedule: &FaultSchedule| {
-        let outcome = run_sim(&mutant, &never, seed, schedule, &cfg).unwrap();
+        let outcome = run_sim(&mutant, &never, seed, schedule, &cfg, &Journal::disabled()).unwrap();
         check_run(&oracle, &spec, &outcome, false).divergences
     };
 

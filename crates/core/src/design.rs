@@ -754,6 +754,12 @@ impl DesignBuilder {
         self
     }
 
+    /// Add every constraint of a decomposition, in order.
+    pub fn constraints(mut self, constraints: impl IntoIterator<Item = Constraint>) -> Self {
+        self.constraints.extend(constraints);
+        self
+    }
+
     /// Supply a hierarchical partition of the constraints for Theorem 3.
     pub fn layering(mut self, layering: Layering) -> Self {
         self.layering = Some(layering);

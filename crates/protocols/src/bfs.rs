@@ -39,6 +39,7 @@
 //! [`ByzantineModel`], which derives the safe set, radius and goals.
 
 use crate::byzantine::{ByzantineModel, Safety};
+use nonmask::Constraint;
 use nonmask_graph::Topology;
 use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, VarId};
 
@@ -156,12 +157,15 @@ impl MinPlusOne {
         self.dist[j]
     }
 
-    /// The min+1 (or anchor) repair action of correct node `j`.
-    pub fn fix_action(&self, j: usize) -> Option<ActionId> {
+    /// The decomposition of [`invariant`](Self::invariant): per correct
+    /// node, in node order, the equation `c.j` paired with `minplus1@j`
+    /// (`anchor@root` at the root), whose effect rewrites `d.j` to the
+    /// equation's value. Byzantine nodes have no constraint.
+    pub fn constraints(&self) -> Vec<Constraint> {
         self.repairs
             .iter()
-            .find(|&&(node, _)| node == j)
-            .map(|&(_, id)| id)
+            .map(|&(j, action)| Constraint::new(format!("c.{j}"), self.constraint(j), action))
+            .collect()
     }
 
     /// The local constraint of correct node `j`: the min+1 equation

@@ -8,7 +8,7 @@
 //! *silent* (deadlocked inside `S`), the standard shape of stabilizing
 //! graph algorithms.
 
-use nonmask::{Design, DesignError};
+use nonmask::{Constraint, Design, DesignError};
 use nonmask_graph::NodePartition;
 use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, VarId};
 
@@ -87,14 +87,6 @@ impl TreeColoring {
         self.color[j]
     }
 
-    /// The recoloring repair at non-root node `j`, if any.
-    pub fn recolor_action(&self, j: usize) -> Option<ActionId> {
-        self.repairs
-            .iter()
-            .find(|&&(node, _)| node == j)
-            .map(|&(_, id)| id)
-    }
-
     /// The constraint `R.j: c.j != c.(P.j)`.
     ///
     /// # Panics
@@ -122,18 +114,26 @@ impl TreeColoring {
             .all(|j| state.get(self.color[j]) != state.get(self.color[self.tree.parent(j)]))
     }
 
-    /// The complete stabilizing [`Design`].
+    /// The decomposition of the proper coloring: one constraint `R.j` per
+    /// non-root node, in node order, each paired with `recolor@j`.
+    pub fn constraints(&self) -> Vec<Constraint> {
+        self.repairs
+            .iter()
+            .map(|&(j, action)| Constraint::new(format!("R.{j}"), self.constraint(j), action))
+            .collect()
+    }
+
+    /// The complete stabilizing [`Design`] over the
+    /// [`constraints`](Self::constraints).
     ///
     /// # Errors
     ///
     /// Mirrors [`Design::builder`] validation.
     pub fn design(&self) -> Result<Design, DesignError> {
-        let mut builder = Design::builder(self.program.clone())
-            .partition(NodePartition::by_process(&self.program));
-        for &(j, action) in &self.repairs {
-            builder = builder.constraint(format!("R.{j}"), self.constraint(j), action);
-        }
-        builder.build()
+        Design::builder(self.program.clone())
+            .partition(NodePartition::by_process(&self.program))
+            .constraints(self.constraints())
+            .build()
     }
 }
 

@@ -22,7 +22,7 @@
 //! Theorem 1 validates convergence; the program tolerates faults that
 //! arbitrarily corrupt the state of any number of nodes.
 
-use nonmask::{Design, DesignError};
+use nonmask::{Constraint, Design, DesignError};
 use nonmask_graph::NodePartition;
 use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, VarId};
 
@@ -164,11 +164,6 @@ impl DiffusingComputation {
         self.reflect[j]
     }
 
-    /// The merged propagate/repair action of non-root node `j`, if any.
-    pub fn combined_action(&self, j: usize) -> Option<ActionId> {
-        self.combined.iter().find(|(k, _)| *k == j).map(|(_, a)| *a)
-    }
-
     /// The constraint `R.j` of non-root node `j`.
     ///
     /// # Panics
@@ -198,20 +193,29 @@ impl DiffusingComputation {
         Predicate::all("S", rs.iter()).named("S")
     }
 
-    /// The complete stabilizing [`Design`]: fault span `true`, one
-    /// constraint `R.j` per non-root node, node partition by process.
+    /// The decomposition of `S`: one constraint `R.j` per non-root node,
+    /// in node order, each paired with the merged propagate/repair action
+    /// at `j` that re-establishes it (the root drives the wave and has no
+    /// constraint).
+    pub fn constraints(&self) -> Vec<Constraint> {
+        self.combined
+            .iter()
+            .map(|&(j, action)| Constraint::new(format!("R.{j}"), self.constraint(j), action))
+            .collect()
+    }
+
+    /// The complete stabilizing [`Design`]: fault span `true`, the
+    /// [`constraints`](Self::constraints), node partition by process.
     ///
     /// # Errors
     ///
     /// Mirrors [`Design::builder`] validation (cannot fail for programs
     /// built by [`DiffusingComputation::new`]).
     pub fn design(&self) -> Result<Design, DesignError> {
-        let mut builder = Design::builder(self.program.clone())
-            .partition(NodePartition::by_process(&self.program));
-        for &(j, action) in &self.combined {
-            builder = builder.constraint(format!("R.{j}"), self.constraint(j), action);
-        }
-        builder.build()
+        Design::builder(self.program.clone())
+            .partition(NodePartition::by_process(&self.program))
+            .constraints(self.constraints())
+            .build()
     }
 
     /// A mis-designed variant for the interference ablation (E3): each
@@ -451,8 +455,12 @@ mod tests {
     fn constraint_accessors() {
         let tree = Tree::chain(3);
         let dc = DiffusingComputation::new(&tree);
-        assert!(dc.combined_action(0).is_none(), "root has no repair");
-        assert!(dc.combined_action(1).is_some());
+        let names: Vec<_> = dc
+            .constraints()
+            .iter()
+            .map(|c| c.name().to_owned())
+            .collect();
+        assert_eq!(names, ["R.1", "R.2"], "the root has no constraint");
         assert_eq!(dc.tree().len(), 3);
         let r1 = dc.constraint(1);
         assert!(r1.holds(&dc.initial_state()));

@@ -40,6 +40,7 @@
 //! therefore be smaller than the predicted one.
 
 use crate::byzantine::{ByzantineModel, Safety};
+use nonmask::Constraint;
 use nonmask_graph::Topology;
 use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, VarId};
 
@@ -228,12 +229,15 @@ impl SpanningTree {
         self.parent[j]
     }
 
-    /// The repair action of correct node `j`.
-    pub fn fix_action(&self, j: usize) -> Option<ActionId> {
+    /// The decomposition of [`invariant`](Self::invariant): per correct
+    /// node, in node order, the BFS equations `c.j` over `d.j` and
+    /// `prnt.j`, paired with the node's single repair action. Byzantine
+    /// nodes have no constraint.
+    pub fn constraints(&self) -> Vec<Constraint> {
         self.repairs
             .iter()
-            .find(|&&(node, _)| node == j)
-            .map(|&(_, id)| id)
+            .map(|&(j, action)| Constraint::new(format!("c.{j}"), self.constraint(j), action))
+            .collect()
     }
 
     /// The local constraint of correct node `j`: the BFS equations

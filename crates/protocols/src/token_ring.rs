@@ -24,7 +24,7 @@
 //!   holds the constraints `x.(j-1) ≥ x.j`, layer 2 the constraints
 //!   `x.(j-1) = x.j`, and Theorem 3 validates the convergence actions.
 
-use nonmask::{Design, DesignError};
+use nonmask::{Constraint, Design, DesignError};
 use nonmask_graph::{ConstraintRef, Layering, NodePartition};
 use nonmask_program::{ActionId, Domain, Predicate, ProcessId, Program, State, VarId};
 
@@ -254,6 +254,22 @@ impl TokenRing {
             }
             count == 1
         })
+    }
+
+    /// The agreement decomposition: `c.j ≡ x.j = x.(j-1)` for
+    /// `j = 1 .. n-1`, each paired with `pass@j`, whose effect
+    /// `x.j := x.(j-1)` re-establishes the boundary from any state. The
+    /// constraint graph is the ring's chain, and where every `c.j` holds
+    /// only the root is privileged (the shape of Theorem 2).
+    pub fn constraints(&self) -> Vec<Constraint> {
+        (1..self.n)
+            .map(|j| {
+                let (xj, xp) = (self.x[j], self.x[j - 1]);
+                let name = format!("c.{j}");
+                let agree = Predicate::new(name.clone(), [xj, xp], move |s| s.get(xj) == s.get(xp));
+                Constraint::new(name, agree, self.actions[j])
+            })
+            .collect()
     }
 
     /// The all-zero legitimate state (root privileged).

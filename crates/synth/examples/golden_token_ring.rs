@@ -11,7 +11,7 @@
 
 fn main() {
     let out = nonmask_synth::synthesize(
-        &nonmask_synth::specs::token_ring_windowed(4, 3),
+        &nonmask_synth::specs::token_ring_windowed(4, 3).unwrap(),
         &nonmask_synth::SynthOptions::default(),
         &nonmask_obs::Journal::disabled(),
     )

@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn token_ring_grammar_size_is_stable() {
-        let spec = specs::token_ring_windowed(4, 3);
+        let spec = specs::token_ring_windowed(4, 3).unwrap();
         assert_eq!(spec.constraints.len(), 6);
         for ci in 0..6 {
             let cs = candidates(&spec, ci).unwrap();
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn diffusing_grammar_size_is_stable() {
-        let spec = specs::diffusing(7);
+        let spec = specs::diffusing(7).unwrap();
         assert_eq!(spec.constraints.len(), 6);
         for ci in 0..6 {
             let cs = candidates(&spec, ci).unwrap();
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn coloring_grammar_size_is_stable() {
-        let spec = specs::coloring(7, 3);
+        let spec = specs::coloring(7, 3).unwrap();
         assert_eq!(spec.constraints.len(), 6);
         for ci in 0..6 {
             let cs = candidates(&spec, ci).unwrap();
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn bare_guard_and_copy_come_first() {
-        let spec = specs::coloring(3, 3);
+        let spec = specs::coloring(3, 3).unwrap();
         let cs = candidates(&spec, 0).unwrap();
         let first = pretty_action(&cs[0].action);
         assert!(
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn triggered_constraints_yield_combined_actions() {
-        let spec = specs::token_ring_windowed(4, 3);
+        let spec = specs::token_ring_windowed(4, 3).unwrap();
         // Constraints are ordered ge.1..ge.3 then eq.1..eq.3.
         assert!(spec.constraints[0].trigger.is_none());
         assert!(spec.constraints[3].trigger.is_some());
@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn unknown_pair_variable_is_rejected() {
-        let mut spec = specs::coloring(3, 3);
+        let mut spec = specs::coloring(3, 3).unwrap();
         spec.constraints[0].pairs[0].1 = "nope".into();
         assert!(matches!(
             candidates(&spec, 0),

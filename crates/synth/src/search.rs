@@ -536,7 +536,7 @@ mod tests {
 
     #[test]
     fn empty_spec_is_rejected() {
-        let mut spec = specs::coloring(3, 3);
+        let mut spec = specs::coloring(3, 3).unwrap();
         spec.constraints.clear();
         let err = synthesize(&spec, &SynthOptions::default(), &Journal::disabled());
         assert!(matches!(err, Err(SynthError::BadSpec { .. })));
@@ -544,7 +544,7 @@ mod tests {
 
     #[test]
     fn coloring_synthesizes_the_recoloring_repair() {
-        let spec = specs::coloring(3, 3);
+        let spec = specs::coloring(3, 3).unwrap();
         let out = synthesize(&spec, &SynthOptions::default(), &Journal::disabled()).unwrap();
         assert!(out.report.is_tolerant());
         assert!(out.report.theorem.applies());
@@ -562,7 +562,7 @@ mod tests {
 
     #[test]
     fn renders_parseable_surface_syntax_with_trailer() {
-        let spec = specs::coloring(3, 3);
+        let spec = specs::coloring(3, 3).unwrap();
         let out = synthesize(&spec, &SynthOptions::default(), &Journal::disabled()).unwrap();
         let text = out.render();
         assert!(text.contains("# theorem:"));

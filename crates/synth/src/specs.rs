@@ -15,6 +15,7 @@ use nonmask_lang::{ActionDef, BinOp, DomainDef, Expr, ProgramDef, VarDef};
 use nonmask_program::ActionKind;
 
 use crate::grammar::{all, and, bin, ident, int, not, or, SynthConstraint, SynthSpec};
+use crate::SynthError;
 
 fn var(name: String, domain: DomainDef) -> VarDef {
     VarDef {
@@ -34,6 +35,17 @@ fn closure(name: String, guard: Expr, assigns: Vec<(String, Expr)>) -> ActionDef
     }
 }
 
+/// `Ok` when `holds`, else a [`SynthError::BadSpec`] saying `why`.
+fn require(holds: bool, why: &str) -> Result<(), SynthError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(SynthError::BadSpec {
+            message: why.to_owned(),
+        })
+    }
+}
+
 /// Parent of node `j` in the binary heap-shaped tree used by the
 /// diffusing and coloring protocols (matches `Tree::binary`).
 fn parent(j: usize) -> usize {
@@ -47,12 +59,12 @@ fn parent(j: usize) -> usize {
 /// `x.(j-1) > x.j`, so their synthesized repairs come out *combined* —
 /// the paper's token-passing copy.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `n < 2` or `m < 1`.
-pub fn token_ring_windowed(n: usize, m: i64) -> SynthSpec {
-    assert!(n >= 2, "a ring needs at least two nodes");
-    assert!(m >= 1, "the window needs at least two values");
+/// [`SynthError::BadSpec`] if `n < 2` or `m < 1`.
+pub fn token_ring_windowed(n: usize, m: i64) -> Result<SynthSpec, SynthError> {
+    require(n >= 2, "a ring needs at least two nodes")?;
+    require(m >= 1, "the window needs at least two values")?;
     let x = |j: usize| format!("x.{j}");
     let base = ProgramDef {
         name: format!("token.ring.windowed.n{n}.m{m}"),
@@ -98,12 +110,12 @@ pub fn token_ring_windowed(n: usize, m: i64) -> SynthSpec {
     );
     let goal = and(all((1..n).map(ge).collect()), window);
 
-    SynthSpec {
+    Ok(SynthSpec {
         name: format!("token.ring.windowed.n{n}.m{m}"),
         base,
         goal,
         constraints,
-    }
+    })
 }
 
 /// The stabilizing diffusing computation of §5.1 over a binary tree of
@@ -114,11 +126,11 @@ pub fn token_ring_windowed(n: usize, m: i64) -> SynthSpec {
 /// merge trigger `sn.j ≠ sn.(P.j)`, so the synthesized repair doubles as
 /// the downward propagation — the paper's merged combined action.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `n < 2`.
-pub fn diffusing(n: usize) -> SynthSpec {
-    assert!(n >= 2, "a tree needs at least two nodes");
+/// [`SynthError::BadSpec`] if `n < 2`.
+pub fn diffusing(n: usize) -> Result<SynthSpec, SynthError> {
+    require(n >= 2, "a tree needs at least two nodes")?;
     let c = |j: usize| format!("c.{j}");
     let sn = |j: usize| format!("sn.{j}");
     let green = || ident("green");
@@ -177,7 +189,7 @@ pub fn diffusing(n: usize) -> SynthSpec {
         })
         .collect();
 
-    SynthSpec {
+    Ok(SynthSpec {
         name: format!("diffusing.{n}"),
         base: ProgramDef {
             name: format!("diffusing.{n}"),
@@ -187,7 +199,7 @@ pub fn diffusing(n: usize) -> SynthSpec {
         },
         goal: all((1..n).map(r).collect()),
         constraints,
-    }
+    })
 }
 
 /// Proper tree coloring over a binary tree of `n` nodes with `colors`
@@ -196,15 +208,15 @@ pub fn diffusing(n: usize) -> SynthSpec {
 /// `S`. This decomposition has no hand-written design heritage in the
 /// paper; the synthesizer derives the recoloring repair from scratch.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `n < 2` or `colors < 2`.
-pub fn coloring(n: usize, colors: i64) -> SynthSpec {
-    assert!(n >= 2, "a tree needs at least two nodes");
-    assert!(colors >= 2, "proper coloring needs at least two colors");
+/// [`SynthError::BadSpec`] if `n < 2` or `colors < 2`.
+pub fn coloring(n: usize, colors: i64) -> Result<SynthSpec, SynthError> {
+    require(n >= 2, "a tree needs at least two nodes")?;
+    require(colors >= 2, "proper coloring needs at least two colors")?;
     let c = |j: usize| format!("c.{j}");
     let r = |j: usize| bin(BinOp::Ne, ident(&c(j)), ident(&c(parent(j))));
-    SynthSpec {
+    Ok(SynthSpec {
         name: format!("coloring.{n}.c{colors}"),
         base: ProgramDef {
             name: format!("coloring.{n}.c{colors}"),
@@ -223,7 +235,7 @@ pub fn coloring(n: usize, colors: i64) -> SynthSpec {
                 trigger: None,
             })
             .collect(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -234,6 +246,7 @@ mod tests {
     #[test]
     fn base_programs_compile_with_process_tags() {
         for spec in [token_ring_windowed(4, 3), diffusing(7), coloring(7, 3)] {
+            let spec = spec.unwrap();
             let program = compile_def_with_processes(&spec.base)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert!(program.var_count() > 0);
@@ -242,7 +255,7 @@ mod tests {
 
     #[test]
     fn token_ring_base_has_only_the_increment() {
-        let spec = token_ring_windowed(4, 3);
+        let spec = token_ring_windowed(4, 3).unwrap();
         assert_eq!(spec.base.actions.len(), 1);
         assert_eq!(spec.base.actions[0].name, "inc.0");
         assert_eq!(spec.constraints.len(), 6);
@@ -250,7 +263,7 @@ mod tests {
 
     #[test]
     fn diffusing_base_is_the_wave_without_repairs() {
-        let spec = diffusing(7);
+        let spec = diffusing(7).unwrap();
         // initiate + one reflect per node, nothing that writes both a
         // child's color and session from the parent.
         assert_eq!(spec.base.actions.len(), 8);
@@ -259,8 +272,27 @@ mod tests {
 
     #[test]
     fn coloring_base_is_empty() {
-        let spec = coloring(7, 3);
+        let spec = coloring(7, 3).unwrap();
         assert!(spec.base.actions.is_empty());
         assert_eq!(spec.constraints.len(), 6);
+    }
+
+    #[test]
+    fn degenerate_sizes_are_bad_specs() {
+        for (result, why) in [
+            (token_ring_windowed(1, 3), "a ring needs at least two nodes"),
+            (
+                token_ring_windowed(4, 0),
+                "the window needs at least two values",
+            ),
+            (diffusing(1), "a tree needs at least two nodes"),
+            (coloring(0, 3), "a tree needs at least two nodes"),
+            (coloring(7, 1), "proper coloring needs at least two colors"),
+        ] {
+            match result {
+                Err(SynthError::BadSpec { message }) => assert_eq!(message, why),
+                other => panic!("expected a bad spec ({why}), got {other:?}"),
+            }
+        }
     }
 }

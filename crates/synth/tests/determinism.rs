@@ -26,7 +26,7 @@ fn fingerprint(
 
 #[test]
 fn coloring_is_invariant_across_threads_and_chunks() {
-    let spec = specs::coloring(5, 3);
+    let spec = specs::coloring(5, 3).unwrap();
     let baseline = fingerprint(&spec, 1, 1);
     for threads in [1usize, 4, 7] {
         for chunk in [1usize, 3, 8, 64] {
@@ -50,7 +50,7 @@ fn coloring_is_invariant_across_threads_and_chunks() {
 
 #[test]
 fn token_ring_is_invariant_across_threads_and_chunks() {
-    let spec = specs::token_ring_windowed(4, 3);
+    let spec = specs::token_ring_windowed(4, 3).unwrap();
     let baseline = fingerprint(&spec, 1, 1);
     for (threads, chunk) in [(4usize, 3usize), (7, 8), (2, 64)] {
         let got = fingerprint(&spec, threads, chunk);
@@ -65,7 +65,7 @@ fn token_ring_is_invariant_across_threads_and_chunks() {
 
 #[test]
 fn journal_follows_the_phase_order() {
-    let spec = specs::coloring(3, 3);
+    let spec = specs::coloring(3, 3).unwrap();
     let (_, events, _, _) = fingerprint(&spec, 2, 2);
     let phases: Vec<String> = events
         .iter()

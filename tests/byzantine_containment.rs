@@ -15,8 +15,7 @@
 
 use nonmask_checker::{certify_containment, CheckOptions, Fairness, StateSpace};
 use nonmask_conform::{
-    radii_agree, run_net_journaled, run_sim, run_sim_journaled, ContainmentMap, FaultSchedule,
-    NetRunConfig, SimRunConfig,
+    radii_agree, run_net, run_sim, ContainmentMap, FaultSchedule, NetRunConfig, SimRunConfig,
 };
 use nonmask_graph::Topology;
 use nonmask_obs::{containment_radius, parse_journal, render_timeline, Journal, Record};
@@ -42,7 +41,7 @@ fn sim_records(proto: &MinPlusOne, map: &ContainmentMap, seed: u64) -> Vec<Recor
         byzantine_seed: LIE_SEED,
         ..SimRunConfig::default()
     };
-    let outcome = run_sim_journaled(
+    let outcome = run_sim(
         proto.program(),
         &proto.model().safe_goal(),
         seed,
@@ -64,7 +63,7 @@ fn net_records(proto: &MinPlusOne, map: &ContainmentMap, seed: u64) -> Vec<Recor
         byzantine_seed: LIE_SEED,
         ..NetRunConfig::default()
     };
-    let outcome = run_net_journaled(
+    let outcome = run_net(
         proto.program(),
         &proto.model().safe_goal(),
         seed,
@@ -193,7 +192,7 @@ fn a_lang_role_annotation_drives_the_byzantine_injector() {
         byzantine_seed: LIE_SEED,
         ..SimRunConfig::default()
     };
-    let outcome = run_sim_journaled(
+    let outcome = run_sim(
         &program,
         &goal,
         SEED,
@@ -278,6 +277,7 @@ fn safe_region_final_state(program: &Program, model: &ByzantineModel) -> State {
         SEED,
         &FaultSchedule::empty(),
         &cfg,
+        &Journal::disabled(),
     )
     .expect("sim infrastructure");
     assert!(outcome.stabilized, "the safe region stabilizes");

@@ -10,7 +10,7 @@
 
 use nonmask_checker::convergence::shortest_path_to;
 use nonmask_checker::{replay_constraints, CheckOptions, StateSpace};
-use nonmask_conform::{run_sim_journaled, ContainmentMap, FaultSchedule, SimRunConfig};
+use nonmask_conform::{run_sim, ContainmentMap, FaultSchedule, SimRunConfig};
 use nonmask_graph::Topology;
 use nonmask_obs::{containment_radius, parse_journal, render_timeline, repair_order, Journal};
 use nonmask_program::{Predicate, State};
@@ -25,12 +25,10 @@ fn journaled_repair_timeline_matches_independent_replay() {
     let program = ring.program();
 
     // §4 decomposition of the ring invariant: c.j ≡ `x.j = x.(j-1)`.
-    let constraints: Vec<Predicate> = (1..n)
-        .map(|j| {
-            let xj = ring.counter_var(j);
-            let xp = ring.counter_var(j - 1);
-            Predicate::new(format!("c.{j}"), [xj, xp], move |s| s.get(xj) == s.get(xp))
-        })
+    let constraints: Vec<Predicate> = ring
+        .constraints()
+        .iter()
+        .map(|c| c.predicate().clone())
         .collect();
 
     let (journal, buffer) = Journal::memory();
@@ -121,7 +119,7 @@ fn containment_timeline_pins_the_measured_radius() {
         byzantine_seed: 0xB12A,
         ..SimRunConfig::default()
     };
-    let outcome = run_sim_journaled(
+    let outcome = run_sim(
         proto.program(),
         &proto.model().safe_goal(),
         3,
