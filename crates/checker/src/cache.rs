@@ -279,7 +279,7 @@ impl Bitset {
 /// A [`Bitset`] answers one predicate with one bit per state; the column
 /// answers a whole group of them with one load, so one sweep can ask
 /// every (action, predicate) preservation question of the group at once
-/// (see [`breaking_actions`](crate::breaking_actions)). A group of `P`
+/// (see [`preservation`](crate::preservation)). A group of `P`
 /// predicates costs `⌈P/8⌉` bytes per state, plus 8 bytes of padding at
 /// the end so that every state's mask is one unaligned 8-byte load.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,17 +13,13 @@
 //! report the same violation: the lowest violating action, then its
 //! lowest state.
 //!
-//! Many questions over the same states take one sweep. [`breaking_actions`]
-//! reads a [`MaskColumn`] of up to 64 predicates per state and, for every
-//! transition `x → y` of action `a` out of the assumed states, ORs
-//! `mask(x) & !mask(y)` and `!mask(y)` into `a`'s two entries, and per
-//! state the false slots whose repair has no transition into one word:
-//! one pass says which actions break which predicates of the group, and,
-//! over `T`, which repairs are unguarded or fail to establish their
-//! constraint. A violation's witness costs one more scan
-//! ([`preserves_given_bits`], [`first_leaving`] or [`first_disabled`] on
-//! the action at fault), run only when there is a violation. All of them
-//! are one early-exit scan in id order.
+//! Every preservation question of `Design::verify` takes one sweep:
+//! [`preservation`] reads each row of `T ∪ S` once, with the
+//! [`MaskColumn`]s of its predicates, and says which actions break which
+//! predicates given `T`, `S` or any layer, and which repairs are
+//! unguarded or lead outside their constraint. A violation's witness
+//! costs one early-exit scan in id order ([`preserves_given_bits`],
+//! [`first_leaving`] or [`first_disabled`] on the action at fault).
 
 use std::ops::Range;
 
@@ -71,9 +67,8 @@ impl Violation {
 /// `pred_bits` and `assuming_bits` must be evaluations of the predicates
 /// over exactly this `space` (see [`Bitset::for_predicates`]): one bit test
 /// per state and per successor, no predicate evaluation at all, and the
-/// scan stops at the first violation. To ask the question of every action
-/// and every predicate of a [`MaskColumn`] at once, sweep once with
-/// [`breaking_actions`].
+/// scan stops at the first violation. [`preservation`] asks it of every
+/// action, predicate and premise at once, without witnesses.
 pub fn preserves_given_bits(
     space: &StateSpace,
     action: ActionId,
@@ -119,135 +114,195 @@ pub fn is_closed_bits<R: RowSource>(
     first_violation(space, pred_bits, None, Seek::Exit(pred_bits), None, opts)
 }
 
-/// What one [`breaking_actions`] sweep over the states of `assuming`
-/// found, per predicate `j` of its mask group.
+/// The premise of a preservation question: the states it is asked over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Given {
+    /// The fault span `T`.
+    FaultSpan,
+    /// The invariant `S`.
+    Invariant,
+    /// Theorem 3's premise of layer `l`: `T ∧ ¬S ∧` all lower layers.
+    Layer(usize),
+}
+
+/// The answers of one [`preservation`] sweep, per action and mask slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Breaks {
-    /// Entry `a`: bit `j` is set iff some transition of action `a` leads
-    /// from a state of `assuming ∧ pred_j` to a state outside `pred_j`.
-    pub broken: Vec<u64>,
-    /// Entry `a`: bit `j` is set iff some transition of action `a` from a
-    /// state of `assuming` leads outside `pred_j`.
-    pub leaves: Vec<u64>,
-    /// Bit `j` is set iff some state of `assuming ∧ ¬pred_j` has no
-    /// transition by an action whose `repairs` entry holds bit `j`.
-    pub unguarded: u64,
-}
-
-/// Which actions break, or lead outside, which predicates of a
-/// [`MaskColumn`] group where `assuming` holds, and which repairs are not
-/// enabled where their predicate is false (see [`Breaks`]). Bit `j` of
-/// `broken[a]` is set iff [`preserves_given_bits`] would report a
-/// violation of `pred_j` for `a`; bit `j` of `leaves[a]` iff
-/// [`first_leaving`] finds a transition of `a` from `assuming` outside
-/// `pred_j`; bit `j` of `unguarded` iff [`first_disabled`] finds a state
-/// of `assuming ∧ ¬pred_j` where the repair of slot `j` is not enabled.
-///
-/// One sweep over the states of `assuming` answers the question for every
-/// action and every predicate of the group at once: per transition
-/// `x → y` of action `a`, `broken[a] |= mask(x) & !mask(y)` and
-/// `leaves[a] |= !mask(y)`, and per state `x`, the slots false at `x`
-/// whose repair has no transition there go into `unguarded`. `repairs`
-/// maps each action to the slots of the group it repairs (zero for most
-/// actions); its length is the action count. Closure is the special case
-/// `assuming = pred_j` (the states outside `pred_j` contribute nothing to
-/// `broken`'s bit `j`), Theorem 3's side conditions ask it of every action
-/// and constraint under the same layer assumption, and a constraint's
-/// repair obligations are its bits of `unguarded` and of its action's
-/// `leaves` under `T`. Every row of `assuming` is read, whatever the
-/// answer.
-///
-/// # Errors
-///
-/// [`CheckError::WorkerFailed`] if a worker panics mid-scan;
-/// [`CheckError::EscapedDomain`] if an action escapes its domain (only a
-/// [`Decoder`](crate::Decoder) evaluates actions).
-///
-/// # Panics
-///
-/// Panics if `masks` does not range over exactly the states of `source`,
-/// or if a row holds an action without a `repairs` entry.
-pub fn breaking_actions<R: RowSource>(
-    source: &R,
-    repairs: &[u64],
-    masks: &MaskColumn,
-    assuming: &Bitset,
-    opts: CheckOptions,
-) -> Result<Breaks, CheckError> {
-    sweep::<R, true>(source, repairs, masks, assuming, opts)
-}
-
-/// The [`broken`](Breaks::broken) words of [`breaking_actions`] alone, by
-/// a sweep that does none of the repair work: for the assumptions whose
-/// `leaves` and `unguarded` no caller reads. `actions` is the action
-/// count.
-///
-/// # Errors
-///
-/// As [`breaking_actions`].
-///
-/// # Panics
-///
-/// Panics if `masks` does not range over exactly the states of `source`,
-/// or if a row holds an action at or past `actions`.
-pub fn broken_actions<R: RowSource>(
-    source: &R,
+pub struct Preservation {
     actions: usize,
-    masks: &MaskColumn,
-    assuming: &Bitset,
-    opts: CheckOptions,
-) -> Result<Vec<u64>, CheckError> {
-    Ok(sweep::<R, false>(source, &vec![0; actions], masks, assuming, opts)?.broken)
+    /// Blocks of one word per column and action: the slots its
+    /// transitions from `T` leave, then those it breaks given `T`, `S`
+    /// and each layer.
+    words: Vec<u64>,
+    /// Per column, the repaired slots false at a `T` state where none of
+    /// their repairs is enabled.
+    unguarded: Vec<u64>,
+    rows: u64,
 }
 
-/// The one [`breaking_actions`] sweep; without `REPAIRS`, `leaves` and
-/// `unguarded` stay zero and `repairs` is read for its length alone.
-fn sweep<R: RowSource, const REPAIRS: bool>(
-    source: &R,
-    repairs: &[u64],
-    masks: &MaskColumn,
-    assuming: &Bitset,
-    opts: CheckOptions,
-) -> Result<Breaks, CheckError> {
-    let len = source.index().len();
-    assert_eq!(masks.len(), len, "mask column length mismatch");
-    let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
-    let (group, repaired) = (masks.bits(), repairs.iter().fold(0, |m, r| m | r));
-    let none = || Breaks {
-        broken: vec![0; repairs.len()],
-        leaves: vec![0; repairs.len()],
-        unguarded: 0,
-    };
-    let task = |ti: usize| -> Result<Breaks, CheckError> {
-        let mut rows = source.rows();
-        let mut found = none();
-        for i in members(assuming, None, plan.range(ti)) {
-            let held = masks.at(i);
-            let mut enabled = 0;
-            for (a, succ) in rows.row(StateId::from_index(i))? {
-                let out = group & !masks.at(succ.index());
-                found.broken[a.index()] |= held & out;
-                if REPAIRS {
-                    found.leaves[a.index()] |= out;
-                    enabled |= repairs[a.index()];
-                }
-            }
-            if REPAIRS {
-                found.unguarded |= repaired & !held & !enabled;
-            }
-        }
-        Ok(found)
-    };
-    let mut found = none();
-    for part in steal_tasks(plan.count(), workers, task)? {
-        let part = part?;
-        let words = found.broken.iter_mut().chain(&mut found.leaves);
-        for (w, p) in words.zip(part.broken.into_iter().chain(part.leaves)) {
-            *w |= p;
-        }
-        found.unguarded |= part.unguarded;
+impl Preservation {
+    /// Does some transition of `action` lead from a state of `given` where
+    /// `slot` holds to one where it does not, as [`preserves_given_bits`]
+    /// would witness? Panics on a layer the sweep was not asked about.
+    pub fn breaks(&self, given: Given, action: ActionId, slot: usize) -> bool {
+        let block = match given {
+            Given::FaultSpan => 1,
+            Given::Invariant => 2,
+            Given::Layer(l) => 3 + l,
+        };
+        self.bit(block, action, slot)
     }
-    Ok(found)
+
+    /// Does some transition of `action` from `T` lead outside `slot`, as
+    /// [`first_leaving`] would witness?
+    pub fn leaves(&self, action: ActionId, slot: usize) -> bool {
+        self.bit(0, action, slot)
+    }
+
+    fn bit(&self, block: usize, action: ActionId, slot: usize) -> bool {
+        let column = block * self.unguarded.len() + slot / MaskColumn::WIDTH;
+        self.words[column * self.actions + action.index()] >> (slot % MaskColumn::WIDTH) & 1 == 1
+    }
+
+    /// Is `slot` false at a `T` state where none of its repairs is
+    /// enabled, as [`first_disabled`] would witness?
+    pub fn unguarded(&self, slot: usize) -> bool {
+        self.unguarded[slot / MaskColumn::WIDTH] >> (slot % MaskColumn::WIDTH) & 1 == 1
+    }
+
+    /// Rows the sweep read: every state of `T ∪ S` once.
+    pub fn rows_read(&self) -> u64 {
+        self.rows
+    }
+}
+
+/// Every preservation question over the predicates of `masks` (slot `k`
+/// is bit `k % 64` of column `k / 64`), in one sweep over the rows of
+/// `T ∪ S` in id order. `t` and `s` are the slots of `T` and `S` (which
+/// need not lie inside `T`), `repairs` the slot each action repairs, and
+/// `layers` Theorem 3's layers as adjacent slot ranges, lowest first.
+///
+/// A state's mask puts it in one class: `T ∧ S`, `S ∧ ¬T`, or in `T ∧ ¬S`
+/// its depth. Per transition `x → y` of `a` and per column,
+/// `mask(x) & !mask(y)` goes into `a`'s word of `x`'s class and, from
+/// `T`, `!mask(y)` into its leaving word; per `T` state, the false slots
+/// with no enabled repair go into the unguarded word. A suffix OR over
+/// the depths then gives the layer premises, and unions of classes `T`
+/// and `S`, so a transition costs the same however many layers there
+/// are. Segments are swept as independent tasks and ORed, so every
+/// thread count and row source gives the same answers.
+///
+/// # Errors
+///
+/// As [`is_closed_bits`].
+///
+/// # Panics
+///
+/// If a column does not range over the states of `source`, a slot lies
+/// past the columns, the layers are out of order, or a row holds an
+/// action without a `repairs` entry.
+pub fn preservation<R: RowSource>(
+    source: &R,
+    masks: &[MaskColumn],
+    [t, s]: [usize; 2],
+    repairs: &[Option<usize>],
+    layers: &[Range<usize>],
+    opts: CheckOptions,
+) -> Result<Preservation, CheckError> {
+    let len = source.index().len();
+    assert!(masks.iter().all(|m| m.len() == len), "mask length mismatch");
+    let ascending = layers.windows(2).all(|w| w[0].end <= w[1].start);
+    assert!(ascending, "layers out of order");
+    let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
+    let (actions, columns) = (repairs.len(), masks.len());
+    let split = |k: usize| (k / MaskColumn::WIDTH, 1u64 << (k % MaskColumn::WIDTH));
+    let (mut repair_words, mut repaired) = (vec![0u64; columns * actions], vec![0u64; columns]);
+    for (a, k) in repairs.iter().enumerate() {
+        let Some((c, bit)) = k.map(split) else {
+            continue;
+        };
+        repair_words[c * actions + a] |= bit;
+        repaired[c] |= bit;
+    }
+    // Blocks: leaving words, then the classes (depths, `T ∧ S`, `S ∧ ¬T`).
+    let (block, depths) = (columns * actions, layers.len().max(1));
+    // Per column, its layered slots. A state's depth in `T ∧ ¬S` is the
+    // layer of its first false one (the last layer when all hold), so
+    // that it lies in the premise of every layer up to its depth.
+    let mut layered = vec![0u64; columns];
+    for k in layers.iter().flat_map(Range::clone) {
+        layered[k / MaskColumn::WIDTH] |= 1 << (k % MaskColumn::WIDTH);
+    }
+    let depth = |i: usize| {
+        let first = (layered.iter().zip(masks).enumerate())
+            .find_map(|(c, (&l, m))| {
+                let false_slots = if l == 0 { 0 } else { l & !m.at(i) };
+                (false_slots != 0)
+                    .then(|| c * MaskColumn::WIDTH + false_slots.trailing_zeros() as usize)
+            })
+            .unwrap_or(usize::MAX);
+        layers.partition_point(|l| l.end <= first).min(depths - 1)
+    };
+    let ((t_col, t_bit), (s_col, s_bit)) = (split(t), split(s));
+    let task = |ti: usize| -> Result<(Vec<u64>, Vec<u64>, u64), CheckError> {
+        let mut rows = source.rows();
+        let (mut words, mut unguarded) = (vec![0u64; (depths + 3) * block], vec![0u64; columns]);
+        let mut read = 0;
+        for i in plan.range(ti) {
+            let in_t = masks[t_col].at(i) & t_bit != 0;
+            let in_s = masks[s_col].at(i) & s_bit != 0;
+            let class = block
+                * match (in_t, in_s) {
+                    (false, false) => continue,
+                    (true, false) => 1 + depth(i),
+                    (true, true) => 1 + depths,
+                    (false, true) => 2 + depths,
+                };
+            // All ones on a `T` state, whose leaving and repair words
+            // these are.
+            let t_all = u64::from(in_t).wrapping_neg();
+            let row = rows.row(StateId::from_index(i))?;
+            for (c, m) in masks.iter().enumerate() {
+                let (held, bits, base) = (m.at(i), m.bits(), c * actions);
+                let mut enabled = 0;
+                for (a, succ) in row.iter() {
+                    let (at, out) = (base + a.index(), !m.at(succ.index()) & bits);
+                    words[class + at] |= held & out;
+                    words[at] |= out & t_all;
+                    enabled |= repair_words[at];
+                }
+                unguarded[c] |= repaired[c] & !held & !enabled & t_all;
+            }
+            read += 1;
+        }
+        Ok((words, unguarded, read))
+    };
+    let (mut words, mut unguarded, mut rows) = (vec![0; (depths + 3) * block], vec![0; columns], 0);
+    for part in steal_tasks(plan.count(), workers, task)? {
+        let (w, u, r) = part?;
+        let ours = words.iter_mut().chain(&mut unguarded);
+        ours.zip(w.into_iter().chain(u)).for_each(|(x, y)| *x |= y);
+        rows += r;
+    }
+    // Depth `d` lies in every layer premise up to `d`; depth 0 then holds
+    // all of `T ∧ ¬S`.
+    for class in (1..depths).rev() {
+        let (lower, upper) = words.split_at_mut((class + 1) * block);
+        for (x, y) in lower[class * block..].iter_mut().zip(&upper[..block]) {
+            *x |= y;
+        }
+    }
+    let words = &words;
+    let or =
+        |a: usize, b: usize| (0..block).map(move |j| words[a * block + j] | words[b * block + j]);
+    let mut answers: Vec<u64> = words[..block].to_vec();
+    answers.extend(or(1, 1 + depths).chain(or(1 + depths, 2 + depths)));
+    answers.extend_from_slice(&words[block..(1 + layers.len()) * block]);
+    Ok(Preservation {
+        actions,
+        words: answers,
+        unguarded,
+        rows,
+    })
 }
 
 /// The transition of `action` from the lowest-id state of `from` that
@@ -591,81 +646,156 @@ mod tests {
             .is_none());
     }
 
+    /// The one sweep over `preds`, packed 64 to a column, with `T` at slot
+    /// `t` and `S` at slot `s`.
+    fn sweep(
+        source: &impl RowSource,
+        preds: &[&Bitset],
+        (t, s): (usize, usize),
+        repairs: &[Option<usize>],
+        layers: &[Range<usize>],
+        opts: CheckOptions,
+    ) -> Preservation {
+        let masks: Vec<MaskColumn> = preds
+            .chunks(MaskColumn::WIDTH)
+            .map(|group| MaskColumn::pack(group, opts).unwrap())
+            .collect();
+        preservation(source, &masks, [t, s], repairs, layers, opts).unwrap()
+    }
+
+    /// The slots of `0..slots` that some action of `actions` breaks given
+    /// `given`, one word per action.
+    fn broken(found: &Preservation, given: Given, actions: usize, slots: usize) -> Vec<u64> {
+        (0..actions)
+            .map(|a| {
+                (0..slots)
+                    .filter(|&j| found.breaks(given, ActionId::from_index(a), j))
+                    .fold(0, |w, j| w | 1 << j)
+            })
+            .collect()
+    }
+
     #[test]
-    fn breaking_actions_marks_every_violator() {
+    fn one_sweep_marks_every_violator_of_every_premise() {
         let p = program();
         let x = p.var_by_name("x").unwrap();
         let y = p.var_by_name("y").unwrap();
         let space = StateSpace::enumerate(&p).unwrap();
         let opts = CheckOptions::serial();
-        let eq = Predicate::new("x=y", [x, y], move |s| s.get(x) == s.get(y));
-        let le = Predicate::new("y<=x", [x, y], move |s| s.get(y) <= s.get(x));
-        let small = Predicate::new("x<3", [x], move |s| s.get(x) < 3);
-        let [eq, le, small] = Bitset::for_predicates(space.index(), &[&eq, &le, &small], opts)
-            .unwrap()
-            .try_into()
-            .unwrap();
-        // Bit 0: x=y, bit 1: y<=x, bit 2: x<3.
-        let masks = MaskColumn::pack(&[&eq, &le, &small], opts).unwrap();
-        let all = Bitset::ones(space.len());
-        // The sweep without the repair work finds the same `broken`.
-        let sweep = |assuming: &Bitset| {
-            let found = breaking_actions(&space, &[0, 0], &masks, assuming, opts);
-            let broken = broken_actions(&space, 2, &masks, assuming, opts).unwrap();
-            assert_eq!(broken, found.as_ref().unwrap().broken);
-            found
+        let preds = [
+            Predicate::always_true(),
+            Predicate::new("x=y", [x, y], move |s| s.get(x) == s.get(y)),
+            Predicate::new("x<3", [x], move |s| s.get(x) < 3),
+            Predicate::new("y<=x", [x, y], move |s| s.get(y) <= s.get(x)),
+            Predicate::new("x=3", [x], move |s| s.get(x) == 3),
+        ];
+        let refs: Vec<&Predicate> = preds.iter().collect();
+        let caches = Bitset::for_predicates(space.index(), &refs, opts).unwrap();
+        let caches: Vec<&Bitset> = caches.iter().collect();
+        // Slot 0: T = true, 1: S = x=y, 2: x<3 (layer 0), 3: y<=x (layer
+        // 1), 4: x=3 (no layer).
+        let found = sweep(&space, &caches, (0, 1), &[None, None], &[2..3, 3..4], opts);
+        // Given T, copy (y := x) breaks nothing, though it leads outside
+        // x<3 from x=3, where it did not hold; bump breaks x=y, x<3
+        // (2 -> 3), y<=x (3 -> 0 wraps) and x=3 (3 -> 0).
+        assert_eq!(broken(&found, Given::FaultSpan, 2, 5), [0b00000, 0b11110]);
+        let copy = ActionId::from_index(0);
+        assert!(found.leaves(copy, 2) && !found.leaves(copy, 1));
+        // Given S (x=y), copy changes nothing; bump breaks all but T.
+        assert_eq!(broken(&found, Given::Invariant, 2, 5), [0b00000, 0b11110]);
+        // Layer 0's premise is T ∧ ¬S (x != y): copy breaks x=3 nowhere
+        // and x<3 nowhere, but bump still breaks them …
+        assert_eq!(broken(&found, Given::Layer(0), 2, 5), [0b00000, 0b11100]);
+        // … and layer 1's adds x<3, which rules out bump's wrap, so it
+        // keeps y<=x and x=3 can no longer hold before it.
+        assert_eq!(broken(&found, Given::Layer(1), 2, 5), [0b00000, 0b00100]);
+        // Every state lies in T, and no row is read twice.
+        assert_eq!(found.rows_read(), 16);
+        // Each answer is the per-action scan's.
+        let premise = |given| match given {
+            Given::FaultSpan => caches[0].clone(),
+            Given::Invariant => caches[1].clone(),
+            Given::Layer(0) => caches[0].and(&caches[1].not()),
+            Given::Layer(_) => caches[0].and(&caches[1].not()).and(caches[2]),
         };
-        // copy keeps all three; bump breaks x=y, y<=x (3 -> 0 wraps) and
-        // x<3 (2 -> 3). copy leads outside x<3 only from x=3, where it
-        // did not hold; bump leads outside all three. No repair is
-        // mapped, so none is unguarded.
-        let found = sweep(&all).unwrap();
-        assert_eq!(found.broken, [0b000, 0b111]);
-        assert_eq!(found.leaves, [0b100, 0b111]);
-        assert_eq!(found.unguarded, 0);
-        // Assuming x<3 rules out the wrap, so bump keeps y<=x there, but it
-        // still leads outside it from states where it did not hold.
-        let found = sweep(&small).unwrap();
-        assert_eq!(found.broken, [0b000, 0b101]);
-        assert_eq!(found.leaves, [0b000, 0b111]);
-        // An empty assumption leaves nothing to break.
-        let none = Bitset::zeros(space.len());
-        let found = sweep(&none).unwrap();
-        assert_eq!((found.broken, found.leaves), (vec![0, 0], vec![0, 0]));
+        for given in [
+            Given::FaultSpan,
+            Given::Invariant,
+            Given::Layer(0),
+            Given::Layer(1),
+        ] {
+            for a in p.action_ids() {
+                for (j, bits) in caches.iter().enumerate() {
+                    let v = preserves_given_bits(&space, a, bits, &premise(given), opts).unwrap();
+                    assert_eq!(found.breaks(given, a, j), v.is_some(), "{given:?} {a} {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn states_outside_t_and_s_are_not_read() {
+        // S need not lie inside T: with T = x<2 and S = x=3, the sweep
+        // reads the rows of x in {0, 1, 3}, and bump's 3 -> 0 breaks S
+        // given S while x=2, in neither set, is never asked about.
+        let p = program();
+        let x = p.var_by_name("x").unwrap();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let opts = CheckOptions::serial();
+        let t = Predicate::new("x<2", [x], move |s| s.get(x) < 2);
+        let s = Predicate::new("x=3", [x], move |s| s.get(x) == 3);
+        let caches = Bitset::for_predicates(space.index(), &[&t, &s], opts).unwrap();
+        let found = sweep(
+            &space,
+            &[&caches[0], &caches[1]],
+            (0, 1),
+            &[None, None],
+            &[],
+            opts,
+        );
+        assert_eq!(found.rows_read(), 12);
+        let bump = ActionId::from_index(1);
+        assert!(found.breaks(Given::Invariant, bump, 1));
+        assert!(found.breaks(Given::FaultSpan, bump, 0), "1 -> 2 leaves T");
+        assert!(!found.breaks(Given::Invariant, bump, 0), "3 -> 0 enters T");
     }
 
     /// Per repair, its unguarded and its non-establishing witness.
     type Witnesses = Vec<(Option<State>, Option<Violation>)>;
 
-    /// The repair obligations read off one sweep, and their witnesses.
+    /// The repair obligations read off one sweep over `T` (slot 0, with an
+    /// empty `S` at slot 1), and their witnesses.
     fn repairs_of(
         source: &impl RowSource,
+        actions: usize,
         repairs: &[(ActionId, &Bitset)],
         t: &Bitset,
         opts: CheckOptions,
-    ) -> (Breaks, Witnesses) {
-        let preds: Vec<&Bitset> = repairs.iter().map(|&(_, c)| c).collect();
-        let masks = MaskColumn::pack(&preds, opts).unwrap();
-        let actions = repairs
-            .iter()
-            .map(|(a, _)| a.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut slots = vec![0; actions];
+    ) -> (Vec<(bool, bool)>, Witnesses) {
+        let none = Bitset::zeros(t.len());
+        let mut preds = vec![t, &none];
+        preds.extend(repairs.iter().map(|&(_, c)| c));
+        let mut slots = vec![None; actions];
         for (j, (a, _)) in repairs.iter().enumerate() {
-            slots[a.index()] |= 1 << j;
+            slots[a.index()] = Some(2 + j);
         }
-        let found = breaking_actions(source, &slots, &masks, t, opts).unwrap();
+        let found = sweep(source, &preds, (0, 1), &slots, &[], opts);
+        assert_eq!(found.rows_read(), t.count_ones() as u64);
+        let answers = repairs
+            .iter()
+            .enumerate()
+            .map(|(j, &(a, _))| (found.unguarded(2 + j), found.leaves(a, 2 + j)))
+            .collect();
         let witnesses = repairs
             .iter()
             .enumerate()
             .map(|(j, &(a, c))| {
-                let unguarded = (found.unguarded >> j & 1 == 1).then(|| {
+                let unguarded = found.unguarded(2 + j).then(|| {
                     first_disabled(source, a, &t.and(&c.not()), opts)
                         .unwrap()
                         .expect("a witness")
                 });
-                let leaving = (found.leaves[a.index()] >> j & 1 == 1).then(|| {
+                let leaving = found.leaves(a, 2 + j).then(|| {
                     first_leaving(source, a, t, c, opts)
                         .unwrap()
                         .expect("a witness")
@@ -673,7 +803,7 @@ mod tests {
                 (unguarded, leaving)
             })
             .collect();
-        (found, witnesses)
+        (answers, witnesses)
     }
 
     #[test]
@@ -701,7 +831,7 @@ mod tests {
             .try_into()
             .unwrap();
         let t = Bitset::ones(space.len());
-        let (_, found) = repairs_of(&space, &[(fix, &zero)], &t, opts);
+        let (_, found) = repairs_of(&space, 1, &[(fix, &zero)], &t, opts);
         assert_eq!(
             found,
             [(
@@ -715,11 +845,11 @@ mod tests {
             )]
         );
         // x<3 is violated only at x=3, where fix runs and establishes it.
-        let (_, found) = repairs_of(&space, &[(fix, &below3)], &t, opts);
+        let (_, found) = repairs_of(&space, 1, &[(fix, &below3)], &t, opts);
         assert_eq!(found, [(None, None)]);
         // Outside T nothing is checked.
         let empty = Bitset::zeros(space.len());
-        let (_, found) = repairs_of(&space, &[(fix, &zero)], &empty, opts);
+        let (_, found) = repairs_of(&space, 1, &[(fix, &zero)], &empty, opts);
         assert_eq!(found, [(None, None)]);
     }
 
@@ -754,13 +884,10 @@ mod tests {
             Bitset::for_predicates(space.index(), &[&even, &low], CheckOptions::serial()).unwrap();
         let t = Bitset::ones(space.len());
         let repairs = [(halve, &caches[0]), (top, &caches[1])];
-        let serial = repairs_of(&space, &repairs, &t, CheckOptions::serial());
+        let serial = repairs_of(&space, 2, &repairs, &t, CheckOptions::serial());
         // 4097 is odd and disabled; 3 halves to the odd 1; 9500 is stuck.
-        let (words, witnesses) = &serial;
-        assert_eq!(
-            (words.unguarded, &words.leaves[..]),
-            (0b11, &[0b01, 0b00][..])
-        );
+        let (answers, witnesses) = &serial;
+        assert_eq!(answers, &[(true, true), (true, false)]);
         assert_eq!(witnesses[0].0, Some(State::new(vec![4097])));
         let v = witnesses[0].1.as_ref().unwrap();
         assert_eq!((v.before.slots(), v.after.slots()), (&[3][..], &[1][..]));
@@ -769,15 +896,10 @@ mod tests {
         for threads in [1, 2, 8] {
             for seg in [0, 512, 1000, 4097] {
                 let opts = CheckOptions::default().threads(threads).segment_states(seg);
-                let got = repairs_of(&space, &repairs, &t, opts);
+                let got = repairs_of(&space, 2, &repairs, &t, opts);
                 assert_eq!(got, serial, "threads={threads} seg={seg}");
-                let got = repairs_of(&decoded, &repairs, &t, opts);
+                let got = repairs_of(&decoded, 2, &repairs, &t, opts);
                 assert_eq!(got, serial, "decoded threads={threads} seg={seg}");
-                let masks = MaskColumn::pack(&[&caches[0], &caches[1]], opts).unwrap();
-                let broken = broken_actions(&decoded, 2, &masks, &caches[1], opts).unwrap();
-                let slots = [0b01, 0b10];
-                let found = breaking_actions(&space, &slots, &masks, &caches[1], opts).unwrap();
-                assert_eq!(broken, found.broken, "threads={threads} seg={seg}");
             }
         }
     }

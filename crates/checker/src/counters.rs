@@ -24,12 +24,11 @@ pub struct CheckCounters {
     /// state for each pass of [`Bitset::for_predicates`](crate::Bitset::for_predicates),
     /// however many predicates the pass evaluates.
     pub states_decoded: u64,
-    /// Rows read by closure and preservation sweeps: every row of
-    /// each sweep's assumption (the closure sweeps over `T`, one per mask
-    /// group, which also check every repair, the group-0 sweep over `S`,
-    /// and one per memo miss), plus, per witness scan of a closure
-    /// violation, the rows of its scanned states up to its witness, as a
-    /// scan in id order reads them.
+    /// Rows read by the closure and preservation checks: every row of
+    /// `T ∪ S` once, by the one [`preservation`](crate::preservation)
+    /// sweep that answers every closure, repair and preservation question,
+    /// plus, per witness scan of a closure violation, the rows of its
+    /// scanned states up to its witness, as a scan in id order reads them.
     pub csr_rows_visited: u64,
     /// Region (`T ∧ ¬S`) states examined by the convergence pass. One
     /// pass answers both daemons and the worst-case bound, so the region
@@ -41,15 +40,6 @@ pub struct CheckCounters {
     /// Strongly connected components Tarjan found in the residual, counted
     /// once although the residual is analysed once per daemon.
     pub sccs_found: u64,
-    /// Preservation queries (action, constraint, assumption) answered
-    /// from the memo of an earlier sweep, including the closure sweeps
-    /// over `T` (every group) and `S` (group 0) that run before any query.
-    pub cache_hits: u64,
-    /// Preservation queries that ran a fresh sweep: one
-    /// [`breaking_actions`](crate::breaking_actions) sweep per
-    /// (assumption, mask group), answering every action and every
-    /// predicate of the group at once.
-    pub cache_misses: u64,
 }
 
 impl CounterSet for CheckCounters {
@@ -67,8 +57,6 @@ impl CounterSet for CheckCounters {
             ("region_states", self.region_states),
             ("peeled_states", self.peeled_states),
             ("sccs_found", self.sccs_found),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
         ]
     }
 }
@@ -82,16 +70,16 @@ mod tests {
     fn counters_emit_under_checker_scope() {
         let counters = CheckCounters {
             states: 10,
-            cache_hits: 3,
+            csr_rows_visited: 3,
             ..CheckCounters::default()
         };
         assert_eq!(counters.scope(), "checker");
-        assert_eq!(counters.fields().len(), 10);
+        assert_eq!(counters.fields().len(), 8);
         let (journal, buffer) = Journal::memory();
         counters.emit(&journal);
         journal.flush();
         let lines: Vec<_> = buffer.contents().lines().map(String::from).collect();
-        assert_eq!(lines.len(), 10);
+        assert_eq!(lines.len(), 8);
         let first = Event::parse_line(&lines[0]).unwrap();
         assert_eq!(
             first.event,
@@ -108,10 +96,12 @@ mod tests {
         let counters = CheckCounters {
             states: 1,
             transitions: 2,
+            csr_rows_visited: 5,
             ..CheckCounters::default()
         };
         let json = counters.to_json();
         assert!(json.starts_with("{\"states\":1,\"transitions\":2,"));
-        assert!(json.ends_with("\"cache_misses\":0}"));
+        assert!(json.contains(",\"csr_rows_visited\":5,"));
+        assert!(json.ends_with("\"sccs_found\":0}"));
     }
 }

@@ -75,16 +75,17 @@
 //! keeps the cores busy even when transition density is skewed across the
 //! id range — and because per-segment results are merged in segment
 //! order, verdicts and witnesses remain bit-identical for every thread
-//! count and claim order. [`is_closed_bits`], [`breaking_actions`] and
-//! the witness scans run on a [`Decoder`] as well as on a [`StateSpace`],
-//! and report the same answer on each. A sweep asks as many questions as
-//! it can: [`breaking_actions`] answers closure and preservation for
-//! every action and up to 64 predicates (a [`MaskColumn`], one byte per
-//! state per 8 predicates) in one pass over the assumed states, and the
-//! same pass over `T` also answers every constraint's repair obligations
-//! (its action enabled where the constraint is false, and establishing
-//! it). A witness scan ([`first_leaving`], [`first_disabled`]) runs only
-//! for a violation the sweep found.
+//! count and claim order. [`is_closed_bits`], [`preservation`] and the
+//! witness scans run on a [`Decoder`] as well as on a [`StateSpace`], and
+//! report the same answer on each. One sweep asks every question it can:
+//! [`preservation`] reads each row of `T ∪ S` once, with every
+//! [`MaskColumn`] of predicates (one byte per state per 8 predicates), and
+//! answers closure and preservation for every action and predicate given
+//! `T`, given `S` and given each of Theorem 3's layers, plus every
+//! constraint's repair obligations (its action enabled where the
+//! constraint is false, and establishing it). A witness scan
+//! ([`first_leaving`], [`first_disabled`]) runs only for a violation the
+//! sweep found.
 //!
 //! For convergence-only queries on instances whose per-state columns do
 //! not fit the budget, [`check_convergence_frontier_stats`] ([`frontier`])
@@ -155,8 +156,8 @@ pub mod successors;
 pub use bounds::{check_variant, VariantReport};
 pub use cache::{Bitset, MaskColumn, OnesIter};
 pub use closure::{
-    breaking_actions, broken_actions, first_disabled, first_leaving, is_closed, is_closed_bits,
-    preserves_given_bits, Breaks, Violation,
+    first_disabled, first_leaving, is_closed, is_closed_bits, preservation, preserves_given_bits,
+    Given, Preservation, Violation,
 };
 pub use containment::{certify_containment, ContainmentVerdict};
 pub use convergence::{

@@ -25,6 +25,7 @@
 //! `Result<ExitCode, String>`; `main` is the one place that turns a bad
 //! command line or a failed run into an `error:` line and exit code 1.
 
+use std::io::Write;
 use std::num::ParseIntError;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -58,6 +59,8 @@ protocols:
 subcommands:
   check             model-check the token ring and journal a convergence
                     witness as a per-constraint repair timeline
+                    (--nodes, --k and --journal; any other flag is
+                    rejected)
   conform           differential conformance: replay every simulator and
                     socket-runtime step through the checker's transition
                     relation over a fixed-seed corpus; on divergence,
@@ -181,6 +184,12 @@ fn dispatch(argv: &[String]) -> Result<ExitCode, Failure> {
         _ => {
             let args = parse_args(argv).map_err(usage)?;
             if args.protocol == "check" {
+                // `check` shares the protocol runs' parser but reads only
+                // these flags; any other would be silently ignored.
+                let read = ["--nodes", "--k", "--journal"];
+                if let Some(flag) = args.given.iter().find(|f| !read.contains(&f.as_str())) {
+                    return Err(usage(format!("check does not take `{flag}`")));
+                }
                 check_ring(&args)
             } else {
                 run_protocol(&args)
@@ -228,6 +237,8 @@ struct Args {
     json: Option<String>,
     journal: Option<String>,
     shards: usize,
+    /// The flags given, in order.
+    given: Vec<String>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -246,9 +257,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         json: None,
         journal: None,
         shards: 0,
+        given: Vec::new(),
     };
     let mut argv = argv.iter();
     while let Some(arg) = argv.next() {
+        if arg.starts_with("--") {
+            args.given.push(arg.clone());
+        }
         match arg.as_str() {
             "--nodes" => args.nodes = value(&mut argv, "--nodes")?,
             "--k" => args.k = Some(value(&mut argv, "--k")?),
@@ -313,6 +328,15 @@ fn build_protocol(args: &Args) -> Result<(Program, Predicate, State), String> {
 /// requested faults and report convergence.
 fn run_protocol(args: &Args) -> Result<ExitCode, String> {
     let (program, goal, initial) = build_protocol(args)?;
+    // Open the report file before the run, so an unwritable path fails
+    // before any node starts.
+    let json = match &args.json {
+        Some(path) => Some((
+            path,
+            std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
+        )),
+        None => None,
+    };
     let faults = FaultConfig {
         seed: args.seed,
         drop_rate: args.loss,
@@ -348,11 +372,9 @@ fn run_protocol(args: &Args) -> Result<ExitCode, String> {
     );
     let report = run(&program, &initial, &goal, &config).map_err(|e| e.to_string())?;
     print!("{}", report.render());
-    if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("failed to write {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+    if let Some((path, mut file)) = json {
+        file.write_all(report.to_json().as_bytes())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     if let Some(path) = &args.journal {

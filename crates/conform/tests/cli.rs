@@ -111,3 +111,46 @@ fn a_hex_seed_is_the_same_seed_as_its_decimal() {
     assert_eq!(fleet_digest("0xF1EE7001"), fleet_digest("4058935297"));
     assert_eq!(fleet_digest("0x10"), fleet_digest("16"));
 }
+
+#[test]
+fn check_rejects_the_protocol_run_flags_it_does_not_read() {
+    for flag in [
+        &["--loss", "0.9"][..],
+        &["--crash", "2"],
+        &["--json", "out.json"],
+        &["--seed", "7"],
+        &["--shards", "2"],
+        &["--timeout-ms", "10"],
+    ] {
+        let mut args = vec!["check", "--nodes", "3"];
+        args.extend(flag);
+        let err = rejected(&args);
+        let first = format!("error: check does not take `{}`", flag[0]);
+        assert_eq!(err.lines().next(), Some(first.as_str()), "{args:?}");
+    }
+}
+
+#[test]
+fn an_unwritable_json_path_fails_before_the_run() {
+    let args = [
+        "token-ring",
+        "--nodes",
+        "3",
+        "--json",
+        "/nonexistent/dir/out.json",
+    ];
+    let out = nonmask_run(&args);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.starts_with("error: cannot create /nonexistent/dir/out.json: "),
+        "{err}"
+    );
+    assert_eq!(err.lines().count(), 1, "{err}");
+    // The run prints `launching …` before any node starts.
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "",
+        "nothing was launched"
+    );
+}

@@ -57,7 +57,8 @@ fn flip_design(constraints: usize) -> Design {
 
 #[test]
 fn three_groups_report_exactly_the_broken_constraints() {
-    let report = flip_design(130).verify().unwrap();
+    let design = flip_design(130);
+    let report = design.verify().unwrap();
     let TheoremOutcome::NotApplicable { reasons } = &report.theorem else {
         panic!("flip breaks four constraints: {:?}", report.theorem);
     };
@@ -72,11 +73,13 @@ fn three_groups_report_exactly_the_broken_constraints() {
             "no layering supplied; Theorem 3 not attempted",
         ]
     );
-    // `flip` is asked about all 130 constraints under `T`. The closure
-    // checks swept `T` once per group before the theorem checks, so every
-    // query hits.
-    assert_eq!(report.counters.cache_misses, 0);
-    assert_eq!(report.counters.cache_hits, 130);
+    // `flip` is asked about all 130 constraints under `T`, across three
+    // mask columns, and the one sweep reads each of the 4 rows of
+    // `T ∪ S` once for all of them. `flip` also breaks `S = x ∧ y`, whose
+    // one state is the first the witness scan reads.
+    let v = report.closure.invariant.as_ref().expect("flip breaks S");
+    assert_eq!(design.program().action(v.action).name(), "flip");
+    assert_eq!(report.counters.csr_rows_visited, 4 + 1);
 }
 
 const PLANTED: [usize; 4] = [0, 61, 62, 99];

@@ -2,9 +2,9 @@
 
 use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
-    breaking_actions, check_convergence, check_convergence_bits, check_convergence_frontier_stats,
-    first_disabled, first_leaving, is_closed, is_closed_bits, preserves_given_bits, Bitset,
-    CheckError, CheckOptions, ConvergenceResult, Decoder, Fairness, MaskColumn, SpaceIndex,
+    check_convergence, check_convergence_bits, check_convergence_frontier_stats, first_disabled,
+    first_leaving, is_closed, is_closed_bits, preservation, preserves_given_bits, Bitset,
+    CheckError, CheckOptions, ConvergenceResult, Decoder, Fairness, Given, MaskColumn, SpaceIndex,
     StateId, StateSpace, Successors, Violation,
 };
 use nonmask_graph::{NodePartition, Shape};
@@ -749,6 +749,137 @@ fn hashed_predicate(p: &Program, name: &str, seed: u64, percent: u64) -> Predica
 }
 
 proptest! {
+    // Deep layers are rare in a random design, so this one runs more
+    // cases than its neighbours.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One sweep answers every (action, predicate, premise) question: for
+    /// 2 to 130 predicates (up to three mask columns), with `T` and `S`
+    /// at random slots (so `S` need not lie inside `T`) and 0 to 5 random
+    /// nested layers, `breaks` is set exactly when `preserves_given_bits`
+    /// finds a violation over `T`, `S` or `T ∧ ¬S ∧` the lower layers'
+    /// slots, `leaves` when some transition from `T` leads outside the
+    /// slot, and `unguarded` when some `T` state outside the slot enables
+    /// none of its repairs. Both row sources at 1 and 4 threads give the
+    /// same answers, bit for bit, after reading each row of `T ∪ S` once.
+    /// The lowest-id witness scans agree with a scan of every state in id
+    /// order.
+    #[test]
+    fn one_sweep_matches_per_action_preservation(
+        domains in proptest::collection::vec(domain_strategy(), 1..=5),
+        actions in proptest::collection::vec((0usize..5, 0usize..5, 1i64..=3), 0..=5),
+        pred_seeds in proptest::collection::vec((0u64..1000, 30u64..=100), 130),
+        // Full columns a third of the time, so their top bits are
+        // exercised.
+        width in prop_oneof![Just(64usize), Just(130usize), 2usize..=130],
+        (t_at, s_off) in (0usize..130, 0usize..129),
+        (layer_start, layer_sizes) in (0usize..130, proptest::collection::vec(1usize..=3, 0..=5)),
+        // Per action, the slot it repairs (none when past the columns).
+        repair_of in proptest::collection::vec(0usize..200, 5),
+    ) {
+        let p = program_with_actions(domains, actions);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let decoded = Decoder::new(&p, space.index());
+        let preds: Vec<Predicate> = pred_seeds[..width]
+            .iter()
+            .map(|&(seed, percent)| hashed_predicate(&p, "pred", seed, percent))
+            .collect();
+        let refs: Vec<&Predicate> = preds.iter().collect();
+        let caches = Bitset::for_predicates(space.index(), &refs, CheckOptions::serial()).unwrap();
+        let packed: Vec<&Bitset> = caches.iter().collect();
+        let masks: Vec<MaskColumn> = packed
+            .chunks(MaskColumn::WIDTH)
+            .map(|group| MaskColumn::pack(group, CheckOptions::serial()).unwrap())
+            .collect();
+        let (t_slot, s_slot) = (t_at % width, (t_at + 1 + s_off % (width - 1)) % width);
+        let mut layers: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut next = layer_start % width;
+        for size in layer_sizes {
+            if next + size > width {
+                break;
+            }
+            layers.push(next..next + size);
+            next += size;
+        }
+        let n = p.action_count();
+        let repairs: Vec<Option<usize>> =
+            repair_of[..n].iter().map(|&j| (j < width).then_some(j)).collect();
+        let (t, s) = (&caches[t_slot], &caches[s_slot]);
+        let mut premises = vec![(Given::FaultSpan, t.clone()), (Given::Invariant, s.clone())];
+        let mut layer_premise = t.and(&s.not());
+        for (l, range) in layers.iter().enumerate() {
+            premises.push((Given::Layer(l), layer_premise.clone()));
+            for j in range.clone() {
+                layer_premise = layer_premise.and(&caches[j]);
+            }
+        }
+        let found = preservation(&space, &masks, [t_slot, s_slot], &repairs, &layers, CheckOptions::serial()).unwrap();
+        prop_assert_eq!(found.rows_read(), t.or(s).count_ones() as u64);
+        for (given, premise) in &premises {
+            for a in p.action_ids() {
+                for (j, bits) in caches.iter().enumerate() {
+                    let hit = preserves_given_bits(&space, a, bits, premise, CheckOptions::serial())
+                        .unwrap()
+                        .is_some();
+                    prop_assert_eq!(found.breaks(*given, a, j), hit, "{:?} {} {}", given, a, j);
+                }
+            }
+        }
+        // Brute force over the states of `T` and their rows.
+        for (j, bits) in caches.iter().enumerate() {
+            let unguarded = t.and(&bits.not()).iter_ones().any(|i| {
+                let row = space.successors(StateId::from_index(i));
+                repairs.contains(&Some(j)) && row.iter().all(|&(a, _)| repairs[a.index()] != Some(j))
+            });
+            prop_assert_eq!(found.unguarded(j), unguarded, "slot {}", j);
+            for a in p.action_ids() {
+                let leaves = t.iter_ones().any(|i| {
+                    space
+                        .successors(StateId::from_index(i))
+                        .iter()
+                        .any(|&(b, succ)| b == a && !bits.contains(succ))
+                });
+                prop_assert_eq!(found.leaves(a, j), leaves, "{} slot {}", a, j);
+            }
+        }
+        for threads in [1, 4] {
+            let opts = CheckOptions::default().threads(threads).segment_states(7);
+            for (source, got) in [
+                ("resident", preservation(&space, &masks, [t_slot, s_slot], &repairs, &layers, opts).unwrap()),
+                ("decoded", preservation(&decoded, &masks, [t_slot, s_slot], &repairs, &layers, opts).unwrap()),
+            ] {
+                prop_assert_eq!(&got, &found, "{}, threads={}", source, threads);
+            }
+        }
+        // Each repair's set bits have a witness, the lowest one in id order.
+        let opts = CheckOptions::default().threads(4).segment_states(7);
+        for a in p.action_ids() {
+            let Some(j) = repairs[a.index()] else { continue };
+            let bits = &caches[j];
+            let expected = t.iter_ones().map(StateId::from_index).find_map(|id| {
+                let (_, succ) = space.successors(id).into_iter().find(|&(b, _)| b == a)?;
+                (!bits.contains(succ)).then(|| Violation {
+                    action: a,
+                    before: space.state(id),
+                    after: space.state(succ),
+                })
+            });
+            prop_assert_eq!(expected.is_some(), found.leaves(a, j));
+            prop_assert_eq!(&first_leaving(&space, a, t, bits, opts).unwrap(), &expected);
+            prop_assert_eq!(&first_leaving(&decoded, a, t, bits, opts).unwrap(), &expected);
+            let outside = t.and(&bits.not());
+            let expected = outside
+                .iter_ones()
+                .map(StateId::from_index)
+                .find(|&id| space.successors(id).iter().all(|&(b, _)| b != a))
+                .map(|id| space.state(id));
+            prop_assert_eq!(first_disabled(&space, a, &outside, opts).unwrap(), expected);
+            prop_assert_eq!(first_disabled(&decoded, a, &outside, opts).unwrap(), expected);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The fused pass equals one pass per predicate: `for_predicates`
@@ -779,105 +910,6 @@ proptest! {
                     prop_assert_eq!(bits.contains(id), pred.holds(&space.state(id)));
                 }
             }
-        }
-    }
-
-    /// One sweep per assumption answers every (action, predicate)
-    /// question of a mask group: bit `j` of `broken[a]` is set exactly
-    /// when `preserves_given_bits` finds a violation of predicate `j` by
-    /// `a`, bit `j` of `leaves[a]` when some transition of `a` from an
-    /// assumed state leads outside predicate `j`, and bit `j` of
-    /// `unguarded` when some assumed state outside predicate `j` enables
-    /// no action mapped to slot `j`, for 1 to 64 predicates, on both row
-    /// sources at 1, 2 and 8 threads. The lowest-id witness scans agree
-    /// with a scan of every state in id order.
-    #[test]
-    fn breaking_actions_match_per_action_preservation(
-        domains in proptest::collection::vec(domain_strategy(), 1..=5),
-        actions in proptest::collection::vec((0usize..5, 0usize..5, 1i64..=3), 0..=5),
-        pred_seeds in proptest::collection::vec((0u64..1000, 30u64..=100), 64),
-        // A full group half the time, so its top bit is exercised.
-        width in prop_oneof![Just(64usize), 1usize..=64],
-        assume_seed in (0u64..1000, 0u64..=100),
-        // Per action, the slot it repairs (none when past the group).
-        repair_of in proptest::collection::vec(0usize..80, 5),
-    ) {
-        let p = program_with_actions(domains, actions);
-        let space = StateSpace::enumerate(&p).unwrap();
-        let decoded = Decoder::new(&p, space.index());
-        let mut preds: Vec<Predicate> = pred_seeds[..width]
-            .iter()
-            .map(|&(seed, percent)| hashed_predicate(&p, "pred", seed, percent))
-            .collect();
-        preds.push(hashed_predicate(&p, "assuming", assume_seed.0, assume_seed.1));
-        let refs: Vec<&Predicate> = preds.iter().collect();
-        let mut caches = Bitset::for_predicates(space.index(), &refs, CheckOptions::serial()).unwrap();
-        let assuming = caches.pop().unwrap();
-        let packed: Vec<&Bitset> = caches.iter().collect();
-        let masks = MaskColumn::pack(&packed, CheckOptions::serial()).unwrap();
-        let n = p.action_count();
-        let slots: Vec<u64> = repair_of[..n]
-            .iter()
-            .map(|&j| if j < width { 1 << j } else { 0 })
-            .collect();
-        let mut broken = vec![0u64; n];
-        for a in p.action_ids() {
-            for (j, bits) in caches.iter().enumerate() {
-                let hit = preserves_given_bits(&space, a, bits, &assuming, CheckOptions::serial())
-                    .unwrap()
-                    .is_some();
-                broken[a.index()] |= u64::from(hit) << j;
-            }
-        }
-        // Brute force over every assumed state and its row.
-        let mut leaves = vec![0u64; n];
-        let mut unguarded = 0u64;
-        for id in assuming.iter_ones().map(StateId::from_index) {
-            let row = space.successors(id);
-            for (j, bits) in caches.iter().enumerate() {
-                for &(a, succ) in &row {
-                    leaves[a.index()] |= u64::from(!bits.contains(succ)) << j;
-                }
-                let repaired = slots.iter().any(|&s| s >> j & 1 == 1);
-                let enabled = row.iter().any(|&(a, _)| slots[a.index()] >> j & 1 == 1);
-                unguarded |= u64::from(repaired && !bits.contains(id) && !enabled) << j;
-            }
-        }
-        for threads in [1, 2, 8] {
-            let opts = CheckOptions::default().threads(threads).segment_states(7);
-            for (source, found) in [
-                ("resident", breaking_actions(&space, &slots, &masks, &assuming, opts).unwrap()),
-                ("decoded", breaking_actions(&decoded, &slots, &masks, &assuming, opts).unwrap()),
-            ] {
-                prop_assert_eq!(&found.broken, &broken, "{}, threads={}", source, threads);
-                prop_assert_eq!(&found.leaves, &leaves, "{}, threads={}", source, threads);
-                prop_assert_eq!(found.unguarded, unguarded, "{}, threads={}", source, threads);
-            }
-        }
-        // Each set bit has a witness, the lowest one in id order.
-        let opts = CheckOptions::default().threads(8).segment_states(7);
-        for a in p.action_ids() {
-            let j = repair_of[a.index()];
-            let Some(bits) = caches.get(j) else { continue };
-            let expected = assuming.iter_ones().map(StateId::from_index).find_map(|id| {
-                let (_, succ) = space.successors(id).into_iter().find(|&(b, _)| b == a)?;
-                (!bits.contains(succ)).then(|| Violation {
-                    action: a,
-                    before: space.state(id),
-                    after: space.state(succ),
-                })
-            });
-            prop_assert_eq!(expected.is_some(), leaves[a.index()] >> j & 1 == 1);
-            prop_assert_eq!(&first_leaving(&space, a, &assuming, bits, opts).unwrap(), &expected);
-            prop_assert_eq!(&first_leaving(&decoded, a, &assuming, bits, opts).unwrap(), &expected);
-            let outside = assuming.and(&bits.not());
-            let expected = outside
-                .iter_ones()
-                .map(StateId::from_index)
-                .find(|&id| space.successors(id).iter().all(|&(b, _)| b != a))
-                .map(|id| space.state(id));
-            prop_assert_eq!(first_disabled(&space, a, &outside, opts).unwrap(), expected);
-            prop_assert_eq!(first_disabled(&decoded, a, &outside, opts).unwrap(), expected);
         }
     }
 

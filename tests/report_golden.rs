@@ -4,9 +4,9 @@
 //! (E1, E2a, E3a, E3b, E11) and of a 300-layer design, witness states and
 //! the ordered theorem `reasons` included, and compares the rendering with
 //! `tests/golden/tolerance_reports.txt`. Left out are the wall-clock
-//! `timings` and the three sweep-work counters (`cache_hits`,
-//! `cache_misses`, `csr_rows_visited`), which measure how the checker
-//! reached a verdict rather than the verdict itself.
+//! `timings` and the sweep-work counter `csr_rows_visited`, which
+//! measure how the checker reached a verdict rather than the verdict
+//! itself.
 
 use std::fmt::Write as _;
 
