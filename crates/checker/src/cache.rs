@@ -10,15 +10,17 @@
 //!
 //! All caches come from one pass,
 //! [`for_predicates`](Bitset::for_predicates): it tabulates each predicate
-//! over its declared reads, then fills any number of caches in one walk
-//! over the space, in parallel over word-aligned chunks. Each worker
-//! reaches every state of its chunk by an odometer step of the tables'
-//! keys, so a state costs one table load per predicate and no division.
+//! over its declared reads and re-keys the table by block (see
+//! [`footprint`](crate::footprint)), then fills any number of caches in
+//! one walk over the space's blocks, in parallel over word-aligned chunks.
+//! Each worker reaches every block of its chunk by an odometer step of the
+//! tables' keys, so a block of up to 64 states costs one pattern load per
+//! predicate, ORed into the cache's words.
 
 use nonmask_program::Predicate;
 
 use crate::error::CheckError;
-use crate::footprint::PredicateTables;
+use crate::footprint::{predicate_patterns, Blocks};
 use crate::options::{chunk_ranges, split_lens, steal_parts, CheckOptions};
 use crate::space::{SpaceIndex, StateId, StateSpace};
 
@@ -83,32 +85,60 @@ impl Bitset {
     ///
     /// Each predicate is first tabulated over its declared reads (see
     /// [`footprint`](crate::footprint)): one audited entry per assignment
-    /// of them. Each worker then owns a word-aligned chunk of ids (a
-    /// multiple of 64 states) and walks it in id order, keeping every
-    /// table's key in step with the ids: a state costs one table load per
-    /// predicate and a key update per predicate that reads a changed
-    /// digit. A predicate too large to tabulate
-    /// ([`TABLE_CAP`](crate::TABLE_CAP)) is evaluated on the decoded state,
-    /// which the worker then steps with [`SpaceIndex::step_state`]. Each
-    /// bit is set in place, in the worker's own pre-split slice of each
-    /// output. No two workers touch the same word, so the result is
-    /// identical for every worker count.
+    /// of them, re-keyed as one truth pattern per block. Each worker then
+    /// owns a chunk of whole blocks that is also a run of whole words (a
+    /// multiple of both 64 and the block's `P` states) and walks its
+    /// blocks in id order, keeping every pattern's key in step with the
+    /// block ids: a block costs one pattern load per predicate and a key
+    /// update per predicate that reads a changed digit. A predicate too
+    /// large to tabulate ([`TABLE_CAP`](crate::TABLE_CAP)) is evaluated at
+    /// each state of the block, which the worker steps with
+    /// [`SpaceIndex::step_state`]. Each pattern is ORed in place into the
+    /// worker's own pre-split slice of each output. No two workers touch
+    /// the same word, so the result is identical for every worker count.
     ///
     /// # Errors
     ///
     /// [`CheckError::UndeclaredVariable`] when a predicate depends on a
     /// variable outside its declared reads; [`CheckError::WorkerFailed`]
-    /// if a predicate panics.
+    /// if a predicate panics; [`CheckError::BudgetExceeded`] (phase
+    /// `"block tables"`) when the patterns would not fit the memory
+    /// budget.
     pub fn for_predicates(
         index: &SpaceIndex,
         preds: &[&Predicate],
         opts: CheckOptions,
     ) -> Result<Vec<Self>, CheckError> {
+        Ok(Self::for_predicates_counted(index, preds, opts)?.0)
+    }
+
+    /// [`for_predicates`](Self::for_predicates), with the number of
+    /// decodings the pass made: one per block, whose digits outside the
+    /// block its cursor steps to, plus one per state when some predicate
+    /// is evaluated per row.
+    ///
+    /// # Errors
+    ///
+    /// As [`for_predicates`](Self::for_predicates).
+    pub fn for_predicates_counted(
+        index: &SpaceIndex,
+        preds: &[&Predicate],
+        opts: CheckOptions,
+    ) -> Result<(Vec<Self>, u64), CheckError> {
         let len = index.len();
+        let blocks = Blocks::of(index);
+        let patterns = predicate_patterns(index, &blocks, preds, opts.memory_budget)?;
+        let block = blocks.states();
+        // Chunks of whole units of `lcm(P, 64)` states, so that no block
+        // straddles two workers' words.
+        let unit = block / gcd(block, 64);
+        let words = len.div_ceil(64);
         let workers = opts.workers_for(len);
-        let chunks = chunk_ranges(len.div_ceil(64), workers);
-        let tables = PredicateTables::build(index, preds)?;
-        let per_row = tables.has_per_row();
+        let chunks: Vec<_> = chunk_ranges(words.div_ceil(unit), workers)
+            .into_iter()
+            .map(|c| c.start * unit..(c.end * unit).min(words))
+            .collect();
+        let per_row: Vec<usize> = patterns.per_row().collect();
         let mut caches: Vec<Bitset> = preds.iter().map(|_| Bitset::zeros(len)).collect();
         // parts[c][p]: predicate `p`'s words of chunk `c`.
         let mut parts: Vec<Vec<&mut [u64]>> = chunks.iter().map(|_| Vec::new()).collect();
@@ -118,37 +148,39 @@ impl Bitset {
                 part.push(slice);
             }
         }
-        steal_parts(parts, workers, |ci, mut out| {
-            let first_word = chunks[ci].start;
-            let mut cursor = tables.cursor(index);
+        let decoded = steal_parts(parts, workers, |ci, mut out| {
+            let first = chunks[ci].start * 64;
+            let states = (chunks[ci].end * 64).min(len) - first;
+            let mut cursor = patterns.cursor(&blocks);
             let mut state = index.scratch_state();
-            if per_row {
-                index.decode_state(StateId::from_index(first_word * 64), &mut state);
+            let mut row_patterns = vec![0u64; preds.len()];
+            if !per_row.is_empty() {
+                index.decode_state(StateId::from_index(first), &mut state);
             }
-            for w in 0..chunks[ci].len() {
-                let base = (first_word + w) * 64;
-                for bit in 0..64.min(len - base) {
-                    tables.seek(index, &mut cursor, StateId::from_index(base + bit));
-                    if per_row {
-                        for (p, (pred, words)) in preds.iter().zip(out.iter_mut()).enumerate() {
-                            let holds =
-                                tables.get(&cursor, p).unwrap_or_else(|| pred.holds(&state));
-                            words[w] |= u64::from(holds) << bit;
+            for (k, b) in (first / block..(first + states) / block).enumerate() {
+                patterns.seek(&blocks, &mut cursor, b);
+                if !per_row.is_empty() {
+                    for &p in &per_row {
+                        row_patterns[p] = 0;
+                    }
+                    for j in 0..block {
+                        for &p in &per_row {
+                            row_patterns[p] |= u64::from(preds[p].holds(&state)) << j;
                         }
                         index.step_state(&mut state);
-                    } else {
-                        // No predicate evaluated per row: a table load
-                        // each, with no branch on its kind (the general
-                        // loop above measured 5% slower on the
-                        // `verify-resident` benchmark, 10 paired runs).
-                        for (p, words) in out.iter_mut().enumerate() {
-                            words[w] |= u64::from(tables.holds(&cursor, p)) << bit;
-                        }
                     }
                 }
+                for (p, words) in out.iter_mut().enumerate() {
+                    let pattern = patterns
+                        .values(&cursor, p)
+                        .map_or(row_patterns[p], |v| v[0]);
+                    or_bits(words, k * block, pattern, block);
+                }
             }
+            let rows = if per_row.is_empty() { 0 } else { states };
+            (states / block + rows) as u64
         })?;
-        Ok(caches)
+        Ok((caches, decoded.into_iter().sum()))
     }
 
     /// Whether state index `i` is in the set.
@@ -156,6 +188,22 @@ impl Bitset {
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The members `at .. at + 64` as the bits of a word, low bit first;
+    /// a position outside the set's range reads as absent.
+    #[inline]
+    pub(crate) fn word_at(&self, at: i64) -> u64 {
+        if at < 0 {
+            return if at <= -64 { 0 } else { self.word_at(0) << -at };
+        }
+        let (w, shift) = ((at / 64) as usize, at % 64);
+        let low = self.words.get(w).map_or(0, |&x| x >> shift);
+        let high = match shift {
+            0 => 0,
+            _ => self.words.get(w + 1).map_or(0, |&x| x << (64 - shift)),
+        };
+        low | high
     }
 
     /// Whether state `id` is in the set.
@@ -273,111 +321,20 @@ impl Bitset {
     }
 }
 
-/// Up to [`MaskColumn::WIDTH`] predicate caches packed per state: bit `j`
-/// of the mask of state `i` is predicate `j` at `i`.
-///
-/// A [`Bitset`] answers one predicate with one bit per state; the column
-/// answers a whole group of them with one load, so one sweep can ask
-/// every (action, predicate) preservation question of the group at once
-/// (see [`preservation`](crate::preservation)). A group of `P`
-/// predicates costs `⌈P/8⌉` bytes per state, plus 8 bytes of padding at
-/// the end so that every state's mask is one unaligned 8-byte load.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaskColumn {
-    /// State `i`'s mask is the little-endian bytes `bytes[i·width..]`,
-    /// `width` of them, followed by the next state's (or the padding).
-    bytes: Vec<u8>,
-    /// Bytes per state, `⌈P/8⌉`.
-    width: usize,
-    /// The low `P` bits: clears the next state's bytes off a load.
-    mask: u64,
-    len: usize,
+/// OR the `width` low bits of `bits` into `words` from bit `at` on.
+fn or_bits(words: &mut [u64], at: usize, bits: u64, width: usize) {
+    let (w, shift) = (at / 64, at % 64);
+    words[w] |= bits << shift;
+    if shift + width > 64 {
+        words[w + 1] |= bits >> (64 - shift);
+    }
 }
 
-impl MaskColumn {
-    /// The most predicates one column packs.
-    pub const WIDTH: usize = 64;
-
-    /// Pack `preds` (at most [`WIDTH`](Self::WIDTH) caches over the same
-    /// space) into one column: predicate `j` becomes bit `j`. Workers own
-    /// disjoint word-aligned chunks of states, so the column is the same
-    /// for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::BudgetExceeded`] (phase `"mask column"`) when the
-    /// column alone would exceed [`CheckOptions::memory_budget`];
-    /// [`CheckError::WorkerFailed`] if a worker panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `preds` holds more than [`WIDTH`](Self::WIDTH) caches or
-    /// two of them differ in length.
-    pub fn pack(preds: &[&Bitset], opts: CheckOptions) -> Result<Self, CheckError> {
-        assert!(preds.len() <= Self::WIDTH, "at most 64 predicates a column");
-        let len = preds.first().map_or(0, |p| p.len);
-        assert!(preds.iter().all(|p| p.len == len), "bitset length mismatch");
-        let width = preds.len().div_ceil(8);
-        let required = (width * len + 8) as u64;
-        if required > opts.memory_budget {
-            return Err(CheckError::BudgetExceeded {
-                required,
-                budget: opts.memory_budget,
-                phase: "mask column",
-            });
-        }
-        let workers = opts.workers_for(len);
-        let chunks = chunk_ranges(len.div_ceil(64), workers);
-        let mut bytes = vec![0u8; width * len + 8];
-        let parts = split_lens(
-            &mut bytes,
-            chunks
-                .iter()
-                .map(|c| ((c.end * 64).min(len) - c.start * 64) * width),
-        );
-        steal_parts(parts, workers, |ci, out| {
-            let first_word = chunks[ci].start;
-            for w in chunks[ci].clone() {
-                let out = &mut out[(w - first_word) * 64 * width..];
-                for (j, pred) in preds.iter().enumerate() {
-                    let mut word = pred.words[w];
-                    while word != 0 {
-                        out[word.trailing_zeros() as usize * width + j / 8] |= 1 << (j % 8);
-                        word &= word - 1;
-                    }
-                }
-            }
-        })?;
-        Ok(MaskColumn {
-            bytes,
-            width,
-            mask: u64::MAX.checked_shr((64 - preds.len()) as u32).unwrap_or(0),
-            len,
-        })
-    }
-
-    /// The predicate bits of state index `i`.
-    #[inline]
-    pub fn at(&self, i: usize) -> u64 {
-        debug_assert!(i < self.len);
-        let at = i * self.width;
-        let word = self.bytes[at..at + 8].try_into().expect("eight bytes");
-        u64::from_le_bytes(word) & self.mask
-    }
-
-    /// The mask of the column's predicate bits: the low `P` bits.
-    pub(crate) fn bits(&self) -> u64 {
-        self.mask
-    }
-
-    /// Number of states the column ranges over.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the column ranges over zero states.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -522,39 +479,6 @@ mod tests {
         assert_eq!(Bitset::ones(0).iter_ones().count(), 0);
         assert_eq!(Bitset::zeros(500).iter_ones().count(), 0);
         assert_eq!(Bitset::ones(500).iter_ones().count(), 500);
-    }
-
-    #[test]
-    fn mask_column_packs_each_predicate_into_its_bit() {
-        for len in [1, 63, 64, 65, 5000] {
-            let caches: Vec<Bitset> = (1..=64)
-                .map(|k| bits(len, move |i| (i * 31 + k) % (k + 1) == 0))
-                .collect();
-            let refs: Vec<&Bitset> = caches.iter().collect();
-            let serial = MaskColumn::pack(&refs, CheckOptions::serial()).unwrap();
-            assert_eq!(serial.len(), len);
-            for i in 0..len {
-                for (j, b) in caches.iter().enumerate() {
-                    assert_eq!(
-                        serial.at(i) >> j & 1 == 1,
-                        b.get(i),
-                        "len={len} i={i} j={j}"
-                    );
-                }
-            }
-            for threads in [2, 7] {
-                let par = MaskColumn::pack(&refs[..3], CheckOptions::default().threads(threads));
-                let par = par.unwrap();
-                assert!(
-                    (0..len).all(|i| par.at(i) == serial.at(i) & 0b111),
-                    "len={len}"
-                );
-            }
-        }
-        let none = MaskColumn::pack(&[], CheckOptions::serial()).unwrap();
-        assert!(none.is_empty());
-        let empty = MaskColumn::pack(&[&Bitset::zeros(0)], CheckOptions::serial()).unwrap();
-        assert!(empty.is_empty());
     }
 
     #[test]

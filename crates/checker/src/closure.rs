@@ -5,19 +5,21 @@
 //! yields a state where `R` holds. A state predicate `R` of `p` is closed
 //! iff each action of `p` preserves `R`." (Section 2.)
 //!
-//! Every check is one scan over the rows of a [`RowSource`], a
-//! [`StateSpace`]'s footprint tables or a [`Decoder`](crate::Decoder) (a `(action, successor)` pair
-//! exists exactly when the action is enabled), and over [`Bitset`]
-//! predicate caches (each predicate is evaluated once per state, in
-//! parallel). Both sources, every thread count and every segment size
-//! report the same violation: the lowest violating action, then its
-//! lowest state.
+//! Every witness check is one scan over the rows of a [`RowSource`], a
+//! [`StateSpace`]'s footprint tables or a [`Decoder`](crate::Decoder) (a
+//! `(action, successor)` pair exists exactly when the action is enabled),
+//! and over [`Bitset`] predicate caches (each predicate is evaluated once
+//! per state, in parallel). Both sources, every thread count and every
+//! segment size report the same violation: the lowest violating action,
+//! then its lowest state.
 //!
 //! Every preservation question of `Design::verify` takes one sweep:
-//! [`preservation`] reads each row of `T ∪ S` once, with the
-//! [`MaskColumn`]s of its predicates, and says which actions break which
-//! predicates given `T`, `S` or any layer, and which repairs are
-//! unguarded or lead outside their constraint. A violation's witness
+//! [`preservation`] reads the caches of `T`, `S` and every constraint a
+//! block of up to 64 states at a time, with each action's block table of
+//! successor-id deltas (see [`footprint`](crate::footprint)), and says
+//! which actions break which predicates given `T`, `S` or any layer, and
+//! which repairs are unguarded or lead outside their constraint. It
+//! counts every state of `T ∪ S` as one row read. A violation's witness
 //! costs one early-exit scan in id order ([`preserves_given_bits`],
 //! [`first_leaving`] or [`first_disabled`] on the action at fault).
 
@@ -25,11 +27,12 @@ use std::ops::Range;
 
 use nonmask_program::{ActionId, Predicate, Program, State};
 
-use crate::cache::{Bitset, MaskColumn};
+use crate::cache::Bitset;
 use crate::error::CheckError;
+use crate::footprint::{join_group, Blocks};
 use crate::options::{steal_find, steal_tasks, CheckOptions};
 use crate::space::{StateId, StateSpace};
-use crate::successors::{RowSource, Successors};
+use crate::successors::{successor, RowSource, Successors};
 
 /// A witnessed preservation failure: executing `action` at `before` (where
 /// the checked predicate held) produced `after` (where it does not).
@@ -125,13 +128,13 @@ pub enum Given {
     Layer(usize),
 }
 
-/// The answers of one [`preservation`] sweep, per action and mask slot.
+/// The answers of one [`preservation`] sweep, per action and slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Preservation {
     actions: usize,
-    /// Blocks of one word per column and action: the slots its
-    /// transitions from `T` leave, then those it breaks given `T`, `S`
-    /// and each layer.
+    /// Runs of one word per column of 64 slots and per action: the slots
+    /// its transitions from `T` leave, then those it breaks given `T`,
+    /// `S` and each layer.
     words: Vec<u64>,
     /// Per column, the repaired slots false at a `T` state where none of
     /// their repairs is enabled.
@@ -139,17 +142,20 @@ pub struct Preservation {
     rows: u64,
 }
 
+/// Slots per answer word.
+const WORD: usize = 64;
+
 impl Preservation {
     /// Does some transition of `action` lead from a state of `given` where
     /// `slot` holds to one where it does not, as [`preserves_given_bits`]
     /// would witness? Panics on a layer the sweep was not asked about.
     pub fn breaks(&self, given: Given, action: ActionId, slot: usize) -> bool {
-        let block = match given {
+        let run = match given {
             Given::FaultSpan => 1,
             Given::Invariant => 2,
             Given::Layer(l) => 3 + l,
         };
-        self.bit(block, action, slot)
+        self.bit(run, action, slot)
     }
 
     /// Does some transition of `action` from `T` lead outside `slot`, as
@@ -158,15 +164,15 @@ impl Preservation {
         self.bit(0, action, slot)
     }
 
-    fn bit(&self, block: usize, action: ActionId, slot: usize) -> bool {
-        let column = block * self.unguarded.len() + slot / MaskColumn::WIDTH;
-        self.words[column * self.actions + action.index()] >> (slot % MaskColumn::WIDTH) & 1 == 1
+    fn bit(&self, run: usize, action: ActionId, slot: usize) -> bool {
+        let column = run * self.unguarded.len() + slot / WORD;
+        self.words[column * self.actions + action.index()] >> (slot % WORD) & 1 == 1
     }
 
     /// Is `slot` false at a `T` state where none of its repairs is
     /// enabled, as [`first_disabled`] would witness?
     pub fn unguarded(&self, slot: usize) -> bool {
-        self.unguarded[slot / MaskColumn::WIDTH] >> (slot % MaskColumn::WIDTH) & 1 == 1
+        self.unguarded[slot / WORD] >> (slot % WORD) & 1 == 1
     }
 
     /// Rows the sweep read: every state of `T ∪ S` once.
@@ -175,110 +181,186 @@ impl Preservation {
     }
 }
 
-/// Every preservation question over the predicates of `masks` (slot `k`
-/// is bit `k % 64` of column `k / 64`), in one sweep over the rows of
-/// `T ∪ S` in id order. `t` and `s` are the slots of `T` and `S` (which
-/// need not lie inside `T`), `repairs` the slot each action repairs, and
-/// `layers` Theorem 3's layers as adjacent slot ranges, lowest first.
+/// Every preservation question over the predicate caches `slots`, in one
+/// sweep over the blocks of `space` in id order (see
+/// [`footprint`](crate::footprint)). `t` and `s` are the slots of `T` and
+/// `S` (which need not lie inside `T`), `repairs` the slot each action
+/// repairs, and `layers` Theorem 3's layers as adjacent slot ranges,
+/// lowest first.
 ///
-/// A state's mask puts it in one class: `T ∧ S`, `S ∧ ¬T`, or in `T ∧ ¬S`
-/// its depth. Per transition `x → y` of `a` and per column,
-/// `mask(x) & !mask(y)` goes into `a`'s word of `x`'s class and, from
-/// `T`, `!mask(y)` into its leaving word; per `T` state, the false slots
-/// with no enabled repair go into the unguarded word. A suffix OR over
-/// the depths then gives the layer premises, and unions of classes `T`
-/// and `S`, so a transition costs the same however many layers there
-/// are. Segments are swept as independent tasks and ORed, so every
-/// thread count and row source gives the same answers.
+/// A state's slots put it in one class: `T ∧ S`, `S ∧ ¬T`, or in `T ∧ ¬S`
+/// its depth, the layer of its first false layered slot (the last layer
+/// when all hold), so that it lies in the premise of every layer up to
+/// its depth. A block reads `P ≤ 64` states' bits of every slot at once,
+/// and each class as a word of them. Each action's block table gives, per
+/// successor-id delta `δ`, the pattern of the block's states where it is
+/// enabled with that delta; per slot `k`, `pattern & ¬k(x₀ + δ…)` are the
+/// transitions that leave `k`. Those from `T` go into the action's
+/// leaving word, those from where `k` held into its word of each class
+/// they meet, and per `T` state the false slots with no enabled repair
+/// into the unguarded word. A suffix OR over the depths then gives the
+/// layer premises, and unions of classes `T` and `S`, so a transition
+/// costs the same however many layers there are. An action past the
+/// table cap is evaluated at the block's states of `T ∪ S`, into the same
+/// groups. Segments are swept as independent tasks (a block that
+/// straddles two is read by each, for its own states) and ORed, so every
+/// thread count and segment size gives the same answers.
 ///
 /// # Errors
 ///
-/// As [`is_closed_bits`].
+/// [`CheckError::WorkerFailed`] if an action evaluated per row panics;
+/// [`CheckError::BudgetExceeded`] (phase `"block tables"`) when the
+/// actions' block tables would not fit the memory budget.
 ///
 /// # Panics
 ///
-/// If a column does not range over the states of `source`, a slot lies
-/// past the columns, the layers are out of order, or a row holds an
-/// action without a `repairs` entry.
-pub fn preservation<R: RowSource>(
-    source: &R,
-    masks: &[MaskColumn],
+/// If a cache does not range over the states of `space`, `t` or `s` is
+/// not a slot, the layers are out of order, or `repairs` does not hold
+/// one entry per action.
+pub fn preservation(
+    space: &StateSpace,
+    slots: &[&Bitset],
     [t, s]: [usize; 2],
     repairs: &[Option<usize>],
     layers: &[Range<usize>],
     opts: CheckOptions,
 ) -> Result<Preservation, CheckError> {
-    let len = source.index().len();
-    assert!(masks.iter().all(|m| m.len() == len), "mask length mismatch");
+    let index = space.index();
+    let len = index.len();
+    assert!(
+        slots.iter().all(|b| b.len() == len),
+        "cache length mismatch"
+    );
     let ascending = layers.windows(2).all(|w| w[0].end <= w[1].start);
     assert!(ascending, "layers out of order");
+    assert_eq!(
+        repairs.len(),
+        space.action_count(),
+        "one repair entry per action"
+    );
+    let blocks = Blocks::of(index);
+    let groups = space.tables().groups(index, &blocks, opts.memory_budget)?;
+    let per_row = space.tables().per_row();
     let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
-    let (actions, columns) = (repairs.len(), masks.len());
-    let split = |k: usize| (k / MaskColumn::WIDTH, 1u64 << (k % MaskColumn::WIDTH));
-    let (mut repair_words, mut repaired) = (vec![0u64; columns * actions], vec![0u64; columns]);
-    for (a, k) in repairs.iter().enumerate() {
-        let Some((c, bit)) = k.map(split) else {
-            continue;
-        };
-        repair_words[c * actions + a] |= bit;
-        repaired[c] |= bit;
-    }
-    // Blocks: leaving words, then the classes (depths, `T ∧ S`, `S ∧ ¬T`).
-    let (block, depths) = (columns * actions, layers.len().max(1));
-    // Per column, its layered slots. A state's depth in `T ∧ ¬S` is the
-    // layer of its first false one (the last layer when all hold), so
-    // that it lies in the premise of every layer up to its depth.
-    let mut layered = vec![0u64; columns];
-    for k in layers.iter().flat_map(Range::clone) {
-        layered[k / MaskColumn::WIDTH] |= 1 << (k % MaskColumn::WIDTH);
-    }
-    let depth = |i: usize| {
-        let first = (layered.iter().zip(masks).enumerate())
-            .find_map(|(c, (&l, m))| {
-                let false_slots = if l == 0 { 0 } else { l & !m.at(i) };
-                (false_slots != 0)
-                    .then(|| c * MaskColumn::WIDTH + false_slots.trailing_zeros() as usize)
-            })
-            .unwrap_or(usize::MAX);
-        layers.partition_point(|l| l.end <= first).min(depths - 1)
-    };
-    let ((t_col, t_bit), (s_col, s_bit)) = (split(t), split(s));
-    let task = |ti: usize| -> Result<(Vec<u64>, Vec<u64>, u64), CheckError> {
-        let mut rows = source.rows();
-        let (mut words, mut unguarded) = (vec![0u64; (depths + 3) * block], vec![0u64; columns]);
+    let (actions, columns) = (repairs.len(), slots.len().div_ceil(WORD));
+    let split = |k: usize| (k / WORD, 1u64 << (k % WORD));
+    let mut repaired: Vec<usize> = repairs.iter().flatten().copied().collect();
+    repaired.sort_unstable();
+    repaired.dedup();
+    // Runs of words: leaving words, then the classes (depths, `T ∧ S`,
+    // `S ∧ ¬T`).
+    let (run, depths) = (columns * actions, layers.len().max(1));
+    let width = blocks.states();
+    // The low `n` bits.
+    let below = |n: usize| u64::MAX.checked_shl(n as u32).map_or(u64::MAX, |m| !m);
+    let task = |ti: usize| {
+        let range = plan.range(ti);
+        let mut cursor = groups.cursor(&blocks);
+        let (mut words, mut unguarded) = (vec![0u64; (depths + 3) * run], vec![0u64; columns]);
+        let (mut held, mut enabled) = (vec![0u64; slots.len()], vec![0u64; slots.len()]);
+        // Per block, the states of each class: the depths, then `T ∧ S`
+        // and `S ∧ ¬T`.
+        let mut classes = vec![0u64; depths + 2];
+        let (mut state, mut succ) = (index.scratch_state(), index.scratch_state());
+        let mut row_groups: Vec<Vec<(i64, u64)>> = vec![Vec::new(); per_row.len()];
         let mut read = 0;
-        for i in plan.range(ti) {
-            let in_t = masks[t_col].at(i) & t_bit != 0;
-            let in_s = masks[s_col].at(i) & s_bit != 0;
-            let class = block
-                * match (in_t, in_s) {
-                    (false, false) => continue,
-                    (true, false) => 1 + depth(i),
-                    (true, true) => 1 + depths,
-                    (false, true) => 2 + depths,
-                };
-            // All ones on a `T` state, whose leaving and repair words
-            // these are.
-            let t_all = u64::from(in_t).wrapping_neg();
-            let row = rows.row(StateId::from_index(i))?;
-            for (c, m) in masks.iter().enumerate() {
-                let (held, bits, base) = (m.at(i), m.bits(), c * actions);
-                let mut enabled = 0;
-                for (a, succ) in row.iter() {
-                    let (at, out) = (base + a.index(), !m.at(succ.index()) & bits);
-                    words[class + at] |= held & out;
-                    words[at] |= out & t_all;
-                    enabled |= repair_words[at];
-                }
-                unguarded[c] |= repaired[c] & !held & !enabled & t_all;
+        for b in range.start / width..range.end.div_ceil(width) {
+            let x0 = b * width;
+            // The block's states in this segment.
+            let ours = below(range.end - x0) & !below(range.start.saturating_sub(x0));
+            let ours = ours & blocks.full();
+            let (in_t, in_s) = (
+                slots[t].word_at(x0 as i64) & ours,
+                slots[s].word_at(x0 as i64) & ours,
+            );
+            let live = in_t | in_s;
+            if live == 0 {
+                continue;
             }
-            read += 1;
+            read += u64::from(live.count_ones());
+            for (h, bits) in held.iter_mut().zip(slots) {
+                *h = bits.word_at(x0 as i64);
+            }
+            let mut deeper = in_t & !in_s;
+            for (class, layer) in classes.iter_mut().zip(&layers[..depths - 1]) {
+                let all = layer.clone().fold(u64::MAX, |w, k| w & held[k]);
+                *class = deeper & !all;
+                deeper &= all;
+            }
+            classes[depths - 1] = deeper;
+            classes[depths] = in_t & in_s;
+            classes[depths + 1] = in_s & !in_t;
+            groups.seek(&blocks, &mut cursor, b);
+            if !per_row.is_empty() {
+                row_groups.iter_mut().for_each(Vec::clear);
+                index.decode_state(StateId::from_index(x0), &mut state);
+                for j in 0..width {
+                    if live >> j & 1 == 1 {
+                        let id = StateId::from_index(x0 + j);
+                        for ((_, act), row) in per_row.iter().zip(&mut row_groups) {
+                            if act.enabled(&state) {
+                                let next = successor(act, index, id, &state, &mut succ)
+                                    .unwrap_or_else(|_| unreachable!("a space holds no escape"));
+                                join_group(row, 0, next.0 as i64 - id.0 as i64, 1 << j);
+                            }
+                        }
+                    }
+                    index.step_state(&mut state);
+                }
+            }
+            let mut row_groups = row_groups.iter();
+            for (a, repair) in repairs.iter().enumerate() {
+                let list = match groups.values(&cursor, a) {
+                    Some(list) => list,
+                    None => row_groups
+                        .next()
+                        .expect("one group list per per-row action"),
+                };
+                let mut on = 0;
+                for &(delta, pattern) in list {
+                    let pattern = pattern & live;
+                    if pattern == 0 {
+                        continue;
+                    }
+                    on |= pattern;
+                    let to = x0 as i64 + delta;
+                    for (k, bits) in slots.iter().enumerate() {
+                        let out = pattern & !bits.word_at(to);
+                        if out == 0 {
+                            continue;
+                        }
+                        let (c, bit) = split(k);
+                        let at = c * actions + a;
+                        if out & in_t != 0 {
+                            words[at] |= bit;
+                        }
+                        let broken = out & held[k];
+                        if broken == 0 {
+                            continue;
+                        }
+                        for (class, &states) in classes.iter().enumerate() {
+                            if broken & states != 0 {
+                                words[(1 + class) * run + at] |= bit;
+                            }
+                        }
+                    }
+                }
+                if let &Some(k) = repair {
+                    enabled[k] |= on;
+                }
+            }
+            for &k in &repaired {
+                if in_t & !held[k] & !enabled[k] != 0 {
+                    let (c, bit) = split(k);
+                    unguarded[c] |= bit;
+                }
+                enabled[k] = 0;
+            }
         }
-        Ok((words, unguarded, read))
+        (words, unguarded, read)
     };
-    let (mut words, mut unguarded, mut rows) = (vec![0; (depths + 3) * block], vec![0; columns], 0);
-    for part in steal_tasks(plan.count(), workers, task)? {
-        let (w, u, r) = part?;
+    let (mut words, mut unguarded, mut rows) = (vec![0; (depths + 3) * run], vec![0; columns], 0);
+    for (w, u, r) in steal_tasks(plan.count(), workers, task)? {
         let ours = words.iter_mut().chain(&mut unguarded);
         ours.zip(w.into_iter().chain(u)).for_each(|(x, y)| *x |= y);
         rows += r;
@@ -286,17 +368,16 @@ pub fn preservation<R: RowSource>(
     // Depth `d` lies in every layer premise up to `d`; depth 0 then holds
     // all of `T ∧ ¬S`.
     for class in (1..depths).rev() {
-        let (lower, upper) = words.split_at_mut((class + 1) * block);
-        for (x, y) in lower[class * block..].iter_mut().zip(&upper[..block]) {
+        let (lower, upper) = words.split_at_mut((class + 1) * run);
+        for (x, y) in lower[class * run..].iter_mut().zip(&upper[..run]) {
             *x |= y;
         }
     }
     let words = &words;
-    let or =
-        |a: usize, b: usize| (0..block).map(move |j| words[a * block + j] | words[b * block + j]);
-    let mut answers: Vec<u64> = words[..block].to_vec();
+    let or = |a: usize, b: usize| (0..run).map(move |j| words[a * run + j] | words[b * run + j]);
+    let mut answers: Vec<u64> = words[..run].to_vec();
     answers.extend(or(1, 1 + depths).chain(or(1 + depths, 2 + depths)));
-    answers.extend_from_slice(&words[block..(1 + layers.len()) * block]);
+    answers.extend_from_slice(&words[run..(1 + layers.len()) * run]);
     Ok(Preservation {
         actions,
         words: answers,
@@ -646,21 +727,17 @@ mod tests {
             .is_none());
     }
 
-    /// The one sweep over `preds`, packed 64 to a column, with `T` at slot
-    /// `t` and `S` at slot `s`.
+    /// The one sweep over `preds`, with `T` at slot `t` and `S` at slot
+    /// `s`.
     fn sweep(
-        source: &impl RowSource,
+        space: &StateSpace,
         preds: &[&Bitset],
         (t, s): (usize, usize),
         repairs: &[Option<usize>],
         layers: &[Range<usize>],
         opts: CheckOptions,
     ) -> Preservation {
-        let masks: Vec<MaskColumn> = preds
-            .chunks(MaskColumn::WIDTH)
-            .map(|group| MaskColumn::pack(group, opts).unwrap())
-            .collect();
-        preservation(source, &masks, [t, s], repairs, layers, opts).unwrap()
+        preservation(space, preds, [t, s], repairs, layers, opts).unwrap()
     }
 
     /// The slots of `0..slots` that some action of `actions` breaks given
@@ -764,8 +841,9 @@ mod tests {
     type Witnesses = Vec<(Option<State>, Option<Violation>)>;
 
     /// The repair obligations read off one sweep over `T` (slot 0, with an
-    /// empty `S` at slot 1), and their witnesses.
+    /// empty `S` at slot 1), and their witnesses, scanned on `source`.
     fn repairs_of(
+        space: &StateSpace,
         source: &impl RowSource,
         actions: usize,
         repairs: &[(ActionId, &Bitset)],
@@ -779,7 +857,7 @@ mod tests {
         for (j, (a, _)) in repairs.iter().enumerate() {
             slots[a.index()] = Some(2 + j);
         }
-        let found = sweep(source, &preds, (0, 1), &slots, &[], opts);
+        let found = sweep(space, &preds, (0, 1), &slots, &[], opts);
         assert_eq!(found.rows_read(), t.count_ones() as u64);
         let answers = repairs
             .iter()
@@ -831,7 +909,7 @@ mod tests {
             .try_into()
             .unwrap();
         let t = Bitset::ones(space.len());
-        let (_, found) = repairs_of(&space, 1, &[(fix, &zero)], &t, opts);
+        let (_, found) = repairs_of(&space, &space, 1, &[(fix, &zero)], &t, opts);
         assert_eq!(
             found,
             [(
@@ -845,11 +923,11 @@ mod tests {
             )]
         );
         // x<3 is violated only at x=3, where fix runs and establishes it.
-        let (_, found) = repairs_of(&space, 1, &[(fix, &below3)], &t, opts);
+        let (_, found) = repairs_of(&space, &space, 1, &[(fix, &below3)], &t, opts);
         assert_eq!(found, [(None, None)]);
         // Outside T nothing is checked.
         let empty = Bitset::zeros(space.len());
-        let (_, found) = repairs_of(&space, 1, &[(fix, &zero)], &empty, opts);
+        let (_, found) = repairs_of(&space, &space, 1, &[(fix, &zero)], &empty, opts);
         assert_eq!(found, [(None, None)]);
     }
 
@@ -884,7 +962,7 @@ mod tests {
             Bitset::for_predicates(space.index(), &[&even, &low], CheckOptions::serial()).unwrap();
         let t = Bitset::ones(space.len());
         let repairs = [(halve, &caches[0]), (top, &caches[1])];
-        let serial = repairs_of(&space, 2, &repairs, &t, CheckOptions::serial());
+        let serial = repairs_of(&space, &space, 2, &repairs, &t, CheckOptions::serial());
         // 4097 is odd and disabled; 3 halves to the odd 1; 9500 is stuck.
         let (answers, witnesses) = &serial;
         assert_eq!(answers, &[(true, true), (true, false)]);
@@ -896,9 +974,9 @@ mod tests {
         for threads in [1, 2, 8] {
             for seg in [0, 512, 1000, 4097] {
                 let opts = CheckOptions::default().threads(threads).segment_states(seg);
-                let got = repairs_of(&space, 2, &repairs, &t, opts);
+                let got = repairs_of(&space, &space, 2, &repairs, &t, opts);
                 assert_eq!(got, serial, "threads={threads} seg={seg}");
-                let got = repairs_of(&decoded, 2, &repairs, &t, opts);
+                let got = repairs_of(&space, &decoded, 2, &repairs, &t, opts);
                 assert_eq!(got, serial, "decoded threads={threads} seg={seg}");
             }
         }

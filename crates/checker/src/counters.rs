@@ -20,15 +20,19 @@ pub struct CheckCounters {
     /// Predicate caches ([`Bitset`](crate::Bitset)s) built by evaluating
     /// a predicate (caches composed bitwise from others do not count).
     pub bitset_builds: u64,
-    /// State decodings performed while building predicate caches: one per
-    /// state for each pass of [`Bitset::for_predicates`](crate::Bitset::for_predicates),
-    /// however many predicates the pass evaluates.
+    /// Decodings performed while building predicate caches, as
+    /// [`Bitset::for_predicates_counted`](crate::Bitset::for_predicates_counted)
+    /// counts them: one per block of up to 64 states, however many
+    /// predicates the pass evaluates, plus one per state when a predicate
+    /// is evaluated per row.
     pub states_decoded: u64,
-    /// Rows read by the closure and preservation checks: every row of
-    /// `T ∪ S` once, by the one [`preservation`](crate::preservation)
-    /// sweep that answers every closure, repair and preservation question,
-    /// plus, per witness scan of a closure violation, the rows of its
-    /// scanned states up to its witness, as a scan in id order reads them.
+    /// Rows read by the closure and preservation checks: every state of
+    /// `T ∪ S` once, whose transitions the one
+    /// [`preservation`](crate::preservation) sweep examines (a block of
+    /// them at a time) to answer every closure, repair and preservation
+    /// question, plus, per witness scan of a closure violation, the rows
+    /// of its scanned states up to its witness, as a scan in id order
+    /// reads them.
     pub csr_rows_visited: u64,
     /// Region (`T ∧ ¬S`) states examined by the convergence pass. One
     /// pass answers both daemons and the worst-case bound, so the region

@@ -45,8 +45,9 @@ pub enum CheckError {
         /// the per-state columns every resident verification holds: the
         /// region search's `u32` and done bit, and the `T` and `S`
         /// caches), `"search stacks"` (the region search's DFS stacks,
-        /// charged as they grow), `"mask column"` (one packed predicate
-        /// column),
+        /// charged as they grow), `"block tables"` (the footprint tables
+        /// re-keyed by block, of the predicate caches or the preservation
+        /// sweep),
         /// `"frontier bitsets"` (the frontier mode's predicate, region,
         /// resolved and delta bitsets, and its action tables), or
         /// `"frontier rows"` (those plus one round's row buffer per

@@ -20,19 +20,38 @@
 //!
 //! # Cursors
 //!
-//! A cursor holds one state's digits and every item's key. A sweep in id
-//! order steps the digits as an odometer, and re-keys only the items whose
-//! footprint holds a digit the carry changed: on average 3.93 of 20
-//! actions per state on diffusing binary-10, 3.29 of 13 on the ring. A
-//! scattered read (a depth-first search) decodes the new id's digits —
-//! only those that differ from the previous id's when every domain size
-//! is a power of two — and re-keys the items of the changed ones.
+//! A cursor holds one state's digits and every item's key. A row reader
+//! in id order steps the digits as an odometer, and re-keys only the
+//! items whose footprint holds a digit the carry changed: on average 3.93
+//! of 20 actions per state on diffusing binary-10, 3.29 of 13 on the
+//! ring. A scattered read (a depth-first search) decodes the new id's
+//! digits — only those that differ from the previous id's when every
+//! domain size is a power of two — and re-keys the items of the changed
+//! ones.
+//!
+//! # Blocks
+//!
+//! The whole-space sweeps (predicate caches and the preservation sweep)
+//! step a cursor over **blocks** instead of states. A block is the
+//! longest suffix of the variables (the lowest strides) whose domain
+//! sizes multiply to at most 64, so it holds `P ≤ 64` consecutive ids:
+//! `P = 64` on diffusing binary-10 and the windowed ring 7×7, 27
+//! for three three-valued variables, and 1 when the last domain holds more
+//! than 64 values. An item's key is the same at every state of a block up
+//! to the block's own digits, so a block table re-keys each table by
+//! the footprint's digits outside the block and stores, per such key, a
+//! `P`-bit word: a predicate's truth pattern, or an action's successor-id
+//! deltas, each with the pattern of offsets where the guard holds and the
+//! successor is that far away. The block tables are derived from the
+//! audited entries, with no new guard, effect or predicate call, and a
+//! block costs one cursor step and one lookup per item.
 //!
 //! # The cap and the audit
 //!
 //! An item whose footprint has more than [`TABLE_CAP`] assignments keys no
 //! table and is evaluated per row, at the decoded state, as a
-//! [`Decoder`](crate::Decoder) does.
+//! [`Decoder`](crate::Decoder) does; a block sweep evaluates it at each
+//! state of the block.
 //!
 //! The tables are only as true as the declared footprints, so the build
 //! audits every entry. It evaluates the entry over the background with
@@ -167,12 +186,13 @@ pub(crate) struct KeyLayout {
 }
 
 impl KeyLayout {
-    /// The layout of `footprints`, one per item (`None` for an item
-    /// evaluated per row), whose entries start at `start`.
-    fn new(index: &SpaceIndex, footprints: &[Option<Footprint>], start: &[u32]) -> Self {
-        let mut per_var: Vec<Vec<(u32, u32)>> = vec![Vec::new(); index.var_count()];
+    /// The layout of `footprints` over variables `0..vars`, one footprint
+    /// per item as `(variable, stride)` pairs (none for an item evaluated
+    /// per row), whose entries start at `start`.
+    fn new(vars: usize, footprints: &[Vec<(usize, u32)>], start: &[u32]) -> Self {
+        let mut per_var: Vec<Vec<(u32, u32)>> = vec![Vec::new(); vars];
         for (item, fp) in footprints.iter().enumerate() {
-            for (&v, &stride) in fp.iter().flat_map(|fp| fp.vars.iter().zip(&fp.strides)) {
+            for &(v, stride) in fp {
                 per_var[v].push((item as u32, stride));
             }
         }
@@ -203,12 +223,24 @@ impl KeyLayout {
         }
     }
 
+    /// Each item's footprint, as [`new`](Self::new) took it.
+    fn footprints(&self) -> Vec<Vec<(usize, u32)>> {
+        let mut fps = vec![Vec::new(); self.base.len()];
+        for (v, span) in self.at.windows(2).enumerate() {
+            for &(item, stride) in &self.readers[span[0] as usize..span[1] as usize] {
+                fps[item as usize].push((v, stride));
+            }
+        }
+        fps
+    }
+
     fn bytes(&self) -> usize {
         self.at.len() * 4 + self.readers.len() * 8 + self.base.len() * 4
     }
 }
 
-/// One state's digits and the keys of every item of a [`KeyLayout`].
+/// One state's digits (or one block's, over the variables outside the
+/// block) and the keys of every item of a [`KeyLayout`].
 #[derive(Debug, Clone)]
 pub(crate) struct Cursor {
     /// The id whose digits are held, once one has been sought.
@@ -265,6 +297,179 @@ impl Cursor {
     }
 }
 
+/// The blocks of a space (see the [module docs](self)): block `b` holds
+/// the ids `b·P .. (b + 1)·P`, and its id is the number whose digits are
+/// those of the variables outside the block.
+#[derive(Debug, Clone)]
+pub(crate) struct Blocks {
+    /// States per block, `P`.
+    states: usize,
+    /// The variables outside the block are `0..outside`.
+    outside: usize,
+    /// Digit decoding of block ids.
+    digits: Digits,
+}
+
+impl Blocks {
+    /// The most states a block holds: one bit each in a word.
+    const MAX: usize = 64;
+
+    pub(crate) fn of(index: &SpaceIndex) -> Self {
+        let (mut outside, mut states) = (index.var_count(), 1);
+        while outside > 0 {
+            let size = index.domain_size(outside - 1);
+            if size == 0 || states * size > Self::MAX {
+                break;
+            }
+            states *= size;
+            outside -= 1;
+        }
+        let sizes: Vec<i64> = (0..outside).map(|v| index.domain_size(v) as i64).collect();
+        let strides: Vec<u64> = (0..outside)
+            .map(|v| (index.stride(v) / states) as u64)
+            .collect();
+        Blocks {
+            states,
+            outside,
+            digits: Digits::new(&sizes, &strides),
+        }
+    }
+
+    /// States per block, `P`.
+    pub(crate) fn states(&self) -> usize {
+        self.states
+    }
+
+    /// The low `P` bits: a whole block's pattern.
+    pub(crate) fn full(&self) -> u64 {
+        u64::MAX >> (Self::MAX - self.states)
+    }
+}
+
+/// Footprint tables re-keyed by block (see the [module docs](self)): per
+/// item, for every assignment of its footprint's variables outside the
+/// block, a short list of values derived from the item's entries at the
+/// block's `P` offsets.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockTable<U> {
+    layout: KeyLayout,
+    /// Per item, where its keys start in `at`, or `PER_ROW`.
+    start: Box<[u32]>,
+    /// Per key, where its values start in `values`, then the end of the
+    /// last key's values.
+    at: Box<[u32]>,
+    values: Box<[U]>,
+}
+
+impl<U> BlockTable<U> {
+    /// Re-key the tables of `layout`, whose items' entries start at
+    /// `start` in `entries`: `derive` gets an item's entries at the `P`
+    /// offsets of a block, in offset order, and pushes that key's values.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::BudgetExceeded`] (phase `"block tables"`) when the
+    /// block tables could exceed `budget`: a key holds at most as many
+    /// values as it covers entries.
+    fn derive<T: Copy>(
+        index: &SpaceIndex,
+        blocks: &Blocks,
+        (layout, start, entries): (&KeyLayout, &[u32], &[T]),
+        budget: u64,
+        mut derive: impl FnMut(&[T], &mut Vec<U>),
+    ) -> Result<Self, CheckError> {
+        let entry_bytes = std::mem::size_of::<U>() + 4;
+        let required = (entries.len() * entry_bytes + 4 + layout.bytes() + start.len() * 4) as u64;
+        if required > budget {
+            return Err(CheckError::BudgetExceeded {
+                required,
+                budget,
+                phase: "block tables",
+            });
+        }
+        let mut outer_footprints = Vec::with_capacity(start.len());
+        let mut block_start = Vec::with_capacity(start.len());
+        let (mut at, mut values) = (Vec::new(), Vec::new());
+        let mut offsets = vec![0usize; blocks.states];
+        let mut row = Vec::with_capacity(blocks.states);
+        for (fp, &first) in layout.footprints().into_iter().zip(start) {
+            if first == PER_ROW {
+                block_start.push(PER_ROW);
+                outer_footprints.push(Vec::new());
+                continue;
+            }
+            // The footprint's variables ascend, so those inside the block
+            // come last and a key is `outer key · inner keys + inner key`.
+            let (outer, inner) = fp.split_at(fp.partition_point(|&(v, _)| v < blocks.outside));
+            let inner_keys: usize = inner.iter().map(|&(v, _)| index.domain_size(v)).product();
+            let outer_keys: usize = outer.iter().map(|&(v, _)| index.domain_size(v)).product();
+            for (j, offset) in offsets.iter_mut().enumerate() {
+                *offset = inner
+                    .iter()
+                    .map(|&(v, s)| j / index.stride(v) % index.domain_size(v) * s as usize)
+                    .sum();
+            }
+            block_start.push(at.len() as u32);
+            for key in 0..outer_keys {
+                at.push(values.len() as u32);
+                let base = first as usize + key * inner_keys;
+                row.clear();
+                row.extend(offsets.iter().map(|&i| entries[base + i]));
+                derive(&row, &mut values);
+            }
+            let stride = |&(v, s): &(usize, u32)| (v, s / inner_keys as u32);
+            outer_footprints.push(outer.iter().map(stride).collect());
+        }
+        at.push(values.len() as u32);
+        Ok(BlockTable {
+            layout: KeyLayout::new(blocks.outside, &outer_footprints, &block_start),
+            start: block_start.into(),
+            at: at.into(),
+            values: values.into(),
+        })
+    }
+
+    /// A cursor over the blocks of `blocks`, the blocks this table was
+    /// derived for.
+    pub(crate) fn cursor(&self, blocks: &Blocks) -> Cursor {
+        Cursor::new(&blocks.digits, &self.layout)
+    }
+
+    /// Move `cursor` to block `block`.
+    #[inline]
+    pub(crate) fn seek(&self, blocks: &Blocks, cursor: &mut Cursor, block: usize) {
+        cursor.seek(&blocks.digits, &self.layout, block as u32);
+    }
+
+    /// Item `item`'s values at the cursor's block, or `None` for an item
+    /// evaluated per row.
+    #[inline]
+    pub(crate) fn values(&self, cursor: &Cursor, item: usize) -> Option<&[U]> {
+        if self.start[item] == PER_ROW {
+            return None;
+        }
+        let key = cursor.keys[item] as usize;
+        Some(&self.values[self.at[key] as usize..self.at[key + 1] as usize])
+    }
+
+    /// The items evaluated per row, ascending.
+    pub(crate) fn per_row(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.start.iter())
+            .enumerate()
+            .filter_map(|(i, &s)| (s == PER_ROW).then_some(i))
+    }
+}
+
+/// Add the offsets `bits`, whose successors lie `delta` ids away, to the
+/// groups of `groups[from..]`: to the group of that delta, or as a new
+/// group.
+pub(crate) fn join_group(groups: &mut Vec<(i64, u64)>, from: usize, delta: i64, bits: u64) {
+    match groups[from..].iter_mut().find(|g| g.0 == delta) {
+        Some(group) => group.1 |= bits,
+        None => groups.push((delta, bits)),
+    }
+}
+
 /// An item's footprint: its variables, ascending, each with its stride in
 /// the item's key, and the number of keys.
 #[derive(Debug, Clone)]
@@ -272,6 +477,16 @@ struct Footprint {
     vars: Vec<usize>,
     strides: Vec<u32>,
     size: usize,
+}
+
+/// Per item, its footprint's `(variable, stride)` pairs, as
+/// [`KeyLayout::new`] takes them; none for an item evaluated per row.
+fn pairs(footprints: &[Option<Footprint>]) -> Vec<Vec<(usize, u32)>> {
+    let pairs = |fp: &Footprint| fp.vars.iter().copied().zip(fp.strides.clone()).collect();
+    footprints
+        .iter()
+        .map(|fp| fp.as_ref().map_or_else(Vec::new, pairs))
+        .collect()
 }
 
 impl Footprint {
@@ -552,7 +767,7 @@ impl ActionTables {
                 });
             }
         }
-        let layout = KeyLayout::new(index, &plan.footprints, &start);
+        let layout = KeyLayout::new(index.var_count(), &pairs(&plan.footprints), &start);
         let tables = ActionTables {
             layout,
             start: start.into(),
@@ -590,6 +805,36 @@ impl ActionTables {
     /// A cursor over these tables.
     pub(crate) fn cursor(&self, index: &SpaceIndex) -> Cursor {
         Cursor::new(index.digits(), &self.layout)
+    }
+
+    /// These tables re-keyed by block: per key, the action's groups of
+    /// block offsets where it is enabled, one `(delta, offsets)` pair per
+    /// distinct successor-id delta. Only the tables of a
+    /// [`StateSpace`](crate::StateSpace), which hold no escape, are
+    /// re-keyed.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockTable`]'s derivation: the budget.
+    pub(crate) fn groups(
+        &self,
+        index: &SpaceIndex,
+        blocks: &Blocks,
+        budget: u64,
+    ) -> Result<BlockTable<(i64, u64)>, CheckError> {
+        let tables = (&self.layout, &self.start[..], &self.entries[..]);
+        BlockTable::derive(index, blocks, tables, budget, |entries, groups| {
+            let first = groups.len();
+            for (j, &delta) in entries.iter().enumerate() {
+                assert!(
+                    escaped_var(delta).is_none(),
+                    "a space's tables hold no escape"
+                );
+                if delta != DISABLED {
+                    join_group(groups, first, delta, 1 << j);
+                }
+            }
+        })
     }
 
     /// A row buffer for these tables.
@@ -687,76 +932,46 @@ pub(crate) struct RowBuf {
     succ: State,
 }
 
-/// The footprint tables of a list of predicates.
-#[derive(Debug, Clone)]
-pub(crate) struct PredicateTables {
-    layout: KeyLayout,
-    /// Per predicate, where its entries start in `entries`, or `PER_ROW`.
-    start: Box<[u32]>,
-    entries: Box<[bool]>,
-}
-
-impl PredicateTables {
-    /// Evaluate and audit the tables of `preds`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::UndeclaredVariable`] at the first predicate whose
-    /// audit fails; [`CheckError::WorkerFailed`] if a predicate panics.
-    pub(crate) fn build(index: &SpaceIndex, preds: &[&Predicate]) -> Result<Self, CheckError> {
-        let footprints: Vec<Option<Footprint>> = preds
-            .iter()
-            .map(|p| Footprint::of_predicate(index, p))
-            .collect();
-        let mut start = Vec::with_capacity(preds.len());
-        let mut entries = Vec::new();
-        for (pred, fp) in preds.iter().zip(&footprints) {
-            let Some(fp) = fp else {
-                start.push(PER_ROW);
-                continue;
-            };
-            let bits = crate::options::catching(|| fp.fill(index, |s, _| Ok(pred.holds(s))))?
-                .map_err(|v| CheckError::UndeclaredVariable {
-                    kind: "predicate",
-                    name: pred.name().to_string(),
-                    var: index.name(v).to_string(),
-                })?;
-            start.push(entries.len() as u32);
-            entries.extend(bits);
-        }
-        Ok(PredicateTables {
-            layout: KeyLayout::new(index, &footprints, &start),
-            start: start.into(),
-            entries: entries.into(),
-        })
+/// The truth patterns of a list of predicates, per block: each predicate's
+/// footprint table is evaluated and audited, then re-keyed by block, with
+/// one `P`-bit pattern per key.
+///
+/// # Errors
+///
+/// [`CheckError::UndeclaredVariable`] at the first predicate whose audit
+/// fails; [`CheckError::WorkerFailed`] if a predicate panics; the budget,
+/// as [`BlockTable`]'s derivation.
+pub(crate) fn predicate_patterns(
+    index: &SpaceIndex,
+    blocks: &Blocks,
+    preds: &[&Predicate],
+    budget: u64,
+) -> Result<BlockTable<u64>, CheckError> {
+    let footprints: Vec<Option<Footprint>> = preds
+        .iter()
+        .map(|p| Footprint::of_predicate(index, p))
+        .collect();
+    let mut start = Vec::with_capacity(preds.len());
+    let mut entries = Vec::new();
+    for (pred, fp) in preds.iter().zip(&footprints) {
+        let Some(fp) = fp else {
+            start.push(PER_ROW);
+            continue;
+        };
+        let bits = crate::options::catching(|| fp.fill(index, |s, _| Ok(pred.holds(s))))?.map_err(
+            |v| CheckError::UndeclaredVariable {
+                kind: "predicate",
+                name: pred.name().to_string(),
+                var: index.name(v).to_string(),
+            },
+        )?;
+        start.push(entries.len() as u32);
+        entries.extend(bits);
     }
-
-    /// Whether some predicate is evaluated per row.
-    pub(crate) fn has_per_row(&self) -> bool {
-        self.start.contains(&PER_ROW)
-    }
-
-    /// A cursor over these tables.
-    pub(crate) fn cursor(&self, index: &SpaceIndex) -> Cursor {
-        Cursor::new(index.digits(), &self.layout)
-    }
-
-    /// Move `cursor` to `id`.
-    #[inline]
-    pub(crate) fn seek(&self, index: &SpaceIndex, cursor: &mut Cursor, id: StateId) {
-        cursor.seek(index.digits(), &self.layout, id.0);
-    }
-
-    /// Predicate `p` at the cursor's state, or `None` for a predicate
-    /// evaluated per row.
-    #[inline]
-    pub(crate) fn get(&self, cursor: &Cursor, p: usize) -> Option<bool> {
-        (self.start[p] != PER_ROW).then(|| self.holds(cursor, p))
-    }
-
-    /// Predicate `p` at the cursor's state; `p` must be tabled.
-    #[inline]
-    pub(crate) fn holds(&self, cursor: &Cursor, p: usize) -> bool {
-        self.entries[cursor.keys[p] as usize]
-    }
+    let layout = KeyLayout::new(index.var_count(), &pairs(&footprints), &start);
+    let tables = (&layout, &start[..], &entries[..]);
+    BlockTable::derive(index, blocks, tables, budget, |entries, patterns| {
+        let pattern = (entries.iter().enumerate()).fold(0, |w, (j, &b)| w | u64::from(b) << j);
+        patterns.push(pattern);
+    })
 }

@@ -48,7 +48,8 @@
 //! are evaluated once per state into [`Bitset`] caches (`*_bits` function
 //! variants) that callers can share across passes and compose with
 //! bitwise `and`/`not`; [`Bitset::for_predicates`] fills any number of
-//! them from predicate footprint tables in one pass. Convergence answers
+//! them from predicate footprint tables in one pass, a block of up to 64
+//! states per table load. Convergence answers
 //! both daemons and the worst-case bound with one DFS over the region's
 //! rows, which also finds its lowest-id deadlock or escape: it gives every
 //! region state its height (the longest path out) or marks it infinite,
@@ -75,13 +76,13 @@
 //! keeps the cores busy even when transition density is skewed across the
 //! id range — and because per-segment results are merged in segment
 //! order, verdicts and witnesses remain bit-identical for every thread
-//! count and claim order. [`is_closed_bits`], [`preservation`] and the
-//! witness scans run on a [`Decoder`] as well as on a [`StateSpace`], and
-//! report the same answer on each. One sweep asks every question it can:
-//! [`preservation`] reads each row of `T ∪ S` once, with every
-//! [`MaskColumn`] of predicates (one byte per state per 8 predicates), and
-//! answers closure and preservation for every action and predicate given
-//! `T`, given `S` and given each of Theorem 3's layers, plus every
+//! count and claim order. [`is_closed_bits`] and the witness scans run
+//! on a [`Decoder`] as well as on a [`StateSpace`], and report the same
+//! answer on each. One sweep asks every question it can: [`preservation`]
+//! reads the predicate caches and the [`StateSpace`]'s action tables a
+//! block of up to 64 states at a time (see [`footprint`]), and answers
+//! closure and preservation for every action and predicate given `T`,
+//! given `S` and given each of Theorem 3's layers, plus every
 //! constraint's repair obligations (its action enabled where the
 //! constraint is false, and establishing it). A witness scan
 //! ([`first_leaving`], [`first_disabled`]) runs only for a violation the
@@ -154,7 +155,7 @@ pub mod span;
 pub mod successors;
 
 pub use bounds::{check_variant, VariantReport};
-pub use cache::{Bitset, MaskColumn, OnesIter};
+pub use cache::{Bitset, OnesIter};
 pub use closure::{
     first_disabled, first_leaving, is_closed, is_closed_bits, preservation, preserves_given_bits,
     Given, Preservation, Violation,

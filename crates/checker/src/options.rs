@@ -32,8 +32,9 @@ const PARALLEL_THRESHOLD: usize = 2048;
 /// per-action footprint tables (kilobytes), so what the budget bounds is
 /// the per-state columns a resident verification holds: 4 bytes and 3
 /// bits a state for the region search and the `T` and `S` caches, charged
-/// at enumeration, plus `⌈P/8⌉` bytes a state for a mask column of `P`
-/// predicates, charged when it is packed. The region search's DFS stacks
+/// at enumeration. The block tables of the predicate caches and of the
+/// preservation sweep are charged when they are built, and are no larger
+/// than the footprint tables. The region search's DFS stacks
 /// are charged as they grow, since their depth is known only during the
 /// search. The enumeration charge admits spaces of up to about 1.9
 /// billion states (2^28 states need about 1.2 GB of it). The frontier
@@ -76,8 +77,8 @@ pub struct CheckOptions {
     pub threads: usize,
     /// Maximum resident bytes a pass may allocate: for monolithic
     /// enumeration the footprint tables plus the per-state columns every
-    /// resident verification holds (4 bytes and 3 bits a state); for a
-    /// mask column its `⌈P/8⌉` bytes a state; for the frontier convergence
+    /// resident verification holds (4 bytes and 3 bits a state); for the
+    /// block sweeps their block tables; for the frontier convergence
     /// mode its bitsets plus the row buffers of one round. A pass fails
     /// with [`CheckError::BudgetExceeded`] — naming the phase that tripped —
     /// before the big allocations happen.
@@ -200,8 +201,8 @@ impl SegmentPlan {
 }
 
 /// Balanced contiguous chunk ranges of `0..len` for `workers` workers:
-/// passes that fill disjoint sub-slices of their output arrays (predicate
-/// caches, mask columns) split them along these boundaries.
+/// passes that fill disjoint sub-slices of their output arrays (the
+/// predicate caches) split them along these boundaries.
 ///
 /// The split is *balanced*: no empty ranges are ever produced (`len == 0`
 /// yields no chunks at all), `workers` is clamped to `len`, and chunk sizes
@@ -241,8 +242,8 @@ pub(crate) fn split_lens<T>(
 
 /// Run `f(i, parts[i])` for every part under [`steal_tasks`], each part
 /// moved into exactly one task, and return the results in task order.
-/// Passes that fill disjoint sub-slices of their output arrays (predicate
-/// caches, mask columns) run this way, so the layout does not depend on
+/// Passes that fill disjoint sub-slices of their output arrays (the
+/// predicate caches) run this way, so the layout does not depend on
 /// the thread count or the claim order.
 pub(crate) fn steal_parts<P, R, F>(
     parts: Vec<P>,

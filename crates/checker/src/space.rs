@@ -798,6 +798,11 @@ impl StateSpace {
         self.index.id_of(state)
     }
 
+    /// The footprint tables of the space's actions.
+    pub(crate) fn tables(&self) -> &ActionTables {
+        &self.tables
+    }
+
     /// A reader of this space's rows: the loop-friendly way to read many
     /// of them, cheapest in ascending id order.
     pub fn rows(&self) -> TableRows<'_> {

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use nonmask_checker::{
     check_convergence_bits, closure, Bitset, CheckCounters, CheckError, CheckOptions, Given,
-    MaskColumn, Preservation, SpaceIndex, StateSpace,
+    Preservation, SpaceIndex, StateSpace,
 };
 use nonmask_graph::{ConstraintGraph, ConstraintRef, GraphError, Layering, NodePartition, Shape};
 use nonmask_program::{ActionId, ActionKind, Predicate, Program, State, VarId};
@@ -21,6 +21,8 @@ pub enum DesignError {
     DuplicateAction(ActionId),
     /// A constraint references an action id that is not in the program.
     UnknownAction(ActionId),
+    /// The layering names a constraint the design does not have.
+    UnknownConstraint(ConstraintRef),
     /// The constraint graph could not be derived.
     Graph(GraphError),
     /// The state space could not be enumerated (unbounded, too large,
@@ -43,6 +45,11 @@ impl std::fmt::Display for DesignError {
                 write!(f, "action {a} is the convergence action of two constraints")
             }
             DesignError::UnknownAction(a) => write!(f, "action {a} is not part of the program"),
+            DesignError::UnknownConstraint(c) => write!(
+                f,
+                "the layering names constraint {}, which the design does not have",
+                c.0
+            ),
             DesignError::Graph(e) => write!(f, "constraint graph: {e}"),
             DesignError::Check(e) => write!(f, "checker: {e}"),
             DesignError::SpaceMismatch(what) => write!(f, "state space of another program: {what}"),
@@ -195,10 +202,10 @@ impl Design {
     ///
     /// 1. **Closure checks** — `S` and `T` closed; each convergence action
     ///    guards exactly its constraint's violation and establishes the
-    ///    constraint. One [`closure::preservation`] sweep reads every row
-    ///    of `T ∪ S` once and answers all of these and every preservation
-    ///    question of step 2, given `T`, `S` or any layer; a violation
-    ///    costs one more scan, for its witness.
+    ///    constraint. One [`closure::preservation`] sweep over the blocks
+    ///    of `T ∪ S` answers all of these and every preservation question
+    ///    of step 2, given `T`, `S` or any layer; a violation costs one
+    ///    more scan, for its witness.
     /// 2. **Method-level theorem checks** — which of Theorems 1–3 applies
     ///    (structural shape conditions from the graph crate, semantic
     ///    preservation obligations discharged by the checker). For merged
@@ -227,8 +234,8 @@ impl Design {
         let opts = self.options;
 
         // Predicate-evaluation caches, shared by every pass below: one
-        // decode pass evaluates `T` and each constraint (and `S`, when it
-        // is overridden) once per state, and all later obligations are bit
+        // block pass evaluates `T` and each constraint (and `S`, when it
+        // is overridden) at every state, and all later obligations are bit
         // tests. The default `S` is `T ∧ (∀ i :: c_i)` (see
         // `Design::invariant`), composed bitwise.
         let eval_started = Instant::now();
@@ -236,7 +243,8 @@ impl Design {
         preds.extend(self.constraints.iter().map(Constraint::predicate));
         preds.extend(&self.invariant_override);
         let evaluated = preds.len() as u64;
-        let mut caches = Bitset::for_predicates(space.index(), &preds, opts)?.into_iter();
+        let (caches, decoded) = Bitset::for_predicates_counted(space.index(), &preds, opts)?;
+        let mut caches = caches.into_iter();
         let t_bits = caches.next().expect("one cache per predicate");
         let c_bits: Vec<Bitset> = caches.by_ref().take(self.constraints.len()).collect();
         let s_bits = caches
@@ -245,34 +253,29 @@ impl Design {
         let predicate_eval = eval_started.elapsed();
 
         // --- 1. Closure obligations -----------------------------------
-        // The shared caches `[T, S, c…]`, packed per state into mask
-        // columns of 64 predicates each (see `constraint_slots`). One
-        // `preservation` sweep over the rows of `T ∪ S` answers every
-        // closure, repair and preservation question below; only a
-        // violation costs another scan, for its witness.
+        // The shared caches `[T, S, c…]`, in slot order (see
+        // `constraint_slots`). One `preservation` sweep over the blocks of
+        // `T ∪ S` answers every closure, repair and preservation question
+        // below; only a violation costs another scan, for its witness.
         let closure_started = Instant::now();
         let (slot_of, layers) = self.constraint_slots();
         let answers = {
-            let mut packed = vec![&t_bits; CONSTRAINT_SLOTS + c_bits.len()];
-            packed[S_SLOT] = &s_bits;
+            let mut slots = vec![&t_bits; CONSTRAINT_SLOTS + c_bits.len()];
+            slots[S_SLOT] = &s_bits;
             for (c, &k) in c_bits.iter().zip(&slot_of) {
-                packed[k] = c;
+                slots[k] = c;
             }
-            let masks = packed
-                .chunks(MaskColumn::WIDTH)
-                .map(|group| MaskColumn::pack(group, opts))
-                .collect::<Result<Vec<_>, _>>()?;
             let mut repairs = vec![None; p.action_count()];
             for (c, &k) in self.constraints.iter().zip(&slot_of) {
                 repairs[c.action().index()] = Some(k);
             }
-            let slots = [T_SLOT, S_SLOT];
-            closure::preservation(space, &masks, slots, &repairs, &layers, opts)?
+            let premises = [T_SLOT, S_SLOT];
+            closure::preservation(space, &slots, premises, &repairs, &layers, opts)?
         };
         let (closure_report, witness_rows) =
             self.check_closure_bits(space, &answers, &slot_of, &s_bits, &t_bits, &c_bits)?;
         // The convergence pass holds the run's peak memory; the constraint
-        // caches (like the mask columns above) are not needed there.
+        // caches are not needed there.
         drop(c_bits);
         let rows_visited = answers.rows_read() + witness_rows;
         let closure_time = closure_started.elapsed();
@@ -362,16 +365,15 @@ impl Design {
             total: space.len(),
         };
 
-        // Work counters: one decode pass built every evaluated predicate
-        // cache. The row figure sums the rows the one preservation sweep
-        // and the witness scans read. Convergence figures are those of
-        // the one region pass.
-        let states = space.len() as u64;
+        // Work counters: one block pass built every evaluated predicate
+        // cache, with the decodings it counted. The row figure sums the
+        // rows the one preservation sweep and the witness scans read.
+        // Convergence figures are those of the one region pass.
         let counters = CheckCounters {
-            states,
+            states: space.len() as u64,
             transitions: space.transition_count() as u64,
             bitset_builds: evaluated,
-            states_decoded: states,
+            states_decoded: decoded,
             csr_rows_visited: rows_visited,
             region_states: conv.stats.region_states,
             peeled_states: conv.stats.peeled_states,
@@ -421,7 +423,7 @@ impl Design {
         what.map_or(Ok(()), |what| Err(DesignError::SpaceMismatch(what)))
     }
 
-    /// Each constraint's mask slot, and Theorem 3's layers as ranges of
+    /// Each constraint's slot, and Theorem 3's layers as ranges of
     /// slots. The constraints are ordered by layer, lowest first, and the
     /// unlayered ones last, so that the layers a state satisfies are read
     /// off its first false layered slot.
@@ -444,7 +446,7 @@ impl Design {
 
     /// The closure obligations over the shared predicate caches, and the
     /// rows their witness scans read. `answers` is the one
-    /// [`closure::preservation`] sweep, with constraint `i` at mask slot
+    /// [`closure::preservation`] sweep, with constraint `i` at slot
     /// `slot_of[i]`: `T` (`S`) is closed iff no action breaks the `T`
     /// (`S`) slot given `T` (`S`), and a constraint's repair is unguarded
     /// (does not establish it) iff the sweep found its slot unguarded (its
@@ -645,7 +647,7 @@ impl Design {
     }
 }
 
-/// The mask slots of the shared predicate caches: `T`, then `S`, then
+/// The slots of the shared predicate caches: `T`, then `S`, then
 /// the constraints from `CONSTRAINT_SLOTS` on (see
 /// [`Design::constraint_slots`]).
 const T_SLOT: usize = 0;
@@ -737,7 +739,9 @@ impl DesignBuilder {
     /// # Errors
     ///
     /// [`DesignError::DuplicateAction`] if two constraints share an action;
-    /// [`DesignError::UnknownAction`] for out-of-range action ids.
+    /// [`DesignError::UnknownAction`] for out-of-range action ids;
+    /// [`DesignError::UnknownConstraint`] when the layering names a
+    /// constraint past the design's.
     pub fn build(self) -> Result<Design, DesignError> {
         let mut seen = std::collections::HashSet::new();
         for c in &self.constraints {
@@ -747,6 +751,10 @@ impl DesignBuilder {
             if !seen.insert(c.action()) {
                 return Err(DesignError::DuplicateAction(c.action()));
             }
+        }
+        let layered = self.layering.iter().flat_map(Layering::layers).flatten();
+        if let Some(&c) = layered.into_iter().find(|c| c.0 >= self.constraints.len()) {
+            return Err(DesignError::UnknownConstraint(c));
         }
         let partition = self
             .partition
@@ -917,6 +925,46 @@ mod tests {
             .constraint("c", pred, ActionId::from_index(7))
             .build();
         assert!(matches!(result, Err(DesignError::UnknownAction(_))));
+    }
+
+    #[test]
+    fn unknown_layering_constraint_rejected() {
+        let mut b = Program::builder("p");
+        let x = b.var("x", Domain::Bool);
+        let fix = b.convergence_action(
+            "fix",
+            [x],
+            [x],
+            move |s| !s.get_bool(x),
+            move |s| s.set_bool(x, true),
+        );
+        let program = b.build();
+        let c = Predicate::new("x", [x], move |s| s.get_bool(x));
+        let build = |layers: Vec<Vec<ConstraintRef>>| {
+            Design::builder(program.clone())
+                .partition(NodePartition::new().group("x", [x]))
+                .constraint("x", c.clone(), fix)
+                .layering(Layering::new(layers).unwrap())
+                .build()
+        };
+        let err = build(vec![vec![ConstraintRef(3)]]).unwrap_err();
+        assert!(
+            matches!(err, DesignError::UnknownConstraint(ConstraintRef(3))),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "the layering names constraint 3, which the design does not have"
+        );
+        // A later layer is checked too, and the design's own constraint
+        // passes and verifies.
+        let err = build(vec![vec![ConstraintRef(0)], vec![ConstraintRef(1)]]).unwrap_err();
+        assert!(matches!(
+            err,
+            DesignError::UnknownConstraint(ConstraintRef(1))
+        ));
+        let design = build(vec![vec![ConstraintRef(0)]]).unwrap();
+        assert!(design.verify().unwrap().is_tolerant());
     }
 
     #[test]

@@ -4,8 +4,8 @@ use nonmask::{Design, TheoremOutcome};
 use nonmask_checker::{
     check_convergence, check_convergence_bits, check_convergence_frontier_stats, first_disabled,
     first_leaving, is_closed, is_closed_bits, preservation, preserves_given_bits, Bitset,
-    CheckError, CheckOptions, ConvergenceResult, Decoder, Fairness, Given, MaskColumn, SpaceIndex,
-    StateId, StateSpace, Successors, Violation,
+    CheckError, CheckOptions, ConvergenceResult, Decoder, Fairness, Given, SpaceIndex, StateId,
+    StateSpace, Successors, Violation,
 };
 use nonmask_graph::{NodePartition, Shape};
 use nonmask_obs::{Event, Journal, MemoryBuffer};
@@ -754,16 +754,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// One sweep answers every (action, predicate, premise) question: for
-    /// 2 to 130 predicates (up to three mask columns), with `T` and `S`
+    /// 2 to 130 predicates (up to three answer words), with `T` and `S`
     /// at random slots (so `S` need not lie inside `T`) and 0 to 5 random
     /// nested layers, `breaks` is set exactly when `preserves_given_bits`
     /// finds a violation over `T`, `S` or `T ∧ ¬S ∧` the lower layers'
     /// slots, `leaves` when some transition from `T` leads outside the
     /// slot, and `unguarded` when some `T` state outside the slot enables
-    /// none of its repairs. Both row sources at 1 and 4 threads give the
-    /// same answers, bit for bit, after reading each row of `T ∪ S` once.
-    /// The lowest-id witness scans agree with a scan of every state in id
-    /// order.
+    /// none of its repairs. The sweep at 1 and 4 threads and 7-state
+    /// segments gives the same answers, bit for bit, after reading each
+    /// row of `T ∪ S` once. The lowest-id witness scans, on both row
+    /// sources, agree with a scan of every state in id order.
     #[test]
     fn one_sweep_matches_per_action_preservation(
         domains in proptest::collection::vec(domain_strategy(), 1..=5),
@@ -786,11 +786,7 @@ proptest! {
             .collect();
         let refs: Vec<&Predicate> = preds.iter().collect();
         let caches = Bitset::for_predicates(space.index(), &refs, CheckOptions::serial()).unwrap();
-        let packed: Vec<&Bitset> = caches.iter().collect();
-        let masks: Vec<MaskColumn> = packed
-            .chunks(MaskColumn::WIDTH)
-            .map(|group| MaskColumn::pack(group, CheckOptions::serial()).unwrap())
-            .collect();
+        let slots: Vec<&Bitset> = caches.iter().collect();
         let (t_slot, s_slot) = (t_at % width, (t_at + 1 + s_off % (width - 1)) % width);
         let mut layers: Vec<std::ops::Range<usize>> = Vec::new();
         let mut next = layer_start % width;
@@ -813,7 +809,7 @@ proptest! {
                 layer_premise = layer_premise.and(&caches[j]);
             }
         }
-        let found = preservation(&space, &masks, [t_slot, s_slot], &repairs, &layers, CheckOptions::serial()).unwrap();
+        let found = preservation(&space, &slots, [t_slot, s_slot], &repairs, &layers, CheckOptions::serial()).unwrap();
         prop_assert_eq!(found.rows_read(), t.or(s).count_ones() as u64);
         for (given, premise) in &premises {
             for a in p.action_ids() {
@@ -844,12 +840,8 @@ proptest! {
         }
         for threads in [1, 4] {
             let opts = CheckOptions::default().threads(threads).segment_states(7);
-            for (source, got) in [
-                ("resident", preservation(&space, &masks, [t_slot, s_slot], &repairs, &layers, opts).unwrap()),
-                ("decoded", preservation(&decoded, &masks, [t_slot, s_slot], &repairs, &layers, opts).unwrap()),
-            ] {
-                prop_assert_eq!(&got, &found, "{}, threads={}", source, threads);
-            }
+            let got = preservation(&space, &slots, [t_slot, s_slot], &repairs, &layers, opts).unwrap();
+            prop_assert_eq!(&got, &found, "threads={}", threads);
         }
         // Each repair's set bits have a witness, the lowest one in id order.
         let opts = CheckOptions::default().threads(4).segment_states(7);
@@ -909,44 +901,6 @@ proptest! {
                 for id in space.ids() {
                     prop_assert_eq!(bits.contains(id), pred.holds(&space.state(id)));
                 }
-            }
-        }
-    }
-
-    /// A mask column packs 1 to 64 bitsets at `⌈P/8⌉` bytes per state:
-    /// bit `j` of `at(i)` is bitset `j` at `i` for every state, including
-    /// the last, whose load reads the column's padding, over lengths that
-    /// are not a multiple of 64, serially and at 2 and 8 threads.
-    #[test]
-    fn mask_column_bits_match_their_bitsets(
-        words in 0usize..40,
-        tail in 1usize..64,
-        seeds in proptest::collection::vec((any::<u64>(), 0u64..=100), 1..=64),
-    ) {
-        let len = words * 64 + tail;
-        let caches: Vec<Bitset> = seeds
-            .iter()
-            .map(|&(seed, percent)| {
-                let mut bits = Bitset::zeros(len);
-                for i in 0..len {
-                    let h = (seed ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    if (h >> 32) % 100 < percent {
-                        bits.set(i);
-                    }
-                }
-                bits
-            })
-            .collect();
-        let refs: Vec<&Bitset> = caches.iter().collect();
-        for threads in [1, 2, 8] {
-            let masks = MaskColumn::pack(&refs, CheckOptions::default().threads(threads)).unwrap();
-            prop_assert_eq!(masks.len(), len);
-            for i in 0..len {
-                let want = caches
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |m, (j, bits)| m | u64::from(bits.get(i)) << j);
-                prop_assert_eq!(masks.at(i), want, "state {} at threads={}", i, threads);
             }
         }
     }
