@@ -7,9 +7,9 @@
 //!
 //! The exact worst-case number of moves a program can spend outside its
 //! invariant — the quantity the rank argument of Theorem 1 bounds — is not
-//! here: it is [`ConvergenceReport::worst_case_moves`], the largest height
-//! of the convergence pass ([`check_convergence`]), which answers both
-//! daemons from the same region DFS. [`check_variant`] runs a cycle search
+//! here: it is [`ConvergenceReport::worst_case_moves`], the number of
+//! rounds of the convergence pass's peel ([`check_convergence`]), which
+//! answers both daemons from the same pass. [`check_variant`] runs a cycle search
 //! of its own and shares no code with that pass, so the two can check each
 //! other.
 //!

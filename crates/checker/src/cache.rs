@@ -91,8 +91,10 @@ impl Bitset {
     /// blocks in id order, keeping every pattern's key in step with the
     /// block ids: a block costs one pattern load per predicate and a key
     /// update per predicate that reads a changed digit. A predicate too
-    /// large to tabulate ([`TABLE_CAP`](crate::TABLE_CAP)) is evaluated at
-    /// each state of the block, which the worker steps with
+    /// large to tabulate ([`TABLE_CAP`](crate::TABLE_CAP)) is tabulated
+    /// as its conjuncts when it is a [`Predicate::all`] whose conjuncts
+    /// each fit, and its pattern is the AND of theirs; otherwise it is
+    /// evaluated at each state of the block, which the worker steps with
     /// [`SpaceIndex::step_state`]. Each pattern is ORed in place into the
     /// worker's own pre-split slice of each output. No two workers touch
     /// the same word, so the result is identical for every worker count.
@@ -127,7 +129,7 @@ impl Bitset {
     ) -> Result<(Vec<Self>, u64), CheckError> {
         let len = index.len();
         let blocks = Blocks::of(index);
-        let patterns = predicate_patterns(index, &blocks, preds, opts.memory_budget)?;
+        let (patterns, items) = predicate_patterns(index, &blocks, preds, opts.memory_budget)?;
         let block = blocks.states();
         // Chunks of whole units of `lcm(P, 64)` states, so that no block
         // straddles two workers' words.
@@ -138,7 +140,11 @@ impl Bitset {
             .into_iter()
             .map(|c| c.start * unit..(c.end * unit).min(words))
             .collect();
-        let per_row: Vec<usize> = patterns.per_row().collect();
+        // A predicate evaluated per row is one item.
+        let per_row_items: Vec<usize> = patterns.per_row().collect();
+        let per_row: Vec<usize> = (0..preds.len())
+            .filter(|&p| per_row_items.contains(&items[p].start))
+            .collect();
         let mut caches: Vec<Bitset> = preds.iter().map(|_| Bitset::zeros(len)).collect();
         // parts[c][p]: predicate `p`'s words of chunk `c`.
         let mut parts: Vec<Vec<&mut [u64]>> = chunks.iter().map(|_| Vec::new()).collect();
@@ -171,9 +177,11 @@ impl Bitset {
                     }
                 }
                 for (p, words) in out.iter_mut().enumerate() {
-                    let pattern = patterns
-                        .values(&cursor, p)
-                        .map_or(row_patterns[p], |v| v[0]);
+                    let pattern = (items[p].clone()).fold(u64::MAX, |w, item| {
+                        w & patterns
+                            .values(&cursor, item)
+                            .map_or(row_patterns[p], |v| v[0])
+                    });
                     or_bits(words, k * block, pattern, block);
                 }
             }
@@ -364,7 +372,7 @@ impl Iterator for OnesIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonmask_program::{Domain, Program};
+    use nonmask_program::{Domain, Program, VarId};
 
     /// The index of a one-variable space `x ∈ 0..len`, so that state id
     /// `i` is the state `x = i`.
@@ -440,6 +448,35 @@ mod tests {
             .unwrap_err();
             assert!(matches!(err, CheckError::WorkerFailed { .. }), "{err:?}");
         }
+    }
+
+    #[test]
+    fn a_conjunction_past_the_cap_is_tabled_by_its_conjuncts() {
+        // 20^3 = 8000 states: a predicate over all three variables is past
+        // the cap, but each conjunct reads two of them (400 entries).
+        let mut b = Program::builder("cube");
+        let v: Vec<_> = (0..3)
+            .map(|i| b.var(format!("v{i}"), Domain::range(0, 19)))
+            .collect();
+        let index = SpaceIndex::of_program(&b.build(), CheckOptions::default()).unwrap();
+        let less = |a: VarId, b: VarId| Predicate::new("<", [a, b], move |s| s.get(a) < s.get(b));
+        let parts = [less(v[0], v[1]), less(v[1], v[2])];
+        let all = Predicate::all("ascending", &parts);
+        let opaque = Predicate::new("ascending", v.clone(), move |s| {
+            parts.iter().all(|p| p.holds(s))
+        });
+        let serial = CheckOptions::serial();
+        let (caches, decoded) = Bitset::for_predicates_counted(&index, &[&all], serial).unwrap();
+        // Blocks hold 20 states; a tabled pass decodes one per block.
+        assert_eq!(decoded, 8000 / 20);
+        let (opaque_caches, decoded) =
+            Bitset::for_predicates_counted(&index, &[&opaque], serial).unwrap();
+        assert_eq!(decoded, 8000 / 20 + 8000, "evaluated at every state");
+        assert_eq!(caches, opaque_caches);
+        for id in index.ids() {
+            assert_eq!(caches[0].contains(id), all.holds(&index.state(id)));
+        }
+        assert_eq!(caches[0].count_ones(), 1140, "C(20, 3) ascending triples");
     }
 
     #[test]

@@ -29,10 +29,10 @@ use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::footprint::{join_group, Blocks};
+use crate::footprint::{per_row_groups, Blocks};
 use crate::options::{steal_find, steal_tasks, CheckOptions};
 use crate::space::{StateId, StateSpace};
-use crate::successors::{successor, RowSource, Successors};
+use crate::successors::{RowSource, Successors};
 
 /// A witnessed preservation failure: executing `action` at `before` (where
 /// the checked predicate held) produced `after` (where it does not).
@@ -251,8 +251,6 @@ pub fn preservation(
     // `S ∧ ¬T`).
     let (run, depths) = (columns * actions, layers.len().max(1));
     let width = blocks.states();
-    // The low `n` bits.
-    let below = |n: usize| u64::MAX.checked_shl(n as u32).map_or(u64::MAX, |m| !m);
     let task = |ti: usize| {
         let range = plan.range(ti);
         let mut cursor = groups.cursor(&blocks);
@@ -264,11 +262,9 @@ pub fn preservation(
         let (mut state, mut succ) = (index.scratch_state(), index.scratch_state());
         let mut row_groups: Vec<Vec<(i64, u64)>> = vec![Vec::new(); per_row.len()];
         let mut read = 0;
-        for b in range.start / width..range.end.div_ceil(width) {
+        for b in blocks.covering(&range) {
             let x0 = b * width;
-            // The block's states in this segment.
-            let ours = below(range.end - x0) & !below(range.start.saturating_sub(x0));
-            let ours = ours & blocks.full();
+            let ours = blocks.in_range(b, &range);
             let (in_t, in_s) = (
                 slots[t].word_at(x0 as i64) & ours,
                 slots[s].word_at(x0 as i64) & ours,
@@ -292,21 +288,8 @@ pub fn preservation(
             classes[depths + 1] = in_s & !in_t;
             groups.seek(&blocks, &mut cursor, b);
             if !per_row.is_empty() {
-                row_groups.iter_mut().for_each(Vec::clear);
-                index.decode_state(StateId::from_index(x0), &mut state);
-                for j in 0..width {
-                    if live >> j & 1 == 1 {
-                        let id = StateId::from_index(x0 + j);
-                        for ((_, act), row) in per_row.iter().zip(&mut row_groups) {
-                            if act.enabled(&state) {
-                                let next = successor(act, index, id, &state, &mut succ)
-                                    .unwrap_or_else(|_| unreachable!("a space holds no escape"));
-                                join_group(row, 0, next.0 as i64 - id.0 as i64, 1 << j);
-                            }
-                        }
-                    }
-                    index.step_state(&mut state);
-                }
+                let scratch = (&mut state, &mut succ);
+                per_row_groups(index, per_row, (x0, width), live, scratch, &mut row_groups);
             }
             let mut row_groups = row_groups.iter();
             for (a, repair) in repairs.iter().enumerate() {

@@ -27,50 +27,71 @@
 //!
 //! # Pipeline
 //!
-//! One iterative Tarjan DFS runs from the region's states over their
-//! internal edges, read straight from the space's rows. Every region row
-//! is read once, when its state is entered, and that read also looks for
-//! the lowest-id deadlock or escape. With none, the search has given each
-//! state a *height*: its longest path out of the region, counting the
-//! exit step. A singleton
-//! component without a self-loop completes after all its internal
-//! successors, so its height is one more than the largest of theirs; a
-//! component with an internal edge, and every state with a path into one,
-//! is *infinite*. The infinite states are exactly those that can stay in
-//! the region forever — the greatest fixpoint of "has an internal
-//! successor in the set" — so every cycle lies among them. They are the
-//! *residual*, and the rest are peeled. (Note the residual is *not* "states
-//! that cannot reach `S`": a cycle that could exit to `S` but need not is
-//! still a legal unfair divergence, and it stays.)
+//! The region is read a **block** of up to 64 states at a time, over the
+//! same per-block action tables the preservation sweep reads (see
+//! [`footprint`](crate::footprint)): each action's block table gives, per
+//! successor-id delta `δ`, the pattern of the block's states where the
+//! action is enabled and moves `δ` ids, so a set's bits at the successors
+//! are one word, read at `x₀ + δ`. The pass has two steps.
+//!
+//! 1. **The peel.** A set `U` starts as the region, and each round
+//!    removes, all at once, the states of `U` with no successor in `U`:
+//!    per block, `stuck` is the OR over the groups of
+//!    `pattern ∧ U ∧ U(x₀ + δ)`, read from the round's `U`, and the rest
+//!    is peeled. The first round reads every block, and in it the region
+//!    states with no enabled action are deadlocks, and those with a
+//!    successor outside `T ∪ S` escape. The lowest such state, the
+//!    witness a scan in id order would find, ends the pass; an escape's
+//!    successor is the first outside `T ∪ S` in action order, read from
+//!    that one state's row. Otherwise a state peeled in round `k` has
+//!    *height* `k`, its longest path out of the region counting the exit
+//!    step: its successors in the region were all peeled before round
+//!    `k`, one of them in round `k − 1`. What is left when a round peels
+//!    nothing is the greatest fixpoint of "has a successor in the set":
+//!    exactly the states that can stay in the region forever, so every
+//!    cycle lies among them. They are the *residual*. (Note the residual
+//!    is *not* "states that cannot reach `S`": a cycle that could exit to
+//!    `S` but need not is still a legal unfair divergence, and it stays.)
+//!    A round after one that peeled few states reads only the blocks
+//!    holding their predecessors, so a deep, narrow region costs a few
+//!    blocks a round.
+//! 2. **The residual analysis**, once per daemon, when the residual is
+//!    not empty.
 //!
 //! The heights are a rank every region step lowers, as in Theorem 1's
-//! proof, and the largest is the worst-case bound. In the common
-//! converging case the residual is empty, and one pass
-//! ([`check_convergence_bits`]) has answered both daemons and the bound.
-//! Otherwise the residual analysis runs once per daemon. The search keeps
-//! one `u32` and one bit per state and its stacks; nothing it holds is
-//! sized by the edge count.
+//! proof, so the number of rounds that peeled a state is the worst-case
+//! bound. In the common converging case the residual is empty, and one
+//! pass ([`check_convergence_bits`]) has answered both daemons and the
+//! bound. The pass holds two bits a state, `U` and one round's peeled
+//! states, two lists of fewer blocks than the space has, and no stack:
+//! nothing it holds is sized by the region's depth or by the edge count.
 //!
-//! This is not the seed's whole-region Tarjan, which collected a list per
-//! component and looked states up by binary search in sorted id lists.
-//! Here a component is a slice of the DFS stack, so a singleton allocates
-//! nothing, and the search's arrays are indexed by state id, so every
-//! lookup is one load. The same search, over a residual-local graph, is
-//! the residual analysis's Tarjan.
+//! A round that reads every block splits into the segments of the
+//! [`SegmentPlan`], and a block that straddles two is read by each for
+//! its own states; a round that reads listed blocks splits them into
+//! runs of a segment's worth of states. A round reads only the previous
+//! round's `U`, so every thread count and segment size peels the same
+//! states in the same rounds and reports the same witness.
 //!
-//! Every thread count reports the same witness: the lowest-id event wins,
-//! exactly as in a sequential scan.
-//!
-//! The residual analysis (Tarjan plus the fair-admissibility test) reads
-//! rows through [`Successors`], so the out-of-core
-//! [`frontier`](crate::frontier) peel ends in this same code, fed decoded
-//! rows instead of table rows.
+//! The residual analysis numbers the residual by rank (per word, its
+//! members in the words before), builds its edges as a residual-local
+//! CSR, and runs an iterative Tarjan over it: a component is a slice of
+//! the DFS stack, so a singleton allocates nothing. Everything it
+//! allocates is charged against [`CheckOptions::memory_budget`] as it
+//! grows (phase `"residual"`). It reads rows through [`Successors`], so
+//! the out-of-core [`frontier`](crate::frontier) peel ends in this same
+//! code, fed decoded rows instead of table rows.
 
-use nonmask_program::{ActionId, Predicate, Program, State};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use nonmask_program::{Action, ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::options::CheckOptions;
+use crate::footprint::{per_row_groups, BlockTable, Blocks, Cursor};
+use crate::options::{steal_tasks, CheckOptions, SegmentPlan};
 use crate::space::{SpaceIndex, StateId, StateSpace};
 use crate::successors::Successors;
 
@@ -226,22 +247,26 @@ pub fn check_convergence(
 /// exactly this `space`), so callers can share the caches across the
 /// closure and convergence passes.
 ///
-/// The region is searched by one DFS over its internal edges, which also
-/// finds its lowest-id deadlock or escape. The search gives each state its
-/// *height*, the longest path out of the region: a state whose internal
-/// successors all have finite heights has one more than the largest of
-/// theirs, and a state on or leading into a region cycle has an infinite
-/// one. Those are the residual. No event and an empty residual
-/// means both daemons converge and the bound is the largest height.
-/// Otherwise the bound is `None`, and the verdicts are the lowest-id event
-/// or, per daemon, the residual analysis.
+/// The region is read a block at a time (see the [module docs](self)).
+/// One sweep in id order finds its lowest-id deadlock or escape; with
+/// none, the peel removes, round by round, the region states with no
+/// successor left in it, so a state peeled in round `k` has longest path
+/// `k` out of the region. An empty residual means both daemons converge
+/// and the bound is the number of rounds that peeled a state. Otherwise
+/// the bound is `None`, and the verdicts are, per daemon, the residual
+/// analysis's.
 ///
 /// # Errors
 ///
-/// [`CheckError::BudgetExceeded`] (phase `"columns"`) when the search's
-/// `u32` and done bit per state exceed [`CheckOptions::memory_budget`];
-/// [`CheckError::WorkerFailed`] if an action body panics while edges are
-/// being materialized.
+/// [`CheckError::BudgetExceeded`] when the peel's two bits a state exceed
+/// [`CheckOptions::memory_budget`] (phase `"columns"`), when the actions'
+/// block tables would not fit it (phase `"block tables"`), or when the
+/// residual analysis would pass it (phase `"residual"`);
+/// [`CheckError::WorkerFailed`] if an action body panics.
+///
+/// # Panics
+///
+/// If a cache does not range over the states of `space`.
 pub fn check_convergence_bits(
     space: &StateSpace,
     program: &Program,
@@ -249,29 +274,13 @@ pub fn check_convergence_bits(
     to_bits: &Bitset,
     opts: CheckOptions,
 ) -> Result<ConvergenceReport, CheckError> {
-    let mut stats = ConvergenceStats::default();
-    let in_region = |i: usize| from_bits.get(i) && !to_bits.get(i);
-    stats.region_states = from_bits
-        .words
-        .iter()
-        .zip(&to_bits.words)
-        .map(|(f, t)| (f & !t).count_ones() as u64)
-        .sum();
-    // One DFS from the region's states, over internal edges read straight
-    // from the space's rows, numbered by state id. Every region state is
-    // entered once, so its row is also where the search looks for
-    // deadlocks and escapes: the lowest-id one is the witness a scan in id
-    // order would find, and its successor the first in action order.
-    enum RegionEvent {
-        Deadlock(StateId),
-        Escape { before: StateId, after: StateId },
-    }
-    let state_of = |e: &RegionEvent| match *e {
-        RegionEvent::Deadlock(id) | RegionEvent::Escape { before: id, .. } => id,
-    };
-    let mut first_event: Option<RegionEvent> = None;
-    // The search holds one `u32` and one done bit per state.
-    let required = 4 * space.len() as u64 + space.len().div_ceil(64) as u64 * 8;
+    let len = space.len();
+    assert!(
+        from_bits.len() == len && to_bits.len() == len,
+        "cache length mismatch"
+    );
+    // `U`, and one round's peeled states: two bits a state.
+    let required = 2 * (len.div_ceil(64) as u64 * 8);
     if required > opts.memory_budget {
         return Err(CheckError::BudgetExceeded {
             required,
@@ -279,92 +288,66 @@ pub fn check_convergence_bits(
             phase: "columns",
         });
     }
-    let mut rows = space.rows();
-    let limit = StackLimit {
-        width: program.action_count(),
-        charged: required,
-        budget: opts.memory_budget,
+    let mut peel = Bitset::zeros(len);
+    for ((u, f), t) in peel
+        .words
+        .iter_mut()
+        .zip(&from_bits.words)
+        .zip(&to_bits.words)
+    {
+        *u = f & !t;
+    }
+    let mut stats = ConvergenceStats {
+        region_states: peel.count_ones() as u64,
+        ..ConvergenceStats::default()
     };
-    let mut heights = tarjan(
-        space.len(),
-        (0..space.len()).filter(|&i| in_region(i)).map(|i| i as u32),
-        limit,
-        |v, out| {
-            let id = StateId::from_index(v as usize);
-            let row = rows.transitions(id);
-            let escape = row
-                .succs()
-                .iter()
-                .find(|&&t| !from_bits.contains(t) && !to_bits.contains(t));
-            let event = match escape {
-                _ if row.is_empty() => Some(RegionEvent::Deadlock(id)),
-                Some(&after) => Some(RegionEvent::Escape { before: id, after }),
-                None => None,
+    let sweep = BlockSweep::new(space, opts)?;
+    let rounds = match sweep.peel(&mut peel, from_bits, to_bits)? {
+        Peeled::Rounds(rounds) => rounds,
+        Peeled::Event(before) => {
+            let mut rows = space.rows();
+            let row = rows.transitions(before);
+            let escape =
+                (row.succs().iter()).find(|&&t| !from_bits.contains(t) && !to_bits.contains(t));
+            let result = match escape {
+                None => ConvergenceResult::DeadlockOutsideTarget {
+                    state: space.state(before),
+                },
+                Some(&after) => ConvergenceResult::EscapesFaultSpan {
+                    before: space.state(before),
+                    after: space.state(after),
+                },
             };
-            if let Some(e) = event {
-                if first_event.as_ref().is_none_or(|f| id < state_of(f)) {
-                    first_event = Some(e);
-                }
-            }
-            let internal = row.succs().iter().filter(|t| in_region(t.index()));
-            out.extend(internal.map(|t| t.index() as u32));
-            Ok(())
-        },
-        |_, _| Ok(()),
-    )?;
-    if let Some(event) = first_event {
-        let result = match event {
-            RegionEvent::Deadlock(id) => ConvergenceResult::DeadlockOutsideTarget {
-                state: space.state(id),
-            },
-            RegionEvent::Escape { before, after } => ConvergenceResult::EscapesFaultSpan {
-                before: space.state(before),
-                after: space.state(after),
-            },
-        };
-        return Ok(ConvergenceReport {
-            weakly_fair: result.clone(),
-            unfair: result,
-            worst_case_moves: None,
-            stats,
-        });
-    }
-    // The residual is the infinite region states, ascending. The heights
-    // become its numbering (`u32::MAX` for every other state), so lookups
-    // stay O(1).
-    let (mut residual, mut worst) = (Vec::new(), 0u32);
-    for (i, h) in heights.iter_mut().enumerate() {
-        *h = if !in_region(i) {
-            u32::MAX
-        } else if *h == INFINITE {
-            residual.push(StateId::from_index(i));
-            residual.len() as u32 - 1
-        } else {
-            worst = worst.max(*h);
-            u32::MAX
-        };
-    }
-    stats.peeled_states = stats.region_states - residual.len() as u64;
-    if residual.is_empty() {
+            return Ok(ConvergenceReport {
+                weakly_fair: result.clone(),
+                unfair: result,
+                worst_case_moves: None,
+                stats,
+            });
+        }
+    };
+    let residual = peel;
+    stats.peeled_states = stats.region_states - residual.count_ones() as u64;
+    if stats.peeled_states == stats.region_states {
         return Ok(ConvergenceReport {
             weakly_fair: ConvergenceResult::Converges,
             unfair: ConvergenceResult::Converges,
-            worst_case_moves: Some(worst.into()),
+            worst_case_moves: Some(rounds),
             stats,
         });
     }
-    let in_residual = |t: StateId| {
-        let r = heights[t.index()];
-        (r != u32::MAX).then_some(r as usize)
-    };
+    // The round's peeled states are gone; `U` is the residual.
+    let held = required / 2;
+    let mut rows = space.rows();
     let mut analyze = |fairness| {
+        let charge = Charge::new(held, opts.memory_budget);
         analyze_residual(
             &mut rows,
             program,
             space.index(),
             &residual,
-            in_residual,
             fairness,
+            charge,
         )
     };
     let unfair = analyze(Fairness::Unfair)?;
@@ -378,6 +361,283 @@ pub fn check_convergence_bits(
     })
 }
 
+/// A space's action tables re-keyed by block, and the segments a sweep
+/// over them splits into.
+struct BlockSweep<'a> {
+    index: &'a SpaceIndex,
+    blocks: Blocks,
+    groups: BlockTable<(i64, u64)>,
+    per_row: &'a [(usize, Action)],
+    actions: usize,
+    plan: SegmentPlan,
+    workers: usize,
+}
+
+/// One worker's cursor over a [`BlockSweep`]'s tables, and its scratch
+/// for the actions evaluated per row.
+struct BlockReader {
+    cursor: Cursor,
+    state: State,
+    succ: State,
+    row_groups: Vec<Vec<(i64, u64)>>,
+    /// The successor-id deltas of the per-row groups read since the
+    /// reader was made, ascending, or `None` past [`ROW_DELTAS`].
+    row_deltas: Option<Vec<i64>>,
+}
+
+impl BlockReader {
+    /// Add the deltas of the per-row groups last read to `row_deltas`.
+    fn note_row_deltas(&mut self) {
+        for &(delta, _) in self.row_groups.iter().flatten() {
+            let Some(list) = &mut self.row_deltas else {
+                return;
+            };
+            if let Err(at) = list.binary_search(&delta) {
+                list.insert(at, delta);
+                if list.len() > ROW_DELTAS {
+                    self.row_deltas = None;
+                }
+            }
+        }
+    }
+}
+
+impl<'a> BlockSweep<'a> {
+    fn new(space: &'a StateSpace, opts: CheckOptions) -> Result<Self, CheckError> {
+        let index = space.index();
+        let blocks = Blocks::of(index);
+        let groups = space.tables().groups(index, &blocks, opts.memory_budget)?;
+        let per_row = space.tables().per_row();
+        Ok(BlockSweep {
+            index,
+            blocks,
+            groups,
+            per_row,
+            actions: space.action_count(),
+            plan: opts.segment_plan(index.len()),
+            workers: opts.workers_for(index.len()),
+        })
+    }
+
+    fn reader(&self) -> BlockReader {
+        BlockReader {
+            cursor: self.groups.cursor(&self.blocks),
+            state: self.index.scratch_state(),
+            succ: self.index.scratch_state(),
+            row_groups: vec![Vec::new(); self.per_row.len()],
+            row_deltas: Some(Vec::new()),
+        }
+    }
+
+    /// Every action's `(δ, pattern)` groups at block `b`, in action
+    /// order; the actions evaluated per row are evaluated at the states
+    /// `live` marks, and the tabled ones' patterns are not masked.
+    fn groups<'r>(
+        &'r self,
+        reader: &'r mut BlockReader,
+        b: usize,
+        live: u64,
+    ) -> impl Iterator<Item = (i64, u64)> + 'r {
+        self.groups.seek(&self.blocks, &mut reader.cursor, b);
+        if !self.per_row.is_empty() {
+            let scratch = (&mut reader.state, &mut reader.succ);
+            let block = (b * self.blocks.states(), self.blocks.states());
+            per_row_groups(
+                self.index,
+                self.per_row,
+                block,
+                live,
+                scratch,
+                &mut reader.row_groups,
+            );
+        }
+        let (cursor, mut row_groups) = (&reader.cursor, reader.row_groups.iter());
+        (0..self.actions)
+            .flat_map(move |a| {
+                let list = self.groups.values(cursor, a);
+                list.unwrap_or_else(|| {
+                    row_groups
+                        .next()
+                        .expect("one group list per per-row action")
+                })
+            })
+            .copied()
+    }
+
+    /// Peel `set`, the region, to its greatest subset whose every state
+    /// has a successor in it, one round at a time; the first round, which
+    /// reads every block, also looks for the lowest state of the region
+    /// with no enabled action, or with a successor outside `from ∪ to`,
+    /// and ends the peel at it.
+    ///
+    /// A state can only be peeled in the round after one of its
+    /// successors was. So when a round peels few states, the next reads
+    /// only the blocks that hold a predecessor of one of them, found by
+    /// the successor-id deltas of the set's transitions, and a long chain
+    /// costs a block or two a round instead of every block of the set.
+    /// Listing them costs a push per peeled state and delta, and reading
+    /// every block a block each; the peel takes the cheaper. The deltas
+    /// are the tables', and those the first round meets where it
+    /// evaluates an action per row; past [`ROW_DELTAS`] of those, every
+    /// round reads every block. A listed round splits its blocks into
+    /// tasks of a segment's worth of states, and the readers, with their
+    /// cursors and scratch, are kept from round to round.
+    fn peel(&self, set: &mut Bitset, from: &Bitset, to: &Bitset) -> Result<Peeled, CheckError> {
+        let (width, words) = (self.blocks.states(), set.words.len());
+        let block_count = set.len() / width;
+        let mut deltas: Option<Vec<i64>> = None;
+        let chunk = self.plan.segment_states().div_ceil(width);
+        // One round's peeled states. Each state is written by the one
+        // task that owns it, and read after every task has joined.
+        let peeled: Vec<AtomicU64> = (0..words).map(|_| AtomicU64::new(0)).collect();
+        let readers = Mutex::new(Vec::new());
+        // The blocks the next round reads, ascending, or `None` for all;
+        // and the list the round after it fills.
+        let (mut visit, mut preds): (Option<Vec<u32>>, Vec<u32>) = (None, Vec::new());
+        let mut rounds = 0;
+        loop {
+            let (set_ref, first) = (&*set, rounds == 0);
+            // Read `blocks`, each for its states in `range`: how many
+            // states they peel, and the lowest event among them.
+            let read = |blocks: &mut dyn Iterator<Item = usize>, range: &Range<usize>| {
+                let popped = readers.lock().expect(POOL).pop();
+                let mut reader = popped.unwrap_or_else(|| self.reader());
+                let (mut count, mut event) = (0, None);
+                for b in blocks {
+                    let x0 = b * width;
+                    let live = set_ref.word_at(x0 as i64) & self.blocks.in_range(b, range);
+                    if live == 0 {
+                        continue;
+                    }
+                    let (mut stuck, mut enabled, mut escapes) = (0, 0, 0);
+                    for (delta, pattern) in self.groups(&mut reader, b, live) {
+                        let (on, at) = (pattern & live, x0 as i64 + delta);
+                        if first {
+                            enabled |= on;
+                            escapes |= on & !(from.word_at(at) | to.word_at(at));
+                        } else if on & !stuck == 0 {
+                            continue;
+                        }
+                        stuck |= on & set_ref.word_at(at);
+                        if stuck == live && !first {
+                            break;
+                        }
+                    }
+                    if first {
+                        reader.note_row_deltas();
+                    }
+                    let events = if first { live & !enabled | escapes } else { 0 };
+                    if events != 0 {
+                        event = Some(x0 + events.trailing_zeros() as usize);
+                        break;
+                    }
+                    let gone = live & !stuck;
+                    if gone != 0 {
+                        count += gone.count_ones() as usize;
+                        let (w, shift) = (x0 / 64, x0 % 64);
+                        peeled[w].fetch_or(gone << shift, Ordering::Relaxed);
+                        if shift != 0 && gone >> (64 - shift) != 0 {
+                            peeled[w + 1].fetch_or(gone >> (64 - shift), Ordering::Relaxed);
+                        }
+                    }
+                }
+                readers.lock().expect(POOL).push(reader);
+                (count, event)
+            };
+            let found = match &visit {
+                None => steal_tasks(self.plan.count(), self.workers, |ti| {
+                    let range = self.plan.range(ti);
+                    read(&mut self.blocks.covering(&range), &range)
+                })?,
+                Some(list) => {
+                    let all = 0..set_ref.len();
+                    steal_tasks(list.len().div_ceil(chunk), self.workers, |i| {
+                        let ours = &list[i * chunk..list.len().min((i + 1) * chunk)];
+                        read(&mut ours.iter().map(|&b| b as usize), &all)
+                    })?
+                }
+            };
+            if let Some(event) = found.iter().filter_map(|&(_, event)| event).min() {
+                return Ok(Peeled::Event(StateId::from_index(event)));
+            }
+            if first {
+                let pool = readers.lock().expect(POOL);
+                let met = pool.iter().try_fold(Vec::new(), |mut met, r| {
+                    met.extend(r.row_deltas.as_ref()?);
+                    Some(met)
+                });
+                deltas = met
+                    .map(|mut met| {
+                        met.sort_unstable();
+                        met.dedup();
+                        met
+                    })
+                    .filter(|met| met.len() <= ROW_DELTAS)
+                    .map(|mut met| {
+                        met.extend(self.groups.deltas());
+                        met.sort_unstable();
+                        met.dedup();
+                        met
+                    });
+            }
+            let now: usize = found.iter().map(|&(count, _)| count).sum();
+            if now == 0 {
+                return Ok(Peeled::Rounds(rounds));
+            }
+            rounds += 1;
+            let next = deltas.as_ref().filter(|d| now * d.len() < block_count);
+            // The words the round may have written, ascending.
+            let (all, listed) = match &visit {
+                None => (0..words, &[][..]),
+                Some(list) => (0..0, &list[..]),
+            };
+            let touched = all.chain(listed.iter().flat_map(|&b| {
+                let x0 = b as usize * width;
+                x0 / 64..=(x0 + width - 1) / 64
+            }));
+            for w in touched {
+                let mut gone = peeled[w].swap(0, Ordering::Relaxed);
+                set.words[w] &= !gone;
+                while let Some(d) = next.filter(|_| gone != 0) {
+                    let y = w * 64 + gone.trailing_zeros() as usize;
+                    gone &= gone - 1;
+                    let x = d.iter().map(|&delta| y as i64 - delta);
+                    let inside = x.filter(|&x| (0..set.len() as i64).contains(&x));
+                    preds.extend(inside.map(|x| (x as usize / width) as u32));
+                }
+            }
+            let spent = std::mem::replace(
+                &mut visit,
+                next.map(|_| {
+                    preds.sort_unstable();
+                    preds.dedup();
+                    std::mem::take(&mut preds)
+                }),
+            );
+            preds = spent.unwrap_or_default();
+            preds.clear();
+        }
+    }
+}
+
+/// The most successor-id deltas the peel collects from the actions it
+/// evaluates per row. It bounds the collection, a sorted insert per new
+/// delta into a list per reader; whether a round lists its blocks is the
+/// cost rule's call. A counter's chain has one delta.
+const ROW_DELTAS: usize = 64;
+
+/// Why the peel's reader pool cannot be poisoned.
+const POOL: &str = "the reader pool is held only to pop or push a reader";
+
+/// What [`BlockSweep::peel`] found.
+enum Peeled {
+    /// The lowest region state with no enabled action, or with a
+    /// successor outside `from ∪ to`.
+    Event(StateId),
+    /// No such state: the number of rounds that peeled a state.
+    Rounds(u64),
+}
+
 /// What [`analyze_residual`] found.
 pub(crate) struct Residual {
     /// The verdict: the first divergent component, or convergence.
@@ -389,29 +649,62 @@ pub(crate) struct Residual {
 }
 
 /// The residual analysis both convergence passes end in. `residual`
-/// holds, ascending, the region states the pass could not resolve:
-/// exactly those starting an infinite region-confined path, so every
-/// cycle lies inside it, and `local` maps an id to its position there. Tarjan runs over a
+/// holds the region states the pass could not resolve: exactly those
+/// starting an infinite region-confined path, so every cycle lies inside
+/// it. Its members are numbered by rank, ascending. Tarjan runs over a
 /// residual-local CSR (rows in action order, filtered to residual
 /// targets), and only components with an internal edge are examined (a
 /// residual chain state feeding a cycle is a singleton SCC and cannot host
 /// one); the first such component that is a legal computation under
 /// `fairness` is the divergence witness.
+///
+/// # Errors
+///
+/// [`CheckError::BudgetExceeded`] (phase `"residual"`) when the ranks,
+/// ids, CSR and search would take `charge` past its budget: all but the
+/// edges and the search's stacks are charged before the build, and those
+/// as they grow; the first error of `rows`.
 pub(crate) fn analyze_residual(
     rows: &mut impl Successors,
     program: &Program,
     index: &SpaceIndex,
-    residual: &[StateId],
-    local: impl Fn(StateId) -> Option<usize>,
+    residual: &Bitset,
     fairness: Fairness,
+    mut charge: Charge,
 ) -> Result<Residual, CheckError> {
-    let mut offsets: Vec<u32> = Vec::with_capacity(residual.len() + 1);
+    let n = residual.count_ones();
+    let (mut result, mut sccs_found, mut evals) = (ConvergenceResult::Converges, 0u64, 0u64);
+    if n == 0 {
+        return Ok(Residual {
+            result,
+            sccs_found,
+            evals,
+        });
+    }
+    // Per word a rank, per member an id and a CSR offset, and a bit per
+    // member for the component under test.
+    let words = residual.words.len() as u64;
+    charge.add(4 * words + 8 * n as u64 + 4 + n.div_ceil(64) as u64 * 8)?;
+    let mut ranks = Vec::with_capacity(residual.words.len());
+    let mut members = 0u32;
+    for w in &residual.words {
+        ranks.push(members);
+        members += w.count_ones();
+    }
+    let local = |t: StateId| {
+        let (w, bit) = (t.index() / 64, t.index() % 64);
+        let word = residual.words[w];
+        let below = word & ((1u64 << bit) - 1);
+        (word >> bit & 1 == 1).then(|| ranks[w] as usize + below.count_ones() as usize)
+    };
+    let ids: Vec<StateId> = residual.iter_ones().map(StateId::from_index).collect();
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
     offsets.push(0);
     let mut edges: Vec<u32> = Vec::new();
-    let mut evals = 0u64;
-    for &id in residual {
+    for &id in &ids {
         let row = rows.row(id)?;
         evals += row.len() as u64;
+        charge.grow(&mut edges, row.len())?;
         edges.extend(
             row.succs()
                 .iter()
@@ -420,8 +713,6 @@ pub(crate) fn analyze_residual(
         );
         offsets.push(edges.len() as u32);
     }
-    let n = residual.len();
-    let (mut result, mut sccs_found) = (ConvergenceResult::Converges, 0u64);
     let mut scc_bits = Bitset::zeros(n);
     let row = |u: u32, out: &mut Vec<u32>| {
         let (lo, hi) = (
@@ -436,7 +727,7 @@ pub(crate) fn analyze_residual(
         if !cyclic || !result.converges() {
             return Ok(());
         }
-        let states = scc.iter().map(|&u| residual[u as usize]);
+        let states = scc.iter().map(|&u| ids[u as usize]);
         let divergent = match fairness {
             Fairness::Unfair => true,
             Fairness::WeaklyFair => {
@@ -456,14 +747,7 @@ pub(crate) fn analyze_residual(
         }
         Ok(())
     };
-    // Not charged: the residual is the region's unresolved remainder,
-    // usually a handful of states.
-    let limit = StackLimit {
-        width: program.action_count(),
-        charged: 0,
-        budget: u64::MAX,
-    };
-    tarjan(n, 0..n as u32, limit, row, component)?;
+    tarjan(n, program.action_count(), &mut charge, row, component)?;
     Ok(Residual {
         result,
         sccs_found,
@@ -572,107 +856,114 @@ pub fn shortest_path_to(
     Ok(None)
 }
 
-/// The [`tarjan`] height of a node with an infinite path.
-const INFINITE: u32 = u32::MAX;
-
-/// What [`tarjan`]'s stacks may hold: the bytes `budget` leaves beyond
-/// the `charged` ones, for rows of at most `width` edges.
+/// The bytes a pass holds, and the budget they may not pass: the residual
+/// analysis adds what it allocates as it allocates it.
 #[derive(Debug, Clone, Copy)]
-struct StackLimit {
-    width: usize,
-    charged: u64,
+pub(crate) struct Charge {
+    held: u64,
     budget: u64,
 }
 
-/// Make room for `more` items on `v`, doubling as a `Vec` does, unless
-/// the search's stacks, `held` bytes so far, would then pass `room`;
-/// `Err` carries the bytes they would hold.
-fn grow<T>(v: &mut Vec<T>, more: usize, held: &mut u64, room: u64) -> Result<(), u64> {
-    let old = v.capacity();
-    if old - v.len() >= more {
-        return Ok(());
+impl Charge {
+    /// `held` bytes already held, against `budget`.
+    pub(crate) fn new(held: u64, budget: u64) -> Self {
+        Charge { held, budget }
     }
-    let cap = (v.len() + more).max(2 * old).max(16);
-    let after = *held + ((cap - old) * std::mem::size_of::<T>()) as u64;
-    if after > room {
-        return Err(after);
+
+    /// Hold `bytes` more.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::BudgetExceeded`] (phase `"residual"`) when they
+    /// would pass the budget.
+    fn add(&mut self, bytes: u64) -> Result<(), CheckError> {
+        let held = self.held.saturating_add(bytes);
+        if held > self.budget {
+            return Err(CheckError::BudgetExceeded {
+                required: held,
+                budget: self.budget,
+                phase: "residual",
+            });
+        }
+        self.held = held;
+        Ok(())
     }
-    v.reserve_exact(cap - v.len());
-    *held += ((v.capacity() - old) * std::mem::size_of::<T>()) as u64;
-    Ok(())
+
+    /// Make room for `more` items on `v`, doubling as a `Vec` does, and
+    /// hold the bytes it grows by.
+    ///
+    /// # Errors
+    ///
+    /// As [`add`](Self::add).
+    fn grow<T>(&mut self, v: &mut Vec<T>, more: usize) -> Result<(), CheckError> {
+        let old = v.capacity();
+        if old - v.len() >= more {
+            return Ok(());
+        }
+        let cap = (v.len() + more).max(2 * old).max(16);
+        self.add(((cap - old) * std::mem::size_of::<T>()) as u64)?;
+        v.reserve_exact(cap - v.len());
+        Ok(())
+    }
 }
 
-/// Iterative Tarjan SCC over the nodes `0..n` reachable from `roots`,
-/// whose out-edges `row(v, out)` appends to `out`. Components complete in
+/// Iterative Tarjan SCC over the nodes `0..n`, whose out-edges `row(v,
+/// out)` appends to `out`, at most `width` a node. Components complete in
 /// reverse topological order, and each is handed to `component` as its
 /// members, sorted, with whether it is *cyclic* (two or more members, or a
 /// self-loop). A component is a slice of the DFS stack, so a singleton
-/// allocates nothing.
-///
-/// Returns each node's *height*: the number of nodes on its longest path,
-/// or [`INFINITE`] when a path from it reaches a cyclic component (0 for a
-/// node never reached). A singleton's height is one more than the largest
-/// of its successors', all of which completed before it; a cyclic
-/// component's members are infinite. The first `Err` from `row` or
-/// `component` ends the search.
+/// allocates nothing. The first `Err` from `row` or `component` ends the
+/// search.
 ///
 /// One `u32` per node, after Pearce's single-array variant: a node's DFS
 /// number lives in its call frame, and `low` holds its lowlink while it is
-/// on the stack, then its height. A bit per node marks the completed ones.
-/// The unread out-edges of the frames on the call stack share one edge
-/// stack, so a row is read once, when its node is entered. The three
-/// stacks grow as deep as the search goes (the largest component, or the
-/// longest chain), so each growth is charged against `limit` first.
+/// on the stack, then `DONE`, above every lowlink. The unread out-edges of
+/// the frames on the call stack share one edge stack, so a row is read
+/// once, when its node is entered. The column is charged before the
+/// search, and the three stacks, which grow as deep as the search goes
+/// (the largest component, or the longest chain), as they grow.
 ///
 /// # Errors
 ///
 /// [`CheckError::TooLarge`] when `n` does not leave a `u32` DFS number
 /// free above every node; [`CheckError::BudgetExceeded`] (phase
-/// `"search stacks"`) when the stacks would take `limit.charged` past
-/// `limit.budget`; otherwise the first error of `row` or `component`.
+/// `"residual"`) when the column or the stacks would take `charge` past
+/// its budget; otherwise the first error of `row` or `component`.
 fn tarjan(
     n: usize,
-    roots: impl IntoIterator<Item = u32>,
-    limit: StackLimit,
+    width: usize,
+    charge: &mut Charge,
     mut row: impl FnMut(u32, &mut Vec<u32>) -> Result<(), CheckError>,
     mut component: impl FnMut(&[u32], bool) -> Result<(), CheckError>,
-) -> Result<Vec<u32>, CheckError> {
+) -> Result<(), CheckError> {
     const UNSEEN: u32 = 0;
-    // DFS numbers run from 1, so they stay above `UNSEEN`.
-    if n >= u32::MAX as usize {
+    const DONE: u32 = u32::MAX;
+    // DFS numbers run from 1, so they stay between `UNSEEN` and `DONE`.
+    if n >= u32::MAX as usize - 1 {
         return Err(CheckError::TooLarge {
-            limit: u32::MAX as usize - 1,
+            limit: u32::MAX as usize - 2,
         });
     }
-    // `low[v]` is `UNSEEN`, then v's lowlink while v is on the stack, then
-    // its height (never `UNSEEN`) once `done` holds v.
+    charge.add(4 * n as u64)?;
     let mut low = vec![UNSEEN; n];
-    let mut done = Bitset::zeros(n);
     let mut stack: Vec<u32> = Vec::new();
     // Explicit DFS stack: (node, its DFS number, the start of its unread
-    // out-edges on `edges`, the largest height among its done successors,
-    // whether it has a self-loop). A frame's unread edges run from its
-    // start to the next frame's edges, or to the end of `edges`.
-    let mut call: Vec<(u32, u32, usize, u32, bool)> = Vec::new();
+    // out-edges on `edges`, whether it has a self-loop). A frame's unread
+    // edges run from its start to the next frame's edges, or to the end of
+    // `edges`.
+    let mut call: Vec<(u32, u32, usize, bool)> = Vec::new();
     let mut edges: Vec<u32> = Vec::new();
-    let room = limit.budget.saturating_sub(limit.charged);
-    let mut held = 0u64;
-    let over = |stacks: u64| CheckError::BudgetExceeded {
-        required: limit.charged + stacks,
-        budget: limit.budget,
-        phase: "search stacks",
-    };
     let mut next_index = UNSEEN;
-    for root in roots {
+    for root in 0..n as u32 {
         if low[root as usize] != UNSEEN {
             continue;
         }
         let mut enter = Some(root);
         loop {
             if let Some(w) = enter.take() {
-                grow(&mut stack, 1, &mut held, room).map_err(over)?;
-                grow(&mut call, 1, &mut held, room).map_err(over)?;
-                grow(&mut edges, limit.width, &mut held, room).map_err(over)?;
+                charge.grow(&mut stack, 1)?;
+                charge.grow(&mut call, 1)?;
+                charge.grow(&mut edges, width)?;
                 next_index += 1;
                 low[w as usize] = next_index;
                 stack.push(w);
@@ -680,54 +971,43 @@ fn tarjan(
                 let start = edges.len();
                 row(w, &mut edges)?;
                 edges[start..].reverse();
-                call.push((w, next_index, start, 0, false));
+                call.push((w, next_index, start, false));
             }
-            let Some(&mut (v, _, start, ref mut reach, ref mut self_loop)) = call.last_mut() else {
+            let Some(&mut (v, _, start, ref mut self_loop)) = call.last_mut() else {
                 break;
             };
             let v = v as usize;
             if edges.len() > start {
                 let w = edges.pop().expect("an unread edge") as usize;
-                if done.get(w) {
-                    *reach = (*reach).max(low[w]);
-                } else if low[w] == UNSEEN {
+                if low[w] == UNSEEN {
                     enter = Some(w as u32);
                 } else {
+                    // A completed node's `DONE` leaves the lowlink alone.
                     low[v] = low[v].min(low[w]);
                     *self_loop |= w == v;
                 }
                 continue;
             }
-            let (_, index, _, reach, self_loop) = call.pop().expect("a frame was just read");
+            let (_, index, _, self_loop) = call.pop().expect("a frame was just read");
             if low[v] == index {
                 let start = stack.iter().rposition(|&u| u as usize == v);
                 let start = start.expect("v is on the stack");
                 let members = &mut stack[start..];
                 let cyclic = members.len() > 1 || self_loop;
-                let height = if cyclic {
-                    INFINITE
-                } else {
-                    reach.saturating_add(1)
-                };
                 for &u in members.iter() {
-                    done.set(u as usize);
-                    low[u as usize] = height;
+                    low[u as usize] = DONE;
                 }
                 members.sort_unstable();
                 component(members, cyclic)?;
                 stack.truncate(start);
             }
-            if let Some((parent, _, _, reach, _)) = call.last_mut() {
-                let p = *parent as usize;
-                if done.get(v) {
-                    *reach = (*reach).max(low[v]);
-                } else {
-                    low[p] = low[p].min(low[v]);
-                }
+            if let Some(&(parent, ..)) = call.last() {
+                let p = parent as usize;
+                low[p] = low[p].min(low[v]);
             }
         }
     }
-    Ok(low)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1078,13 +1358,44 @@ mod tests {
         }
     }
 
-    /// No budget, for rows as wide as `adj`'s widest.
-    fn unlimited(adj: &[Vec<u32>]) -> StackLimit {
-        StackLimit {
-            width: adj.iter().map(Vec::len).max().unwrap_or(0),
-            charged: 0,
-            budget: u64::MAX,
+    #[test]
+    fn residual_analysis_is_charged_against_the_budget() {
+        // Twelve booleans; `flip` toggles the last one and never leaves the
+        // region `v0 = 0`, so the whole region is residual: 1024
+        // two-cycles, whose analysis needs ranks, ids and a CSR for 2048
+        // states. The tables are a few entries, so they fit a budget the
+        // analysis does not.
+        let mut b = Program::builder("livelock");
+        let v: Vec<_> = (0..12)
+            .map(|i| b.var(format!("v{i}"), Domain::Bool))
+            .collect();
+        let last = v[11];
+        b.closure_action("flip", [last], [last], |_| true, move |s| s.toggle(last));
+        let p = b.build();
+        let space = StateSpace::enumerate(&p).unwrap();
+        let s = pred_eq(&p, "v0", "v0", 1);
+        let t = Predicate::always_true();
+        // The peel's two bitsets, and a little room past them.
+        let bitsets = 2 * 4096 / 8;
+        let tight = CheckOptions::serial().memory_budget(bitsets + 64);
+        match check_convergence(&space, &p, &t, &s, tight) {
+            Err(CheckError::BudgetExceeded {
+                required,
+                budget,
+                phase: "residual",
+            }) => assert!(required > budget && budget == bitsets + 64),
+            other => panic!("the residual must not fit 64 bytes, got {other:?}"),
         }
+        let roomy = check_convergence(&space, &p, &t, &s, CheckOptions::serial()).unwrap();
+        assert!(
+            matches!(roomy.weakly_fair, ConvergenceResult::Divergence { ref states, .. } if states.len() == 2)
+        );
+        assert_eq!(roomy.stats, stats(2048, 0, 1024));
+    }
+
+    /// The widest row of `adj`.
+    fn width(adj: &[Vec<u32>]) -> usize {
+        adj.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     #[test]
@@ -1093,49 +1404,44 @@ mod tests {
         let adj: Vec<Vec<u32>> = (0..10_000u32)
             .map(|v| if v < 9_999 { vec![v + 1] } else { vec![] })
             .collect();
-        let search = |limit| {
-            tarjan(
+        let search = |budget| {
+            let mut sccs = 0;
+            let found = tarjan(
                 adj.len(),
-                [0],
-                limit,
+                width(&adj),
+                &mut Charge::new(1000, budget),
                 |v, out| {
                     out.extend(&adj[v as usize]);
                     Ok(())
                 },
-                |_, _| Ok(()),
-            )
+                |scc, cyclic| {
+                    assert!(scc.len() == 1 && !cyclic);
+                    sccs += 1;
+                    Ok(())
+                },
+            );
+            found.map(|()| sccs)
         };
-        let tight = StackLimit {
-            charged: 1000,
-            budget: 1000 + 64 * 1024,
-            ..unlimited(&adj)
-        };
-        match search(tight) {
+        match search(1000 + 64 * 1024) {
             Err(CheckError::BudgetExceeded {
                 required,
                 budget,
-                phase: "search stacks",
+                phase: "residual",
             }) => assert!(required > budget && budget == 1000 + 64 * 1024),
             other => panic!("a 64 KiB room must refuse 10,000 frames, got {other:?}"),
         }
-        // A megabyte holds them: a `u32` and a 24-byte frame per node,
-        // with one doubling of slack.
-        let roomy = StackLimit {
-            budget: 1000 + (1 << 20),
-            ..tight
-        };
-        let heights = search(roomy).unwrap();
-        assert_eq!(heights[0], 10_000);
+        // A megabyte holds them: a `u32` column, and a `u32` and a
+        // 24-byte frame per level, with one doubling of slack.
+        assert_eq!(search(1000 + (1 << 20)).unwrap(), 10_000);
     }
 
-    /// Every component of `adj` in completion order, with its cyclic flag,
-    /// and every node's height.
-    fn tarjan_of(adj: &[Vec<u32>]) -> (Vec<(Vec<u32>, bool)>, Vec<u32>) {
+    /// Every component of `adj` in completion order, with its cyclic flag.
+    fn tarjan_of(adj: &[Vec<u32>]) -> Vec<(Vec<u32>, bool)> {
         let mut sccs = Vec::new();
-        let heights = tarjan(
+        tarjan(
             adj.len(),
-            0..adj.len() as u32,
-            unlimited(adj),
+            width(adj),
+            &mut Charge::new(0, u64::MAX),
             |v, out| {
                 out.extend(&adj[v as usize]);
                 Ok(())
@@ -1146,16 +1452,55 @@ mod tests {
             },
         )
         .unwrap();
-        (sccs, heights)
+        sccs
+    }
+
+    /// Per node of `adj`, its height as the peel finds it: the number of
+    /// nodes on its longest path, or `None` when a path from it reaches a
+    /// cycle. Node `u` is the state `x = u + 1` of a program with one
+    /// action per edge, and one to the target `x = 0` from each node
+    /// without edges; the fault span is the target and the nodes `u`
+    /// reaches, which is closed, so the worst case over it is `u`'s
+    /// height.
+    fn peel_heights(adj: &[Vec<u32>]) -> Vec<Option<u64>> {
+        let edges: Vec<(i64, i64)> = (adj.iter().enumerate())
+            .flat_map(|(u, out)| {
+                let targets = out.iter().map(|&v| v as i64 + 1);
+                let targets: Vec<i64> = if out.is_empty() {
+                    vec![0]
+                } else {
+                    targets.collect()
+                };
+                targets.into_iter().map(move |v| (u as i64 + 1, v))
+            })
+            .collect();
+        let p = graph(adj.len() as i64, &edges, false);
+        let space = StateSpace::enumerate(&p).unwrap();
+        let mut target = Bitset::zeros(space.len());
+        target.set(0);
+        (0..adj.len())
+            .map(|u| {
+                let mut span = target.clone();
+                let mut todo = vec![u];
+                while let Some(v) = todo.pop() {
+                    if !span.get(v + 1) {
+                        span.set(v + 1);
+                        todo.extend(adj[v].iter().map(|&w| w as usize));
+                    }
+                }
+                let opts = CheckOptions::serial();
+                let report = check_convergence_bits(&space, &p, &span, &target, opts).unwrap();
+                report.worst_case_moves
+            })
+            .collect()
     }
 
     #[test]
     fn tarjan_handles_multiple_components() {
         // 0 -> 1 -> 0 (SCC {0,1}); 2 -> 3 (two singletons); 4 self-loop.
         let adj = vec![vec![1], vec![0], vec![3], vec![], vec![4]];
-        let (sccs, heights) = tarjan_of(&adj);
         assert_eq!(
-            sccs,
+            tarjan_of(&adj),
             vec![
                 (vec![0, 1], true),
                 (vec![3], false),
@@ -1163,7 +1508,7 @@ mod tests {
                 (vec![4], true),
             ]
         );
-        assert_eq!(heights, vec![INFINITE, INFINITE, 2, 1, INFINITE]);
+        assert_eq!(peel_heights(&adj), vec![None, None, Some(2), Some(1), None]);
     }
 
     #[test]
@@ -1184,9 +1529,8 @@ mod tests {
             vec![9, 7],
             vec![8],
         ];
-        let (sccs, heights) = tarjan_of(&adj);
         assert_eq!(
-            sccs,
+            tarjan_of(&adj),
             vec![
                 (vec![1, 2], true),
                 (vec![4], false),
@@ -1197,25 +1541,24 @@ mod tests {
                 (vec![7, 8, 9], true),
             ]
         );
-        let inf = INFINITE;
-        assert_eq!(heights, vec![inf, inf, inf, 2, 1, 3, inf, inf, inf, inf]);
+        let inf = None;
+        let (h1, h2, h3) = (Some(1), Some(2), Some(3));
+        assert_eq!(
+            peel_heights(&adj),
+            vec![inf, inf, inf, h2, h1, h3, inf, inf, inf, inf]
+        );
     }
 
     #[test]
     fn tarjan_matches_a_reachability_reference_on_random_graphs() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let (mut self_loops, mut unreached) = (0, 0);
+        let mut self_loops = 0;
         for seed in 0..400u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(1..=24usize);
             let density = rng.gen_range(0.0..0.25);
             let adj: Vec<Vec<u32>> = (0..n)
                 .map(|_| (0..n as u32).filter(|_| rng.gen_bool(density)).collect())
-                .collect();
-            // Roots in random order, repeats allowed; the rest is reached
-            // only through edges, or never.
-            let roots: Vec<u32> = (0..rng.gen_range(0..=n))
-                .map(|_| rng.gen_range(0..n as u32))
                 .collect();
 
             // Reference: `reach[u][v]` iff a path of one or more edges
@@ -1229,16 +1572,8 @@ mod tests {
                     }
                 }
             }
-            let reached: Vec<bool> = (0..n)
-                .map(|v| {
-                    roots
-                        .iter()
-                        .any(|&r| r as usize == v || reach[r as usize][v])
-                })
-                .collect();
             let cyclic = |u: usize| reach[u][u];
             let mut want: Vec<(Vec<u32>, bool)> = (0..n)
-                .filter(|&u| reached[u])
                 .map(|u| {
                     let scc = (0..n)
                         .filter(|&v| v == u || (reach[u][v] && reach[v][u]))
@@ -1249,46 +1584,8 @@ mod tests {
                 .collect();
             want.sort();
             want.dedup();
-            // Heights: the longest path over the condensation, infinite
-            // behind any cycle, 0 where the search never goes.
-            fn height(u: usize, adj: &[Vec<u32>], memo: &mut [Option<u32>]) -> u32 {
-                if let Some(h) = memo[u] {
-                    return h;
-                }
-                let below = adj[u].iter().map(|&v| height(v as usize, adj, memo));
-                let h = below.max().unwrap_or(0) + 1;
-                memo[u] = Some(h);
-                h
-            }
-            let mut memo = vec![None; n];
-            let want_heights: Vec<u32> = (0..n)
-                .map(|u| {
-                    if !reached[u] {
-                        0
-                    } else if cyclic(u) || (0..n).any(|v| reach[u][v] && cyclic(v)) {
-                        INFINITE
-                    } else {
-                        height(u, &adj, &mut memo)
-                    }
-                })
-                .collect();
 
-            let mut sccs = Vec::new();
-            let heights = tarjan(
-                n,
-                roots.iter().copied(),
-                unlimited(&adj),
-                |v, out| {
-                    out.extend(&adj[v as usize]);
-                    Ok(())
-                },
-                |scc, cyclic| {
-                    sccs.push((scc.to_vec(), cyclic));
-                    Ok(())
-                },
-            )
-            .unwrap();
-            assert_eq!(heights, want_heights, "seed {seed}: {adj:?} from {roots:?}");
+            let sccs = tarjan_of(&adj);
             // Components complete in reverse topological order: every edge
             // out of one leads into it or into one completed before it.
             let mut completed = vec![usize::MAX; n];
@@ -1302,12 +1599,32 @@ mod tests {
                     "seed {seed}"
                 );
             }
-            sccs.sort();
-            assert_eq!(sccs, want, "seed {seed}: {adj:?} from {roots:?}");
+            let mut sorted = sccs.clone();
+            sorted.sort();
+            assert_eq!(sorted, want, "seed {seed}: {adj:?}");
             self_loops += (0..n).filter(|&u| adj[u].contains(&(u as u32))).count();
-            unreached += reached.iter().filter(|&&r| !r).count();
+
+            // Heights: the longest path over the condensation, infinite
+            // behind any cycle.
+            fn height(u: usize, adj: &[Vec<u32>], memo: &mut [Option<u64>]) -> u64 {
+                if let Some(h) = memo[u] {
+                    return h;
+                }
+                let below = adj[u].iter().map(|&v| height(v as usize, adj, memo));
+                let h = below.max().unwrap_or(0) + 1;
+                memo[u] = Some(h);
+                h
+            }
+            let mut memo = vec![None; n];
+            let want_heights: Vec<Option<u64>> = (0..n)
+                .map(|u| {
+                    let infinite = cyclic(u) || (0..n).any(|v| reach[u][v] && cyclic(v));
+                    (!infinite).then(|| height(u, &adj, &mut memo))
+                })
+                .collect();
+            assert_eq!(peel_heights(&adj), want_heights, "seed {seed}: {adj:?}");
         }
-        assert!(self_loops > 0 && unreached > 0, "the graphs cover both");
+        assert!(self_loops > 0, "the graphs have self-loops");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct CheckCounters {
     /// is counted once.
     pub region_states: u64,
     /// Region states with no infinite region path, resolved by the pass's
-    /// region DFS (no residual analysis needed).
+    /// peel (no residual analysis needed).
     pub peeled_states: u64,
     /// Strongly connected components Tarjan found in the residual, counted
     /// once although the residual is analysed once per daemon.

@@ -26,8 +26,8 @@ pub enum CheckError {
         var: String,
     },
     /// The state space has more states than a pass can number: `u32` ids
-    /// number `u32::MAX + 1` states, and the region search's `u32`
-    /// numbering `u32::MAX − 1`.
+    /// number `u32::MAX + 1` states, and the residual analysis's `u32`
+    /// DFS numbering `u32::MAX − 2`.
     TooLarge {
         /// The limit that was exceeded, in states.
         limit: usize,
@@ -43,11 +43,12 @@ pub enum CheckError {
         budget: u64,
         /// Which phase tripped: `"columns"` (the footprint tables plus
         /// the per-state columns every resident verification holds: the
-        /// region search's `u32` and done bit, and the `T` and `S`
-        /// caches), `"search stacks"` (the region search's DFS stacks,
-        /// charged as they grow), `"block tables"` (the footprint tables
-        /// re-keyed by block, of the predicate caches or the preservation
-        /// sweep),
+        /// `T` and `S` caches and the convergence peel's two bits a
+        /// state), `"residual"` (the convergence pass's residual
+        /// analysis: its ranks, ids and CSR and its search's column and
+        /// stacks, charged as they grow), `"block tables"` (the footprint
+        /// tables re-keyed by block, of the predicate caches, the
+        /// preservation sweep or the convergence peel),
         /// `"frontier bitsets"` (the frontier mode's predicate, region,
         /// resolved and delta bitsets, and its action tables), or
         /// `"frontier rows"` (those plus one round's row buffer per

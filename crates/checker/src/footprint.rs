@@ -75,6 +75,8 @@
 //! state of the space — never more than evaluating the item at every
 //! state, as a [`Decoder`](crate::Decoder) sweep does.
 
+use std::ops::Range;
+
 use nonmask_program::{Action, Predicate, Program, State, VarId};
 
 use crate::error::CheckError;
@@ -344,6 +346,20 @@ impl Blocks {
     pub(crate) fn full(&self) -> u64 {
         u64::MAX >> (Self::MAX - self.states)
     }
+
+    /// The states of block `b` that lie in `range`, as a pattern.
+    pub(crate) fn in_range(&self, b: usize, range: &Range<usize>) -> u64 {
+        // The low `n` bits.
+        let below = |n: usize| u64::MAX.checked_shl(n as u32).map_or(u64::MAX, |m| !m);
+        let x0 = b * self.states;
+        let ours = below(range.end.saturating_sub(x0)) & !below(range.start.saturating_sub(x0));
+        ours & self.full()
+    }
+
+    /// The blocks that hold a state of `range`.
+    pub(crate) fn covering(&self, range: &Range<usize>) -> Range<usize> {
+        range.start / self.states..range.end.div_ceil(self.states)
+    }
 }
 
 /// Footprint tables re-keyed by block (see the [module docs](self)): per
@@ -457,6 +473,45 @@ impl<U> BlockTable<U> {
         (self.start.iter())
             .enumerate()
             .filter_map(|(i, &s)| (s == PER_ROW).then_some(i))
+    }
+}
+
+impl BlockTable<(i64, u64)> {
+    /// Every successor-id delta of a group, ascending.
+    pub(crate) fn deltas(&self) -> Vec<i64> {
+        let mut deltas: Vec<i64> = self.values.iter().map(|&(delta, _)| delta).collect();
+        deltas.sort_unstable();
+        deltas.dedup();
+        deltas
+    }
+}
+
+/// The actions of `per_row` at the states `live` marks of the block that
+/// starts at state `x0` and holds `width` states, as the groups a block
+/// table holds: into `groups`, one list per action, cleared first.
+/// `state` and `succ` are scratch states.
+pub(crate) fn per_row_groups(
+    index: &SpaceIndex,
+    per_row: &[(usize, Action)],
+    (x0, width): (usize, usize),
+    live: u64,
+    (state, succ): (&mut State, &mut State),
+    groups: &mut [Vec<(i64, u64)>],
+) {
+    groups.iter_mut().for_each(Vec::clear);
+    index.decode_state(StateId::from_index(x0), state);
+    for j in 0..width {
+        if live >> j & 1 == 1 {
+            let id = StateId::from_index(x0 + j);
+            for ((_, act), list) in per_row.iter().zip(&mut *groups) {
+                if act.enabled(state) {
+                    let next = successor(act, index, id, state, succ)
+                        .unwrap_or_else(|_| unreachable!("a space holds no escape"));
+                    join_group(list, 0, next.0 as i64 - id.0 as i64, 1 << j);
+                }
+            }
+        }
+        index.step_state(state);
     }
 }
 
@@ -932,13 +987,16 @@ pub(crate) struct RowBuf {
     succ: State,
 }
 
-/// The truth patterns of a list of predicates, per block: each predicate's
+/// The truth patterns of a list of predicates, per block: each item's
 /// footprint table is evaluated and audited, then re-keyed by block, with
-/// one `P`-bit pattern per key.
+/// one `P`-bit pattern per key. The items are the predicates, except that
+/// a [conjunction](Predicate::all) past the cap whose conjuncts each fit
+/// it is tabled as its conjuncts, and its pattern is the AND of theirs.
+/// Returns the table and, per predicate, its items.
 ///
 /// # Errors
 ///
-/// [`CheckError::UndeclaredVariable`] at the first predicate whose audit
+/// [`CheckError::UndeclaredVariable`] at the first item whose audit
 /// fails; [`CheckError::WorkerFailed`] if a predicate panics; the budget,
 /// as [`BlockTable`]'s derivation.
 pub(crate) fn predicate_patterns(
@@ -946,14 +1004,32 @@ pub(crate) fn predicate_patterns(
     blocks: &Blocks,
     preds: &[&Predicate],
     budget: u64,
-) -> Result<BlockTable<u64>, CheckError> {
-    let footprints: Vec<Option<Footprint>> = preds
-        .iter()
-        .map(|p| Footprint::of_predicate(index, p))
-        .collect();
-    let mut start = Vec::with_capacity(preds.len());
+) -> Result<(BlockTable<u64>, Vec<Range<usize>>), CheckError> {
+    let (mut items, mut footprints, mut ranges) = (Vec::new(), Vec::new(), Vec::new());
+    for &pred in preds {
+        let first = items.len();
+        let fp = Footprint::of_predicate(index, pred);
+        let split: Option<Vec<Footprint>> = match fp {
+            None if !pred.conjuncts().is_empty() => (pred.conjuncts().iter())
+                .map(|c| Footprint::of_predicate(index, c))
+                .collect(),
+            _ => None,
+        };
+        match split {
+            Some(fps) => {
+                items.extend(pred.conjuncts());
+                footprints.extend(fps.into_iter().map(Some));
+            }
+            None => {
+                items.push(pred);
+                footprints.push(fp);
+            }
+        }
+        ranges.push(first..items.len());
+    }
+    let mut start = Vec::with_capacity(items.len());
     let mut entries = Vec::new();
-    for (pred, fp) in preds.iter().zip(&footprints) {
+    for (pred, fp) in items.iter().zip(&footprints) {
         let Some(fp) = fp else {
             start.push(PER_ROW);
             continue;
@@ -970,8 +1046,9 @@ pub(crate) fn predicate_patterns(
     }
     let layout = KeyLayout::new(index.var_count(), &pairs(&footprints), &start);
     let tables = (&layout, &start[..], &entries[..]);
-    BlockTable::derive(index, blocks, tables, budget, |entries, patterns| {
+    let table = BlockTable::derive(index, blocks, tables, budget, |entries, patterns| {
         let pattern = (entries.iter().enumerate()).fold(0, |w, (j, &b)| w | u64::from(b) << j);
         patterns.push(pattern);
-    })
+    })?;
+    Ok((table, ranges))
 }

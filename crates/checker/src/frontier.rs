@@ -1,8 +1,9 @@
 //! Frontier convergence: the out-of-core convergence check.
 //!
 //! [`check_convergence`](crate::convergence::check_convergence)
-//! holds the region search's `u32` per state resident, which caps the
-//! checkable instance at the memory budget. This module answers the same
+//! runs over a resident [`StateSpace`](crate::StateSpace), whose
+//! enumeration charges the per-state columns of a whole verification
+//! against the memory budget. This module answers the same
 //! question — does every computation from `T` reach `S`? — from a bare
 //! [`SpaceIndex`] and the program's per-action
 //! [footprint tables](crate::footprint), built and audited as
@@ -22,8 +23,8 @@
 //!
 //! A region state is *resolved* (cannot stay in the region forever)
 //! exactly when **all** of its internal successors are resolved; the
-//! monolithic checker finds the same set as the states its region DFS
-//! gives a finite height. The frontier mode computes the fixpoint in
+//! monolithic checker finds the same set as the states its block peel
+//! removes. The frontier mode computes the fixpoint in
 //! rounds. Each round, work-stealing workers sweep the
 //! [segment plan](crate::CheckOptions::segment_plan): a worker buffers the
 //! internal-successor rows of its segment's still-unresolved region states
@@ -57,7 +58,7 @@ use nonmask_obs::{Event, Journal};
 use nonmask_program::{Predicate, Program};
 
 use crate::cache::Bitset;
-use crate::convergence::{analyze_residual, ConvergenceResult, ConvergenceStats, Fairness};
+use crate::convergence::{analyze_residual, Charge, ConvergenceResult, ConvergenceStats, Fairness};
 use crate::error::CheckError;
 use crate::footprint::{ActionPlan, ActionTables};
 use crate::options::{steal_tasks, CheckOptions};
@@ -333,15 +334,14 @@ pub fn check_convergence_frontier_stats(
         }
     }
 
-    let residual: Vec<StateId> = region
-        .and(&resolved.not())
-        .iter_ones()
-        .map(StateId::from_index)
-        .collect();
-    stats.convergence.peeled_states = stats.convergence.region_states - residual.len() as u64;
+    let residual = region.and(&resolved.not());
+    stats.convergence.peeled_states =
+        stats.convergence.region_states - residual.count_ones() as u64;
     let mut rows = Rows::new(program, &index, &tables);
-    let local = |t: StateId| residual.binary_search(&t).ok();
-    let found = analyze_residual(&mut rows, program, &index, &residual, local, fairness)?;
+    // The floor's five bitsets are now `from`, `to`, the region, the
+    // resolved states and the residual.
+    let charge = Charge::new(resident, options.memory_budget);
+    let found = analyze_residual(&mut rows, program, &index, &residual, fairness, charge)?;
     stats.evals += found.evals;
     stats.convergence.sccs_found = found.sccs_found;
     emit_wave(&stats);

@@ -37,8 +37,8 @@
 //! keeps a small table indexed by the values of the variables it reads
 //! and writes ([`footprint`]), and a row is one table load per action.
 //! The space itself is a few kilobytes; what a verification holds is its
-//! per-state columns (predicate caches, the region search's `u32` per
-//! state), gated by an explicit [`CheckOptions::memory_budget`] instead
+//! per-state columns (predicate caches, and the convergence peel's two
+//! bits a state), gated by an explicit [`CheckOptions::memory_budget`] instead
 //! of a blunt state-count cap (see the [`space`] module docs).
 //!
 //! Every whole-space sweep — predicate evaluation and closure — runs in
@@ -50,14 +50,15 @@
 //! bitwise `and`/`not`; [`Bitset::for_predicates`] fills any number of
 //! them from predicate footprint tables in one pass, a block of up to 64
 //! states per table load. Convergence answers
-//! both daemons and the worst-case bound with one DFS over the region's
-//! rows, which also finds its lowest-id deadlock or escape: it gives every
-//! region state its height (the longest path out) or marks it infinite,
-//! holding one `u32` and one bit per state and nothing sized by the edge
-//! count. The
-//! infinite states are the residual, empty in the common converging case,
-//! and only they go to the per-daemon residual analysis (see the
-//! [`convergence`] module docs).
+//! both daemons and the worst-case bound over the same block tables:
+//! Jacobi rounds peel the states with no successor left in the region,
+//! and the first, which reads every block, also finds the region's
+//! lowest-id deadlock or escape. A state peeled in round `k` has height
+//! `k` (the longest path out). The pass holds two bits a state and
+//! nothing sized by the depth or the edge count. What no round peels is
+//! the residual, empty in the common converging case, and only it goes
+//! to the per-daemon residual analysis (see the [`convergence`] module
+//! docs).
 //!
 //! ## One transition source: resident or decoded
 //!

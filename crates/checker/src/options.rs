@@ -30,16 +30,16 @@ const PARALLEL_THRESHOLD: usize = 2048;
 ///
 /// A [`StateSpace`](crate::StateSpace) stores no transition, only its
 /// per-action footprint tables (kilobytes), so what the budget bounds is
-/// the per-state columns a resident verification holds: 4 bytes and 3
-/// bits a state for the region search and the `T` and `S` caches, charged
-/// at enumeration. The block tables of the predicate caches and of the
-/// preservation sweep are charged when they are built, and are no larger
-/// than the footprint tables. The region search's DFS stacks
-/// are charged as they grow, since their depth is known only during the
-/// search. The enumeration charge admits spaces of up to about 1.9
-/// billion states (2^28 states need about 1.2 GB of it). The frontier
-/// convergence mode stays under the same budget with five bitsets plus
-/// one round's row buffer per worker.
+/// the per-state columns a resident verification holds: 4 bits a state
+/// for the `T` and `S` caches and the convergence peel, charged at
+/// enumeration. The block tables of the predicate caches, the
+/// preservation sweep and the peel are charged when they are built, and
+/// are no larger than the footprint tables. The convergence pass's
+/// residual analysis is charged as it grows, since the residual's size
+/// is known only after the peel. The enumeration charge admits every
+/// space `u32` ids can number (2^32 states need 2 GiB of it; 2^28 about
+/// 134 MB). The frontier convergence mode stays under the same budget
+/// with five bitsets plus one round's row buffer per worker.
 pub const DEFAULT_MEMORY_BUDGET: u64 = 8 << 30;
 
 /// Default [`CheckOptions::segment_states`]: 2^22 states per segment.
@@ -77,8 +77,9 @@ pub struct CheckOptions {
     pub threads: usize,
     /// Maximum resident bytes a pass may allocate: for monolithic
     /// enumeration the footprint tables plus the per-state columns every
-    /// resident verification holds (4 bytes and 3 bits a state); for the
-    /// block sweeps their block tables; for the frontier convergence
+    /// resident verification holds (4 bits a state); for the block
+    /// sweeps their block tables; for the convergence pass's residual
+    /// analysis what it builds; for the frontier convergence
     /// mode its bitsets plus the row buffers of one round. A pass fails
     /// with [`CheckError::BudgetExceeded`] — naming the phase that tripped —
     /// before the big allocations happen.

@@ -34,7 +34,7 @@
 //! ascending action id. On the shipped designs the tables hold a few
 //! hundred entries however many states there are, so the space's resident
 //! cost is a few kilobytes, and the passes' per-state columns (predicate
-//! caches, the region search's one `u32` per state) are what a
+//! caches, and the convergence peel's two bits a state) are what a
 //! verification holds.
 //!
 //! The build evaluates and audits every table entry once (an action whose
@@ -57,9 +57,13 @@
 //! run is the [`CheckOptions::memory_budget`]. Enumeration rejects a
 //! space, in the `"columns"` phase and before anything is allocated, when
 //! the tables plus the per-state columns every resident verification
-//! holds — the region search's `u32` and done bit per state, and the `T`
-//! and `S` caches — would exceed it. The [`CheckError::BudgetExceeded`]
-//! error names the phase whose requirement tripped.
+//! holds — the `T` and `S` caches and the convergence peel's two bits a
+//! state, four bits a state in all — would exceed it. The
+//! [`CheckError::BudgetExceeded`] error names the phase whose requirement
+//! tripped. The passes charge what they allocate beyond that themselves:
+//! the block sweeps their block tables (phase `"block tables"`), and the
+//! convergence pass its residual analysis, which only a region that can
+//! stay forever needs, as it grows (phase `"residual"`).
 //!
 //! [`Decoder`]: crate::Decoder
 //! [`id_of`]: StateSpace::id_of
@@ -625,10 +629,10 @@ pub struct StateSpace {
 }
 
 /// Bytes of the per-state columns every resident verification holds
-/// beside the tables, over `n` states: the region search's `u32` and done
-/// bit per state, and the `T` and `S` caches.
+/// beside the tables, over `n` states: the `T` and `S` caches, and the
+/// convergence peel's two bits a state.
 pub(crate) fn column_bytes(n: usize) -> u64 {
-    4 * n as u64 + 3 * (n.div_ceil(64) as u64 * 8)
+    4 * (n.div_ceil(64) as u64 * 8)
 }
 
 impl StateSpace {
@@ -1241,8 +1245,8 @@ mod tests {
     #[test]
     fn memory_budget_is_enforced() {
         let p = counter(99_999);
-        // 100k states need ~400KB of region-search column alone; a 1KB
-        // budget must reject the space before anything is built.
+        // 100k states need ~50KB of per-state columns; a 1KB budget must
+        // reject the space before anything is built.
         let err =
             StateSpace::enumerate_with_options(&p, CheckOptions::default().memory_budget(1024))
                 .unwrap_err();
@@ -1260,9 +1264,9 @@ mod tests {
         // The requirement is the tables (`x` has 100,000 values, past the
         // cap, so `inc` is evaluated per row: its 4-byte start and 4-byte
         // base key and the key layout's two 4-byte bounds, no entry) plus
-        // the per-state columns, 4 bytes and 3 bits a state. It admits
-        // the space exactly.
-        assert_eq!(required, 4 * 100_000 + 3 * 1563 * 8 + 8 + 8);
+        // the per-state columns, 4 bits a state. It admits the space
+        // exactly.
+        assert_eq!(required, 4 * 1563 * 8 + 8 + 8);
         let ok =
             StateSpace::enumerate_with_options(&p, CheckOptions::default().memory_budget(required));
         assert!(ok.is_ok());

@@ -33,6 +33,8 @@ pub struct Predicate {
     name: String,
     reads: Arc<[VarId]>,
     eval: EvalFn,
+    /// The conjuncts of a [`Predicate::all`].
+    conjuncts: Option<Arc<[Predicate]>>,
 }
 
 impl Predicate {
@@ -52,6 +54,7 @@ impl Predicate {
             name: name.into(),
             reads: reads.into(),
             eval: Arc::new(eval),
+            conjuncts: None,
         }
     }
 
@@ -91,6 +94,7 @@ impl Predicate {
             name: format!("!({})", self.name),
             reads: self.reads.clone(),
             eval: Arc::new(move |s| !(inner)(s)),
+            conjuncts: None,
         }
     }
 
@@ -131,7 +135,10 @@ impl Predicate {
     ///
     /// Returns [`Predicate::always_true`] for an empty collection. This is
     /// how the paper forms an invariant `S` from its constraints:
-    /// `S = (∀ j :: R.j)`.
+    /// `S = (∀ j :: R.j)`. The result keeps its conjuncts
+    /// ([`conjuncts`](Predicate::conjuncts)), so that a checker can
+    /// evaluate a conjunction over many variables one small conjunct at a
+    /// time.
     pub fn all<'a, I>(name: impl Into<String>, preds: I) -> Predicate
     where
         I: IntoIterator<Item = &'a Predicate>,
@@ -141,8 +148,18 @@ impl Predicate {
             return Predicate::always_true();
         }
         let reads: Vec<VarId> = preds.iter().flat_map(|p| p.reads.iter().copied()).collect();
-        let evals: Vec<EvalFn> = preds.iter().map(|p| p.eval.clone()).collect();
-        Predicate::new(name, reads, move |s| evals.iter().all(|e| e(s)))
+        let conjuncts: Arc<[Predicate]> = preds.into();
+        let parts = conjuncts.clone();
+        let mut all = Predicate::new(name, reads, move |s| parts.iter().all(|p| p.holds(s)));
+        all.conjuncts = Some(conjuncts);
+        all
+    }
+
+    /// The conjuncts of a predicate built by [`Predicate::all`], in order;
+    /// empty for any other predicate. The predicate holds exactly where
+    /// every conjunct holds.
+    pub fn conjuncts(&self) -> &[Predicate] {
+        self.conjuncts.as_deref().unwrap_or_default()
     }
 
     /// Disjunction of an arbitrary collection of predicates.
@@ -251,6 +268,10 @@ mod tests {
         assert!(all.holds(&st(&[1, 1, 1])));
         assert!(!all.holds(&st(&[1, 0, 1])));
         assert_eq!(all.reads().len(), 3);
+        let names: Vec<&str> = all.conjuncts().iter().map(Predicate::name).collect();
+        assert_eq!(names, ["s[0]=1", "s[1]=1", "s[2]=1"]);
+        assert!(all.clone().named("S'").conjuncts().len() == 3);
+        assert!(all.not().conjuncts().is_empty() && preds[0].conjuncts().is_empty());
 
         let any = Predicate::any("A", &preds);
         assert!(any.holds(&st(&[0, 0, 1])));

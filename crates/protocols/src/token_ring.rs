@@ -357,12 +357,21 @@ pub fn windowed_design(n: usize, m: i64) -> Result<(Design, WindowedTokenRing), 
     }
     let program = b.build();
 
-    // S: non-increasing along the path, with x.0 ∈ {x.(n-1), x.(n-1)+1}.
-    let xs = x.clone();
-    let invariant = Predicate::new("S", x.iter().copied(), move |s| {
-        (1..n).all(|j| s.get(xs[j - 1]) >= s.get(xs[j]))
-            && (s.get(xs[0]) == s.get(xs[n - 1]) || s.get(xs[0]) == s.get(xs[n - 1]) + 1)
-    });
+    // S: non-increasing along the path, with x.0 ∈ {x.(n-1), x.(n-1)+1}:
+    // one conjunct per pair of neighbours and one for the root's window,
+    // so that a checker can tabulate each over its two variables.
+    let mut conjuncts: Vec<Predicate> = (1..n)
+        .map(|j| {
+            let (xp, xj) = (x[j - 1], x[j]);
+            Predicate::new(format!("x.{}>=x.{j}", j - 1), [xp, xj], move |s| {
+                s.get(xp) >= s.get(xj)
+            })
+        })
+        .collect();
+    conjuncts.push(Predicate::new("root-window", [x0, xl], move |s| {
+        s.get(x0) == s.get(xl) || s.get(x0) == s.get(xl) + 1
+    }));
+    let invariant = Predicate::all("S", &conjuncts);
 
     let partition = NodePartition::by_process(&program);
     let mut builder = Design::builder(program)

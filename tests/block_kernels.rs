@@ -1,7 +1,8 @@
 //! The block sweeps against brute force on random programs.
 //!
-//! [`Bitset::for_predicates`] and [`preservation`] read a space a block of
-//! `P ≤ 64` states at a time (see `nonmask_checker::footprint`). These
+//! [`Bitset::for_predicates`], [`preservation`] and the convergence peel
+//! of [`check_convergence_bits`] read a space a block of `P ≤ 64` states
+//! at a time (see `nonmask_checker::footprint`). These
 //! properties draw domain mixes whose blocks hold 64 states, 27 (three
 //! three-valued variables, which do not divide a word) and 1 (a last
 //! domain of more than 64 values), with random predicates and actions over
@@ -11,7 +12,10 @@
 //! Each case compares the caches with [`Predicate::holds`] at every state,
 //! and the sweep's answers with [`preserves_given_bits`] and with a
 //! brute-force scan of [`StateSpace::successors`], at 1 and 4 threads and
-//! at tiny, block-sized and automatic segments.
+//! at tiny, block-sized and automatic segments. The convergence report is
+//! compared with a longest path by memoized recursion, a residual by
+//! greatest-fixpoint iteration and the lowest event by a scan in id
+//! order, on programs with and without cycles, deadlocks and escapes.
 //!
 //! Each property runs 24 cases, or `PROPTEST_CASES` when it is set (CI
 //! runs 2000 in release).
@@ -19,9 +23,11 @@
 use std::ops::Range;
 
 use nonmask_checker::{
-    preservation, preserves_given_bits, Bitset, CheckError, CheckOptions, Given, StateId,
-    StateSpace, TABLE_CAP,
+    check_convergence_bits, check_convergence_frontier_stats, preservation, preserves_given_bits,
+    Bitset, CheckError, CheckOptions, ConvergenceReport, ConvergenceResult, ConvergenceStats,
+    Fairness, Given, StateId, StateSpace, TABLE_CAP,
 };
+use nonmask_obs::Journal;
 use nonmask_program::{Domain, Predicate, Program, State, VarId};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -120,8 +126,16 @@ type PredSpec = (u32, u64, u64);
 
 /// The program over `space` with `actions`, and the predicates of
 /// `preds`. On a wide space the first action and the first predicate read
-/// every variable.
-fn build(space: &Space, actions: &[ActionSpec], preds: &[PredSpec]) -> (Program, Vec<Predicate>) {
+/// every variable. A `descending` action is enabled only where its first
+/// written variable is above its minimum, and lowers each written
+/// variable by `delta`, not below its minimum, so that every transition
+/// lowers the state id and the program has no cycle.
+fn build(
+    space: &Space,
+    descending: bool,
+    actions: &[ActionSpec],
+    preds: &[PredSpec],
+) -> (Program, Vec<Predicate>) {
     let mut b = Program::builder("blocks");
     let vars: Vec<VarId> = space
         .domains
@@ -145,15 +159,20 @@ fn build(space: &Space, actions: &[ActionSpec], preds: &[PredSpec]) -> (Program,
         reads.extend(&writes);
         let wrapped: Vec<(VarId, (i64, i64))> =
             writes.iter().map(|&v| (v, bounds[v.index()])).collect();
+        let (first, min) = (wrapped[0].0, wrapped[0].1 .0);
         b.closure_action(
             format!("a{k}"),
             reads,
             writes,
-            move |s| hash(seed, &guard_vars, s) % 100 < 70,
+            move |s| hash(seed, &guard_vars, s) % 100 < 70 && (!descending || s.get(first) > min),
             move |s| {
                 for &(v, (min, size)) in &wrapped {
                     let x = s.get(v);
-                    s.set(v, min + (x - min + delta).rem_euclid(size));
+                    let y = match descending {
+                        true => (x - delta).max(min),
+                        false => min + (x - min + delta).rem_euclid(size),
+                    };
+                    s.set(v, y);
                 }
             },
         );
@@ -209,7 +228,7 @@ proptest! {
         space in space_strategy(),
         preds in proptest::collection::vec(pred_strategy(), 1..=6),
     ) {
-        let (program, preds) = build(&space, &[], &preds);
+        let (program, preds) = build(&space, false, &[], &preds);
         let states = StateSpace::enumerate(&program).unwrap();
         let refs: Vec<&Predicate> = preds.iter().collect();
         let rows = preds.iter().any(|p| per_row(&states, p));
@@ -252,7 +271,7 @@ proptest! {
         (layer_start, layer_sizes) in (0usize..3, proptest::collection::vec(1usize..=2, 0..=3)),
         repair_of in proptest::collection::vec(0usize..10, 5),
     ) {
-        let (program, preds) = build(&space, &actions, &preds);
+        let (program, preds) = build(&space, false, &actions, &preds);
         let states = StateSpace::enumerate(&program).unwrap();
         let refs: Vec<&Predicate> = preds.iter().collect();
         let caches = Bitset::for_predicates(states.index(), &refs, CheckOptions::serial()).unwrap();
@@ -340,7 +359,7 @@ fn block_tables_are_charged_against_the_budget() {
         block: 64,
         wide: false,
     };
-    let (program, preds) = build(&space, &[(0b11, 0, None, 1, 7)], &[(0b101, 3, 50)]);
+    let (program, preds) = build(&space, false, &[(0b11, 0, None, 1, 7)], &[(0b101, 3, 50)]);
     let states = StateSpace::enumerate(&program).unwrap();
     let tight = CheckOptions::serial().memory_budget(16);
     let refs: Vec<&Predicate> = preds.iter().collect();
@@ -367,4 +386,221 @@ fn block_tables_are_charged_against_the_budget() {
         ),
         "{err:?}"
     );
+}
+
+/// The convergence report over `T` and `S` by brute force, where the
+/// pass's answer is exact: the lowest-id deadlock or escape by a scan in
+/// id order, else the residual by greatest-fixpoint iteration, and with
+/// an empty residual the longest path out of the region by memoized
+/// recursion. A non-empty residual returns the residual instead, for the
+/// divergence checks.
+fn reference(
+    space: &StateSpace,
+    t: &Bitset,
+    s: &Bitset,
+) -> Result<ConvergenceReport, (ConvergenceStats, Vec<bool>)> {
+    let n = space.len();
+    let rows: Vec<Vec<usize>> = space
+        .ids()
+        .map(|id| {
+            space
+                .successors(id)
+                .iter()
+                .map(|&(_, to)| to.index())
+                .collect()
+        })
+        .collect();
+    let region: Vec<bool> = (0..n).map(|i| t.get(i) && !s.get(i)).collect();
+    let states = |count: usize| count as u64;
+    let mut stats = ConvergenceStats {
+        region_states: states(region.iter().filter(|&&r| r).count()),
+        ..ConvergenceStats::default()
+    };
+    let event = (0..n).filter(|&i| region[i]).find_map(|i| {
+        let state = space.state(StateId::from_index(i));
+        if rows[i].is_empty() {
+            return Some(ConvergenceResult::DeadlockOutsideTarget { state });
+        }
+        let after = rows[i].iter().find(|&&to| !t.get(to) && !s.get(to))?;
+        Some(ConvergenceResult::EscapesFaultSpan {
+            before: state,
+            after: space.state(StateId::from_index(*after)),
+        })
+    });
+    if let Some(event) = event {
+        return Ok(ConvergenceReport {
+            weakly_fair: event.clone(),
+            unfair: event,
+            worst_case_moves: None,
+            stats,
+        });
+    }
+    let mut residual = region.clone();
+    loop {
+        let stay: Vec<bool> = (0..n)
+            .map(|i| residual[i] && rows[i].iter().any(|&to| residual[to]))
+            .collect();
+        if stay == residual {
+            break;
+        }
+        residual = stay;
+    }
+    let left = states(residual.iter().filter(|&&r| r).count());
+    stats.peeled_states = stats.region_states - left;
+    if left > 0 {
+        return Err((stats, residual));
+    }
+    fn height(i: usize, rows: &[Vec<usize>], region: &[bool], memo: &mut [Option<u64>]) -> u64 {
+        if let Some(h) = memo[i] {
+            return h;
+        }
+        let inside = rows[i].iter().filter(|&&to| region[to]);
+        let h = 1 + inside
+            .map(|&to| height(to, rows, region, memo))
+            .max()
+            .unwrap_or(0);
+        memo[i] = Some(h);
+        h
+    }
+    let mut memo = vec![None; n];
+    let worst = (0..n)
+        .filter(|&i| region[i])
+        .map(|i| height(i, &rows, &region, &mut memo));
+    Ok(ConvergenceReport {
+        weakly_fair: ConvergenceResult::Converges,
+        unfair: ConvergenceResult::Converges,
+        worst_case_moves: Some(worst.max().unwrap_or(0)),
+        stats,
+    })
+}
+
+/// Whether `witness` is a strongly connected set of `residual` with an
+/// internal edge, and, under weak fairness, one where every action
+/// enabled at all its states has a transition staying inside it.
+fn legal_divergence(
+    space: &StateSpace,
+    residual: &[bool],
+    witness: &ConvergenceResult,
+    fairness: Fairness,
+) -> bool {
+    let ConvergenceResult::Divergence {
+        states,
+        fairness: f,
+    } = witness
+    else {
+        return false;
+    };
+    let ids: Vec<StateId> = states.iter().map(|st| space.id_of(st).unwrap()).collect();
+    let inside = |id: &StateId| ids.contains(id);
+    let reaches = |from: StateId, to: StateId| {
+        let (mut seen, mut todo) = (vec![from], vec![from]);
+        while let Some(id) = todo.pop() {
+            for (_, next) in space.successors(id).into_iter().filter(|(_, x)| inside(x)) {
+                if next == to {
+                    return true;
+                }
+                if !seen.contains(&next) {
+                    seen.push(next);
+                    todo.push(next);
+                }
+            }
+        }
+        false
+    };
+    let connected = ids
+        .iter()
+        .all(|&id| reaches(ids[0], id) && reaches(id, ids[0]));
+    let rows: Vec<_> = ids.iter().map(|&id| space.successors(id)).collect();
+    let fair = fairness == Fairness::Unfair
+        || (0..space.action_count()).all(|a| {
+            let everywhere = rows.iter().all(|r| r.iter().any(|(x, _)| x.index() == a));
+            let stays = rows
+                .iter()
+                .flatten()
+                .any(|(x, to)| x.index() == a && inside(to));
+            !everywhere || stays
+        });
+    *f == fairness && ids.iter().all(|id| residual[id.index()]) && connected && fair
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    /// The block peel's report is the brute-force reference's: the
+    /// lowest event, or with none the bound and the peeled count, or with
+    /// a residual the frontier's verdicts and SCC count, each a legal
+    /// divergence witness. Every thread count and segment size gives the
+    /// same report.
+    #[test]
+    fn block_peel_matches_brute_force(
+        space in space_strategy(),
+        descending in any::<bool>(),
+        actions in proptest::collection::vec(action_strategy(), 1..=5),
+        preds in proptest::collection::vec(pred_strategy(), 2..=2),
+        // T: every state, a random predicate (escapes), or the states
+        // below an id (closed when the program descends).
+        (span, cut) in (0usize..3, 0.0f64..=1.0),
+        // S also holds where no action is enabled, so that there is no
+        // deadlock.
+        absorbing in any::<bool>(),
+    ) {
+        let (program, preds) = build(&space, descending, &actions, &preds);
+        let states = StateSpace::enumerate(&program).unwrap();
+        let refs: Vec<&Predicate> = preds.iter().collect();
+        let caches = Bitset::for_predicates(states.index(), &refs, CheckOptions::serial()).unwrap();
+        let len = states.len();
+        let t = match span {
+            0 => Bitset::ones(len),
+            1 => caches[0].clone(),
+            _ => {
+                let mut below = Bitset::zeros(len);
+                (0..(cut * len as f64) as usize).for_each(|i| below.set(i));
+                below
+            }
+        };
+        let mut s = caches[1].clone();
+        if absorbing {
+            for id in states.ids().filter(|&id| states.successors(id).is_empty()) {
+                s.set(id.index());
+            }
+        }
+        let got = check_convergence_bits(&states, &program, &t, &s, CheckOptions::serial()).unwrap();
+        match reference(&states, &t, &s) {
+            Ok(want) => prop_assert_eq!(&got, &want),
+            Err((stats, residual)) => {
+                prop_assert_eq!(got.worst_case_moves, None);
+                prop_assert_eq!(got.stats.region_states, stats.region_states);
+                prop_assert_eq!(got.stats.peeled_states, stats.peeled_states);
+                prop_assert!(legal_divergence(&states, &residual, &got.unfair, Fairness::Unfair));
+                if !got.weakly_fair.converges() {
+                    let fair = &got.weakly_fair;
+                    prop_assert!(legal_divergence(&states, &residual, fair, Fairness::WeaklyFair));
+                }
+                // The frontier finds its residual by its own rounds, and
+                // ends in the same analysis.
+                let bits = |name: &str, set: &Bitset| {
+                    let (set, index) = (set.clone(), states.clone());
+                    Predicate::new(name, program.var_ids(), move |st| {
+                        set.contains(index.id_of(st).unwrap())
+                    })
+                };
+                let (from, to) = (bits("T", &t), bits("S", &s));
+                for fairness in [Fairness::Unfair, Fairness::WeaklyFair] {
+                    let opts = CheckOptions::serial();
+                    let (verdict, frontier) = check_convergence_frontier_stats(
+                        &program, &from, &to, fairness, opts, &Journal::disabled(),
+                    ).unwrap();
+                    prop_assert_eq!(&verdict, got.verdict(fairness));
+                    prop_assert_eq!(frontier.convergence, got.stats);
+                }
+            }
+        }
+        for threads in [1, 4] {
+            for segment in [7, 64, 0] {
+                let opts = CheckOptions::default().threads(threads).segment_states(segment);
+                let par = check_convergence_bits(&states, &program, &t, &s, opts).unwrap();
+                prop_assert_eq!(&par, &got, "threads={} segment={}", threads, segment);
+            }
+        }
+    }
 }
