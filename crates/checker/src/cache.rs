@@ -12,17 +12,21 @@
 //! [`for_predicates`](Bitset::for_predicates): it tabulates each predicate
 //! over its declared reads and re-keys the table by block (see
 //! [`footprint`](crate::footprint)), then fills any number of caches in
-//! one walk over the space's blocks, in parallel over word-aligned chunks.
-//! Each worker reaches every block of its chunk by an odometer step of the
+//! one walk over the space's blocks, split among workers by segment as
+//! the preservation sweep and the convergence peel split theirs. Each
+//! task reaches every block of its segment by an odometer step of the
 //! tables' keys, so a block of up to 64 states costs one pattern load per
 //! predicate, ORed into the cache's words.
+
+use std::sync::atomic::AtomicU64;
 
 use nonmask_program::Predicate;
 
 use crate::error::CheckError;
-use crate::footprint::{predicate_patterns, Blocks};
-use crate::options::{chunk_ranges, split_lens, steal_parts, CheckOptions};
+use crate::footprint::predicate_patterns;
+use crate::options::CheckOptions;
 use crate::space::{SpaceIndex, StateId, StateSpace};
+use crate::sweep::{or_pattern, zero_column, Segments, TaskBlocks};
 
 /// A fixed-length set of state indices, one bit per state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,19 +89,21 @@ impl Bitset {
     ///
     /// Each predicate is first tabulated over its declared reads (see
     /// [`footprint`](crate::footprint)): one audited entry per assignment
-    /// of them, re-keyed as one truth pattern per block. Each worker then
-    /// owns a chunk of whole blocks that is also a run of whole words (a
-    /// multiple of both 64 and the block's `P` states) and walks its
-    /// blocks in id order, keeping every pattern's key in step with the
-    /// block ids: a block costs one pattern load per predicate and a key
-    /// update per predicate that reads a changed digit. A predicate too
-    /// large to tabulate ([`TABLE_CAP`](crate::TABLE_CAP)) is tabulated
-    /// as its conjuncts when it is a [`Predicate::all`] whose conjuncts
-    /// each fit, and its pattern is the AND of theirs; otherwise it is
-    /// evaluated at each state of the block, which the worker steps with
-    /// [`SpaceIndex::step_state`]. Each pattern is ORed in place into the
-    /// worker's own pre-split slice of each output. No two workers touch
-    /// the same word, so the result is identical for every worker count.
+    /// of them, re-keyed as one truth pattern per block. Each segment of
+    /// the [`SegmentPlan`](crate::SegmentPlan) then walks the blocks that
+    /// hold one of its states in id order, keeping every pattern's key in
+    /// step with the block ids: a block costs one pattern load per
+    /// predicate and a key update per predicate that reads a changed
+    /// digit. A predicate too large to tabulate
+    /// ([`TABLE_CAP`](crate::TABLE_CAP)) is tabulated as its conjuncts
+    /// when it is a [`Predicate::all`] whose conjuncts each fit, and its
+    /// pattern is the AND of theirs; otherwise it is evaluated at each of
+    /// the segment's states of the block, stepped with
+    /// [`SpaceIndex::step_state`]. Each pattern, masked to the segment's
+    /// states (a block that straddles two segments is read by each), is
+    /// ORed in place into its cache, atomically where two segments share
+    /// a word, so the result is identical for every worker count and
+    /// segment size.
     ///
     /// # Errors
     ///
@@ -128,67 +134,62 @@ impl Bitset {
         opts: CheckOptions,
     ) -> Result<(Vec<Self>, u64), CheckError> {
         let len = index.len();
-        let blocks = Blocks::of(index);
-        let (patterns, items) = predicate_patterns(index, &blocks, preds, opts.memory_budget)?;
-        let block = blocks.states();
-        // Chunks of whole units of `lcm(P, 64)` states, so that no block
-        // straddles two workers' words.
-        let unit = block / gcd(block, 64);
-        let words = len.div_ceil(64);
-        let workers = opts.workers_for(len);
-        let chunks: Vec<_> = chunk_ranges(words.div_ceil(unit), workers)
-            .into_iter()
-            .map(|c| c.start * unit..(c.end * unit).min(words))
-            .collect();
+        let segments = Segments::of(index, opts);
+        let blocks = segments.blocks();
+        let (patterns, items) = predicate_patterns(index, blocks, preds, opts.memory_budget)?;
+        let width = blocks.states();
         // A predicate evaluated per row is one item.
         let per_row_items: Vec<usize> = patterns.per_row().collect();
         let per_row: Vec<usize> = (0..preds.len())
             .filter(|&p| per_row_items.contains(&items[p].start))
             .collect();
-        let mut caches: Vec<Bitset> = preds.iter().map(|_| Bitset::zeros(len)).collect();
-        // parts[c][p]: predicate `p`'s words of chunk `c`.
-        let mut parts: Vec<Vec<&mut [u64]>> = chunks.iter().map(|_| Vec::new()).collect();
-        for cache in &mut caches {
-            let slices = split_lens(&mut cache.words, chunks.iter().map(ExactSizeIterator::len));
-            for (part, slice) in parts.iter_mut().zip(slices) {
-                part.push(slice);
-            }
-        }
-        let decoded = steal_parts(parts, workers, |ci, mut out| {
-            let first = chunks[ci].start * 64;
-            let states = (chunks[ci].end * 64).min(len) - first;
-            let mut cursor = patterns.cursor(&blocks);
+        let caches: Vec<_> = preds.iter().map(|_| zero_column(len)).collect();
+        let decoded = segments.run(|segment: &mut TaskBlocks<'_>| {
+            let mut cursor = patterns.cursor(blocks);
             let mut state = index.scratch_state();
             let mut row_patterns = vec![0u64; preds.len()];
-            if !per_row.is_empty() {
-                index.decode_state(StateId::from_index(first), &mut state);
-            }
-            for (k, b) in (first / block..(first + states) / block).enumerate() {
-                patterns.seek(&blocks, &mut cursor, b);
+            // The id `state` holds, once a block has been stepped through.
+            let mut at = None;
+            let mut decoded = 0;
+            for (b, ours) in segment {
+                let x0 = b * width;
+                // A block counts once, in the segment of its first state.
+                decoded += ours & 1;
+                patterns.seek(blocks, &mut cursor, b);
                 if !per_row.is_empty() {
+                    decoded += u64::from(ours.count_ones());
                     for &p in &per_row {
                         row_patterns[p] = 0;
                     }
-                    for j in 0..block {
-                        for &p in &per_row {
-                            row_patterns[p] |= u64::from(preds[p].holds(&state)) << j;
+                    if at != Some(x0) {
+                        index.decode_state(StateId::from_index(x0), &mut state);
+                    }
+                    at = Some(x0 + width);
+                    for j in 0..width {
+                        if ours >> j & 1 == 1 {
+                            for &p in &per_row {
+                                row_patterns[p] |= u64::from(preds[p].holds(&state)) << j;
+                            }
                         }
                         index.step_state(&mut state);
                     }
                 }
-                for (p, words) in out.iter_mut().enumerate() {
-                    let pattern = (items[p].clone()).fold(u64::MAX, |w, item| {
+                for (p, words) in caches.iter().enumerate() {
+                    let pattern = (items[p].clone()).fold(ours, |w, item| {
                         w & patterns
                             .values(&cursor, item)
                             .map_or(row_patterns[p], |v| v[0])
                     });
-                    or_bits(words, k * block, pattern, block);
+                    or_pattern(words, x0, pattern, ours);
                 }
             }
-            let rows = if per_row.is_empty() { 0 } else { states };
-            (states / block + rows) as u64
+            decoded
         })?;
-        Ok((caches, decoded.into_iter().sum()))
+        let caches = caches.into_iter().map(|words| Bitset {
+            words: words.into_iter().map(AtomicU64::into_inner).collect(),
+            len,
+        });
+        Ok((caches.collect(), decoded.into_iter().sum()))
     }
 
     /// Whether state index `i` is in the set.
@@ -326,23 +327,6 @@ impl Bitset {
                 *last &= (1u64 << tail) - 1;
             }
         }
-    }
-}
-
-/// OR the `width` low bits of `bits` into `words` from bit `at` on.
-fn or_bits(words: &mut [u64], at: usize, bits: u64, width: usize) {
-    let (w, shift) = (at / 64, at % 64);
-    words[w] |= bits << shift;
-    if shift + width > 64 {
-        words[w + 1] |= bits >> (64 - shift);
-    }
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
     }
 }
 

@@ -29,10 +29,10 @@ use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::footprint::{per_row_groups, Blocks};
 use crate::options::{steal_find, steal_tasks, CheckOptions};
 use crate::space::{StateId, StateSpace};
 use crate::successors::{RowSource, Successors};
+use crate::sweep::{BlockSweep, TaskBlocks};
 
 /// A witnessed preservation failure: executing `action` at `before` (where
 /// the checked predicate held) produced `after` (where it does not).
@@ -202,9 +202,11 @@ impl Preservation {
 /// layer premises, and unions of classes `T` and `S`, so a transition
 /// costs the same however many layers there are. An action past the
 /// table cap is evaluated at the block's states of `T ∪ S`, into the same
-/// groups. Segments are swept as independent tasks (a block that
-/// straddles two is read by each, for its own states) and ORed, so every
-/// thread count and segment size gives the same answers.
+/// groups. The blocks are read and split among workers by the one block
+/// engine the predicate caches and the convergence peel share: each
+/// segment reads its own states (a block that straddles two is read by
+/// each), and the segments' words are ORed, so every thread count and
+/// segment size gives the same answers.
 ///
 /// # Errors
 ///
@@ -225,8 +227,7 @@ pub fn preservation(
     layers: &[Range<usize>],
     opts: CheckOptions,
 ) -> Result<Preservation, CheckError> {
-    let index = space.index();
-    let len = index.len();
+    let len = space.len();
     assert!(
         slots.iter().all(|b| b.len() == len),
         "cache length mismatch"
@@ -238,10 +239,7 @@ pub fn preservation(
         space.action_count(),
         "one repair entry per action"
     );
-    let blocks = Blocks::of(index);
-    let groups = space.tables().groups(index, &blocks, opts.memory_budget)?;
-    let per_row = space.tables().per_row();
-    let (plan, workers) = (opts.segment_plan(len), opts.workers_for(len));
+    let sweep = BlockSweep::new(space, opts)?;
     let (actions, columns) = (repairs.len(), slots.len().div_ceil(WORD));
     let split = |k: usize| (k / WORD, 1u64 << (k % WORD));
     let mut repaired: Vec<usize> = repairs.iter().flatten().copied().collect();
@@ -250,21 +248,17 @@ pub fn preservation(
     // Runs of words: leaving words, then the classes (depths, `T ∧ S`,
     // `S ∧ ¬T`).
     let (run, depths) = (columns * actions, layers.len().max(1));
-    let width = blocks.states();
-    let task = |ti: usize| {
-        let range = plan.range(ti);
-        let mut cursor = groups.cursor(&blocks);
+    let width = sweep.width();
+    let task = |blocks: &mut TaskBlocks<'_>| {
+        let mut reader = sweep.reader();
         let (mut words, mut unguarded) = (vec![0u64; (depths + 3) * run], vec![0u64; columns]);
         let (mut held, mut enabled) = (vec![0u64; slots.len()], vec![0u64; slots.len()]);
         // Per block, the states of each class: the depths, then `T ∧ S`
         // and `S ∧ ¬T`.
         let mut classes = vec![0u64; depths + 2];
-        let (mut state, mut succ) = (index.scratch_state(), index.scratch_state());
-        let mut row_groups: Vec<Vec<(i64, u64)>> = vec![Vec::new(); per_row.len()];
         let mut read = 0;
-        for b in blocks.covering(&range) {
+        for (b, ours) in blocks {
             let x0 = b * width;
-            let ours = blocks.in_range(b, &range);
             let (in_t, in_s) = (
                 slots[t].word_at(x0 as i64) & ours,
                 slots[s].word_at(x0 as i64) & ours,
@@ -286,19 +280,8 @@ pub fn preservation(
             classes[depths - 1] = deeper;
             classes[depths] = in_t & in_s;
             classes[depths + 1] = in_s & !in_t;
-            groups.seek(&blocks, &mut cursor, b);
-            if !per_row.is_empty() {
-                let scratch = (&mut state, &mut succ);
-                per_row_groups(index, per_row, (x0, width), live, scratch, &mut row_groups);
-            }
-            let mut row_groups = row_groups.iter();
-            for (a, repair) in repairs.iter().enumerate() {
-                let list = match groups.values(&cursor, a) {
-                    Some(list) => list,
-                    None => row_groups
-                        .next()
-                        .expect("one group list per per-row action"),
-                };
+            let lists = sweep.lists(&mut reader, b, live);
+            for ((a, repair), list) in repairs.iter().enumerate().zip(lists) {
                 let mut on = 0;
                 for &(delta, pattern) in list {
                     let pattern = pattern & live;
@@ -343,7 +326,7 @@ pub fn preservation(
         (words, unguarded, read)
     };
     let (mut words, mut unguarded, mut rows) = (vec![0; (depths + 3) * run], vec![0; columns], 0);
-    for (w, u, r) in steal_tasks(plan.count(), workers, task)? {
+    for (w, u, r) in sweep.segments().run(task)? {
         let ours = words.iter_mut().chain(&mut unguarded);
         ours.zip(w.into_iter().chain(u)).for_each(|(x, y)| *x |= y);
         rows += r;

@@ -66,12 +66,14 @@
 //! states, two lists of fewer blocks than the space has, and no stack:
 //! nothing it holds is sized by the region's depth or by the edge count.
 //!
-//! A round that reads every block splits into the segments of the
-//! [`SegmentPlan`], and a block that straddles two is read by each for
-//! its own states; a round that reads listed blocks splits them into
-//! runs of a segment's worth of states. A round reads only the previous
-//! round's `U`, so every thread count and segment size peels the same
-//! states in the same rounds and reports the same witness.
+//! The peel reads its blocks through the one block engine the predicate
+//! caches and the preservation sweep share. A round that reads every
+//! block splits into the segments of the
+//! [`SegmentPlan`](crate::SegmentPlan), and a block that straddles two is
+//! read by each for its own states; a round that reads listed blocks
+//! splits them into runs of a segment's worth of states. A round reads
+//! only the previous round's `U`, so every thread count and segment size
+//! peels the same states in the same rounds and reports the same witness.
 //!
 //! The residual analysis numbers the residual by rank (per word, its
 //! members in the words before), builds its edges as a residual-local
@@ -79,21 +81,22 @@
 //! the DFS stack, so a singleton allocates nothing. Everything it
 //! allocates is charged against [`CheckOptions::memory_budget`] as it
 //! grows (phase `"residual"`). It reads rows through [`Successors`], so
-//! the out-of-core [`frontier`](crate::frontier) peel ends in this same
-//! code, fed decoded rows instead of table rows.
+//! the out-of-core [`frontier`](crate::frontier) check ends in this same
+//! code: both feed it the rows of a [`TableRows`](crate::TableRows)
+//! reader, over the space's action tables or over those the frontier
+//! builds for itself.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-use nonmask_program::{Action, ActionId, Predicate, Program, State};
+use nonmask_program::{ActionId, Predicate, Program, State};
 
 use crate::cache::Bitset;
 use crate::error::CheckError;
-use crate::footprint::{per_row_groups, BlockTable, Blocks, Cursor};
-use crate::options::{steal_tasks, CheckOptions, SegmentPlan};
+use crate::options::CheckOptions;
 use crate::space::{SpaceIndex, StateId, StateSpace};
 use crate::successors::Successors;
+use crate::sweep::{or_pattern, zero_column, BlockSweep, TaskBlocks};
 
 /// The daemon assumption under which convergence is checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -288,8 +291,8 @@ pub fn check_convergence_bits(
             phase: "columns",
         });
     }
-    let mut peel = Bitset::zeros(len);
-    for ((u, f), t) in peel
+    let mut region = Bitset::zeros(len);
+    for ((u, f), t) in region
         .words
         .iter_mut()
         .zip(&from_bits.words)
@@ -298,11 +301,11 @@ pub fn check_convergence_bits(
         *u = f & !t;
     }
     let mut stats = ConvergenceStats {
-        region_states: peel.count_ones() as u64,
+        region_states: region.count_ones() as u64,
         ..ConvergenceStats::default()
     };
     let sweep = BlockSweep::new(space, opts)?;
-    let rounds = match sweep.peel(&mut peel, from_bits, to_bits)? {
+    let rounds = match peel(&sweep, &mut region, from_bits, to_bits)? {
         Peeled::Rounds(rounds) => rounds,
         Peeled::Event(before) => {
             let mut rows = space.rows();
@@ -326,7 +329,7 @@ pub fn check_convergence_bits(
             });
         }
     };
-    let residual = peel;
+    let residual = region;
     stats.peeled_states = stats.region_states - residual.count_ones() as u64;
     if stats.peeled_states == stats.region_states {
         return Ok(ConvergenceReport {
@@ -361,275 +364,135 @@ pub fn check_convergence_bits(
     })
 }
 
-/// A space's action tables re-keyed by block, and the segments a sweep
-/// over them splits into.
-struct BlockSweep<'a> {
-    index: &'a SpaceIndex,
-    blocks: Blocks,
-    groups: BlockTable<(i64, u64)>,
-    per_row: &'a [(usize, Action)],
-    actions: usize,
-    plan: SegmentPlan,
-    workers: usize,
-}
-
-/// One worker's cursor over a [`BlockSweep`]'s tables, and its scratch
-/// for the actions evaluated per row.
-struct BlockReader {
-    cursor: Cursor,
-    state: State,
-    succ: State,
-    row_groups: Vec<Vec<(i64, u64)>>,
-    /// The successor-id deltas of the per-row groups read since the
-    /// reader was made, ascending, or `None` past [`ROW_DELTAS`].
-    row_deltas: Option<Vec<i64>>,
-}
-
-impl BlockReader {
-    /// Add the deltas of the per-row groups last read to `row_deltas`.
-    fn note_row_deltas(&mut self) {
-        for &(delta, _) in self.row_groups.iter().flatten() {
-            let Some(list) = &mut self.row_deltas else {
-                return;
-            };
-            if let Err(at) = list.binary_search(&delta) {
-                list.insert(at, delta);
-                if list.len() > ROW_DELTAS {
-                    self.row_deltas = None;
+/// Peel `set`, the region, to its greatest subset whose every state has
+/// a successor in it, one round at a time; the first round, which reads
+/// every block, also looks for the lowest state of the region with no
+/// enabled action, or with a successor outside `from ∪ to`, and ends the
+/// peel at it.
+///
+/// A state can only be peeled in the round after one of its successors
+/// was. So when a round peels few states, the next reads only the blocks
+/// that hold a predecessor of one of them, found by the successor-id
+/// deltas of the set's transitions, and a long chain costs a block or two
+/// a round instead of every block of the set. Listing them costs a push
+/// per peeled state and delta, and reading every block a block each; the
+/// peel takes the cheaper. The deltas are the tables', and those the
+/// first round meets where it evaluates an action per row; past
+/// [`BlockSweep::deltas`]' bound on those, every round reads every
+/// block. The readers, with their cursors and scratch, are kept from
+/// round to round.
+fn peel(
+    sweep: &BlockSweep<'_>,
+    set: &mut Bitset,
+    from: &Bitset,
+    to: &Bitset,
+) -> Result<Peeled, CheckError> {
+    let (width, words) = (sweep.width(), set.words.len());
+    let block_count = set.len() / width;
+    let mut deltas: Option<Vec<i64>> = None;
+    // One round's peeled states. Each state is written by the one task
+    // that owns it, and read after every task has joined.
+    let peeled = zero_column(set.len());
+    let readers = Mutex::new(Vec::new());
+    // The blocks the next round reads, ascending, or `None` for all; and
+    // the list the round after it fills.
+    let (mut visit, mut preds): (Option<Vec<u32>>, Vec<u32>) = (None, Vec::new());
+    let mut rounds = 0;
+    loop {
+        let (set_ref, first) = (&*set, rounds == 0);
+        // Read `blocks`, each for its states the task reads: how many
+        // states they peel, and the lowest event among them.
+        let read = |blocks: &mut TaskBlocks<'_>| {
+            let popped = readers.lock().expect(POOL).pop();
+            let mut reader = popped.unwrap_or_else(|| sweep.reader());
+            let (mut count, mut event) = (0, None);
+            for (b, ours) in blocks {
+                let x0 = b * width;
+                let live = set_ref.word_at(x0 as i64) & ours;
+                if live == 0 {
+                    continue;
                 }
-            }
-        }
-    }
-}
-
-impl<'a> BlockSweep<'a> {
-    fn new(space: &'a StateSpace, opts: CheckOptions) -> Result<Self, CheckError> {
-        let index = space.index();
-        let blocks = Blocks::of(index);
-        let groups = space.tables().groups(index, &blocks, opts.memory_budget)?;
-        let per_row = space.tables().per_row();
-        Ok(BlockSweep {
-            index,
-            blocks,
-            groups,
-            per_row,
-            actions: space.action_count(),
-            plan: opts.segment_plan(index.len()),
-            workers: opts.workers_for(index.len()),
-        })
-    }
-
-    fn reader(&self) -> BlockReader {
-        BlockReader {
-            cursor: self.groups.cursor(&self.blocks),
-            state: self.index.scratch_state(),
-            succ: self.index.scratch_state(),
-            row_groups: vec![Vec::new(); self.per_row.len()],
-            row_deltas: Some(Vec::new()),
-        }
-    }
-
-    /// Every action's `(δ, pattern)` groups at block `b`, in action
-    /// order; the actions evaluated per row are evaluated at the states
-    /// `live` marks, and the tabled ones' patterns are not masked.
-    fn groups<'r>(
-        &'r self,
-        reader: &'r mut BlockReader,
-        b: usize,
-        live: u64,
-    ) -> impl Iterator<Item = (i64, u64)> + 'r {
-        self.groups.seek(&self.blocks, &mut reader.cursor, b);
-        if !self.per_row.is_empty() {
-            let scratch = (&mut reader.state, &mut reader.succ);
-            let block = (b * self.blocks.states(), self.blocks.states());
-            per_row_groups(
-                self.index,
-                self.per_row,
-                block,
-                live,
-                scratch,
-                &mut reader.row_groups,
-            );
-        }
-        let (cursor, mut row_groups) = (&reader.cursor, reader.row_groups.iter());
-        (0..self.actions)
-            .flat_map(move |a| {
-                let list = self.groups.values(cursor, a);
-                list.unwrap_or_else(|| {
-                    row_groups
-                        .next()
-                        .expect("one group list per per-row action")
-                })
-            })
-            .copied()
-    }
-
-    /// Peel `set`, the region, to its greatest subset whose every state
-    /// has a successor in it, one round at a time; the first round, which
-    /// reads every block, also looks for the lowest state of the region
-    /// with no enabled action, or with a successor outside `from ∪ to`,
-    /// and ends the peel at it.
-    ///
-    /// A state can only be peeled in the round after one of its
-    /// successors was. So when a round peels few states, the next reads
-    /// only the blocks that hold a predecessor of one of them, found by
-    /// the successor-id deltas of the set's transitions, and a long chain
-    /// costs a block or two a round instead of every block of the set.
-    /// Listing them costs a push per peeled state and delta, and reading
-    /// every block a block each; the peel takes the cheaper. The deltas
-    /// are the tables', and those the first round meets where it
-    /// evaluates an action per row; past [`ROW_DELTAS`] of those, every
-    /// round reads every block. A listed round splits its blocks into
-    /// tasks of a segment's worth of states, and the readers, with their
-    /// cursors and scratch, are kept from round to round.
-    fn peel(&self, set: &mut Bitset, from: &Bitset, to: &Bitset) -> Result<Peeled, CheckError> {
-        let (width, words) = (self.blocks.states(), set.words.len());
-        let block_count = set.len() / width;
-        let mut deltas: Option<Vec<i64>> = None;
-        let chunk = self.plan.segment_states().div_ceil(width);
-        // One round's peeled states. Each state is written by the one
-        // task that owns it, and read after every task has joined.
-        let peeled: Vec<AtomicU64> = (0..words).map(|_| AtomicU64::new(0)).collect();
-        let readers = Mutex::new(Vec::new());
-        // The blocks the next round reads, ascending, or `None` for all;
-        // and the list the round after it fills.
-        let (mut visit, mut preds): (Option<Vec<u32>>, Vec<u32>) = (None, Vec::new());
-        let mut rounds = 0;
-        loop {
-            let (set_ref, first) = (&*set, rounds == 0);
-            // Read `blocks`, each for its states in `range`: how many
-            // states they peel, and the lowest event among them.
-            let read = |blocks: &mut dyn Iterator<Item = usize>, range: &Range<usize>| {
-                let popped = readers.lock().expect(POOL).pop();
-                let mut reader = popped.unwrap_or_else(|| self.reader());
-                let (mut count, mut event) = (0, None);
-                for b in blocks {
-                    let x0 = b * width;
-                    let live = set_ref.word_at(x0 as i64) & self.blocks.in_range(b, range);
-                    if live == 0 {
+                let (mut stuck, mut enabled, mut escapes) = (0, 0, 0);
+                for &(delta, pattern) in sweep.lists(&mut reader, b, live).flatten() {
+                    let (on, at) = (pattern & live, x0 as i64 + delta);
+                    if first {
+                        enabled |= on;
+                        escapes |= on & !(from.word_at(at) | to.word_at(at));
+                    } else if on & !stuck == 0 {
                         continue;
                     }
-                    let (mut stuck, mut enabled, mut escapes) = (0, 0, 0);
-                    for (delta, pattern) in self.groups(&mut reader, b, live) {
-                        let (on, at) = (pattern & live, x0 as i64 + delta);
-                        if first {
-                            enabled |= on;
-                            escapes |= on & !(from.word_at(at) | to.word_at(at));
-                        } else if on & !stuck == 0 {
-                            continue;
-                        }
-                        stuck |= on & set_ref.word_at(at);
-                        if stuck == live && !first {
-                            break;
-                        }
-                    }
-                    if first {
-                        reader.note_row_deltas();
-                    }
-                    let events = if first { live & !enabled | escapes } else { 0 };
-                    if events != 0 {
-                        event = Some(x0 + events.trailing_zeros() as usize);
+                    stuck |= on & set_ref.word_at(at);
+                    if stuck == live && !first {
                         break;
                     }
-                    let gone = live & !stuck;
-                    if gone != 0 {
-                        count += gone.count_ones() as usize;
-                        let (w, shift) = (x0 / 64, x0 % 64);
-                        peeled[w].fetch_or(gone << shift, Ordering::Relaxed);
-                        if shift != 0 && gone >> (64 - shift) != 0 {
-                            peeled[w + 1].fetch_or(gone >> (64 - shift), Ordering::Relaxed);
-                        }
-                    }
                 }
-                readers.lock().expect(POOL).push(reader);
-                (count, event)
-            };
-            let found = match &visit {
-                None => steal_tasks(self.plan.count(), self.workers, |ti| {
-                    let range = self.plan.range(ti);
-                    read(&mut self.blocks.covering(&range), &range)
-                })?,
-                Some(list) => {
-                    let all = 0..set_ref.len();
-                    steal_tasks(list.len().div_ceil(chunk), self.workers, |i| {
-                        let ours = &list[i * chunk..list.len().min((i + 1) * chunk)];
-                        read(&mut ours.iter().map(|&b| b as usize), &all)
-                    })?
+                let events = if first { live & !enabled | escapes } else { 0 };
+                if events != 0 {
+                    event = Some(x0 + events.trailing_zeros() as usize);
+                    break;
                 }
-            };
-            if let Some(event) = found.iter().filter_map(|&(_, event)| event).min() {
-                return Ok(Peeled::Event(StateId::from_index(event)));
-            }
-            if first {
-                let pool = readers.lock().expect(POOL);
-                let met = pool.iter().try_fold(Vec::new(), |mut met, r| {
-                    met.extend(r.row_deltas.as_ref()?);
-                    Some(met)
-                });
-                deltas = met
-                    .map(|mut met| {
-                        met.sort_unstable();
-                        met.dedup();
-                        met
-                    })
-                    .filter(|met| met.len() <= ROW_DELTAS)
-                    .map(|mut met| {
-                        met.extend(self.groups.deltas());
-                        met.sort_unstable();
-                        met.dedup();
-                        met
-                    });
-            }
-            let now: usize = found.iter().map(|&(count, _)| count).sum();
-            if now == 0 {
-                return Ok(Peeled::Rounds(rounds));
-            }
-            rounds += 1;
-            let next = deltas.as_ref().filter(|d| now * d.len() < block_count);
-            // The words the round may have written, ascending.
-            let (all, listed) = match &visit {
-                None => (0..words, &[][..]),
-                Some(list) => (0..0, &list[..]),
-            };
-            let touched = all.chain(listed.iter().flat_map(|&b| {
-                let x0 = b as usize * width;
-                x0 / 64..=(x0 + width - 1) / 64
-            }));
-            for w in touched {
-                let mut gone = peeled[w].swap(0, Ordering::Relaxed);
-                set.words[w] &= !gone;
-                while let Some(d) = next.filter(|_| gone != 0) {
-                    let y = w * 64 + gone.trailing_zeros() as usize;
-                    gone &= gone - 1;
-                    let x = d.iter().map(|&delta| y as i64 - delta);
-                    let inside = x.filter(|&x| (0..set.len() as i64).contains(&x));
-                    preds.extend(inside.map(|x| (x as usize / width) as u32));
+                let gone = live & !stuck;
+                if gone != 0 {
+                    count += gone.count_ones() as usize;
+                    or_pattern(&peeled, x0, gone, ours);
                 }
             }
-            let spent = std::mem::replace(
-                &mut visit,
-                next.map(|_| {
-                    preds.sort_unstable();
-                    preds.dedup();
-                    std::mem::take(&mut preds)
-                }),
-            );
-            preds = spent.unwrap_or_default();
-            preds.clear();
+            readers.lock().expect(POOL).push(reader);
+            (count, event)
+        };
+        let found = match &visit {
+            None => sweep.segments().run(read)?,
+            Some(list) => sweep.segments().run_listed(list, read)?,
+        };
+        if let Some(event) = found.iter().filter_map(|&(_, event)| event).min() {
+            return Ok(Peeled::Event(StateId::from_index(event)));
         }
+        if first {
+            deltas = sweep.deltas(&readers.lock().expect(POOL));
+        }
+        let now: usize = found.iter().map(|&(count, _)| count).sum();
+        if now == 0 {
+            return Ok(Peeled::Rounds(rounds));
+        }
+        rounds += 1;
+        let next = deltas.as_ref().filter(|d| now * d.len() < block_count);
+        // The words the round may have written, ascending.
+        let (all, listed) = match &visit {
+            None => (0..words, &[][..]),
+            Some(list) => (0..0, &list[..]),
+        };
+        let touched = all.chain(listed.iter().flat_map(|&b| {
+            let x0 = b as usize * width;
+            x0 / 64..=(x0 + width - 1) / 64
+        }));
+        for w in touched {
+            let mut gone = peeled[w].swap(0, Ordering::Relaxed);
+            set.words[w] &= !gone;
+            while let Some(d) = next.filter(|_| gone != 0) {
+                let y = w * 64 + gone.trailing_zeros() as usize;
+                gone &= gone - 1;
+                let x = d.iter().map(|&delta| y as i64 - delta);
+                let inside = x.filter(|&x| (0..set.len() as i64).contains(&x));
+                preds.extend(inside.map(|x| (x as usize / width) as u32));
+            }
+        }
+        let spent = std::mem::replace(
+            &mut visit,
+            next.map(|_| {
+                preds.sort_unstable();
+                preds.dedup();
+                std::mem::take(&mut preds)
+            }),
+        );
+        preds = spent.unwrap_or_default();
+        preds.clear();
     }
 }
-
-/// The most successor-id deltas the peel collects from the actions it
-/// evaluates per row. It bounds the collection, a sorted insert per new
-/// delta into a list per reader; whether a round lists its blocks is the
-/// cost rule's call. A counter's chain has one delta.
-const ROW_DELTAS: usize = 64;
 
 /// Why the peel's reader pool cannot be poisoned.
 const POOL: &str = "the reader pool is held only to pop or push a reader";
 
-/// What [`BlockSweep::peel`] found.
+/// What [`peel`] found.
 enum Peeled {
     /// The lowest region state with no enabled action, or with a
     /// successor outside `from ∪ to`.

@@ -48,7 +48,9 @@ pub enum CheckError {
         /// analysis: its ranks, ids and CSR and its search's column and
         /// stacks, charged as they grow), `"block tables"` (the footprint
         /// tables re-keyed by block, of the predicate caches, the
-        /// preservation sweep or the convergence peel),
+        /// preservation sweep or the convergence peel), `"constraint
+        /// caches"` (`nonmask::Design::verify`'s predicate caches, `T`,
+        /// `S` and one per constraint, with the space's tables),
         /// `"frontier bitsets"` (the frontier mode's predicate, region,
         /// resolved and delta bitsets, and its action tables), or
         /// `"frontier rows"` (those plus one round's row buffer per

@@ -31,8 +31,10 @@
 //!
 //! # Blocks
 //!
-//! The whole-space sweeps (predicate caches and the preservation sweep)
-//! step a cursor over **blocks** instead of states. A block is the
+//! The whole-space sweeps (the predicate caches, the preservation sweep
+//! and the convergence peel) step a cursor over **blocks** instead of
+//! states, through one block engine that also splits the blocks among
+//! workers (the crate's `sweep` module). A block is the
 //! longest suffix of the variables (the lowest strides) whose domain
 //! sizes multiply to at most 64, so it holds `P ≤ 64` consecutive ids:
 //! `P = 64` on diffusing binary-10 and the windowed ring 7×7, 27
@@ -483,35 +485,6 @@ impl BlockTable<(i64, u64)> {
         deltas.sort_unstable();
         deltas.dedup();
         deltas
-    }
-}
-
-/// The actions of `per_row` at the states `live` marks of the block that
-/// starts at state `x0` and holds `width` states, as the groups a block
-/// table holds: into `groups`, one list per action, cleared first.
-/// `state` and `succ` are scratch states.
-pub(crate) fn per_row_groups(
-    index: &SpaceIndex,
-    per_row: &[(usize, Action)],
-    (x0, width): (usize, usize),
-    live: u64,
-    (state, succ): (&mut State, &mut State),
-    groups: &mut [Vec<(i64, u64)>],
-) {
-    groups.iter_mut().for_each(Vec::clear);
-    index.decode_state(StateId::from_index(x0), state);
-    for j in 0..width {
-        if live >> j & 1 == 1 {
-            let id = StateId::from_index(x0 + j);
-            for ((_, act), list) in per_row.iter().zip(&mut *groups) {
-                if act.enabled(state) {
-                    let next = successor(act, index, id, state, succ)
-                        .unwrap_or_else(|_| unreachable!("a space holds no escape"));
-                    join_group(list, 0, next.0 as i64 - id.0 as i64, 1 << j);
-                }
-            }
-        }
-        index.step_state(state);
     }
 }
 

@@ -60,34 +60,35 @@
 //! to the per-daemon residual analysis (see the [`convergence`] module
 //! docs).
 //!
-//! ## One transition source: resident or decoded
+//! ## One block engine, and one row source
 //!
-//! Every pass reads transitions through the [`Successors`] trait — the
-//! `(action, successor)` row of a state id, in action order — implemented
-//! by a [`TableRows`] reader over a program's footprint tables and by a
-//! [`Decoder`] that evaluates guards and effects on demand (see
-//! [`successors`]). Closure and the convergence residual analysis are
-//! written once on it. Every production pass, the frontier rounds
-//! included, reads table rows; the decoder is the independent reference
-//! the tables are tested against.
+//! The three whole-space passes of a resident verification — the
+//! predicate caches, the [`preservation`] sweep and the convergence peel —
+//! read no row. They read the footprint tables re-keyed by block (see
+//! [`footprint`]): for a block of up to 64 states, one pattern per
+//! predicate and, per action, a short list of `(δ, pattern)` groups. One
+//! crate-private engine reads the action groups and splits the blocks
+//! among workers for all three. [`preservation`] answers closure and
+//! preservation for every action and predicate given `T`, given `S` and
+//! given each of Theorem 3's layers, plus every constraint's repair
+//! obligations (its action enabled where the constraint is false, and
+//! establishing it).
 //!
-//! Whole-space sweeps split the id range into contiguous **segments**
+//! Every other pass reads rows through the [`Successors`] trait — the
+//! `(action, successor)` row of a state id, in action order: the witness
+//! scans ([`is_closed_bits`], [`first_leaving`], [`first_disabled`]), run
+//! only for a violation the sweep found, the residual analysis, bounds,
+//! fault spans and the frontier rounds. A [`TableRows`] reader serves
+//! every production pass; a [`Decoder`] is the independent reference the
+//! tables are tested against (see [`successors`]).
+//!
+//! Whole-space passes split the id range into contiguous **segments**
 //! ([`SegmentPlan`]), claimed by workers through a **work-stealing**
 //! scheduler (an atomic claim counter; no fixed chunk assignment), which
-//! keeps the cores busy even when transition density is skewed across the
-//! id range — and because per-segment results are merged in segment
-//! order, verdicts and witnesses remain bit-identical for every thread
-//! count and claim order. [`is_closed_bits`] and the witness scans run
-//! on a [`Decoder`] as well as on a [`StateSpace`], and report the same
-//! answer on each. One sweep asks every question it can: [`preservation`]
-//! reads the predicate caches and the [`StateSpace`]'s action tables a
-//! block of up to 64 states at a time (see [`footprint`]), and answers
-//! closure and preservation for every action and predicate given `T`,
-//! given `S` and given each of Theorem 3's layers, plus every
-//! constraint's repair obligations (its action enabled where the
-//! constraint is false, and establishing it). A witness scan
-//! ([`first_leaving`], [`first_disabled`]) runs only for a violation the
-//! sweep found.
+//! keeps the cores busy even when work is skewed across the id range —
+//! and because per-segment results are merged in segment order, verdicts
+//! and witnesses remain bit-identical for every thread count and claim
+//! order.
 //!
 //! For convergence-only queries on instances whose per-state columns do
 //! not fit the budget, [`check_convergence_frontier_stats`] ([`frontier`])
@@ -154,6 +155,7 @@ pub mod replay;
 pub mod space;
 pub mod span;
 pub mod successors;
+mod sweep;
 
 pub use bounds::{check_variant, VariantReport};
 pub use cache::{Bitset, OnesIter};

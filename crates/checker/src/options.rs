@@ -10,8 +10,7 @@
 //! merged **in task order** (`steal_tasks`) or reduced to the lowest-index
 //! hit (`steal_find`), so multi-threaded runs return **bit-identical
 //! results** to single-threaded runs — including which violation or
-//! divergence witness is reported first. `steal_parts` hands each task
-//! its own pre-split sub-slice of an output array.
+//! divergence witness is reported first.
 //!
 //! [`StateId`]: crate::StateId
 
@@ -201,72 +200,6 @@ impl SegmentPlan {
     }
 }
 
-/// Balanced contiguous chunk ranges of `0..len` for `workers` workers:
-/// passes that fill disjoint sub-slices of their output arrays (the
-/// predicate caches) split them along these boundaries.
-///
-/// The split is *balanced*: no empty ranges are ever produced (`len == 0`
-/// yields no chunks at all), `workers` is clamped to `len`, and chunk sizes
-/// differ by at most one — `len % workers` leftover items are spread one
-/// each over the leading chunks instead of piling into a degenerate tail.
-pub(crate) fn chunk_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, len);
-    let base = len / workers;
-    let extra = len % workers;
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0;
-    for i in 0..workers {
-        let size = base + usize::from(i < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    ranges
-}
-
-/// Split `out` into consecutive sub-slices of the given lengths.
-pub(crate) fn split_lens<T>(
-    mut out: &mut [T],
-    lens: impl IntoIterator<Item = usize>,
-) -> Vec<&mut [T]> {
-    lens.into_iter()
-        .map(|len| {
-            let (head, tail) = std::mem::take(&mut out).split_at_mut(len);
-            out = tail;
-            head
-        })
-        .collect()
-}
-
-/// Run `f(i, parts[i])` for every part under [`steal_tasks`], each part
-/// moved into exactly one task, and return the results in task order.
-/// Passes that fill disjoint sub-slices of their output arrays (the
-/// predicate caches) run this way, so the layout does not depend on
-/// the thread count or the claim order.
-pub(crate) fn steal_parts<P, R, F>(
-    parts: Vec<P>,
-    workers: usize,
-    f: F,
-) -> Result<Vec<R>, CheckError>
-where
-    P: Send,
-    R: Send,
-    F: Fn(usize, P) -> R + Sync,
-{
-    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    steal_tasks(slots.len(), workers, |i| {
-        let part = slots[i]
-            .lock()
-            .expect("a part's lock is only held to take it")
-            .take()
-            .expect("each part is claimed exactly once");
-        f(i, part)
-    })
-}
-
 /// Run `f(0), f(1), …, f(tasks-1)` under a work-stealing pool of `workers`
 /// threads and return all results **in task order**.
 ///
@@ -385,46 +318,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_ranges_tile_the_input() {
-        for (len, workers) in [(0, 4), (1, 4), (10, 3), (10_000, 7), (2048, 2048)] {
-            let ranges = chunk_ranges(len, workers);
-            assert!(ranges.len() <= workers.max(1));
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "len={len} workers={workers}");
-                next = r.end;
-            }
-            assert_eq!(next, len, "len={len} workers={workers}");
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_degenerate_lens_are_balanced() {
-        // len ∈ {0, 1, workers−1, workers+1} and a tiny-tail case: no empty
-        // chunks ever, and sizes differ by at most one.
-        for workers in [2, 4, 7, 8] {
-            for len in [0, 1, workers - 1, workers + 1, 10 * workers + 1] {
-                let ranges = chunk_ranges(len, workers);
-                if len == 0 {
-                    assert!(ranges.is_empty(), "len=0 workers={workers}: {ranges:?}");
-                    continue;
-                }
-                assert_eq!(ranges.len(), workers.min(len));
-                let sizes: Vec<usize> = ranges.iter().map(std::ops::Range::len).collect();
-                assert!(
-                    sizes.iter().all(|&s| s > 0),
-                    "empty chunk at len={len} workers={workers}: {sizes:?}"
-                );
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(
-                    max - min <= 1,
-                    "imbalance at len={len} workers={workers}: {sizes:?}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn small_work_is_serial() {

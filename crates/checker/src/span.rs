@@ -29,7 +29,7 @@ pub struct StateSet {
 
 impl StateSet {
     /// The states satisfying `pred` (evaluated once per state, in parallel
-    /// chunks with the [default options](CheckOptions::default)).
+    /// segments with the [default options](CheckOptions::default)).
     ///
     /// # Errors
     ///

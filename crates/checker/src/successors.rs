@@ -1,9 +1,10 @@
-//! One transition source for every pass: the [`Successors`] trait.
+//! The row source: the [`Successors`] trait.
 //!
-//! Closure and convergence ask one question of the
-//! transition relation: *what is the `(action, successor)` row of this
-//! state?* Two sources answer it, with bit-identical rows (enabled
-//! actions in id order, each paired with its successor's id):
+//! Every pass but the three block passes (see
+//! [`footprint`](crate::footprint)) asks one question of the transition
+//! relation: *what is the `(action, successor)` row of this state?* Two
+//! sources answer it, with bit-identical rows (enabled actions in id
+//! order, each paired with its successor's id):
 //!
 //! - a [`TableRows`] reader over a program's per-action footprint tables
 //!   (a [`StateSpace`]'s, or those the
@@ -28,9 +29,9 @@
 //! state costs a carry from the previous id when the id is higher, and a
 //! full decode only on the first row or a move backwards.
 //!
-//! Whole-space sweeps (closure) go through [`RowSource`], which hands each
-//! task of the [segment plan](crate::CheckOptions::segment_plan) its own
-//! `Successors`, so one scan serves both sources.
+//! The witness scans of closure go through [`RowSource`], which hands
+//! each task of the [segment plan](crate::CheckOptions::segment_plan) its
+//! own `Successors`, so one scan serves both sources.
 
 use nonmask_program::{Action, Program, State};
 
@@ -45,8 +46,8 @@ pub(crate) fn guard_bytes(actions: usize) -> usize {
 
 /// The id of `act`'s successor of `state` (the decoding of `id`),
 /// computed into the scratch `succ`: the one guard-to-id step that
-/// [`Decoder`] rows, per-row actions of [`TableRows`] and the space
-/// build's per-row check all take.
+/// [`Decoder`] rows, per-row actions of [`TableRows`] and of the block
+/// reader, and the space build's per-row check all take.
 ///
 /// # Errors
 ///

@@ -223,7 +223,11 @@ impl Design {
     /// count;
     /// [`DesignError::Graph`] if the constraint graph cannot be derived;
     /// [`DesignError::Check`] if a predicate, guard, or action body panics
-    /// inside a checker worker.
+    /// inside a checker worker, or with [`CheckError::BudgetExceeded`]
+    /// when a pass would exceed [`CheckOptions::memory_budget`]: phase
+    /// `"constraint caches"` when the space's tables and the caches the
+    /// closure sweep holds together, `T`, `S` and one per constraint at a
+    /// bit a state each, would not fit it.
     pub fn verify_with(&self, space: &StateSpace) -> Result<ToleranceReport, DesignError> {
         let started = Instant::now();
         self.check_shape(space)?;
@@ -239,6 +243,7 @@ impl Design {
         // tests. The default `S` is `T ∧ (∀ i :: c_i)` (see
         // `Design::invariant`), composed bitwise.
         let eval_started = Instant::now();
+        self.charge_caches(space)?;
         let mut preds: Vec<&Predicate> = vec![t];
         preds.extend(self.constraints.iter().map(Constraint::predicate));
         preds.extend(&self.invariant_override);
@@ -399,6 +404,25 @@ impl Design {
                 total: started.elapsed(),
             },
         })
+    }
+
+    /// Charge the predicate caches [`verify_with`](Self::verify_with)
+    /// holds through the closure sweep, `T`, `S` and one per constraint
+    /// at a bit a state each, with the space's tables, against the memory
+    /// budget, before any is allocated.
+    fn charge_caches(&self, space: &StateSpace) -> Result<(), CheckError> {
+        let caches = 2 + self.constraints.len() as u64;
+        let required =
+            space.resident_bytes() as u64 + caches * (space.len().div_ceil(64) as u64 * 8);
+        let budget = self.options.memory_budget;
+        if required > budget {
+            return Err(CheckError::BudgetExceeded {
+                required,
+                budget,
+                phase: "constraint caches",
+            });
+        }
+        Ok(())
     }
 
     /// [`DesignError::SpaceMismatch`] unless `space` has the variable
@@ -1221,6 +1245,73 @@ mod tests {
         b.closure_action("noop-c", [c], [c], |_| true, |_| {});
         let space = StateSpace::enumerate(&b.build()).unwrap();
         assert!(d.verify_with(&space).is_ok());
+    }
+
+    /// `x0 ≤ x1 ≤ … ≤ x(n−1)` over `0..=3`, one constraint per link,
+    /// each repaired by raising the later variable.
+    fn ascending_chain(n: usize) -> Design {
+        let mut b = Program::builder("chain");
+        let x: Vec<VarId> = (0..n)
+            .map(|i| b.var(format!("x{i}"), Domain::range(0, 3)))
+            .collect();
+        let mut links = Vec::new();
+        for i in 1..n {
+            let (lo, hi) = (x[i - 1], x[i]);
+            let raise = b.convergence_action(
+                format!("raise-{i}"),
+                [lo, hi],
+                [hi],
+                move |s| s.get(lo) > s.get(hi),
+                move |s| s.set(hi, s.get(lo)),
+            );
+            links.push((
+                Predicate::new(format!("x{}<=x{i}", i - 1), [lo, hi], move |s| {
+                    s.get(lo) <= s.get(hi)
+                }),
+                raise,
+            ));
+        }
+        let mut partition = NodePartition::new();
+        for (i, &v) in x.iter().enumerate() {
+            partition = partition.group(format!("x{i}"), [v]);
+        }
+        let mut d = Design::builder(b.build()).partition(partition);
+        for (c, raise) in links {
+            d = d.constraint(c.name().to_string(), c, raise);
+        }
+        d.build().unwrap()
+    }
+
+    #[test]
+    fn constraint_caches_are_charged_against_the_budget() {
+        use nonmask_checker::StateSpace;
+        // 4^6 states: a cache is 64 words. Enumeration charges the tables
+        // and 4 bits a state; the closure sweep holds T, S and five
+        // constraint caches, 7 bits a state.
+        let d = ascending_chain(6);
+        let zero = d.options().memory_budget(0);
+        let enumeration = match StateSpace::enumerate_with_options(d.program(), zero) {
+            Err(CheckError::BudgetExceeded { required, .. }) => required,
+            other => panic!("a zero budget must refuse the space, got {other:?}"),
+        };
+        let tight = d
+            .clone()
+            .with_options(d.options().memory_budget(enumeration));
+        let required = match tight.verify() {
+            Err(DesignError::Check(CheckError::BudgetExceeded {
+                required,
+                budget,
+                phase: "constraint caches",
+            })) => {
+                assert_eq!(budget, enumeration);
+                required
+            }
+            other => panic!("expected the constraint caches to be refused, got {other:?}"),
+        };
+        let space = StateSpace::enumerate(d.program()).unwrap();
+        assert_eq!(required, space.resident_bytes() as u64 + 7 * 64 * 8);
+        let fits = d.clone().with_options(d.options().memory_budget(required));
+        assert!(fits.verify().unwrap().is_tolerant());
     }
 
     #[test]

@@ -206,13 +206,27 @@ mod tests {
         let tree = Tree::binary(7);
         let dc = DiffusingComputation::new(&tree);
         let refinement = Refinement::new(dc.program()).unwrap();
-        let report = run_threaded(
-            dc.program(),
-            &refinement,
-            &dc.initial_state(),
-            100_000,
-            None,
-        );
+        // Every node's session differs from its parent's, so every
+        // thread's first action (the root's initiate, a child's
+        // propagate/repair) is enabled at the start. Whichever thread
+        // claims the first attempt reads the start state, and steps, or a
+        // state some other step wrote: the run takes a step however the
+        // threads are scheduled. From `initial_state()` only the root is
+        // enabled, and the other threads can spend the whole budget
+        // before the root's thread runs.
+        let mut start = dc.initial_state();
+        for j in 1..tree.len() {
+            let parent = tree.parent(j);
+            assert!(parent < j, "parents come first");
+            let flipped = 1 - start.get(dc.session_var(parent));
+            start.set(dc.session_var(j), flipped);
+        }
+        let program = dc.program();
+        for p in 0..refinement.process_count() {
+            let first = program.action(refinement.actions_of(p)[0]);
+            assert!(first.enabled(&start), "{} is enabled", first.name());
+        }
+        let report = run_threaded(program, &refinement, &start, 100_000, None);
         dc.program().validate_state(&report.final_state).unwrap();
         assert!(report.steps > 0);
         assert!(!report.stopped_on_predicate);

@@ -220,9 +220,12 @@ fn per_row(space: &StateSpace, pred: &Predicate) -> bool {
 proptest! {
     #![proptest_config(cases())]
 
-    /// The caches equal the predicates at every state, at 1 and 4
-    /// threads, and the pass decodes one block per `P` states, plus every
-    /// state when a predicate is evaluated per row.
+    /// The caches equal the predicates at every state, and the pass
+    /// decodes one block per `P` states, plus every state when a
+    /// predicate is evaluated per row, at 1 and 4 threads and 7-state,
+    /// 64-state and automatic segments: a block that straddles two
+    /// segments (a 27-state block always straddles a 7- or 64-state
+    /// segment) is read by each, for its own states, and counted once.
     #[test]
     fn block_caches_match_every_state(
         space in space_strategy(),
@@ -235,24 +238,23 @@ proptest! {
         prop_assert_eq!(rows, space.wide);
         let len = states.len() as u64;
         let want_decoded = len / space.block as u64 + if rows { len } else { 0 };
-        let mut serial = None;
-        for threads in [1, 4] {
-            let opts = CheckOptions::default().threads(threads);
-            let (caches, decoded) =
-                Bitset::for_predicates_counted(states.index(), &refs, opts).unwrap();
-            prop_assert_eq!(decoded, want_decoded, "threads={}", threads);
-            for (bits, pred) in caches.iter().zip(&preds) {
-                prop_assert_eq!(bits.len(), states.len());
-                for id in states.ids() {
-                    prop_assert_eq!(
-                        bits.contains(id),
-                        pred.holds(&states.state(id)),
-                        "{} at {} threads={}", pred.name(), id, threads
-                    );
-                }
+        let (serial, decoded) =
+            Bitset::for_predicates_counted(states.index(), &refs, CheckOptions::serial()).unwrap();
+        prop_assert_eq!(decoded, want_decoded);
+        for (bits, pred) in serial.iter().zip(&preds) {
+            prop_assert_eq!(bits.len(), states.len());
+            for id in states.ids() {
+                prop_assert_eq!(bits.contains(id), pred.holds(&states.state(id)), "{} at {}", pred.name(), id);
             }
-            let serial = serial.get_or_insert(caches.clone());
-            prop_assert_eq!(&caches, serial);
+        }
+        for threads in [1, 4] {
+            for segment in [7, 64, 0] {
+                let opts = CheckOptions::default().threads(threads).segment_states(segment);
+                let (caches, decoded) =
+                    Bitset::for_predicates_counted(states.index(), &refs, opts).unwrap();
+                prop_assert_eq!(&caches, &serial, "threads={} segment={}", threads, segment);
+                prop_assert_eq!(decoded, want_decoded, "threads={} segment={}", threads, segment);
+            }
         }
     }
 
